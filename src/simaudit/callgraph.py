@@ -41,9 +41,6 @@ class ScanSchedule:
     order: tuple[str, ...]
     scc_groups: tuple[tuple[str, ...], ...]  # only groups of size > 1
 
-    def position(self, unit_id: str) -> int:
-        return self.order.index(unit_id)
-
 
 def build_graph(units: list[FunctionUnit]) -> CallGraph:
     """Resolve declared call names against the unit set.
@@ -195,12 +192,13 @@ def _dot_escape(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(graph: CallGraph) -> str:
-    """Render the graph as Graphviz DOT text, vertices and edges sorted."""
+def to_dot(vertices, edges) -> str:
+    """Render a call graph's vertex ids and (caller, callee) edges as Graphviz
+    DOT text, vertices and edges sorted."""
     lines = ["digraph callgraph {"]
-    for v in sorted(graph.vertices):
+    for v in sorted(vertices):
         lines.append(f'  "{_dot_escape(v)}";')
-    for caller, callee in sorted(graph.edges):
+    for caller, callee in sorted(edges):
         lines.append(f'  "{_dot_escape(caller)}" -> "{_dot_escape(callee)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -31,7 +31,7 @@ from .errors import (
     SimauditError,
 )
 from .metrics import EvalMetrics
-from .scanner import render_markdown, run_scan, scan_graph
+from .scanner import render_markdown, run_scan
 from .simindex import DEFAULT_DELTA, FallbackEmbedder, RemoteEmbedder, embed_index
 
 
@@ -132,8 +132,8 @@ def cmd_scan(args) -> int:
     if args.report_md:
         Path(args.report_md).write_text(render_markdown(report), encoding="utf-8")
     if args.emit_callgraph:
-        graph, _ = scan_graph(args.input)
-        Path(args.emit_callgraph).write_text(to_dot(graph), encoding="utf-8")
+        dot = to_dot(report["schedule"]["order"], report["callgraph"]["edges"])
+        Path(args.emit_callgraph).write_text(dot, encoding="utf-8")
     s = report["summary"]
     print(f"units={s['units']} vulnerable={s['vulnerable']} errors={s['errors']} "
           f"report={args.report}")

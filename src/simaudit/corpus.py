@@ -2,8 +2,9 @@
 
 An index is a JSON Lines file. Line one is a header carrying the format
 version, the embedder id, the similarity threshold the index was built for,
-a creation timestamp, and ingestion stats; every following line is one entry.
-Saving is deterministic, so load-then-save reproduces the file byte for byte.
+a creation timestamp, and ingestion stats; every following line is one entry,
+with its row of the embedding matrix (null before embedding). Saving is
+deterministic, so load-then-save reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 
+import numpy as np
+
 from .errors import (
     ArchiveCorrupt,
     FileCorrupt,
@@ -27,7 +30,7 @@ from .errors import (
     SourceError,
 )
 from .extract import FunctionUnit, UnitKind, extract_units
-from .simindex import DEFAULT_DELTA, EmbeddingVector
+from .simindex import DEFAULT_DELTA
 
 log = logging.getLogger(__name__)
 
@@ -49,7 +52,6 @@ class CorpusEntry:
     version: str
     label: Label = Label.CLEAN
     vuln_note: str | None = None
-    embedding: EmbeddingVector | None = None
 
 
 @dataclass
@@ -71,6 +73,8 @@ class CorpusIndex:
     meta: IndexMeta
     stats: IndexStats = field(default_factory=IndexStats)
     entries: list[CorpusEntry] = field(default_factory=list)
+    # Row i embeds entries[i], all by meta.embedder_id; None until embedded.
+    vectors: np.ndarray | None = field(default=None, compare=False)
     _by_hash: dict[str, list[int]] = field(default_factory=dict, repr=False, compare=False)
 
     def insert(self, unit: FunctionUnit, package: str, version: str) -> bool:
@@ -253,14 +257,14 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
             "functions_kept": index.stats.functions_kept,
         },
     })]
-    for entry in index.entries:
+    for i, entry in enumerate(index.entries):
         lines.append(json.dumps({
             "entry_id": entry.entry_id,
             "package": entry.package,
             "version": entry.version,
             "label": entry.label.value,
             "vuln_note": entry.vuln_note,
-            "embedding": list(entry.embedding.values) if entry.embedding else None,
+            "embedding": None if index.vectors is None else index.vectors[i].tolist(),
             "unit": _unit_to_dict(entry.unit),
         }))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -293,15 +297,13 @@ def load_index(path: str | Path) -> CorpusIndex:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FileCorrupt(f"index {path} header is malformed: {exc}") from exc
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            embedding = None
-            if rec["embedding"] is not None:
-                embedding = EmbeddingVector(values=tuple(float(x) for x in rec["embedding"]),
-                                            provider_id=header["embedder_id"] or "")
+            rows.append(rec["embedding"])
             entry = CorpusEntry(
                 entry_id=rec["entry_id"],
                 unit=_unit_from_dict(rec["unit"]),
@@ -309,7 +311,6 @@ def load_index(path: str | Path) -> CorpusIndex:
                 version=rec["version"],
                 label=Label(rec["label"]),
                 vuln_note=rec["vuln_note"],
-                embedding=embedding,
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise FileCorrupt(f"index {path} line {lineno}: {exc}") from exc
@@ -319,4 +320,11 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise FileCorrupt(
             f"index {path} says functions_kept={index.stats.functions_kept} "
             f"but holds {len(index.entries)} entries")
+    if any(row is not None for row in rows):
+        try:
+            index.vectors = np.array(rows, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise FileCorrupt(f"index {path} embeddings are malformed: {exc}") from exc
+        if index.vectors.ndim != 2:
+            raise FileCorrupt(f"index {path} embeddings are not one vector per entry")
     return index

@@ -199,22 +199,25 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-def _match_paren_group(tokens: list[_Token], i: int, file_path: str) -> int:
-    """Return the index just past the ")" matching the "(" at tokens[i]."""
+def _match_group(tokens: list[_Token], i: int, file_path: str,
+                 pair: str = "()", unclosed: str = "unclosed parenthesis") -> int:
+    """Return the index just past the closer matching the opener at tokens[i];
+    pair holds the opening and closing bracket."""
+    opener, closer = pair
     depth = 0
     n = len(tokens)
     start = tokens[i].start
     while i < n:
         t = tokens[i]
         if t.kind == "punct":
-            if t.text == "(":
+            if t.text == opener:
                 depth += 1
-            elif t.text == ")":
+            elif t.text == closer:
                 depth -= 1
                 if depth == 0:
                     return i + 1
         i += 1
-    raise UnbalancedBraces("unclosed parenthesis", file_path=file_path, offset=start)
+    raise UnbalancedBraces(unclosed, file_path=file_path, offset=start)
 
 
 def _header_calls(tokens: list[_Token], i: int, file_path: str):
@@ -233,7 +236,7 @@ def _header_calls(tokens: list[_Token], i: int, file_path: str):
             if t.text == ";":
                 return names, None, i
             if t.text == "(":
-                i = _match_paren_group(tokens, i, file_path)
+                i = _match_group(tokens, i, file_path)
                 continue
             i += 1
             continue
@@ -241,7 +244,7 @@ def _header_calls(tokens: list[_Token], i: int, file_path: str):
             if t.text in ("returns", "override"):
                 i += 1
                 if i < n and tokens[i].kind == "punct" and tokens[i].text == "(":
-                    i = _match_paren_group(tokens, i, file_path)
+                    i = _match_group(tokens, i, file_path)
                 continue
             if t.text in _HEADER_KEYWORDS:
                 i += 1
@@ -250,29 +253,11 @@ def _header_calls(tokens: list[_Token], i: int, file_path: str):
             names.append(t.text)
             i += 1
             if i < n and tokens[i].kind == "punct" and tokens[i].text == "(":
-                i = _match_paren_group(tokens, i, file_path)
+                i = _match_group(tokens, i, file_path)
             continue
         i += 1
     raise UnbalancedBraces("unit header never terminated", file_path=file_path,
                            offset=tokens[i - 1].start if i > 0 else 0)
-
-
-def _match_body(tokens: list[_Token], i: int, file_path: str) -> int:
-    """Return the index just past the "}" matching the "{" at tokens[i]."""
-    depth = 0
-    n = len(tokens)
-    start = tokens[i].start
-    while i < n:
-        t = tokens[i]
-        if t.kind == "punct":
-            if t.text == "{":
-                depth += 1
-            elif t.text == "}":
-                depth -= 1
-                if depth == 0:
-                    return i + 1
-        i += 1
-    raise UnbalancedBraces("unclosed brace", file_path=file_path, offset=start)
 
 
 def _body_calls(tokens: list[_Token]) -> list[str]:
@@ -299,16 +284,6 @@ def _body_calls(tokens: list[_Token]) -> list[str]:
                     continue
         names.append(t.text)
     return names
-
-
-def _dedupe(names: list[str]) -> tuple[str, ...]:
-    seen: set[str] = set()
-    out: list[str] = []
-    for name in names:
-        if name not in seen:
-            seen.add(name)
-            out.append(name)
-    return tuple(out)
 
 
 def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
@@ -345,7 +320,7 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
             raw_source=raw,
             normalized_source=norm,
             content_hash=content_hash(norm),
-            declared_calls=_dedupe(calls),
+            declared_calls=tuple(dict.fromkeys(calls)),
             source_span=(start, end),
         )
         units.append(unit)
@@ -406,7 +381,7 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
                     i += 1
                     continue
             if j < n and tokens[j].kind == "punct" and tokens[j].text == "(":
-                j = _match_paren_group(tokens, j, file_path)
+                j = _match_group(tokens, j, file_path)
             header_names, body_open, header_end = _header_calls(tokens, j, file_path)
             if body_open is None:
                 if name == "fallback" and kw == "function":
@@ -415,7 +390,7 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
                 make_unit(kind, name, contract, t.start, tokens[header_end].end, header_names)
                 i = header_end + 1
                 continue
-            body_close = _match_body(tokens, body_open, file_path)
+            body_close = _match_group(tokens, body_open, file_path, "{}", "unclosed brace")
             calls = header_names + _body_calls(tokens[body_open:body_close])
             make_unit(kind, name, contract, t.start, tokens[body_close - 1].end, calls)
             i = body_close

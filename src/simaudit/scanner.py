@@ -21,7 +21,7 @@ from .agents import (
     Verdict,
     run_debate,
 )
-from .callgraph import CallGraph, ScanSchedule, build_graph, topo_order
+from .callgraph import build_graph, topo_order
 from .corpus import CorpusIndex
 from .errors import ParseError, ProviderError, ProviderMismatch, ProviderUnavailable
 from .extract import FunctionUnit, extract_units
@@ -74,8 +74,9 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
              provider_name: str = "", extra_inputs: dict | None = None) -> dict:
     """Scan the given paths and return the report dictionary.
 
-    Per-unit provider and parse failures become verdict "error" records and
-    the scan keeps going; anything wrong with reading inputs propagates.
+    Per-unit provider and parse failures, embedding included, become verdict
+    "error" records and the scan keeps going; anything wrong with reading
+    inputs, or an index that does not match the embedder, propagates.
     """
     started = time.perf_counter()
     started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -106,35 +107,33 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
 
     for position, unit_id in enumerate(schedule.order):
         unit = by_id[unit_id]
-        category = Category.DISSIMILAR
-        matches: list[TaskMatch] = []
-        if simcheck:
-            clone = index.find_clone(unit.normalized_source, unit.content_hash)
-            if clone is not None:
-                category = Category.CLONE
-                matches = [TaskMatch(
-                    match=SimilarityMatch(entry_id=clone.entry_id, distance=0.0,
-                                          similarity=1.0, category=Category.CLONE),
-                    entry=clone)]
-            else:
-                vector = embed(unit.normalized_source, embed_provider)
-                top = query_top_k(vector, index, k=k, delta=delta)
-                matches = [TaskMatch(match=m, entry=index.entry_by_id(m.entry_id))
-                           for m in top]
-                category = top[0].category if top else Category.DISSIMILAR
-
         summaries = tuple(
             (callee, _summary_line(*outcomes[callee]))
             for callee in callees[unit_id] if callee in outcomes
         )
-        task = DetectionTask(unit=unit, callee_summaries=summaries,
-                             matches=tuple(matches), category=category)
-
+        category = Category.DISSIMILAR
+        matches: list[TaskMatch] = []
         calls_before = len(calls_log) if calls_log is not None else 0
         verdict: Verdict | None = None
         transcript = DebateTranscript(())
         error: str | None = None
         try:
+            if simcheck:
+                clone = index.find_clone(unit.normalized_source, unit.content_hash)
+                if clone is not None:
+                    category = Category.CLONE
+                    matches = [TaskMatch(
+                        match=SimilarityMatch(entry_id=clone.entry_id, distance=0.0,
+                                              similarity=1.0, category=Category.CLONE),
+                        entry=clone)]
+                else:
+                    vector = embed(unit.normalized_source, embed_provider)
+                    top = query_top_k(vector, index, k=k, delta=delta)
+                    matches = [TaskMatch(match=m, entry=index.entry_by_id(m.entry_id))
+                               for m in top]
+                    category = top[0].category if top else Category.DISSIMILAR
+            task = DetectionTask(unit=unit, callee_summaries=summaries,
+                                 matches=tuple(matches), category=category)
             verdict, transcript = run_debate(task, llm_provider, configs, templates)
         except (ProviderError, ProviderUnavailable, ParseError) as exc:
             error = str(exc)
@@ -209,13 +208,6 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
             "seconds": finished - started,
         },
     }
-
-
-def scan_graph(paths: list[str | Path]) -> tuple[CallGraph, ScanSchedule]:
-    """Build just the call graph and schedule for the given inputs."""
-    units = load_units(collect_sol_files(paths))
-    graph = build_graph(units)
-    return graph, topo_order(graph)
 
 
 def render_markdown(report: dict) -> str:

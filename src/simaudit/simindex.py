@@ -6,12 +6,15 @@ similarity is one minus that. Note this measure is intentionally not
 scale-invariant: similarity(a, 2a) < 1 even though the vectors point the same
 way. Do not "fix" it to cosine; downstream thresholds were chosen for this
 measure.
+
+A corpus index holds one embedding per entry, all from one embedder (its
+`embedder_id`), as the rows of a single float64 matrix; retrieval scores the
+whole matrix at once.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -166,14 +169,18 @@ def embed(text: str, provider) -> EmbeddingVector:
     return embed_texts([text], provider)[0]
 
 
-def _norm(values: np.ndarray) -> float:
-    # norm(v) squares first, which underflows to 0 for denormal-range
-    # components; scale out the magnitude so tiny nonzero vectors keep a
-    # nonzero norm.
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    if scale == 0.0 or not math.isfinite(scale):
-        return scale
-    return scale * float(np.linalg.norm(values / scale))
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array.
+
+    norm(v) squares first, which underflows to 0 for denormal-range
+    components; each row is divided by its largest magnitude before squaring
+    so tiny nonzero rows keep a nonzero norm. A row whose largest magnitude
+    is 0 or not finite gets that magnitude as its norm.
+    """
+    scale = np.abs(rows).max(axis=1, initial=0.0)
+    ok = (scale != 0.0) & np.isfinite(scale)
+    unit = rows / np.where(ok, scale, 1.0)[:, None]
+    return np.where(ok, scale * np.sqrt(np.vecdot(unit, unit)), scale)
 
 
 def similarity(e1: EmbeddingVector, e2: EmbeddingVector) -> tuple[float, float]:
@@ -189,11 +196,10 @@ def similarity(e1: EmbeddingVector, e2: EmbeddingVector) -> tuple[float, float]:
             f"cannot compare {len(e1.values)}-dim and {len(e2.values)}-dim vectors")
     a = np.asarray(e1.values, dtype=float)
     b = np.asarray(e2.values, dtype=float)
-    norm_a = _norm(a)
-    norm_b = _norm(b)
+    norm_a, norm_b, norm_ab = _row_norms(np.array((a, b, a - b))).tolist()
     if norm_a == 0.0 and norm_b == 0.0:
         return 0.0, 1.0
-    dist = _norm(a - b) / (norm_a + norm_b)
+    dist = norm_ab / (norm_a + norm_b)
     dist = min(max(dist, 0.0), 1.0)
     return dist, 1.0 - dist
 
@@ -212,23 +218,34 @@ def query_top_k(target: EmbeddingVector, index: "CorpusIndex", k: int = 3,
                 delta: float = DEFAULT_DELTA) -> list[SimilarityMatch]:
     """Exact brute-force top-k by similarity, ties broken by entry id.
 
-    Matches below delta are still returned, categorized Dissimilar, so the
-    caller can decide what to do with weak neighbors. An empty index yields an
-    empty list.
+    Every entry is scored in one pass over the index matrix with the same
+    arithmetic as similarity(), so scores and their order are bit-identical
+    to scoring pair by pair. Matches below delta are still returned,
+    categorized Dissimilar, so the caller can decide what to do with weak
+    neighbors. An empty index yields an empty list.
     """
     if not index.entries:
         return []
-    scored: list[tuple[float, str, float]] = []
-    for entry in index.entries:
-        if entry.embedding is None:
-            raise ProviderMismatch(f"entry {entry.entry_id} has no embedding")
-        if entry.embedding.provider_id != target.provider_id:
-            raise ProviderMismatch(
-                f"entry {entry.entry_id} embedded by {entry.embedding.provider_id}, "
-                f"query by {target.provider_id}")
-        dist, sim = similarity(target, entry.embedding)
-        scored.append((sim, entry.entry_id, dist))
-    scored.sort(key=lambda t: (-t[0], t[1]))
+    rows = index.vectors
+    if rows is None or len(rows) != len(index.entries):
+        raise ProviderMismatch(
+            f"index holds {0 if rows is None else len(rows)} embeddings "
+            f"for {len(index.entries)} entries")
+    if index.meta.embedder_id != target.provider_id:
+        raise ProviderMismatch(
+            f"index embedded by {index.meta.embedder_id}, query by {target.provider_id}")
+    if rows.shape[1] != len(target.values):
+        raise DimensionMismatch(
+            f"index holds {rows.shape[1]}-dim vectors, query is {len(target.values)}-dim")
+    q = np.asarray(target.values, dtype=float)
+    norm_q = _row_norms(q[None, :])[0]
+    denom = norm_q + _row_norms(rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dists = np.clip(_row_norms(q - rows) / denom, 0.0, 1.0)
+    dists[denom == 0.0] = 0.0  # two zero vectors compare as identical
+    scored = sorted(zip((1.0 - dists).tolist(), (e.entry_id for e in index.entries),
+                        dists.tolist()),
+                    key=lambda t: (-t[0], t[1]))
     return [
         SimilarityMatch(entry_id=eid, distance=dist, similarity=sim,
                         category=classify(sim, delta))
@@ -237,11 +254,10 @@ def query_top_k(target: EmbeddingVector, index: "CorpusIndex", k: int = 3,
 
 
 def embed_index(index: "CorpusIndex", provider) -> None:
-    """Embed every entry's normalized source in place and stamp the index
-    with the provider id."""
+    """Embed every entry's normalized source into the index matrix, row i
+    for entries[i], and stamp the index with the provider id."""
     texts = [e.unit.normalized_source for e in index.entries]
     if texts:
-        vectors = embed_texts(texts, provider)
-        for entry, vec in zip(index.entries, vectors):
-            entry.embedding = vec
+        index.vectors = np.array([v.values for v in embed_texts(texts, provider)],
+                                 dtype=float)
     index.meta.embedder_id = provider.provider_id

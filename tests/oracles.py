@@ -3,7 +3,9 @@
 Each oracle recomputes a result through a mechanism deliberately different
 from the package's own (placeholder substitution instead of a streaming
 emitter, reachability closure instead of Tarjan, plain math instead of numpy),
-so agreement between the two is evidence rather than tautology.
+so agreement between the two is evidence rather than tautology. The one
+exception is scalar_similarity, which keeps the package's original
+pair-at-a-time numpy arithmetic on purpose: it pins scores bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+
+import numpy as np
 
 
 class OracleUnterminatedComment(Exception):
@@ -159,6 +163,30 @@ def reference_similarity(a, b) -> tuple[float, float]:
     if norm_a == 0.0 and norm_b == 0.0:
         return 0.0, 1.0
     dist = math.dist(a, b) / (norm_a + norm_b)
+    dist = min(max(dist, 0.0), 1.0)
+    return dist, 1.0 - dist
+
+
+def scalar_norm(values: np.ndarray) -> float:
+    # norm(v) squares first, which underflows to 0 for denormal-range
+    # components; scale out the magnitude so tiny nonzero vectors keep a
+    # nonzero norm.
+    scale = float(np.max(np.abs(values))) if values.size else 0.0
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    return scale * float(np.linalg.norm(values / scale))
+
+
+def scalar_similarity(a, b) -> tuple[float, float]:
+    """(distance, similarity) one vector at a time, with the same numpy
+    summation order any faster scoring path must reproduce exactly."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    norm_a = scalar_norm(a)
+    norm_b = scalar_norm(b)
+    if norm_a == 0.0 and norm_b == 0.0:
+        return 0.0, 1.0
+    dist = scalar_norm(a - b) / (norm_a + norm_b)
     dist = min(max(dist, 0.0), 1.0)
     return dist, 1.0 - dist
 

@@ -156,8 +156,8 @@ class TestSchedule:
 
     def test_position_lookup(self):
         s = topo_order(_graph([("a", "b")]))
-        assert s.position("b") == 0
-        assert s.position("a") == 1
+        assert s.order.index("b") == 0
+        assert s.order.index("a") == 1
 
 
 _vertex_names = [f"u{i:02d}" for i in range(10)]
@@ -210,7 +210,7 @@ class TestScheduleProperties:
 class TestDot:
     def test_renders_sorted_vertices_and_edges(self):
         g = _graph([("b", "a")], vertices=["c"])
-        assert to_dot(g) == (
+        assert to_dot(g.vertices, g.edges) == (
             "digraph callgraph {\n"
             '  "a";\n'
             '  "b";\n'
@@ -221,6 +221,6 @@ class TestDot:
 
     def test_escapes_quotes_and_backslashes(self):
         g = _graph([], vertices=['a"b', "c\\d"])
-        out = to_dot(g)
+        out = to_dot(g.vertices, g.edges)
         assert '"a\\"b";' in out
         assert '"c\\\\d";' in out

@@ -69,7 +69,7 @@ class TestIndexCommand:
         names = sorted(e.unit.name for e in index.entries)
         assert names == ["_approve", "_transfer", "transferFrom"]
         assert index.meta.embedder_id == "fallback-trigram-v1"
-        assert all(e.embedding is not None for e in index.entries)
+        assert index.vectors.shape == (len(index.entries), 384)
 
     def test_labels_are_applied(self, tmp_path):
         out = _build_index(tmp_path, labels=True)
@@ -152,8 +152,8 @@ class TestScanCommand:
     def test_markdown_and_callgraph_outputs(self, tmp_path):
         md = tmp_path / "report.md"
         dot = tmp_path / "graph.dot"
-        code, _ = _scan(tmp_path, "--report-md", str(md),
-                        "--emit-callgraph", str(dot))
+        code, report = _scan(tmp_path, "--report-md", str(md),
+                             "--emit-callgraph", str(dot))
         assert code == 0
         md_text = md.read_text(encoding="utf-8")
         assert "VULNERABLE (logic error)" in md_text
@@ -161,6 +161,10 @@ class TestScanCommand:
         dot_text = dot.read_text(encoding="utf-8")
         assert dot_text.startswith("digraph")
         assert "transferFrom" in dot_text and "_transfer" in dot_text
+        edges = json.loads(report.read_text(encoding="utf-8"))["callgraph"]["edges"]
+        assert edges
+        for caller, callee in edges:
+            assert f'  "{caller}" -> "{callee}";\n' in dot_text
 
     def test_unit_error_does_not_fail_the_run(self, tmp_path, capsys):
         index = _build_index(tmp_path, labels=True)

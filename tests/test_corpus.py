@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -280,7 +281,8 @@ class TestPersistence:
         save_index(index, path)
         loaded = load_index(path)
         assert loaded == index
-        assert loaded.entries[0].embedding.provider_id == "fallback-trigram-v1"
+        assert loaded.meta.embedder_id == "fallback-trigram-v1"
+        assert np.array_equal(loaded.vectors, index.vectors)
 
     def test_resave_is_byte_identical(self, tmp_path):
         index = _labeled_index()
@@ -336,6 +338,25 @@ class TestPersistence:
             load_index(path)
         assert "line 3" in str(exc.value)
 
+    @pytest.mark.parametrize("rewrite", [
+        lambda i, emb: None if i == 0 else emb,         # partial
+        lambda i, emb: emb[:-1] if i == 0 else emb,     # ragged
+        lambda i, emb: ["x", *emb[1:]],                 # non-numeric
+        lambda i, emb: emb[0],                          # scalar rows
+    ], ids=["partial", "ragged", "non_numeric", "scalar"])
+    def test_malformed_embeddings_are_file_corrupt(self, tmp_path, rewrite):
+        index = _labeled_index()
+        embed_index(index, FallbackEmbedder())
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        header, *entries = path.read_text().splitlines()
+        recs = [json.loads(line) for line in entries]
+        for i, rec in enumerate(recs):
+            rec["embedding"] = rewrite(i, rec["embedding"])
+        path.write_text("\n".join([header, *map(json.dumps, recs)]) + "\n")
+        with pytest.raises(FileCorrupt):
+            load_index(path)
+
     def test_kept_count_mismatch_detected(self, tmp_path):
         index = _labeled_index()
         path = tmp_path / "idx.jsonl"
@@ -384,5 +405,9 @@ class TestPersistenceProperties:
         save_index(index, path)
         loaded = load_index(path)
         assert loaded == index
+        if index.vectors is None:
+            assert loaded.vectors is None
+        else:
+            assert np.array_equal(loaded.vectors, index.vectors)
         save_index(loaded, path)
         assert load_index(path) == index

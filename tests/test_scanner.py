@@ -9,9 +9,14 @@ import pytest
 from helpers import mk_unit
 from simaudit.agents import MockLLMProvider, Role
 from simaudit.corpus import Label, new_index
-from simaudit.errors import ProviderError, ProviderMismatch
+from simaudit.errors import (
+    DimensionMismatch,
+    ProviderError,
+    ProviderMismatch,
+    ProviderUnavailable,
+)
 from simaudit.extract import extract_units
-from simaudit.scanner import render_markdown, run_scan, scan_graph
+from simaudit.scanner import render_markdown, run_scan
 from simaudit.simindex import FallbackEmbedder, embed_index
 from test_agents import CRI, DET, GOOD_DEFAULTS, SUP
 
@@ -225,6 +230,48 @@ class TestSimcheck:
             run_scan([path], index, provider, OtherEmbedder())
         assert provider.calls == []
 
+    def test_embedding_failure_is_a_unit_error(self, tmp_path):
+        modified = CHAIN_SOL.replace("return mid() + 1;",
+                                     "uint256 v = mid(); return v + 2;")
+        path = _write(tmp_path, "chain.sol", modified)
+        loop = _write(tmp_path, "loop.sol", LOOP_SOL)
+        index = self._indexed(CHAIN_SOL, vulnerable=("mid",))
+
+        class DownEmbedder(FallbackEmbedder):
+            def embed_many(self, texts):
+                raise ProviderUnavailable("embedder down")
+
+        provider = MockLLMProvider(defaults=GOOD_DEFAULTS)
+        report = run_scan([tmp_path], index, provider, DownEmbedder())
+        by_id = {r["unit_id"]: r for r in report["units"]}
+        leaf, mid, top = _ids(path, "Chain", "leaf", "mid", "top")
+        for unit_id in [top, *_ids(loop, "Loop", "ping", "pong")]:
+            assert by_id[unit_id]["verdict"] == "error"
+            assert by_id[unit_id]["error_message"] == "embedder down"
+            assert by_id[unit_id]["provider_calls"] == 0
+        assert by_id[leaf]["verdict"]["is_vulnerable"] is False
+        assert by_id[mid]["verdict"]["is_vulnerable"] is True
+        assert by_id[top]["callee_summaries"] == [[mid, "vulnerable: seeded issue"]]
+        assert report["summary"]["errors"] == 3
+        assert provider.calls == []
+
+    def test_index_mismatch_found_in_retrieval_still_fails_the_scan(self, tmp_path):
+        path = _write(tmp_path, "chain.sol", CHAIN_SOL.replace("+ 1", "+ 7"))
+        unembedded = self._indexed(CHAIN_SOL)
+        unembedded.vectors = None
+        unembedded.meta.embedder_id = None
+        with pytest.raises(ProviderMismatch):
+            run_scan([path], unembedded, MockLLMProvider(), FallbackEmbedder())
+
+        class TwoDims(FallbackEmbedder):
+            dimension = 2
+
+            def embed_many(self, texts):
+                return [[1.0, 0.0] for _ in texts]
+
+        with pytest.raises(DimensionMismatch):
+            run_scan([path], self._indexed(CHAIN_SOL), MockLLMProvider(), TwoDims())
+
 
 class TestReportShape:
     def test_deterministic_apart_from_timing(self, tmp_path):
@@ -262,16 +309,6 @@ class TestReportShape:
         report = run_scan([tmp_path, path], None,
                           MockLLMProvider(defaults=CLEAN_DEFAULTS), simcheck=False)
         assert report["inputs"]["files"] == [str(path)]
-
-    def test_scan_graph_matches_report_schedule(self, tmp_path):
-        _write(tmp_path, "chain.sol", CHAIN_SOL)
-        _write(tmp_path, "loop.sol", LOOP_SOL)
-        graph, schedule = scan_graph([tmp_path])
-        report = run_scan([tmp_path], None,
-                          MockLLMProvider(defaults=CLEAN_DEFAULTS), simcheck=False)
-        assert report["schedule"]["order"] == list(schedule.order)
-        assert report["callgraph"]["edges"] == sorted(
-            [c, d] for c, d in graph.edges)
 
 
 class TestMarkdown:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -229,8 +230,7 @@ def _index_with_vectors(labeled_values, pid="t"):
     for i, (entry_suffix, values) in enumerate(labeled_values):
         unit = mk_unit(f"f.sol::C::e{i}#0", name=f"e{i}")
         assert index.insert(unit, "pkg", "1")
-        index.entries[-1].embedding = EmbeddingVector(tuple(values), pid)
-        # rename for test readability: ids are pkg@1/f.sol::C::e{i}#0
+    index.vectors = np.array([values for _, values in labeled_values], dtype=float)
     index.meta.embedder_id = pid
     return index
 
@@ -293,11 +293,52 @@ class TestQueryTopK:
             got = [(m.entry_id, m.similarity) for m in query_top_k(target, index, k=k)]
             want = oracles.full_sort_top_k(
                 target.values,
-                [(e.entry_id, e.embedding.values) for e in index.entries],
+                [(e.entry_id, tuple(v)) for e, v in zip(index.entries, index.vectors)],
                 k)
             assert [g[0] for g in got] == [w[0] for w in want]
             for (_, gs), (_, ws) in zip(got, want):
                 assert abs(gs - ws) < 1e-9
+
+
+def _bit_exact_cases():
+    """Seeded (rows, targets) in dimensions 2, 8 and 384: a zero row, rows at unit scale and
+    scaled by 1e-300 and 1e300, duplicated rows for ties, and fallback-embedder
+    vectors."""
+    rng = np.random.default_rng(20261017)
+    for dim in (2, 8, 384):
+        rows = [np.zeros(dim)]
+        for scale in (1.0, 1e-300, 1e300):
+            rows += [rng.uniform(-1, 1, dim) * scale for _ in range(5)]
+        rows += [rows[1].copy(), rows[6].copy(), rows[11].copy()]
+        targets = rows + [rng.uniform(-1, 1, dim) * s for s in (1.0, 1e-300, 1e300)]
+        yield rows, targets
+    emb = FallbackEmbedder()
+    rows = [np.array(emb._embed_one(f"function f{i}() public {{ return {i * i}; }}"))
+            for i in range(12)]
+    rows.append(rows[3].copy())
+    yield rows, rows + [np.array(emb._embed_one("function g() { }"))]
+
+
+class TestBitExactScores:
+    """Scores equal the scalar reference with no tolerance: a changed
+    summation order would move golden reports and tie-breaks."""
+
+    @pytest.mark.parametrize("rows,targets", list(_bit_exact_cases()),
+                             ids=["d2", "d8", "d384", "fallback"])
+    def test_similarity_and_top_k_match_scalar_reference(self, rows, targets):
+        index = _index_with_vectors([(str(i), row) for i, row in enumerate(rows)])
+        row_of = {e.entry_id: row for e, row in zip(index.entries, rows)}
+        for target in targets:
+            query = _vec(*target)
+            for row in rows:
+                want = oracles.scalar_similarity(target, row)
+                assert similarity(query, _vec(*row)) == want
+            matches = query_top_k(query, index, k=len(rows))
+            got = [(m.entry_id, m.distance, m.similarity) for m in matches]
+            want = sorted(((eid, *oracles.scalar_similarity(target, row))
+                           for eid, row in row_of.items()),
+                          key=lambda t: (-t[2], t[0]))
+            assert got == want
 
 
 class TestEmbedIndex:
@@ -307,16 +348,16 @@ class TestEmbedIndex:
             index.insert(mk_unit(f"f.sol::C::fn{i}#0", name=f"fn{i}"), "pkg", "1")
         embed_index(index, FallbackEmbedder())
         assert index.meta.embedder_id == "fallback-trigram-v1"
-        for entry in index.entries:
-            assert entry.embedding is not None
-            assert len(entry.embedding.values) == 384
-            assert entry.embedding.provider_id == "fallback-trigram-v1"
+        assert index.vectors.shape == (3, 384)
+        for entry, row in zip(index.entries, index.vectors):
+            assert tuple(row) == FallbackEmbedder()._embed_one(entry.unit.normalized_source)
 
     def test_empty_index_just_stamps(self):
         index = new_index()
         embed_index(index, FallbackEmbedder())
         assert index.meta.embedder_id == "fallback-trigram-v1"
         assert index.entries == []
+        assert index.vectors is None
 
 
 class TestRemoteEmbedder:
