@@ -69,13 +69,11 @@ class AgentConfig:
     presence_penalty: float = 0.0
     frequency_penalty: float = 0.0
     model_name: str = DEFAULT_MODEL
-    prompt_template_id: str = ""
 
     @classmethod
     def for_role(cls, role: Role, model_name: str = DEFAULT_MODEL) -> "AgentConfig":
         temp = DETECTOR_TEMPERATURE if role is Role.DETECTOR else 0.0
-        return cls(role=role, temperature=temp, model_name=model_name,
-                   prompt_template_id=role.value.lower())
+        return cls(role=role, temperature=temp, model_name=model_name)
 
 
 def default_configs(model_name: str = DEFAULT_MODEL) -> dict[Role, AgentConfig]:
@@ -398,10 +396,8 @@ class HttpLLMProvider:
         self.endpoint = os.environ.get(ENV_LLM_ENDPOINT) or endpoint
         self.api_key = os.environ.get(ENV_LLM_KEY) or api_key
         self.timeout = timeout
-        self.calls: list[tuple[Role, list[dict]]] = []
 
     def complete(self, messages: list[dict], config: AgentConfig) -> str:
-        self.calls.append((config.role, messages))
         body = {
             "model": config.model_name,
             "messages": messages,

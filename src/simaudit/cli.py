@@ -233,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--provider", choices=("mock", "remote"), default="remote")
     p_scan.add_argument("--mock-fixture", help="canned responses for the mock provider")
     p_scan.add_argument("--k", type=int, default=3, help="references per unit")
-    p_scan.add_argument("--delta", type=float, default=DEFAULT_DELTA,
-                        help="similarity threshold")
+    p_scan.add_argument("--delta", type=float,
+                        help="similarity threshold (default: the index's)")
     p_scan.add_argument("--report", required=True, help="JSON report to write")
     p_scan.add_argument("--report-md", help="also write a Markdown rendering")
     p_scan.add_argument("--emit-callgraph", help="write the call graph as DOT")
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--no-simcheck", action="store_true",
                         help="ablation: skip similarity checking entirely")
     p_eval.add_argument("--k", type=int, default=3)
-    p_eval.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    p_eval.add_argument("--delta", type=float, help="similarity threshold (default: the index's)")
     p_eval.add_argument("--metrics-out", help="write metrics JSON here instead of stdout")
     p_eval.add_argument("--config", help="JSON config file for endpoints and keys")
     p_eval.set_defaults(func=cmd_eval)

@@ -76,6 +76,7 @@ class CorpusIndex:
     # Row i embeds entries[i], all by meta.embedder_id; None until embedded.
     vectors: np.ndarray | None = field(default=None, compare=False)
     _by_hash: dict[str, list[int]] = field(default_factory=dict, repr=False, compare=False)
+    _by_id: dict[str, CorpusEntry] = field(default_factory=dict, repr=False, compare=False)
 
     def insert(self, unit: FunctionUnit, package: str, version: str) -> bool:
         """Insert unless an entry with the same hash and byte-equal normalized
@@ -84,18 +85,22 @@ class CorpusIndex:
             if self.entries[pos].unit.normalized_source == unit.normalized_source:
                 return False
         entry_id = f"{package}@{version}/{unit.unit_id}"
-        if any(e.entry_id == entry_id for e in self.entries):
+        if entry_id in self._by_id:
             # Same id but different content: disambiguate rather than clobber.
             suffix = 2
-            while any(e.entry_id == f"{entry_id}~{suffix}" for e in self.entries):
+            while f"{entry_id}~{suffix}" in self._by_id:
                 suffix += 1
             log.warning("entry id collision for %s, keeping both", entry_id)
             entry_id = f"{entry_id}~{suffix}"
-        self._by_hash.setdefault(unit.content_hash, []).append(len(self.entries))
-        self.entries.append(CorpusEntry(entry_id=entry_id, unit=unit,
-                                        package=package, version=version))
+        self._append(CorpusEntry(entry_id=entry_id, unit=unit,
+                                 package=package, version=version))
         self.stats.functions_kept = len(self.entries)
         return True
+
+    def _append(self, entry: CorpusEntry) -> None:
+        self._by_hash.setdefault(entry.unit.content_hash, []).append(len(self.entries))
+        self._by_id.setdefault(entry.entry_id, entry)
+        self.entries.append(entry)
 
     def find_clone(self, normalized_source: str, hash_hex: str) -> CorpusEntry | None:
         """Exact-content lookup: hash equality plus a byte comparison, so a
@@ -107,10 +112,7 @@ class CorpusIndex:
         return None
 
     def entry_by_id(self, entry_id: str) -> CorpusEntry | None:
-        for entry in self.entries:
-            if entry.entry_id == entry_id:
-                return entry
-        return None
+        return self._by_id.get(entry_id)
 
 
 def new_index(delta: float = DEFAULT_DELTA) -> CorpusIndex:
@@ -314,8 +316,7 @@ def load_index(path: str | Path) -> CorpusIndex:
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise FileCorrupt(f"index {path} line {lineno}: {exc}") from exc
-        index._by_hash.setdefault(entry.unit.content_hash, []).append(len(index.entries))
-        index.entries.append(entry)
+        index._append(entry)
     if index.stats.functions_kept != len(index.entries):
         raise FileCorrupt(
             f"index {path} says functions_kept={index.stats.functions_kept} "

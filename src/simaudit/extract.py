@@ -1,10 +1,11 @@
 """Lexical extraction of Solidity function and modifier units.
 
-Everything here works from a flat token stream and brace matching, not a
-grammar, so sources that do not compile (snippets, truncated vendored files,
-exotic pragma versions) still yield units. The trade-off is that call targets
-are collected syntactically: any identifier applied like a call is reported,
-and the resolver downstream decides what it actually names.
+Everything here works from one flat token stream (_tokenize) and brace
+matching, not a grammar, so sources that do not compile (snippets, truncated
+vendored files, exotic pragma versions) still yield units. Normalized text is
+a join of a run of the same tokens, never a second lexer. Call targets are
+collected syntactically: any identifier applied like a call is reported, and
+the resolver downstream decides what it actually names.
 """
 
 from __future__ import annotations
@@ -101,48 +102,15 @@ def normalize(raw: str) -> str:
     """Strip comments and collapse whitespace runs to single spaces.
 
     String literals pass through verbatim, including anything that looks like
-    a comment marker inside them. Strings must close on their own line;
-    normalize is stricter than the extraction tokenizer because its output
-    feeds content hashing and must be a fixed point.
+    a comment marker inside them. Strings must close on their own line and
+    block comments must close: the output feeds content hashing and must be a
+    fixed point. The lexing is extraction's; the strictness is _join()'s.
     """
-    out: list[str] = []
-    pending_ws = False
-    i, n = 0, len(raw)
-
-    def emit(chunk: str) -> None:
-        nonlocal pending_ws
-        if pending_ws and out:
-            out.append(" ")
-        pending_ws = False
-        out.append(chunk)
-
-    while i < n:
-        ch = raw[i]
-        if raw.startswith("//", i):
-            j = raw.find("\n", i)
-            i = n if j < 0 else j
-            pending_ws = True
-        elif raw.startswith("/*", i):
-            j = raw.find("*/", i + 2)
-            if j < 0:
-                raise UnterminatedBlockComment("unterminated block comment", offset=i)
-            i = j + 2
-            pending_ws = True
-        elif ch in "\"'":
-            j = i + 1
-            while j < n and raw[j] != ch and raw[j] != "\n":
-                j += 2 if raw[j] == "\\" else 1
-            if j >= n or raw[j] == "\n":
-                raise UnterminatedString("unterminated string literal", offset=i)
-            emit(raw[i : j + 1])
-            i = j + 1
-        elif ch in _WHITESPACE:
-            pending_ws = True
-            i += 1
-        else:
-            emit(ch)
-            i += 1
-    return "".join(out)
+    tokens, open_comment = _tokenize(raw)
+    text = _join(tokens, 0)
+    if open_comment is not None:
+        raise UnterminatedBlockComment("unterminated block comment", offset=open_comment)
+    return text
 
 
 def content_hash(normalized: str) -> str:
@@ -152,16 +120,18 @@ def content_hash(normalized: str) -> str:
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # "id" | "num" | "str" | "punct"
+    kind: str  # "id" | "num" | "str" | "open_str" | "punct"
     text: str
     start: int
     end: int
 
 
-def _tokenize(source: str) -> list[_Token]:
-    # Lenient by design: strings end at an unescaped newline, an unterminated
-    # block comment swallows the rest of the file. Structure discovery has to
-    # survive junk; normalize() is where strictness lives.
+def _tokenize(source: str) -> tuple[list[_Token], int | None]:
+    """Tokens, plus the offset of an unclosed "/*" (or None). Lenient, since
+    structure discovery has to survive junk: a string cut off by a newline or
+    the end of the text is an "open_str" token, and an unclosed comment
+    swallows the rest without becoming a token, so offsets taken from the
+    tokens do not move. _join() is where strictness lives."""
     tokens: list[_Token] = []
     i, n = 0, len(source)
     while i < n:
@@ -173,13 +143,16 @@ def _tokenize(source: str) -> list[_Token]:
             i = n if j < 0 else j + 1
         elif source.startswith("/*", i):
             j = source.find("*/", i + 2)
-            i = n if j < 0 else j + 2
+            if j < 0:
+                return tokens, i
+            i = j + 2
         elif ch in "\"'":
             j = i + 1
             while j < n and source[j] != ch and source[j] != "\n":
                 j += 2 if source[j] == "\\" else 1
+            kind = "str" if j < n and source[j] == ch else "open_str"
             j = min(j + 1, n)
-            tokens.append(_Token("str", source[i:j], i, j))
+            tokens.append(_Token(kind, source[i:j], i, j))
             i = j
         elif ch.isalpha() or ch in "_$":
             j = i + 1
@@ -196,7 +169,21 @@ def _tokenize(source: str) -> list[_Token]:
         else:
             tokens.append(_Token("punct", ch, i, i + 1))
             i += 1
-    return tokens
+    return tokens, None
+
+
+def _join(tokens: list[_Token], base: int) -> str:
+    """Normalized text of a run of tokens: their texts, one space wherever
+    whitespace or a comment separated two of them. Raises UnterminatedString
+    at the first open string, offset relative to base."""
+    out: list[str] = []
+    for prev, t in zip([None, *tokens], tokens):
+        if t.kind == "open_str":
+            raise UnterminatedString("unterminated string literal", offset=t.start - base)
+        if prev is not None and t.start > prev.end:
+            out.append(" ")
+        out.append(t.text)
+    return "".join(out)
 
 
 def _match_group(tokens: list[_Token], i: int, file_path: str,
@@ -294,7 +281,7 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
     picked up too, with an empty contract name. An input with no units is a
     valid empty result, not an error.
     """
-    tokens = _tokenize(source)
+    tokens, _ = _tokenize(source)
     units: list[FunctionUnit] = []
     ordinals: dict[tuple[str, str], int] = {}
     # Stack of (contract name, brace depth at which it closes, open offset).
@@ -302,13 +289,14 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
     depth = 0
     i, n = 0, len(tokens)
 
-    def make_unit(kind, name, contract, start, end, calls):
+    def make_unit(kind, name, contract, first, stop, calls):
         ordinal = ordinals.get((contract, name), 0)
         ordinals[(contract, name)] = ordinal + 1
+        start, end = tokens[first].start, tokens[stop - 1].end
         raw = source[start:end]
         try:
-            norm = normalize(raw)
-        except (UnterminatedBlockComment, UnterminatedString) as exc:
+            norm = _join(tokens[first:stop], start)
+        except UnterminatedString as exc:
             exc.file_path = file_path
             raise
         unit = FunctionUnit(
@@ -387,12 +375,12 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
                 if name == "fallback" and kw == "function":
                     i = header_end + 1  # function-type state variable
                     continue
-                make_unit(kind, name, contract, t.start, tokens[header_end].end, header_names)
+                make_unit(kind, name, contract, i, header_end + 1, header_names)
                 i = header_end + 1
                 continue
             body_close = _match_group(tokens, body_open, file_path, "{}", "unclosed brace")
             calls = header_names + _body_calls(tokens[body_open:body_close])
-            make_unit(kind, name, contract, t.start, tokens[body_close - 1].end, calls)
+            make_unit(kind, name, contract, i, body_close, calls)
             i = body_close
             continue
         i += 1

@@ -25,7 +25,7 @@ from .callgraph import build_graph, topo_order
 from .corpus import CorpusIndex
 from .errors import ParseError, ProviderError, ProviderMismatch, ProviderUnavailable
 from .extract import FunctionUnit, extract_units
-from .simindex import Category, SimilarityMatch, embed, query_top_k
+from .simindex import DEFAULT_DELTA, Category, SimilarityMatch, embed, query_top_k
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -67,13 +67,25 @@ def _match_dict(m: SimilarityMatch) -> dict:
     }
 
 
+class _CallCounter:
+    """Forwards complete() to the provider, counting every attempt."""
+
+    def __init__(self, provider):
+        self.provider, self.count = provider, 0
+
+    def complete(self, messages, config):
+        self.count += 1
+        return self.provider.complete(messages, config)
+
+
 def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
-             embed_provider=None, *, k: int = 3, delta: float = 0.65,
+             embed_provider=None, *, k: int = 3, delta: float | None = None,
              simcheck: bool = True, configs=None,
              templates: TemplateSet | None = None,
              provider_name: str = "", extra_inputs: dict | None = None) -> dict:
     """Scan the given paths and return the report dictionary.
 
+    delta defaults to the index's threshold (DEFAULT_DELTA without an index).
     Per-unit provider and parse failures, embedding included, become verdict
     "error" records and the scan keeps going; anything wrong with reading
     inputs, or an index that does not match the embedder, propagates.
@@ -90,6 +102,8 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
             raise ProviderMismatch(
                 f"index was embedded by {index.meta.embedder_id}, "
                 f"scan provider is {embed_provider.provider_id}")
+    if delta is None:
+        delta = index.meta.delta if index is not None else DEFAULT_DELTA
 
     files = collect_sol_files(paths)
     units = load_units(files)
@@ -99,7 +113,7 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
     callees = {u.unit_id: graph.callees_of(u.unit_id) for u in units}
 
     templates = templates or TemplateSet.builtin()
-    calls_log = getattr(llm_provider, "calls", None)
+    llm = _CallCounter(llm_provider)
 
     records: list[dict] = []
     transcripts: dict[str, list[dict]] = {}
@@ -113,7 +127,7 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
         )
         category = Category.DISSIMILAR
         matches: list[TaskMatch] = []
-        calls_before = len(calls_log) if calls_log is not None else 0
+        calls_before = llm.count
         verdict: Verdict | None = None
         transcript = DebateTranscript(())
         error: str | None = None
@@ -134,10 +148,9 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
                     category = top[0].category if top else Category.DISSIMILAR
             task = DetectionTask(unit=unit, callee_summaries=summaries,
                                  matches=tuple(matches), category=category)
-            verdict, transcript = run_debate(task, llm_provider, configs, templates)
+            verdict, transcript = run_debate(task, llm, configs, templates)
         except (ProviderError, ProviderUnavailable, ParseError) as exc:
             error = str(exc)
-        calls_used = (len(calls_log) - calls_before) if calls_log is not None else None
 
         outcomes[unit_id] = (verdict, error)
         record = {
@@ -152,7 +165,7 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
             "callee_summaries": [list(s) for s in summaries],
             "verdict": "error" if error is not None else verdict.to_dict(),
             "error_message": error,
-            "provider_calls": calls_used,
+            "provider_calls": llm.count - calls_before,
             "transcript_ref": unit_id if transcript.entries else None,
         }
         if transcript.entries:
@@ -200,7 +213,7 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
             "not_vulnerable": len(records) - vulnerable - errors,
             "errors": errors,
             "by_category": by_category,
-            "provider_calls": len(calls_log) if calls_log is not None else None,
+            "provider_calls": llm.count,
         },
         "timing": {
             "started_at": started_at,

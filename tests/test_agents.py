@@ -81,7 +81,6 @@ class TestConfigs:
             assert cfg.presence_penalty == 0.0
             assert cfg.frequency_penalty == 0.0
             assert cfg.model_name == DEFAULT_MODEL == "gpt-4-turbo"
-            assert cfg.prompt_template_id == cfg.role.value.lower()
 
     def test_model_name_override(self):
         configs = default_configs("other-model")
@@ -432,7 +431,6 @@ class TestHttpProvider:
             "frequency_penalty": 0.0,
         }
         assert req["headers"]["Authorization"] == "Bearer k123"
-        assert provider.calls == [(Role.DETECTOR, [{"role": "user", "content": "p"}])]
 
     def test_env_overrides(self, monkeypatch):
         payload = {"choices": [{"message": {"content": "via env"}}]}

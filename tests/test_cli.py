@@ -26,13 +26,13 @@ TARGET = (FIXTURES / "target_token.sol").read_text(encoding="utf-8")
 MOCK_FIXTURE = str(FIXTURES / "mock_debate.json")
 
 
-def _build_index(tmp_path, *, labels=False):
+def _build_index(tmp_path, *extra, labels=False):
     """Index the reference token package; optionally label transferFrom."""
     archives = tmp_path / "archives"
     archives.mkdir(exist_ok=True)
     make_archive(archives / "tokenlib-1.0.0.tgz", {"erc20.sol": REFERENCE})
     out = tmp_path / "index.jsonl"
-    argv = ["index", "--archives", str(archives), "--out", str(out)]
+    argv = ["index", "--archives", str(archives), "--out", str(out), *extra]
     if labels:
         labels_path = tmp_path / "labels.csv"
         labels_path.write_text(
@@ -144,6 +144,17 @@ class TestScanCommand:
         a["inputs"].pop("index")  # differs only when index paths differ
         b["inputs"].pop("index")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_delta_defaults_to_the_index_value(self, tmp_path):
+        index = _build_index(tmp_path, "--delta", "0.9", labels=True)
+        code, report_path = _scan(tmp_path, index=index)
+        assert code == 0
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert report["inputs"]["delta"] == 0.9
+        tf = next(r for r in report["units"] if r["name"] == "transferFrom")
+        assert tf["category"] == "dissimilar"    # "similar" at the default 0.65
+        for m in tf["matches"]:
+            assert m["category"] == ("similar" if m["similarity"] > 0.9 else "dissimilar")
 
     def test_fail_on_findings(self, tmp_path):
         code, _ = _scan(tmp_path, "--fail-on-findings")

@@ -60,8 +60,12 @@ class TestInsert:
                             "pkg", "1")
         assert index.insert(mk_unit("a.sol::C::f#0", body="function f() public { y; }"),
                             "pkg", "1")
+        assert index.insert(mk_unit("a.sol::C::f#0", body="function f() public { z; }"),
+                            "pkg", "1")
         ids = [e.entry_id for e in index.entries]
-        assert ids == ["pkg@1/a.sol::C::f#0", "pkg@1/a.sol::C::f#0~2"]
+        assert ids == ["pkg@1/a.sol::C::f#0", "pkg@1/a.sol::C::f#0~2",
+                       "pkg@1/a.sol::C::f#0~3"]
+        assert [index.entry_by_id(i) for i in ids] == index.entries
 
     def test_find_clone_needs_byte_equality_not_just_hash(self):
         index = new_index()

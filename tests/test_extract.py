@@ -412,3 +412,35 @@ class TestExtractProperties:
             assert u.normalized_source == normalize(u.raw_source)
             assert u.content_hash == content_hash(u.normalized_source)
         assert extract_units(src, "gen.sol") == units
+
+
+_in_unit = _dense.map(lambda body: "contract K { function f() public { " + body + " } }")
+# An unclosed comment in a header is not a token: the error stays at `public`.
+_OPEN_COMMENT_HEADER = "contract C { function f() public /* oops"
+_BROKEN_STRING_UNIT = 'contract C { function f() public { s = "ab\n + 1; } }'
+
+
+class TestSingleLexer:
+    @given(_in_unit, st.none())
+    @example(_OPEN_COMMENT_HEADER,
+             (UnbalancedBraces, _OPEN_COMMENT_HEADER.index("public")))
+    @example(_BROKEN_STRING_UNIT,
+             (UnterminatedString,
+              _BROKEN_STRING_UNIT.index('"') - _BROKEN_STRING_UNIT.index("function")))
+    def test_unit_normalization_matches_reference(self, src, expected):
+        """A unit's normalized text, joined from the file's token slice, is
+        what the reference normalizer makes of its raw text."""
+        try:
+            units = extract_units(src, "k.sol")
+        except (UnbalancedBraces, UnterminatedString) as exc:
+            if expected is not None:
+                assert (type(exc), exc.offset) == expected
+            if isinstance(exc, UnterminatedString):
+                with pytest.raises(oracles.OracleUnterminatedString) as want:
+                    oracles.reference_normalize(src[src.index("function"):])
+                assert exc.offset == want.value.offset
+                assert exc.file_path == "k.sol"
+            return
+        assert expected is None
+        for u in units:
+            assert u.normalized_source == oracles.reference_normalize(u.raw_source)

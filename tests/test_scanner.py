@@ -145,7 +145,7 @@ class TestProviderAccounting:
         assert all(r["provider_calls"] == 4 for r in report["units"])
         assert report["summary"]["provider_calls"] == 12 == len(provider.calls)
 
-    def test_provider_without_call_log_reports_none(self, tmp_path):
+    def test_provider_without_call_log_is_counted(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL)
         defaults = dict(CLEAN_DEFAULTS)
 
@@ -154,8 +154,8 @@ class TestProviderAccounting:
                 return defaults[config.role]
 
         report = run_scan([path], None, Silent(), simcheck=False)
-        assert all(r["provider_calls"] is None for r in report["units"])
-        assert report["summary"]["provider_calls"] is None
+        assert all(r["provider_calls"] == 4 for r in report["units"])
+        assert report["summary"]["provider_calls"] == 12
 
 
 class TestSimcheck:
