@@ -50,13 +50,12 @@ from .metrics import EvalMetrics
 from .scanner import render_markdown, run_scan
 from .simindex import (
     Category,
-    EmbeddingVector,
     FallbackEmbedder,
     RemoteEmbedder,
     SimilarityMatch,
     classify,
-    embed,
     embed_index,
+    embed_texts,
     query_top_k,
     similarity,
 )
@@ -64,14 +63,13 @@ from .simindex import (
 __all__ = [
     "AgentConfig", "BUILTIN_DENYLIST", "CallGraph", "Category", "Confidence",
     "CorpusEntry", "CorpusIndex", "DebateTranscript", "DecidedBy",
-    "DetectionTask", "EmbeddingVector", "EvalMetrics", "FallbackEmbedder",
-    "FunctionUnit", "HttpLLMProvider", "Label", "LabelReport",
-    "MockLLMProvider", "RemoteEmbedder", "Role", "ScanSchedule",
-    "SimilarityMatch", "TaskMatch", "TemplateSet", "UnitKind",
-    "UnresolvedCall", "Verdict", "__version__", "apply_labels",
-    "assemble_prompt", "build_graph", "classify", "content_hash",
-    "default_configs", "embed", "embed_index", "extract_units",
-    "ingest_archive", "load_index", "new_index", "normalize",
+    "DetectionTask", "EvalMetrics", "FallbackEmbedder", "FunctionUnit",
+    "HttpLLMProvider", "Label", "LabelReport", "MockLLMProvider",
+    "RemoteEmbedder", "Role", "ScanSchedule", "SimilarityMatch", "TaskMatch",
+    "TemplateSet", "UnitKind", "UnresolvedCall", "Verdict", "__version__",
+    "apply_labels", "assemble_prompt", "build_graph", "classify",
+    "content_hash", "default_configs", "embed_index", "embed_texts",
+    "extract_units", "ingest_archive", "load_index", "new_index", "normalize",
     "parse_verdict", "query_top_k", "render_markdown", "run_debate",
     "run_scan", "save_index", "similarity", "to_dot", "topo_order",
 ]

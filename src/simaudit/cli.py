@@ -21,7 +21,14 @@ from .agents import (
     default_configs,
 )
 from .callgraph import to_dot
-from .corpus import apply_labels, ingest_archive, load_index, new_index, save_index
+from .corpus import (
+    apply_labels,
+    ingest_archive,
+    load_index,
+    new_index,
+    save_index,
+    write_atomic,
+)
 from .errors import (
     EXIT_FINDINGS,
     EXIT_IO,
@@ -127,13 +134,12 @@ def cmd_scan(args) -> int:
         provider_name=args.provider,
         extra_inputs={"index": str(args.index)},
     )
-    Path(args.report).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_atomic(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if args.report_md:
-        Path(args.report_md).write_text(render_markdown(report), encoding="utf-8")
+        write_atomic(args.report_md, render_markdown(report))
     if args.emit_callgraph:
-        dot = to_dot(report["schedule"]["order"], report["callgraph"]["edges"])
-        Path(args.emit_callgraph).write_text(dot, encoding="utf-8")
+        write_atomic(args.emit_callgraph,
+                     to_dot(report["schedule"]["order"], report["callgraph"]["edges"]))
     s = report["summary"]
     print(f"units={s['units']} vulnerable={s['vulnerable']} errors={s['errors']} "
           f"report={args.report}")
@@ -200,7 +206,7 @@ def cmd_eval(args) -> int:
     print(metrics.render_table())
     payload = json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.metrics_out:
-        Path(args.metrics_out).write_text(payload, encoding="utf-8")
+        write_atomic(args.metrics_out, payload)
     else:
         print(payload, end="")
     return EXIT_OK

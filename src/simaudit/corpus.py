@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import logging
+import os
 import tarfile
 import zlib
 from dataclasses import dataclass, field
@@ -217,21 +218,6 @@ def apply_labels(index: CorpusIndex, labels_path: str | Path) -> LabelReport:
     return report
 
 
-def _unit_to_dict(unit: FunctionUnit) -> dict:
-    return {
-        "unit_id": unit.unit_id,
-        "kind": unit.kind.value,
-        "name": unit.name,
-        "contract": unit.contract,
-        "file_path": unit.file_path,
-        "raw_source": unit.raw_source,
-        "normalized_source": unit.normalized_source,
-        "content_hash": unit.content_hash,
-        "declared_calls": list(unit.declared_calls),
-        "source_span": list(unit.source_span),
-    }
-
-
 def _unit_from_dict(d: dict) -> FunctionUnit:
     return FunctionUnit(
         unit_id=d["unit_id"],
@@ -247,17 +233,28 @@ def _unit_from_dict(d: dict) -> FunctionUnit:
     )
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write text to path through a synced temp file in the same directory
+    and os.replace, so the path holds the old bytes or the new, never a mix."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_index(index: CorpusIndex, path: str | Path) -> None:
     lines = [json.dumps({
         "format_version": FORMAT_VERSION,
         "embedder_id": index.meta.embedder_id,
         "delta": index.meta.delta,
         "created_at": index.meta.created_at,
-        "stats": {
-            "files_seen": index.stats.files_seen,
-            "functions_seen": index.stats.functions_seen,
-            "functions_kept": index.stats.functions_kept,
-        },
+        "stats": vars(index.stats),
     })]
     for i, entry in enumerate(index.entries):
         lines.append(json.dumps({
@@ -267,9 +264,9 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
             "label": entry.label.value,
             "vuln_note": entry.vuln_note,
             "embedding": None if index.vectors is None else index.vectors[i].tolist(),
-            "unit": _unit_to_dict(entry.unit),
+            "unit": vars(entry.unit),  # the FunctionUnit fields, in order, are the format
         }))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_index(path: str | Path) -> CorpusIndex:

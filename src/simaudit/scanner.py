@@ -25,7 +25,7 @@ from .callgraph import build_graph, topo_order
 from .corpus import CorpusIndex
 from .errors import ParseError, ProviderError, ProviderMismatch, ProviderUnavailable
 from .extract import FunctionUnit, extract_units
-from .simindex import DEFAULT_DELTA, Category, SimilarityMatch, embed, query_top_k
+from .simindex import DEFAULT_DELTA, Category, SimilarityMatch, embed_texts, query_top_k
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -98,7 +98,7 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
             raise ValueError("similarity checking requires an index")
         if embed_provider is None:
             raise ValueError("similarity checking requires an embedding provider")
-        if index.meta.embedder_id and index.meta.embedder_id != embed_provider.provider_id:
+        if index.meta.embedder_id != embed_provider.provider_id:
             raise ProviderMismatch(
                 f"index was embedded by {index.meta.embedder_id}, "
                 f"scan provider is {embed_provider.provider_id}")
@@ -141,7 +141,7 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
                                               similarity=1.0, category=Category.CLONE),
                         entry=clone)]
                 else:
-                    vector = embed(unit.normalized_source, embed_provider)
+                    vector = embed_texts([unit.normalized_source], embed_provider)[0]
                     top = query_top_k(vector, index, k=k, delta=delta)
                     matches = [TaskMatch(match=m, entry=index.entry_by_id(m.entry_id))
                                for m in top]

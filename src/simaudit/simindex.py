@@ -7,9 +7,10 @@ scale-invariant: similarity(a, 2a) < 1 even though the vectors point the same
 way. Do not "fix" it to cosine; downstream thresholds were chosen for this
 measure.
 
-A corpus index holds one embedding per entry, all from one embedder (its
-`embedder_id`), as the rows of a single float64 matrix; retrieval scores the
-whole matrix at once.
+An embedding is a float64 numpy array from the provider to the index to the
+query: embed_texts returns one (len(texts), d) matrix, a corpus index keeps
+the rows of such matrices, one per entry and all from one embedder (its
+`embedder_id`), and retrieval scores the whole index matrix at once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ if TYPE_CHECKING:
 DEFAULT_DELTA = 0.65
 CLONE_EPS = 1e-9
 FALLBACK_DIM = 384
+EMBED_CHUNK = 256  # texts per embed_texts call when embedding a corpus
 
 ENV_EMBED_ENDPOINT = "SIMAUDIT_EMBED_ENDPOINT"
 
@@ -45,12 +47,6 @@ class Category(str, Enum):
     CLONE = "clone"
     SIMILAR = "similar"
     DISSIMILAR = "dissimilar"
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
-    provider_id: str
 
 
 @dataclass(frozen=True)
@@ -77,24 +73,21 @@ class FallbackEmbedder:
     _KEY = b"simaudit-fallback-v1"
     _TAPS = 8  # projection entries per trigram
 
-    def embed_many(self, texts: list[str]) -> list[tuple[float, ...]]:
-        return [self._embed_one(t) for t in texts]
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        return np.array([self._embed_one(t) for t in texts]).reshape(-1, self.dimension)
 
-    def _embed_one(self, text: str) -> tuple[float, ...]:
-        grams: list[str]
-        if len(text) < 3:
-            grams = [text]
-        else:
-            grams = [text[i : i + 3] for i in range(len(text) - 2)]
-        acc = np.zeros(self.dimension)
-        for gram, count in Counter(grams).items():
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=3 * self._TAPS,
-                                     key=self._KEY).digest()
-            for t in range(self._TAPS):
-                chunk = digest[3 * t : 3 * t + 3]
-                idx = int.from_bytes(chunk[:2], "big") % self.dimension
-                sign = 1.0 if chunk[2] & 1 else -1.0
-                acc[idx] += sign * count
+    def _embed_one(self, text: str) -> np.ndarray:
+        grams = Counter([text] if len(text) < 3
+                        else (text[i : i + 3] for i in range(len(text) - 2)))
+        digests = b"".join(hashlib.blake2b(gram.encode("utf-8"), digest_size=3 * self._TAPS,
+                                           key=self._KEY).digest() for gram in grams)
+        # One row per tap: a big-endian 2-byte index, then a byte whose low bit
+        # is the sign. The sums are small integers, exact in any order.
+        taps = np.frombuffer(digests, dtype=np.uint8).reshape(-1, 3)
+        idx = (256 * taps[:, 0].astype(np.intp) + taps[:, 1]) % self.dimension
+        counts = np.fromiter(grams.values(), dtype=float, count=len(grams))
+        weights = np.where(taps[:, 2] & 1, 1.0, -1.0) * np.repeat(counts, self._TAPS)
+        acc = np.bincount(idx, weights=weights, minlength=self.dimension)
         norm = float(np.linalg.norm(acc))
         if norm == 0.0:
             # All taps cancelled; park the text on a hash-chosen axis so the
@@ -103,7 +96,7 @@ class FallbackEmbedder:
                                                key=self._KEY).hexdigest(), 16) % self.dimension
             acc[fallback_idx] = 1.0
             norm = 1.0
-        return tuple((acc / norm).tolist())
+        return acc / norm
 
 
 class RemoteEmbedder:
@@ -132,7 +125,8 @@ class RemoteEmbedder:
             vectors = resp.json()["vectors"]
         except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
             raise ProviderUnavailable(f"embedding endpoint failed: {exc}") from exc
-        if not isinstance(vectors, list) or len(vectors) != len(texts):
+        if (not isinstance(vectors, list) or len(vectors) != len(texts)
+                or not all(isinstance(vec, list) for vec in vectors)):
             raise ProviderUnavailable("embedding endpoint returned a malformed batch")
         for vec in vectors:
             if self.dimension is None:
@@ -143,8 +137,9 @@ class RemoteEmbedder:
         return vectors
 
 
-def embed_texts(texts: list[str], provider) -> list[EmbeddingVector]:
-    """Embed a batch, retrying a remote failure once before giving up."""
+def embed_texts(texts: list[str], provider) -> np.ndarray:
+    """Embed a batch into one (len(texts), d) float64 matrix, retrying a provider
+    failure once. A reply that is not d finite numbers per text is a failure too."""
     for text in texts:
         if not text.strip():
             raise EmptyText("cannot embed empty text")
@@ -152,21 +147,20 @@ def embed_texts(texts: list[str], provider) -> list[EmbeddingVector]:
         raw = provider.embed_many(texts)
     except ProviderUnavailable:
         raw = provider.embed_many(texts)
-    out: list[EmbeddingVector] = []
-    for vec in raw:
-        values = tuple(float(x) for x in vec)
-        if not all(np.isfinite(values)):
-            raise ProviderUnavailable("provider returned non-finite values")
-        declared = getattr(provider, "dimension", None)
-        if declared is not None and len(values) != declared:
-            raise DimensionMismatch(
-                f"provider produced {len(values)} dims, declared {declared}")
-        out.append(EmbeddingVector(values=values, provider_id=provider.provider_id))
-    return out
-
-
-def embed(text: str, provider) -> EmbeddingVector:
-    return embed_texts([text], provider)[0]
+    try:
+        vectors = np.array(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProviderUnavailable(f"provider returned non-numeric embeddings: {exc}") from exc
+    if vectors.ndim != 2 or len(vectors) != len(texts):
+        raise ProviderUnavailable(
+            f"provider returned shape {vectors.shape} for {len(texts)} texts")
+    if not np.isfinite(vectors).all():
+        raise ProviderUnavailable("provider returned non-finite values")
+    declared = getattr(provider, "dimension", None)
+    if declared is not None and vectors.shape[1] != declared:
+        raise DimensionMismatch(
+            f"provider produced {vectors.shape[1]} dims, declared {declared}")
+    return vectors
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -183,7 +177,7 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.where(ok, scale * np.sqrt(np.vecdot(unit, unit)), scale)
 
 
-def similarity(e1: EmbeddingVector, e2: EmbeddingVector) -> tuple[float, float]:
+def similarity(a, b) -> tuple[float, float]:
     """Return (distance, similarity) for two embeddings of equal dimension.
 
     distance = ||a - b|| / (||a|| + ||b||), clamped into [0, 1] against
@@ -191,11 +185,10 @@ def similarity(e1: EmbeddingVector, e2: EmbeddingVector) -> tuple[float, float]:
     identical (distance 0); one zero vector falls out of the formula as
     maximally distant.
     """
-    if len(e1.values) != len(e2.values):
-        raise DimensionMismatch(
-            f"cannot compare {len(e1.values)}-dim and {len(e2.values)}-dim vectors")
-    a = np.asarray(e1.values, dtype=float)
-    b = np.asarray(e2.values, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if len(a) != len(b):
+        raise DimensionMismatch(f"cannot compare {len(a)}-dim and {len(b)}-dim vectors")
     norm_a, norm_b, norm_ab = _row_norms(np.array((a, b, a - b))).tolist()
     if norm_a == 0.0 and norm_b == 0.0:
         return 0.0, 1.0
@@ -214,7 +207,7 @@ def classify(sim: float, delta: float = DEFAULT_DELTA) -> Category:
     return Category.DISSIMILAR
 
 
-def query_top_k(target: EmbeddingVector, index: "CorpusIndex", k: int = 3,
+def query_top_k(query, index: "CorpusIndex", k: int = 3,
                 delta: float = DEFAULT_DELTA) -> list[SimilarityMatch]:
     """Exact brute-force top-k by similarity, ties broken by entry id.
 
@@ -222,7 +215,8 @@ def query_top_k(target: EmbeddingVector, index: "CorpusIndex", k: int = 3,
     arithmetic as similarity(), so scores and their order are bit-identical
     to scoring pair by pair. Matches below delta are still returned,
     categorized Dissimilar, so the caller can decide what to do with weak
-    neighbors. An empty index yields an empty list.
+    neighbors. An empty index yields an empty list. The caller checks that
+    query and index come from one embedder, as run_scan does.
     """
     if not index.entries:
         return []
@@ -231,13 +225,10 @@ def query_top_k(target: EmbeddingVector, index: "CorpusIndex", k: int = 3,
         raise ProviderMismatch(
             f"index holds {0 if rows is None else len(rows)} embeddings "
             f"for {len(index.entries)} entries")
-    if index.meta.embedder_id != target.provider_id:
-        raise ProviderMismatch(
-            f"index embedded by {index.meta.embedder_id}, query by {target.provider_id}")
-    if rows.shape[1] != len(target.values):
+    q = np.asarray(query, dtype=float)
+    if rows.shape[1] != len(q):
         raise DimensionMismatch(
-            f"index holds {rows.shape[1]}-dim vectors, query is {len(target.values)}-dim")
-    q = np.asarray(target.values, dtype=float)
+            f"index holds {rows.shape[1]}-dim vectors, query is {len(q)}-dim")
     norm_q = _row_norms(q[None, :])[0]
     denom = norm_q + _row_norms(rows)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -255,9 +246,10 @@ def query_top_k(target: EmbeddingVector, index: "CorpusIndex", k: int = 3,
 
 def embed_index(index: "CorpusIndex", provider) -> None:
     """Embed every entry's normalized source into the index matrix, row i
-    for entries[i], and stamp the index with the provider id."""
+    for entries[i], and stamp the index with the provider id. Texts go to
+    the provider EMBED_CHUNK at a time, in entry order."""
     texts = [e.unit.normalized_source for e in index.entries]
     if texts:
-        index.vectors = np.array([v.values for v in embed_texts(texts, provider)],
-                                 dtype=float)
+        index.vectors = np.vstack([embed_texts(texts[i : i + EMBED_CHUNK], provider)
+                                   for i in range(0, len(texts), EMBED_CHUNK)])
     index.meta.embedder_id = provider.provider_id

@@ -3,15 +3,18 @@
 Each oracle recomputes a result through a mechanism deliberately different
 from the package's own (placeholder substitution instead of a streaming
 emitter, reachability closure instead of Tarjan, plain math instead of numpy),
-so agreement between the two is evidence rather than tautology. The one
-exception is scalar_similarity, which keeps the package's original
-pair-at-a-time numpy arithmetic on purpose: it pins scores bit for bit.
+so agreement between the two is evidence rather than tautology. Two
+exceptions keep the package's original code on purpose, to pin results bit
+for bit: scalar_similarity (pair-at-a-time numpy arithmetic) and
+reference_fallback_embedding (the per-tap loop of the fallback embedder).
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -189,6 +192,34 @@ def scalar_similarity(a, b) -> tuple[float, float]:
     dist = scalar_norm(a - b) / (norm_a + norm_b)
     dist = min(max(dist, 0.0), 1.0)
     return dist, 1.0 - dist
+
+
+def reference_fallback_embedding(text: str, taps: int = 8) -> np.ndarray:
+    """The fallback embedder's original loop: each trigram's keyed BLAKE2b
+    digest gives `taps` (index, sign) pairs, added one at a time."""
+    dimension = 384
+    key = b"simaudit-fallback-v1"
+    grams: list[str]
+    if len(text) < 3:
+        grams = [text]
+    else:
+        grams = [text[i : i + 3] for i in range(len(text) - 2)]
+    acc = np.zeros(dimension)
+    for gram, count in Counter(grams).items():
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=3 * taps,
+                                 key=key).digest()
+        for t in range(taps):
+            chunk = digest[3 * t : 3 * t + 3]
+            idx = int.from_bytes(chunk[:2], "big") % dimension
+            sign = 1.0 if chunk[2] & 1 else -1.0
+            acc[idx] += sign * count
+    norm = float(np.linalg.norm(acc))
+    if norm == 0.0:
+        fallback_idx = int(hashlib.blake2b(text.encode("utf-8"), digest_size=2,
+                                           key=key).hexdigest(), 16) % dimension
+        acc[fallback_idx] = 1.0
+        norm = 1.0
+    return np.array(tuple((acc / norm).tolist()))
 
 
 def full_sort_top_k(target_values, labeled_vectors, k) -> list[tuple[str, float]]:

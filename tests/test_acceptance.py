@@ -16,7 +16,7 @@ from simaudit.callgraph import CallGraph, topo_order
 from simaudit.cli import main
 from simaudit.corpus import ingest_archive, new_index
 from simaudit.metrics import EvalMetrics
-from simaudit.simindex import EmbeddingVector, similarity
+from simaudit.simindex import similarity
 
 REFERENCE = (FIXTURES / "reference_erc20.sol").read_text(encoding="utf-8")
 TARGET = (FIXTURES / "target_token.sol").read_text(encoding="utf-8")
@@ -61,17 +61,15 @@ def test_similarity_math_oracle():
         values = np.random.default_rng(20260817)
         for _ in range(10_000):
             dim = dims.randint(2, 384)
-            a = EmbeddingVector(tuple(values.uniform(-1000, 1000, dim)), "t")
-            b = EmbeddingVector(tuple(values.uniform(-1000, 1000, dim)), "t")
+            a = values.uniform(-1000, 1000, dim)
+            b = values.uniform(-1000, 1000, dim)
             d_ab, s_ab = similarity(a, b)
             assert 0.0 <= d_ab <= 1.0
             assert (d_ab, s_ab) == similarity(b, a)
             assert similarity(a, a) == (0.0, 1.0)   # nonzero a
-        _, s = similarity(EmbeddingVector((3.0, 4.0), "t"),
-                          EmbeddingVector((6.0, 8.0), "t"))
+        _, s = similarity((3.0, 4.0), (6.0, 8.0))
         assert abs(s - 2 / 3) <= 1e-12
-        _, s = similarity(EmbeddingVector((1.0, 0.0), "t"),
-                          EmbeddingVector((-1.0, 0.0), "t"))
+        _, s = similarity((1.0, 0.0), (-1.0, 0.0))
         assert abs(s - 0.0) <= 1e-12
 
 

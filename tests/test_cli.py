@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from helpers import FIXTURES, make_archive
+from helpers import FIXTURES, CannedHTTPServer, make_archive
 from simaudit.cli import _package_version, main
 from simaudit.corpus import Label, load_index
 from simaudit.metrics import EvalMetrics
@@ -92,6 +92,22 @@ class TestIndexCommand:
                      "--out", str(tmp_path / "idx.jsonl"), "--labels", str(labels)])
         assert code == 0
         assert "label row matched nothing" in capsys.readouterr().err
+
+    def test_non_numeric_remote_embeddings_exit_provider(self, tmp_path, capsys):
+        archives = tmp_path / "archives"
+        archives.mkdir()
+        make_archive(archives / "tokenlib-1.0.0.tgz", {"erc20.sol": REFERENCE})
+        config = tmp_path / "config.json"
+        out = tmp_path / "idx.jsonl"
+        with CannedHTTPServer(lambda body: {"vectors": [["x", 1.0] for _ in body["texts"]]}
+                              ) as server:
+            config.write_text(json.dumps({"embedding": {"endpoint": server.url}}),
+                              encoding="utf-8")
+            code = main(["index", "--archives", str(archives), "--out", str(out),
+                         "--embedder", "remote", "--config", str(config)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("simaudit: ")
+        assert not out.exists()
 
     def test_missing_archive_dir_is_io_error(self, tmp_path, capsys):
         code = main(["index", "--archives", str(tmp_path / "nope"),
@@ -189,6 +205,23 @@ class TestScanCommand:
                                        vulnerable=0, errors=1, units=3)
         out = capsys.readouterr().out.splitlines()[-1]
         assert "vulnerable=0 errors=1" in out
+
+
+    def test_failed_report_write_keeps_the_old_report(self, tmp_path, monkeypatch, capsys):
+        index = _build_index(tmp_path, labels=True)
+        report = tmp_path / "report.json"
+        report.write_text("old report\n", encoding="utf-8")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", refuse)
+        code, _ = _scan(tmp_path, index=index)
+        assert code == 2
+        assert "disk full" in capsys.readouterr().err
+        assert report.read_text(encoding="utf-8") == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "archives", "audit", "index.jsonl", "labels.csv", "report.json"]
 
 
 class TestScanExitCodes:

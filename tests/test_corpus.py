@@ -288,6 +288,22 @@ class TestPersistence:
         assert loaded.meta.embedder_id == "fallback-trigram-v1"
         assert np.array_equal(loaded.vectors, index.vectors)
 
+    def test_failed_save_keeps_the_old_index(self, tmp_path, monkeypatch):
+        path = tmp_path / "idx.jsonl"
+        save_index(_labeled_index(), path)
+        before = path.read_bytes()
+        index = _labeled_index()
+        embed_index(index, FallbackEmbedder())
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(index, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["idx.jsonl"]
+
     def test_resave_is_byte_identical(self, tmp_path):
         index = _labeled_index()
         embed_index(index, FallbackEmbedder())
@@ -305,6 +321,25 @@ class TestPersistence:
         assert set(header) == {"format_version", "embedder_id", "delta",
                                "created_at", "stats"}
         assert header["stats"]["functions_kept"] == len(index.entries)
+
+    def test_entry_line_shape(self, tmp_path):
+        index = _labeled_index()
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        header, first = (json.loads(line) for line in path.read_text().splitlines()[:2])
+        assert list(header["stats"]) == ["files_seen", "functions_seen", "functions_kept"]
+        assert list(first) == ["entry_id", "package", "version", "label", "vuln_note",
+                               "embedding", "unit"]
+        unit = index.entries[0].unit
+        assert first["unit"] == {
+            "unit_id": unit.unit_id, "kind": unit.kind.value, "name": unit.name,
+            "contract": unit.contract, "file_path": unit.file_path,
+            "raw_source": unit.raw_source, "normalized_source": unit.normalized_source,
+            "content_hash": unit.content_hash, "declared_calls": list(unit.declared_calls),
+            "source_span": list(unit.source_span)}
+        assert list(first["unit"]) == ["unit_id", "kind", "name", "contract", "file_path",
+                                       "raw_source", "normalized_source", "content_hash",
+                                       "declared_calls", "source_span"]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "idx.jsonl"

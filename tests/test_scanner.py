@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from helpers import mk_unit
+from helpers import CannedHTTPServer, mk_unit
 from simaudit.agents import MockLLMProvider, Role
 from simaudit.corpus import Label, new_index
 from simaudit.errors import (
@@ -17,7 +17,7 @@ from simaudit.errors import (
 )
 from simaudit.extract import extract_units
 from simaudit.scanner import render_markdown, run_scan
-from simaudit.simindex import FallbackEmbedder, embed_index
+from simaudit.simindex import FallbackEmbedder, RemoteEmbedder, embed_index
 from test_agents import CRI, DET, GOOD_DEFAULTS, SUP
 
 CLEAN_JUD = ('```json\n{"is_vulnerable": false, "vuln_type": "", '
@@ -255,13 +255,39 @@ class TestSimcheck:
         assert report["summary"]["errors"] == 3
         assert provider.calls == []
 
+    @pytest.mark.parametrize("vector", [["x", 1.0], [None, 1.0]], ids=["string", "null"])
+    def test_non_numeric_remote_reply_is_a_unit_error(self, tmp_path, vector):
+        modified = CHAIN_SOL.replace("return mid() + 1;",
+                                     "uint256 v = mid(); return v + 2;")
+        path = _write(tmp_path, "chain.sol", modified)
+        loop = _write(tmp_path, "loop.sol", LOOP_SOL)
+        index = self._indexed(CHAIN_SOL)
+        index.meta.embedder_id = "model-x"
+        provider = MockLLMProvider(defaults=GOOD_DEFAULTS)
+        with CannedHTTPServer({"vectors": [vector]}) as server:
+            embedder = RemoteEmbedder(server.url, provider_id="model-x")
+            report = run_scan([tmp_path], index, provider, embedder)
+        by_id = {r["unit_id"]: r for r in report["units"]}
+        leaf, mid, top = _ids(path, "Chain", "leaf", "mid", "top")
+        for unit_id in [top, *_ids(loop, "Loop", "ping", "pong")]:
+            assert by_id[unit_id]["verdict"] == "error"
+            assert by_id[unit_id]["error_message"].startswith("provider returned non-")
+        for unit_id in (leaf, mid):
+            assert by_id[unit_id]["category"] == "clone"
+            assert by_id[unit_id]["verdict"]["is_vulnerable"] is False
+        assert report["summary"]["errors"] == 3
+        assert len(server.requests) == 3    # one per non-clone unit, no retry
+        assert provider.calls == []
+
     def test_index_mismatch_found_in_retrieval_still_fails_the_scan(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL.replace("+ 1", "+ 7"))
         unembedded = self._indexed(CHAIN_SOL)
         unembedded.vectors = None
         unembedded.meta.embedder_id = None
+        provider = MockLLMProvider()
         with pytest.raises(ProviderMismatch):
-            run_scan([path], unembedded, MockLLMProvider(), FallbackEmbedder())
+            run_scan([path], unembedded, provider, FallbackEmbedder())
+        assert provider.calls == []
 
         class TwoDims(FallbackEmbedder):
             dimension = 2

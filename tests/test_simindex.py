@@ -7,11 +7,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
-from helpers import CannedHTTPServer, mk_unit
+from helpers import FIXTURES, CannedHTTPServer, mk_unit
 from simaudit.corpus import new_index
 from simaudit.errors import (
     DimensionMismatch,
@@ -22,14 +22,13 @@ from simaudit.errors import (
 from simaudit.simindex import (
     CLONE_EPS,
     DEFAULT_DELTA,
+    EMBED_CHUNK,
     ENV_EMBED_ENDPOINT,
     FALLBACK_DIM,
     Category,
-    EmbeddingVector,
     FallbackEmbedder,
     RemoteEmbedder,
     classify,
-    embed,
     embed_index,
     embed_texts,
     query_top_k,
@@ -37,8 +36,8 @@ from simaudit.simindex import (
 )
 
 
-def _vec(*values, pid="t"):
-    return EmbeddingVector(values=tuple(float(v) for v in values), provider_id=pid)
+def _vec(*values):
+    return np.array(values, dtype=float)
 
 
 class TestSimilarityWorkedValues:
@@ -74,7 +73,7 @@ def vector_pairs(draw):
     elems = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
     a = draw(st.lists(elems, min_size=dim, max_size=dim))
     b = draw(st.lists(elems, min_size=dim, max_size=dim))
-    return _vec(*a), _vec(*b)
+    return a, b
 
 
 class TestSimilarityProperties:
@@ -99,8 +98,8 @@ class TestSimilarityProperties:
     @given(vector_pairs())
     def test_not_scale_invariant(self, pair):
         a, _ = pair
-        assume(math.hypot(*a.values) > 1e-6)
-        doubled = _vec(*(2 * v for v in a.values))
+        assume(math.hypot(*a) > 1e-6)
+        doubled = [2 * v for v in a]
         _, sim = similarity(a, doubled)
         # ||a - 2a|| / (||a|| + ||2a||) = 1/3 exactly; cosine would say 1.
         assert abs(sim - 2 / 3) < 1e-9
@@ -110,7 +109,7 @@ class TestSimilarityProperties:
     def test_matches_reference_formula(self, pair):
         a, b = pair
         got = similarity(a, b)
-        want = oracles.reference_similarity(a.values, b.values)
+        want = oracles.reference_similarity(a, b)
         assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -137,7 +136,8 @@ class TestClassify:
 class TestFallbackEmbedder:
     def test_deterministic_across_instances(self):
         text = "function f() { return 1; }"
-        assert FallbackEmbedder()._embed_one(text) == FallbackEmbedder()._embed_one(text)
+        assert np.array_equal(FallbackEmbedder()._embed_one(text),
+                              FallbackEmbedder()._embed_one(text))
 
     def test_dimension_and_provider_id(self):
         emb = FallbackEmbedder()
@@ -170,8 +170,41 @@ class TestFallbackEmbedder:
         # exhaustive search over 1-2 char texts.
         vec = TwoTaps()._embed_one("J")
         assert math.hypot(*vec) == 1.0
-        assert vec == TwoTaps()._embed_one("J")
+        assert np.array_equal(vec, TwoTaps()._embed_one("J"))
         assert sum(1 for v in vec if v != 0.0) == 1
+
+
+class TestFallbackMatchesReference:
+    """The vectorized embedder against the per-tap loop it replaced, byte for
+    byte: stored index rows and golden reports depend on every bit."""
+
+    @given(st.text())
+    @example("")
+    @example("ab")
+    def test_matches_per_tap_loop(self, text):
+        got = FallbackEmbedder()._embed_one(text)
+        assert got.tobytes() == oracles.reference_fallback_embedding(text).tobytes()
+
+    def test_cancelling_taps(self):
+        class TwoTaps(FallbackEmbedder):
+            _TAPS = 2
+
+        got = TwoTaps()._embed_one("J")
+        assert got.tobytes() == oracles.reference_fallback_embedding("J", taps=2).tobytes()
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.sol")), ids=lambda p: p.name)
+    def test_fixture_sources(self, path):
+        text = path.read_text(encoding="utf-8")
+        got = FallbackEmbedder()._embed_one(text)
+        assert got.tobytes() == oracles.reference_fallback_embedding(text).tobytes()
+
+    def test_embed_many_stacks_rows(self):
+        texts = ["function a() { }", "x", "function b() { return 2; }"]
+        matrix = FallbackEmbedder().embed_many(texts)
+        assert matrix.shape == (3, FALLBACK_DIM) and matrix.dtype == np.float64
+        for row, text in zip(matrix, texts):
+            assert row.tobytes() == oracles.reference_fallback_embedding(text).tobytes()
+        assert FallbackEmbedder().embed_many([]).shape == (0, FALLBACK_DIM)
 
 
 class _StubProvider:
@@ -203,7 +236,8 @@ class TestEmbedTexts:
         provider = _StubProvider(fail_times=1)
         vectors = embed_texts(["a", "b"], provider)
         assert provider.batches == 2
-        assert [v.provider_id for v in vectors] == ["stub", "stub"]
+        assert vectors.dtype == np.float64
+        assert vectors.tolist() == [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
     def test_two_failures_give_up(self):
         provider = _StubProvider(fail_times=2)
@@ -220,18 +254,30 @@ class TestEmbedTexts:
             embed_texts(["a"], _StubProvider(reply=[1.0, 0.0]))
 
     def test_embed_single(self):
-        vec = embed("hello", FallbackEmbedder())
-        assert len(vec.values) == 384
-        assert vec.provider_id == "fallback-trigram-v1"
+        vec = embed_texts(["hello"], FallbackEmbedder())[0]
+        assert vec.shape == (384,)
+        assert np.array_equal(vec, FallbackEmbedder()._embed_one("hello"))
+
+    @pytest.mark.parametrize("raw", [
+        [["x", 1.0, 0.0]] * 2, [[None, 1.0, 0.0]] * 2, [[[1.0], 0.0, 0.0]] * 2,
+        [{"a": 1.0}] * 2, [5.0, 5.0], [], [[1.0, 0.0, 0.0]], [[[1.0, 0.0, 0.0]]] * 2,
+    ], ids=["string", "null", "nested", "object", "scalars", "empty", "short", "3d"])
+    def test_malformed_batch_is_provider_unavailable(self, raw):
+        class Fixed(_StubProvider):
+            def embed_many(self, texts):
+                return raw
+
+        with pytest.raises(ProviderUnavailable):
+            embed_texts(["a", "b"], Fixed())
 
 
-def _index_with_vectors(labeled_values, pid="t"):
+def _index_with_vectors(labeled_values):
     index = new_index()
     for i, (entry_suffix, values) in enumerate(labeled_values):
         unit = mk_unit(f"f.sol::C::e{i}#0", name=f"e{i}")
         assert index.insert(unit, "pkg", "1")
     index.vectors = np.array([values for _, values in labeled_values], dtype=float)
-    index.meta.embedder_id = pid
+    index.meta.embedder_id = "t"
     return index
 
 
@@ -278,21 +324,16 @@ class TestQueryTopK:
         with pytest.raises(ProviderMismatch):
             query_top_k(_vec(1, 0), index)
 
-    def test_wrong_provider_is_mismatch(self):
-        index = _index_with_vectors([("e0", (1.0, 0.0))], pid="other")
-        with pytest.raises(ProviderMismatch):
-            query_top_k(_vec(1, 0, pid="t"), index)
-
     def test_matches_full_sort_oracle_on_random_index(self):
         rng = random.Random(7)
         entries = [(f"e{i}", tuple(rng.uniform(-5, 5) for _ in range(8)))
                    for i in range(50)]
         index = _index_with_vectors(entries)
-        target = _vec(*(rng.uniform(-5, 5) for _ in range(8)))
+        target = [rng.uniform(-5, 5) for _ in range(8)]
         for k in (1, 3, 10, 50, 75):
             got = [(m.entry_id, m.similarity) for m in query_top_k(target, index, k=k)]
             want = oracles.full_sort_top_k(
-                target.values,
+                target,
                 [(e.entry_id, tuple(v)) for e, v in zip(index.entries, index.vectors)],
                 k)
             assert [g[0] for g in got] == [w[0] for w in want]
@@ -313,10 +354,9 @@ def _bit_exact_cases():
         targets = rows + [rng.uniform(-1, 1, dim) * s for s in (1.0, 1e-300, 1e300)]
         yield rows, targets
     emb = FallbackEmbedder()
-    rows = [np.array(emb._embed_one(f"function f{i}() public {{ return {i * i}; }}"))
-            for i in range(12)]
+    rows = [emb._embed_one(f"function f{i}() public {{ return {i * i}; }}") for i in range(12)]
     rows.append(rows[3].copy())
-    yield rows, rows + [np.array(emb._embed_one("function g() { }"))]
+    yield rows, rows + [emb._embed_one("function g() { }")]
 
 
 class TestBitExactScores:
@@ -329,11 +369,10 @@ class TestBitExactScores:
         index = _index_with_vectors([(str(i), row) for i, row in enumerate(rows)])
         row_of = {e.entry_id: row for e, row in zip(index.entries, rows)}
         for target in targets:
-            query = _vec(*target)
             for row in rows:
                 want = oracles.scalar_similarity(target, row)
-                assert similarity(query, _vec(*row)) == want
-            matches = query_top_k(query, index, k=len(rows))
+                assert similarity(target, row) == want
+            matches = query_top_k(target, index, k=len(rows))
             got = [(m.entry_id, m.distance, m.similarity) for m in matches]
             want = sorted(((eid, *oracles.scalar_similarity(target, row))
                            for eid, row in row_of.items()),
@@ -350,7 +389,24 @@ class TestEmbedIndex:
         assert index.meta.embedder_id == "fallback-trigram-v1"
         assert index.vectors.shape == (3, 384)
         for entry, row in zip(index.entries, index.vectors):
-            assert tuple(row) == FallbackEmbedder()._embed_one(entry.unit.normalized_source)
+            assert np.array_equal(row, FallbackEmbedder()._embed_one(entry.unit.normalized_source))
+
+    def test_remote_corpus_goes_in_chunks_in_entry_order(self):
+        def reply(body):
+            return {"vectors": [[float(len(t)), float(sum(map(ord, t)))] for t in body["texts"]]}
+
+        index = new_index()
+        for i in range(600):
+            index.insert(mk_unit(f"f.sol::C::fn{i}#0", name=f"fn{i}"), "pkg", "1")
+        texts = [e.unit.normalized_source for e in index.entries]
+        with CannedHTTPServer(reply) as server:
+            embed_index(index, RemoteEmbedder(server.url))
+            whole = embed_texts(texts, RemoteEmbedder(server.url))
+        chunks = [r["body"]["texts"] for r in server.requests[:-1]]
+        assert EMBED_CHUNK == 256
+        assert [len(c) for c in chunks] == [256, 256, 88]
+        assert [t for c in chunks for t in c] == texts
+        assert np.array_equal(index.vectors, whole)
 
     def test_empty_index_just_stamps(self):
         index = new_index()
@@ -398,9 +454,11 @@ class TestRemoteEmbedder:
                 RemoteEmbedder(server.url).embed_many(["a"])
 
     def test_malformed_reply_is_provider_unavailable(self):
-        with CannedHTTPServer({"nope": 1}) as server:
-            with pytest.raises(ProviderUnavailable):
-                RemoteEmbedder(server.url).embed_many(["a"])
+        replies = iter([{"nope": 1}, {"vectors": [5]}])
+        with CannedHTTPServer(lambda body: next(replies)) as server:
+            for _ in range(2):
+                with pytest.raises(ProviderUnavailable):
+                    RemoteEmbedder(server.url).embed_many(["a"])
 
     def test_short_batch_is_provider_unavailable(self):
         with CannedHTTPServer({"vectors": [[1.0]]}) as server:
