@@ -33,6 +33,10 @@ ENV_LLM_KEY = "SIMAUDIT_LLM_KEY"
 # The Detector explores; everyone downstream of it is kept deterministic.
 DETECTOR_TEMPERATURE = 0.8
 DEFAULT_MODEL = "gpt-4-turbo"
+# Sampling settings every role sends unchanged; only temperature varies.
+TOP_P = 1.0
+PRESENCE_PENALTY = 0.0
+FREQUENCY_PENALTY = 0.0
 
 FORMAT_REMINDER = (
     "Reminder: respond with exactly one fenced JSON block (```json ... ```) "
@@ -65,9 +69,6 @@ class DecidedBy(str, Enum):
 class AgentConfig:
     role: Role
     temperature: float
-    top_p: float = 1.0
-    presence_penalty: float = 0.0
-    frequency_penalty: float = 0.0
     model_name: str = DEFAULT_MODEL
 
     @classmethod
@@ -402,9 +403,9 @@ class HttpLLMProvider:
             "model": config.model_name,
             "messages": messages,
             "temperature": config.temperature,
-            "top_p": config.top_p,
-            "presence_penalty": config.presence_penalty,
-            "frequency_penalty": config.frequency_penalty,
+            "top_p": TOP_P,
+            "presence_penalty": PRESENCE_PENALTY,
+            "frequency_penalty": FREQUENCY_PENALTY,
         }
         headers = {}
         if self.api_key:

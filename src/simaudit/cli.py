@@ -132,7 +132,7 @@ def cmd_scan(args) -> int:
         k=args.k, delta=args.delta, simcheck=True,
         configs=default_configs(model), templates=templates,
         provider_name=args.provider,
-        extra_inputs={"index": str(args.index)},
+        index_path=str(args.index),
     )
     write_atomic(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if args.report_md:

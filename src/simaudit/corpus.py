@@ -82,9 +82,8 @@ class CorpusIndex:
     def insert(self, unit: FunctionUnit, package: str, version: str) -> bool:
         """Insert unless an entry with the same hash and byte-equal normalized
         source already exists. First occurrence wins; returns True if kept."""
-        for pos in self._by_hash.get(unit.content_hash, []):
-            if self.entries[pos].unit.normalized_source == unit.normalized_source:
-                return False
+        if self.find_clone(unit.normalized_source, unit.content_hash) is not None:
+            return False
         entry_id = f"{package}@{version}/{unit.unit_id}"
         if entry_id in self._by_id:
             # Same id but different content: disambiguate rather than clobber.

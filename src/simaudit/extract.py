@@ -6,6 +6,12 @@ vendored files, exotic pragma versions) still yield units. Normalized text is
 a join of a run of the same tokens, never a second lexer. Call targets are
 collected syntactically: any identifier applied like a call is reported, and
 the resolver downstream decides what it actually names.
+
+A token is a plain (kind, text, start, end) tuple: kind is "id", "num",
+"str", "open_str" or "punct", and source[start:end] == text. Structure is
+decided by token text alone wherever the text cannot be ambiguous: only a
+"punct" token is a lone bracket, ";" or ".", and only an "id" token is a
+keyword, so such checks never look at the kind.
 """
 
 from __future__ import annotations
@@ -118,12 +124,7 @@ def content_hash(normalized: str) -> str:
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "id" | "num" | "str" | "open_str" | "punct"
-    text: str
-    start: int
-    end: int
+_Token = tuple[str, str, int, int]
 
 
 def _tokenize(source: str) -> tuple[list[_Token], int | None]:
@@ -152,24 +153,29 @@ def _tokenize(source: str) -> tuple[list[_Token], int | None]:
                 j += 2 if source[j] == "\\" else 1
             kind = "str" if j < n and source[j] == ch else "open_str"
             j = min(j + 1, n)
-            tokens.append(_Token(kind, source[i:j], i, j))
+            tokens.append((kind, source[i:j], i, j))
             i = j
         elif ch.isalpha() or ch in "_$":
             j = i + 1
             while j < n and (source[j].isalnum() or source[j] in "_$"):
                 j += 1
-            tokens.append(_Token("id", source[i:j], i, j))
+            tokens.append(("id", source[i:j], i, j))
             i = j
         elif ch.isdigit():
             j = i + 1
             while j < n and (source[j].isalnum() or source[j] in "._"):
                 j += 1
-            tokens.append(_Token("num", source[i:j], i, j))
+            tokens.append(("num", source[i:j], i, j))
             i = j
         else:
-            tokens.append(_Token("punct", ch, i, i + 1))
+            tokens.append(("punct", ch, i, i + 1))
             i += 1
     return tokens, None
+
+
+def _text(tokens: list[_Token], j: int) -> str:
+    """Text of tokens[j], or "" when j is outside the list."""
+    return tokens[j][1] if 0 <= j < len(tokens) else ""
 
 
 def _join(tokens: list[_Token], base: int) -> str:
@@ -177,12 +183,14 @@ def _join(tokens: list[_Token], base: int) -> str:
     whitespace or a comment separated two of them. Raises UnterminatedString
     at the first open string, offset relative to base."""
     out: list[str] = []
-    for prev, t in zip([None, *tokens], tokens):
-        if t.kind == "open_str":
-            raise UnterminatedString("unterminated string literal", offset=t.start - base)
-        if prev is not None and t.start > prev.end:
+    prev_end = tokens[0][2] if tokens else 0
+    for kind, text, start, end in tokens:
+        if kind == "open_str":
+            raise UnterminatedString("unterminated string literal", offset=start - base)
+        if start > prev_end:
             out.append(" ")
-        out.append(t.text)
+        out.append(text)
+        prev_end = end
     return "".join(out)
 
 
@@ -192,84 +200,59 @@ def _match_group(tokens: list[_Token], i: int, file_path: str,
     pair holds the opening and closing bracket."""
     opener, closer = pair
     depth = 0
-    n = len(tokens)
-    start = tokens[i].start
-    while i < n:
-        t = tokens[i]
-        if t.kind == "punct":
-            if t.text == opener:
-                depth += 1
-            elif t.text == closer:
-                depth -= 1
-                if depth == 0:
-                    return i + 1
-        i += 1
-    raise UnbalancedBraces(unclosed, file_path=file_path, offset=start)
+    for j in range(i, len(tokens)):
+        text = tokens[j][1]
+        if text == opener:
+            depth += 1
+        elif text == closer:
+            depth -= 1
+            if depth == 0:
+                return j + 1
+    raise UnbalancedBraces(unclosed, file_path=file_path, offset=tokens[i][2])
 
 
-def _header_calls(tokens: list[_Token], i: int, file_path: str):
+def _header_calls(tokens: list[_Token], i: int, file_path: str) -> tuple[list[str], int]:
     """Scan a unit header for modifier invocations.
 
-    Returns (names, body_open_index_or_None, end_index). A header ends at the
-    first "{" (body follows) or ";" (bodyless declaration) at paren depth 0.
+    Returns (names, end): tokens[end] is the first "{" (body follows) or ";"
+    (bodyless declaration) at paren depth 0.
     """
     names: list[str] = []
-    n = len(tokens)
-    while i < n:
-        t = tokens[i]
-        if t.kind == "punct":
-            if t.text == "{":
-                return names, i, i
-            if t.text == ";":
-                return names, None, i
-            if t.text == "(":
-                i = _match_group(tokens, i, file_path)
-                continue
-            i += 1
-            continue
-        if t.kind == "id":
-            if t.text in ("returns", "override"):
-                i += 1
-                if i < n and tokens[i].kind == "punct" and tokens[i].text == "(":
-                    i = _match_group(tokens, i, file_path)
-                continue
-            if t.text in _HEADER_KEYWORDS:
-                i += 1
-                continue
-            # Anything else is a modifier invocation or base-constructor call.
-            names.append(t.text)
-            i += 1
-            if i < n and tokens[i].kind == "punct" and tokens[i].text == "(":
-                i = _match_group(tokens, i, file_path)
+    while i < len(tokens):
+        kind, text = tokens[i][:2]
+        if text in ("{", ";"):
+            return names, i
+        if text == "(":
+            i = _match_group(tokens, i, file_path)
             continue
         i += 1
+        if kind != "id" or text in _HEADER_KEYWORDS:
+            continue
+        # Any other identifier is a modifier invocation or base-constructor
+        # call; `returns (...)` and `override(...)` are skipped whole.
+        if text not in ("returns", "override"):
+            names.append(text)
+        if _text(tokens, i) == "(":
+            i = _match_group(tokens, i, file_path)
     raise UnbalancedBraces("unit header never terminated", file_path=file_path,
-                           offset=tokens[i - 1].start if i > 0 else 0)
+                           offset=tokens[i - 1][2] if i > 0 else 0)
 
 
 def _body_calls(tokens: list[_Token]) -> list[str]:
     names: list[str] = []
-    n = len(tokens)
-    for idx in range(n):
-        t = tokens[idx]
-        if t.kind != "id":
+    for idx, (kind, text, _, _) in enumerate(tokens):
+        if kind != "id" or _text(tokens, idx + 1) != "(":
             continue
-        nxt = tokens[idx + 1] if idx + 1 < n else None
-        if nxt is None or nxt.kind != "punct" or nxt.text != "(":
+        if text in _NEVER_CALLS or text in BUILTIN_DENYLIST:
             continue
-        if t.text in _NEVER_CALLS or t.text in BUILTIN_DENYLIST:
+        # `new C()` builds a contract, `emit E()` fires an event, and
+        # `revert E()` raises a custom error; none call a unit named C/E.
+        prev = _text(tokens, idx - 1)
+        if prev in ("new", "emit", "revert"):
             continue
-        prev = tokens[idx - 1] if idx > 0 else None
-        if prev is not None:
-            # `new C()` builds a contract, `emit E()` fires an event, and
-            # `revert E()` raises a custom error; none call a unit named C/E.
-            if prev.kind == "id" and prev.text in ("new", "emit", "revert"):
-                continue
-            if prev.kind == "punct" and prev.text == ".":
-                recv = tokens[idx - 2] if idx >= 2 else None
-                if recv is not None and recv.kind == "id" and recv.text == "abi":
-                    continue
-        names.append(t.text)
+        if prev == "." and _text(tokens, idx - 2) == "abi":
+            continue
+        names.append(text)
     return names
 
 
@@ -292,7 +275,7 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
     def make_unit(kind, name, contract, first, stop, calls):
         ordinal = ordinals.get((contract, name), 0)
         ordinals[(contract, name)] = ordinal + 1
-        start, end = tokens[first].start, tokens[stop - 1].end
+        start, end = tokens[first][2], tokens[stop - 1][3]
         raw = source[start:end]
         try:
             norm = _join(tokens[first:stop], start)
@@ -314,72 +297,61 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
         units.append(unit)
 
     while i < n:
-        t = tokens[i]
-        if t.kind == "punct":
-            if t.text == "{":
-                depth += 1
-            elif t.text == "}":
-                depth -= 1
-                if contract_stack and depth == contract_stack[-1][1]:
-                    contract_stack.pop()
-            i += 1
-            continue
-        if t.kind != "id":
-            i += 1
-            continue
-
-        in_contract_body = bool(contract_stack) and depth == contract_stack[-1][1] + 1
-        if t.text in _CONTRACT_KEYWORDS and depth == 0:
+        text = tokens[i][1]
+        if text == "{":
+            depth += 1
+        elif text == "}":
+            depth -= 1
+            if contract_stack and depth == contract_stack[-1][1]:
+                contract_stack.pop()
+        elif text in _CONTRACT_KEYWORDS and depth == 0:
             j = i + 1
             name = ""
-            while j < n and not (tokens[j].kind == "punct" and tokens[j].text == "{"):
-                if name == "" and tokens[j].kind == "id" and tokens[j].text not in ("is", "abstract"):
-                    name = tokens[j].text
+            while j < n and tokens[j][1] != "{":
+                if name == "" and tokens[j][0] == "id" and tokens[j][1] not in ("is", "abstract"):
+                    name = tokens[j][1]
                 j += 1
             if j >= n:
                 raise UnbalancedBraces("contract declaration without a body",
-                                       file_path=file_path, offset=t.start)
-            contract_stack.append((name, depth, tokens[j].start))
+                                       file_path=file_path, offset=tokens[i][2])
+            contract_stack.append((name, depth, tokens[j][2]))
             depth += 1
             i = j + 1
             continue
-
-        is_unit_kw = t.text in _UNIT_KEYWORDS
-        if is_unit_kw and (in_contract_body or (depth == 0 and t.text == "function")):
+        elif text in _UNIT_KEYWORDS and (
+                (contract_stack and depth == contract_stack[-1][1] + 1)
+                or (depth == 0 and text == "function")):
             contract = contract_stack[-1][0] if contract_stack else ""
-            kw = t.text
+            kw = text
             kind = _KIND_BY_KEYWORD[kw]
             j = i + 1
             if kw in ("constructor", "fallback", "receive"):
                 name = kw
-                if not (j < n and tokens[j].kind == "punct" and tokens[j].text == "("):
+                if _text(tokens, j) != "(":
                     i += 1  # keyword used as a plain identifier in old code
                     continue
+            elif j < n and tokens[j][0] == "id":
+                name = tokens[j][1]
+                j += 1
+            elif kw == "function" and _text(tokens, j) == "(":
+                # Old-style unnamed `function() ... {}` is the legacy
+                # fallback; the same shape ending in ";" is a function-type
+                # state variable and is skipped below.
+                name = "fallback"
+                kind = UnitKind.FALLBACK
             else:
-                if j < n and tokens[j].kind == "id":
-                    name = tokens[j].text
-                    j += 1
-                elif kw == "function" and j < n and tokens[j].kind == "punct" and tokens[j].text == "(":
-                    # Old-style unnamed `function() ... {}` is the legacy
-                    # fallback; the same shape ending in ";" is a function-type
-                    # state variable and is skipped below.
-                    name = "fallback"
-                    kind = UnitKind.FALLBACK
-                else:
-                    i += 1
-                    continue
-            if j < n and tokens[j].kind == "punct" and tokens[j].text == "(":
+                i += 1
+                continue
+            if _text(tokens, j) == "(":
                 j = _match_group(tokens, j, file_path)
-            header_names, body_open, header_end = _header_calls(tokens, j, file_path)
-            if body_open is None:
-                if name == "fallback" and kw == "function":
-                    i = header_end + 1  # function-type state variable
-                    continue
-                make_unit(kind, name, contract, i, header_end + 1, header_names)
+            header_names, header_end = _header_calls(tokens, j, file_path)
+            if tokens[header_end][1] == ";":
+                if not (name == "fallback" and kw == "function"):
+                    make_unit(kind, name, contract, i, header_end + 1, header_names)
                 i = header_end + 1
                 continue
-            body_close = _match_group(tokens, body_open, file_path, "{}", "unclosed brace")
-            calls = header_names + _body_calls(tokens[body_open:body_close])
+            body_close = _match_group(tokens, header_end, file_path, "{}", "unclosed brace")
+            calls = header_names + _body_calls(tokens[header_end:body_close])
             make_unit(kind, name, contract, i, body_close, calls)
             i = body_close
             continue

@@ -82,13 +82,14 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
              embed_provider=None, *, k: int = 3, delta: float | None = None,
              simcheck: bool = True, configs=None,
              templates: TemplateSet | None = None,
-             provider_name: str = "", extra_inputs: dict | None = None) -> dict:
+             provider_name: str = "", index_path: str | None = None) -> dict:
     """Scan the given paths and return the report dictionary.
 
     delta defaults to the index's threshold (DEFAULT_DELTA without an index).
     Per-unit provider and parse failures, embedding included, become verdict
     "error" records and the scan keeps going; anything wrong with reading
     inputs, or an index that does not match the embedder, propagates.
+    index_path is only recorded, as the report's inputs.index.
     """
     started = time.perf_counter()
     started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -181,14 +182,12 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
     finished = time.perf_counter()
     inputs = {
         "files": files,
-        "index": None,
+        "index": index_path,
         "k": k,
         "delta": delta,
         "simcheck": simcheck,
         "provider": provider_name,
     }
-    if extra_inputs:
-        inputs.update(extra_inputs)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool_version": __version__,

@@ -91,7 +91,10 @@ class CannedHTTPServer:
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self._server.server_port}/"
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll keeps shutdown() in __exit__ from waiting out the
+        # default half-second poll of serve_forever.
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.01}, daemon=True)
 
     def __enter__(self) -> "CannedHTTPServer":
         self._thread.start()

@@ -3,9 +3,10 @@
 Each oracle recomputes a result through a mechanism deliberately different
 from the package's own (placeholder substitution instead of a streaming
 emitter, reachability closure instead of Tarjan, plain math instead of numpy),
-so agreement between the two is evidence rather than tautology. Two
+so agreement between the two is evidence rather than tautology. Three
 exceptions keep the package's original code on purpose, to pin results bit
-for bit: scalar_similarity (pair-at-a-time numpy arithmetic) and
+for bit: reference_tokenize (the character loop of the Solidity lexer),
+scalar_similarity (pair-at-a-time numpy arithmetic) and
 reference_fallback_embedding (the per-tap loop of the fallback embedder).
 """
 
@@ -88,6 +89,54 @@ def reference_normalize(raw: str) -> str:
 def count_distinct_normalized(texts: list[str]) -> int:
     """How many entries a dedup-on-normalized-text ingest should keep."""
     return len({reference_normalize(t) for t in texts})
+
+
+_WHITESPACE = " \t\r\n\f\v"
+
+
+def reference_tokenize(source: str) -> tuple[list[tuple[str, str, int, int]], int | None]:
+    """The lexer's character loop kept as it was: (kind, text, start, end)
+    tokens plus the offset of an unclosed "/*" (or None). Its str.isalpha /
+    isdigit / isalnum tests are what any faster lexer must reproduce, Unicode
+    included ('²' starts a number, '½' is punctuation)."""
+    tokens: list[tuple[str, str, int, int]] = []
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch in _WHITESPACE:
+            i += 1
+        elif source.startswith("//", i):
+            j = source.find("\n", i)
+            i = n if j < 0 else j + 1
+        elif source.startswith("/*", i):
+            j = source.find("*/", i + 2)
+            if j < 0:
+                return tokens, i
+            i = j + 2
+        elif ch in "\"'":
+            j = i + 1
+            while j < n and source[j] != ch and source[j] != "\n":
+                j += 2 if source[j] == "\\" else 1
+            kind = "str" if j < n and source[j] == ch else "open_str"
+            j = min(j + 1, n)
+            tokens.append((kind, source[i:j], i, j))
+            i = j
+        elif ch.isalpha() or ch in "_$":
+            j = i + 1
+            while j < n and (source[j].isalnum() or source[j] in "_$"):
+                j += 1
+            tokens.append(("id", source[i:j], i, j))
+            i = j
+        elif ch.isdigit():
+            j = i + 1
+            while j < n and (source[j].isalnum() or source[j] in "._"):
+                j += 1
+            tokens.append(("num", source[i:j], i, j))
+            i = j
+        else:
+            tokens.append(("punct", ch, i, i + 1))
+            i += 1
+    return tokens, None
 
 
 # Identifier immediately applied like a call. Only sound on deliberately plain

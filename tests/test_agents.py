@@ -77,9 +77,6 @@ class TestConfigs:
         for role in (Role.CRITIC, Role.SUPPORTER, Role.JUDGE):
             assert configs[role].temperature == 0.0
         for cfg in configs.values():
-            assert cfg.top_p == 1.0
-            assert cfg.presence_penalty == 0.0
-            assert cfg.frequency_penalty == 0.0
             assert cfg.model_name == DEFAULT_MODEL == "gpt-4-turbo"
 
     def test_model_name_override(self):

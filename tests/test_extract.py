@@ -17,6 +17,7 @@ from simaudit.extract import (
     BUILTIN_DENYLIST,
     BUILTIN_DENYLIST_VERSION,
     UnitKind,
+    _tokenize,
     content_hash,
     extract_units,
     normalize,
@@ -421,6 +422,18 @@ _BROKEN_STRING_UNIT = 'contract C { function f() public { s = "ab\n + 1; } }'
 
 
 class TestSingleLexer:
+    @given(st.one_of(_anything, _dense))
+    @example("½function f() {}")
+    @example("²$")
+    @example("\\Ⅻ")
+    @example('x = "abc\\')
+    @example("a /* open")
+    def test_tokens_match_reference_loop(self, src):
+        """Token tuples and the unclosed-comment offset are exactly what the
+        original character loop gives, for any text (Unicode letters, digits
+        and numerics whose str methods and regex classes disagree included)."""
+        assert _tokenize(src) == oracles.reference_tokenize(src)
+
     @given(_in_unit, st.none())
     @example(_OPEN_COMMENT_HEADER,
              (UnbalancedBraces, _OPEN_COMMENT_HEADER.index("public")))

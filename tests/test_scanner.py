@@ -318,7 +318,7 @@ class TestReportShape:
         path = _write(tmp_path, "chain.sol", CHAIN_SOL)
         report = run_scan([path], None, MockLLMProvider(defaults=CLEAN_DEFAULTS),
                           simcheck=False, k=5, delta=0.7, provider_name="mock",
-                          extra_inputs={"index": "/some/index.jsonl"})
+                          index_path="/some/index.jsonl")
         assert report["inputs"] == {
             "files": [str(path)],
             "index": "/some/index.jsonl",
