@@ -2,13 +2,16 @@
 
 An index is a JSON Lines file. Line one is a header carrying the format
 version, the embedder id, the similarity threshold the index was built for,
-a creation timestamp, and ingestion stats; every following line is one entry,
-with its row of the embedding matrix (null before embedding). Saving is
-deterministic, so load-then-save reproduces the file byte for byte.
+a creation timestamp, ingestion stats, and the embedding matrix: its
+`dimension` and its `vectors`, the base64 of the little-endian float64 bytes,
+row-major, row i for entry line i (both null before embedding). Every
+following line is one entry. Saving is deterministic, so load-then-save
+reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import json
@@ -35,7 +38,7 @@ from .simindex import DEFAULT_DELTA
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 LABEL_CSV_COLUMNS = ("package", "version", "match_kind", "match_value", "note")
 
@@ -248,21 +251,24 @@ def write_atomic(path: str | Path, text: str) -> None:
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
+    vectors = index.vectors
     lines = [json.dumps({
         "format_version": FORMAT_VERSION,
         "embedder_id": index.meta.embedder_id,
         "delta": index.meta.delta,
         "created_at": index.meta.created_at,
         "stats": vars(index.stats),
+        "dimension": None if vectors is None else vectors.shape[1],
+        "vectors": None if vectors is None else base64.b64encode(
+            vectors.astype("<f8").tobytes()).decode("ascii"),
     })]
-    for i, entry in enumerate(index.entries):
+    for entry in index.entries:
         lines.append(json.dumps({
             "entry_id": entry.entry_id,
             "package": entry.package,
             "version": entry.version,
             "label": entry.label.value,
             "vuln_note": entry.vuln_note,
-            "embedding": None if index.vectors is None else index.vectors[i].tolist(),
             "unit": vars(entry.unit),  # the FunctionUnit fields, in order, are the format
         }))
     write_atomic(path, "\n".join(lines) + "\n")
@@ -282,7 +288,7 @@ def load_index(path: str | Path) -> CorpusIndex:
     if header["format_version"] != FORMAT_VERSION:
         raise FormatVersionMismatch(
             f"index {path} is format {header['format_version']}, "
-            f"this build reads format {FORMAT_VERSION}")
+            f"this build reads format {FORMAT_VERSION}; rebuild it with `simaudit index`")
     try:
         stats_d = header.get("stats", {})
         index = CorpusIndex(
@@ -293,15 +299,14 @@ def load_index(path: str | Path) -> CorpusIndex:
                              functions_seen=int(stats_d.get("functions_seen", 0)),
                              functions_kept=int(stats_d.get("functions_kept", 0))),
         )
+        dimension, blob = header["dimension"], header["vectors"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileCorrupt(f"index {path} header is malformed: {exc}") from exc
-    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-            rows.append(rec["embedding"])
             entry = CorpusEntry(
                 entry_id=rec["entry_id"],
                 unit=_unit_from_dict(rec["unit"]),
@@ -317,11 +322,20 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise FileCorrupt(
             f"index {path} says functions_kept={index.stats.functions_kept} "
             f"but holds {len(index.entries)} entries")
-    if any(row is not None for row in rows):
-        try:
-            index.vectors = np.array(rows, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise FileCorrupt(f"index {path} embeddings are malformed: {exc}") from exc
-        if index.vectors.ndim != 2:
-            raise FileCorrupt(f"index {path} embeddings are not one vector per entry")
+    if dimension is None and blob is None:
+        return index
+    if type(dimension) is not int or dimension < 1:
+        raise FileCorrupt(f"index {path} has embedding dimension {dimension!r}")
+    try:
+        raw = base64.b64decode(blob, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise FileCorrupt(f"index {path} vectors are not base64: {exc}") from exc
+    if len(raw) != 8 * dimension * len(index.entries):
+        raise FileCorrupt(
+            f"index {path} vectors hold {len(raw)} bytes, expected "
+            f"{len(index.entries)} rows of {dimension} float64")
+    vectors = np.frombuffer(raw, "<f8").astype(float).reshape(-1, dimension)
+    if not np.isfinite(vectors).all():
+        raise FileCorrupt(f"index {path} vectors hold non-finite values")
+    index.vectors = vectors
     return index

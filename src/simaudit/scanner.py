@@ -1,9 +1,10 @@
 """Scan pipeline: extract, schedule, check the corpus, debate, report.
 
-For every unit, in schedule order: an exact-content clone check against the
-corpus (no model involved), then embedding and top-k retrieval, then the
-debate. Results land in a report dictionary whose JSON form is stable across
-runs except for the timing block.
+Every unit first gets an exact-content clone check against the corpus (no
+model involved), and the units that are not clones are embedded in one batch.
+Then, in schedule order, each non-clone unit gets top-k retrieval, and every
+unit the debate. Results land in a report dictionary whose JSON form is
+stable across runs except for the timing block.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .agents import (
@@ -22,7 +25,7 @@ from .agents import (
     run_debate,
 )
 from .callgraph import build_graph, topo_order
-from .corpus import CorpusIndex
+from .corpus import CorpusEntry, CorpusIndex
 from .errors import ParseError, ProviderError, ProviderMismatch, ProviderUnavailable
 from .extract import FunctionUnit, extract_units
 from .simindex import DEFAULT_DELTA, Category, SimilarityMatch, embed_texts, query_top_k
@@ -86,9 +89,10 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
     """Scan the given paths and return the report dictionary.
 
     delta defaults to the index's threshold (DEFAULT_DELTA without an index).
-    Per-unit provider and parse failures, embedding included, become verdict
-    "error" records and the scan keeps going; anything wrong with reading
-    inputs, or an index that does not match the embedder, propagates.
+    Per-unit provider and parse failures become verdict "error" records and
+    the scan keeps going; a failed batch embedding is the error of every
+    non-clone unit. Anything wrong with reading inputs, or an index that does
+    not match the embedder, propagates.
     index_path is only recorded, as the report's inputs.index.
     """
     started = time.perf_counter()
@@ -113,6 +117,23 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
     by_id = {u.unit_id: u for u in units}
     callees = {u.unit_id: graph.callees_of(u.unit_id) for u in units}
 
+    clones: dict[str, CorpusEntry] = {}
+    queries: dict[str, np.ndarray] = {}
+    embed_error: str | None = None
+    if simcheck:
+        for unit in units:
+            clone = index.find_clone(unit.normalized_source, unit.content_hash)
+            if clone is not None:
+                clones[unit.unit_id] = clone
+        pending = [unit_id for unit_id in schedule.order if unit_id not in clones]
+        if pending:
+            try:
+                vectors = embed_texts([by_id[u].normalized_source for u in pending],
+                                      embed_provider)
+                queries = dict(zip(pending, vectors))
+            except ProviderUnavailable as exc:
+                embed_error = str(exc)
+
     templates = templates or TemplateSet.builtin()
     llm = _CallCounter(llm_provider)
 
@@ -133,20 +154,20 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
         transcript = DebateTranscript(())
         error: str | None = None
         try:
-            if simcheck:
-                clone = index.find_clone(unit.normalized_source, unit.content_hash)
-                if clone is not None:
-                    category = Category.CLONE
-                    matches = [TaskMatch(
-                        match=SimilarityMatch(entry_id=clone.entry_id, distance=0.0,
-                                              similarity=1.0, category=Category.CLONE),
-                        entry=clone)]
-                else:
-                    vector = embed_texts([unit.normalized_source], embed_provider)[0]
-                    top = query_top_k(vector, index, k=k, delta=delta)
-                    matches = [TaskMatch(match=m, entry=index.entry_by_id(m.entry_id))
-                               for m in top]
-                    category = top[0].category if top else Category.DISSIMILAR
+            if unit_id in clones:
+                clone = clones[unit_id]
+                category = Category.CLONE
+                matches = [TaskMatch(
+                    match=SimilarityMatch(entry_id=clone.entry_id, distance=0.0,
+                                          similarity=1.0, category=Category.CLONE),
+                    entry=clone)]
+            elif simcheck:
+                if embed_error is not None:
+                    raise ProviderUnavailable(embed_error)
+                top = query_top_k(queries[unit_id], index, k=k, delta=delta)
+                matches = [TaskMatch(match=m, entry=index.entry_by_id(m.entry_id))
+                           for m in top]
+                category = top[0].category if top else Category.DISSIMILAR
             task = DetectionTask(unit=unit, callee_summaries=summaries,
                                  matches=tuple(matches), category=category)
             verdict, transcript = run_debate(task, llm, configs, templates)

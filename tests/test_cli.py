@@ -252,6 +252,28 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
 
+    def test_format_1_index_is_refused_with_a_rebuild_hint(self, tmp_path, capsys):
+        index_path = _build_index(tmp_path)
+        vectors = load_index(index_path).vectors
+        header, *entries = (json.loads(line) for line in
+                            index_path.read_text(encoding="utf-8").splitlines())
+        del header["dimension"], header["vectors"]
+        header["format_version"] = 1
+        lines = [json.dumps(header)]
+        for rec, row in zip(entries, vectors.tolist()):
+            rec = {**rec, "embedding": row}
+            rec["unit"] = rec.pop("unit")       # format 1 put the row before the unit
+            lines.append(json.dumps(rec))
+        index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["scan", "--input", str(_target_dir(tmp_path)),
+                     "--index", str(index_path), "--provider", "mock",
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "is format 1, this build reads format 2" in err
+        assert "rebuild it with `simaudit index`" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_remote_provider_without_endpoint(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("SIMAUDIT_LLM_ENDPOINT", raising=False)
         monkeypatch.delenv("SIMAUDIT_LLM_KEY", raising=False)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 
@@ -29,6 +30,7 @@ from simaudit.errors import (
     LabelFileMalformed,
 )
 from simaudit.simindex import FallbackEmbedder, embed_index
+from test_simindex import _bit_exact_cases
 
 
 def _fn(name, body="return 1;"):
@@ -194,6 +196,11 @@ def _labeled_index():
     return index
 
 
+def _blob(rows, tail=b""):
+    """A format-2 `vectors` value: base64 of little-endian float64 rows."""
+    return base64.b64encode(np.asarray(rows, "<f8").tobytes() + tail).decode("ascii")
+
+
 def _write_labels(tmp_path, rows):
     path = tmp_path / "labels.csv"
     lines = ["package,version,match_kind,match_value,note"] + rows
@@ -317,10 +324,19 @@ class TestPersistence:
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["format_version"] == FORMAT_VERSION == 1
-        assert set(header) == {"format_version", "embedder_id", "delta",
-                               "created_at", "stats"}
+        assert header["format_version"] == FORMAT_VERSION == 2
+        assert list(header) == ["format_version", "embedder_id", "delta",
+                                "created_at", "stats", "dimension", "vectors"]
         assert header["stats"]["functions_kept"] == len(index.entries)
+        assert header["dimension"] is None and header["vectors"] is None
+        embed_index(index, FallbackEmbedder())
+        save_index(index, path)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["dimension"] == 384
+        raw = base64.b64decode(header["vectors"], validate=True)
+        assert raw == index.vectors.astype("<f8").tobytes()
+        assert np.array_equal(np.frombuffer(raw, "<f8").reshape(-1, 384)[1],
+                              index.vectors[1])  # row-major, row i for entry i
 
     def test_entry_line_shape(self, tmp_path):
         index = _labeled_index()
@@ -329,7 +345,7 @@ class TestPersistence:
         header, first = (json.loads(line) for line in path.read_text().splitlines()[:2])
         assert list(header["stats"]) == ["files_seen", "functions_seen", "functions_kept"]
         assert list(first) == ["entry_id", "package", "version", "label", "vuln_note",
-                               "embedding", "unit"]
+                               "unit"]
         unit = index.entries[0].unit
         assert first["unit"] == {
             "unit_id": unit.unit_id, "kind": unit.kind.value, "name": unit.name,
@@ -378,23 +394,46 @@ class TestPersistence:
         assert "line 3" in str(exc.value)
 
     @pytest.mark.parametrize("rewrite", [
-        lambda i, emb: None if i == 0 else emb,         # partial
-        lambda i, emb: emb[:-1] if i == 0 else emb,     # ragged
-        lambda i, emb: ["x", *emb[1:]],                 # non-numeric
-        lambda i, emb: emb[0],                          # scalar rows
-    ], ids=["partial", "ragged", "non_numeric", "scalar"])
+        lambda h, m: h.update(vectors=_blob(m[:-1])),
+        lambda h, m: h.update(vectors=_blob(m, tail=b"\0")),
+        lambda h, m: h.update(vectors="*" + _blob(m)),  # lenient decoding would skip "*"
+        lambda h, m: h.update(vectors=m.tolist()),
+        lambda h, m: h.pop("dimension"),
+        lambda h, m: h.update(dimension=0),
+        lambda h, m: h.update(dimension=str(m.shape[1])),
+        lambda h, m: h.update(vectors=_blob(np.vstack([np.full(m.shape[1], np.nan), m[1:]]))),
+        lambda h, m: h.update(vectors=_blob(np.vstack([m[:-1], np.full(m.shape[1], np.inf)]))),
+    ], ids=["row_short", "stray_byte", "not_base64", "json_list", "no_dimension",
+            "zero_dimension", "string_dimension", "nan_row", "inf_row"])
     def test_malformed_embeddings_are_file_corrupt(self, tmp_path, rewrite):
         index = _labeled_index()
         embed_index(index, FallbackEmbedder())
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header, *entries = path.read_text().splitlines()
-        recs = [json.loads(line) for line in entries]
-        for i, rec in enumerate(recs):
-            rec["embedding"] = rewrite(i, rec["embedding"])
-        path.write_text("\n".join([header, *map(json.dumps, recs)]) + "\n")
+        header = json.loads(header)
+        rewrite(header, index.vectors)
+        path.write_text("\n".join([json.dumps(header), *entries]) + "\n")
         with pytest.raises(FileCorrupt):
             load_index(path)
+
+    @pytest.mark.parametrize("rows", [rows for rows, _ in _bit_exact_cases()],
+                             ids=["d2", "d8", "d384", "fallback"])
+    def test_vectors_round_trip_bit_exact(self, tmp_path, rows):
+        dim = len(rows[0])
+        vectors = np.vstack([*rows, np.full(dim, 5e-324), np.full(dim, -0.0)])
+        index = new_index()
+        for i in range(len(vectors)):
+            index.insert(mk_unit(f"f.sol::C::g{i}#0"), "pkg", "1.0")
+        index.vectors, index.meta.embedder_id = vectors, "edge-rows"
+        p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+        save_index(index, p1)
+        loaded = load_index(p1).vectors
+        assert loaded.tobytes() == vectors.tobytes()
+        assert loaded.dtype == np.float64 and loaded.dtype.isnative
+        assert loaded.flags.c_contiguous and loaded.flags.writeable
+        save_index(load_index(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
     def test_kept_count_mismatch_detected(self, tmp_path):
         index = _labeled_index()

@@ -17,7 +17,7 @@ from simaudit.errors import (
 )
 from simaudit.extract import extract_units
 from simaudit.scanner import render_markdown, run_scan
-from simaudit.simindex import FallbackEmbedder, RemoteEmbedder, embed_index
+from simaudit.simindex import FallbackEmbedder, RemoteEmbedder, embed_index, query_top_k
 from test_agents import CRI, DET, GOOD_DEFAULTS, SUP
 
 CLEAN_JUD = ('```json\n{"is_vulnerable": false, "vuln_type": "", '
@@ -264,7 +264,7 @@ class TestSimcheck:
         index = self._indexed(CHAIN_SOL)
         index.meta.embedder_id = "model-x"
         provider = MockLLMProvider(defaults=GOOD_DEFAULTS)
-        with CannedHTTPServer({"vectors": [vector]}) as server:
+        with CannedHTTPServer(lambda body: {"vectors": [vector] * len(body["texts"])}) as server:
             embedder = RemoteEmbedder(server.url, provider_id="model-x")
             report = run_scan([tmp_path], index, provider, embedder)
         by_id = {r["unit_id"]: r for r in report["units"]}
@@ -276,8 +276,40 @@ class TestSimcheck:
             assert by_id[unit_id]["category"] == "clone"
             assert by_id[unit_id]["verdict"]["is_vulnerable"] is False
         assert report["summary"]["errors"] == 3
-        assert len(server.requests) == 3    # one per non-clone unit, no retry
+        assert len(server.requests) == 1    # one batch for all non-clone units, no retry
         assert provider.calls == []
+
+    def test_remote_embedder_gets_one_batch_per_scan(self, tmp_path):
+        modified = CHAIN_SOL.replace("return mid() + 1;",
+                                     "uint256 v = mid(); return v + 2;")
+        _write(tmp_path, "chain.sol", modified)
+        _write(tmp_path, "loop.sol", LOOP_SOL)
+        _write(tmp_path, "fresh.sol", "contract Fresh {\n" + "".join(
+            f"    function f{i}() public pure returns (uint256) {{ return {i}; }}\n"
+            for i in range(3)) + "}\n")
+        index = self._indexed(CHAIN_SOL)
+        index.meta.embedder_id = "model-x"
+        fallback = FallbackEmbedder()
+
+        def reply(body):
+            return {"vectors": fallback.embed_many(body["texts"]).tolist()}
+
+        with CannedHTTPServer(reply) as server:
+            embedder = RemoteEmbedder(server.url, provider_id="model-x")
+            report = run_scan([tmp_path], index,
+                              MockLLMProvider(defaults=GOOD_DEFAULTS), embedder)
+        debated = [r for r in report["units"] if r["category"] != "clone"]
+        assert len(debated) == 6
+        assert len(server.requests) == 1
+        sources = {u.unit_id: u.normalized_source
+                   for f in sorted(tmp_path.glob("*.sol"))
+                   for u in extract_units(f.read_text(encoding="utf-8"), str(f))}
+        assert server.requests[0]["body"]["texts"] == [
+            sources[r["unit_id"]] for r in debated]     # schedule order
+        for rec in debated:     # each unit is retrieved with its own row
+            want = query_top_k(fallback.embed_many([sources[rec["unit_id"]]])[0], index)
+            assert [(m["entry_id"], m["similarity"]) for m in rec["matches"]] == [
+                (m.entry_id, m.similarity) for m in want]
 
     def test_index_mismatch_found_in_retrieval_still_fails_the_scan(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL.replace("+ 1", "+ 7"))
