@@ -1,14 +1,19 @@
 """Scan pipeline: extract, schedule, check the corpus, debate, report.
 
-Every unit first gets an exact-content clone check against the corpus (no
-model involved), and the units that are not clones are embedded in one batch.
-Then, in schedule order, each non-clone unit gets top-k retrieval, and every
-unit the debate. Results land in a report dictionary whose JSON form is
-stable across runs except for the timing block.
+A scan runs in two phases. Classify, on the calling thread: every unit gets
+an exact-content clone check against the corpus (no model involved), the
+units that are not clones are embedded EMBED_CHUNK texts per request, and
+each of them gets top-k retrieval, in schedule order. Debate: the call
+graph's groups (a cycle, or a single unit) run on up to DEBATE_WORKERS
+threads, a group as soon as all the groups it calls are done, the members of
+a cycle one after another. Every unit thus sees the same callee outcomes as in a
+serial run. Results land in a report dictionary, assembled in schedule
+order, whose JSON form is stable across runs except for the timing block.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,12 +30,13 @@ from .agents import (
     run_debate,
 )
 from .callgraph import build_graph, topo_order
-from .corpus import CorpusEntry, CorpusIndex
+from .corpus import CorpusIndex
 from .errors import ParseError, ProviderError, ProviderMismatch, ProviderUnavailable
 from .extract import FunctionUnit, extract_units
-from .simindex import DEFAULT_DELTA, Category, SimilarityMatch, embed_texts, query_top_k
+from .simindex import DEFAULT_DELTA, Category, SimilarityMatch, embed_chunks, query_top_k
 
 REPORT_SCHEMA_VERSION = 1
+DEBATE_WORKERS = 8  # threads debating call-graph groups, one model request each
 
 
 def collect_sol_files(paths: list[str | Path]) -> list[str]:
@@ -81,6 +87,108 @@ class _CallCounter:
         return self.provider.complete(messages, config)
 
 
+def _classify(schedule_order, by_id, index, embed_provider, k, delta):
+    """Clone check, chunked embedding and top-k retrieval of every unit.
+
+    Returns {unit_id: (category, matches, error)}; error is the message of a
+    failed embedding chunk, the unit's only outcome then. Retrieval errors
+    (an index that does not match the embedder) propagate.
+    """
+    classified = {}
+    for unit_id, unit in by_id.items():
+        clone = index.find_clone(unit.normalized_source, unit.content_hash)
+        if clone is not None:
+            classified[unit_id] = (Category.CLONE, [TaskMatch(
+                match=SimilarityMatch(entry_id=clone.entry_id, distance=0.0,
+                                      similarity=1.0, category=Category.CLONE),
+                entry=clone)], None)
+    pending = [unit_id for unit_id in schedule_order if unit_id not in classified]
+    queries: dict[str, np.ndarray] = {}
+    for span, result in embed_chunks([by_id[u].normalized_source for u in pending],
+                                     embed_provider):
+        if isinstance(result, ProviderUnavailable):
+            classified.update(dict.fromkeys(
+                pending[span], (Category.DISSIMILAR, [], str(result))))
+        else:
+            queries.update(zip(pending[span], result))
+    for unit_id in pending:
+        if unit_id in queries:
+            top = query_top_k(queries[unit_id], index, k=k, delta=delta)
+            matches = [TaskMatch(match=m, entry=index.entry_by_id(m.entry_id))
+                       for m in top]
+            classified[unit_id] = (top[0].category if top else Category.DISSIMILAR,
+                                   matches, None)
+    return classified
+
+
+def _run_groups(groups, callee_groups, run_group) -> None:
+    """Run run_group(g) for every group on up to DEBATE_WORKERS threads, each
+    group once every group in callee_groups[g] has finished.
+
+    The threads take ready groups from one shared list; an idle thread is
+    woken only when a group becomes ready, and the calling thread just waits
+    for the threads to end. (One future per group, which wakes the calling
+    thread after every group, made a whole scan about 12 % slower than a
+    serial one when the model answers at once.) An exception from
+    run_group, or one that interrupts the calling thread, stops the threads
+    from starting further groups and propagates once the running groups
+    have ended.
+    """
+    waiting = {g: set(callee_groups[g]) for g in groups}
+    callers: dict = {g: [] for g in groups}
+    for g in groups:
+        for callee in callee_groups[g]:
+            callers[callee].append(g)
+    ready = [g for g in reversed(groups) if not waiting[g]]
+    left = len(groups)
+    failures: list[BaseException] = []
+    cond = threading.Condition()
+
+    def work():
+        nonlocal left
+        while True:
+            with cond:
+                while not ready and left and not failures:
+                    cond.wait()
+                if failures or not ready:
+                    return
+                group = ready.pop()
+            try:
+                run_group(group)
+            except BaseException as exc:
+                with cond:
+                    failures.append(exc)
+                    cond.notify_all()
+                return
+            with cond:
+                left -= 1
+                for caller in callers[group]:
+                    waiting[caller].discard(group)
+                    if not waiting[caller]:
+                        ready.append(caller)
+                        cond.notify()
+                if not left:
+                    cond.notify_all()
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(DEBATE_WORKERS, len(groups)))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:
+        with cond:
+            failures.append(exc)
+            cond.notify_all()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+        raise
+    if failures:
+        raise failures[0]
+
+
 def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
              embed_provider=None, *, k: int = 3, delta: float | None = None,
              simcheck: bool = True, configs=None,
@@ -88,11 +196,20 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
              provider_name: str = "", index_path: str | None = None) -> dict:
     """Scan the given paths and return the report dictionary.
 
+    Classify runs on the calling thread: clone checks, embedding of the
+    non-clone units in EMBED_CHUNK batches and top-k retrieval. Debate then
+    runs the call graph's groups (a cycle or a single unit) on up to
+    DEBATE_WORKERS threads, each group once its callee groups are done, the
+    members of a cycle in schedule order. A unit's callee summaries thus see
+    the same outcomes as in a serial run, and records are assembled in
+    schedule order, so the report does not depend on the threads.
+
     delta defaults to the index's threshold (DEFAULT_DELTA without an index).
     Per-unit provider and parse failures become verdict "error" records and
-    the scan keeps going; a failed batch embedding is the error of every
-    non-clone unit. Anything wrong with reading inputs, or an index that does
-    not match the embedder, propagates.
+    the scan keeps going; a failed embedding chunk is the error of each of
+    its units. Anything wrong with reading inputs, an index that does not
+    match the embedder, or any other exception (a bad template, say)
+    propagates, the latter once the debates already running have ended.
     index_path is only recorded, as the report's inputs.index.
     """
     started = time.perf_counter()
@@ -115,67 +232,52 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
     graph = build_graph(units)
     schedule = topo_order(graph)
     by_id = {u.unit_id: u for u in units}
-    callees = {u.unit_id: graph.callees_of(u.unit_id) for u in units}
+    callees: dict[str, list[str]] = {u.unit_id: [] for u in units}
+    for caller, callee in sorted(graph.edges):
+        callees[caller].append(callee)
 
-    clones: dict[str, CorpusEntry] = {}
-    queries: dict[str, np.ndarray] = {}
-    embed_error: str | None = None
     if simcheck:
-        for unit in units:
-            clone = index.find_clone(unit.normalized_source, unit.content_hash)
-            if clone is not None:
-                clones[unit.unit_id] = clone
-        pending = [unit_id for unit_id in schedule.order if unit_id not in clones]
-        if pending:
-            try:
-                vectors = embed_texts([by_id[u].normalized_source for u in pending],
-                                      embed_provider)
-                queries = dict(zip(pending, vectors))
-            except ProviderUnavailable as exc:
-                embed_error = str(exc)
+        classified = _classify(schedule.order, by_id, index, embed_provider, k, delta)
+    else:
+        classified = dict.fromkeys(schedule.order, (Category.DISSIMILAR, [], None))
 
     templates = templates or TemplateSet.builtin()
-    llm = _CallCounter(llm_provider)
+    outcomes: dict[str, tuple[Verdict | None, str | None]] = {}
+    debated: dict[str, tuple] = {}
+
+    def debate_group(members):
+        for unit_id in members:
+            category, matches, error = classified[unit_id]
+            summaries = tuple(
+                (callee, _summary_line(*outcomes[callee]))
+                for callee in callees[unit_id] if callee in outcomes
+            )
+            llm = _CallCounter(llm_provider)
+            verdict: Verdict | None = None
+            transcript = DebateTranscript(())
+            if error is None:
+                task = DetectionTask(unit=by_id[unit_id], callee_summaries=summaries,
+                                     matches=tuple(matches), category=category)
+                try:
+                    verdict, transcript = run_debate(task, llm, configs, templates)
+                except (ProviderError, ProviderUnavailable, ParseError) as exc:
+                    error = str(exc)
+            outcomes[unit_id] = (verdict, error)
+            debated[unit_id] = (summaries, verdict, transcript, error, llm.count)
+
+    cycle_of = {unit_id: group for group in schedule.scc_groups for unit_id in group}
+    group_of = {unit_id: cycle_of.get(unit_id, (unit_id,)) for unit_id in schedule.order}
+    groups = list(dict.fromkeys(group_of[unit_id] for unit_id in schedule.order))
+    callee_groups = {g: {group_of[c] for u in g for c in callees[u]} - {g} for g in groups}
+    _run_groups(groups, callee_groups, debate_group)
 
     records: list[dict] = []
     transcripts: dict[str, list[dict]] = {}
-    outcomes: dict[str, tuple[Verdict | None, str | None]] = {}
-
     for position, unit_id in enumerate(schedule.order):
         unit = by_id[unit_id]
-        summaries = tuple(
-            (callee, _summary_line(*outcomes[callee]))
-            for callee in callees[unit_id] if callee in outcomes
-        )
-        category = Category.DISSIMILAR
-        matches: list[TaskMatch] = []
-        calls_before = llm.count
-        verdict: Verdict | None = None
-        transcript = DebateTranscript(())
-        error: str | None = None
-        try:
-            if unit_id in clones:
-                clone = clones[unit_id]
-                category = Category.CLONE
-                matches = [TaskMatch(
-                    match=SimilarityMatch(entry_id=clone.entry_id, distance=0.0,
-                                          similarity=1.0, category=Category.CLONE),
-                    entry=clone)]
-            elif simcheck:
-                if embed_error is not None:
-                    raise ProviderUnavailable(embed_error)
-                top = query_top_k(queries[unit_id], index, k=k, delta=delta)
-                matches = [TaskMatch(match=m, entry=index.entry_by_id(m.entry_id))
-                           for m in top]
-                category = top[0].category if top else Category.DISSIMILAR
-            task = DetectionTask(unit=unit, callee_summaries=summaries,
-                                 matches=tuple(matches), category=category)
-            verdict, transcript = run_debate(task, llm, configs, templates)
-        except (ProviderError, ProviderUnavailable, ParseError) as exc:
-            error = str(exc)
-
-        outcomes[unit_id] = (verdict, error)
-        record = {
+        category, matches, _ = classified[unit_id]
+        summaries, verdict, transcript, error, calls = debated[unit_id]
+        records.append({
             "unit_id": unit_id,
             "position": position,
             "name": unit.name,
@@ -187,12 +289,11 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
             "callee_summaries": [list(s) for s in summaries],
             "verdict": "error" if error is not None else verdict.to_dict(),
             "error_message": error,
-            "provider_calls": llm.count - calls_before,
+            "provider_calls": calls,
             "transcript_ref": unit_id if transcript.entries else None,
-        }
+        })
         if transcript.entries:
             transcripts[unit_id] = transcript.to_list()
-        records.append(record)
 
     vulnerable = sum(1 for r in records
                      if r["verdict"] != "error" and r["verdict"]["is_vulnerable"])
@@ -233,7 +334,7 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
             "not_vulnerable": len(records) - vulnerable - errors,
             "errors": errors,
             "by_category": by_category,
-            "provider_calls": llm.count,
+            "provider_calls": sum(r["provider_calls"] for r in records),
         },
         "timing": {
             "started_at": started_at,

@@ -38,7 +38,7 @@ if TYPE_CHECKING:
 DEFAULT_DELTA = 0.65
 CLONE_EPS = 1e-9
 FALLBACK_DIM = 384
-EMBED_CHUNK = 256  # texts per embed_texts call when embedding a corpus
+EMBED_CHUNK = 256  # texts per embed_texts call, for a corpus and for a scan
 
 ENV_EMBED_ENDPOINT = "SIMAUDIT_EMBED_ENDPOINT"
 
@@ -244,12 +244,33 @@ def query_top_k(query, index: "CorpusIndex", k: int = 3,
     ]
 
 
+def embed_chunks(texts: list[str], provider):
+    """Embed texts through embed_texts, EMBED_CHUNK of them per call, in order.
+
+    Yields (span, result) per chunk, span being the chunk's slice of texts and
+    result its matrix, or the ProviderUnavailable that embedding it raised.
+    A failed chunk does not stop the chunks after it.
+    """
+    for start in range(0, len(texts), EMBED_CHUNK):
+        span = slice(start, start + EMBED_CHUNK)
+        try:
+            result = embed_texts(texts[span], provider)
+        except ProviderUnavailable as exc:
+            result = exc
+        yield span, result
+
+
 def embed_index(index: "CorpusIndex", provider) -> None:
     """Embed every entry's normalized source into the index matrix, row i
     for entries[i], and stamp the index with the provider id. Texts go to
-    the provider EMBED_CHUNK at a time, in entry order."""
+    the provider EMBED_CHUNK at a time, in entry order; the first failed
+    chunk raises."""
     texts = [e.unit.normalized_source for e in index.entries]
-    if texts:
-        index.vectors = np.vstack([embed_texts(texts[i : i + EMBED_CHUNK], provider)
-                                   for i in range(0, len(texts), EMBED_CHUNK)])
+    rows = []
+    for _, result in embed_chunks(texts, provider):
+        if isinstance(result, ProviderUnavailable):
+            raise result
+        rows.append(result)
+    if rows:
+        index.vectors = np.vstack(rows)
     index.meta.embedder_id = provider.provider_id

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import io
 import json
+import shutil
 import tarfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import simaudit
 from simaudit.extract import FunctionUnit, UnitKind, content_hash, normalize
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -17,6 +19,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def bad_templates(path: Path) -> Path:
+    """Copy the built-in templates to path, with a critic.txt that asks for
+    a slot no prompt fills."""
+    shutil.copytree(Path(simaudit.__file__).parent / "templates", path)
+    with open(path / "critic.txt", "a", encoding="utf-8") as f:
+        f.write("\n$no_such_slot\n")
+    return path
 
 
 def make_archive(path: Path, files: dict[str, str]) -> Path:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import threading
 from pathlib import Path
 
 import jsonschema
@@ -12,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from helpers import FIXTURES, CannedHTTPServer, make_archive
+from helpers import FIXTURES, CannedHTTPServer, bad_templates, make_archive
 from simaudit.cli import _package_version, main
 from simaudit.corpus import Label, load_index
 from simaudit.metrics import EvalMetrics
@@ -231,6 +232,16 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 2
         assert "simaudit:" in capsys.readouterr().err
+
+    def test_bad_template_is_format_error_without_a_report(self, tmp_path, capsys):
+        index = _build_index(tmp_path, labels=True)
+        templates = bad_templates(tmp_path / "templates")
+        threads_before = set(threading.enumerate())
+        code, report = _scan(tmp_path, "--templates", str(templates), index=index)
+        assert code == 3
+        assert capsys.readouterr().err.startswith("simaudit: Critic template needs slot")
+        assert not report.exists()
+        assert set(threading.enumerate()) == threads_before
 
     def test_corrupt_index_is_format_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
+import re
+import signal
+import threading
+import time
 
 import pytest
 
-from helpers import CannedHTTPServer, mk_unit
-from simaudit.agents import MockLLMProvider, Role
+from helpers import CannedHTTPServer, bad_templates, mk_unit
+from simaudit import scanner
+from simaudit.agents import MockLLMProvider, Role, TemplateSet
 from simaudit.corpus import Label, new_index
 from simaudit.errors import (
     DimensionMismatch,
+    MissingTemplateSlot,
     ProviderError,
     ProviderMismatch,
     ProviderUnavailable,
@@ -39,6 +47,33 @@ contract Loop {
     function pong() public { ping(); }
 }
 """
+
+
+# Six independent leaves, a chain of three, and a two-unit cycle that also
+# calls a leaf; `top` calls into the chain and the cycle.
+MIX_SOL = """\
+contract Mix {
+""" + "".join(f"    function l{i}() public pure returns (uint256) {{ return {i}; }}\n"
+              for i in range(6)) + """\
+    function c1() public pure returns (uint256) { return l0() + 1; }
+    function c2() public pure returns (uint256) { return c1() + 1; }
+    function c3() public pure returns (uint256) { return c2() + 1; }
+    function ping() public { l1(); pong(); }
+    function pong() public { ping(); }
+    function top() public { c3(); ping(); }
+}
+"""
+
+
+def _many_sol(n):
+    return "contract Many {\n" + "".join(
+        f"    function f{i}() public pure returns (uint256) {{ return {i}; }}\n"
+        for i in range(n)) + "}\n"
+
+
+def _target_name(messages):
+    """The function a debate prompt is about: only its code declares one."""
+    return re.search(r"function (\w+)\(", messages[-1]["content"]).group(1)
 
 
 def _write(tmp_path, name, text):
@@ -311,6 +346,55 @@ class TestSimcheck:
             assert [(m["entry_id"], m["similarity"]) for m in rec["matches"]] == [
                 (m.entry_id, m.similarity) for m in want]
 
+    def _remote_scan(self, tmp_path, reply):
+        path = _write(tmp_path, "many.sol", _many_sol(300))
+        index = self._indexed(CHAIN_SOL)
+        index.meta.embedder_id = "model-x"
+        with CannedHTTPServer(reply) as server:
+            embedder = RemoteEmbedder(server.url, provider_id="model-x")
+            report = run_scan([path], index, MockLLMProvider(defaults=CLEAN_DEFAULTS),
+                              embedder)
+        sources = {u.unit_id: u.normalized_source
+                   for u in extract_units(path.read_text(encoding="utf-8"), str(path))}
+        return report, server.requests, sources
+
+    def test_scan_embeds_in_chunks_in_schedule_order(self, tmp_path):
+        fallback = FallbackEmbedder()
+
+        def reply(body):
+            return {"vectors": fallback.embed_many(body["texts"]).tolist()}
+
+        report, requests, sources = self._remote_scan(tmp_path, reply)
+        assert all(r["category"] != "clone" for r in report["units"])
+        chunks = [r["body"]["texts"] for r in requests]
+        assert [len(c) for c in chunks] == [256, 44]
+        assert [t for c in chunks for t in c] == [
+            sources[unit_id] for unit_id in report["schedule"]["order"]]
+        assert report["summary"]["errors"] == 0
+
+    def test_failed_chunk_is_the_error_of_its_units_only(self, tmp_path):
+        fallback = FallbackEmbedder()
+        posts = []
+
+        def reply(body):
+            posts.append(len(body["texts"]))
+            if len(posts) == 2:
+                return {"vectors": [["x"] * 384] * len(body["texts"])}
+            return {"vectors": fallback.embed_many(body["texts"]).tolist()}
+
+        report, requests, _ = self._remote_scan(tmp_path, reply)
+        assert len(requests) == 2
+        failed = [r["unit_id"] for r in report["units"] if r["verdict"] == "error"]
+        assert failed == report["schedule"]["order"][-44:]
+        for rec in report["units"][-44:]:
+            assert rec["error_message"].startswith("provider returned non-")
+            assert rec["provider_calls"] == 0
+            assert rec["matches"] == []
+        for rec in report["units"][:256]:
+            assert rec["provider_calls"] == 4
+            assert len(rec["matches"]) == 3
+        assert report["summary"]["errors"] == 44
+
     def test_index_mismatch_found_in_retrieval_still_fails_the_scan(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL.replace("+ 1", "+ 7"))
         unembedded = self._indexed(CHAIN_SOL)
@@ -329,6 +413,145 @@ class TestSimcheck:
 
         with pytest.raises(DimensionMismatch):
             run_scan([path], self._indexed(CHAIN_SOL), MockLLMProvider(), TwoDims())
+
+
+class DigestProvider:
+    """Every role answers well after a random 0-5 ms wait. The Detector's
+    finding and the Judge's verdict come from the prompt's digest, so a
+    unit's outcome depends on its callees' summaries. Records each call's
+    (start, end) under the target function's name."""
+
+    def __init__(self):
+        self.spans: dict[str, list[tuple[float, float]]] = {}
+        self._lock = threading.Lock()
+
+    def complete(self, messages, config):
+        start = time.perf_counter()
+        time.sleep(random.uniform(0, 0.005))
+        digest = hashlib.sha256(messages[-1]["content"].encode("utf-8")).hexdigest()
+        if config.role is Role.DETECTOR:
+            reply = ('```json\n{"findings": [{"vuln_type": "%s", "description": "x"}]}\n```'
+                     % digest[:12])
+        elif config.role is Role.JUDGE:
+            reply = ('```json\n{"is_vulnerable": %s, "vuln_type": "%s", '
+                     '"explanation": "from the digest", "confidence": "Low"}\n```'
+                     % ("true" if int(digest, 16) % 2 else "false", digest[:8]))
+        else:
+            reply = CLEAN_DEFAULTS[config.role]
+        with self._lock:
+            self.spans.setdefault(_target_name(messages), []).append(
+                (start, time.perf_counter()))
+        return reply
+
+
+class TestConcurrentDebate:
+    def test_report_matches_a_serial_run(self, tmp_path, monkeypatch):
+        _write(tmp_path, "mix.sol", MIX_SOL)
+        _write(tmp_path, "loop.sol", LOOP_SOL)
+        monkeypatch.chdir(tmp_path)     # unit ids, and so prompts, without tmp_path
+
+        def once():
+            report = run_scan(["."], None, DigestProvider(), simcheck=False)
+            report.pop("timing")
+            return report
+
+        concurrent = once()
+        monkeypatch.setattr(scanner, "DEBATE_WORKERS", 1)
+        serial = once()
+        assert json.dumps(concurrent, sort_keys=True) == json.dumps(serial, sort_keys=True)
+        summaries = {line for r in concurrent["units"] for _, line in r["callee_summaries"]}
+        assert "no vulnerability found" in summaries
+        assert any(line.startswith("vulnerable: ") for line in summaries)
+        assert concurrent["summary"]["provider_calls"] == 4 * 14
+
+    def test_independent_leaves_are_debated_at_once(self, tmp_path):
+        path = _write(tmp_path, "two.sol", _many_sol(2))
+        barrier = threading.Barrier(2, timeout=5)
+
+        class Meeting:
+            def complete(self, messages, config):
+                if config.role is Role.DETECTOR:
+                    barrier.wait()
+                return CLEAN_DEFAULTS[config.role]
+
+        report = run_scan([path], None, Meeting(), simcheck=False)
+        assert [r["provider_calls"] for r in report["units"]] == [4, 4]
+        assert report["summary"]["errors"] == 0
+
+    @pytest.mark.parametrize("workers", [3, scanner.DEBATE_WORKERS])
+    def test_calls_in_flight_stay_within_the_pool(self, tmp_path, monkeypatch, workers):
+        path = _write(tmp_path, "many.sol", _many_sol(20))
+        monkeypatch.setattr(scanner, "DEBATE_WORKERS", workers)
+        lock = threading.Lock()
+        in_flight = [0, 0]     # now, peak
+
+        class Counting:
+            def complete(self, messages, config):
+                with lock:
+                    in_flight[0] += 1
+                    in_flight[1] = max(in_flight)
+                time.sleep(0.002)
+                with lock:
+                    in_flight[0] -= 1
+                return CLEAN_DEFAULTS[config.role]
+
+        report = run_scan([path], None, Counting(), simcheck=False)
+        assert report["summary"]["provider_calls"] == 80
+        assert 1 <= in_flight[1] <= workers
+
+    def test_callers_start_after_their_callees_return(self, tmp_path):
+        path = _write(tmp_path, "mix.sol", MIX_SOL)
+        provider = DigestProvider()
+        report = run_scan([path], None, provider, simcheck=False)
+        group = {u: tuple(g) for g in report["schedule"]["scc_groups"] for u in g}
+        name = {r["unit_id"]: r["name"] for r in report["units"]}
+        edges = [(caller, callee) for caller, callee in report["callgraph"]["edges"]
+                 if group.get(caller, caller) != group.get(callee, callee)]
+        assert len(edges) == 6
+        for caller, callee in edges:
+            first_start = min(start for start, _ in provider.spans[name[caller]])
+            last_end = max(end for _, end in provider.spans[name[callee]])
+            assert first_start >= last_end, (caller, callee)
+
+
+class TestUnexpectedErrors:
+    def test_bad_template_stops_the_scan_and_its_threads(self, tmp_path):
+        path = _write(tmp_path, "many.sol", _many_sol(12))
+        templates = TemplateSet.from_dir(bad_templates(tmp_path / "templates"))
+        threads_before = set(threading.enumerate())
+        provider = MockLLMProvider(defaults=CLEAN_DEFAULTS)
+        with pytest.raises(MissingTemplateSlot, match="no_such_slot"):
+            run_scan([path], None, provider, simcheck=False, templates=templates)
+        assert set(threading.enumerate()) == threads_before
+        assert all(role is Role.DETECTOR for role, _ in provider.calls)
+        assert len(provider.calls) <= scanner.DEBATE_WORKERS    # one group per thread
+
+    def test_interrupt_while_waiting_stops_the_scan(self, tmp_path):
+        path = _write(tmp_path, "many.sol", _many_sol(20))
+        threads_before = set(threading.enumerate())
+        calls = []
+        started = threading.local()
+
+        def interrupt():
+            time.sleep(0.02)    # let the caller get from starting threads to waiting
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        # Every debate thread is in its first call when Ctrl-C reaches the caller.
+        all_running = threading.Barrier(scanner.DEBATE_WORKERS, action=interrupt, timeout=5)
+
+        class Interrupting:
+            def complete(self, messages, config):
+                calls.append(config.role)
+                if not getattr(started, "yes", False):
+                    started.yes = True
+                    all_running.wait()
+                time.sleep(0.01)
+                return CLEAN_DEFAULTS[config.role]
+
+        with pytest.raises(KeyboardInterrupt):
+            run_scan([path], None, Interrupting(), simcheck=False)
+        assert set(threading.enumerate()) == threads_before
+        assert len(calls) < 4 * 20      # the groups not yet started never ran
 
 
 class TestReportShape:
