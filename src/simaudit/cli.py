@@ -33,6 +33,7 @@ from .errors import (
     EXIT_FINDINGS,
     EXIT_IO,
     EXIT_OK,
+    FileCorrupt,
     LabelFileMalformed,
     ProviderUnavailable,
     SimauditError,
@@ -45,7 +46,23 @@ from .simindex import DEFAULT_DELTA, FallbackEmbedder, RemoteEmbedder, embed_ind
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:   # not UTF-8 or not JSON
+        raise FileCorrupt(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise FileCorrupt(f"config {path} must hold a JSON object")
+    return config
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _package_version(archive: Path) -> tuple[str, str]:
@@ -238,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--index", required=True, help="reference index file")
     p_scan.add_argument("--provider", choices=("mock", "remote"), default="remote")
     p_scan.add_argument("--mock-fixture", help="canned responses for the mock provider")
-    p_scan.add_argument("--k", type=int, default=3, help="references per unit")
+    p_scan.add_argument("--k", type=_positive_int, default=3, help="references per unit")
     p_scan.add_argument("--delta", type=float,
                         help="similarity threshold (default: the index's)")
     p_scan.add_argument("--report", required=True, help="JSON report to write")
@@ -258,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--mock-fixture", help="canned responses for the mock provider")
     p_eval.add_argument("--no-simcheck", action="store_true",
                         help="ablation: skip similarity checking entirely")
-    p_eval.add_argument("--k", type=int, default=3)
+    p_eval.add_argument("--k", type=_positive_int, default=3)
     p_eval.add_argument("--delta", type=float, help="similarity threshold (default: the index's)")
     p_eval.add_argument("--metrics-out", help="write metrics JSON here instead of stdout")
     p_eval.add_argument("--config", help="JSON config file for endpoints and keys")

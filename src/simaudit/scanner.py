@@ -3,8 +3,8 @@
 A scan runs in two phases. Classify, on the calling thread: every unit gets
 an exact-content clone check against the corpus (no model involved), the
 units that are not clones are embedded EMBED_CHUNK texts per request, and
-each of them gets top-k retrieval, in schedule order. Debate: the call
-graph's groups (a cycle, or a single unit) run on up to DEBATE_WORKERS
+one top-k retrieval call scores all of them, in schedule order. Debate: the
+call graph's groups (a cycle, or a single unit) run on up to DEBATE_WORKERS
 threads, a group as soon as all the groups it calls are done, the members of
 a cycle one after another. Every unit thus sees the same callee outcomes as in a
 serial run. Results land in a report dictionary, assembled in schedule
@@ -88,7 +88,8 @@ class _CallCounter:
 
 
 def _classify(schedule_order, by_id, index, embed_provider, k, delta):
-    """Clone check, chunked embedding and top-k retrieval of every unit.
+    """Clone check, chunked embedding and one batched top-k retrieval of
+    every embedded unit.
 
     Returns {unit_id: (category, matches, error)}; error is the message of a
     failed embedding chunk, the unit's only outcome then. Retrieval errors
@@ -103,21 +104,20 @@ def _classify(schedule_order, by_id, index, embed_provider, k, delta):
                                       similarity=1.0, category=Category.CLONE),
                 entry=clone)], None)
     pending = [unit_id for unit_id in schedule_order if unit_id not in classified]
-    queries: dict[str, np.ndarray] = {}
+    embedded: list[str] = []
+    queries: list[np.ndarray] = []
     for span, result in embed_chunks([by_id[u].normalized_source for u in pending],
                                      embed_provider):
         if isinstance(result, ProviderUnavailable):
             classified.update(dict.fromkeys(
                 pending[span], (Category.DISSIMILAR, [], str(result))))
         else:
-            queries.update(zip(pending[span], result))
-    for unit_id in pending:
-        if unit_id in queries:
-            top = query_top_k(queries[unit_id], index, k=k, delta=delta)
-            matches = [TaskMatch(match=m, entry=index.entry_by_id(m.entry_id))
-                       for m in top]
-            classified[unit_id] = (top[0].category if top else Category.DISSIMILAR,
-                                   matches, None)
+            embedded += pending[span]
+            queries.extend(result)
+    for unit_id, top in zip(embedded, query_top_k(queries, index, k=k, delta=delta)):
+        matches = [TaskMatch(match=m, entry=index.entry_by_id(m.entry_id)) for m in top]
+        classified[unit_id] = (top[0].category if top else Category.DISSIMILAR,
+                               matches, None)
     return classified
 
 
@@ -197,12 +197,13 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
     """Scan the given paths and return the report dictionary.
 
     Classify runs on the calling thread: clone checks, embedding of the
-    non-clone units in EMBED_CHUNK batches and top-k retrieval. Debate then
-    runs the call graph's groups (a cycle or a single unit) on up to
-    DEBATE_WORKERS threads, each group once its callee groups are done, the
-    members of a cycle in schedule order. A unit's callee summaries thus see
-    the same outcomes as in a serial run, and records are assembled in
-    schedule order, so the report does not depend on the threads.
+    non-clone units in EMBED_CHUNK batches and one top-k retrieval call for
+    all of them. Debate then runs the call graph's groups (a cycle or a
+    single unit) on up to DEBATE_WORKERS threads, each group once its callee
+    groups are done, the members of a cycle in schedule order. A unit's
+    callee summaries thus see the same outcomes as in a serial run, and
+    records are assembled in schedule order, so the report does not depend
+    on the threads.
 
     delta defaults to the index's threshold (DEFAULT_DELTA without an index).
     Per-unit provider and parse failures become verdict "error" records and

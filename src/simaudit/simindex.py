@@ -10,7 +10,8 @@ measure.
 An embedding is a float64 numpy array from the provider to the index to the
 query: embed_texts returns one (len(texts), d) matrix, a corpus index keeps
 the rows of such matrices, one per entry and all from one embedder (its
-`embedder_id`), and retrieval scores the whole index matrix at once.
+`embedder_id`), and query_top_k scores a (Q, d) batch of queries against
+that matrix QUERY_TILE rows at a time.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ DEFAULT_DELTA = 0.65
 CLONE_EPS = 1e-9
 FALLBACK_DIM = 384
 EMBED_CHUNK = 256  # texts per embed_texts call, for a corpus and for a scan
+QUERY_TILE = 128  # index rows scored per step of a query in query_top_k
 
 ENV_EMBED_ENDPOINT = "SIMAUDIT_EMBED_ENDPOINT"
 
@@ -207,41 +209,50 @@ def classify(sim: float, delta: float = DEFAULT_DELTA) -> Category:
     return Category.DISSIMILAR
 
 
-def query_top_k(query, index: "CorpusIndex", k: int = 3,
-                delta: float = DEFAULT_DELTA) -> list[SimilarityMatch]:
-    """Exact brute-force top-k by similarity, ties broken by entry id.
+def query_top_k(queries, index: "CorpusIndex", k: int = 3,
+                delta: float = DEFAULT_DELTA) -> list[list[SimilarityMatch]]:
+    """Exact brute-force top-k by similarity, ties broken by entry id, for
+    each row of a (Q, d) batch of queries: one list of matches per row.
 
-    Every entry is scored in one pass over the index matrix with the same
-    arithmetic as similarity(), so scores and their order are bit-identical
-    to scoring pair by pair. Matches below delta are still returned,
-    categorized Dissimilar, so the caller can decide what to do with weak
-    neighbors. An empty index yields an empty list. The caller checks that
-    query and index come from one embedder, as run_scan does.
+    Index norms and entry-id order are computed once, and each query reads
+    the index matrix QUERY_TILE rows at a time with the arithmetic of
+    similarity(), so scores and order are bit-identical to scoring pair by
+    pair. Matches below delta are still returned, categorized Dissimilar.
+    An empty index yields an empty list per query; an empty batch yields []
+    without reading the index. The caller checks that queries and index come
+    from one embedder, as run_scan does.
     """
-    if not index.entries:
-        return []
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if len(queries) == 0 or not index.entries:
+        return [[] for _ in queries]
     rows = index.vectors
     if rows is None or len(rows) != len(index.entries):
         raise ProviderMismatch(
             f"index holds {0 if rows is None else len(rows)} embeddings "
             f"for {len(index.entries)} entries")
-    q = np.asarray(query, dtype=float)
-    if rows.shape[1] != len(q):
+    qs = np.asarray(queries, dtype=float)
+    if qs.ndim != 2 or qs.shape[1] != rows.shape[1]:
         raise DimensionMismatch(
-            f"index holds {rows.shape[1]}-dim vectors, query is {len(q)}-dim")
-    norm_q = _row_norms(q[None, :])[0]
-    denom = norm_q + _row_norms(rows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dists = np.clip(_row_norms(q - rows) / denom, 0.0, 1.0)
-    dists[denom == 0.0] = 0.0  # two zero vectors compare as identical
-    scored = sorted(zip((1.0 - dists).tolist(), (e.entry_id for e in index.entries),
-                        dists.tolist()),
-                    key=lambda t: (-t[0], t[1]))
-    return [
-        SimilarityMatch(entry_id=eid, distance=dist, similarity=sim,
-                        category=classify(sim, delta))
-        for sim, eid, dist in scored[:k]
-    ]
+            f"index holds {rows.shape[1]}-dim vectors, queries have shape {qs.shape}")
+    ids = [e.entry_id for e in index.entries]
+    id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # Python str order
+    tiles = [slice(start, start + QUERY_TILE) for start in range(0, len(rows), QUERY_TILE)]
+    norms = np.concatenate([_row_norms(rows[tile]) for tile in tiles])
+    results = []
+    for q, norm_q in zip(qs, _row_norms(qs)):
+        denom = norm_q + norms
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dists = np.clip(np.concatenate([_row_norms(q - rows[tile]) for tile in tiles])
+                            / denom, 0.0, 1.0)
+        dists[denom == 0.0] = 0.0  # two zero vectors compare as identical
+        sims = 1.0 - dists
+        top = np.lexsort((id_rank, -sims))[:k]
+        results.append([SimilarityMatch(entry_id=ids[i], distance=dist, similarity=sim,
+                                        category=classify(sim, delta))
+                        for i, dist, sim in zip(top.tolist(), dists[top].tolist(),
+                                                sims[top].tolist())])
+    return results
 
 
 def embed_chunks(texts: list[str], provider):

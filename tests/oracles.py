@@ -3,11 +3,13 @@
 Each oracle recomputes a result through a mechanism deliberately different
 from the package's own (placeholder substitution instead of a streaming
 emitter, reachability closure instead of Tarjan, plain math instead of numpy),
-so agreement between the two is evidence rather than tautology. Three
+so agreement between the two is evidence rather than tautology. Four
 exceptions keep the package's original code on purpose, to pin results bit
 for bit: reference_tokenize (the character loop of the Solidity lexer),
-scalar_similarity (pair-at-a-time numpy arithmetic) and
-reference_fallback_embedding (the per-tap loop of the fallback embedder).
+scalar_similarity (pair-at-a-time numpy arithmetic),
+reference_fallback_embedding (the per-tap loop of the fallback embedder) and
+reference_query_top_k (one query over the whole index matrix, ranked by a
+Python sort).
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+
+from simaudit.errors import DimensionMismatch, ProviderMismatch
+from simaudit.simindex import DEFAULT_DELTA, SimilarityMatch, _row_norms, classify
 
 
 class OracleUnterminatedComment(Exception):
@@ -269,6 +274,37 @@ def reference_fallback_embedding(text: str, taps: int = 8) -> np.ndarray:
         acc[fallback_idx] = 1.0
         norm = 1.0
     return np.array(tuple((acc / norm).tolist()))
+
+
+def reference_query_top_k(query, index, k: int = 3, delta: float = DEFAULT_DELTA):
+    """The single-query retrieval kernel kept as it was: the whole index
+    matrix in one pass, then a Python sort of (similarity, entry id,
+    distance) tuples. Its scores and tie order are what the batched, tiled
+    query_top_k must reproduce exactly."""
+    if not index.entries:
+        return []
+    rows = index.vectors
+    if rows is None or len(rows) != len(index.entries):
+        raise ProviderMismatch(
+            f"index holds {0 if rows is None else len(rows)} embeddings "
+            f"for {len(index.entries)} entries")
+    q = np.asarray(query, dtype=float)
+    if rows.shape[1] != len(q):
+        raise DimensionMismatch(
+            f"index holds {rows.shape[1]}-dim vectors, query is {len(q)}-dim")
+    norm_q = _row_norms(q[None, :])[0]
+    denom = norm_q + _row_norms(rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dists = np.clip(_row_norms(q - rows) / denom, 0.0, 1.0)
+    dists[denom == 0.0] = 0.0  # two zero vectors compare as identical
+    scored = sorted(zip((1.0 - dists).tolist(), (e.entry_id for e in index.entries),
+                        dists.tolist()),
+                    key=lambda t: (-t[0], t[1]))
+    return [
+        SimilarityMatch(entry_id=eid, distance=dist, similarity=sim,
+                        category=classify(sim, delta))
+        for sim, eid, dist in scored[:k]
+    ]
 
 
 def full_sort_top_k(target_values, labeled_vectors, k) -> list[tuple[str, float]]:

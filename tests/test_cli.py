@@ -296,6 +296,28 @@ class TestScanExitCodes:
         assert "endpoint" in capsys.readouterr().err
 
 
+class TestBadArguments:
+    @pytest.mark.parametrize("command", ["scan", "eval"])
+    @pytest.mark.parametrize("k", ["0", "-1", "two"])
+    def test_k_must_be_a_positive_integer(self, tmp_path, capsys, command, k):
+        argv = ([command, "--input", "a.sol", "--index", "i.jsonl", "--report", "r.json"]
+                if command == "scan" else [command, "--dataset", "d", "--labels", "l.csv"])
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--k", k])
+        assert exc.value.code == 2
+        assert f"argument --k: must be a positive integer, got '{k}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff"])
+    def test_malformed_config_is_format_error(self, tmp_path, capsys, text):
+        config = tmp_path / "bad.json"
+        config.write_bytes(text.encode("latin-1"))
+        code = main(["index", "--archives", str(tmp_path), "--out", str(tmp_path / "i.jsonl"),
+                     "--config", str(config)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"simaudit: config {config} ")
+        assert not (tmp_path / "i.jsonl").exists()
+
+
 class TestEvalCommand:
     def _dataset(self, tmp_path):
         d = tmp_path / "dataset"

@@ -225,6 +225,27 @@ class TestSimcheck:
         assert report["summary"]["provider_calls"] == 0
         assert report["summary"]["by_category"]["clone"] == 3
 
+    def test_all_clone_scan_retrieves_nothing(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, "chain.sol", CHAIN_SOL)
+        index = self._indexed(CHAIN_SOL, vulnerable=("mid",))
+        want = run_scan([path], index, MockLLMProvider(), FallbackEmbedder())
+        batches = []
+
+        def recording_query_top_k(queries, *args, **kwargs):
+            batches.append(len(queries))
+            return query_top_k(queries, *args, **kwargs)
+
+        class NoEmbedding(FallbackEmbedder):
+            def embed_many(self, texts):
+                raise AssertionError("embedded a clone")
+
+        monkeypatch.setattr(scanner, "query_top_k", recording_query_top_k)
+        index.vectors = None    # retrieving from this index would raise
+        report = run_scan([path], index, MockLLMProvider(), NoEmbedding())
+        assert batches == [0]
+        assert {**report, "timing": None} == {**want, "timing": None}
+        assert report["summary"]["by_category"]["clone"] == 3
+
     def test_modified_unit_is_retrieved_and_debated(self, tmp_path):
         modified = CHAIN_SOL.replace("return mid() + 1;",
                                      "uint256 v = mid(); return v + 2;")
@@ -342,7 +363,7 @@ class TestSimcheck:
         assert server.requests[0]["body"]["texts"] == [
             sources[r["unit_id"]] for r in debated]     # schedule order
         for rec in debated:     # each unit is retrieved with its own row
-            want = query_top_k(fallback.embed_many([sources[rec["unit_id"]]])[0], index)
+            want = query_top_k(fallback.embed_many([sources[rec["unit_id"]]]), index)[0]
             assert [(m["entry_id"], m["similarity"]) for m in rec["matches"]] == [
                 (m.entry_id, m.similarity) for m in want]
 

@@ -25,6 +25,7 @@ from simaudit.simindex import (
     EMBED_CHUNK,
     ENV_EMBED_ENDPOINT,
     FALLBACK_DIM,
+    QUERY_TILE,
     Category,
     FallbackEmbedder,
     RemoteEmbedder,
@@ -283,7 +284,7 @@ def _index_with_vectors(labeled_values):
 
 class TestQueryTopK:
     def test_empty_index(self):
-        assert query_top_k(_vec(1, 0), new_index()) == []
+        assert query_top_k([_vec(1, 0)], new_index())[0] == []
 
     def test_orders_by_similarity_then_id(self):
         index = _index_with_vectors([
@@ -291,7 +292,7 @@ class TestQueryTopK:
             ("e1", (3.0, 4.0)),   # same direction, different scale
             ("e2", (6.0, 8.0)),   # exactly the target
         ])
-        matches = query_top_k(_vec(6, 8), index, k=3)
+        matches = query_top_k([_vec(6, 8)], index, k=3)[0]
         assert [m.entry_id for m in matches] == [
             "pkg@1/f.sol::C::e2#0", "pkg@1/f.sol::C::e1#0", "pkg@1/f.sol::C::e0#0"]
         assert matches[0].category is Category.CLONE
@@ -303,18 +304,18 @@ class TestQueryTopK:
             ("b", (1.0, 0.0)),
             ("a", (1.0, 0.0)),
         ])
-        matches = query_top_k(_vec(1, 0), index, k=2)
+        matches = query_top_k([_vec(1, 0)], index, k=2)[0]
         assert [m.entry_id for m in matches] == [
             "pkg@1/f.sol::C::e0#0", "pkg@1/f.sol::C::e1#0"]
         assert matches[0].similarity == matches[1].similarity
 
     def test_k_larger_than_index_returns_all(self):
         index = _index_with_vectors([("e0", (1.0, 0.0)), ("e1", (0.0, 1.0))])
-        assert len(query_top_k(_vec(1, 0), index, k=10)) == 2
+        assert len(query_top_k([_vec(1, 0)], index, k=10)[0]) == 2
 
     def test_below_delta_still_returned_as_dissimilar(self):
         index = _index_with_vectors([("e0", (-1.0, 0.0))])
-        (m,) = query_top_k(_vec(1, 0), index, k=1)
+        (m,) = query_top_k([_vec(1, 0)], index, k=1)[0]
         assert m.category is Category.DISSIMILAR
         assert m.similarity == 0.0
 
@@ -322,7 +323,7 @@ class TestQueryTopK:
         index = new_index()
         index.insert(mk_unit("f.sol::C::x#0"), "pkg", "1")
         with pytest.raises(ProviderMismatch):
-            query_top_k(_vec(1, 0), index)
+            query_top_k([_vec(1, 0)], index)
 
     def test_matches_full_sort_oracle_on_random_index(self):
         rng = random.Random(7)
@@ -331,7 +332,7 @@ class TestQueryTopK:
         index = _index_with_vectors(entries)
         target = [rng.uniform(-5, 5) for _ in range(8)]
         for k in (1, 3, 10, 50, 75):
-            got = [(m.entry_id, m.similarity) for m in query_top_k(target, index, k=k)]
+            got = [(m.entry_id, m.similarity) for m in query_top_k([target], index, k=k)[0]]
             want = oracles.full_sort_top_k(
                 target,
                 [(e.entry_id, tuple(v)) for e, v in zip(index.entries, index.vectors)],
@@ -372,12 +373,82 @@ class TestBitExactScores:
             for row in rows:
                 want = oracles.scalar_similarity(target, row)
                 assert similarity(target, row) == want
-            matches = query_top_k(target, index, k=len(rows))
+            matches = query_top_k([target], index, k=len(rows))[0]
             got = [(m.entry_id, m.distance, m.similarity) for m in matches]
             want = sorted(((eid, *oracles.scalar_similarity(target, row))
                            for eid, row in row_of.items()),
                           key=lambda t: (-t[2], t[0]))
             assert got == want
+
+
+class TestBatchedQueries:
+    def test_k_below_one_is_refused(self):
+        index = _index_with_vectors([("e0", (1.0, 0.0))])
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                query_top_k([_vec(1, 0)], index, k=k)
+
+    def test_empty_batch_does_not_read_the_index(self):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"index.{name} was read")
+
+        assert query_top_k([], Untouchable()) == []
+        assert query_top_k(np.empty((0, 384)), Untouchable()) == []
+
+
+# Entry-id stems: a repeated stem gets a "~2", "~3" suffix from insert, and
+# the non-ASCII ones sort by code point, after every ASCII one.
+_ID_STEMS = ("a", "b", "B", "a~2", "_x", "é", "ä", "中", "\U0001d518")
+_SCALES = (1.0, 0.0, 1e-300, 1e300, 5e-324)
+
+
+@st.composite
+def _batched_cases(draw):
+    """(index, queries, k): rows at unit scale, zero, 1e-300, 1e300 and
+    5e-324 (denormal) scale, a fifth of them copies of an earlier row; an
+    index either small or larger than QUERY_TILE and not a multiple of it;
+    queries that copy a row, are zero or are random at one of those scales."""
+    dim = draw(st.sampled_from((1, 2, 3, 8, 384)))
+    n = draw(st.one_of(
+        st.integers(0, 12),
+        st.integers(QUERY_TILE + 1, 3 * QUERY_TILE - 1).filter(lambda n: n % QUERY_TILE)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def scaled(count):
+        return rng.uniform(-1, 1, (count, dim)) * rng.choice(_SCALES, count)[:, None]
+
+    rows = scaled(n)
+    for i in range(1, n):
+        if rng.random() < 0.2:
+            rows[i] = rows[rng.integers(i)]
+    index = new_index()
+    for i, stem in enumerate(rng.choice(_ID_STEMS, n)):
+        assert index.insert(mk_unit(f"f.sol::C::{stem}#0", name="f", body=f"r{i}"), "pkg", "1")
+    index.vectors = rows
+    queries = scaled(draw(st.integers(0, 4)))
+    for q in queries:
+        kind = rng.integers(3)
+        if kind == 0 and n:
+            q[:] = rows[rng.integers(n)]
+        elif kind == 1:
+            q[:] = 0.0
+    return index, queries, draw(st.integers(1, n + 2))
+
+
+class TestBatchedKernelMatchesSingleQueryReference:
+    """The batched, tiled kernel against the single-query kernel it
+    replaced: every field equal with ==, ties in the same order."""
+
+    @given(_batched_cases())
+    def test_each_query_equals_the_reference(self, case):
+        index, queries, k = case
+        got = query_top_k(queries, index, k=k)
+        assert len(got) == len(queries)
+        for q, matches in zip(queries, got):
+            want = oracles.reference_query_top_k(q, index, k=k)
+            assert [(m.entry_id, m.distance, m.similarity, m.category) for m in matches] == [
+                (m.entry_id, m.distance, m.similarity, m.category) for m in want]
 
 
 class TestEmbedIndex:
