@@ -52,6 +52,9 @@ def _load_config(path: str | None) -> dict:
         raise FileCorrupt(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise FileCorrupt(f"config {path} must hold a JSON object")
+    for section in ("llm", "embedding"):
+        if not isinstance(config.get(section, {}), dict):
+            raise FileCorrupt(f"config {path} section {section!r} must hold a JSON object")
     return config
 
 

@@ -289,8 +289,10 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise FormatVersionMismatch(
             f"index {path} is format {header['format_version']}, "
             f"this build reads format {FORMAT_VERSION}; rebuild it with `simaudit index`")
+    stats_d = header.get("stats", {})
+    if not isinstance(stats_d, dict):
+        raise FileCorrupt(f"index {path} header is malformed: stats is not an object")
     try:
-        stats_d = header.get("stats", {})
         index = CorpusIndex(
             meta=IndexMeta(created_at=header["created_at"],
                            embedder_id=header["embedder_id"],

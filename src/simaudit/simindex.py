@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -62,11 +61,16 @@ class SimilarityMatch:
 class FallbackEmbedder:
     """Deterministic offline embedder: hashed character-trigram bag pushed
     through a fixed sparse signed projection into 384 dimensions, then
-    L2-normalized.
+    L2-normalized. A text shorter than three characters is its own gram.
 
     The projection row for each trigram is derived from a keyed BLAKE2b digest
     of the trigram itself, so the matrix never exists in memory and the output
     is identical on every platform and every run.
+
+    embed_many builds one vocabulary per call: each distinct trigram of the
+    whole batch is hashed once, and every text's row sums its trigrams' taps
+    from that table. The sums are small integers, exact in any order, so each
+    row is bit-identical to embedding its text on its own.
     """
 
     provider_id = "fallback-trigram-v1"
@@ -76,29 +80,63 @@ class FallbackEmbedder:
     _TAPS = 8  # projection entries per trigram
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
-        return np.array([self._embed_one(t) for t in texts]).reshape(-1, self.dimension)
-
-    def _embed_one(self, text: str) -> np.ndarray:
-        grams = Counter([text] if len(text) < 3
-                        else (text[i : i + 3] for i in range(len(text) - 2)))
+        dim, n = self.dimension, len(texts)
+        acc = np.zeros(n * dim)
+        lens = np.fromiter(map(len, texts), dtype=np.intp, count=n)
+        # A trigram is its three code points, 21 bits each, packed into one
+        # key; it counts only where all three lie inside one text.
+        points = np.frombuffer("".join(texts).encode("utf-32-le"), dtype="<u4")
+        owner = np.repeat(np.arange(n, dtype=np.int32), lens)
+        keys = points[:-2].astype(np.uint64) << 42
+        keys |= points[1:-1].astype(np.uint64) << 21
+        keys |= points[2:]
+        keys = keys[owner[:-2] == owner[2:]]
+        # A sort, not np.unique: its hash-set path leaves about 1 MB more heap
+        # behind in the process.
+        vocab = np.sort(keys)
+        first = np.ones(len(vocab), dtype=bool)
+        first[1:] = vocab[1:] != vocab[:-1]
+        vocab = vocab[first]
+        spelled = np.stack([vocab >> 42, (vocab >> 21) & 0x1FFFFF, vocab & 0x1FFFFF], axis=1)
+        spelled = spelled.astype("<u4").tobytes().decode("utf-32-le")
+        short = np.flatnonzero(lens < 3)
+        grams = ([spelled[i : i + 3] for i in range(0, len(spelled), 3)]
+                 + [texts[i] for i in short.tolist()])
         digests = b"".join(hashlib.blake2b(gram.encode("utf-8"), digest_size=3 * self._TAPS,
                                            key=self._KEY).digest() for gram in grams)
-        # One row per tap: a big-endian 2-byte index, then a byte whose low bit
-        # is the sign. The sums are small integers, exact in any order.
-        taps = np.frombuffer(digests, dtype=np.uint8).reshape(-1, 3)
-        idx = (256 * taps[:, 0].astype(np.intp) + taps[:, 1]) % self.dimension
-        counts = np.fromiter(grams.values(), dtype=float, count=len(grams))
-        weights = np.where(taps[:, 2] & 1, 1.0, -1.0) * np.repeat(counts, self._TAPS)
-        acc = np.bincount(idx, weights=weights, minlength=self.dimension)
-        norm = float(np.linalg.norm(acc))
-        if norm == 0.0:
+        # Three bytes per gram and tap: a big-endian 2-byte index, then a byte
+        # whose low bit is the sign. The tables are tap-major, (_TAPS, grams).
+        tap_bytes = np.frombuffer(digests, dtype=np.uint8).reshape(-1, self._TAPS, 3).T.copy()
+        idx = (256 * tap_bytes[0].astype(np.intp) + tap_bytes[1]) % dim
+        sign = np.where(tap_bytes[2] & 1, 1.0, -1.0)
+        # Every occurrence, trigrams in text order and then the short texts:
+        # the offset of its text's row in acc, and its gram.
+        base = np.concatenate([np.repeat(np.arange(n) * dim, np.maximum(lens - 2, 0)),
+                               short * dim])
+        gram_of = np.concatenate([np.searchsorted(vocab, keys),
+                                  len(vocab) + np.arange(len(short))])
+        # One tap at a time, through two reused buffers: all taps at once, or
+        # fresh temporaries per tap, raise the process's peak RSS.
+        at = np.empty_like(base)
+        weight = np.empty(len(base))
+        for tap_idx, tap_sign in zip(idx, sign):
+            np.take(tap_idx, gram_of, out=at)
+            at += base
+            np.take(tap_sign, gram_of, out=weight)
+            acc += np.bincount(at, weights=weight, minlength=n * dim)
+        acc = acc.reshape(n, dim)
+        # One norm call per row, as for a lone text: a batched sum of squares
+        # can round differently once it passes 2**53.
+        norms = np.array([np.linalg.norm(row) for row in acc])
+        for i in np.flatnonzero(norms == 0.0).tolist():
             # All taps cancelled; park the text on a hash-chosen axis so the
             # result is still deterministic and unit length.
-            fallback_idx = int(hashlib.blake2b(text.encode("utf-8"), digest_size=2,
-                                               key=self._KEY).hexdigest(), 16) % self.dimension
-            acc[fallback_idx] = 1.0
-            norm = 1.0
-        return acc / norm
+            fallback_idx = int(hashlib.blake2b(texts[i].encode("utf-8"), digest_size=2,
+                                               key=self._KEY).hexdigest(), 16) % dim
+            acc[i, fallback_idx] = 1.0
+            norms[i] = 1.0
+        acc /= norms[:, None]
+        return acc
 
 
 class RemoteEmbedder:

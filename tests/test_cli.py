@@ -307,7 +307,8 @@ class TestBadArguments:
         assert exc.value.code == 2
         assert f"argument --k: must be a positive integer, got '{k}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff"])
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff", '{"llm": ["x"]}',
+                                      '{"embedding": "x"}'])
     def test_malformed_config_is_format_error(self, tmp_path, capsys, text):
         config = tmp_path / "bad.json"
         config.write_bytes(text.encode("latin-1"))

@@ -375,6 +375,16 @@ class TestPersistence:
         with pytest.raises(FileCorrupt):
             load_index(path)
 
+    @pytest.mark.parametrize("stats", [[1, 2], "x", 3], ids=["list", "string", "number"])
+    def test_non_object_stats_is_file_corrupt(self, tmp_path, stats):
+        path = tmp_path / "idx.jsonl"
+        save_index(_labeled_index(), path)
+        header, *entries = path.read_text().splitlines()
+        header = {**json.loads(header), "stats": stats}
+        path.write_text("\n".join([json.dumps(header), *entries]) + "\n")
+        with pytest.raises(FileCorrupt, match="header is malformed"):
+            load_index(path)
+
     def test_future_format_version(self, tmp_path):
         path = tmp_path / "idx.jsonl"
         path.write_text('{"format_version": 99, "embedder_id": null, '

@@ -137,29 +137,29 @@ class TestClassify:
 class TestFallbackEmbedder:
     def test_deterministic_across_instances(self):
         text = "function f() { return 1; }"
-        assert np.array_equal(FallbackEmbedder()._embed_one(text),
-                              FallbackEmbedder()._embed_one(text))
+        assert np.array_equal(FallbackEmbedder().embed_many([text])[0],
+                              FallbackEmbedder().embed_many([text])[0])
 
     def test_dimension_and_provider_id(self):
         emb = FallbackEmbedder()
         assert emb.dimension == FALLBACK_DIM == 384
         assert emb.provider_id == "fallback-trigram-v1"
-        assert len(emb._embed_one("abc")) == 384
+        assert len(emb.embed_many(["abc"])[0]) == 384
 
     def test_unit_norm(self):
         for text in ("x", "ab", "abc", "function transfer(address to) { }"):
-            vec = FallbackEmbedder()._embed_one(text)
+            vec = FallbackEmbedder().embed_many([text])[0]
             assert abs(math.hypot(*vec) - 1.0) < 1e-9
 
     def test_different_texts_differ(self):
         emb = FallbackEmbedder()
-        a = emb._embed_one("function deposit() public { }")
-        b = emb._embed_one("function withdraw() public { }")
+        a = emb.embed_many(["function deposit() public { }"])[0]
+        b = emb.embed_many(["function withdraw() public { }"])[0]
         assert any(x != y for x, y in zip(a, b))
 
     @given(st.text(max_size=50))
     def test_always_unit_norm(self, text):
-        vec = FallbackEmbedder()._embed_one(text)
+        vec = FallbackEmbedder().embed_many([text])[0]
         assert abs(math.hypot(*vec) - 1.0) < 1e-9
 
     def test_zero_accumulator_guard(self):
@@ -169,9 +169,9 @@ class TestFallbackEmbedder:
         # "J" is a single-gram text whose two taps (under the real key) land
         # on the same index with opposite signs, cancelling exactly; found by
         # exhaustive search over 1-2 char texts.
-        vec = TwoTaps()._embed_one("J")
+        vec = TwoTaps().embed_many(["J"])[0]
         assert math.hypot(*vec) == 1.0
-        assert np.array_equal(vec, TwoTaps()._embed_one("J"))
+        assert np.array_equal(vec, TwoTaps().embed_many(["J"])[0])
         assert sum(1 for v in vec if v != 0.0) == 1
 
 
@@ -183,21 +183,49 @@ class TestFallbackMatchesReference:
     @example("")
     @example("ab")
     def test_matches_per_tap_loop(self, text):
-        got = FallbackEmbedder()._embed_one(text)
+        got = FallbackEmbedder().embed_many([text])[0]
         assert got.tobytes() == oracles.reference_fallback_embedding(text).tobytes()
 
     def test_cancelling_taps(self):
         class TwoTaps(FallbackEmbedder):
             _TAPS = 2
 
-        got = TwoTaps()._embed_one("J")
+        got = TwoTaps().embed_many(["J"])[0]
         assert got.tobytes() == oracles.reference_fallback_embedding("J", taps=2).tobytes()
 
     @pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.sol")), ids=lambda p: p.name)
     def test_fixture_sources(self, path):
         text = path.read_text(encoding="utf-8")
-        got = FallbackEmbedder()._embed_one(text)
+        got = FallbackEmbedder().embed_many([text])[0]
         assert got.tobytes() == oracles.reference_fallback_embedding(text).tobytes()
+
+    @given(st.lists(st.text(), max_size=12))
+    @example(["ab", "c"])   # a trigram never spans two texts
+    @example(["xa", "bc"])
+    @example(["", "ab", "abc"])
+    @example(["function f() { return 1; }"] * 3)
+    @example(["\U0010ffff" * 4])   # the top of the 21-bit code point packing
+    def test_batch_rows_match_per_text_loop(self, texts):
+        matrix = FallbackEmbedder().embed_many(texts)
+        assert matrix.shape == (len(texts), FALLBACK_DIM)
+        for row, text in zip(matrix, texts):
+            assert row.tobytes() == oracles.reference_fallback_embedding(text).tobytes()
+
+    def test_cancelling_taps_inside_a_batch(self):
+        class TwoTaps(FallbackEmbedder):
+            _TAPS = 2
+
+        texts = ["function f() {}", "J", "abc"]
+        for row, text in zip(TwoTaps().embed_many(texts), texts):
+            assert row.tobytes() == oracles.reference_fallback_embedding(text, taps=2).tobytes()
+
+    @pytest.mark.parametrize("texts", [["\ud800"], ["function f() {}", "a\udc00bc"]],
+                             ids=["alone", "in_batch"])
+    def test_lone_surrogate_is_an_encode_error(self, texts):
+        with pytest.raises(UnicodeEncodeError):
+            oracles.reference_fallback_embedding(texts[-1])
+        with pytest.raises(UnicodeEncodeError):
+            FallbackEmbedder().embed_many(texts)
 
     def test_embed_many_stacks_rows(self):
         texts = ["function a() { }", "x", "function b() { return 2; }"]
@@ -257,7 +285,7 @@ class TestEmbedTexts:
     def test_embed_single(self):
         vec = embed_texts(["hello"], FallbackEmbedder())[0]
         assert vec.shape == (384,)
-        assert np.array_equal(vec, FallbackEmbedder()._embed_one("hello"))
+        assert np.array_equal(vec, FallbackEmbedder().embed_many(["hello"])[0])
 
     @pytest.mark.parametrize("raw", [
         [["x", 1.0, 0.0]] * 2, [[None, 1.0, 0.0]] * 2, [[[1.0], 0.0, 0.0]] * 2,
@@ -355,9 +383,10 @@ def _bit_exact_cases():
         targets = rows + [rng.uniform(-1, 1, dim) * s for s in (1.0, 1e-300, 1e300)]
         yield rows, targets
     emb = FallbackEmbedder()
-    rows = [emb._embed_one(f"function f{i}() public {{ return {i * i}; }}") for i in range(12)]
+    rows = [emb.embed_many([f"function f{i}() public {{ return {i * i}; }}"])[0]
+            for i in range(12)]
     rows.append(rows[3].copy())
-    yield rows, rows + [emb._embed_one("function g() { }")]
+    yield rows, rows + [emb.embed_many(["function g() { }"])[0]]
 
 
 class TestBitExactScores:
@@ -460,7 +489,8 @@ class TestEmbedIndex:
         assert index.meta.embedder_id == "fallback-trigram-v1"
         assert index.vectors.shape == (3, 384)
         for entry, row in zip(index.entries, index.vectors):
-            assert np.array_equal(row, FallbackEmbedder()._embed_one(entry.unit.normalized_source))
+            want = oracles.reference_fallback_embedding(entry.unit.normalized_source)
+            assert row.tobytes() == want.tobytes()
 
     def test_remote_corpus_goes_in_chunks_in_entry_order(self):
         def reply(body):
