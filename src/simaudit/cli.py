@@ -43,6 +43,10 @@ from .scanner import render_markdown, run_scan
 from .simindex import DEFAULT_DELTA, FallbackEmbedder, RemoteEmbedder, embed_index
 
 
+_CONFIG_STRINGS = {"llm": ("model", "endpoint", "api_key"),
+                   "embedding": ("endpoint", "api_key", "provider_id")}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -52,9 +56,13 @@ def _load_config(path: str | None) -> dict:
         raise FileCorrupt(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise FileCorrupt(f"config {path} must hold a JSON object")
-    for section in ("llm", "embedding"):
-        if not isinstance(config.get(section, {}), dict):
+    for section, keys in _CONFIG_STRINGS.items():
+        values = config.get(section, {})
+        if not isinstance(values, dict):
             raise FileCorrupt(f"config {path} section {section!r} must hold a JSON object")
+        for key in keys:
+            if not isinstance(values.get(key, ""), str):
+                raise FileCorrupt(f"config {path} value {section}.{key} must be a string")
     return config
 
 
@@ -200,13 +208,13 @@ def cmd_eval(args) -> int:
         return EXIT_IO
     samples = sorted(dataset.rglob("*.sol"))
     model = config.get("llm", {}).get("model", DEFAULT_MODEL)
+    llm = _make_llm_provider(args, config)
 
     tp = tn = fp = fn = 0
     for sample in samples:
         name = sample.relative_to(dataset).as_posix()
         if name not in labels:
             raise LabelFileMalformed(f"no label for sample {name}")
-        llm = _make_llm_provider(args, config)
         report = run_scan(
             [sample], index, llm, embedder,
             k=args.k, delta=args.delta, simcheck=simcheck,

@@ -292,17 +292,22 @@ def load_index(path: str | Path) -> CorpusIndex:
     stats_d = header.get("stats", {})
     if not isinstance(stats_d, dict):
         raise FileCorrupt(f"index {path} header is malformed: stats is not an object")
+    delta, created_at = header.get("delta"), header.get("created_at")
+    if type(delta) not in (int, float):  # bool is an int subclass
+        raise FileCorrupt(f"index {path} header is malformed: delta {delta!r} is not a number")
+    if not isinstance(created_at, str):
+        raise FileCorrupt(
+            f"index {path} header is malformed: created_at {created_at!r} is not a string")
     try:
         index = CorpusIndex(
-            meta=IndexMeta(created_at=header["created_at"],
-                           embedder_id=header["embedder_id"],
-                           delta=float(header["delta"])),
+            meta=IndexMeta(created_at=created_at, embedder_id=header["embedder_id"],
+                           delta=float(delta)),
             stats=IndexStats(files_seen=int(stats_d.get("files_seen", 0)),
                              functions_seen=int(stats_d.get("functions_seen", 0)),
                              functions_kept=int(stats_d.get("functions_kept", 0))),
         )
         dimension, blob = header["dimension"], header["vectors"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileCorrupt(f"index {path} header is malformed: {exc}") from exc
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

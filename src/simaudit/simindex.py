@@ -11,12 +11,22 @@ An embedding is a float64 numpy array from the provider to the index to the
 query: embed_texts returns one (len(texts), d) matrix, a corpus index keeps
 the rows of such matrices, one per entry and all from one embedder (its
 `embedder_id`), and query_top_k scores a (Q, d) batch of queries against
-that matrix QUERY_TILE rows at a time.
+that matrix.
+
+query_top_k is exact, yet scores few rows. A Gram prefilter bounds every
+row's distance from the dot products q·r and the norms, QUERY_TILE rows at a
+time, and keeps only the rows whose bound can reach a query's top k; those
+are rescored with the arithmetic of similarity() and ranked. The bound's
+rounding error is certified (Higham, §3.1), so it can only widen the
+candidate set, never change a score or the order: reports stay bit-exact on
+any BLAS. Where its premise fails (a zero, non-finite, tiny or huge norm),
+a query is scored against every row.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +50,7 @@ CLONE_EPS = 1e-9
 FALLBACK_DIM = 384
 EMBED_CHUNK = 256  # texts per embed_texts call, for a corpus and for a scan
 QUERY_TILE = 128  # index rows scored per step of a query in query_top_k
+SQUARABLE = (1e-150, 1e150)  # norms whose squares and products stay normal floats
 
 ENV_EMBED_ENDPOINT = "SIMAUDIT_EMBED_ENDPOINT"
 
@@ -247,18 +258,83 @@ def classify(sim: float, delta: float = DEFAULT_DELTA) -> Category:
     return Category.DISSIMILAR
 
 
+def _squarable(norms: np.ndarray) -> np.ndarray:
+    """Norms whose squares and products neither underflow nor overflow, the
+    premise of the Gram bound; False for 0, inf and nan."""
+    return (norms >= SQUARABLE[0]) & (norms <= SQUARABLE[1])
+
+
+def _gram_margin(dim: int) -> float:
+    """How far above the k-th smallest Gram distance a row can lie and still
+    reach the top k.
+
+    With computed norms a, b and G = fl(q·r), the Gram numerator
+    a² + b² - 2G is within γ_{d+9}·(a + b)² of ||q - r||² (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., §3.1), so the Gram
+    distance and the exact one are each within √γ_{d+9} + γ_{d+12} of
+    ||q - r|| / (a + b). Two such bounds, plus ulps of 1.0 for the rounding of
+    1 - d, under which distances an ulp apart give one similarity, and for
+    the rounding of the comparison itself.
+    """
+    gamma = (dim + 12) * 2.0**-53
+    gamma /= 1.0 - gamma
+    return 2.0 * (math.sqrt(gamma) + gamma) + 4.0 * np.finfo(float).eps
+
+
+def _gram_candidates(qs: np.ndarray, q_norms: np.ndarray, rows: np.ndarray,
+                     norms: np.ndarray, k: int) -> list[np.ndarray]:
+    """For each query, the ascending indices of the rows that can be in its
+    exact top k: every row whose Gram distance is within _gram_margin of the
+    k-th smallest one, or every row once that cut reaches 1, where the clip
+    to [0, 1] can tie the rest. Rows are read QUERY_TILE at a time; a row is
+    set aside when it passes the cut of the rows read so far, which only
+    falls, and the final cut then filters what was set aside."""
+    margin = _gram_margin(rows.shape[1])
+
+    def cut(kth):
+        bound = kth + margin
+        return np.where(bound < 1.0, bound, np.inf)
+
+    kth = np.full((len(qs), k), np.inf)  # the k smallest Gram distances so far
+    q_sq = q_norms * q_norms
+    found = []
+    for start in range(0, len(rows), QUERY_TILE):
+        tile = slice(start, start + QUERY_TILE)
+        # A broadcast vecdot, one dot per pair: a matrix product would go to
+        # a multithreaded gemm, whose buffers raise the process's peak RSS.
+        gram = np.vecdot(rows[None, tile], qs[:, None])
+        approx = (np.sqrt(np.maximum(q_sq[:, None] + norms[tile] ** 2 - 2.0 * gram, 0.0))
+                  / (q_norms[:, None] + norms[tile]))
+        kth = np.partition(np.hstack((kth, approx)), k - 1, axis=1)[:, :k]
+        qi, ri = np.nonzero(approx <= cut(kth[:, -1])[:, None])
+        found.append((qi, ri + start, approx[qi, ri]))
+    qi, ri, approx = (np.concatenate(parts) for parts in zip(*found))
+    keep = approx <= cut(kth[:, -1])[qi]
+    qi, ri = qi[keep], ri[keep]
+    by_query = np.lexsort((ri, qi))
+    return np.split(ri[by_query], np.cumsum(np.bincount(qi, minlength=len(qs)))[:-1])
+
+
 def query_top_k(queries, index: "CorpusIndex", k: int = 3,
                 delta: float = DEFAULT_DELTA) -> list[list[SimilarityMatch]]:
     """Exact brute-force top-k by similarity, ties broken by entry id, for
     each row of a (Q, d) batch of queries: one list of matches per row.
 
-    Index norms and entry-id order are computed once, and each query reads
-    the index matrix QUERY_TILE rows at a time with the arithmetic of
-    similarity(), so scores and order are bit-identical to scoring pair by
-    pair. Matches below delta are still returned, categorized Dissimilar.
-    An empty index yields an empty list per query; an empty batch yields []
-    without reading the index. The caller checks that queries and index come
-    from one embedder, as run_scan does.
+    Index norms and entry-id order are computed once. A Gram prefilter
+    (_gram_candidates) then picks, per query, the few rows that can be in its
+    top k, and only those are scored, with the arithmetic of similarity():
+    the norm of q - row over the sum of norms, clipped, two zero vectors at
+    distance 0, then ranked by similarity and entry id. The prefilter's
+    rounding is bounded, so it decides only which rows get scored, never a
+    score: scores and order are bit-identical to scoring every pair. A query
+    scores every row, QUERY_TILE at a time, when the bound's premise fails:
+    k reaches the index size, or a norm of the query or of any row is zero,
+    not finite or outside SQUARABLE.
+
+    Matches below delta are still returned, categorized Dissimilar. An empty
+    index yields an empty list per query; an empty batch yields [] without
+    reading the index. The caller checks that queries and index come from
+    one embedder, as run_scan does.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -275,20 +351,27 @@ def query_top_k(queries, index: "CorpusIndex", k: int = 3,
             f"index holds {rows.shape[1]}-dim vectors, queries have shape {qs.shape}")
     ids = [e.entry_id for e in index.entries]
     id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # Python str order
-    tiles = [slice(start, start + QUERY_TILE) for start in range(0, len(rows), QUERY_TILE)]
-    norms = np.concatenate([_row_norms(rows[tile]) for tile in tiles])
+    norms = np.concatenate([_row_norms(rows[start:start + QUERY_TILE])
+                            for start in range(0, len(rows), QUERY_TILE)])
+    q_norms = _row_norms(qs)
+    prefilter = _squarable(q_norms) & (k < len(rows)) & _squarable(norms).all()
+    candidates = iter(_gram_candidates(qs[prefilter], q_norms[prefilter], rows, norms, k)
+                      if prefilter.any() else ())
+    every_row = np.arange(len(rows))
     results = []
-    for q, norm_q in zip(qs, _row_norms(qs)):
-        denom = norm_q + norms
+    for q, norm_q, prefiltered in zip(qs, q_norms, prefilter):
+        cand = next(candidates) if prefiltered else every_row
+        denom = norm_q + norms[cand]
         with np.errstate(divide="ignore", invalid="ignore"):
-            dists = np.clip(np.concatenate([_row_norms(q - rows[tile]) for tile in tiles])
-                            / denom, 0.0, 1.0)
+            dists = np.clip(np.concatenate([
+                _row_norms(q - rows[cand[start:start + QUERY_TILE]])
+                for start in range(0, len(cand), QUERY_TILE)]) / denom, 0.0, 1.0)
         dists[denom == 0.0] = 0.0  # two zero vectors compare as identical
         sims = 1.0 - dists
-        top = np.lexsort((id_rank, -sims))[:k]
+        top = np.lexsort((id_rank[cand], -sims))[:k]
         results.append([SimilarityMatch(entry_id=ids[i], distance=dist, similarity=sim,
                                         category=classify(sim, delta))
-                        for i, dist, sim in zip(top.tolist(), dists[top].tolist(),
+                        for i, dist, sim in zip(cand[top].tolist(), dists[top].tolist(),
                                                 sims[top].tolist())])
     return results
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import FIXTURES, CannedHTTPServer, bad_templates, make_archive
+from simaudit import cli
 from simaudit.cli import _package_version, main
 from simaudit.corpus import Label, load_index
 from simaudit.metrics import EvalMetrics
@@ -308,7 +309,11 @@ class TestBadArguments:
         assert f"argument --k: must be a positive integer, got '{k}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff", '{"llm": ["x"]}',
-                                      '{"embedding": "x"}'])
+                                      '{"embedding": "x"}', '{"llm": {"model": 5}}',
+                                      '{"llm": {"endpoint": 5}}', '{"llm": {"api_key": null}}',
+                                      '{"embedding": {"endpoint": 5}}',
+                                      '{"embedding": {"api_key": ["k"]}}',
+                                      '{"embedding": {"provider_id": true}}'])
     def test_malformed_config_is_format_error(self, tmp_path, capsys, text):
         config = tmp_path / "bad.json"
         config.write_bytes(text.encode("latin-1"))
@@ -317,6 +322,23 @@ class TestBadArguments:
         assert code == 3
         assert capsys.readouterr().err.startswith(f"simaudit: config {config} ")
         assert not (tmp_path / "i.jsonl").exists()
+
+
+    def test_scan_refuses_a_non_string_model(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"llm": {"model": 5}}', encoding="utf-8")
+        code, report = _scan(tmp_path, "--config", str(config))
+        assert code == 3
+        assert "value llm.model must be a string" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_remote_index_refuses_a_non_string_endpoint(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"embedding": {"endpoint": 5}}', encoding="utf-8")
+        code = main(["index", "--archives", str(tmp_path), "--out", str(tmp_path / "i.jsonl"),
+                     "--embedder", "remote", "--config", str(config)])
+        assert code == 3
+        assert "value embedding.endpoint must be a string" in capsys.readouterr().err
 
 
 class TestEvalCommand:
@@ -357,6 +379,30 @@ class TestEvalCommand:
         assert payload["precision"] == 0.5
         assert payload["recall"] == 1.0
         assert payload["accuracy"] == 0.5
+
+    @pytest.mark.parametrize("simcheck,want", [
+        (True, {"tp": 1, "tn": 1, "fp": 0, "fn": 0}),
+        (False, {"tp": 1, "tn": 0, "fp": 1, "fn": 0}),
+    ], ids=["simcheck", "no_simcheck"])
+    def test_provider_is_built_once_for_all_samples(self, tmp_path, monkeypatch, simcheck, want):
+        dataset, labels = self._dataset(tmp_path)
+        built = []
+
+        def make_llm_provider(args, config):
+            built.append(real(args, config))
+            return built[-1]
+
+        real = cli._make_llm_provider
+        monkeypatch.setattr(cli, "_make_llm_provider", make_llm_provider)
+        metrics_out = tmp_path / "metrics.json"
+        index = ["--index", str(_build_index(tmp_path))] if simcheck else ["--no-simcheck"]
+        code = main(["eval", "--dataset", str(dataset), "--labels", str(labels), *index,
+                     "--mock-fixture", MOCK_FIXTURE, "--metrics-out", str(metrics_out)])
+        assert code == 0
+        assert len(built) == 1
+        assert built[0].calls
+        metrics = json.loads(metrics_out.read_text())
+        assert {key: metrics[key] for key in want} == want
 
     def test_simcheck_without_index_is_malformed_usage(self, tmp_path):
         dataset, labels = self._dataset(tmp_path)

@@ -385,6 +385,29 @@ class TestPersistence:
         with pytest.raises(FileCorrupt, match="header is malformed"):
             load_index(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("delta", True), ("delta", "0.5"), ("delta", None), ("delta", [0.5]),
+        ("delta", 10**400), ("created_at", 5), ("created_at", None), ("created_at", ["t"]),
+    ], ids=["delta_true", "delta_string", "delta_null", "delta_list", "delta_huge",
+            "created_at_number", "created_at_null", "created_at_list"])
+    def test_mistyped_header_field_is_file_corrupt(self, tmp_path, field, value):
+        path = tmp_path / "idx.jsonl"
+        save_index(_labeled_index(), path)
+        header, *entries = path.read_text().splitlines()
+        header = {**json.loads(header), field: value}
+        path.write_text("\n".join([json.dumps(header), *entries]) + "\n")
+        with pytest.raises(FileCorrupt, match="header is malformed"):
+            load_index(path)
+
+    def test_integer_delta_loads_as_float(self, tmp_path):
+        path = tmp_path / "idx.jsonl"
+        save_index(_labeled_index(), path)
+        header, *entries = path.read_text().splitlines()
+        header = {**json.loads(header), "delta": 1}
+        path.write_text("\n".join([json.dumps(header), *entries]) + "\n")
+        delta = load_index(path).meta.delta
+        assert delta == 1.0 and type(delta) is float
+
     def test_future_format_version(self, tmp_path):
         path = tmp_path / "idx.jsonl"
         path.write_text('{"format_version": 99, "embedder_id": null, '

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import FIXTURES, CannedHTTPServer, mk_unit
+from simaudit import simindex
 from simaudit.corpus import new_index
 from simaudit.errors import (
     DimensionMismatch,
@@ -478,6 +480,73 @@ class TestBatchedKernelMatchesSingleQueryReference:
             want = oracles.reference_query_top_k(q, index, k=k)
             assert [(m.entry_id, m.distance, m.similarity, m.category) for m in matches] == [
                 (m.entry_id, m.distance, m.similarity, m.category) for m in want]
+
+
+class TestGramPrefilterOnNearTies:
+    """The Gram prefilter's rounding exceeds the gaps between these rows'
+    exact distances, so only its margin keeps the exact top k among its
+    candidates. A cluster of near-ties (one ulp apart, exact copies, or
+    copies nudged so that 1 - d rounds to one similarity) sits among other
+    rows, cluster ids descending as the rows ascend, with k at the edges of
+    the cluster and of the index. A norm at 1e-300, 1e300, 5e-324 or 0 must
+    send its query, or every query, to the full exact pass."""
+
+    @given(dim=st.sampled_from((2, 3, 8, 384)),
+           kind=st.sampled_from(("ulp", "copy", "nudge")),
+           cluster=st.integers(2, 10),
+           others=st.one_of(st.integers(0, 12), st.integers(QUERY_TILE, 2 * QUERY_TILE + 1)),
+           scale=st.sampled_from((1.0, 1e-100, 1e100)),
+           k_edge=st.sampled_from((-1, 0, 1, None)),
+           zero_row=st.just(False),
+           seed=st.integers(0, 2**32 - 1))
+    @example(dim=384, kind="ulp", cluster=6, others=200, scale=1.0, k_edge=0,
+             zero_row=False, seed=1)
+    @example(dim=8, kind="nudge", cluster=5, others=0, scale=1e-300, k_edge=0,
+             zero_row=False, seed=2)
+    @example(dim=8, kind="ulp", cluster=5, others=3, scale=1e300, k_edge=-1,
+             zero_row=False, seed=3)
+    @example(dim=3, kind="copy", cluster=4, others=3, scale=5e-324, k_edge=1,
+             zero_row=False, seed=4)
+    @example(dim=384, kind="nudge", cluster=6, others=150, scale=1.0, k_edge=0,
+             zero_row=True, seed=5)
+    def test_matches_reference(self, dim, kind, cluster, others, scale, k_edge,
+                               zero_row, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(-1, 1, dim)
+        members = np.repeat(base[None], cluster, axis=0)
+        if kind == "ulp":
+            for row in members[1:]:
+                at = rng.integers(dim, size=rng.integers(1, dim + 1))
+                row[at] = np.nextafter(row[at], rng.choice((-np.inf, np.inf), len(at)))
+        elif kind == "nudge":
+            members[1:] *= 1.0 + rng.uniform(-4, 4, (cluster - 1, dim)) * np.finfo(float).eps
+        rows = rng.uniform(-1, 1, (others + zero_row, dim))
+        if zero_row:
+            rows[-1] = 0.0
+        at = rng.integers(len(rows) + 1)
+        rows = np.vstack((rows[:at], members, rows[at:])) * scale
+        index = new_index()
+        stems = [f"o{i:03d}" for i in range(at)] + [f"c{cluster - j:02d}" for j in range(cluster)]
+        for i, stem in enumerate(stems + [f"o{i:03d}" for i in range(at, len(rows) - cluster)]):
+            assert index.insert(mk_unit(f"f.sol::C::{stem}#0", name="f", body=f"r{i}"),
+                                "pkg", "1")
+        index.vectors = rows
+        queries = np.array([base, base * (1 + 1e-9 * rng.uniform(-1, 1, dim)),
+                            base + 1e-3 * rng.uniform(-1, 1, dim),
+                            base + 0.3 * rng.uniform(-1, 1, dim),
+                            rng.uniform(-1, 1, dim)]) * scale
+        k = len(rows) - 1 if k_edge is None else min(max(cluster + k_edge, 1), len(rows))
+        with patch.object(simindex, "_gram_candidates",
+                          wraps=simindex._gram_candidates) as prefilter:
+            got = query_top_k(queries, index, k=k)
+        squarable = simindex._squarable(simindex._row_norms(queries))
+        premise = k < len(rows) and simindex._squarable(simindex._row_norms(rows)).all()
+        prefiltered = len(prefilter.call_args.args[0]) if prefilter.called else 0
+        assert prefiltered == (squarable.sum() if premise else 0)
+        for q, matches in zip(queries, got):
+            want = oracles.reference_query_top_k(q, index, k=k)
+            assert [(m.entry_id, m.distance, m.similarity) for m in matches] == [
+                (m.entry_id, m.distance, m.similarity) for m in want]
 
 
 class TestEmbedIndex:
