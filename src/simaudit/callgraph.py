@@ -32,9 +32,6 @@ class CallGraph:
     unresolved: tuple[UnresolvedCall, ...]
     self_recursive: tuple[str, ...]
 
-    def callees_of(self, unit_id: str) -> list[str]:
-        return sorted(callee for caller, callee in self.edges if caller == unit_id)
-
 
 @dataclass(frozen=True)
 class ScanSchedule:

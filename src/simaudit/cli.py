@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -73,6 +74,16 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
 
@@ -255,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           "(package,version,match_kind,match_value,note)")
     p_index.add_argument("--out", required=True, help="index file to write")
     p_index.add_argument("--embedder", choices=("fallback", "remote"), default="fallback")
-    p_index.add_argument("--delta", type=float, default=DEFAULT_DELTA,
+    p_index.add_argument("--delta", type=_finite_float, default=DEFAULT_DELTA,
                          help="similarity threshold recorded in the index")
     p_index.add_argument("--config", help="JSON config file for endpoints and keys")
     p_index.set_defaults(func=cmd_index)
@@ -267,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--provider", choices=("mock", "remote"), default="remote")
     p_scan.add_argument("--mock-fixture", help="canned responses for the mock provider")
     p_scan.add_argument("--k", type=_positive_int, default=3, help="references per unit")
-    p_scan.add_argument("--delta", type=float,
+    p_scan.add_argument("--delta", type=_finite_float,
                         help="similarity threshold (default: the index's)")
     p_scan.add_argument("--report", required=True, help="JSON report to write")
     p_scan.add_argument("--report-md", help="also write a Markdown rendering")
@@ -287,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--no-simcheck", action="store_true",
                         help="ablation: skip similarity checking entirely")
     p_eval.add_argument("--k", type=_positive_int, default=3)
-    p_eval.add_argument("--delta", type=float, help="similarity threshold (default: the index's)")
+    p_eval.add_argument("--delta", type=_finite_float,
+                        help="similarity threshold (default: the index's)")
     p_eval.add_argument("--metrics-out", help="write metrics JSON here instead of stdout")
     p_eval.add_argument("--config", help="JSON config file for endpoints and keys")
     p_eval.set_defaults(func=cmd_eval)

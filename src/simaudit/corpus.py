@@ -1,22 +1,27 @@
 """Reference corpus: archive ingestion, vulnerability labels, persistence.
 
-An index is a JSON Lines file. Line one is a header carrying the format
-version, the embedder id, the similarity threshold the index was built for,
-a creation timestamp, ingestion stats, and the embedding matrix: its
-`dimension` and its `vectors`, the base64 of the little-endian float64 bytes,
-row-major, row i for entry line i (both null before embedding). Every
-following line is one entry. Saving is deterministic, so load-then-save
-reproduces the file byte for byte.
+An index (format 3) is JSON text followed by raw bytes. Line one is a JSON
+header carrying the format version, the embedder id, the similarity
+threshold the index was built for, a creation timestamp, ingestion stats and
+the embedding `dimension` (null before embedding). Every following line is
+one JSON entry. In an embedded index the last entry line's newline is
+followed directly by the embedding matrix: little-endian float64, row-major,
+row i for entry line i, exactly 8 x `dimension` x `stats.functions_kept`
+bytes, and nothing after it, so the file is not pure JSON Lines, though its
+first line is still the header. The loader takes the block from the end of
+the file by that length, so a wrong length, a blank or missing line, text
+that is not UTF-8 or a non-finite value makes the file corrupt. Saving is
+deterministic, so load-then-save reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
-import base64
 import csv
 import io
 import json
 import logging
 import os
+import sys
 import tarfile
 import zlib
 from dataclasses import dataclass, field
@@ -38,7 +43,7 @@ from .simindex import DEFAULT_DELTA
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 LABEL_CSV_COLUMNS = ("package", "version", "match_kind", "match_value", "note")
 
@@ -235,13 +240,16 @@ def _unit_from_dict(d: dict) -> FunctionUnit:
     )
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write text to path through a synced temp file in the same directory
-    and os.replace, so the path holds the old bytes or the new, never a mix."""
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write data (a str as UTF-8) to path through a synced temp file in the
+    same directory and os.replace, so the path holds the old bytes or the
+    new, never a mix."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(text)
+        with open(tmp, "wb") as f:
+            f.write(data)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -259,8 +267,6 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         "created_at": index.meta.created_at,
         "stats": vars(index.stats),
         "dimension": None if vectors is None else vectors.shape[1],
-        "vectors": None if vectors is None else base64.b64encode(
-            vectors.astype("<f8").tobytes()).decode("ascii"),
     })]
     for entry in index.entries:
         lines.append(json.dumps({
@@ -271,17 +277,18 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
             "vuln_note": entry.vuln_note,
             "unit": vars(entry.unit),  # the FunctionUnit fields, in order, are the format
         }))
-    write_atomic(path, "\n".join(lines) + "\n")
+    block = b"" if vectors is None else vectors.astype("<f8").tobytes()
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8") + block)
 
 
 def load_index(path: str | Path) -> CorpusIndex:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise FileCorrupt(f"index {path} is empty")
+    data = Path(path).read_bytes()
+    head_end = data.find(b"\n")
+    if head_end < 0:
+        raise FileCorrupt(f"index {path} has no complete header line")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = json.loads(data[:head_end].decode("utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
         raise FileCorrupt(f"index {path} line 1: {exc}") from exc
     if not isinstance(header, dict) or "format_version" not in header:
         raise FileCorrupt(f"index {path} has no header line")
@@ -292,9 +299,17 @@ def load_index(path: str | Path) -> CorpusIndex:
     stats_d = header.get("stats", {})
     if not isinstance(stats_d, dict):
         raise FileCorrupt(f"index {path} header is malformed: stats is not an object")
+    counts = {name: stats_d.get(name, 0) for name in vars(IndexStats())}
+    for name, count in counts.items():
+        if type(count) is not int or count < 0:  # bool is an int subclass
+            raise FileCorrupt(
+                f"index {path} header is malformed: stats.{name} {count!r} is not a count")
+    stats = IndexStats(**counts)
     delta, created_at = header.get("delta"), header.get("created_at")
-    if type(delta) not in (int, float):  # bool is an int subclass
-        raise FileCorrupt(f"index {path} header is malformed: delta {delta!r} is not a number")
+    # Finite, and an int only within float range; NaN fails the comparison.
+    if type(delta) not in (int, float) or not abs(delta) <= sys.float_info.max:
+        raise FileCorrupt(
+            f"index {path} header is malformed: delta {delta!r} is not a finite number")
     if not isinstance(created_at, str):
         raise FileCorrupt(
             f"index {path} header is malformed: created_at {created_at!r} is not a string")
@@ -302,16 +317,27 @@ def load_index(path: str | Path) -> CorpusIndex:
         index = CorpusIndex(
             meta=IndexMeta(created_at=created_at, embedder_id=header["embedder_id"],
                            delta=float(delta)),
-            stats=IndexStats(files_seen=int(stats_d.get("files_seen", 0)),
-                             functions_seen=int(stats_d.get("functions_seen", 0)),
-                             functions_kept=int(stats_d.get("functions_kept", 0))),
-        )
-        dimension, blob = header["dimension"], header["vectors"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FileCorrupt(f"index {path} header is malformed: {exc}") from exc
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+            stats=stats)
+        dimension = header["dimension"]
+    except KeyError as exc:
+        raise FileCorrupt(f"index {path} header is malformed: no {exc}") from exc
+    if dimension is not None and (type(dimension) is not int or dimension < 1):
+        raise FileCorrupt(f"index {path} has embedding dimension {dimension!r}")
+    cut = len(data) - 8 * (dimension or 0) * stats.functions_kept
+    if cut <= head_end:
+        raise FileCorrupt(f"index {path} is too short for its "
+                          f"{stats.functions_kept} rows of {dimension} float64")
+    try:
+        *lines, tail = data[head_end + 1:cut].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise FileCorrupt(f"index {path} entry text is not UTF-8: {exc}") from exc
+    if tail:
+        raise FileCorrupt(f"index {path} has no line break before its vector block")
+    if stats.functions_kept != len(lines):
+        raise FileCorrupt(
+            f"index {path} says functions_kept={stats.functions_kept} "
+            f"but holds {len(lines)} entry lines")
+    for lineno, line in enumerate(lines, start=2):  # every line, a blank one too
         try:
             rec = json.loads(line)
             entry = CorpusEntry(
@@ -322,26 +348,12 @@ def load_index(path: str | Path) -> CorpusIndex:
                 label=Label(rec["label"]),
                 vuln_note=rec["vuln_note"],
             )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise FileCorrupt(f"index {path} line {lineno}: {exc}") from exc
         index._append(entry)
-    if index.stats.functions_kept != len(index.entries):
-        raise FileCorrupt(
-            f"index {path} says functions_kept={index.stats.functions_kept} "
-            f"but holds {len(index.entries)} entries")
-    if dimension is None and blob is None:
+    if dimension is None:
         return index
-    if type(dimension) is not int or dimension < 1:
-        raise FileCorrupt(f"index {path} has embedding dimension {dimension!r}")
-    try:
-        raw = base64.b64decode(blob, validate=True)
-    except (TypeError, ValueError) as exc:
-        raise FileCorrupt(f"index {path} vectors are not base64: {exc}") from exc
-    if len(raw) != 8 * dimension * len(index.entries):
-        raise FileCorrupt(
-            f"index {path} vectors hold {len(raw)} bytes, expected "
-            f"{len(index.entries)} rows of {dimension} float64")
-    vectors = np.frombuffer(raw, "<f8").astype(float).reshape(-1, dimension)
+    vectors = np.frombuffer(data, "<f8", offset=cut).astype(float).reshape(-1, dimension)
     if not np.isfinite(vectors).all():
         raise FileCorrupt(f"index {path} vectors hold non-finite values")
     index.vectors = vectors

@@ -92,11 +92,6 @@ class TestResolution:
             build_graph(units)
         assert "f.sol::A::f#0" in str(exc.value)
 
-    def test_callees_of_is_sorted(self):
-        g = _graph([("a", "z"), ("a", "b"), ("a", "m")])
-        assert g.callees_of("a") == ["b", "m", "z"]
-        assert g.callees_of("z") == []
-
 
 class TestLabeledFixtureGraph:
     def test_edges_and_side_lists(self):

@@ -254,11 +254,9 @@ class TestScanExitCodes:
 
     def test_newer_format_version_is_refused(self, tmp_path):
         index_path = _build_index(tmp_path)
-        lines = index_path.read_text(encoding="utf-8").splitlines()
-        header = json.loads(lines[0])
-        header["format_version"] = 99
-        lines[0] = json.dumps(header)
-        index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        head, rest = index_path.read_bytes().split(b"\n", 1)
+        header = {**json.loads(head), "format_version": 99}
+        index_path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + rest)
         code = main(["scan", "--input", str(_target_dir(tmp_path)),
                      "--index", str(index_path), "--provider", "mock",
                      "--report", str(tmp_path / "r.json")])
@@ -267,9 +265,9 @@ class TestScanExitCodes:
     def test_format_1_index_is_refused_with_a_rebuild_hint(self, tmp_path, capsys):
         index_path = _build_index(tmp_path)
         vectors = load_index(index_path).vectors
-        header, *entries = (json.loads(line) for line in
-                            index_path.read_text(encoding="utf-8").splitlines())
-        del header["dimension"], header["vectors"]
+        text = index_path.read_bytes()[:-vectors.nbytes].decode("utf-8")
+        header, *entries = (json.loads(line) for line in text.splitlines())
+        del header["dimension"]
         header["format_version"] = 1
         lines = [json.dumps(header)]
         for rec, row in zip(entries, vectors.tolist()):
@@ -282,8 +280,24 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 1, this build reads format 2" in err
+        assert "is format 1, this build reads format 3" in err
         assert "rebuild it with `simaudit index`" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("data", [
+        b'{"format_version": 2}\n\xff\xfe\n',
+        b'{"format_version": 3, "embedder_id": null, "delta": 0.65, "created_at": "t", '
+        b'"stats": {"functions_kept": 1}, "dimension": null}\n\xff\xfe\n',
+        b'{"format_version": 3, "created_at": "\xff\xfe"}\n',
+    ], ids=["format_2_header", "format_3_entry", "format_3_header"])
+    def test_index_that_is_not_utf8_is_format_error(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(data)
+        code = main(["scan", "--input", str(_target_dir(tmp_path)),
+                     "--index", str(bad), "--provider", "mock",
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"simaudit: index {bad} ")
         assert not (tmp_path / "r.json").exists()
 
     def test_remote_provider_without_endpoint(self, tmp_path, monkeypatch, capsys):
@@ -307,6 +321,19 @@ class TestBadArguments:
             main([*argv, "--k", k])
         assert exc.value.code == 2
         assert f"argument --k: must be a positive integer, got '{k}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["index", "scan", "eval"])
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "1e400", "high"])
+    def test_delta_must_be_finite(self, tmp_path, capsys, command, delta):
+        argv = {"index": ["index", "--archives", str(tmp_path), "--out", "i.jsonl"],
+                "scan": ["scan", "--input", "a.sol", "--index", "i.jsonl", "--report", "r.json"],
+                "eval": ["eval", "--dataset", "d", "--labels", "l.csv"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--delta={delta}"])  # "-inf" alone would read as an option
+        assert exc.value.code == 2
+        assert f"argument --delta: must be a finite number, got '{delta}'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "i.jsonl").exists()
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "\xff", '{"llm": ["x"]}',
                                       '{"embedding": "x"}', '{"llm": {"model": 5}}',

@@ -196,9 +196,32 @@ def _labeled_index():
     return index
 
 
-def _blob(rows, tail=b""):
-    """A format-2 `vectors` value: base64 of little-endian float64 rows."""
-    return base64.b64encode(np.asarray(rows, "<f8").tobytes() + tail).decode("ascii")
+def _split_saved(path):
+    """(header dict, entry lines, vector block) of a saved format-3 index."""
+    data = path.read_bytes()
+    head, rest = data.split(b"\n", 1)
+    header = json.loads(head)
+    nbytes = 8 * (header["dimension"] or 0) * header["stats"]["functions_kept"]
+    text, block = rest[:len(rest) - nbytes], rest[len(rest) - nbytes:]
+    return header, text.decode("utf-8").splitlines(), block
+
+
+def _write_index(path, header, entries, block=b""):
+    text = "\n".join([json.dumps(header), *entries]) + "\n"
+    path.write_bytes(text.encode("utf-8") + block)
+
+
+def _tiny_embedded_index(first_value=1.0):
+    """Three entries with 2-dim rows whose first stored byte is that of
+    first_value, so a test can choose whether the block starts with b"\\n"."""
+    index = _labeled_index()
+    index.vectors = np.array([[first_value, -2.0], [0.5, 0.25], [-0.0, 3.0]])
+    index.meta.embedder_id = "tiny"
+    return index
+
+
+# 1 + 2**-50: little-endian, its first byte is 0x0A, a newline.
+_NEWLINE_FIRST = float(np.frombuffer(bytes([0x0A, 0, 0, 0, 0, 0, 0xF0, 0x3F]), "<f8")[0])
 
 
 def _write_labels(tmp_path, rows):
@@ -324,18 +347,22 @@ class TestPersistence:
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["format_version"] == FORMAT_VERSION == 2
+        assert header["format_version"] == FORMAT_VERSION == 3
         assert list(header) == ["format_version", "embedder_id", "delta",
-                                "created_at", "stats", "dimension", "vectors"]
+                                "created_at", "stats", "dimension"]
         assert header["stats"]["functions_kept"] == len(index.entries)
-        assert header["dimension"] is None and header["vectors"] is None
+        assert header["dimension"] is None
         embed_index(index, FallbackEmbedder())
         save_index(index, path)
-        header = json.loads(path.read_text().splitlines()[0])
+        data = path.read_bytes()
+        header = json.loads(data.split(b"\n", 1)[0])
         assert header["dimension"] == 384
-        raw = base64.b64decode(header["vectors"], validate=True)
-        assert raw == index.vectors.astype("<f8").tobytes()
-        assert np.array_equal(np.frombuffer(raw, "<f8").reshape(-1, 384)[1],
+        block = index.vectors.astype("<f8").tobytes()
+        assert len(block) == 8 * 384 * len(index.entries)
+        assert data.endswith(b"\n" + block)
+        text = data[:-len(block)].decode("utf-8")
+        assert text.count("\n") == 1 + len(index.entries) and text.endswith("}\n")
+        assert np.array_equal(np.frombuffer(block, "<f8").reshape(-1, 384)[1],
                               index.vectors[1])  # row-major, row i for entry i
 
     def test_entry_line_shape(self, tmp_path):
@@ -387,9 +414,18 @@ class TestPersistence:
 
     @pytest.mark.parametrize("field,value", [
         ("delta", True), ("delta", "0.5"), ("delta", None), ("delta", [0.5]),
-        ("delta", 10**400), ("created_at", 5), ("created_at", None), ("created_at", ["t"]),
+        ("delta", 10**400), ("delta", float("nan")), ("delta", float("inf")),
+        ("delta", float("-inf")),
+        ("created_at", 5), ("created_at", None), ("created_at", ["t"]),
+        ("stats", {"functions_kept": "3"}), ("stats", {"functions_kept": True}),
+        ("stats", {"functions_kept": 3.0}), ("stats", {"functions_kept": 3.9}),
+        ("stats", {"functions_kept": 3, "files_seen": -1}),
+        ("stats", {"functions_kept": 3, "functions_seen": None}),
     ], ids=["delta_true", "delta_string", "delta_null", "delta_list", "delta_huge",
-            "created_at_number", "created_at_null", "created_at_list"])
+            "delta_nan", "delta_inf", "delta_minus_inf",
+            "created_at_number", "created_at_null", "created_at_list",
+            "kept_string", "kept_true", "kept_float", "kept_fraction", "files_negative",
+            "seen_null"])
     def test_mistyped_header_field_is_file_corrupt(self, tmp_path, field, value):
         path = tmp_path / "idx.jsonl"
         save_index(_labeled_index(), path)
@@ -426,27 +462,97 @@ class TestPersistence:
             load_index(path)
         assert "line 3" in str(exc.value)
 
+    @pytest.mark.parametrize("span", [[], [3], None, ["a", 1]],
+                             ids=["empty", "one_number", "null", "string"])
+    def test_malformed_source_span_is_file_corrupt(self, tmp_path, span):
+        path = tmp_path / "idx.jsonl"
+        save_index(_labeled_index(), path)
+        header, first, *rest = path.read_text().splitlines()
+        first = json.loads(first)
+        first["unit"]["source_span"] = span
+        path.write_text("\n".join([header, json.dumps(first), *rest]) + "\n")
+        with pytest.raises(FileCorrupt, match="line 2"):
+            load_index(path)
+
     @pytest.mark.parametrize("rewrite", [
-        lambda h, m: h.update(vectors=_blob(m[:-1])),
-        lambda h, m: h.update(vectors=_blob(m, tail=b"\0")),
-        lambda h, m: h.update(vectors="*" + _blob(m)),  # lenient decoding would skip "*"
-        lambda h, m: h.update(vectors=m.tolist()),
-        lambda h, m: h.pop("dimension"),
-        lambda h, m: h.update(dimension=0),
-        lambda h, m: h.update(dimension=str(m.shape[1])),
-        lambda h, m: h.update(vectors=_blob(np.vstack([np.full(m.shape[1], np.nan), m[1:]]))),
-        lambda h, m: h.update(vectors=_blob(np.vstack([m[:-1], np.full(m.shape[1], np.inf)]))),
-    ], ids=["row_short", "stray_byte", "not_base64", "json_list", "no_dimension",
-            "zero_dimension", "string_dimension", "nan_row", "inf_row"])
+        lambda h, b: (h, b[:-16]),
+        lambda h, b: (h, b + b"\0"),
+        lambda h, b: (h, b""),
+        lambda h, b: ({**h, "dimension": None}, b),
+        lambda h, b: ({k: v for k, v in h.items() if k != "dimension"}, b),
+        lambda h, b: ({**h, "dimension": 0}, b),
+        lambda h, b: ({**h, "dimension": 1}, b),
+        lambda h, b: ({**h, "dimension": True}, b),
+        lambda h, b: ({**h, "dimension": "2"}, b),
+        lambda h, b: (h, np.array([[np.nan, 1.0]] + [[1.0, 1.0]] * 2, "<f8").tobytes()),
+        lambda h, b: (h, np.array([[1.0, 1.0]] * 2 + [[1.0, -np.inf]], "<f8").tobytes()),
+    ], ids=["row_short", "stray_byte", "dimension_without_block", "block_without_dimension",
+            "no_dimension", "zero_dimension", "smaller_dimension", "bool_dimension",
+            "string_dimension", "nan_row", "inf_row"])
     def test_malformed_embeddings_are_file_corrupt(self, tmp_path, rewrite):
-        index = _labeled_index()
-        embed_index(index, FallbackEmbedder())
+        path = tmp_path / "idx.jsonl"
+        save_index(_tiny_embedded_index(), path)
+        header, entries, block = _split_saved(path)
+        header, block = rewrite(header, block)
+        _write_index(path, header, entries, block)
+        with pytest.raises(FileCorrupt):
+            load_index(path)
+
+    @pytest.mark.parametrize("embedded", [False, True], ids=["unembedded", "embedded"])
+    def test_every_proper_prefix_is_file_corrupt(self, tmp_path, embedded):
+        path = tmp_path / "idx.jsonl"
+        save_index(_tiny_embedded_index() if embedded else _labeled_index(), path)
+        data = path.read_bytes()
+        load_index(path)
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(FileCorrupt):
+                load_index(path)
+
+    @pytest.mark.parametrize("first_value", [None, 1.0, _NEWLINE_FIRST],
+                             ids=["unembedded", "block_starts_0x00", "block_starts_0x0a"])
+    def test_any_appended_byte_is_file_corrupt(self, tmp_path, first_value):
+        index = _labeled_index() if first_value is None else _tiny_embedded_index(first_value)
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
+        data = path.read_bytes()
+        if first_value is not None:
+            block = index.vectors.astype("<f8").tobytes()
+            assert data.endswith(b"\n" + block)
+            assert (block[0] == 0x0A) == (first_value == _NEWLINE_FIRST)
+        for byte in range(256):
+            path.write_bytes(data + bytes([byte]))
+            with pytest.raises(FileCorrupt):
+                load_index(path)
+
+    def test_blank_entry_line_is_file_corrupt(self, tmp_path):
+        path = tmp_path / "idx.jsonl"
+        save_index(_labeled_index(), path)
         header, *entries = path.read_text().splitlines()
-        header = json.loads(header)
-        rewrite(header, index.vectors)
-        path.write_text("\n".join([json.dumps(header), *entries]) + "\n")
+        path.write_text("\n".join([header, entries[0], "", *entries[2:]]) + "\n")
+        with pytest.raises(FileCorrupt, match="line 3"):
+            load_index(path)
+
+    def test_format_2_index_is_refused_with_a_rebuild_hint(self, tmp_path):
+        index = _tiny_embedded_index()
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        header, entries, _ = _split_saved(path)
+        header = {**header, "format_version": 2, "vectors": base64.b64encode(
+            index.vectors.astype("<f8").tobytes()).decode("ascii")}
+        _write_index(path, header, entries)
+        with pytest.raises(FormatVersionMismatch,
+                           match="is format 2, this build reads format 3; "
+                                 "rebuild it with `simaudit index`"):
+            load_index(path)
+
+    @pytest.mark.parametrize("where", ["header", "entry"])
+    def test_text_that_is_not_utf8_is_file_corrupt(self, tmp_path, where):
+        path = tmp_path / "idx.jsonl"
+        save_index(_labeled_index(), path)
+        data = path.read_bytes()
+        at = data.index(b"tok" if where == "entry" else b"created_at")
+        path.write_bytes(data[:at] + b"\xff\xfe" + data[at + 2:])
         with pytest.raises(FileCorrupt):
             load_index(path)
 
