@@ -6,13 +6,18 @@ units that are not clones are embedded EMBED_CHUNK texts per request, and
 one top-k retrieval call scores all of them, in schedule order. Debate: the
 call graph's groups (a cycle, or a single unit) run on up to DEBATE_WORKERS
 threads, a group as soon as all the groups it calls are done, the members of
-a cycle one after another. Every unit thus sees the same callee outcomes as in a
+a cycle one after another. Of the ready groups, a free thread takes the one
+that heads the longest chain of units still to debate, the first in schedule
+order on a tie. Every unit thus sees the same callee outcomes as in a
 serial run. Results land in a report dictionary, assembled in schedule
-order, whose JSON form is stable across runs except for the timing block.
+order, whose JSON form is stable across runs except for the timing block;
+its schedule.order is that callee-first order, not the order in which the
+debates started.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from datetime import datetime, timezone
@@ -121,70 +126,99 @@ def _classify(schedule_order, by_id, index, embed_provider, k, delta):
     return classified
 
 
-def _run_groups(groups, callee_groups, run_group) -> None:
+def _run_groups(groups, callee_groups, weights, run_group) -> None:
     """Run run_group(g) for every group on up to DEBATE_WORKERS threads, each
     group once every group in callee_groups[g] has finished.
 
-    The threads take ready groups from one shared list; an idle thread is
-    woken only when a group becomes ready, and the calling thread just waits
-    for the threads to end. (One future per group, which wakes the calling
-    thread after every group, made a whole scan about 12 % slower than a
-    serial one when the model answers at once.) An exception from
-    run_group, or one that interrupts the calling thread, stops the threads
-    from starting further groups and propagates once the running groups
-    have ended.
+    groups come in schedule order, callees first. A group's height is its
+    weight (weights[g], the units it will really debate) plus the largest
+    height among the groups that call it: the debating still ahead on the
+    longest chain the group heads. A free thread takes the highest ready
+    group, the first in schedule order on a tie, so the chain that bounds
+    the scan does not queue behind groups that nothing waits for.
+
+    The threads take ready groups from one shared heap; an idle thread is
+    woken only when a group becomes ready. The calling thread waits for the
+    count of live threads to reach 0, and joins them only then: a Ctrl-C
+    that lands in Thread.join marks a still-running thread as stopped on
+    CPython 3.11 (bpo-45274), so join could not be relied on to wait. (One
+    future per group, which wakes the calling thread after every group,
+    made a whole scan about 12 % slower than a serial one when the model
+    answers at once.) An exception from run_group, or one that interrupts
+    the calling thread, stops the threads from starting further groups and
+    propagates once the running groups have ended.
     """
     waiting = {g: set(callee_groups[g]) for g in groups}
     callers: dict = {g: [] for g in groups}
     for g in groups:
         for callee in callee_groups[g]:
             callers[callee].append(g)
-    ready = [g for g in reversed(groups) if not waiting[g]]
+    height: dict = {}
+    for g in reversed(groups):
+        height[g] = weights[g] + max((height[c] for c in callers[g]), default=0)
+    rank = {g: (-height[g], position) for position, g in enumerate(groups)}
+    ready = [(rank[g], g) for g in groups if not waiting[g]]
+    heapq.heapify(ready)
     left = len(groups)
+    live = 0
     failures: list[BaseException] = []
-    cond = threading.Condition()
+    lock = threading.Lock()
+    cond = threading.Condition(lock)        # a group is ready, or the run ends
+    exited = threading.Condition(lock)      # no thread is left running
 
     def work():
-        nonlocal left
-        while True:
-            with cond:
-                while not ready and left and not failures:
-                    cond.wait()
-                if failures or not ready:
-                    return
-                group = ready.pop()
-            try:
-                run_group(group)
-            except BaseException as exc:
+        nonlocal left, live
+        try:
+            while True:
                 with cond:
-                    failures.append(exc)
-                    cond.notify_all()
-                return
-            with cond:
-                left -= 1
-                for caller in callers[group]:
-                    waiting[caller].discard(group)
-                    if not waiting[caller]:
-                        ready.append(caller)
-                        cond.notify()
-                if not left:
-                    cond.notify_all()
+                    while not ready and left and not failures:
+                        cond.wait()
+                    if failures or not ready:
+                        return
+                    _, group = heapq.heappop(ready)
+                try:
+                    run_group(group)
+                except BaseException as exc:
+                    with cond:
+                        failures.append(exc)
+                        cond.notify_all()
+                    return
+                with cond:
+                    left -= 1
+                    for caller in callers[group]:
+                        waiting[caller].discard(group)
+                        if not waiting[caller]:
+                            heapq.heappush(ready, (rank[caller], caller))
+                            cond.notify()
+                    if not left:
+                        cond.notify_all()
+        finally:
+            with exited:
+                live -= 1
+                if live <= 0:
+                    exited.notify()
 
-    threads = [threading.Thread(target=work)
-               for _ in range(min(DEBATE_WORKERS, len(groups)))]
+    threads = []
     try:
-        for thread in threads:
+        for _ in range(min(DEBATE_WORKERS, len(groups))):
+            thread = threading.Thread(target=work)
             thread.start()
-        for thread in threads:
-            thread.join()
+            threads.append(thread)
+            with exited:    # counted once started; it may already have ended
+                live += 1
+        with exited:
+            while live > 0:
+                exited.wait()
     except BaseException as exc:
         with cond:
             failures.append(exc)
             cond.notify_all()
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
+            while live > 0:
+                exited.wait()
         raise
+    finally:
+        for thread in threads:
+            thread.join()
     if failures:
         raise failures[0]
 
@@ -200,10 +234,14 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
     non-clone units in EMBED_CHUNK batches and one top-k retrieval call for
     all of them. Debate then runs the call graph's groups (a cycle or a
     single unit) on up to DEBATE_WORKERS threads, each group once its callee
-    groups are done, the members of a cycle in schedule order. A unit's
-    callee summaries thus see the same outcomes as in a serial run, and
-    records are assembled in schedule order, so the report does not depend
-    on the threads.
+    groups are done, the members of a cycle in schedule order. Of the ready
+    groups, a free thread takes the one with the most units to debate (not
+    clones, no embedding error) on the longest chain from it through its
+    callers, the first in schedule order on a tie. A unit's callee summaries
+    thus see the same outcomes as in a serial run, and records are
+    assembled in schedule order, so the report does not depend on the
+    threads; the report's schedule.order is the callee-first order, not the
+    order in which debates started.
 
     delta defaults to the index's threshold (DEFAULT_DELTA without an index).
     Per-unit provider and parse failures become verdict "error" records and
@@ -270,7 +308,9 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
     group_of = {unit_id: cycle_of.get(unit_id, (unit_id,)) for unit_id in schedule.order}
     groups = list(dict.fromkeys(group_of[unit_id] for unit_id in schedule.order))
     callee_groups = {g: {group_of[c] for u in g for c in callees[u]} - {g} for g in groups}
-    _run_groups(groups, callee_groups, debate_group)
+    debated_units = {g: sum(classified[u][0] is not Category.CLONE and classified[u][2] is None
+                            for u in g) for g in groups}
+    _run_groups(groups, callee_groups, debated_units, debate_group)
 
     records: list[dict] = []
     transcripts: dict[str, list[dict]] = {}

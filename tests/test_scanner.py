@@ -13,7 +13,7 @@ import time
 import pytest
 
 from helpers import CannedHTTPServer, bad_templates, mk_unit
-from simaudit import scanner
+from simaudit import scanner, simindex
 from simaudit.agents import MockLLMProvider, Role, TemplateSet
 from simaudit.corpus import Label, new_index
 from simaudit.errors import (
@@ -437,18 +437,20 @@ class TestSimcheck:
 
 
 class DigestProvider:
-    """Every role answers well after a random 0-5 ms wait. The Detector's
-    finding and the Judge's verdict come from the prompt's digest, so a
-    unit's outcome depends on its callees' summaries. Records each call's
-    (start, end) under the target function's name."""
+    """Every role answers well after a random wait of up to max_wait seconds,
+    drawn from rng. The Detector's finding and the Judge's verdict come from
+    the prompt's digest, so a unit's outcome depends on its callees'
+    summaries. Records each call's (start, end) under the target function's
+    name."""
 
-    def __init__(self):
+    def __init__(self, rng=random, max_wait=0.005):
         self.spans: dict[str, list[tuple[float, float]]] = {}
         self._lock = threading.Lock()
+        self._rng, self._max_wait = rng, max_wait
 
     def complete(self, messages, config):
         start = time.perf_counter()
-        time.sleep(random.uniform(0, 0.005))
+        time.sleep(self._rng.uniform(0, self._max_wait))
         digest = hashlib.sha256(messages[-1]["content"].encode("utf-8")).hexdigest()
         if config.role is Role.DETECTOR:
             reply = ('```json\n{"findings": [{"vuln_type": "%s", "description": "x"}]}\n```'
@@ -484,6 +486,93 @@ class TestConcurrentDebate:
         assert "no vulnerability found" in summaries
         assert any(line.startswith("vulnerable: ") for line in summaries)
         assert concurrent["summary"]["provider_calls"] == 4 * 14
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_report_matches_a_serial_run_in_any_completion_order(
+            self, tmp_path, monkeypatch, seed):
+        _write(tmp_path, "mix.sol", MIX_SOL)
+        _write(tmp_path, "loop.sol", LOOP_SOL)
+        monkeypatch.chdir(tmp_path)     # unit ids, and so prompts, without tmp_path
+
+        def once():
+            provider = DigestProvider(random.Random(seed), max_wait=0.003)
+            report = run_scan(["."], None, provider, simcheck=False)
+            report.pop("timing")
+            return json.dumps(report, sort_keys=True)
+
+        concurrent = once()
+        monkeypatch.setattr(scanner, "DEBATE_WORKERS", 1)
+        assert concurrent == once()
+
+    @staticmethod
+    def _detector_order(paths, index=None, embedder=None):
+        """Scan on one debate thread; the functions in Detector call order."""
+        order = []
+
+        class Recording:
+            def complete(self, messages, config):
+                if config.role is Role.DETECTOR:
+                    order.append(_target_name(messages))
+                return CLEAN_DEFAULTS[config.role]
+
+        report = run_scan(paths, index, Recording(), embedder,
+                          simcheck=index is not None)
+        return order, {r["name"]: r for r in report["units"]}
+
+    def test_the_ready_group_heading_the_longest_chain_goes_first(
+            self, tmp_path, monkeypatch):
+        # Leaves a0..a4 come first in schedule order; z0 heads z2 -> z1 -> z0.
+        path = _write(tmp_path, "pick.sol", """\
+contract Pick {
+""" + "".join(f"    function a{i}() public pure returns (uint256) {{ return {i}; }}\n"
+              for i in range(5)) + """\
+    function z0() public pure returns (uint256) { return 9; }
+    function z1() public pure returns (uint256) { return z0() + 1; }
+    function z2() public pure returns (uint256) { return z1() + 1; }
+}
+""")
+        monkeypatch.setattr(scanner, "DEBATE_WORKERS", 1)
+        order, _ = self._detector_order([path])
+        assert order == ["z0", "z1", "a0", "a1", "a2", "a3", "a4", "z2"]
+
+    @pytest.mark.parametrize("skipped", ["clone", "embedding error"])
+    def test_units_not_debated_do_not_lengthen_a_chain(self, tmp_path, monkeypatch,
+                                                       skipped):
+        # a0 heads a chain of four, but only a0 itself is debated; b0 heads a
+        # chain of two debated units and comes later in schedule order.
+        chained = "".join(
+            f"    function a{i}() public pure returns (uint256) {{ return a{i - 1}() + 1; }}\n"
+            for i in range(1, 4))
+        path = _write(tmp_path, "pick.sol", """\
+contract Pick {
+    function a0() public pure returns (uint256) { return 7; }
+""" + chained + """\
+    function b0() public pure returns (uint256) { return 5; }
+    function b1() public pure returns (uint256) { return b0() + 2; }
+}
+""")
+        monkeypatch.setattr(scanner, "DEBATE_WORKERS", 1)
+        if skipped == "clone":
+            index = TestSimcheck()._indexed("contract Pick {\n" + chained + "}\n")
+            embedder = FallbackEmbedder()
+        else:
+            index = TestSimcheck()._indexed(CHAIN_SOL)
+
+            class FailingChained(FallbackEmbedder):
+                def embed_many(self, texts):
+                    if "() + 1;" in texts[0]:
+                        raise ProviderUnavailable("embedder down")
+                    return super().embed_many(texts)
+
+            monkeypatch.setattr(simindex, "EMBED_CHUNK", 1)
+            embedder = FailingChained()
+        order, by_name = self._detector_order([path], index, embedder)
+        assert order == ["b0", "a0", "b1"]
+        for name in ("a1", "a2", "a3"):
+            if skipped == "clone":
+                assert by_name[name]["category"] == "clone"
+            else:
+                assert by_name[name]["verdict"] == "error"
 
     def test_independent_leaves_are_debated_at_once(self, tmp_path):
         path = _write(tmp_path, "two.sol", _many_sol(2))
