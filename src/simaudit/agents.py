@@ -22,8 +22,8 @@ from pathlib import Path
 
 import requests
 
-from .corpus import CorpusEntry, Label
-from .errors import MissingTemplateSlot, ParseError, ProviderError
+from .corpus import CorpusEntry, Label, read_text
+from .errors import FileCorrupt, MissingTemplateSlot, ParseError, ProviderError
 from .extract import FunctionUnit
 from .simindex import Category, SimilarityMatch
 
@@ -164,7 +164,7 @@ class TemplateSet:
             f = base / f"{role.value.lower()}.txt"
             if not f.is_file():
                 raise MissingTemplateSlot(f"template file {f} not found")
-            texts[role] = f.read_text(encoding="utf-8")
+            texts[role] = read_text(f, "template")
         return cls(texts)
 
     def render(self, role: Role, slots: dict[str, str]) -> str:
@@ -366,11 +366,14 @@ class MockLLMProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockLLMProvider":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        responses = {}
-        for rec in data.get("responses", []):
-            responses[(Role(rec["role"]), rec["prompt_sha256"])] = rec["response"]
-        defaults = {Role(k): v for k, v in data.get("defaults", {}).items()}
+        text = read_text(path, "mock fixture")
+        try:
+            data = json.loads(text)
+            responses = {(Role(rec["role"]), rec["prompt_sha256"]): rec["response"]
+                         for rec in data.get("responses", [])}
+            defaults = {Role(k): v for k, v in data.get("defaults", {}).items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FileCorrupt(f"mock fixture {path} is malformed: {exc!r}") from exc
         return cls(responses, defaults)
 
     def complete(self, messages: list[dict], config: AgentConfig) -> str:

@@ -27,6 +27,7 @@ from .corpus import (
     ingest_archive,
     load_index,
     new_index,
+    read_text,
     save_index,
     write_atomic,
 )
@@ -52,8 +53,8 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:   # not UTF-8 or not JSON
+        config = json.loads(read_text(path, "config"))
+    except ValueError as exc:
         raise FileCorrupt(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise FileCorrupt(f"config {path} must hold a JSON object")
@@ -188,8 +189,7 @@ def cmd_scan(args) -> int:
 
 
 def _read_eval_labels(path: str) -> dict[str, bool]:
-    text = Path(path).read_text(encoding="utf-8")
-    reader = csv.DictReader(text.splitlines())
+    reader = csv.DictReader(read_text(path, "labels").splitlines())
     if reader.fieldnames is None or not {"sample", "label"} <= set(reader.fieldnames):
         raise LabelFileMalformed("eval label file must have columns sample,label")
     labels: dict[str, bool] = {}

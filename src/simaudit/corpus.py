@@ -191,11 +191,14 @@ def apply_labels(index: CorpusIndex, labels_path: str | Path) -> LabelReport:
     references that make exact clones of them reportable without any model
     call. Rows that match nothing are collected, not fatal.
     """
-    raw = Path(labels_path).read_text(encoding="utf-8")
+    raw = read_text(labels_path, "labels")
     reader = csv.DictReader(io.StringIO(raw))
     if reader.fieldnames is None or not set(LABEL_CSV_COLUMNS) <= set(reader.fieldnames):
         raise LabelFileMalformed(
             f"label file must have columns {','.join(LABEL_CSV_COLUMNS)}")
+    releases: dict[tuple[str, str], list[CorpusEntry]] = {}
+    for entry in index.entries:
+        releases.setdefault((entry.package, entry.version), []).append(entry)
     report = LabelReport()
     for lineno, rec in enumerate(reader, start=2):
         values = [rec.get(c) for c in LABEL_CSV_COLUMNS]
@@ -208,9 +211,7 @@ def apply_labels(index: CorpusIndex, labels_path: str | Path) -> LabelReport:
         if not row.note:
             raise LabelFileMalformed(f"line {lineno}: vulnerable rows need a note")
         hits = []
-        for entry in index.entries:
-            if entry.package != row.package or entry.version != row.version:
-                continue
+        for entry in releases.get((row.package, row.version), ()):
             if row.match_kind == "name" and entry.unit.name != row.match_value:
                 continue
             if row.match_kind == "hash" and entry.unit.content_hash != row.match_value:
@@ -238,6 +239,17 @@ def _unit_from_dict(d: dict) -> FunctionUnit:
         declared_calls=tuple(d["declared_calls"]),
         source_span=(int(d["source_span"][0]), int(d["source_span"][1])),
     )
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 file, newlines translated as Path.read_text does.
+    Bytes that are not UTF-8 are malformed input (FileCorrupt, exit 3) whose
+    message names the file as what and path; OSError passes through."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileCorrupt(f"{what} {path} is not UTF-8 text: {exc.reason} "
+                          f"at byte {exc.start}") from exc
 
 
 def write_atomic(path: str | Path, data: str | bytes) -> None:

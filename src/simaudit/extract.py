@@ -7,6 +7,12 @@ a join of a run of the same tokens, never a second lexer. Call targets are
 collected syntactically: any identifier applied like a call is reported, and
 the resolver downstream decides what it actually names.
 
+_tokenize is one re.split pass of _LEXER: each match is the whitespace and
+comments before a token, then the token. Identifiers and numbers start where
+str.isalpha / str.isdigit say they do, Unicode included. The regex word and
+digit classes disagree with those on a fixed set of code points, which is
+committed as the range constants _NUMERIC_NOT_DIGIT and _DIGIT_NOT_DECIMAL.
+
 A token is a plain (kind, text, start, end) tuple: kind is "id", "num",
 "str", "open_str" or "punct", and source[start:end] == text. Structure is
 decided by token text alone wherever the text cannot be ambiguous: only a
@@ -17,8 +23,13 @@ keyword, so such checks never look at the kind.
 from __future__ import annotations
 
 import hashlib
+import re
+import string
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import itemgetter
 
 from .errors import UnbalancedBraces, UnterminatedBlockComment, UnterminatedString
 
@@ -67,9 +78,6 @@ _HEADER_KEYWORDS = frozenset({
 
 _CONTRACT_KEYWORDS = frozenset({"contract", "library", "interface"})
 _UNIT_KEYWORDS = frozenset({"function", "modifier", "constructor", "fallback", "receive"})
-
-_WHITESPACE = " \t\r\n\f\v"
-
 
 class UnitKind(str, Enum):
     FUNCTION = "function"
@@ -127,50 +135,137 @@ def content_hash(normalized: str) -> str:
 _Token = tuple[str, str, int, int]
 
 
+# Where the str predicates that start Solidity identifiers and numbers part
+# ways with the regex classes: \w is exactly str.isalnum() or "_" on every
+# code point, and \d lies inside str.isdigit(), so only these two sets of
+# (first, last) code point ranges are missing. They hold for Unicode 13.0 to
+# 15.1 (Python 3.10 to 3.13): the Kaktovik numerals U+1D2C0-U+1D2D3, new in
+# 15.0, are excluded from identifier starts on every Python, which changes
+# nothing where they are unassigned. tests/test_extract.py rebuilds both sets
+# from the predicates and prints fresh constants when the running Python's
+# tables need them.
+# isalnum() but neither isalpha() nor isdigit(), such as "½" and "Ⅻ":
+_NUMERIC_NOT_DIGIT = (
+    (0x000BC, 0x000BE), (0x009F4, 0x009F9), (0x00B72, 0x00B77), (0x00BF0, 0x00BF2),
+    (0x00C78, 0x00C7E), (0x00D58, 0x00D5E), (0x00D70, 0x00D78), (0x00F2A, 0x00F33),
+    (0x01372, 0x0137C), (0x016EE, 0x016F0), (0x017F0, 0x017F9), (0x02150, 0x02182),
+    (0x02185, 0x02189), (0x02469, 0x02473), (0x0247D, 0x02487), (0x02491, 0x0249B),
+    (0x024EB, 0x024F4), (0x024FE, 0x024FE), (0x0277F, 0x0277F), (0x02789, 0x02789),
+    (0x02793, 0x02793), (0x02CFD, 0x02CFD), (0x03007, 0x03007), (0x03021, 0x03029),
+    (0x03038, 0x0303A), (0x03192, 0x03195), (0x03220, 0x03229), (0x03248, 0x0324F),
+    (0x03251, 0x0325F), (0x03280, 0x03289), (0x032B1, 0x032BF), (0x0A6E6, 0x0A6EF),
+    (0x0A830, 0x0A835), (0x10107, 0x10133), (0x10140, 0x10178), (0x1018A, 0x1018B),
+    (0x102E1, 0x102FB), (0x10320, 0x10323), (0x10341, 0x10341), (0x1034A, 0x1034A),
+    (0x103D1, 0x103D5), (0x10858, 0x1085F), (0x10879, 0x1087F), (0x108A7, 0x108AF),
+    (0x108FB, 0x108FF), (0x10916, 0x1091B), (0x109BC, 0x109BD), (0x109C0, 0x109CF),
+    (0x109D2, 0x109FF), (0x10A44, 0x10A48), (0x10A7D, 0x10A7E), (0x10A9D, 0x10A9F),
+    (0x10AEB, 0x10AEF), (0x10B58, 0x10B5F), (0x10B78, 0x10B7F), (0x10BA9, 0x10BAF),
+    (0x10CFA, 0x10CFF), (0x10E69, 0x10E7E), (0x10F1D, 0x10F26), (0x10F51, 0x10F54),
+    (0x10FC5, 0x10FCB), (0x1105B, 0x11065), (0x111E1, 0x111F4), (0x1173A, 0x1173B),
+    (0x118EA, 0x118F2), (0x11C5A, 0x11C6C), (0x11FC0, 0x11FD4), (0x12400, 0x1246E),
+    (0x16B5B, 0x16B61), (0x16E80, 0x16E96), (0x1D2C0, 0x1D2D3), (0x1D2E0, 0x1D2F3),
+    (0x1D360, 0x1D378), (0x1E8C7, 0x1E8CF), (0x1EC71, 0x1ECAB), (0x1ECAD, 0x1ECAF),
+    (0x1ECB1, 0x1ECB4), (0x1ED01, 0x1ED2D), (0x1ED2F, 0x1ED3D), (0x1F10B, 0x1F10C),
+)
+# isdigit() but not \d, such as "²" and "①":
+_DIGIT_NOT_DECIMAL = (
+    (0x000B2, 0x000B3), (0x000B9, 0x000B9), (0x01369, 0x01371), (0x019DA, 0x019DA),
+    (0x02070, 0x02070), (0x02074, 0x02079), (0x02080, 0x02089), (0x02460, 0x02468),
+    (0x02474, 0x0247C), (0x02488, 0x02490), (0x024EA, 0x024EA), (0x024F5, 0x024FD),
+    (0x024FF, 0x024FF), (0x02776, 0x0277E), (0x02780, 0x02788), (0x0278A, 0x02792),
+    (0x10A40, 0x10A43), (0x10E60, 0x10E68), (0x11052, 0x1105A), (0x1F100, 0x1F10A),
+)
+
+
+def _class_body(ranges: tuple[tuple[int, int], ...]) -> str:
+    # None of these code points is special inside a regex class, and literal
+    # characters compile faster than escapes.
+    return "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in ranges)
+
+
+_SPACE = r"[ \t\r\n\f\v]*"
+# A match never backtracks: the gap takes all it can and some token
+# alternative always matches after it, "\Z" at the end of the text. So a
+# token never starts with whitespace, and "[\s\S]" is any other character.
+_LEXER = re.compile(
+    # Group 1, skipped: whitespace, line comments and closed block comments.
+    # Taking them into the match spares the engine a try of every token
+    # alternative at each space.
+    rf"({_SPACE}(?:(?://[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/){_SPACE})*)"
+    # Group 2, the token; the likeliest alternatives come first.
+    r"([!#%&()*+,\-.:;<=>?@\[\\\]^`{|}~]"  # ASCII punctuation but / " ' $ _
+    r"|[A-Za-z_$][\w$]*"
+    # A string runs to its quote, a newline (kept) or the end of the text; a
+    # backslash takes the next character with it, whatever it is.
+    r'|"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*["\n\\]?'
+    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*['\n\\]?"
+    r"|/(?:\*[\s\S]*)?"  # "/", or a "/*" that never closes and takes the rest
+    rf"|[^\W\d\x00-\x7f{_class_body(_NUMERIC_NOT_DIGIT + _DIGIT_NOT_DECIMAL)}][\w$]*"
+    rf"|[\d{_class_body(_DIGIT_NOT_DECIMAL)}][\w.]*"
+    r"|[\s\S]"
+    r"|\Z)"
+)
+
+# Token kind by first character, for ASCII; a quote is "str" or "open_str"
+# and a non-ASCII start is decided by the str predicates.
+_KIND_BY_FIRST = {
+    **dict.fromkeys(map(chr, range(128)), "punct"),
+    **dict.fromkeys(string.ascii_letters + "_$", "id"),
+    **dict.fromkeys(string.digits, "num"),
+    '"': "quote",
+    "'": "quote",
+}
+
+
+def _indices(items: list, value: object) -> Iterator[int]:
+    """Every index of value in items, ascending."""
+    i = -1
+    try:
+        while True:
+            i = items.index(value, i + 1)
+            yield i
+    except ValueError:
+        return
+
+
 def _tokenize(source: str) -> tuple[list[_Token], int | None]:
     """Tokens, plus the offset of an unclosed "/*" (or None). Lenient, since
     structure discovery has to survive junk: a string cut off by a newline or
     the end of the text is an "open_str" token, and an unclosed comment
     swallows the rest without becoming a token, so offsets taken from the
-    tokens do not move. _join() is where strictness lives."""
-    tokens: list[_Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch in _WHITESPACE:
-            i += 1
-        elif source.startswith("//", i):
-            j = source.find("\n", i)
-            i = n if j < 0 else j + 1
-        elif source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            if j < 0:
-                return tokens, i
-            i = j + 2
-        elif ch in "\"'":
-            j = i + 1
-            while j < n and source[j] != ch and source[j] != "\n":
-                j += 2 if source[j] == "\\" else 1
-            kind = "str" if j < n and source[j] == ch else "open_str"
-            j = min(j + 1, n)
-            tokens.append((kind, source[i:j], i, j))
-            i = j
-        elif ch.isalpha() or ch in "_$":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] in "_$"):
-                j += 1
-            tokens.append(("id", source[i:j], i, j))
-            i = j
-        elif ch.isdigit():
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] in "._"):
-                j += 1
-            tokens.append(("num", source[i:j], i, j))
-            i = j
-        else:
-            tokens.append(("punct", ch, i, i + 1))
-            i += 1
-    return tokens, None
+    tokens do not move. _join() is where strictness lives.
+
+    One _LEXER.split gives [gap, skipped, token, gap, skipped, token, ...]
+    with every gap empty, since each match starts where the last one ended;
+    the last match or two take the empty token at the end of the text. Token
+    offsets are running sums of the part lengths, and kinds come from each
+    token's first character."""
+    parts = _LEXER.split(source)
+    texts = parts[2::3]
+    while texts and not texts[-1]:
+        texts.pop()
+    ends = list(accumulate(map(len, parts)))
+    starts, stops = ends[1::3], ends[2::3]
+    del parts, ends  # the skipped text and gap offsets, before the tuples exist
+    open_comment = None
+    if texts and texts[-1].startswith("/*"):  # closed ones are skipped
+        texts.pop()
+        open_comment = starts[len(texts)]
+    kinds = list(map(_KIND_BY_FIRST.get, map(itemgetter(0), texts)))
+    tokens = list(zip(kinds, texts, starts, stops))
+    if not source.isascii():
+        for i in _indices(kinds, None):
+            _, text, start, end = tokens[i]
+            kind = "id" if text[0].isalpha() else "num" if text[0].isdigit() else "punct"
+            tokens[i] = (kind, text, start, end)
+    for i in _indices(kinds, "quote"):
+        _, text, start, end = tokens[i]
+        # Closed: ends in its own quote after an even run of backslashes.
+        body = text[1:-1]
+        escapes = len(body) - len(body.rstrip("\\"))
+        closed = len(text) > 1 and text[-1] == text[0] and escapes % 2 == 0
+        tokens[i] = ("str" if closed else "open_str", text, start, end)
+    return tokens, open_comment
 
 
 def _text(tokens: list[_Token], j: int) -> str:

@@ -35,7 +35,7 @@ from .agents import (
     run_debate,
 )
 from .callgraph import build_graph, topo_order
-from .corpus import CorpusIndex
+from .corpus import CorpusIndex, read_text
 from .errors import ParseError, ProviderError, ProviderMismatch, ProviderUnavailable
 from .extract import FunctionUnit, extract_units
 from .simindex import DEFAULT_DELTA, Category, SimilarityMatch, embed_chunks, query_top_k
@@ -59,7 +59,7 @@ def collect_sol_files(paths: list[str | Path]) -> list[str]:
 def load_units(files: list[str]) -> list[FunctionUnit]:
     units: list[FunctionUnit] = []
     for f in files:
-        text = Path(f).read_text(encoding="utf-8")
+        text = read_text(f, "source")
         units.extend(extract_units(text, f))
     return units
 

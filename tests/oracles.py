@@ -3,9 +3,10 @@
 Each oracle recomputes a result through a mechanism deliberately different
 from the package's own (placeholder substitution instead of a streaming
 emitter, reachability closure instead of Tarjan, plain math instead of numpy),
-so agreement between the two is evidence rather than tautology. Four
+so agreement between the two is evidence rather than tautology. Five
 exceptions keep the package's original code on purpose, to pin results bit
 for bit: reference_tokenize (the character loop of the Solidity lexer),
+reference_label_hits (every index entry scanned for each label row),
 scalar_similarity (pair-at-a-time numpy arithmetic),
 reference_fallback_embedding (the per-tap loop of the fallback embedder) and
 reference_query_top_k (one query over the whole index matrix, ranked by a
@@ -150,6 +151,21 @@ _CALL_RE = re.compile(r"\b([A-Za-z_$][A-Za-z0-9_$]*)\s*\(")
 
 _FLAT_FN_RE = re.compile(
     r"function\s+([A-Za-z_$][A-Za-z0-9_$]*)\s*\([^)]*\)[^{;]*\{([^{}]*)\}")
+
+
+def reference_label_hits(entries, row) -> list[str]:
+    """Entry ids a label row marks, found the original way: a scan of every
+    entry for the row's package, version and name or hash, in entry order."""
+    hits = []
+    for entry in entries:
+        if entry.package != row.package or entry.version != row.version:
+            continue
+        if row.match_kind == "name" and entry.unit.name != row.match_value:
+            continue
+        if row.match_kind == "hash" and entry.unit.content_hash != row.match_value:
+            continue
+        hits.append(entry.entry_id)
+    return hits
 
 
 def regex_calls(source: str) -> dict[str, list[str]]:

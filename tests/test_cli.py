@@ -111,6 +111,21 @@ class TestIndexCommand:
         assert capsys.readouterr().err.startswith("simaudit: ")
         assert not out.exists()
 
+    def test_labels_that_are_not_utf8_are_format_error(self, tmp_path, capsys):
+        archives = tmp_path / "archives"
+        archives.mkdir()
+        make_archive(archives / "tokenlib-1.0.0.tgz", {"erc20.sol": REFERENCE})
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"package,version,match_kind,match_value,note\n"
+                           b"tokenlib,1.0.0,name,transferFrom,caf\xe9\n")
+        out = tmp_path / "index.jsonl"
+        code = main(["index", "--archives", str(archives), "--out", str(out),
+                     "--labels", str(labels)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            f"simaudit: labels {labels} is not UTF-8 text: invalid continuation byte at byte ")
+        assert not out.exists()
+
     def test_missing_archive_dir_is_io_error(self, tmp_path, capsys):
         code = main(["index", "--archives", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "idx.jsonl")])
@@ -243,6 +258,48 @@ class TestScanExitCodes:
         assert capsys.readouterr().err.startswith("simaudit: Critic template needs slot")
         assert not report.exists()
         assert set(threading.enumerate()) == threads_before
+
+    def test_source_that_is_not_utf8_is_format_error(self, tmp_path, capsys):
+        index = _build_index(tmp_path, labels=True)
+        capsys.readouterr()
+        source = _target_dir(tmp_path) / "latin1.sol"
+        data = b'contract L { function f() public { s = "caf\xe9"; } }\n'
+        source.write_bytes(data)
+        code, report = _scan(tmp_path, index=index)
+        assert code == 3
+        assert capsys.readouterr().err == (f"simaudit: source {source} is not UTF-8 text: "
+                                           f"invalid continuation byte at byte {data.index(0xE9)}\n")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"defaults": {"Judge": "caf\xe9"}}', "is not UTF-8 text"),
+        (b'{"defaults": ', "is malformed: JSONDecodeError"),
+        (b'["Judge"]', "is malformed: AttributeError"),
+        (b'{"responses": [{"role": "Auditor"}]}', "is malformed: ValueError"),
+    ], ids=["not_utf8", "truncated_json", "not_an_object", "unknown_role"])
+    def test_bad_mock_fixture_is_format_error(self, tmp_path, capsys, data, message):
+        index = _build_index(tmp_path, labels=True)
+        capsys.readouterr()
+        fixture = tmp_path / "fixture.json"
+        fixture.write_bytes(data)
+        report = tmp_path / "report.json"
+        code = main(["scan", "--input", str(_target_dir(tmp_path)), "--index", str(index),
+                     "--provider", "mock", "--mock-fixture", str(fixture),
+                     "--report", str(report)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"simaudit: mock fixture {fixture} {message}")
+        assert not report.exists()
+
+    def test_template_that_is_not_utf8_is_format_error(self, tmp_path, capsys):
+        index = _build_index(tmp_path, labels=True)
+        capsys.readouterr()
+        templates = bad_templates(tmp_path / "templates")
+        (templates / "judge.txt").write_bytes(b"Judge $target \xff\n")
+        code, report = _scan(tmp_path, "--templates", str(templates), index=index)
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            f"simaudit: template {templates / 'judge.txt'} is not UTF-8 text: ")
+        assert not report.exists()
 
     def test_corrupt_index_is_format_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -451,6 +508,17 @@ class TestEvalCommand:
         code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
                      "--no-simcheck", "--mock-fixture", MOCK_FIXTURE])
         assert code == 3
+
+    def test_labels_that_are_not_utf8_are_format_error(self, tmp_path, capsys):
+        dataset, labels = self._dataset(tmp_path)
+        labels.write_bytes(b"sample,label\nclean.sol,negative\nvuln\xff.sol,positive\n")
+        metrics_out = tmp_path / "metrics.json"
+        code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
+                     "--no-simcheck", "--mock-fixture", MOCK_FIXTURE,
+                     "--metrics-out", str(metrics_out)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"simaudit: labels {labels} is not UTF-8 text")
+        assert not metrics_out.exists()
 
     def test_missing_labels_file_is_io(self, tmp_path):
         dataset, _ = self._dataset(tmp_path)

@@ -17,6 +17,7 @@ from simaudit.corpus import (
     FORMAT_VERSION,
     CorpusIndex,
     Label,
+    LabelRow,
     apply_labels,
     ingest_archive,
     load_index,
@@ -298,6 +299,29 @@ class TestLabels:
     def test_unreadable_file_propagates_oserror(self, tmp_path):
         with pytest.raises(OSError):
             apply_labels(_labeled_index(), tmp_path / "absent.csv")
+
+    def test_hits_match_a_scan_of_every_entry(self, tmp_path):
+        """Two packages x two versions, inserted interleaved: each row marks
+        what scanning every entry for it finds, in entry order."""
+        index = new_index()
+        for i, (file, name) in enumerate([("a.sol", "mint"), ("b.sol", "mint"),
+                                          ("a.sol", "burn")]):
+            for package in ("tok", "vault"):
+                for version in ("1.0", "2.0"):
+                    index.insert(mk_unit(f"{file}::T::{name}#0", name=name, contract="T",
+                                         file_path=file,
+                                         body=f"function {name}() public {{ {package}{version}{i}; }}"),
+                                 package, version)
+        burn = index.entry_by_id("vault@2.0/a.sol::T::burn#0")
+        rows = ["tok,1.0,name,mint,m1", "vault,2.0,name,mint,m2", "tok,2.0,name,burn,b",
+                f"vault,2.0,hash,{burn.unit.content_hash},h", f"tok,1.0,hash,{burn.unit.content_hash},x",
+                "tok,3.0,name,mint,no such version", "vault,1.0,name,missing,no such unit"]
+        want = [(row, oracles.reference_label_hits(index.entries, row))
+                for row in (LabelRow(*line.split(",")) for line in rows)]
+        report = apply_labels(index, _write_labels(tmp_path, rows))
+        assert report.applied == [(row, hits) for row, hits in want if hits]
+        assert report.unmatched == [row for row, hits in want if not hits]
+        assert [len(hits) for _, hits in report.applied] == [2, 2, 1, 1]
 
 
 class TestPersistence:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import re
+import sys
+import unicodedata
+
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
@@ -14,6 +18,8 @@ from simaudit.errors import (
     UnterminatedString,
 )
 from simaudit.extract import (
+    _DIGIT_NOT_DECIMAL,
+    _NUMERIC_NOT_DIGIT,
     BUILTIN_DENYLIST,
     BUILTIN_DENYLIST_VERSION,
     UnitKind,
@@ -421,6 +427,18 @@ _OPEN_COMMENT_HEADER = "contract C { function f() public /* oops"
 _BROKEN_STRING_UNIT = 'contract C { function f() public { s = "ab\n + 1; } }'
 
 
+# Members of both committed range constants (U+1D2C0 is assigned only from
+# Unicode 15.0 on), non-ASCII letters and decimal digits, identifier symbols,
+# quotes, escapes, comment markers, the lexer's six whitespace characters and
+# whitespace that the lexer treats as punctuation.
+_boundary = st.text(alphabet=st.sampled_from([
+    "½", "Ⅻ", "\U0001F10B", "\U0001D2C0", "²", "①", "\U0001F100", "é", "١", "$", "_", "a",
+    "1", ".",
+    '"', "'", "\\", "/", "*", "\n", " ", "\t", "\r", "\f", "\v",
+    "\x1c", "\xa0", "\u3000", "\u2028",
+]), max_size=40)
+
+
 class TestSingleLexer:
     @given(st.one_of(_anything, _dense))
     @example("½function f() {}")
@@ -432,6 +450,23 @@ class TestSingleLexer:
         """Token tuples and the unclosed-comment offset are exactly what the
         original character loop gives, for any text (Unicode letters, digits
         and numerics whose str methods and regex classes disagree included)."""
+        assert _tokenize(src) == oracles.reference_tokenize(src)
+
+    @given(_boundary)
+    @example("a½ ½a Ⅻ1 \U0001F10B")               # isalnum, not isalpha or isdigit
+    @example("²x a² ①.5 \U0001F100")              # isdigit, not a decimal digit
+    @example("é½ é1 çé")                          # non-ASCII letter
+    @example("١é ١.١ ٣")                          # non-ASCII decimal digit
+    @example("$_1 _$ a$")
+    @example("'a\"' \"b\\\"c\" '\\\\' '")         # quotes and their escapes
+    @example('"a\\\n b" \\')                      # an escaped newline stays in the string
+    @example("/ /*/ */ /**/ //*\n*/ a/b")
+    @example('"ab\ncd \'x')                       # open strings keep their newline
+    @example("a\v1\f\r\t \nb\v")                  # the six whitespace characters
+    @example("\x1c\xa0\u3000a\u2028")             # whitespace to Python, punctuation here
+    def test_boundary_alphabet_matches_reference_loop(self, src):
+        """The characters where a fast lexer and the str predicates can part
+        ways, densely mixed: each must lex exactly as the original loop does."""
         assert _tokenize(src) == oracles.reference_tokenize(src)
 
     @given(_in_unit, st.none())
@@ -457,3 +492,63 @@ class TestSingleLexer:
         assert expected is None
         for u in units:
             assert u.normalized_source == oracles.reference_normalize(u.raw_source)
+
+
+def _runs(code_points) -> tuple[tuple[int, int], ...]:
+    """Ascending code points as (first, last) runs of consecutive ones."""
+    runs: list[list[int]] = []
+    for cp in code_points:
+        if runs and runs[-1][1] == cp - 1:
+            runs[-1][1] = cp
+        else:
+            runs.append([cp, cp])
+    return tuple((first, last) for first, last in runs)
+
+
+def _literal(name: str, runs: tuple[tuple[int, int], ...]) -> str:
+    """runs as the source text of the constant in extract.py."""
+    pairs = [f"(0x{first:05X}, 0x{last:05X})" for first, last in runs]
+    rows = [", ".join(pairs[i:i + 4]) + "," for i in range(0, len(pairs), 4)]
+    return "\n".join([f"{name} = (", *(f"    {row}" for row in rows), ")"])
+
+
+@pytest.fixture(scope="module")
+def every_code_point():
+    return "".join(map(chr, range(sys.maxunicode + 1)))
+
+
+class TestCodePointRanges:
+    def test_regex_classes_differ_from_str_predicates_only_in_start_classes(
+            self, every_code_point):
+        """What makes two range constants enough: the word class is exactly
+        isalnum() or "_", every decimal digit is isdigit() and not isalpha(),
+        and no code point is both a letter and a digit."""
+        every = every_code_point
+        assert re.findall(r"\w", every) == [c for c in every if c.isalnum() or c == "_"]
+        assert all(c.isdigit() and not c.isalpha() for c in re.findall(r"\d", every))
+        assert not [c for c in every if c.isalpha() and c.isdigit()]
+
+    def test_committed_ranges_match_the_str_predicates(self, every_code_point):
+        """Both sets rebuilt from str methods and the regex digit class over
+        every code point. Code points that only another Python's tables make
+        numeric stay in the first set: this Python leaves them out of the
+        word class, so excluding them changes nothing. On a mismatch the test
+        prints the constants to paste."""
+        every = every_code_point
+        decimal = set(re.findall(r"\d", every))
+        elsewhere = [cp for first, last in _NUMERIC_NOT_DIGIT for cp in range(first, last + 1)
+                     if not chr(cp).isalnum()]
+        fresh = (
+            _runs(sorted({ord(c) for c in every
+                          if c.isalnum() and not c.isalpha() and not c.isdigit()}
+                         | set(elsewhere))),
+            _runs(ord(c) for c in every if c.isdigit() and c not in decimal),
+        )
+        if fresh != (_NUMERIC_NOT_DIGIT, _DIGIT_NOT_DECIMAL):
+            pytest.fail(
+                "the committed code point ranges are not where the regex classes and the "
+                f"str predicates disagree under Unicode {unicodedata.unidata_version} "
+                f"(Python {sys.version.split()[0]}); replace the two constants in "
+                "src/simaudit/extract.py with:\n\n"
+                + _literal("_NUMERIC_NOT_DIGIT", fresh[0]) + "\n"
+                + _literal("_DIGIT_NOT_DECIMAL", fresh[1]))
