@@ -133,8 +133,9 @@ def ingest_archive(index: CorpusIndex, archive_path: str | Path,
     """Feed every .sol member of a gzip tar archive through extraction.
 
     Member order is the archive's own, so ingestion is deterministic for a
-    fixed archive. Files that fail extraction are skipped with a warning; an
-    archive with no .sol members logs a warning but is not an error.
+    fixed archive. Files that are not UTF-8 or fail extraction are counted
+    in files_seen and skipped with a warning; an archive with no .sol members
+    logs a warning but is not an error.
     """
     try:
         tf = tarfile.open(archive_path, mode="r:gz")
@@ -150,9 +151,12 @@ def ingest_archive(index: CorpusIndex, archive_path: str | Path,
                 index.stats.files_seen += 1
                 fh = tf.extractfile(member)
                 data = fh.read() if fh is not None else b""
-                text = data.decode("utf-8", errors="replace")
                 try:
-                    units = extract_units(text, member.name)
+                    units = extract_units(data.decode("utf-8"), member.name)
+                except UnicodeDecodeError as exc:
+                    log.warning("skipping %s from %s: not UTF-8 text: %s at byte %d",
+                                member.name, archive_path, exc.reason, exc.start)
+                    continue
                 except SourceError as exc:
                     log.warning("skipping %s from %s: %s",
                                 member.name, archive_path, exc)

@@ -1,35 +1,29 @@
 """Lexical extraction of Solidity function and modifier units.
 
-Everything here works from one flat token stream (_tokenize) and brace
-matching, not a grammar, so sources that do not compile (snippets, truncated
-vendored files, exotic pragma versions) still yield units. Normalized text is
-a join of a run of the same tokens, never a second lexer. Call targets are
-collected syntactically: any identifier applied like a call is reported, and
-the resolver downstream decides what it actually names.
+Everything here works from one flat token stream and brace matching, not a
+grammar, so sources that do not compile (snippets, truncated vendored files,
+exotic pragma versions) still yield units. Normalized text is a join of a run
+of the same tokens, never a second lexer. Call targets are collected
+syntactically: any identifier applied like a call is reported, and the
+resolver downstream decides what it actually names.
 
-_tokenize is one re.split pass of _LEXER: each match is the whitespace and
-comments before a token, then the token. Identifiers and numbers start where
-str.isalpha / str.isdigit say they do, Unicode included. The regex word and
-digit classes disagree with those on a fixed set of code points, which is
-committed as the range constants _NUMERIC_NOT_DIGIT and _DIGIT_NOT_DECIMAL.
-
-A token is a plain (kind, text, start, end) tuple: kind is "id", "num",
-"str", "open_str" or "punct", and source[start:end] == text. Structure is
-decided by token text alone wherever the text cannot be ambiguous: only a
-"punct" token is a lone bracket, ";" or ".", and only an "id" token is a
-keyword, so such checks never look at the kind.
+The token stream is the list one _LEXER.split pass returns (_Tokens), with
+no object per token: structure comes from list.index and list.count over the
+token texts, offsets are computed only where a unit starts or ends or an
+error points, and a unit's normalized text is one join of a slice of the list.
+Identifiers and numbers start where str.isalpha / str.isdigit say they do,
+Unicode included; the regex word and digit classes disagree with those on a
+fixed set of code points, committed as _NUMERIC_NOT_DIGIT and _DIGIT_NOT_DECIMAL.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-import string
-from collections.abc import Iterator
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
-from operator import itemgetter
+from itertools import compress, count
 
 from .errors import UnbalancedBraces, UnterminatedBlockComment, UnterminatedString
 
@@ -118,21 +112,18 @@ def normalize(raw: str) -> str:
     String literals pass through verbatim, including anything that looks like
     a comment marker inside them. Strings must close on their own line and
     block comments must close: the output feeds content hashing and must be a
-    fixed point. The lexing is extraction's; the strictness is _join()'s.
+    fixed point. The lexing is extraction's; the strictness is _Tokens.join's.
     """
-    tokens, open_comment = _tokenize(raw)
-    text = _join(tokens, 0)
-    if open_comment is not None:
-        raise UnterminatedBlockComment("unterminated block comment", offset=open_comment)
+    tokens = _Tokens(raw)
+    text = tokens.join(0, len(tokens.texts), 0)
+    if tokens.open_comment is not None:
+        raise UnterminatedBlockComment("unterminated block comment", offset=tokens.open_comment)
     return text
 
 
 def content_hash(normalized: str) -> str:
     """Hex SHA-256 of the UTF-8 bytes of a normalized source string."""
     return hashlib.sha256(normalized.encode("utf-8")).hexdigest()
-
-
-_Token = tuple[str, str, int, int]
 
 
 # Where the str predicates that start Solidity identifiers and numbers part
@@ -195,10 +186,11 @@ _LEXER = re.compile(
     # Group 2, the token; the likeliest alternatives come first.
     r"([!#%&()*+,\-.:;<=>?@\[\\\]^`{|}~]"  # ASCII punctuation but / " ' $ _
     r"|[A-Za-z_$][\w$]*"
-    # A string runs to its quote, a newline (kept) or the end of the text; a
+    # Group 3, inside the token, is the same text when it is a string. A
+    # string runs to its quote, a newline (kept) or the end of the text; a
     # backslash takes the next character with it, whatever it is.
-    r'|"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*["\n\\]?'
-    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*['\n\\]?"
+    r'|("[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*["\n\\]?'
+    r"|'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*['\n\\]?)"
     r"|/(?:\*[\s\S]*)?"  # "/", or a "/*" that never closes and takes the rest
     rf"|[^\W\d\x00-\x7f{_class_body(_NUMERIC_NOT_DIGIT + _DIGIT_NOT_DECIMAL)}][\w$]*"
     rf"|[\d{_class_body(_DIGIT_NOT_DECIMAL)}][\w.]*"
@@ -206,149 +198,148 @@ _LEXER = re.compile(
     r"|\Z)"
 )
 
-# Token kind by first character, for ASCII; a quote is "str" or "open_str"
-# and a non-ASCII start is decided by the str predicates.
-_KIND_BY_FIRST = {
-    **dict.fromkeys(map(chr, range(128)), "punct"),
-    **dict.fromkeys(string.ascii_letters + "_$", "id"),
-    **dict.fromkeys(string.digits, "num"),
-    '"': "quote",
-    "'": "quote",
-}
+
+def _closed(string: str) -> bool:
+    """Whether a string token ends in its own quote after an even run of
+    backslashes."""
+    body = string[1:-1]
+    escapes = len(body) - len(body.rstrip("\\"))
+    return len(string) > 1 and string[-1] == string[0] and escapes % 2 == 0
 
 
-def _indices(items: list, value: object) -> Iterator[int]:
-    """Every index of value in items, ascending."""
-    i = -1
-    try:
-        while True:
-            i = items.index(value, i + 1)
-            yield i
-    except ValueError:
-        return
+def _is_id(text: str) -> bool:
+    """Whether a token is an identifier, by the same test the lexer applies."""
+    return text[0].isalpha() or text[0] in "_$"
 
 
-def _tokenize(source: str) -> tuple[list[_Token], int | None]:
-    """Tokens, plus the offset of an unclosed "/*" (or None). Lenient, since
-    structure discovery has to survive junk: a string cut off by a newline or
-    the end of the text is an "open_str" token, and an unclosed comment
-    swallows the rest without becoming a token, so offsets taken from the
-    tokens do not move. _join() is where strictness lives.
-
-    One _LEXER.split gives [gap, skipped, token, gap, skipped, token, ...]
-    with every gap empty, since each match starts where the last one ended;
-    the last match or two take the empty token at the end of the text. Token
-    offsets are running sums of the part lengths, and kinds come from each
-    token's first character."""
-    parts = _LEXER.split(source)
-    texts = parts[2::3]
-    while texts and not texts[-1]:
-        texts.pop()
-    ends = list(accumulate(map(len, parts)))
-    starts, stops = ends[1::3], ends[2::3]
-    del parts, ends  # the skipped text and gap offsets, before the tuples exist
-    open_comment = None
-    if texts and texts[-1].startswith("/*"):  # closed ones are skipped
-        texts.pop()
-        open_comment = starts[len(texts)]
-    kinds = list(map(_KIND_BY_FIRST.get, map(itemgetter(0), texts)))
-    tokens = list(zip(kinds, texts, starts, stops))
-    if not source.isascii():
-        for i in _indices(kinds, None):
-            _, text, start, end = tokens[i]
-            kind = "id" if text[0].isalpha() else "num" if text[0].isdigit() else "punct"
-            tokens[i] = (kind, text, start, end)
-    for i in _indices(kinds, "quote"):
-        _, text, start, end = tokens[i]
-        # Closed: ends in its own quote after an even run of backslashes.
-        body = text[1:-1]
-        escapes = len(body) - len(body.rstrip("\\"))
-        closed = len(text) > 1 and text[-1] == text[0] and escapes % 2 == 0
-        tokens[i] = ("str" if closed else "open_str", text, start, end)
-    return tokens, open_comment
+def _text(texts: list[str], j: int) -> str:
+    """texts[j], or "" when j is outside the list."""
+    return texts[j] if j < len(texts) else ""
 
 
-def _text(tokens: list[_Token], j: int) -> str:
-    """Text of tokens[j], or "" when j is outside the list."""
-    return tokens[j][1] if 0 <= j < len(tokens) else ""
+class _Tokens:
+    """One source's tokens, kept as the list that _LEXER.split returns.
+
+    Lenient, since structure discovery has to survive junk: a string cut off
+    by a newline or the end of the text is a token listed in open_strings,
+    and an unclosed "/*" swallows the rest without becoming a token (its
+    offset is open_comment). join() is where strictness lives.
+
+    The split list, _parts, is [gap, skipped, token, string, gap, ...], four
+    per match: every gap is empty, as each match starts where the last one
+    ended, and string (group 3) is blanked to "" here, so texts[k] ==
+    _parts[4k + 2] and the source is "".join(_parts). texts leaves out the
+    empty token that the last match or two take at the end of the text.
+    """
+
+    __slots__ = ("texts", "open_strings", "open_comment", "_parts", "_norm", "_at", "_pos")
+
+    def __init__(self, source: str):
+        parts = _LEXER.split(source)
+        strings = parts[3::4]
+        parts[3::4] = [""] * len(strings)
+        texts = parts[2::4]
+        while texts and not texts[-1]:
+            texts.pop()
+        self.open_comment = None
+        if texts and texts[-1].startswith("/*"):  # closed ones are skipped
+            self.open_comment = len(source) - len(texts.pop())
+        self._parts, self.texts = parts, texts
+        self.open_strings = [k for k in compress(count(), strings) if not _closed(texts[k])]
+        # _parts with each non-empty skipped run as one space.
+        self._norm = parts.copy()
+        self._norm[1::4] = [skipped and " " for skipped in parts[1::4]]
+        self._at = self._pos = 0  # a cursor: _parts[:_at] hold _pos characters
+
+    def offset(self, k: int) -> int:
+        """Source offset of token k. Cheap when asked in ascending order,
+        since the cursor only adds the parts it moves over."""
+        at = 4 * k + 2
+        if at < self._at:
+            self._at = self._pos = 0
+        self._pos += len("".join(self._parts[self._at:at]))
+        self._at = at
+        return self._pos
+
+    def join(self, first: int, stop: int, base: int) -> str:
+        """Normalized text of tokens [first, stop): their texts, one space
+        wherever whitespace or a comment separated two of them. Raises
+        UnterminatedString at the first open string, offset relative to
+        base."""
+        i = bisect_left(self.open_strings, first)
+        if i < len(self.open_strings) and self.open_strings[i] < stop:
+            raise UnterminatedString("unterminated string literal",
+                                     offset=self.offset(self.open_strings[i]) - base)
+        return "".join(self._norm[4 * first + 2:4 * stop])
 
 
-def _join(tokens: list[_Token], base: int) -> str:
-    """Normalized text of a run of tokens: their texts, one space wherever
-    whitespace or a comment separated two of them. Raises UnterminatedString
-    at the first open string, offset relative to base."""
-    out: list[str] = []
-    prev_end = tokens[0][2] if tokens else 0
-    for kind, text, start, end in tokens:
-        if kind == "open_str":
-            raise UnterminatedString("unterminated string literal", offset=start - base)
-        if start > prev_end:
-            out.append(" ")
-        out.append(text)
-        prev_end = end
-    return "".join(out)
-
-
-def _match_group(tokens: list[_Token], i: int, file_path: str,
+def _match_group(tokens: _Tokens, i: int, file_path: str,
                  pair: str = "()", unclosed: str = "unclosed parenthesis") -> int:
-    """Return the index just past the closer matching the opener at tokens[i];
-    pair holds the opening and closing bracket."""
+    """Return the index just past the closer matching the opener at
+    texts[i]; pair holds the opening and closing bracket. Each step jumps to
+    the next closer and counts the openers it passed."""
     opener, closer = pair
-    depth = 0
-    for j in range(i, len(tokens)):
-        text = tokens[j][1]
-        if text == opener:
-            depth += 1
-        elif text == closer:
-            depth -= 1
-            if depth == 0:
-                return j + 1
-    raise UnbalancedBraces(unclosed, file_path=file_path, offset=tokens[i][2])
+    texts = tokens.texts
+    depth, j = 1, i + 1
+    try:
+        while depth:
+            k = texts.index(closer, j)
+            depth += texts[j:k].count(opener) - 1
+            j = k + 1
+    except ValueError:
+        raise UnbalancedBraces(unclosed, file_path=file_path, offset=tokens.offset(i)) from None
+    return j
 
 
-def _header_calls(tokens: list[_Token], i: int, file_path: str) -> tuple[list[str], int]:
+def _header_calls(tokens: _Tokens, i: int, file_path: str) -> tuple[list[str], int]:
     """Scan a unit header for modifier invocations.
 
-    Returns (names, end): tokens[end] is the first "{" (body follows) or ";"
+    Returns (names, end): texts[end] is the first "{" (body follows) or ";"
     (bodyless declaration) at paren depth 0.
     """
+    texts = tokens.texts
     names: list[str] = []
-    while i < len(tokens):
-        kind, text = tokens[i][:2]
+    while i < len(texts):
+        text = texts[i]
         if text in ("{", ";"):
             return names, i
         if text == "(":
             i = _match_group(tokens, i, file_path)
             continue
         i += 1
-        if kind != "id" or text in _HEADER_KEYWORDS:
+        if text in _HEADER_KEYWORDS or not _is_id(text):
             continue
         # Any other identifier is a modifier invocation or base-constructor
         # call; `returns (...)` and `override(...)` are skipped whole.
         if text not in ("returns", "override"):
             names.append(text)
-        if _text(tokens, i) == "(":
+        if _text(texts, i) == "(":
             i = _match_group(tokens, i, file_path)
     raise UnbalancedBraces("unit header never terminated", file_path=file_path,
-                           offset=tokens[i - 1][2] if i > 0 else 0)
+                           offset=tokens.offset(i - 1))
 
 
-def _body_calls(tokens: list[_Token]) -> list[str]:
+def _body_calls(texts: list[str], lo: int, hi: int) -> list[str]:
+    """Identifiers applied like calls in texts[lo:hi], a body from its "{":
+    only the "(" tokens are visited, with the up to three tokens before
+    each, which all lie in the body as texts[lo] is no identifier."""
     names: list[str] = []
-    for idx, (kind, text, _, _) in enumerate(tokens):
-        if kind != "id" or _text(tokens, idx + 1) != "(":
-            continue
-        if text in _NEVER_CALLS or text in BUILTIN_DENYLIST:
-            continue
-        # `new C()` builds a contract, `emit E()` fires an event, and
-        # `revert E()` raises a custom error; none call a unit named C/E.
-        prev = _text(tokens, idx - 1)
-        if prev in ("new", "emit", "revert"):
-            continue
-        if prev == "." and _text(tokens, idx - 2) == "abi":
-            continue
-        names.append(text)
-    return names
+    j = lo
+    try:
+        while True:
+            j = texts.index("(", j + 1, hi)
+            text = texts[j - 1]
+            if text in _NEVER_CALLS or text in BUILTIN_DENYLIST or not _is_id(text):
+                continue
+            # `new C()` builds a contract, `emit E()` fires an event, and
+            # `revert E()` raises a custom error; none call a unit named C/E.
+            prev = texts[j - 2]
+            if prev in ("new", "emit", "revert") or (prev == "." and texts[j - 3] == "abi"):
+                continue
+            names.append(text)
+    except ValueError:
+        return names
+
 
 
 def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
@@ -359,24 +350,26 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
     picked up too, with an empty contract name. An input with no units is a
     valid empty result, not an error.
     """
-    tokens, _ = _tokenize(source)
+    tokens = _Tokens(source)
+    texts = tokens.texts
     units: list[FunctionUnit] = []
     ordinals: dict[tuple[str, str], int] = {}
-    # Stack of (contract name, brace depth at which it closes, open offset).
+    # Stack of (contract name, brace depth at which it closes, its "{" token).
     contract_stack: list[tuple[str, int, int]] = []
     depth = 0
-    i, n = 0, len(tokens)
+    i, n = 0, len(texts)
 
     def make_unit(kind, name, contract, first, stop, calls):
         ordinal = ordinals.get((contract, name), 0)
         ordinals[(contract, name)] = ordinal + 1
-        start, end = tokens[first][2], tokens[stop - 1][3]
-        raw = source[start:end]
+        start = tokens.offset(first)
         try:
-            norm = _join(tokens[first:stop], start)
+            norm = tokens.join(first, stop, start)
         except UnterminatedString as exc:
             exc.file_path = file_path
             raise
+        end = tokens.offset(stop - 1) + len(texts[stop - 1])
+        raw = source[start:end]
         unit = FunctionUnit(
             unit_id=f"{file_path}::{contract}::{name}#{ordinal}",
             kind=kind,
@@ -392,7 +385,7 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
         units.append(unit)
 
     while i < n:
-        text = tokens[i][1]
+        text = texts[i]
         if text == "{":
             depth += 1
         elif text == "}":
@@ -400,16 +393,14 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
             if contract_stack and depth == contract_stack[-1][1]:
                 contract_stack.pop()
         elif text in _CONTRACT_KEYWORDS and depth == 0:
-            j = i + 1
-            name = ""
-            while j < n and tokens[j][1] != "{":
-                if name == "" and tokens[j][0] == "id" and tokens[j][1] not in ("is", "abstract"):
-                    name = tokens[j][1]
-                j += 1
-            if j >= n:
+            try:
+                j = texts.index("{", i + 1)
+            except ValueError:
                 raise UnbalancedBraces("contract declaration without a body",
-                                       file_path=file_path, offset=tokens[i][2])
-            contract_stack.append((name, depth, tokens[j][2]))
+                                       file_path=file_path, offset=tokens.offset(i)) from None
+            names = [t for t in texts[i + 1:j] if _is_id(t) and t not in ("is", "abstract")]
+            name = names[0] if names else ""
+            contract_stack.append((name, depth, j))
             depth += 1
             i = j + 1
             continue
@@ -422,13 +413,13 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
             j = i + 1
             if kw in ("constructor", "fallback", "receive"):
                 name = kw
-                if _text(tokens, j) != "(":
+                if _text(texts, j) != "(":
                     i += 1  # keyword used as a plain identifier in old code
                     continue
-            elif j < n and tokens[j][0] == "id":
-                name = tokens[j][1]
+            elif j < n and _is_id(texts[j]):
+                name = texts[j]
                 j += 1
-            elif kw == "function" and _text(tokens, j) == "(":
+            elif kw == "function" and _text(texts, j) == "(":
                 # Old-style unnamed `function() ... {}` is the legacy
                 # fallback; the same shape ending in ";" is a function-type
                 # state variable and is skipped below.
@@ -437,16 +428,16 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
             else:
                 i += 1
                 continue
-            if _text(tokens, j) == "(":
+            if _text(texts, j) == "(":
                 j = _match_group(tokens, j, file_path)
             header_names, header_end = _header_calls(tokens, j, file_path)
-            if tokens[header_end][1] == ";":
+            if texts[header_end] == ";":
                 if not (name == "fallback" and kw == "function"):
                     make_unit(kind, name, contract, i, header_end + 1, header_names)
                 i = header_end + 1
                 continue
             body_close = _match_group(tokens, header_end, file_path, "{}", "unclosed brace")
-            calls = header_names + _body_calls(tokens[header_end:body_close])
+            calls = header_names + _body_calls(texts, header_end, body_close)
             make_unit(kind, name, contract, i, body_close, calls)
             i = body_close
             continue
@@ -454,5 +445,5 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
 
     if contract_stack:
         raise UnbalancedBraces("contract body never closes", file_path=file_path,
-                               offset=contract_stack[-1][2])
+                               offset=tokens.offset(contract_stack[-1][2]))
     return units

@@ -3,9 +3,10 @@
 Each oracle recomputes a result through a mechanism deliberately different
 from the package's own (placeholder substitution instead of a streaming
 emitter, reachability closure instead of Tarjan, plain math instead of numpy),
-so agreement between the two is evidence rather than tautology. Five
+so agreement between the two is evidence rather than tautology. Six
 exceptions keep the package's original code on purpose, to pin results bit
 for bit: reference_tokenize (the character loop of the Solidity lexer),
+reference_extract_units (extraction over that loop's token tuples),
 reference_label_hits (every index entry scanned for each label row),
 scalar_similarity (pair-at-a-time numpy arithmetic),
 reference_fallback_embedding (the per-tap loop of the fallback embedder) and
@@ -23,7 +24,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from simaudit.errors import DimensionMismatch, ProviderMismatch
+from simaudit.errors import (
+    DimensionMismatch,
+    ProviderMismatch,
+    UnbalancedBraces,
+    UnterminatedString,
+)
+from simaudit.extract import (
+    _CONTRACT_KEYWORDS,
+    _HEADER_KEYWORDS,
+    _KIND_BY_KEYWORD,
+    _NEVER_CALLS,
+    _UNIT_KEYWORDS,
+    BUILTIN_DENYLIST,
+    FunctionUnit,
+    UnitKind,
+    content_hash,
+)
 from simaudit.simindex import DEFAULT_DELTA, SimilarityMatch, _row_norms, classify
 
 
@@ -143,6 +160,197 @@ def reference_tokenize(source: str) -> tuple[list[tuple[str, str, int, int]], in
             tokens.append(("punct", ch, i, i + 1))
             i += 1
     return tokens, None
+
+
+
+_RefToken = tuple[str, str, int, int]
+
+
+def _ref_text(tokens: list[_RefToken], j: int) -> str:
+    """Text of tokens[j], or "" when j is outside the list."""
+    return tokens[j][1] if 0 <= j < len(tokens) else ""
+
+
+def _ref_join(tokens: list[_RefToken], base: int) -> str:
+    """Normalized text of a run of tokens: their texts, one space wherever
+    whitespace or a comment separated two of them. Raises UnterminatedString
+    at the first open string, offset relative to base."""
+    out: list[str] = []
+    prev_end = tokens[0][2] if tokens else 0
+    for kind, text, start, end in tokens:
+        if kind == "open_str":
+            raise UnterminatedString("unterminated string literal", offset=start - base)
+        if start > prev_end:
+            out.append(" ")
+        out.append(text)
+        prev_end = end
+    return "".join(out)
+
+
+def _ref_match_group(tokens: list[_RefToken], i: int, file_path: str,
+                 pair: str = "()", unclosed: str = "unclosed parenthesis") -> int:
+    """Return the index just past the closer matching the opener at tokens[i];
+    pair holds the opening and closing bracket."""
+    opener, closer = pair
+    depth = 0
+    for j in range(i, len(tokens)):
+        text = tokens[j][1]
+        if text == opener:
+            depth += 1
+        elif text == closer:
+            depth -= 1
+            if depth == 0:
+                return j + 1
+    raise UnbalancedBraces(unclosed, file_path=file_path, offset=tokens[i][2])
+
+
+def _ref_header_calls(tokens: list[_RefToken], i: int, file_path: str) -> tuple[list[str], int]:
+    """Scan a unit header for modifier invocations.
+
+    Returns (names, end): tokens[end] is the first "{" (body follows) or ";"
+    (bodyless declaration) at paren depth 0.
+    """
+    names: list[str] = []
+    while i < len(tokens):
+        kind, text = tokens[i][:2]
+        if text in ("{", ";"):
+            return names, i
+        if text == "(":
+            i = _ref_match_group(tokens, i, file_path)
+            continue
+        i += 1
+        if kind != "id" or text in _HEADER_KEYWORDS:
+            continue
+        # Any other identifier is a modifier invocation or base-constructor
+        # call; `returns (...)` and `override(...)` are skipped whole.
+        if text not in ("returns", "override"):
+            names.append(text)
+        if _ref_text(tokens, i) == "(":
+            i = _ref_match_group(tokens, i, file_path)
+    raise UnbalancedBraces("unit header never terminated", file_path=file_path,
+                           offset=tokens[i - 1][2] if i > 0 else 0)
+
+
+def _ref_body_calls(tokens: list[_RefToken]) -> list[str]:
+    names: list[str] = []
+    for idx, (kind, text, _, _) in enumerate(tokens):
+        if kind != "id" or _ref_text(tokens, idx + 1) != "(":
+            continue
+        if text in _NEVER_CALLS or text in BUILTIN_DENYLIST:
+            continue
+        # `new C()` builds a contract, `emit E()` fires an event, and
+        # `revert E()` raises a custom error; none call a unit named C/E.
+        prev = _ref_text(tokens, idx - 1)
+        if prev in ("new", "emit", "revert"):
+            continue
+        if prev == "." and _ref_text(tokens, idx - 2) == "abi":
+            continue
+        names.append(text)
+    return names
+
+
+def reference_extract_units(source: str, file_path: str) -> list[FunctionUnit]:
+    """Extraction kept as it was when every token was a (kind, text, start,
+    end) tuple: a Python loop over the tuples for joins, bracket matching and
+    calls. Every field of every unit, and the type, message, file and offset
+    of any error, are what extract_units must reproduce."""
+    tokens, _ = reference_tokenize(source)
+    units: list[FunctionUnit] = []
+    ordinals: dict[tuple[str, str], int] = {}
+    # Stack of (contract name, brace depth at which it closes, open offset).
+    contract_stack: list[tuple[str, int, int]] = []
+    depth = 0
+    i, n = 0, len(tokens)
+
+    def make_unit(kind, name, contract, first, stop, calls):
+        ordinal = ordinals.get((contract, name), 0)
+        ordinals[(contract, name)] = ordinal + 1
+        start, end = tokens[first][2], tokens[stop - 1][3]
+        raw = source[start:end]
+        try:
+            norm = _ref_join(tokens[first:stop], start)
+        except UnterminatedString as exc:
+            exc.file_path = file_path
+            raise
+        unit = FunctionUnit(
+            unit_id=f"{file_path}::{contract}::{name}#{ordinal}",
+            kind=kind,
+            name=name,
+            contract=contract,
+            file_path=file_path,
+            raw_source=raw,
+            normalized_source=norm,
+            content_hash=content_hash(norm),
+            declared_calls=tuple(dict.fromkeys(calls)),
+            source_span=(start, end),
+        )
+        units.append(unit)
+
+    while i < n:
+        text = tokens[i][1]
+        if text == "{":
+            depth += 1
+        elif text == "}":
+            depth -= 1
+            if contract_stack and depth == contract_stack[-1][1]:
+                contract_stack.pop()
+        elif text in _CONTRACT_KEYWORDS and depth == 0:
+            j = i + 1
+            name = ""
+            while j < n and tokens[j][1] != "{":
+                if name == "" and tokens[j][0] == "id" and tokens[j][1] not in ("is", "abstract"):
+                    name = tokens[j][1]
+                j += 1
+            if j >= n:
+                raise UnbalancedBraces("contract declaration without a body",
+                                       file_path=file_path, offset=tokens[i][2])
+            contract_stack.append((name, depth, tokens[j][2]))
+            depth += 1
+            i = j + 1
+            continue
+        elif text in _UNIT_KEYWORDS and (
+                (contract_stack and depth == contract_stack[-1][1] + 1)
+                or (depth == 0 and text == "function")):
+            contract = contract_stack[-1][0] if contract_stack else ""
+            kw = text
+            kind = _KIND_BY_KEYWORD[kw]
+            j = i + 1
+            if kw in ("constructor", "fallback", "receive"):
+                name = kw
+                if _ref_text(tokens, j) != "(":
+                    i += 1  # keyword used as a plain identifier in old code
+                    continue
+            elif j < n and tokens[j][0] == "id":
+                name = tokens[j][1]
+                j += 1
+            elif kw == "function" and _ref_text(tokens, j) == "(":
+                # Old-style unnamed `function() ... {}` is the legacy
+                # fallback; the same shape ending in ";" is a function-type
+                # state variable and is skipped below.
+                name = "fallback"
+                kind = UnitKind.FALLBACK
+            else:
+                i += 1
+                continue
+            if _ref_text(tokens, j) == "(":
+                j = _ref_match_group(tokens, j, file_path)
+            header_names, header_end = _ref_header_calls(tokens, j, file_path)
+            if tokens[header_end][1] == ";":
+                if not (name == "fallback" and kw == "function"):
+                    make_unit(kind, name, contract, i, header_end + 1, header_names)
+                i = header_end + 1
+                continue
+            body_close = _ref_match_group(tokens, header_end, file_path, "{}", "unclosed brace")
+            calls = header_names + _ref_body_calls(tokens[header_end:body_close])
+            make_unit(kind, name, contract, i, body_close, calls)
+            i = body_close
+            continue
+        i += 1
+
+    if contract_stack:
+        raise UnbalancedBraces("contract body never closes", file_path=file_path,
+                               offset=contract_stack[-1][2])
+    return units
 
 
 # Identifier immediately applied like a call. Only sound on deliberately plain

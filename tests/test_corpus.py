@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import base64
+import io
 import json
 import logging
+import tarfile
 
 import numpy as np
 import pytest
@@ -155,6 +157,26 @@ class TestIngest:
             ingest_archive(index, arch, "lib", "1")
         assert [e.unit.file_path for e in index.entries] == ["good.sol"]
         assert any("bad.sol" in r.message for r in caplog.records)
+
+    def test_file_that_is_not_utf8_skipped_with_warning(self, tmp_path, caplog):
+        arch = tmp_path / "lib-1.tgz"
+        with tarfile.open(arch, "w:gz") as tf:
+            for name, data in [("latin1.sol", 'contract L { function f() public { s = "caf\xe9"; } }'
+                                .encode("latin-1")),
+                               ("good.sol", ("contract A { " + _fn("f") + " }").encode())]:
+                info = tarfile.TarInfo(name=name)
+                info.size = len(data)
+                tf.addfile(info, io.BytesIO(data))
+        index = new_index()
+        with caplog.at_level(logging.WARNING):
+            ingest_archive(index, arch, "lib", "1")
+        assert [e.unit.file_path for e in index.entries] == ["good.sol"]
+        assert index.stats.files_seen == 2
+        assert index.stats.functions_seen == 1
+        offset = len(b'contract L { function f() public { s = "caf')
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping latin1.sol from {arch}: not UTF-8 text: invalid continuation byte "
+            f"at byte {offset}"]
 
     def test_archive_without_sol_warns(self, tmp_path, caplog):
         arch = make_archive(tmp_path / "empty-1.tgz", {"notes.txt": "nothing"})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import sys
 import unicodedata
+from itertools import chain
 
 import pytest
 from hypothesis import assume, example, given
@@ -23,7 +24,8 @@ from simaudit.extract import (
     BUILTIN_DENYLIST,
     BUILTIN_DENYLIST_VERSION,
     UnitKind,
-    _tokenize,
+    _is_id,
+    _Tokens,
     content_hash,
     extract_units,
     normalize,
@@ -439,6 +441,29 @@ _boundary = st.text(alphabet=st.sampled_from([
 ]), max_size=40)
 
 
+def _token_tuples(src):
+    """The token store seen as the reference loop's (kind, text, start, end)
+    tuples plus the unclosed-comment offset, every offset from the store's
+    cursor."""
+    tokens = _Tokens(src)
+    opened = set(tokens.open_strings)
+    view = []
+    for k, text in enumerate(tokens.texts):
+        if k in opened:
+            kind = "open_str"
+        elif text[0] in "\"'":
+            kind = "str"
+        elif _is_id(text):
+            kind = "id"
+        elif text[0].isdigit():
+            kind = "num"
+        else:
+            kind = "punct"
+        start = tokens.offset(k)
+        view.append((kind, text, start, start + len(text)))
+    return view, tokens.open_comment
+
+
 class TestSingleLexer:
     @given(st.one_of(_anything, _dense))
     @example("½function f() {}")
@@ -450,7 +475,7 @@ class TestSingleLexer:
         """Token tuples and the unclosed-comment offset are exactly what the
         original character loop gives, for any text (Unicode letters, digits
         and numerics whose str methods and regex classes disagree included)."""
-        assert _tokenize(src) == oracles.reference_tokenize(src)
+        assert _token_tuples(src) == oracles.reference_tokenize(src)
 
     @given(_boundary)
     @example("a½ ½a Ⅻ1 \U0001F10B")               # isalnum, not isalpha or isdigit
@@ -467,7 +492,7 @@ class TestSingleLexer:
     def test_boundary_alphabet_matches_reference_loop(self, src):
         """The characters where a fast lexer and the str predicates can part
         ways, densely mixed: each must lex exactly as the original loop does."""
-        assert _tokenize(src) == oracles.reference_tokenize(src)
+        assert _token_tuples(src) == oracles.reference_tokenize(src)
 
     @given(_in_unit, st.none())
     @example(_OPEN_COMMENT_HEADER,
@@ -492,6 +517,127 @@ class TestSingleLexer:
         assert expected is None
         for u in units:
             assert u.normalized_source == oracles.reference_normalize(u.raw_source)
+
+
+# Generated Solidity-like sources for the extraction oracle: contracts whose
+# members are units, state variables and soup, then a few tokens dropped or
+# inserted so that unbalanced brackets, open strings and open comments turn
+# up at every depth.
+_SOUP = st.sampled_from([
+    "(", ")", "{", "}", ";", ",", ".", "=", "+", "1", "0x2f", "x", "C", "é", "²",
+    "function", "modifier", "constructor", "fallback", "receive", "contract",
+    "returns", "override", "public", "new", "emit", "revert", "abi", "is",
+    '"s"', "'t'", '"open', "'\\'", "/* c */", "/* open",
+])
+_CALLEE = st.sampled_from(["f", "_g", "$h", "é", "fé", "x1", "require", "if", "C"])
+_leaf = st.one_of(
+    st.builds(lambda c, args: [c, "(", *args, ")", ";"], _CALLEE,
+              st.lists(st.sampled_from(["1", "x", '"s"', "a.b"]), max_size=2)),
+    st.sampled_from([
+        ["new", "C", "(", ")", ";"], ["emit", "E", "(", "1", ")", ";"],
+        ["revert", "E", "(", ")", ";"], ["abi", ".", "encode", "(", "x", ")", ";"],
+        ["a", ".", "b", "(", ")", ";"], ["s", "=", '"a\\"b"', ";"], ["return", "1", ";"],
+    ]),
+    _SOUP.map(lambda t: [t]),
+)
+_body = st.recursive(
+    _leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(lambda xs: ["{", *chain(*xs), "}"]),
+        st.lists(inner, max_size=3).map(lambda xs: ["(", *chain(*xs), ")"]),
+        st.lists(inner, min_size=2, max_size=4).map(lambda xs: list(chain(*xs))),
+    ),
+    max_leaves=10,
+)
+_header_word = st.sampled_from([
+    ["public"], ["view"], ["payable"], ["virtual"], ["returns", "(", "uint", ")"],
+    ["override"], ["override", "(", "A", ",", "B", ")"], ["onlyOwner"], ["m", "(", "1", ")"],
+    ["B", "(", "x", ")"],
+])
+
+
+@st.composite
+def _unit_tokens(draw):
+    kw = draw(st.sampled_from(["function", "function", "modifier", "constructor",
+                               "fallback", "receive"]))
+    tokens = [kw]
+    if kw in ("function", "modifier") and draw(st.integers(0, 5)) < 5:
+        tokens.append(draw(st.sampled_from(["f", "g", "f", "é", "transfer"])))
+    if kw != "modifier" or draw(st.booleans()):
+        tokens += ["(", *draw(st.sampled_from([[], ["uint", "a"], ["uint", "a", ",", "b"]])), ")"]
+    tokens += chain(*draw(st.lists(_header_word, max_size=3)))
+    if draw(st.integers(0, 4)) < 4:
+        tokens += ["{", *draw(_body), "}"]
+    else:
+        tokens.append(";")
+    return tokens
+
+
+_member = st.one_of(
+    _unit_tokens(),
+    st.sampled_from([
+        ["uint", "x", ";"], ["event", "E", "(", ")", ";"],
+        ["function", "(", "uint", ")", "external", "returns", "(", "bool", ")", "h", ";"],
+        ["struct", "S", "{", "uint", "a", ";", "}"],
+    ]),
+    _SOUP.map(lambda t: [t]),
+)
+
+
+@st.composite
+def solidity_like(draw):
+    tokens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)) < 3:
+            tokens += draw(st.sampled_from([["contract", "K"], ["library", "L"], ["interface", "I"],
+                                            ["abstract", "contract", "A", "is", "K"]]))
+            tokens += ["{", *chain(*draw(st.lists(_member, min_size=1, max_size=4))), "}"]
+        else:
+            tokens += draw(_unit_tokens())  # file level
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        if draw(st.booleans()) and at < len(tokens):
+            del tokens[at]
+        else:
+            tokens.insert(at, draw(_SOUP))
+    gaps = st.sampled_from([" ", " ", " ", "\n  ", "", "\t", "/* gap */", " // line\n"])
+    return "".join(draw(gaps) + token for token in tokens)
+
+
+def _extraction(extract, src):
+    """Units, or the error's type, message, file and offset."""
+    try:
+        return extract(src, "gen.sol")
+    except (UnbalancedBraces, UnterminatedString) as exc:
+        return type(exc), exc.args, exc.file_path, exc.offset
+
+
+class TestExtractMatchesReference:
+    @given(solidity_like())
+    @example("contract K { function f(uint a) public { if (a) { g((a)); { h(); } } } }")
+    @example("contract K { function f() public { new C(); emit E(1); revert E(); "
+             "abi.encode(x); a.b(); x.abi.f(); } }")
+    @example("contract K { function f() public view returns (uint) { return 1; } "
+             "function g() public override(A, B) returns (bool) { h(); } }")
+    @example("contract K { modifier m(uint a) { _; } "
+             "function f() public m(1) onlyOwner B(x) { g(); } }")
+    @example('contract K { function f() public { s = "ab\n; } }')
+    @example('contract K { function f() public { s = "ab\n; } } /* never closed')
+    @example("contract K { function f() public { é(); fé(1); x.ñame(); } }")
+    @example("contract K { function (uint) external returns (bool) h; "
+             "function() public payable { } function g() public {} }")
+    @example("contract K { function f() public {} ")                # contract "{"
+    @example("contract K function f() public {} }")                 # contract without a body
+    @example("contract K { function f(uint a public { } }")         # parameter "("
+    @example("contract K { function f() public m(1 { } }")          # modifier argument "("
+    @example("contract K { function f() public ")                   # header never ends
+    @example("contract K { function f() public { g(); }")           # body "{", contract open
+    @example("contract K { function f() public { if (x) { g(); } }")  # nested "{"
+    @example("contract K { function f() public { g((1); } }")       # nested "(" in a body
+    def test_units_or_error_match_reference(self, src):
+        """Every field of every unit, or the error's type, message, file and
+        offset, equal what extraction over the original token tuples gives."""
+        assert _extraction(extract_units, src) == _extraction(oracles.reference_extract_units, src)
 
 
 def _runs(code_points) -> tuple[tuple[int, int], ...]:
