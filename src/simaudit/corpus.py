@@ -1,22 +1,32 @@
 """Reference corpus: archive ingestion, vulnerability labels, persistence.
 
-An index (format 3) is JSON text followed by raw bytes. Line one is a JSON
+An index (format 4) is JSON text followed by raw bytes. Line one is a JSON
 header carrying the format version, the embedder id, the similarity
-threshold the index was built for, a creation timestamp, ingestion stats and
-the embedding `dimension` (null before embedding). Every following line is
-one JSON entry. In an embedded index the last entry line's newline is
-followed directly by the embedding matrix: little-endian float64, row-major,
-row i for entry line i, exactly 8 x `dimension` x `stats.functions_kept`
-bytes, and nothing after it, so the file is not pure JSON Lines, though its
-first line is still the header. The loader takes the block from the end of
-the file by that length, so a wrong length, a blank or missing line, text
-that is not UTF-8 or a non-finite value makes the file corrupt. Saving is
-deterministic, so load-then-save reproduces the file byte for byte.
+threshold the index was built for, a creation timestamp, ingestion stats,
+the embedding `dimension` (null before embedding) and `digest`, the SHA-256
+hex of all text after the header line. Lines 2 to n+1 hold one JSON entry
+each, without its entry id and content hash; line n+2, the key line, is a
+JSON array of [entry_id, content_hash] pairs in entry order. In an embedded
+index the key line's newline is followed directly by the embedding matrix:
+little-endian float64, row-major, row i for entry line i + 2, exactly
+8 x `dimension` x `stats.functions_kept` bytes, and nothing after it, so the
+file is not pure JSON Lines, though its first line is still the header.
+
+The loader takes the block from the end of the file by that length, so a
+wrong length, a missing line, text that is not UTF-8 or a non-finite value
+makes the file corrupt. It then hashes the text and parses only the key
+line: an entry is parsed the first time a scan touches it (a find_clone hash
+hit, entry_by_id or reading entries). If the text does not match the digest,
+every entry line is parsed at load instead, so a damaged line is reported by
+its number; if they all parse, the mismatch itself is reported. Either way
+the load fails with FileCorrupt. Saving is deterministic, so load-then-save
+reproduces the file byte for byte.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -24,6 +34,7 @@ import os
 import sys
 import tarfile
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -43,7 +54,7 @@ from .simindex import DEFAULT_DELTA
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 LABEL_CSV_COLUMNS = ("package", "version", "match_kind", "match_value", "note")
 
@@ -77,15 +88,51 @@ class IndexStats:
     functions_kept: int = 0
 
 
+class EntryList:
+    """A list of CorpusEntry, as far as len, iteration, integer indexing,
+    append and == go, whose slots may start unbuilt: an unbuilt slot is
+    built by build(position) the first time it is read, and kept."""
+
+    def __init__(self, size: int = 0,
+                 build: Callable[[int], CorpusEntry] | None = None) -> None:
+        self._slots: list[CorpusEntry | None] = [None] * size
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __getitem__(self, pos: int) -> CorpusEntry:
+        entry = self._slots[pos]
+        if entry is None:
+            entry = self._slots[pos] = self._build(pos % len(self._slots))
+        return entry
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._slots)))
+
+    def append(self, entry: CorpusEntry) -> None:
+        self._slots.append(entry)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, EntryList)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class CorpusIndex:
     meta: IndexMeta
     stats: IndexStats = field(default_factory=IndexStats)
-    entries: list[CorpusEntry] = field(default_factory=list)
+    entries: EntryList = field(default_factory=EntryList)
     # Row i embeds entries[i], all by meta.embedder_id; None until embedded.
     vectors: np.ndarray | None = field(default=None, compare=False)
+    # entries[i].entry_id, readable without building entries[i].
+    entry_ids: list[str] = field(default_factory=list, repr=False, compare=False)
     _by_hash: dict[str, list[int]] = field(default_factory=dict, repr=False, compare=False)
-    _by_id: dict[str, CorpusEntry] = field(default_factory=dict, repr=False, compare=False)
+    _by_id: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     def insert(self, unit: FunctionUnit, package: str, version: str) -> bool:
         """Insert unless an entry with the same hash and byte-equal normalized
@@ -106,21 +153,28 @@ class CorpusIndex:
         return True
 
     def _append(self, entry: CorpusEntry) -> None:
-        self._by_hash.setdefault(entry.unit.content_hash, []).append(len(self.entries))
-        self._by_id.setdefault(entry.entry_id, entry)
+        self._add_key(entry.entry_id, entry.unit.content_hash)
         self.entries.append(entry)
+
+    def _add_key(self, entry_id: str, content_hash: str) -> None:
+        """Make the next entry position findable by id and by hash."""
+        pos = len(self.entry_ids)
+        self._by_hash.setdefault(content_hash, []).append(pos)
+        self._by_id.setdefault(entry_id, pos)
+        self.entry_ids.append(entry_id)
 
     def find_clone(self, normalized_source: str, hash_hex: str) -> CorpusEntry | None:
         """Exact-content lookup: hash equality plus a byte comparison, so a
         hash collision can never silently merge two different functions."""
-        for pos in self._by_hash.get(hash_hex, []):
+        for pos in self._by_hash.get(hash_hex, ()):
             entry = self.entries[pos]
             if entry.unit.normalized_source == normalized_source:
                 return entry
         return None
 
     def entry_by_id(self, entry_id: str) -> CorpusEntry | None:
-        return self._by_id.get(entry_id)
+        pos = self._by_id.get(entry_id)
+        return None if pos is None else self.entries[pos]
 
 
 def new_index(delta: float = DEFAULT_DELTA) -> CorpusIndex:
@@ -230,19 +284,31 @@ def apply_labels(index: CorpusIndex, labels_path: str | Path) -> LabelReport:
     return report
 
 
-def _unit_from_dict(d: dict) -> FunctionUnit:
-    return FunctionUnit(
-        unit_id=d["unit_id"],
-        kind=UnitKind(d["kind"]),
-        name=d["name"],
-        contract=d["contract"],
-        file_path=d["file_path"],
-        raw_source=d["raw_source"],
-        normalized_source=d["normalized_source"],
-        content_hash=d["content_hash"],
-        declared_calls=tuple(d["declared_calls"]),
-        source_span=(int(d["source_span"][0]), int(d["source_span"][1])),
-    )
+def _entry_from_line(path, lineno: int, line: str, entry_id: str,
+                     content_hash: str) -> CorpusEntry:
+    """The entry on line lineno of index path, with the id and content hash
+    that the key line gives it; FileCorrupt naming the line if the line does
+    not hold an entry."""
+    try:
+        rec = json.loads(line)
+        d = rec["unit"]
+        unit = FunctionUnit(
+            unit_id=d["unit_id"],
+            kind=UnitKind(d["kind"]),
+            name=d["name"],
+            contract=d["contract"],
+            file_path=d["file_path"],
+            raw_source=d["raw_source"],
+            normalized_source=d["normalized_source"],
+            content_hash=content_hash,
+            declared_calls=tuple(d["declared_calls"]),
+            source_span=(int(d["source_span"][0]), int(d["source_span"][1])),
+        )
+        return CorpusEntry(entry_id=entry_id, unit=unit, package=rec["package"],
+                           version=rec["version"], label=Label(rec["label"]),
+                           vuln_note=rec["vuln_note"])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise FileCorrupt(f"index {path} line {lineno}: {exc}") from exc
 
 
 def read_text(path: str | Path, what: str) -> str:
@@ -276,29 +342,38 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
     vectors = index.vectors
-    lines = [json.dumps({
+    lines, keys = [], []
+    for entry in index.entries:
+        # The FunctionUnit fields, in order, are the format; the content hash
+        # goes to the key line.
+        unit = vars(entry.unit).copy()
+        keys.append((entry.entry_id, unit.pop("content_hash")))
+        lines.append(json.dumps({
+            "package": entry.package,
+            "version": entry.version,
+            "label": entry.label.value,
+            "vuln_note": entry.vuln_note,
+            "unit": unit,
+        }))
+    lines.append(json.dumps(keys))
+    text = ("\n".join(lines) + "\n").encode("utf-8")
+    header = json.dumps({
         "format_version": FORMAT_VERSION,
         "embedder_id": index.meta.embedder_id,
         "delta": index.meta.delta,
         "created_at": index.meta.created_at,
         "stats": vars(index.stats),
         "dimension": None if vectors is None else vectors.shape[1],
-    })]
-    for entry in index.entries:
-        lines.append(json.dumps({
-            "entry_id": entry.entry_id,
-            "package": entry.package,
-            "version": entry.version,
-            "label": entry.label.value,
-            "vuln_note": entry.vuln_note,
-            "unit": vars(entry.unit),  # the FunctionUnit fields, in order, are the format
-        }))
-    block = b"" if vectors is None else vectors.astype("<f8").tobytes()
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8") + block)
+        "digest": hashlib.sha256(text).hexdigest(),
+    })
+    block = b"" if vectors is None else vectors.astype("<f8", copy=False).tobytes()
+    write_atomic(path, b"".join((header.encode("utf-8"), b"\n", text, block)))
 
 
 def load_index(path: str | Path) -> CorpusIndex:
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:  # into a bytearray, so the vectors can be a writeable view
+        data = bytearray(os.fstat(f.fileno()).st_size)
+        del data[f.readinto(data):]
     head_end = data.find(b"\n")
     if head_end < 0:
         raise FileCorrupt(f"index {path} has no complete header line")
@@ -308,9 +383,13 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise FileCorrupt(f"index {path} line 1: {exc}") from exc
     if not isinstance(header, dict) or "format_version" not in header:
         raise FileCorrupt(f"index {path} has no header line")
-    if header["format_version"] != FORMAT_VERSION:
+    version = header["format_version"]
+    if type(version) is not int:  # 4.0 and true are not format 4 or 1
+        raise FileCorrupt(
+            f"index {path} header is malformed: format_version {version!r} is not an integer")
+    if version != FORMAT_VERSION:
         raise FormatVersionMismatch(
-            f"index {path} is format {header['format_version']}, "
+            f"index {path} is format {version}, "
             f"this build reads format {FORMAT_VERSION}; rebuild it with `simaudit index`")
     stats_d = header.get("stats", {})
     if not isinstance(stats_d, dict):
@@ -330,47 +409,56 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise FileCorrupt(
             f"index {path} header is malformed: created_at {created_at!r} is not a string")
     try:
-        index = CorpusIndex(
-            meta=IndexMeta(created_at=created_at, embedder_id=header["embedder_id"],
-                           delta=float(delta)),
-            stats=stats)
-        dimension = header["dimension"]
+        embedder_id, dimension = header["embedder_id"], header["dimension"]
     except KeyError as exc:
         raise FileCorrupt(f"index {path} header is malformed: no {exc}") from exc
+    if embedder_id is not None and not isinstance(embedder_id, str):
+        raise FileCorrupt(f"index {path} header is malformed: "
+                          f"embedder_id {embedder_id!r} is not a string or null")
     if dimension is not None and (type(dimension) is not int or dimension < 1):
         raise FileCorrupt(f"index {path} has embedding dimension {dimension!r}")
+    index = CorpusIndex(meta=IndexMeta(created_at=created_at, embedder_id=embedder_id,
+                                       delta=float(delta)),
+                        stats=stats)
     cut = len(data) - 8 * (dimension or 0) * stats.functions_kept
     if cut <= head_end:
         raise FileCorrupt(f"index {path} is too short for its "
                           f"{stats.functions_kept} rows of {dimension} float64")
+    text = memoryview(data)[head_end + 1:cut]
     try:
-        *lines, tail = data[head_end + 1:cut].decode("utf-8").split("\n")
+        *lines, tail = str(text, "utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise FileCorrupt(f"index {path} entry text is not UTF-8: {exc}") from exc
     if tail:
         raise FileCorrupt(f"index {path} has no line break before its vector block")
-    if stats.functions_kept != len(lines):
+    if len(lines) != stats.functions_kept + 1:
         raise FileCorrupt(
-            f"index {path} says functions_kept={stats.functions_kept} "
-            f"but holds {len(lines)} entry lines")
-    for lineno, line in enumerate(lines, start=2):  # every line, a blank one too
-        try:
-            rec = json.loads(line)
-            entry = CorpusEntry(
-                entry_id=rec["entry_id"],
-                unit=_unit_from_dict(rec["unit"]),
-                package=rec["package"],
-                version=rec["version"],
-                label=Label(rec["label"]),
-                vuln_note=rec["vuln_note"],
-            )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise FileCorrupt(f"index {path} line {lineno}: {exc}") from exc
-        index._append(entry)
+            f"index {path} says functions_kept={stats.functions_kept} but holds "
+            f"{len(lines)} lines after its header, not that many entry lines and a key line")
+    if hashlib.sha256(text).hexdigest() != header.get("digest"):
+        # Damage: report the first line that holds no entry, if there is one.
+        for lineno, line in enumerate(lines[:-1], start=2):
+            _entry_from_line(path, lineno, line, "", "")
+        raise FileCorrupt(f"index {path} text does not match the header's digest")
+    keys_lineno = len(lines) + 1
+    try:
+        keys = json.loads(lines.pop())
+        for entry_id, content_hash in keys:
+            index._add_key(entry_id, content_hash)
+    except (TypeError, ValueError) as exc:
+        raise FileCorrupt(f"index {path} line {keys_lineno}: {exc}") from exc
+    if len(keys) != len(lines):
+        raise FileCorrupt(f"index {path} line {keys_lineno}: "
+                          f"{len(keys)} keys for {len(lines)} entry lines")
+
+    def build(pos: int) -> CorpusEntry:
+        return _entry_from_line(path, pos + 2, lines[pos], *keys[pos])
+
+    index.entries = EntryList(len(lines), build)
     if dimension is None:
         return index
-    vectors = np.frombuffer(data, "<f8", offset=cut).astype(float).reshape(-1, dimension)
+    vectors = np.frombuffer(data, "<f8", offset=cut).astype(float, copy=False)
     if not np.isfinite(vectors).all():
         raise FileCorrupt(f"index {path} vectors hold non-finite values")
-    index.vectors = vectors
+    index.vectors = vectors.reshape(-1, dimension)
     return index

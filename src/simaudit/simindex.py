@@ -292,6 +292,11 @@ def _gram_candidates(qs: np.ndarray, q_norms: np.ndarray, rows: np.ndarray,
     margin = _gram_margin(rows.shape[1])
 
     def cut(kth):
+        # A bound of 1 or more comes from a k-th row within rounding of
+        # distance 1, as for a query antiparallel to it. Every row is then
+        # scored, since the clip to [0, 1] ties rows at 1 and ids break the
+        # tie. By the margin, a row the bound alone would drop is farther
+        # than the k-th anyway, so this rule guards and never decides.
         bound = kth + margin
         return np.where(bound < 1.0, bound, np.inf)
 
@@ -320,7 +325,8 @@ def query_top_k(queries, index: "CorpusIndex", k: int = 3,
     """Exact brute-force top-k by similarity, ties broken by entry id, for
     each row of a (Q, d) batch of queries: one list of matches per row.
 
-    Index norms and entry-id order are computed once. A Gram prefilter
+    Index norms and entry-id order are computed once; the ids come from
+    index.entry_ids, so no entry of a loaded index is built. A Gram prefilter
     (_gram_candidates) then picks, per query, the few rows that can be in its
     top k, and only those are scored, with the arithmetic of similarity():
     the norm of q - row over the sum of norms, clipped, two zero vectors at
@@ -349,7 +355,7 @@ def query_top_k(queries, index: "CorpusIndex", k: int = 3,
     if qs.ndim != 2 or qs.shape[1] != rows.shape[1]:
         raise DimensionMismatch(
             f"index holds {rows.shape[1]}-dim vectors, queries have shape {qs.shape}")
-    ids = [e.entry_id for e in index.entries]
+    ids = index.entry_ids
     id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # Python str order
     norms = np.concatenate([_row_norms(rows[start:start + QUERY_TILE])
                             for start in range(0, len(rows), QUERY_TILE)])

@@ -319,6 +319,21 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("embedder_id", [5, ["fallback-trigram-v1"], True],
+                             ids=["number", "list", "true"])
+    def test_mistyped_embedder_id_is_format_error_not_provider(self, tmp_path, capsys,
+                                                                embedder_id):
+        index_path = _build_index(tmp_path)
+        head, rest = index_path.read_bytes().split(b"\n", 1)
+        header = {**json.loads(head), "embedder_id": embedder_id}
+        index_path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + rest)
+        code = main(["scan", "--input", str(_target_dir(tmp_path)),
+                     "--index", str(index_path), "--provider", "mock",
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "header is malformed: embedder_id" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_format_1_index_is_refused_with_a_rebuild_hint(self, tmp_path, capsys):
         index_path = _build_index(tmp_path)
         vectors = load_index(index_path).vectors
@@ -337,16 +352,16 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 1, this build reads format 3" in err
+        assert "is format 1, this build reads format 4" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("data", [
         b'{"format_version": 2}\n\xff\xfe\n',
-        b'{"format_version": 3, "embedder_id": null, "delta": 0.65, "created_at": "t", '
-        b'"stats": {"functions_kept": 1}, "dimension": null}\n\xff\xfe\n',
-        b'{"format_version": 3, "created_at": "\xff\xfe"}\n',
-    ], ids=["format_2_header", "format_3_entry", "format_3_header"])
+        b'{"format_version": 4, "embedder_id": null, "delta": 0.65, "created_at": "t", '
+        b'"stats": {"functions_kept": 1}, "dimension": null, "digest": ""}\n\xff\xfe\n[]\n',
+        b'{"format_version": 4, "created_at": "\xff\xfe"}\n',
+    ], ids=["format_2_header", "format_4_entry", "format_4_header"])
     def test_index_that_is_not_utf8_is_format_error(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(data)

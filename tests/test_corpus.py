@@ -7,6 +7,7 @@ import io
 import json
 import logging
 import tarfile
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import FIXTURES, make_archive, mk_unit
+from simaudit import corpus
 from simaudit.corpus import (
     FORMAT_VERSION,
     CorpusIndex,
@@ -32,7 +34,7 @@ from simaudit.errors import (
     FormatVersionMismatch,
     LabelFileMalformed,
 )
-from simaudit.simindex import FallbackEmbedder, embed_index
+from simaudit.simindex import FallbackEmbedder, embed_index, query_top_k
 from test_simindex import _bit_exact_cases
 
 
@@ -220,7 +222,8 @@ def _labeled_index():
 
 
 def _split_saved(path):
-    """(header dict, entry lines, vector block) of a saved format-3 index."""
+    """(header dict, text lines, vector block) of a saved format-4 index; the
+    last text line is the key line."""
     data = path.read_bytes()
     head, rest = data.split(b"\n", 1)
     header = json.loads(head)
@@ -393,9 +396,9 @@ class TestPersistence:
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["format_version"] == FORMAT_VERSION == 3
+        assert header["format_version"] == FORMAT_VERSION == 4
         assert list(header) == ["format_version", "embedder_id", "delta",
-                                "created_at", "stats", "dimension"]
+                                "created_at", "stats", "dimension", "digest"]
         assert header["stats"]["functions_kept"] == len(index.entries)
         assert header["dimension"] is None
         embed_index(index, FallbackEmbedder())
@@ -407,7 +410,7 @@ class TestPersistence:
         assert len(block) == 8 * 384 * len(index.entries)
         assert data.endswith(b"\n" + block)
         text = data[:-len(block)].decode("utf-8")
-        assert text.count("\n") == 1 + len(index.entries) and text.endswith("}\n")
+        assert text.count("\n") == 2 + len(index.entries) and text.endswith("]\n")
         assert np.array_equal(np.frombuffer(block, "<f8").reshape(-1, 384)[1],
                               index.vectors[1])  # row-major, row i for entry i
 
@@ -417,17 +420,16 @@ class TestPersistence:
         save_index(index, path)
         header, first = (json.loads(line) for line in path.read_text().splitlines()[:2])
         assert list(header["stats"]) == ["files_seen", "functions_seen", "functions_kept"]
-        assert list(first) == ["entry_id", "package", "version", "label", "vuln_note",
-                               "unit"]
+        assert list(first) == ["package", "version", "label", "vuln_note", "unit"]
         unit = index.entries[0].unit
         assert first["unit"] == {
             "unit_id": unit.unit_id, "kind": unit.kind.value, "name": unit.name,
             "contract": unit.contract, "file_path": unit.file_path,
             "raw_source": unit.raw_source, "normalized_source": unit.normalized_source,
-            "content_hash": unit.content_hash, "declared_calls": list(unit.declared_calls),
+            "declared_calls": list(unit.declared_calls),
             "source_span": list(unit.source_span)}
         assert list(first["unit"]) == ["unit_id", "kind", "name", "contract", "file_path",
-                                       "raw_source", "normalized_source", "content_hash",
+                                       "raw_source", "normalized_source",
                                        "declared_calls", "source_span"]
 
     def test_empty_file(self, tmp_path):
@@ -467,11 +469,15 @@ class TestPersistence:
         ("stats", {"functions_kept": 3.0}), ("stats", {"functions_kept": 3.9}),
         ("stats", {"functions_kept": 3, "files_seen": -1}),
         ("stats", {"functions_kept": 3, "functions_seen": None}),
+        ("embedder_id", 5), ("embedder_id", ["fallback-trigram-v1"]), ("embedder_id", True),
+        ("format_version", float(FORMAT_VERSION)), ("format_version", 3.0),
+        ("format_version", str(FORMAT_VERSION)),
     ], ids=["delta_true", "delta_string", "delta_null", "delta_list", "delta_huge",
             "delta_nan", "delta_inf", "delta_minus_inf",
             "created_at_number", "created_at_null", "created_at_list",
             "kept_string", "kept_true", "kept_float", "kept_fraction", "files_negative",
-            "seen_null"])
+            "seen_null", "embedder_number", "embedder_list", "embedder_true",
+            "version_float", "version_3_float", "version_string"])
     def test_mistyped_header_field_is_file_corrupt(self, tmp_path, field, value):
         path = tmp_path / "idx.jsonl"
         save_index(_labeled_index(), path)
@@ -588,7 +594,7 @@ class TestPersistence:
             index.vectors.astype("<f8").tobytes()).decode("ascii")}
         _write_index(path, header, entries)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 2, this build reads format 3; "
+                           match="is format 2, this build reads format 4; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -619,6 +625,57 @@ class TestPersistence:
         assert loaded.flags.c_contiguous and loaded.flags.writeable
         save_index(load_index(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("embedded", [False, True], ids=["unembedded", "embedded"])
+    def test_any_changed_text_byte_is_file_corrupt(self, tmp_path, embedded):
+        index = _tiny_embedded_index() if embedded else _labeled_index()
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        data = path.read_bytes()
+        load_index(path)
+        start = data.index(b"\n") + 1
+        end = len(data) - (index.vectors.nbytes if embedded else 0)
+        for at in range(start, end):
+            for flip in {0x01, 0x80, at % 255 + 1}:
+                path.write_bytes(data[:at] + bytes([data[at] ^ flip]) + data[at + 1:])
+                with pytest.raises(FileCorrupt):
+                    load_index(path)
+
+    @pytest.mark.parametrize("line", [2, 5], ids=["entry_line", "key_line"])
+    def test_text_changed_but_well_formed_is_a_digest_mismatch(self, tmp_path, line):
+        path = tmp_path / "idx.jsonl"
+        save_index(_labeled_index(), path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = lines[line - 1].replace("tok@1.0", "tok@9.9").replace(
+            '"version": "1.0"', '"version": "9.9"')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileCorrupt, match="does not match the header's digest"):
+            load_index(path)
+
+    def test_a_scan_builds_only_the_entries_it_touches(self, tmp_path):
+        index = new_index()
+        for i in range(6):
+            index.insert(mk_unit(f"f.sol::C::g{i}#0", body=f"function g() {{ r{i}; }}"),
+                         "pkg", "1.0")
+        embed_index(index, FallbackEmbedder())
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        with patch.object(corpus, "_entry_from_line",
+                          wraps=corpus._entry_from_line) as parse:
+            loaded = load_index(path)
+            built = lambda: [c.args[1] for c in parse.call_args_list]  # noqa: E731
+            assert query_top_k(index.vectors[[4, 1]], loaded, k=3)[0][0].entry_id == (
+                index.entries[4].entry_id)
+            assert loaded.find_clone("function g() { r9; }", "0" * 64) is None
+            assert built() == []
+            target = index.entries[3]
+            hit = loaded.find_clone(target.unit.normalized_source, target.unit.content_hash)
+            assert hit == target and built() == [5]
+            assert loaded.entry_by_id(index.entries[0].entry_id) == index.entries[0]
+            assert loaded.entry_by_id("pkg@1.0/missing") is None
+            assert loaded.entry_by_id(target.entry_id) is hit
+            assert built() == [5, 2]
+            assert loaded == index and built() == [5, 2, 3, 4, 6, 7]
 
     def test_kept_count_mismatch_detected(self, tmp_path):
         index = _labeled_index()
@@ -667,6 +724,11 @@ class TestPersistenceProperties:
         path = tmp_path_factory.getbasetemp() / "prop_idx.jsonl"
         save_index(index, path)
         loaded = load_index(path)
+        assert loaded.entry_ids == [e.entry_id for e in index.entries]
+        for entry in reversed(index.entries):  # built one at a time, out of order
+            assert loaded.find_clone(entry.unit.normalized_source,
+                                     entry.unit.content_hash) == entry
+            assert loaded.entry_by_id(entry.entry_id) == entry
         assert loaded == index
         if index.vectors is None:
             assert loaded.vectors is None

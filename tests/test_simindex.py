@@ -549,6 +549,38 @@ class TestGramPrefilterOnNearTies:
                 (m.entry_id, m.distance, m.similarity) for m in want]
 
 
+class TestGramPrefilterCutAtOne:
+    def test_query_antiparallel_to_every_row_scores_every_row(self):
+        """Rows -2**j * q, q of dyadic eighths with largest magnitude 1, so
+        every norm and difference is exact and every distance is 1. The k-th
+        Gram distance plus the margin then reaches 1, the prefilter hands on
+        every row, and the top k is the k smallest ids, as in the reference."""
+        rng = np.random.default_rng(7)
+        dim, n, k = 8, 40, 3
+        q = rng.integers(-8, 9, dim) / 8.0
+        q[0] = 1.0
+        index = new_index()
+        for i, stem in enumerate(rng.permutation(n)):
+            assert index.insert(mk_unit(f"f.sol::C::s{stem:02d}#0", name="f", body=f"r{i}"),
+                                "pkg", "1")
+        index.vectors = -(2.0 ** rng.integers(0, 6, n))[:, None] * q
+        real, candidates = simindex._gram_candidates, []
+
+        def spy(*args):
+            out = real(*args)
+            candidates.extend(out)
+            return out
+
+        with patch.object(simindex, "_gram_candidates", side_effect=spy):
+            got = query_top_k(q[None], index, k=k)[0]
+        assert len(candidates) == 1 and np.array_equal(candidates[0], np.arange(n))
+        want = oracles.reference_query_top_k(q, index, k=k)
+        assert [(m.entry_id, m.distance, m.similarity) for m in got] == [
+            (m.entry_id, m.distance, m.similarity) for m in want]
+        assert [m.distance for m in got] == [1.0] * k
+        assert [m.entry_id for m in got] == sorted(index.entry_ids)[:k]
+
+
 class TestEmbedIndex:
     def test_embeds_all_entries_and_stamps_provider(self):
         index = new_index()
