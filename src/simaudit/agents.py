@@ -11,21 +11,21 @@ up on.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import re
 import string
+import urllib.request
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-import requests
-
 from .corpus import CorpusEntry, Label, read_text
 from .errors import FileCorrupt, MissingTemplateSlot, ParseError, ProviderError
 from .extract import FunctionUnit
-from .simindex import Category, SimilarityMatch
+from .simindex import Category, SimilarityMatch, post_json
 
 ENV_LLM_ENDPOINT = "SIMAUDIT_LLM_ENDPOINT"
 ENV_LLM_KEY = "SIMAUDIT_LLM_KEY"
@@ -392,14 +392,16 @@ class HttpLLMProvider:
     """Chat-completion style HTTP provider.
 
     Sends model, messages, and the four sampling knobs as JSON; expects the
-    response text at choices[0].message.content. Endpoint and key come from
-    configuration, overridden by SIMAUDIT_LLM_ENDPOINT / SIMAUDIT_LLM_KEY.
+    response text at choices[0].message.content, which must be a string.
+    Endpoint and key come from configuration, overridden by
+    SIMAUDIT_LLM_ENDPOINT / SIMAUDIT_LLM_KEY.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 120.0):
         self.endpoint = os.environ.get(ENV_LLM_ENDPOINT) or endpoint
         self.api_key = os.environ.get(ENV_LLM_KEY) or api_key
         self.timeout = timeout
+        self._opener = urllib.request.build_opener()
 
     def complete(self, messages: list[dict], config: AgentConfig) -> str:
         body = {
@@ -414,9 +416,12 @@ class HttpLLMProvider:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            resp = requests.post(self.endpoint, json=body, headers=headers,
-                                 timeout=self.timeout)
-            resp.raise_for_status()
-            return resp.json()["choices"][0]["message"]["content"]
-        except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
+            reply = post_json(self._opener, self.endpoint, body, headers, self.timeout)
+            content = reply["choices"][0]["message"]["content"]
+        except (OSError, http.client.HTTPException, KeyError, IndexError, TypeError,
+                ValueError) as exc:
             raise ProviderError(f"LLM endpoint failed: {exc}") from exc
+        if not isinstance(content, str):
+            raise ProviderError(
+                f"LLM endpoint returned {type(content).__name__} content, not a string")
+        return content

@@ -26,14 +26,18 @@ a query is scored against every row.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import math
 import os
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
-import requests
 
 from .errors import (
     DimensionMismatch,
@@ -150,6 +154,29 @@ class FallbackEmbedder:
         return acc
 
 
+def post_json(opener: urllib.request.OpenerDirector, url: str, body,
+              headers: dict[str, str], timeout: float):
+    """POST body as JSON through opener and return the decoded JSON reply.
+
+    Each call opens one connection and closes it after the reply. A URL that
+    is not http(s), a body that is not strict JSON (NaN, say) or a reply that
+    is not JSON raises ValueError; a non-2xx status raises HTTPError, which
+    names the status; any other transport failure raises OSError or
+    http.client.HTTPException.
+    """
+    request = urllib.request.Request(
+        url, data=json.dumps(body, allow_nan=False).encode("utf-8"), method="POST",
+        headers={"Content-Type": "application/json", **headers})
+    if request.type not in ("http", "https"):  # the opener would read file: URLs too
+        raise ValueError(f"not an http(s) URL: {url!r}")
+    try:
+        with opener.open(request, timeout=timeout) as resp:
+            return json.loads(resp.read())
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        raise
+
+
 class RemoteEmbedder:
     """HTTP embedding provider: POST {"texts": [...]}, expect {"vectors": [[...]]}.
 
@@ -164,17 +191,16 @@ class RemoteEmbedder:
         self.provider_id = provider_id or f"remote:{self.endpoint}"
         self.timeout = timeout
         self.dimension: int | None = None
+        self._opener = urllib.request.build_opener()
 
     def embed_many(self, texts: list[str]) -> list[list[float]]:
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            resp = requests.post(self.endpoint, json={"texts": texts},
-                                 headers=headers, timeout=self.timeout)
-            resp.raise_for_status()
-            vectors = resp.json()["vectors"]
-        except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
+            vectors = post_json(self._opener, self.endpoint, {"texts": texts},
+                                headers, self.timeout)["vectors"]
+        except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError) as exc:
             raise ProviderUnavailable(f"embedding endpoint failed: {exc}") from exc
         if (not isinstance(vectors, list) or len(vectors) != len(texts)
                 or not all(isinstance(vec, list) for vec in vectors)):
@@ -361,8 +387,13 @@ def query_top_k(queries, index: "CorpusIndex", k: int = 3,
                             for start in range(0, len(rows), QUERY_TILE)])
     q_norms = _row_norms(qs)
     prefilter = _squarable(q_norms) & (k < len(rows)) & _squarable(norms).all()
-    candidates = iter(_gram_candidates(qs[prefilter], q_norms[prefilter], rows, norms, k)
-                      if prefilter.any() else ())
+    # At most QUERY_TILE queries per call, so its (queries, QUERY_TILE)
+    # temporaries do not grow with the batch.
+    pre_qs, pre_norms = qs[prefilter], q_norms[prefilter]
+    candidates = chain.from_iterable(
+        _gram_candidates(pre_qs[start:start + QUERY_TILE], pre_norms[start:start + QUERY_TILE],
+                         rows, norms, k)
+        for start in range(0, len(pre_qs), QUERY_TILE))
     every_row = np.arange(len(rows))
     results = []
     for q, norm_q, prefiltered in zip(qs, q_norms, prefilter):

@@ -3,11 +3,14 @@ and a tiny local HTTP server for wire-format tests."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import shutil
+import socket
 import tarfile
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -70,8 +73,9 @@ def mk_unit(unit_id: str, *, name: str | None = None, contract: str = "C",
 
 
 class CannedHTTPServer:
-    """One-endpoint HTTP server that records request bodies and headers and
-    replies with a fixed status and JSON payload (or a callable on the body).
+    """One-endpoint HTTP server that records request bodies (decoded and raw)
+    and headers, and replies with a fixed status and JSON payload (or a
+    callable on the body). A payload of bytes is sent as it is.
     """
 
     def __init__(self, payload, status: int = 200):
@@ -83,19 +87,24 @@ class CannedHTTPServer:
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length) or b"{}")
+                raw = self.rfile.read(length)
+                body = json.loads(raw or b"{}")
                 outer.requests.append({
                     "path": self.path,
                     "body": body,
-                    "headers": dict(self.headers),
+                    "raw": raw,
+                    "headers": self.headers,  # names match in any case
                 })
                 reply = outer.payload(body) if callable(outer.payload) else outer.payload
-                data = json.dumps(reply).encode("utf-8")
-                self.send_response(outer.status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+                data = reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8")
+                try:
+                    self.send_response(outer.status)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(data)))
+                    self.end_headers()
+                    self.wfile.write(data)
+                except ConnectionError:
+                    pass  # the client stopped waiting, as a timeout test means it to
 
             def log_message(self, *args):
                 pass
@@ -114,3 +123,23 @@ class CannedHTTPServer:
     def __exit__(self, *exc) -> None:
         self._server.shutdown()
         self._server.server_close()
+
+
+TRANSPORT_FAILURES = ("refused", "not_json", "slow")
+
+
+@contextlib.contextmanager
+def failing_endpoint(kind: str):
+    """Yield the URL of an endpoint whose POST fails in the named way:
+    "refused" (nothing listens on the port), "not_json" (a 200 whose body is
+    not JSON) or "slow" (the reply comes after 0.5 s)."""
+    if kind == "refused":
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        yield f"http://127.0.0.1:{port}/"
+        return
+    payload = {"not_json": b"<html>busy</html>",
+               "slow": lambda body: time.sleep(0.5) or {}}[kind]
+    with CannedHTTPServer(payload) as server:
+        yield server.url

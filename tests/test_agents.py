@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from helpers import FIXTURES, CannedHTTPServer, mk_unit
+from helpers import FIXTURES, TRANSPORT_FAILURES, CannedHTTPServer, failing_endpoint, mk_unit
 from simaudit.agents import (
     DEBATE_SEQUENCE,
     DEFAULT_MODEL,
@@ -30,6 +32,7 @@ from simaudit.agents import (
 )
 from simaudit.corpus import CorpusEntry, Label
 from simaudit.errors import MissingTemplateSlot, ParseError, ProviderError
+from simaudit.scanner import DEBATE_WORKERS
 from simaudit.simindex import Category, SimilarityMatch
 
 DET = 'Notes.\n```json\n{"findings": [{"vuln_type": "logic", "description": "x"}]}\n```'
@@ -416,17 +419,20 @@ class TestHttpProvider:
         with CannedHTTPServer(payload) as server:
             provider = HttpLLMProvider(server.url, api_key="k123")
             cfg = default_configs()[Role.DETECTOR]
-            out = provider.complete([{"role": "user", "content": "p"}], cfg)
+            out = provider.complete([{"role": "user", "content": "p \u00e9"}], cfg)
         assert out == "hello"
         (req,) = server.requests
-        assert req["body"] == {
+        want = {
             "model": "gpt-4-turbo",
-            "messages": [{"role": "user", "content": "p"}],
+            "messages": [{"role": "user", "content": "p \u00e9"}],
             "temperature": 0.8,
             "top_p": 1.0,
             "presence_penalty": 0.0,
             "frequency_penalty": 0.0,
         }
+        assert req["body"] == want
+        assert req["raw"] == json.dumps(want, allow_nan=False).encode("utf-8")
+        assert req["headers"]["Content-Type"] == "application/json"
         assert req["headers"]["Authorization"] == "Bearer k123"
 
     def test_env_overrides(self, monkeypatch):
@@ -441,7 +447,7 @@ class TestHttpProvider:
 
     def test_http_error_is_provider_error(self):
         with CannedHTTPServer({}, status=500) as server:
-            with pytest.raises(ProviderError):
+            with pytest.raises(ProviderError, match="500"):
                 HttpLLMProvider(server.url).complete(
                     [{"role": "user", "content": "p"}],
                     default_configs()[Role.CRITIC])
@@ -452,3 +458,43 @@ class TestHttpProvider:
                 HttpLLMProvider(server.url).complete(
                     [{"role": "user", "content": "p"}],
                     default_configs()[Role.CRITIC])
+
+    @pytest.mark.parametrize("kind", TRANSPORT_FAILURES)
+    def test_transport_failure_is_provider_error(self, kind):
+        with failing_endpoint(kind) as url:
+            with pytest.raises(ProviderError, match="LLM endpoint failed"):
+                HttpLLMProvider(url, timeout=0.2).complete(
+                    [{"role": "user", "content": "p"}],
+                    default_configs()[Role.CRITIC])
+
+    def test_endpoint_that_is_not_http_is_provider_error(self, tmp_path):
+        reply = tmp_path / "reply.json"
+        reply.write_text('{"choices": [{"message": {"content": "from disk"}}]}')
+        with pytest.raises(ProviderError, match="not an http"):
+            HttpLLMProvider(reply.as_uri()).complete(
+                [{"role": "user", "content": "p"}], default_configs()[Role.CRITIC])
+
+    @pytest.mark.parametrize("content", [None, 5, ["x"]])
+    def test_content_that_is_not_a_string_is_provider_error(self, content):
+        with CannedHTTPServer({"choices": [{"message": {"content": content}}]}) as server:
+            with pytest.raises(ProviderError, match="not a string"):
+                HttpLLMProvider(server.url).complete(
+                    [{"role": "user", "content": "p"}],
+                    default_configs()[Role.CRITIC])
+
+    def test_concurrent_calls_each_get_their_own_reply(self):
+        in_flight = threading.Barrier(DEBATE_WORKERS, timeout=10)
+
+        def echo(body):
+            in_flight.wait()  # no reply until every call has arrived
+            return {"choices": [{"message": {"content": body["messages"][0]["content"]}}]}
+
+        prompts = [f"prompt {i}" for i in range(DEBATE_WORKERS)]
+        with CannedHTTPServer(echo) as server:
+            provider = HttpLLMProvider(server.url, timeout=20)
+            cfg = default_configs()[Role.CRITIC]
+            with ThreadPoolExecutor(DEBATE_WORKERS) as pool:
+                got = list(pool.map(
+                    lambda prompt: provider.complete([{"role": "user", "content": prompt}], cfg),
+                    prompts))
+        assert got == prompts

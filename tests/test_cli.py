@@ -249,6 +249,25 @@ class TestScanExitCodes:
         assert code == 2
         assert "simaudit:" in capsys.readouterr().err
 
+    def test_null_model_content_is_an_error_verdict(self, tmp_path, monkeypatch):
+        index = _build_index(tmp_path, labels=True)
+        report_path = tmp_path / "r.json"
+        with CannedHTTPServer({"choices": [{"message": {"content": None}}]}) as server:
+            monkeypatch.setenv("SIMAUDIT_LLM_ENDPOINT", server.url)
+            code = main(["scan", "--input", str(_target_dir(tmp_path)),
+                         "--index", str(index), "--report", str(report_path)])
+        assert code == 0
+        by_name = {r["name"]: r for r in
+                   json.loads(report_path.read_text(encoding="utf-8"))["units"]}
+        tf = by_name["transferFrom"]
+        assert tf["verdict"] == "error"
+        assert "not a string" in tf["error_message"]
+        assert tf["provider_calls"] == 2  # the Detector's call and its one retry
+        assert len(server.requests) == 2
+        for helper in ("_transfer", "_approve"):
+            assert by_name[helper]["category"] == "clone"
+            assert by_name[helper]["verdict"]["decided_by"] == "CloneShortCircuit"
+
     def test_bad_template_is_format_error_without_a_report(self, tmp_path, capsys):
         index = _build_index(tmp_path, labels=True)
         templates = bad_templates(tmp_path / "templates")

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
-from helpers import FIXTURES, CannedHTTPServer, mk_unit
+from helpers import FIXTURES, TRANSPORT_FAILURES, CannedHTTPServer, failing_endpoint, mk_unit
 from simaudit import simindex
 from simaudit.corpus import new_index
 from simaudit.errors import (
@@ -482,6 +482,23 @@ class TestBatchedKernelMatchesSingleQueryReference:
                 (m.entry_id, m.distance, m.similarity, m.category) for m in want]
 
 
+class TestQueryBatchesAreCapped:
+    def test_many_queries_go_to_the_prefilter_a_tile_at_a_time(self):
+        rng = np.random.default_rng(7)
+        rows = rng.uniform(-1, 1, (300, 16))
+        index = _index_with_vectors([(f"e{i}", row) for i, row in enumerate(rows)])
+        queries = rng.uniform(-1, 1, (2 * QUERY_TILE + 3, 16))
+        queries[::5] = rows[: len(queries[::5])]
+        queries[QUERY_TILE + 1] = 0.0  # scored against every row, between the batches
+        with patch.object(simindex, "_gram_candidates",
+                          wraps=simindex._gram_candidates) as prefilter:
+            got = query_top_k(queries, index, k=3)
+        sizes = [len(call.args[0]) for call in prefilter.call_args_list]
+        assert sizes == [QUERY_TILE, QUERY_TILE, 2]
+        for q, matches in zip(queries, got):
+            assert matches == oracles.reference_query_top_k(q, index, k=3)
+
+
 class TestGramPrefilterOnNearTies:
     """The Gram prefilter's rounding exceeds the gaps between these rows'
     exact distances, so only its margin keeps the exact top k among its
@@ -630,6 +647,8 @@ class TestRemoteEmbedder:
         assert provider.dimension == 3
         (req,) = server.requests
         assert req["body"] == {"texts": ["code a", "code b"]}
+        assert req["raw"] == b'{"texts": ["code a", "code b"]}'
+        assert req["headers"]["Content-Type"] == "application/json"
         assert req["headers"]["Authorization"] == "Bearer sekrit"
 
     def test_provider_id_defaults_to_endpoint(self):
@@ -652,8 +671,14 @@ class TestRemoteEmbedder:
 
     def test_http_failure_is_provider_unavailable(self):
         with CannedHTTPServer({"vectors": []}, status=500) as server:
-            with pytest.raises(ProviderUnavailable):
+            with pytest.raises(ProviderUnavailable, match="500"):
                 RemoteEmbedder(server.url).embed_many(["a"])
+
+    @pytest.mark.parametrize("kind", TRANSPORT_FAILURES)
+    def test_transport_failure_is_provider_unavailable(self, kind):
+        with failing_endpoint(kind) as url:
+            with pytest.raises(ProviderUnavailable, match="embedding endpoint failed"):
+                RemoteEmbedder(url, timeout=0.2).embed_many(["a"])
 
     def test_malformed_reply_is_provider_unavailable(self):
         replies = iter([{"nope": 1}, {"vectors": [5]}])
