@@ -11,12 +11,10 @@ up on.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import os
 import re
 import string
-import urllib.request
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -25,7 +23,7 @@ from pathlib import Path
 from .corpus import CorpusEntry, Label, read_text
 from .errors import FileCorrupt, MissingTemplateSlot, ParseError, ProviderError
 from .extract import FunctionUnit
-from .simindex import Category, SimilarityMatch, post_json
+from .simindex import Category, SimilarityMatch, call_retried, json_opener, post_json
 
 ENV_LLM_ENDPOINT = "SIMAUDIT_LLM_ENDPOINT"
 ENV_LLM_KEY = "SIMAUDIT_LLM_KEY"
@@ -296,15 +294,6 @@ def _clone_verdict(task: DetectionTask) -> Verdict:
     )
 
 
-def _complete_once_retried(provider, config: AgentConfig, prompt: str) -> str:
-    # Fresh session: the message list is only this prompt, never history.
-    messages = [{"role": "user", "content": prompt}]
-    try:
-        return provider.complete(messages, config)
-    except ProviderError:
-        return provider.complete(messages, config)
-
-
 def _session_marker(unit_id: str, role: Role, ordinal: int) -> str:
     seed = f"{unit_id}|{role.value}|{ordinal}".encode("utf-8")
     return hashlib.sha256(seed).hexdigest()[:16]
@@ -329,12 +318,14 @@ def run_debate(task: DetectionTask, provider,
     payload: dict = {}
     for ordinal, role in enumerate(DEBATE_SEQUENCE):
         prompt = assemble_prompt(role, task, priors, templates)
-        raw = _complete_once_retried(provider, configs[role], prompt)
+        # Fresh session: the message list is only this prompt, never history.
+        raw = call_retried(provider.complete, [{"role": "user", "content": prompt}], configs[role])
         try:
             payload = parse_verdict(raw, role)
         except ParseError:
             prompt = prompt + "\n\n" + FORMAT_REMINDER
-            raw = _complete_once_retried(provider, configs[role], prompt)
+            raw = call_retried(provider.complete, [{"role": "user", "content": prompt}],
+                               configs[role])
             payload = parse_verdict(raw, role)
         priors[role] = raw
         entries.append(TranscriptEntry(
@@ -401,7 +392,7 @@ class HttpLLMProvider:
         self.endpoint = os.environ.get(ENV_LLM_ENDPOINT) or endpoint
         self.api_key = os.environ.get(ENV_LLM_KEY) or api_key
         self.timeout = timeout
-        self._opener = urllib.request.build_opener()
+        self._opener = json_opener()
 
     def complete(self, messages: list[dict], config: AgentConfig) -> str:
         body = {
@@ -412,14 +403,10 @@ class HttpLLMProvider:
             "presence_penalty": PRESENCE_PENALTY,
             "frequency_penalty": FREQUENCY_PENALTY,
         }
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        reply = post_json(self._opener, self.endpoint, body, self.api_key, self.timeout, "LLM")
         try:
-            reply = post_json(self._opener, self.endpoint, body, headers, self.timeout)
             content = reply["choices"][0]["message"]["content"]
-        except (OSError, http.client.HTTPException, KeyError, IndexError, TypeError,
-                ValueError) as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"LLM endpoint failed: {exc}") from exc
         if not isinstance(content, str):
             raise ProviderError(

@@ -37,7 +37,7 @@ from .errors import (
     EXIT_OK,
     FileCorrupt,
     LabelFileMalformed,
-    ProviderUnavailable,
+    ProviderError,
     SimauditError,
 )
 from .metrics import EvalMetrics
@@ -110,7 +110,7 @@ def _make_embed_provider(kind: str, config: dict, provider_id: str | None = None
     provider = RemoteEmbedder(endpoint, api_key=emb.get("api_key"),
                               provider_id=provider_id or emb.get("provider_id"))
     if not provider.endpoint:
-        raise ProviderUnavailable(
+        raise ProviderError(
             "remote embedder needs an endpoint (config file or SIMAUDIT_EMBED_ENDPOINT)")
     return provider
 
@@ -130,7 +130,7 @@ def _make_llm_provider(args, config: dict):
     llm = config.get("llm", {})
     provider = HttpLLMProvider(llm.get("endpoint", ""), api_key=llm.get("api_key"))
     if not provider.endpoint:
-        raise ProviderUnavailable(
+        raise ProviderError(
             "remote provider needs an endpoint (config file or SIMAUDIT_LLM_ENDPOINT)")
     return provider
 

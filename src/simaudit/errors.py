@@ -67,10 +67,6 @@ class DimensionMismatch(SimauditError):
     pass
 
 
-class ProviderUnavailable(SimauditError):
-    exit_code = EXIT_PROVIDER
-
-
 class ProviderMismatch(SimauditError):
     exit_code = EXIT_PROVIDER
 

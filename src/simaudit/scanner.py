@@ -36,7 +36,7 @@ from .agents import (
 )
 from .callgraph import build_graph, topo_order
 from .corpus import CorpusIndex, read_text
-from .errors import ParseError, ProviderError, ProviderMismatch, ProviderUnavailable
+from .errors import ParseError, ProviderError, ProviderMismatch
 from .extract import FunctionUnit, extract_units
 from .simindex import DEFAULT_DELTA, Category, SimilarityMatch, embed_chunks, query_top_k
 
@@ -113,7 +113,7 @@ def _classify(schedule_order, by_id, index, embed_provider, k, delta):
     queries: list[np.ndarray] = []
     for span, result in embed_chunks([by_id[u].normalized_source for u in pending],
                                      embed_provider):
-        if isinstance(result, ProviderUnavailable):
+        if isinstance(result, ProviderError):
             classified.update(dict.fromkeys(
                 pending[span], (Category.DISSIMILAR, [], str(result))))
         else:
@@ -299,7 +299,7 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
                                      matches=tuple(matches), category=category)
                 try:
                     verdict, transcript = run_debate(task, llm, configs, templates)
-                except (ProviderError, ProviderUnavailable, ParseError) as exc:
+                except (ProviderError, ParseError) as exc:
                     error = str(exc)
             outcomes[unit_id] = (verdict, error)
             debated[unit_id] = (summaries, verdict, transcript, error, llm.count)

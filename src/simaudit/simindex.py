@@ -31,6 +31,7 @@ import json
 import math
 import os
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from enum import Enum
@@ -39,12 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyText,
-    ProviderMismatch,
-    ProviderUnavailable,
-)
+from .errors import DimensionMismatch, EmptyText, ProviderError, ProviderMismatch
 
 if TYPE_CHECKING:
     from .corpus import CorpusIndex
@@ -154,27 +150,66 @@ class FallbackEmbedder:
         return acc
 
 
-def post_json(opener: urllib.request.OpenerDirector, url: str, body,
-              headers: dict[str, str], timeout: float):
-    """POST body as JSON through opener and return the decoded JSON reply.
+class _Redirect(urllib.request.HTTPRedirectHandler):
+    """Follows 307 and 308 with the same method, body and headers (301, 302
+    and 303 turn into a GET, as in the standard library), and drops the
+    Authorization header on any redirect to another scheme, host or port."""
 
-    Each call opens one connection and closes it after the reply. A URL that
-    is not http(s), a body that is not strict JSON (NaN, say) or a reply that
-    is not JSON raises ValueError; a non-2xx status raises HTTPError, which
-    names the status; any other transport failure raises OSError or
-    http.client.HTTPException.
-    """
-    request = urllib.request.Request(
-        url, data=json.dumps(body, allow_nan=False).encode("utf-8"), method="POST",
-        headers={"Content-Type": "application/json", **headers})
-    if request.type not in ("http", "https"):  # the opener would read file: URLs too
-        raise ValueError(f"not an http(s) URL: {url!r}")
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        if code in (307, 308):
+            new = urllib.request.Request(newurl, req.data, req.headers, method=req.get_method())
+        else:
+            new = super().redirect_request(req, fp, code, msg, headers, newurl)
+        if _origin(new.full_url) != _origin(req.full_url):
+            new.remove_header("Authorization")
+        return new
+
+
+def _origin(url: str) -> tuple:
+    parts = urllib.parse.urlsplit(url)
+    return parts.scheme, parts.hostname, parts.port or {"http": 80, "https": 443}.get(parts.scheme)
+
+
+def json_opener() -> urllib.request.OpenerDirector:
+    """An opener for post_json. Each provider builds one, once, and the proxy
+    settings (HTTP_PROXY, HTTPS_PROXY, NO_PROXY) are read then."""
+    return urllib.request.build_opener(_Redirect)
+
+
+def post_json(opener: urllib.request.OpenerDirector, url: str, body,
+              api_key: str | None, timeout: float, what: str):
+    """POST body as JSON through opener, with api_key (if any) as a bearer
+    token, on one connection closed after the reply; return the decoded reply.
+
+    Every failure raises ProviderError(f"{what} endpoint failed: {reason}"): a
+    URL that is not http(s), a body that is not strict JSON (NaN, say), a
+    non-2xx status (the reason names it), a transport failure or timeout, or a
+    reply that is not JSON."""
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
     try:
+        request = urllib.request.Request(
+            url, data=json.dumps(body, allow_nan=False).encode("utf-8"), method="POST",
+            headers=headers)
+        if request.type not in ("http", "https"):  # the opener would read file: URLs too
+            raise ValueError(f"not an http(s) URL: {url!r}")
         with opener.open(request, timeout=timeout) as resp:
             return json.loads(resp.read())
     except urllib.error.HTTPError as exc:
         exc.close()
-        raise
+        raise ProviderError(f"{what} endpoint failed: {exc}") from exc
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        raise ProviderError(f"{what} endpoint failed: {exc}") from exc
+
+
+def call_retried(call, *args):
+    """Return call(*args), calling it a second time if the first raises
+    ProviderError: every provider call is retried once, at once."""
+    try:
+        return call(*args)
+    except ProviderError:
+        return call(*args)
 
 
 class RemoteEmbedder:
@@ -191,20 +226,18 @@ class RemoteEmbedder:
         self.provider_id = provider_id or f"remote:{self.endpoint}"
         self.timeout = timeout
         self.dimension: int | None = None
-        self._opener = urllib.request.build_opener()
+        self._opener = json_opener()
 
     def embed_many(self, texts: list[str]) -> list[list[float]]:
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        reply = post_json(self._opener, self.endpoint, {"texts": texts}, self.api_key,
+                          self.timeout, "embedding")
         try:
-            vectors = post_json(self._opener, self.endpoint, {"texts": texts},
-                                headers, self.timeout)["vectors"]
-        except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError) as exc:
-            raise ProviderUnavailable(f"embedding endpoint failed: {exc}") from exc
+            vectors = reply["vectors"]
+        except (KeyError, TypeError) as exc:
+            raise ProviderError(f"embedding endpoint failed: {exc}") from exc
         if (not isinstance(vectors, list) or len(vectors) != len(texts)
                 or not all(isinstance(vec, list) for vec in vectors)):
-            raise ProviderUnavailable("embedding endpoint returned a malformed batch")
+            raise ProviderError("embedding endpoint returned a malformed batch")
         for vec in vectors:
             if self.dimension is None:
                 self.dimension = len(vec)
@@ -216,23 +249,21 @@ class RemoteEmbedder:
 
 def embed_texts(texts: list[str], provider) -> np.ndarray:
     """Embed a batch into one (len(texts), d) float64 matrix, retrying a provider
-    failure once. A reply that is not d finite numbers per text is a failure too."""
+    failure once. A reply that is not d finite numbers per text is a failure too,
+    and is not retried."""
     for text in texts:
         if not text.strip():
             raise EmptyText("cannot embed empty text")
-    try:
-        raw = provider.embed_many(texts)
-    except ProviderUnavailable:
-        raw = provider.embed_many(texts)
+    raw = call_retried(provider.embed_many, texts)
     try:
         vectors = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ProviderUnavailable(f"provider returned non-numeric embeddings: {exc}") from exc
+        raise ProviderError(f"provider returned non-numeric embeddings: {exc}") from exc
     if vectors.ndim != 2 or len(vectors) != len(texts):
-        raise ProviderUnavailable(
+        raise ProviderError(
             f"provider returned shape {vectors.shape} for {len(texts)} texts")
     if not np.isfinite(vectors).all():
-        raise ProviderUnavailable("provider returned non-finite values")
+        raise ProviderError("provider returned non-finite values")
     declared = getattr(provider, "dimension", None)
     if declared is not None and vectors.shape[1] != declared:
         raise DimensionMismatch(
@@ -417,14 +448,14 @@ def embed_chunks(texts: list[str], provider):
     """Embed texts through embed_texts, EMBED_CHUNK of them per call, in order.
 
     Yields (span, result) per chunk, span being the chunk's slice of texts and
-    result its matrix, or the ProviderUnavailable that embedding it raised.
-    A failed chunk does not stop the chunks after it.
+    result its matrix, or the ProviderError that embedding it raised, after
+    embed_texts' one retry. A failed chunk does not stop the chunks after it.
     """
     for start in range(0, len(texts), EMBED_CHUNK):
         span = slice(start, start + EMBED_CHUNK)
         try:
             result = embed_texts(texts[span], provider)
-        except ProviderUnavailable as exc:
+        except ProviderError as exc:
             result = exc
         yield span, result
 
@@ -432,12 +463,12 @@ def embed_chunks(texts: list[str], provider):
 def embed_index(index: "CorpusIndex", provider) -> None:
     """Embed every entry's normalized source into the index matrix, row i
     for entries[i], and stamp the index with the provider id. Texts go to
-    the provider EMBED_CHUNK at a time, in entry order; the first failed
-    chunk raises."""
+    the provider EMBED_CHUNK at a time, in entry order; the first chunk that
+    fails, after embed_texts' one retry, raises its ProviderError."""
     texts = [e.unit.normalized_source for e in index.entries]
     rows = []
     for _, result in embed_chunks(texts, provider):
-        if isinstance(result, ProviderUnavailable):
+        if isinstance(result, ProviderError):
             raise result
         rows.append(result)
     if rows:

@@ -73,14 +73,17 @@ def mk_unit(unit_id: str, *, name: str | None = None, contract: str = "C",
 
 
 class CannedHTTPServer:
-    """One-endpoint HTTP server that records request bodies (decoded and raw)
-    and headers, and replies with a fixed status and JSON payload (or a
-    callable on the body). A payload of bytes is sent as it is.
+    """One-endpoint HTTP server that records each request's method, path,
+    body (decoded and raw) and headers, and replies with a fixed status, any
+    extra response headers, and a JSON payload (or a callable on the body).
+    A payload of bytes is sent as it is. A GET is answered as a POST with an
+    empty body.
     """
 
-    def __init__(self, payload, status: int = 200):
+    def __init__(self, payload, status: int = 200, headers: dict[str, str] | None = None):
         self.payload = payload
         self.status = status
+        self.headers = dict(headers or {})
         self.requests: list[dict] = []
         outer = self
 
@@ -90,6 +93,7 @@ class CannedHTTPServer:
                 raw = self.rfile.read(length)
                 body = json.loads(raw or b"{}")
                 outer.requests.append({
+                    "method": self.command,
                     "path": self.path,
                     "body": body,
                     "raw": raw,
@@ -101,10 +105,14 @@ class CannedHTTPServer:
                     self.send_response(outer.status)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(data)))
+                    for name, value in outer.headers.items():
+                        self.send_header(name, value)
                     self.end_headers()
                     self.wfile.write(data)
                 except ConnectionError:
                     pass  # the client stopped waiting, as a timeout test means it to
+
+            do_GET = do_POST
 
             def log_message(self, *args):
                 pass

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -498,3 +499,49 @@ class TestHttpProvider:
                     lambda prompt: provider.complete([{"role": "user", "content": prompt}], cfg),
                     prompts))
         assert got == prompts
+
+
+class TestLLMFailureMessages:
+    """The exact message of every model failure."""
+
+    @staticmethod
+    def _complete(provider):
+        return provider.complete([{"role": "user", "content": "p"}],
+                                 default_configs()[Role.CRITIC])
+
+    @pytest.mark.parametrize("reply,status,message", [
+        ({}, 200, "LLM endpoint failed: 'choices'"),
+        ({"choices": []}, 200, "LLM endpoint failed: list index out of range"),
+        ([], 200, "LLM endpoint failed: list indices must be integers or slices, not str"),
+        ({"choices": [{"message": {"content": None}}]}, 200,
+         "LLM endpoint returned NoneType content, not a string"),
+        (b"<html>busy</html>", 200,
+         "LLM endpoint failed: Expecting value: line 1 column 1 (char 0)"),
+        ({}, 500, "LLM endpoint failed: HTTP Error 500: Internal Server Error"),
+    ], ids=["no_choices", "no_choice", "list", "null_content", "not_json", "status_500"])
+    def test_http_reply(self, reply, status, message):
+        with CannedHTTPServer(reply, status=status) as server:
+            with pytest.raises(ProviderError) as exc:
+                self._complete(HttpLLMProvider(server.url))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind,message", [
+        ("refused", r"LLM endpoint failed: <urlopen error \[Errno \d+\] Connection refused>"),
+        ("slow", r"LLM endpoint failed: timed out"),
+    ])
+    def test_transport(self, kind, message):
+        with failing_endpoint(kind) as url:
+            with pytest.raises(ProviderError) as exc:
+                self._complete(HttpLLMProvider(url, timeout=0.2))
+        assert re.fullmatch(message, str(exc.value))
+
+    def test_endpoint_that_is_not_http(self, tmp_path):
+        url = (tmp_path / "reply.json").as_uri()
+        with pytest.raises(ProviderError) as exc:
+            self._complete(HttpLLMProvider(url))
+        assert str(exc.value) == f"LLM endpoint failed: not an http(s) URL: {url!r}"
+
+    def test_mock_without_a_response(self):
+        with pytest.raises(ProviderError) as exc:
+            self._complete(MockLLMProvider())
+        assert str(exc.value) == "mock fixture has no response for Critic"

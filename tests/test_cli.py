@@ -166,6 +166,14 @@ class TestScanCommand:
             assert rec["verdict"]["is_vulnerable"] is False
         assert report["summary"]["provider_calls"] == 4
 
+    def test_k_sets_the_matches_per_unit(self, tmp_path):
+        code, report_path = _scan(tmp_path, "--k", "1")
+        assert code == 0
+        units = json.loads(report_path.read_text(encoding="utf-8"))["units"]
+        debated = [r for r in units if r["category"] != "clone"]
+        assert [r["name"] for r in debated] == ["transferFrom"]
+        assert all(len(r["matches"]) == 1 for r in debated)
+
     def test_report_identical_across_runs_apart_from_timing(self, tmp_path):
         index = _build_index(tmp_path, labels=True)
         _, first = _scan(tmp_path, index=index, report_name="r1.json")
@@ -401,6 +409,27 @@ class TestScanExitCodes:
         assert code == 4
         assert "endpoint" in capsys.readouterr().err
 
+    def test_remote_embedded_index_without_endpoint(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SIMAUDIT_EMBED_ENDPOINT", raising=False)
+        archives = tmp_path / "archives"
+        archives.mkdir()
+        make_archive(archives / "tokenlib-1.0.0.tgz", {"erc20.sol": REFERENCE})
+        config = tmp_path / "config.json"
+        index = tmp_path / "idx.jsonl"
+        with CannedHTTPServer(lambda body: {"vectors": [[1.0, 0.5] for _ in body["texts"]]}
+                              ) as server:
+            config.write_text(json.dumps({"embedding": {"endpoint": server.url}}),
+                              encoding="utf-8")
+            assert main(["index", "--archives", str(archives), "--out", str(index),
+                         "--embedder", "remote", "--config", str(config)]) == 0
+        capsys.readouterr()
+        code = main(["scan", "--input", str(_target_dir(tmp_path)), "--index", str(index),
+                     "--provider", "mock", "--report", str(tmp_path / "r.json")])
+        assert code == 4
+        assert capsys.readouterr().err == ("simaudit: remote embedder needs an endpoint "
+                                           "(config file or SIMAUDIT_EMBED_ENDPOINT)\n")
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestBadArguments:
     @pytest.mark.parametrize("command", ["scan", "eval"])
@@ -521,6 +550,19 @@ class TestEvalCommand:
         assert built[0].calls
         metrics = json.loads(metrics_out.read_text())
         assert {key: metrics[key] for key in want} == want
+
+    def test_missed_positive_is_a_false_negative(self, tmp_path):
+        dataset, labels = self._dataset(tmp_path)
+        labels.write_text("sample,label\nclean.sol,positive\nvuln.sol,positive\n",
+                          encoding="utf-8")
+        metrics_out = tmp_path / "metrics.json"
+        code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
+                     "--index", str(_build_index(tmp_path)), "--mock-fixture", MOCK_FIXTURE,
+                     "--metrics-out", str(metrics_out)])
+        assert code == 0
+        metrics = json.loads(metrics_out.read_text())
+        assert {key: metrics[key] for key in ("tp", "tn", "fp", "fn", "recall")} == {
+            "tp": 1, "tn": 0, "fp": 0, "fn": 1, "recall": 0.5}
 
     def test_simcheck_without_index_is_malformed_usage(self, tmp_path):
         dataset, labels = self._dataset(tmp_path)

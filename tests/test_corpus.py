@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import base64
+import hashlib
 import io
 import json
 import logging
+import re
 import tarfile
 from unittest.mock import patch
 
@@ -203,6 +205,17 @@ class TestIngest:
         cut.write_bytes(data[: len(data) // 2])
         with pytest.raises(ArchiveCorrupt):
             ingest_archive(new_index(), cut, "cut", "0")
+
+    def test_archive_cut_mid_stream_is_unreadable(self, tmp_path):
+        arch = make_archive(tmp_path / "lib-1.tgz", {
+            "a.sol": "contract A { " + _fn("f", body="return 42;") * 50 + " }",
+        })
+        data = arch.read_bytes()
+        cut = tmp_path / "cut.tgz"
+        cut.write_bytes(data[: len(data) * 2 // 3])  # opens, then fails inside the member
+        with pytest.raises(ArchiveCorrupt, match=f"^cannot read {re.escape(str(cut))}: ") as exc:
+            ingest_archive(new_index(), cut, "cut", "0")
+        assert exc.value.exit_code == 2
 
     def test_missing_archive(self, tmp_path):
         with pytest.raises(ArchiveCorrupt):
@@ -651,6 +664,20 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileCorrupt, match="does not match the header's digest"):
             load_index(path)
+
+    def test_key_line_with_the_wrong_pair_count_is_file_corrupt(self, tmp_path):
+        index = new_index()
+        for name in ("f", "g"):
+            index.insert(mk_unit(f"a.sol::C::{name}#0"), "pkg", "1.0")
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        header, lines, _ = _split_saved(path)
+        lines[-1] = json.dumps(json.loads(lines[-1])[:1])
+        header["digest"] = hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
+        _write_index(path, header, lines)
+        with pytest.raises(FileCorrupt) as exc:
+            load_index(path)
+        assert str(exc.value) == f"index {path} line 4: 1 keys for 2 entry lines"
 
     def test_a_scan_builds_only_the_entries_it_touches(self, tmp_path):
         index = new_index()

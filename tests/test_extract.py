@@ -639,6 +639,15 @@ class TestExtractMatchesReference:
         offset, equal what extraction over the original token tuples gives."""
         assert _extraction(extract_units, src) == _extraction(oracles.reference_extract_units, src)
 
+    @pytest.mark.parametrize("src,unit_ids", [
+        ("contract K { function f() public (bool) { return true; } }", ["gen.sol::K::f#0"]),
+        ("contract K { uint constructor; function g() public {} }", ["gen.sol::K::g#0"]),
+    ], ids=["parenthesis_after_modifiers", "constructor_as_a_name"])
+    def test_odd_headers_match_reference(self, src, unit_ids):
+        units = extract_units(src, "gen.sol")
+        assert [u.unit_id for u in units] == unit_ids
+        assert units == oracles.reference_extract_units(src, "gen.sol")
+
 
 def _runs(code_points) -> tuple[tuple[int, int], ...]:
     """Ascending code points as (first, last) runs of consecutive ones."""

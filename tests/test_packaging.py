@@ -15,16 +15,21 @@ ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "simaudit"
 
 
+def _top_level_imports(path: Path) -> set[str]:
+    """Top-level names of every absolute import in one module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def _imported_distributions() -> set[str]:
     """Top-level names of every absolute import in the package, minus the
     standard library and the package itself."""
-    names = set()
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.split(".")[0])
+    names = set().union(*map(_top_level_imports, PACKAGE.glob("*.py")))
     return names - set(sys.stdlib_module_names) - {"simaudit"}
 
 
@@ -41,3 +46,11 @@ def test_cli_import_loads_no_third_party_http_client():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def test_only_simindex_speaks_http():
+    """Every provider call goes through simindex.post_json, so no other
+    module imports urllib or http.client."""
+    speakers = {path.name for path in PACKAGE.glob("*.py")
+                if _top_level_imports(path) & {"urllib", "http"}}
+    assert speakers == {"simindex.py"}

@@ -21,7 +21,6 @@ from simaudit.errors import (
     MissingTemplateSlot,
     ProviderError,
     ProviderMismatch,
-    ProviderUnavailable,
 )
 from simaudit.extract import extract_units
 from simaudit.scanner import render_markdown, run_scan
@@ -295,7 +294,7 @@ class TestSimcheck:
 
         class DownEmbedder(FallbackEmbedder):
             def embed_many(self, texts):
-                raise ProviderUnavailable("embedder down")
+                raise ProviderError("embedder down")
 
         provider = MockLLMProvider(defaults=GOOD_DEFAULTS)
         report = run_scan([tmp_path], index, provider, DownEmbedder())
@@ -561,7 +560,7 @@ contract Pick {
             class FailingChained(FallbackEmbedder):
                 def embed_many(self, texts):
                     if "() + 1;" in texts[0]:
-                        raise ProviderUnavailable("embedder down")
+                        raise ProviderError("embedder down")
                     return super().embed_many(texts)
 
             monkeypatch.setattr(simindex, "EMBED_CHUNK", 1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -18,8 +19,8 @@ from simaudit.corpus import new_index
 from simaudit.errors import (
     DimensionMismatch,
     EmptyText,
+    ProviderError,
     ProviderMismatch,
-    ProviderUnavailable,
 )
 from simaudit.simindex import (
     CLONE_EPS,
@@ -251,7 +252,7 @@ class _StubProvider:
         self.batches += 1
         if self.fails_left > 0:
             self.fails_left -= 1
-            raise ProviderUnavailable("transient")
+            raise ProviderError("transient")
         if self.reply is not None:
             return [self.reply for _ in texts]
         return [[1.0, 0.0, 0.0] for _ in texts]
@@ -272,12 +273,12 @@ class TestEmbedTexts:
 
     def test_two_failures_give_up(self):
         provider = _StubProvider(fail_times=2)
-        with pytest.raises(ProviderUnavailable):
+        with pytest.raises(ProviderError):
             embed_texts(["a"], provider)
         assert provider.batches == 2
 
     def test_non_finite_values_rejected(self):
-        with pytest.raises(ProviderUnavailable):
+        with pytest.raises(ProviderError):
             embed_texts(["a"], _StubProvider(reply=[1.0, float("nan"), 0.0]))
 
     def test_declared_dimension_enforced(self):
@@ -298,7 +299,7 @@ class TestEmbedTexts:
             def embed_many(self, texts):
                 return raw
 
-        with pytest.raises(ProviderUnavailable):
+        with pytest.raises(ProviderError):
             embed_texts(["a", "b"], Fixed())
 
 
@@ -671,25 +672,25 @@ class TestRemoteEmbedder:
 
     def test_http_failure_is_provider_unavailable(self):
         with CannedHTTPServer({"vectors": []}, status=500) as server:
-            with pytest.raises(ProviderUnavailable, match="500"):
+            with pytest.raises(ProviderError, match="500"):
                 RemoteEmbedder(server.url).embed_many(["a"])
 
     @pytest.mark.parametrize("kind", TRANSPORT_FAILURES)
     def test_transport_failure_is_provider_unavailable(self, kind):
         with failing_endpoint(kind) as url:
-            with pytest.raises(ProviderUnavailable, match="embedding endpoint failed"):
+            with pytest.raises(ProviderError, match="embedding endpoint failed"):
                 RemoteEmbedder(url, timeout=0.2).embed_many(["a"])
 
     def test_malformed_reply_is_provider_unavailable(self):
         replies = iter([{"nope": 1}, {"vectors": [5]}])
         with CannedHTTPServer(lambda body: next(replies)) as server:
             for _ in range(2):
-                with pytest.raises(ProviderUnavailable):
+                with pytest.raises(ProviderError):
                     RemoteEmbedder(server.url).embed_many(["a"])
 
     def test_short_batch_is_provider_unavailable(self):
         with CannedHTTPServer({"vectors": [[1.0]]}) as server:
-            with pytest.raises(ProviderUnavailable):
+            with pytest.raises(ProviderError):
                 RemoteEmbedder(server.url).embed_many(["a", "b"])
 
     def test_env_var_overrides_endpoint(self, monkeypatch):
@@ -704,6 +705,98 @@ class TestRemoteEmbedder:
 
     def test_embed_texts_retries_remote_once(self):
         with CannedHTTPServer({"bad": True}) as server:
-            with pytest.raises(ProviderUnavailable):
+            with pytest.raises(ProviderError):
                 embed_texts(["a"], RemoteEmbedder(server.url))
             assert len(server.requests) == 2
+
+
+class TestEmbeddingFailureMessages:
+    """The exact message of every embedding failure."""
+
+    @pytest.mark.parametrize("reply,status,message", [
+        ({}, 200, "embedding endpoint failed: 'vectors'"),
+        ([], 200, "embedding endpoint failed: list indices must be integers or slices, not str"),
+        ({"vectors": [5, 5]}, 200, "embedding endpoint returned a malformed batch"),
+        ({"vectors": [[1.0]]}, 200, "embedding endpoint returned a malformed batch"),
+        (b"<html>busy</html>", 200,
+         "embedding endpoint failed: Expecting value: line 1 column 1 (char 0)"),
+        ({}, 500, "embedding endpoint failed: HTTP Error 500: Internal Server Error"),
+    ], ids=["no_vectors", "list", "scalars", "short", "not_json", "status_500"])
+    def test_remote_reply(self, reply, status, message):
+        with CannedHTTPServer(reply, status=status) as server:
+            with pytest.raises(ProviderError) as exc:
+                RemoteEmbedder(server.url).embed_many(["a", "b"])
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind,message", [
+        ("refused",
+         r"embedding endpoint failed: <urlopen error \[Errno \d+\] Connection refused>"),
+        ("slow", r"embedding endpoint failed: timed out"),
+    ])
+    def test_transport(self, kind, message):
+        with failing_endpoint(kind) as url:
+            with pytest.raises(ProviderError) as exc:
+                RemoteEmbedder(url, timeout=0.2).embed_many(["a"])
+        assert re.fullmatch(message, str(exc.value))
+
+    def test_endpoint_that_is_not_http(self, tmp_path):
+        url = (tmp_path / "reply.json").as_uri()
+        with pytest.raises(ProviderError) as exc:
+            RemoteEmbedder(url).embed_many(["a"])
+        assert str(exc.value) == f"embedding endpoint failed: not an http(s) URL: {url!r}"
+
+    def test_dimension_change(self):
+        replies = iter([{"vectors": [[1.0, 0.0, 0.0]]}, {"vectors": [[1.0, 0.0, 0.0, 0.0]]}])
+        with CannedHTTPServer(lambda body: next(replies)) as server:
+            provider = RemoteEmbedder(server.url)
+            provider.embed_many(["a"])
+            with pytest.raises(DimensionMismatch) as exc:
+                provider.embed_many(["b"])
+        assert str(exc.value) == "endpoint returned 4 dims, expected 3"
+
+    @pytest.mark.parametrize("reply,error,message", [
+        (["x", 1.0, 0.0], ProviderError,
+         "provider returned non-numeric embeddings: could not convert string to float: 'x'"),
+        (5.0, ProviderError, "provider returned shape (2,) for 2 texts"),
+        ([1.0, float("nan"), 0.0], ProviderError, "provider returned non-finite values"),
+        ([1.0, 0.0], DimensionMismatch, "provider produced 2 dims, declared 3"),
+    ], ids=["non_numeric", "shape", "non_finite", "dimension"])
+    def test_embed_texts_reply(self, reply, error, message):
+        with pytest.raises(error) as exc:
+            embed_texts(["a", "b"], _StubProvider(reply=reply))
+        assert str(exc.value) == message
+
+
+class TestRedirects:
+    """post_json follows 307 and 308 as the same POST, and a redirect to
+    another origin never carries the key."""
+
+    @pytest.mark.parametrize("code", [307, 308])
+    def test_307_and_308_post_again_to_the_same_server(self, code):
+        def reply(body):
+            if len(server.requests) > 1:
+                server.status = 200  # only the first request is redirected
+            return {"vectors": [[1.0, 2.0]]}
+
+        with CannedHTTPServer(reply, status=code, headers={"Location": "/moved"}) as server:
+            out = RemoteEmbedder(server.url, api_key="sekrit").embed_many(["a"])
+        assert out == [[1.0, 2.0]]
+        assert [(r["method"], r["path"]) for r in server.requests] == [
+            ("POST", "/"), ("POST", "/moved")]
+        for req in server.requests:
+            assert req["raw"] == b'{"texts": ["a"]}'
+            assert req["headers"]["Content-Type"] == "application/json"
+            assert req["headers"]["Authorization"] == "Bearer sekrit"
+
+    @pytest.mark.parametrize("code,method,raw", [
+        (302, "GET", b""), (307, "POST", b'{"texts": ["a"]}'),
+    ])
+    def test_redirect_to_another_server_drops_the_key(self, code, method, raw):
+        with CannedHTTPServer({"vectors": [[1.0, 2.0]]}) as target:
+            with CannedHTTPServer({}, status=code,
+                                  headers={"Location": target.url + "moved"}) as origin:
+                RemoteEmbedder(origin.url, api_key="sekrit").embed_many(["a"])
+        assert origin.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
+        (req,) = target.requests
+        assert (req["method"], req["path"], req["raw"]) == (method, "/moved", raw)
+        assert "Authorization" not in req["headers"]
