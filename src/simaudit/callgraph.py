@@ -37,6 +37,8 @@ class CallGraph:
 class ScanSchedule:
     order: tuple[str, ...]
     scc_groups: tuple[tuple[str, ...], ...]  # only groups of size > 1
+    groups: tuple[tuple[str, ...], ...]  # every group, in schedule order
+    group_callees: tuple[tuple[int, ...], ...]  # per group, positions in groups
 
 
 def build_graph(units: list[FunctionUnit]) -> CallGraph:
@@ -143,8 +145,10 @@ def topo_order(graph: CallGraph) -> ScanSchedule:
 
     Whenever several groups are ready, the one whose smallest member id sorts
     first is emitted next; members of a group are emitted consecutively in
-    ascending unit id. The result is a pure function of the graph, so two runs
-    over the same input produce the same schedule.
+    ascending unit id. groups holds every group (a cycle or a single unit) in
+    that order, and group_callees the positions in groups of the groups each
+    one calls. The result is a pure function of the graph, so two runs over
+    the same input produce the same schedule.
     """
     vertices = sorted(graph.vertices)
     adj: dict[str, list[str]] = {v: [] for v in vertices}
@@ -153,36 +157,33 @@ def topo_order(graph: CallGraph) -> ScanSchedule:
 
     sccs = _tarjan_scc(vertices, adj)
     comp_of = {v: ci for ci, comp in enumerate(sccs) for v in comp}
+    callees = [{comp_of[w] for v in comp for w in adj[v]} - {ci}
+               for ci, comp in enumerate(sccs)]
+    # A group becomes ready once every group it calls has been emitted.
+    callers: list[list[int]] = [[] for _ in sccs]
+    for ci, called in enumerate(callees):
+        for callee in called:
+            callers[callee].append(ci)
+    waiting = [len(called) for called in callees]
 
-    # Condensation edges point callee-group -> caller-group: a group becomes
-    # ready once every group it depends on (its callees) has been emitted.
-    dep_count = {ci: 0 for ci in range(len(sccs))}
-    dependents: dict[int, set[int]] = {ci: set() for ci in range(len(sccs))}
-    deps: dict[int, set[int]] = {ci: set() for ci in range(len(sccs))}
-    for caller, callee in graph.edges:
-        a, b = comp_of[caller], comp_of[callee]
-        if a != b and a not in dependents[b]:
-            dependents[b].add(a)
-            deps[a].add(b)
-    for ci in dep_count:
-        dep_count[ci] = len(deps[ci])
-
-    ready = [(sccs[ci][0], ci) for ci in dep_count if dep_count[ci] == 0]
+    ready = [(comp[0], ci) for ci, comp in enumerate(sccs) if not waiting[ci]]
     heapq.heapify(ready)
-    order: list[str] = []
+    position: dict[int, int] = {}
     groups: list[tuple[str, ...]] = []
+    group_callees: list[tuple[int, ...]] = []
     while ready:
         _, ci = heapq.heappop(ready)
-        members = sccs[ci]
-        order.extend(members)
-        if len(members) > 1:
-            groups.append(tuple(members))
-        for other in dependents[ci]:
-            dep_count[other] -= 1
-            if dep_count[other] == 0:
+        position[ci] = len(groups)
+        groups.append(tuple(sccs[ci]))
+        group_callees.append(tuple(sorted(position[c] for c in callees[ci])))
+        for other in callers[ci]:
+            waiting[other] -= 1
+            if not waiting[other]:
                 heapq.heappush(ready, (sccs[other][0], other))
 
-    return ScanSchedule(order=tuple(order), scc_groups=tuple(groups))
+    return ScanSchedule(order=tuple(v for group in groups for v in group),
+                        scc_groups=tuple(group for group in groups if len(group) > 1),
+                        groups=tuple(groups), group_callees=tuple(group_callees))
 
 
 def _dot_escape(name: str) -> str:

@@ -127,15 +127,15 @@ def _classify(schedule_order, by_id, index, embed_provider, k, delta):
 
 
 def _run_groups(groups, callee_groups, weights, run_group) -> None:
-    """Run run_group(g) for every group on up to DEBATE_WORKERS threads, each
-    group once every group in callee_groups[g] has finished.
+    """Run run_group(groups[g]) for every group on up to DEBATE_WORKERS
+    threads, each once the groups at the positions callee_groups[g] finish.
 
-    groups come in schedule order, callees first. A group's height is its
-    weight (weights[g], the units it will really debate) plus the largest
-    height among the groups that call it: the debating still ahead on the
-    longest chain the group heads. A free thread takes the highest ready
-    group, the first in schedule order on a tie, so the chain that bounds
-    the scan does not queue behind groups that nothing waits for.
+    groups and callee_groups are a ScanSchedule's, callees first. A group's
+    height is its weight (weights[g], the units it will really debate) plus
+    the largest height among the groups that call it: the debating still
+    ahead on the longest chain the group heads. A free thread takes the
+    highest ready group, the first in schedule order on a tie, so the chain
+    that bounds the scan does not queue behind groups that nothing waits for.
 
     The threads take ready groups from one shared heap; an idle thread is
     woken only when a group becomes ready. The calling thread waits for the
@@ -148,16 +148,15 @@ def _run_groups(groups, callee_groups, weights, run_group) -> None:
     the calling thread, stops the threads from starting further groups and
     propagates once the running groups have ended.
     """
-    waiting = {g: set(callee_groups[g]) for g in groups}
-    callers: dict = {g: [] for g in groups}
-    for g in groups:
-        for callee in callee_groups[g]:
+    waiting = [len(called) for called in callee_groups]
+    callers: list[list[int]] = [[] for _ in groups]
+    for g, called in enumerate(callee_groups):
+        for callee in called:
             callers[callee].append(g)
-    height: dict = {}
-    for g in reversed(groups):
-        height[g] = weights[g] + max((height[c] for c in callers[g]), default=0)
-    rank = {g: (-height[g], position) for position, g in enumerate(groups)}
-    ready = [(rank[g], g) for g in groups if not waiting[g]]
+    height = list(weights)
+    for g in reversed(range(len(groups))):
+        height[g] += max((height[c] for c in callers[g]), default=0)
+    ready = [(-height[g], g) for g in range(len(groups)) if not waiting[g]]
     heapq.heapify(ready)
     left = len(groups)
     live = 0
@@ -177,7 +176,7 @@ def _run_groups(groups, callee_groups, weights, run_group) -> None:
                         return
                     _, group = heapq.heappop(ready)
                 try:
-                    run_group(group)
+                    run_group(groups[group])
                 except BaseException as exc:
                     with cond:
                         failures.append(exc)
@@ -186,9 +185,9 @@ def _run_groups(groups, callee_groups, weights, run_group) -> None:
                 with cond:
                     left -= 1
                     for caller in callers[group]:
-                        waiting[caller].discard(group)
+                        waiting[caller] -= 1
                         if not waiting[caller]:
-                            heapq.heappush(ready, (rank[caller], caller))
+                            heapq.heappush(ready, (-height[caller], caller))
                             cond.notify()
                     if not left:
                         cond.notify_all()
@@ -304,13 +303,9 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
             outcomes[unit_id] = (verdict, error)
             debated[unit_id] = (summaries, verdict, transcript, error, llm.count)
 
-    cycle_of = {unit_id: group for group in schedule.scc_groups for unit_id in group}
-    group_of = {unit_id: cycle_of.get(unit_id, (unit_id,)) for unit_id in schedule.order}
-    groups = list(dict.fromkeys(group_of[unit_id] for unit_id in schedule.order))
-    callee_groups = {g: {group_of[c] for u in g for c in callees[u]} - {g} for g in groups}
-    debated_units = {g: sum(classified[u][0] is not Category.CLONE and classified[u][2] is None
-                            for u in g) for g in groups}
-    _run_groups(groups, callee_groups, debated_units, debate_group)
+    debated_units = [sum(classified[u][0] is not Category.CLONE and classified[u][2] is None
+                         for u in g) for g in schedule.groups]
+    _run_groups(schedule.groups, schedule.group_callees, debated_units, debate_group)
 
     records: list[dict] = []
     transcripts: dict[str, list[dict]] = {}

@@ -46,7 +46,6 @@ if TYPE_CHECKING:
     from .corpus import CorpusIndex
 
 DEFAULT_DELTA = 0.65
-CLONE_EPS = 1e-9
 FALLBACK_DIM = 384
 EMBED_CHUNK = 256  # texts per embed_texts call, for a corpus and for a scan
 QUERY_TILE = 128  # index rows scored per step of a query in query_top_k
@@ -306,10 +305,8 @@ def similarity(a, b) -> tuple[float, float]:
 
 
 def classify(sim: float, delta: float = DEFAULT_DELTA) -> Category:
-    """Clone at similarity 1 (within 1e-9), Similar strictly between delta
-    and 1, Dissimilar at or below delta."""
-    if sim >= 1.0 - CLONE_EPS:
-        return Category.CLONE
+    """Similar above delta, 1 included, else Dissimilar. Equal embeddings need
+    not be equal code: only CorpusIndex.find_clone's text match is a clone."""
     if sim > delta:
         return Category.SIMILAR
     return Category.DISSIMILAR
@@ -394,10 +391,10 @@ def query_top_k(queries, index: "CorpusIndex", k: int = 3,
     k reaches the index size, or a norm of the query or of any row is zero,
     not finite or outside SQUARABLE.
 
-    Matches below delta are still returned, categorized Dissimilar. An empty
-    index yields an empty list per query; an empty batch yields [] without
-    reading the index. The caller checks that queries and index come from
-    one embedder, as run_scan does.
+    Matches are categorized by classify, never Clone; those below delta are
+    still returned, as Dissimilar. An empty index yields an empty list per
+    query; an empty batch yields [] without reading the index. The caller
+    checks that queries and index come from one embedder, as run_scan does.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")

@@ -182,6 +182,19 @@ class TestScheduleProperties:
             assert list(grp) == sorted(grp)
 
     @given(random_graphs())
+    def test_groups_are_the_condensation_in_schedule_order(self, g):
+        s = topo_order(g)
+        assert tuple(v for grp in s.groups for v in grp) == s.order
+        assert s.scc_groups == tuple(grp for grp in s.groups if len(grp) > 1)
+        assert len(s.group_callees) == len(s.groups)
+        group_of = {v: grp for grp in s.groups for v in grp}
+        for grp, callees in zip(s.groups, s.group_callees):
+            called = {group_of[b] for a, b in g.edges if a in grp} - {grp}
+            assert {s.groups[i] for i in callees} == called
+            assert list(callees) == sorted(callees)
+        assert hash(s) == hash(topo_order(g))
+
+    @given(random_graphs())
     def test_deterministic(self, g):
         assert topo_order(g) == topo_order(g)
 

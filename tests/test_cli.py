@@ -577,6 +577,15 @@ class TestEvalCommand:
                      "--no-simcheck", "--mock-fixture", MOCK_FIXTURE])
         assert code == 3
 
+    def test_labels_without_a_label_column_are_malformed(self, tmp_path, capsys):
+        dataset, labels = self._dataset(tmp_path)
+        labels.write_text("sample,verdict\nclean.sol,negative\nvuln.sol,positive\n",
+                          encoding="utf-8")
+        code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
+                     "--no-simcheck", "--mock-fixture", MOCK_FIXTURE])
+        assert code == 3
+        assert "eval label file must have columns sample,label" in capsys.readouterr().err
+
     def test_bad_label_value_is_malformed(self, tmp_path):
         dataset, labels = self._dataset(tmp_path)
         labels.write_text("sample,label\nclean.sol,maybe\nvuln.sol,positive\n",

@@ -679,6 +679,20 @@ class TestPersistence:
             load_index(path)
         assert str(exc.value) == f"index {path} line 4: 1 keys for 2 entry lines"
 
+    @pytest.mark.parametrize("keys", [[1, 2], [["a"], ["b"]]], ids=["numbers", "singletons"])
+    def test_key_line_not_of_pairs_is_file_corrupt(self, tmp_path, keys):
+        index = new_index()
+        for name in ("f", "g"):
+            index.insert(mk_unit(f"a.sol::C::{name}#0"), "pkg", "1.0")
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        header, lines, _ = _split_saved(path)
+        lines[-1] = json.dumps(keys)
+        header["digest"] = hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
+        _write_index(path, header, lines)
+        with pytest.raises(FileCorrupt, match=f"^index {re.escape(str(path))} line 4: "):
+            load_index(path)
+
     def test_a_scan_builds_only_the_entries_it_touches(self, tmp_path):
         index = new_index()
         for i in range(6):
@@ -703,6 +717,16 @@ class TestPersistence:
             assert loaded.entry_by_id(target.entry_id) is hit
             assert built() == [5, 2]
             assert loaded == index and built() == [5, 2, 3, 4, 6, 7]
+
+    def test_entry_list_compares_and_prints_as_its_list(self, tmp_path):
+        index = _labeled_index()
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        entries = load_index(path).entries
+        assert (entries == 5) is False
+        assert entries.__eq__(5) is NotImplemented
+        assert entries == list(index.entries)
+        assert repr(entries) == repr(list(index.entries))
 
     def test_kept_count_mismatch_detected(self, tmp_path):
         index = _labeled_index()

@@ -54,3 +54,16 @@ def test_only_simindex_speaks_http():
     speakers = {path.name for path in PACKAGE.glob("*.py")
                 if _top_level_imports(path) & {"urllib", "http"}}
     assert speakers == {"simindex.py"}
+
+
+def test_retrieval_never_decides_a_clone():
+    """Only CorpusIndex.find_clone, an exact text match, makes a unit a clone,
+    so simindex names Category.CLONE (or its value) nowhere outside the enum."""
+    tree = ast.parse((PACKAGE / "simindex.py").read_text(encoding="utf-8"))
+    enum = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "Category")
+    outside = [node for node in ast.walk(tree)
+               if (isinstance(node, ast.Attribute) and node.attr == "CLONE")
+               or (isinstance(node, ast.Constant) and node.value == "clone")]
+    inside = {id(node) for node in ast.walk(enum)}
+    assert [ast.unparse(node) for node in outside if id(node) not in inside] == []

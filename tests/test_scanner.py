@@ -266,6 +266,31 @@ class TestSimcheck:
             assert by_id[other]["category"] == "clone"
         assert report["summary"]["provider_calls"] == 4
 
+    def test_equal_embedding_of_other_code_is_debated(self, tmp_path):
+        # Swapping the two updates keeps every character trigram, so the
+        # fallback embeddings are equal while the code is not.
+        reference = """\
+contract Bank {
+    mapping(address => uint256) balances;
+    function pay(address to, uint256 amount) public {
+        balances[msg.sender] -= amount;
+        balances[to] += amount;
+    }
+}
+"""
+        swapped = reference.replace(
+            "balances[msg.sender] -= amount;\n        balances[to] += amount;",
+            "balances[to] += amount;\n        balances[msg.sender] -= amount;")
+        assert swapped != reference
+        path = _write(tmp_path, "bank.sol", swapped)
+        provider = MockLLMProvider(defaults=CLEAN_DEFAULTS)
+        report = run_scan([path], self._indexed(reference), provider, FallbackEmbedder())
+        [rec] = report["units"]
+        assert rec["category"] == "similar"
+        assert rec["matches"][0]["similarity"] == 1.0
+        assert rec["verdict"]["decided_by"] == "Judge"
+        assert rec["provider_calls"] == 4
+
     def test_simcheck_requires_index_and_embedder(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL)
         with pytest.raises(ValueError):

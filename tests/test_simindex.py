@@ -23,7 +23,6 @@ from simaudit.errors import (
     ProviderMismatch,
 )
 from simaudit.simindex import (
-    CLONE_EPS,
     DEFAULT_DELTA,
     EMBED_CHUNK,
     ENV_EMBED_ENDPOINT,
@@ -119,8 +118,8 @@ class TestSimilarityProperties:
 
 class TestClassify:
     def test_bands(self):
-        assert classify(1.0) is Category.CLONE
-        assert classify(1.0 - CLONE_EPS) is Category.CLONE
+        assert classify(1.0) is Category.SIMILAR
+        assert classify(1.0 - 1e-9) is Category.SIMILAR
         assert classify(1.0 - 2e-9) is Category.SIMILAR
         assert classify(0.8) is Category.SIMILAR
         assert classify(0.65 + 1e-9) is Category.SIMILAR
@@ -326,7 +325,7 @@ class TestQueryTopK:
         matches = query_top_k([_vec(6, 8)], index, k=3)[0]
         assert [m.entry_id for m in matches] == [
             "pkg@1/f.sol::C::e2#0", "pkg@1/f.sol::C::e1#0", "pkg@1/f.sol::C::e0#0"]
-        assert matches[0].category is Category.CLONE
+        assert matches[0].category is Category.SIMILAR
         assert matches[0].similarity == 1.0
         assert abs(matches[1].similarity - 2 / 3) < 1e-12
 
