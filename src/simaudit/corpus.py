@@ -1,16 +1,19 @@
 """Reference corpus: archive ingestion, vulnerability labels, persistence.
 
-An index (format 4) is JSON text followed by raw bytes. Line one is a JSON
+An index (format 5) is JSON text followed by raw bytes. Line one is a JSON
 header carrying the format version, the embedder id, the similarity
 threshold the index was built for, a creation timestamp, ingestion stats,
 the embedding `dimension` (null before embedding) and `digest`, the SHA-256
 hex of all text after the header line. Lines 2 to n+1 hold one JSON entry
-each, without its entry id and content hash; line n+2, the key line, is a
-JSON array of [entry_id, content_hash] pairs in entry order. In an embedded
-index the key line's newline is followed directly by the embedding matrix:
-little-endian float64, row-major, row i for entry line i + 2, exactly
-8 x `dimension` x `stats.functions_kept` bytes, and nothing after it, so the
-file is not pure JSON Lines, though its first line is still the header.
+each, without its entry id, content hash and normalized source; line n+2,
+the key line, is a JSON array of [entry_id, content_hash] pairs in entry
+order. The normalized source is derived from the raw source where it is
+read (CorpusIndex.normalized_source): for each find_clone hash hit, and for
+every entry when a loaded index is embedded. In an embedded index the key
+line's newline is followed directly by the embedding matrix: little-endian
+float64, row-major, row i for entry line i + 2, exactly 8 x `dimension` x
+`stats.functions_kept` bytes, and nothing after it, so the file is not pure
+JSON Lines, though its first line is still the header.
 
 The loader takes the block from the end of the file by that length, so a
 wrong length, a missing line, text that is not UTF-8 or a non-finite value
@@ -19,7 +22,8 @@ line: an entry is parsed the first time a scan touches it (a find_clone hash
 hit, entry_by_id or reading entries). If the text does not match the digest,
 every entry line is parsed at load instead, so a damaged line is reported by
 its number; if they all parse, the mismatch itself is reported. Either way
-the load fails with FileCorrupt. Saving is deterministic, so load-then-save
+the load fails with FileCorrupt, as does raw source that no longer
+normalizes, once it is read. Saving is deterministic, so load-then-save
 reproduces the file byte for byte.
 """
 
@@ -49,12 +53,12 @@ from .errors import (
     LabelFileMalformed,
     SourceError,
 )
-from .extract import FunctionUnit, UnitKind, extract_units
+from .extract import FunctionUnit, UnitKind, extract_units, normalize
 from .simindex import DEFAULT_DELTA
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 LABEL_CSV_COLUMNS = ("package", "version", "match_kind", "match_value", "note")
 
@@ -133,6 +137,8 @@ class CorpusIndex:
     entry_ids: list[str] = field(default_factory=list, repr=False, compare=False)
     _by_hash: dict[str, list[int]] = field(default_factory=dict, repr=False, compare=False)
     _by_id: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    # The file load_index read this index from; None for a built index.
+    _path: str | Path | None = field(default=None, repr=False, compare=False)
 
     def insert(self, unit: FunctionUnit, package: str, version: str) -> bool:
         """Insert unless an entry with the same hash and byte-equal normalized
@@ -167,10 +173,21 @@ class CorpusIndex:
         """Exact-content lookup: hash equality plus a byte comparison, so a
         hash collision can never silently merge two different functions."""
         for pos in self._by_hash.get(hash_hex, ()):
-            entry = self.entries[pos]
-            if entry.unit.normalized_source == normalized_source:
-                return entry
+            if self.normalized_source(pos) == normalized_source:
+                return self.entries[pos]
         return None
+
+    def normalized_source(self, pos: int) -> str:
+        """The normalized source of entries[pos]. An entry read from an index
+        file carries none, so it is derived from its raw source on each call;
+        raw source that does not normalize makes the file corrupt."""
+        unit = self.entries[pos].unit
+        if unit.normalized_source is not None:
+            return unit.normalized_source
+        try:
+            return normalize(unit.raw_source)
+        except SourceError as exc:
+            raise FileCorrupt(f"index {self._path} line {pos + 2}: {exc}") from exc
 
     def entry_by_id(self, entry_id: str) -> CorpusEntry | None:
         pos = self._by_id.get(entry_id)
@@ -299,7 +316,7 @@ def _entry_from_line(path, lineno: int, line: str, entry_id: str,
             contract=d["contract"],
             file_path=d["file_path"],
             raw_source=d["raw_source"],
-            normalized_source=d["normalized_source"],
+            normalized_source=None,
             content_hash=content_hash,
             declared_calls=tuple(d["declared_calls"]),
             source_span=(int(d["source_span"][0]), int(d["source_span"][1])),
@@ -322,16 +339,18 @@ def read_text(path: str | Path, what: str) -> str:
                           f"at byte {exc.start}") from exc
 
 
-def write_atomic(path: str | Path, data: str | bytes) -> None:
-    """Write data (a str as UTF-8) to path through a synced temp file in the
-    same directory and os.replace, so the path holds the old bytes or the
-    new, never a mix."""
+def write_atomic(path: str | Path, data: str | bytes | list) -> None:
+    """Write data (a str as UTF-8, or a list of bytes-like chunks in order) to
+    path through a synced temp file in the same directory and os.replace, so
+    the path holds the old bytes or the new, never a mix."""
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if not isinstance(data, list):
+        data = [data]
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            f.writelines(data)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -341,22 +360,27 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
+    """Write index to path in format FORMAT_VERSION. Each line is encoded once
+    and hashed as it goes, and the vector block is written from the matrix's
+    own buffer, so the file is never assembled in memory."""
     vectors = index.vectors
-    lines, keys = [], []
+    chunks, keys, digest = [], [], hashlib.sha256()
     for entry in index.entries:
         # The FunctionUnit fields, in order, are the format; the content hash
-        # goes to the key line.
+        # goes to the key line, and the normalized source is not stored.
         unit = vars(entry.unit).copy()
         keys.append((entry.entry_id, unit.pop("content_hash")))
-        lines.append(json.dumps({
+        del unit["normalized_source"]
+        chunks.append(json.dumps({
             "package": entry.package,
             "version": entry.version,
             "label": entry.label.value,
             "vuln_note": entry.vuln_note,
             "unit": unit,
-        }))
-    lines.append(json.dumps(keys))
-    text = ("\n".join(lines) + "\n").encode("utf-8")
+        }).encode("utf-8") + b"\n")
+        digest.update(chunks[-1])
+    chunks.append(json.dumps(keys).encode("utf-8") + b"\n")
+    digest.update(chunks[-1])
     header = json.dumps({
         "format_version": FORMAT_VERSION,
         "embedder_id": index.meta.embedder_id,
@@ -364,10 +388,12 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         "created_at": index.meta.created_at,
         "stats": vars(index.stats),
         "dimension": None if vectors is None else vectors.shape[1],
-        "digest": hashlib.sha256(text).hexdigest(),
+        "digest": digest.hexdigest(),
     })
-    block = b"" if vectors is None else vectors.astype("<f8", copy=False).tobytes()
-    write_atomic(path, b"".join((header.encode("utf-8"), b"\n", text, block)))
+    chunks.insert(0, header.encode("utf-8") + b"\n")
+    if vectors is not None:
+        chunks.append(np.ascontiguousarray(vectors, dtype="<f8"))
+    write_atomic(path, chunks)
 
 
 def load_index(path: str | Path) -> CorpusIndex:
@@ -419,7 +445,7 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise FileCorrupt(f"index {path} has embedding dimension {dimension!r}")
     index = CorpusIndex(meta=IndexMeta(created_at=created_at, embedder_id=embedder_id,
                                        delta=float(delta)),
-                        stats=stats)
+                        stats=stats, _path=path)
     cut = len(data) - 8 * (dimension or 0) * stats.functions_kept
     if cut <= head_end:
         raise FileCorrupt(f"index {path} is too short for its "

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count
 
@@ -92,7 +92,12 @@ _KIND_BY_KEYWORD = {
 
 @dataclass(frozen=True)
 class FunctionUnit:
-    """One extracted function, modifier, constructor, fallback, or receive."""
+    """One extracted function, modifier, constructor, fallback, or receive.
+
+    normalized_source is normalize(raw_source). An index file does not store
+    it, so it is None on a unit read back from one; it takes no part in ==
+    or repr, and CorpusIndex.normalized_source derives it where it is read.
+    """
 
     unit_id: str
     kind: UnitKind
@@ -100,7 +105,7 @@ class FunctionUnit:
     contract: str
     file_path: str
     raw_source: str
-    normalized_source: str
+    normalized_source: str | None = field(compare=False, repr=False)
     content_hash: str
     declared_calls: tuple[str, ...]
     source_span: tuple[int, int]

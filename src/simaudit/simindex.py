@@ -48,6 +48,7 @@ if TYPE_CHECKING:
 DEFAULT_DELTA = 0.65
 FALLBACK_DIM = 384
 EMBED_CHUNK = 256  # texts per embed_texts call, for a corpus and for a scan
+EMBED_SLAB = 32  # texts whose trigrams FallbackEmbedder.embed_many holds at once
 QUERY_TILE = 128  # index rows scored per step of a query in query_top_k
 SQUARABLE = (1e-150, 1e150)  # norms whose squares and products stay normal floats
 
@@ -79,8 +80,11 @@ class FallbackEmbedder:
 
     embed_many builds one vocabulary per call: each distinct trigram of the
     whole batch is hashed once, and every text's row sums its trigrams' taps
-    from that table. The sums are small integers, exact in any order, so each
-    row is bit-identical to embedding its text on its own.
+    from that table. It works in slabs of EMBED_SLAB texts: the vocabulary is
+    merged slab by slab, and each slab's trigrams are then keyed again and
+    summed into its rows, so no array grows with the batch's characters. The
+    sums are small integers, exact in any order, so each row is bit-identical
+    to embedding its text on its own.
     """
 
     provider_id = "fallback-trigram-v1"
@@ -90,51 +94,45 @@ class FallbackEmbedder:
     _TAPS = 8  # projection entries per trigram
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
-        dim, n = self.dimension, len(texts)
-        acc = np.zeros(n * dim)
-        lens = np.fromiter(map(len, texts), dtype=np.intp, count=n)
-        # A trigram is its three code points, 21 bits each, packed into one
-        # key; it counts only where all three lie inside one text.
-        points = np.frombuffer("".join(texts).encode("utf-32-le"), dtype="<u4")
-        owner = np.repeat(np.arange(n, dtype=np.int32), lens)
-        keys = points[:-2].astype(np.uint64) << 42
-        keys |= points[1:-1].astype(np.uint64) << 21
-        keys |= points[2:]
-        keys = keys[owner[:-2] == owner[2:]]
-        # A sort, not np.unique: its hash-set path leaves about 1 MB more heap
-        # behind in the process.
-        vocab = np.sort(keys)
-        first = np.ones(len(vocab), dtype=bool)
-        first[1:] = vocab[1:] != vocab[:-1]
-        vocab = vocab[first]
+        dim, n, taps = self.dimension, len(texts), self._TAPS
+        slabs = [texts[start : start + EMBED_SLAB] for start in range(0, n, EMBED_SLAB)]
+        # The vocabulary: every distinct trigram key of the batch, ascending.
+        vocab = np.empty(0, dtype=np.uint64)
+        for slab in slabs:
+            vocab = _sorted_unique(np.concatenate((vocab, _trigram_keys(slab))))
         spelled = np.stack([vocab >> 42, (vocab >> 21) & 0x1FFFFF, vocab & 0x1FFFFF], axis=1)
         spelled = spelled.astype("<u4").tobytes().decode("utf-32-le")
+        lens = np.fromiter(map(len, texts), dtype=np.intp, count=n)
         short = np.flatnonzero(lens < 3)
         grams = ([spelled[i : i + 3] for i in range(0, len(spelled), 3)]
                  + [texts[i] for i in short.tolist()])
-        digests = b"".join(hashlib.blake2b(gram.encode("utf-8"), digest_size=3 * self._TAPS,
+        digests = b"".join(hashlib.blake2b(gram.encode("utf-8"), digest_size=3 * taps,
                                            key=self._KEY).digest() for gram in grams)
+        del spelled, grams  # freed early, as is each table input below, to lower the peak
         # Three bytes per gram and tap: a big-endian 2-byte index, then a byte
-        # whose low bit is the sign. The tables are tap-major, (_TAPS, grams).
-        tap_bytes = np.frombuffer(digests, dtype=np.uint8).reshape(-1, self._TAPS, 3).T.copy()
-        idx = (256 * tap_bytes[0].astype(np.intp) + tap_bytes[1]) % dim
+        # whose low bit is the sign. The tables are tap-major, (taps, grams),
+        # and an index below 384 fits in an int16.
+        tap_bytes = np.frombuffer(digests, dtype=np.uint8).reshape(-1, taps, 3).T
+        idx = ((256 * tap_bytes[0].astype(np.intp) + tap_bytes[1]) % dim).astype(np.int16)
         sign = np.where(tap_bytes[2] & 1, 1.0, -1.0)
-        # Every occurrence, trigrams in text order and then the short texts:
-        # the offset of its text's row in acc, and its gram.
-        base = np.concatenate([np.repeat(np.arange(n) * dim, np.maximum(lens - 2, 0)),
-                               short * dim])
-        gram_of = np.concatenate([np.searchsorted(vocab, keys),
-                                  len(vocab) + np.arange(len(short))])
-        # One tap at a time, through two reused buffers: all taps at once, or
-        # fresh temporaries per tap, raise the process's peak RSS.
-        at = np.empty_like(base)
-        weight = np.empty(len(base))
-        for tap_idx, tap_sign in zip(idx, sign):
-            np.take(tap_idx, gram_of, out=at)
-            at += base
-            np.take(tap_sign, gram_of, out=weight)
-            acc += np.bincount(at, weights=weight, minlength=n * dim)
-        acc = acc.reshape(n, dim)
+        del tap_bytes, digests
+        acc = np.zeros((n, dim))
+        short_gram = len(vocab)  # the gram of the next short text
+        for start, slab in zip(range(0, n, EMBED_SLAB), slabs):
+            m = len(slab)
+            slab_lens = lens[start : start + m]
+            slab_short = np.flatnonzero(slab_lens < 3)
+            # Every occurrence, trigrams in text order and then the short
+            # texts: the offset of its text's row in rows, and its gram.
+            base = np.concatenate([np.repeat(np.arange(m) * dim, np.maximum(slab_lens - 2, 0)),
+                                   slab_short * dim])
+            gram_of = np.concatenate([np.searchsorted(vocab, _trigram_keys(slab)),
+                                      short_gram + np.arange(len(slab_short))])
+            short_gram += len(slab_short)
+            rows = acc[start : start + m].reshape(-1)
+            for tap_idx, tap_sign in zip(idx, sign):
+                at = tap_idx[gram_of] + base
+                rows += np.bincount(at, weights=tap_sign[gram_of], minlength=m * dim)
         # One norm call per row, as for a lone text: a batched sum of squares
         # can round differently once it passes 2**53.
         norms = np.array([np.linalg.norm(row) for row in acc])
@@ -147,6 +145,32 @@ class FallbackEmbedder:
             norms[i] = 1.0
         acc /= norms[:, None]
         return acc
+
+
+def _trigram_keys(texts: list[str]) -> np.ndarray:
+    """The trigrams of texts, in text order, each packed into one uint64 key:
+    its three code points, 21 bits each. A trigram counts only where all
+    three lie inside one text."""
+    points = np.frombuffer("".join(texts).encode("utf-32-le"), dtype="<u4")
+    keys = points[:-2].astype(np.uint64) << 42
+    keys |= points[1:-1].astype(np.uint64) << 21
+    keys |= points[2:]
+    # No trigram starts at a text's last two code points.
+    lens = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    ends = np.cumsum(lens)
+    starts = np.ones(len(points), dtype=bool)
+    starts[ends[lens > 0] - 1] = False
+    starts[ends[lens > 1] - 2] = False
+    return keys[starts[:-2]]
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of keys, ascending. A sort, not np.unique: its
+    hash-set path leaves about 1 MB more heap behind in the process."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 class _Redirect(urllib.request.HTTPRedirectHandler):
@@ -460,14 +484,17 @@ def embed_chunks(texts: list[str], provider):
 def embed_index(index: "CorpusIndex", provider) -> None:
     """Embed every entry's normalized source into the index matrix, row i
     for entries[i], and stamp the index with the provider id. Texts go to
-    the provider EMBED_CHUNK at a time, in entry order; the first chunk that
-    fails, after embed_texts' one retry, raises its ProviderError."""
-    texts = [e.unit.normalized_source for e in index.entries]
-    rows = []
-    for _, result in embed_chunks(texts, provider):
+    the provider EMBED_CHUNK at a time, in entry order, and each chunk's rows
+    are copied into one preallocated matrix; the first chunk that fails,
+    after embed_texts' one retry, raises its ProviderError."""
+    texts = [index.normalized_source(pos) for pos in range(len(index.entries))]
+    vectors = None
+    for span, result in embed_chunks(texts, provider):
         if isinstance(result, ProviderError):
             raise result
-        rows.append(result)
-    if rows:
-        index.vectors = np.vstack(rows)
+        if vectors is None:
+            vectors = np.empty((len(texts), result.shape[1]))
+        vectors[span] = result
+    if vectors is not None:
+        index.vectors = vectors
     index.meta.embedder_id = provider.provider_id

@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import shutil
 import socket
 import tarfile
@@ -71,6 +72,30 @@ def mk_unit(unit_id: str, *, name: str | None = None, contract: str = "C",
         source_span=(0, len(raw)),
     )
 
+
+
+def function_texts(n: int, seed: int = 0) -> list[str]:
+    """n normalized Solidity functions of about 700 characters each, built by
+    a seeded generator from a few names and statement shapes, so a batch
+    shares most of its trigrams as a real corpus does."""
+    rng = random.Random(seed)
+    words = ["amount", "shares", "fee", "limit", "rate", "price", "supply", "debt", "owner"]
+    texts = []
+    for i in range(n):
+        a, b, c = rng.sample(words, 3)
+        stmts = []
+        while sum(map(len, stmts)) < 560:
+            v, k = rng.choice((a, b, c)), rng.randrange(2, 10_000)
+            stmts.append(rng.choice([
+                f"{v} = {v} * {k} / {rng.randrange(2, 100)};",
+                f"balances[who] = balances[who] + {v};",
+                f'require({v} > {k}, "too {rng.choice(words)}");',
+                f"if ({v} >= {k}) {{ total += {v} - {k}; }}",
+                f"emit Moved(who, {v} + {k});"]))
+        texts.append(f"function f{i}(uint256 {a}, uint256 {b}, address who) public "
+                     f"returns (uint256) {{ uint256 {c} = {a} + {b}; {' '.join(stmts)} "
+                     f"return {c}; }}")
+    return texts
 
 class CannedHTTPServer:
     """One-endpoint HTTP server that records each request's method, path,

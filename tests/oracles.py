@@ -3,13 +3,14 @@
 Each oracle recomputes a result through a mechanism deliberately different
 from the package's own (placeholder substitution instead of a streaming
 emitter, reachability closure instead of Tarjan, plain math instead of numpy),
-so agreement between the two is evidence rather than tautology. Six
+so agreement between the two is evidence rather than tautology. Seven
 exceptions keep the package's original code on purpose, to pin results bit
 for bit: reference_tokenize (the character loop of the Solidity lexer),
 reference_extract_units (extraction over that loop's token tuples),
 reference_label_hits (every index entry scanned for each label row),
 scalar_similarity (pair-at-a-time numpy arithmetic),
-reference_fallback_embedding (the per-tap loop of the fallback embedder) and
+reference_fallback_embedding (the per-tap loop of the fallback embedder),
+reference_embed_many (the fallback embedder's whole-batch arrays) and
 reference_query_top_k (one query over the whole index matrix, ranked by a
 Python sort).
 """
@@ -498,6 +499,69 @@ def reference_fallback_embedding(text: str, taps: int = 8) -> np.ndarray:
         acc[fallback_idx] = 1.0
         norm = 1.0
     return np.array(tuple((acc / norm).tolist()))
+
+
+def reference_embed_many(texts: list[str], taps: int = 8) -> np.ndarray:
+    """FallbackEmbedder.embed_many as it was before it worked in slabs: every
+    array of the batch at once, one owner entry per code point."""
+    dim, n = 384, len(texts)
+    key = b"simaudit-fallback-v1"
+    acc = np.zeros(n * dim)
+    lens = np.fromiter(map(len, texts), dtype=np.intp, count=n)
+    # A trigram is its three code points, 21 bits each, packed into one
+    # key; it counts only where all three lie inside one text.
+    points = np.frombuffer("".join(texts).encode("utf-32-le"), dtype="<u4")
+    owner = np.repeat(np.arange(n, dtype=np.int32), lens)
+    keys = points[:-2].astype(np.uint64) << 42
+    keys |= points[1:-1].astype(np.uint64) << 21
+    keys |= points[2:]
+    keys = keys[owner[:-2] == owner[2:]]
+    # A sort, not np.unique: its hash-set path leaves about 1 MB more heap
+    # behind in the process.
+    vocab = np.sort(keys)
+    first = np.ones(len(vocab), dtype=bool)
+    first[1:] = vocab[1:] != vocab[:-1]
+    vocab = vocab[first]
+    spelled = np.stack([vocab >> 42, (vocab >> 21) & 0x1FFFFF, vocab & 0x1FFFFF], axis=1)
+    spelled = spelled.astype("<u4").tobytes().decode("utf-32-le")
+    short = np.flatnonzero(lens < 3)
+    grams = ([spelled[i : i + 3] for i in range(0, len(spelled), 3)]
+             + [texts[i] for i in short.tolist()])
+    digests = b"".join(hashlib.blake2b(gram.encode("utf-8"), digest_size=3 * taps,
+                                       key=key).digest() for gram in grams)
+    # Three bytes per gram and tap: a big-endian 2-byte index, then a byte
+    # whose low bit is the sign. The tables are tap-major, (taps, grams).
+    tap_bytes = np.frombuffer(digests, dtype=np.uint8).reshape(-1, taps, 3).T.copy()
+    idx = (256 * tap_bytes[0].astype(np.intp) + tap_bytes[1]) % dim
+    sign = np.where(tap_bytes[2] & 1, 1.0, -1.0)
+    # Every occurrence, trigrams in text order and then the short texts:
+    # the offset of its text's row in acc, and its gram.
+    base = np.concatenate([np.repeat(np.arange(n) * dim, np.maximum(lens - 2, 0)),
+                           short * dim])
+    gram_of = np.concatenate([np.searchsorted(vocab, keys),
+                              len(vocab) + np.arange(len(short))])
+    # One tap at a time, through two reused buffers: all taps at once, or
+    # fresh temporaries per tap, raise the process's peak RSS.
+    at = np.empty_like(base)
+    weight = np.empty(len(base))
+    for tap_idx, tap_sign in zip(idx, sign):
+        np.take(tap_idx, gram_of, out=at)
+        at += base
+        np.take(tap_sign, gram_of, out=weight)
+        acc += np.bincount(at, weights=weight, minlength=n * dim)
+    acc = acc.reshape(n, dim)
+    # One norm call per row, as for a lone text: a batched sum of squares
+    # can round differently once it passes 2**53.
+    norms = np.array([np.linalg.norm(row) for row in acc])
+    for i in np.flatnonzero(norms == 0.0).tolist():
+        # All taps cancelled; park the text on a hash-chosen axis so the
+        # result is still deterministic and unit length.
+        fallback_idx = int(hashlib.blake2b(texts[i].encode("utf-8"), digest_size=2,
+                                           key=key).hexdigest(), 16) % dim
+        acc[i, fallback_idx] = 1.0
+        norms[i] = 1.0
+    acc /= norms[:, None]
+    return acc
 
 
 def reference_query_top_k(query, index, k: int = 3, delta: float = DEFAULT_DELTA):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import threading
@@ -52,6 +53,24 @@ def _target_dir(tmp_path):
     (d / "token.sol").write_text(TARGET, encoding="utf-8")
     return d
 
+
+
+def _rewrite_units(index_path, edit, **header):
+    """Replace the unit of each entry line of an embedded index with
+    edit(position, unit), update the header with header, and give it the
+    digest of the new text."""
+    head, rest = index_path.read_bytes().split(b"\n", 1)
+    head = json.loads(head)
+    nbytes = 8 * head["dimension"] * head["stats"]["functions_kept"]
+    *lines, keys = rest[:len(rest) - nbytes].decode("utf-8").splitlines()
+    for pos, line in enumerate(lines):
+        rec = json.loads(line)
+        rec["unit"] = edit(pos, rec["unit"])
+        lines[pos] = json.dumps(rec)
+    text = ("\n".join([*lines, keys]) + "\n").encode("utf-8")
+    head = {**head, **header, "digest": hashlib.sha256(text).hexdigest()}
+    index_path.write_bytes(json.dumps(head).encode("utf-8") + b"\n" + text
+                           + rest[len(rest) - nbytes:])
 
 def _scan(tmp_path, *extra, index=None, report_name="report.json"):
     index = index or _build_index(tmp_path, labels=True)
@@ -379,15 +398,44 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 1, this build reads format 4" in err
+        assert "is format 1, this build reads format 5" in err
         assert "rebuild it with `simaudit index`" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_format_4_index_is_refused_with_a_rebuild_hint(self, tmp_path, capsys):
+        index_path = _build_index(tmp_path)
+        index = load_index(index_path)
+
+        def add_normalized(pos, unit):  # format 4 stored it after raw_source
+            *head, calls, span = unit.items()
+            return dict([*head, ("normalized_source", index.normalized_source(pos)),
+                         calls, span])
+
+        _rewrite_units(index_path, add_normalized, format_version=4)
+        code = main(["scan", "--input", str(_target_dir(tmp_path)),
+                     "--index", str(index_path), "--provider", "mock",
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "is format 4, this build reads format 5" in err
+        assert "rebuild it with `simaudit index`" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_indexed_source_that_does_not_normalize_is_format_error(self, tmp_path, capsys):
+        index_path = _build_index(tmp_path)
+        _rewrite_units(index_path, lambda pos, unit: {**unit, "raw_source": 'function f() { "x }'})
+        code = main(["scan", "--input", str(_target_dir(tmp_path)),
+                     "--index", str(index_path), "--provider", "mock",
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"simaudit: index {index_path} line ")
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("data", [
         b'{"format_version": 2}\n\xff\xfe\n',
-        b'{"format_version": 4, "embedder_id": null, "delta": 0.65, "created_at": "t", '
+        b'{"format_version": 5, "embedder_id": null, "delta": 0.65, "created_at": "t", '
         b'"stats": {"functions_kept": 1}, "dimension": null, "digest": ""}\n\xff\xfe\n[]\n',
-        b'{"format_version": 4, "created_at": "\xff\xfe"}\n',
+        b'{"format_version": 5, "created_at": "\xff\xfe"}\n',
     ], ids=["format_2_header", "format_4_entry", "format_4_header"])
     def test_index_that_is_not_utf8_is_format_error(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.jsonl"

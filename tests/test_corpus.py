@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
 import hashlib
 import io
 import json
 import logging
 import re
 import tarfile
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import FIXTURES, make_archive, mk_unit
+from helpers import FIXTURES, function_texts, make_archive, mk_unit
 from simaudit import corpus
 from simaudit.corpus import (
     FORMAT_VERSION,
@@ -36,7 +38,9 @@ from simaudit.errors import (
     FormatVersionMismatch,
     LabelFileMalformed,
 )
+from simaudit.extract import extract_units
 from simaudit.simindex import FallbackEmbedder, embed_index, query_top_k
+from test_extract import generated_contracts
 from test_simindex import _bit_exact_cases
 
 
@@ -235,8 +239,8 @@ def _labeled_index():
 
 
 def _split_saved(path):
-    """(header dict, text lines, vector block) of a saved format-4 index; the
-    last text line is the key line."""
+    """(header dict, text lines, vector block) of a saved index; the last
+    text line is the key line."""
     data = path.read_bytes()
     head, rest = data.split(b"\n", 1)
     header = json.loads(head)
@@ -409,7 +413,7 @@ class TestPersistence:
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["format_version"] == FORMAT_VERSION == 4
+        assert header["format_version"] == FORMAT_VERSION == 5
         assert list(header) == ["format_version", "embedder_id", "delta",
                                 "created_at", "stats", "dimension", "digest"]
         assert header["stats"]["functions_kept"] == len(index.entries)
@@ -438,12 +442,11 @@ class TestPersistence:
         assert first["unit"] == {
             "unit_id": unit.unit_id, "kind": unit.kind.value, "name": unit.name,
             "contract": unit.contract, "file_path": unit.file_path,
-            "raw_source": unit.raw_source, "normalized_source": unit.normalized_source,
+            "raw_source": unit.raw_source,
             "declared_calls": list(unit.declared_calls),
             "source_span": list(unit.source_span)}
         assert list(first["unit"]) == ["unit_id", "kind", "name", "contract", "file_path",
-                                       "raw_source", "normalized_source",
-                                       "declared_calls", "source_span"]
+                                       "raw_source", "declared_calls", "source_span"]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "idx.jsonl"
@@ -607,7 +610,7 @@ class TestPersistence:
             index.vectors.astype("<f8").tobytes()).decode("ascii")}
         _write_index(path, header, entries)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 2, this build reads format 4; "
+                           match="is format 2, this build reads format 5; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -693,6 +696,38 @@ class TestPersistence:
         with pytest.raises(FileCorrupt, match=f"^index {re.escape(str(path))} line 4: "):
             load_index(path)
 
+    def test_raw_source_that_does_not_normalize_is_file_corrupt(self, tmp_path):
+        index = _labeled_index()
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        header, lines, _ = _split_saved(path)
+        rec = json.loads(lines[1])
+        rec["unit"]["raw_source"] = 'function f() { "x }'
+        lines[1] = json.dumps(rec)
+        header["digest"] = hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
+        _write_index(path, header, lines)
+        loaded = load_index(path)
+        unit = index.entries[1].unit
+        where = f"^index {re.escape(str(path))} line 3: "
+        with pytest.raises(FileCorrupt, match=where):
+            loaded.find_clone(unit.normalized_source, unit.content_hash)
+        with pytest.raises(FileCorrupt, match=where):
+            embed_index(loaded, FallbackEmbedder())
+
+    def test_save_peaks_below_the_file_size(self, tmp_path):
+        index = new_index()
+        for i, text in enumerate(function_texts(256)):
+            index.insert(mk_unit(f"f.sol::C::f{i}#0", body=text), "pkg", "1.0")
+        embed_index(index, FallbackEmbedder())
+        path = tmp_path / "idx.jsonl"
+        tracemalloc.start()
+        try:
+            save_index(index, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+
     def test_a_scan_builds_only_the_entries_it_touches(self, tmp_path):
         index = new_index()
         for i in range(6):
@@ -717,6 +752,31 @@ class TestPersistence:
             assert loaded.entry_by_id(target.entry_id) is hit
             assert built() == [5, 2]
             assert loaded == index and built() == [5, 2, 3, 4, 6, 7]
+
+    def test_a_scan_normalizes_only_its_hash_hit_candidates(self, tmp_path):
+        index = new_index()
+        for i in range(4):
+            index.insert(mk_unit(f"f.sol::C::g{i}#0", body=f"function g() {{ r{i}; }}"),
+                         "pkg", "1.0")
+        # A second entry in entry 1's hash bucket, as a hash collision makes.
+        twin = dataclasses.replace(mk_unit("f.sol::C::h#0", body="function h() { s; }"),
+                                   content_hash=index.entries[1].unit.content_hash)
+        assert index.insert(twin, "pkg", "1.0")
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        with patch.object(corpus, "normalize", wraps=corpus.normalize) as norm:
+            loaded = load_index(path)
+            derived = lambda: [c.args[0] for c in norm.call_args_list]  # noqa: E731
+            for entry in index.entries:
+                assert loaded.entry_by_id(entry.entry_id) == entry
+            assert loaded.find_clone("function g() { r9; }", "0" * 64) is None
+            assert derived() == []
+            assert loaded.find_clone(twin.normalized_source, twin.content_hash) == index.entries[4]
+            assert derived() == [index.entries[1].unit.raw_source, twin.raw_source]
+            target = index.entries[2].unit
+            assert loaded.find_clone(target.normalized_source, target.content_hash) == (
+                index.entries[2])
+            assert derived()[2:] == [target.raw_source]
 
     def test_entry_list_compares_and_prints_as_its_list(self, tmp_path):
         index = _labeled_index()
@@ -787,3 +847,18 @@ class TestPersistenceProperties:
             assert np.array_equal(loaded.vectors, index.vectors)
         save_index(loaded, path)
         assert load_index(path) == index
+
+    @given(case=generated_contracts())
+    def test_generated_units_are_clones_after_a_round_trip(self, tmp_path_factory, case):
+        units = extract_units(case[2], "gen.sol")
+        index = new_index()
+        for unit in units:
+            index.insert(unit, "gen", "1.0")
+        path = tmp_path_factory.getbasetemp() / "gen_idx.jsonl"
+        save_index(index, path)
+        loaded = load_index(path)
+        for unit in units:
+            hit = loaded.find_clone(unit.normalized_source, unit.content_hash)
+            assert hit is not None and hit.unit.content_hash == unit.content_hash
+        assert loaded.entries == index.entries
+        assert repr(loaded.entries) == repr(index.entries)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from simaudit.corpus import FORMAT_VERSION
+
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "simaudit"
 
@@ -67,3 +69,9 @@ def test_retrieval_never_decides_a_clone():
                or (isinstance(node, ast.Constant) and node.value == "clone")]
     inside = {id(node) for node in ast.walk(enum)}
     assert [ast.unparse(node) for node in outside if id(node) not in inside] == []
+
+
+def test_readme_names_the_index_format_version():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("**Index** (`--out`)"):].split("\n\n", 1)[0]
+    assert f"format {FORMAT_VERSION}," in paragraph

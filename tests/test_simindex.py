@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -13,9 +14,16 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
-from helpers import FIXTURES, TRANSPORT_FAILURES, CannedHTTPServer, failing_endpoint, mk_unit
+from helpers import (
+    FIXTURES,
+    TRANSPORT_FAILURES,
+    CannedHTTPServer,
+    failing_endpoint,
+    function_texts,
+    mk_unit,
+)
 from simaudit import simindex
-from simaudit.corpus import new_index
+from simaudit.corpus import load_index, new_index, save_index
 from simaudit.errors import (
     DimensionMismatch,
     EmptyText,
@@ -25,6 +33,7 @@ from simaudit.errors import (
 from simaudit.simindex import (
     DEFAULT_DELTA,
     EMBED_CHUNK,
+    EMBED_SLAB,
     ENV_EMBED_ENDPOINT,
     FALLBACK_DIM,
     QUERY_TILE,
@@ -237,6 +246,58 @@ class TestFallbackMatchesReference:
             assert row.tobytes() == oracles.reference_fallback_embedding(text).tobytes()
         assert FallbackEmbedder().embed_many([]).shape == (0, FALLBACK_DIM)
 
+
+
+# NUL and code points outside the BMP included; surrogates cannot be encoded.
+_slab_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+
+
+@st.composite
+def _slab_batches(draw):
+    """0-300 texts, often exactly a slab-boundary size, drawn from a small
+    pool as well as fresh, so duplicates are common."""
+    n = draw(st.one_of(st.sampled_from((31, 32, 33, 65)), st.integers(0, 300)))
+    pool = draw(st.lists(_slab_text, min_size=1, max_size=6))
+    return draw(st.lists(st.one_of(st.sampled_from(pool), _slab_text), min_size=n, max_size=n))
+
+
+def _short_texts_placed(n):
+    """n texts with ones of 0, 1 and 2 code points first, in the middle and
+    last, and a NUL and a non-BMP code point among them."""
+    texts = [f"function f{i % 9}() {{ x\x00{i % 4}; }}" for i in range(n)]
+    texts[0], texts[n // 2], texts[-1] = "", "\x00", "\U0001F600\U0001F600"
+    return texts
+
+
+class TestEmbedSlabsMatchTheWholeBatch:
+    """embed_many, EMBED_SLAB texts at a time, against the whole-batch arrays
+    it replaced, byte for byte."""
+
+    @given(_slab_batches())
+    @example(_short_texts_placed(31))
+    @example(_short_texts_placed(32))
+    @example(_short_texts_placed(33))
+    @example(_short_texts_placed(65))
+    @example(["ab", "\U0001F600"] * 33)
+    def test_matches_the_whole_batch_oracle(self, texts):
+        got = FallbackEmbedder().embed_many(texts)
+        want = oracles.reference_embed_many(texts)
+        assert got.shape == want.shape == (len(texts), FALLBACK_DIM)
+        assert got.tobytes() == want.tobytes()
+
+    def test_slab_size(self):
+        assert EMBED_SLAB == 32
+
+    def test_peak_memory_is_a_few_times_the_result(self):
+        texts = function_texts(256)
+        embedder = FallbackEmbedder()
+        tracemalloc.start()
+        try:
+            result = embedder.embed_many(texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * result.nbytes
 
 class _StubProvider:
     provider_id = "stub"
@@ -626,6 +687,17 @@ class TestEmbedIndex:
         assert [len(c) for c in chunks] == [256, 256, 88]
         assert [t for c in chunks for t in c] == texts
         assert np.array_equal(index.vectors, whole)
+
+    def test_a_loaded_index_embeds_its_derived_sources(self, tmp_path):
+        index = new_index()
+        for i, text in enumerate(function_texts(40)):
+            index.insert(mk_unit(f"f.sol::C::f{i}#0", body=text), "pkg", "1")
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        loaded = load_index(path)
+        embed_index(loaded, FallbackEmbedder())
+        embed_index(index, FallbackEmbedder())
+        assert loaded.vectors.tobytes() == index.vectors.tobytes()
 
     def test_empty_index_just_stamps(self):
         index = new_index()
