@@ -36,7 +36,6 @@ class CallGraph:
 @dataclass(frozen=True)
 class ScanSchedule:
     order: tuple[str, ...]
-    scc_groups: tuple[tuple[str, ...], ...]  # only groups of size > 1
     groups: tuple[tuple[str, ...], ...]  # every group, in schedule order
     group_callees: tuple[tuple[int, ...], ...]  # per group, positions in groups
 
@@ -182,7 +181,6 @@ def topo_order(graph: CallGraph) -> ScanSchedule:
                 heapq.heappush(ready, (sccs[other][0], other))
 
     return ScanSchedule(order=tuple(v for group in groups for v in group),
-                        scc_groups=tuple(group for group in groups if len(group) > 1),
                         groups=tuple(groups), group_callees=tuple(group_callees))
 
 

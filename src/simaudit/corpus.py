@@ -1,30 +1,37 @@
 """Reference corpus: archive ingestion, vulnerability labels, persistence.
 
-An index (format 5) is JSON text followed by raw bytes. Line one is a JSON
+An index (format 6) is JSON text followed by raw bytes. Line one is a JSON
 header carrying the format version, the embedder id, the similarity
 threshold the index was built for, a creation timestamp, ingestion stats,
-the embedding `dimension` (null before embedding) and `digest`, the SHA-256
-hex of all text after the header line. Lines 2 to n+1 hold one JSON entry
-each, without its entry id, content hash and normalized source; line n+2,
-the key line, is a JSON array of [entry_id, content_hash] pairs in entry
-order. The normalized source is derived from the raw source where it is
-read (CorpusIndex.normalized_source): for each find_clone hash hit, and for
-every entry when a loaded index is embedded. In an embedded index the key
-line's newline is followed directly by the embedding matrix: little-endian
-float64, row-major, row i for entry line i + 2, exactly 8 x `dimension` x
-`stats.functions_kept` bytes, and nothing after it, so the file is not pure
-JSON Lines, though its first line is still the header.
+the embedding `dimension` and vector block `dtype` (both null before
+embedding) and `digest`, the SHA-256 hex of all text after the header line.
+Lines 2 to n+1 hold one JSON entry each, without its entry id, content hash
+and normalized source; line n+2, the key line, is a JSON array of
+[entry_id, content_hash] pairs in entry order. The normalized source is
+derived from the raw source where it is read (CorpusIndex.normalized_source):
+for each find_clone hash hit, and for every entry when a loaded index is
+embedded. In an embedded index the key line's newline is followed directly
+by the vector block, little-endian and row-major, row i for entry line i + 2,
+and nothing after it, so the file is not pure JSON Lines, though its first
+line is still the header. A matrix of integer sums over one norm per row
+(the fallback embedder's, CorpusIndex.sums_norms) is stored as those sums,
+`dimension` x `stats.functions_kept` values of the narrowest signed type
+that holds them, which `dtype` names (int8 to int64), followed by one
+float64 norm per row. Any other matrix is stored as its float64 values,
+`dtype` float64.
 
-The loader takes the block from the end of the file by that length, so a
-wrong length, a missing line, text that is not UTF-8 or a non-finite value
-makes the file corrupt. It then hashes the text and parses only the key
-line: an entry is parsed the first time a scan touches it (a find_clone hash
-hit, entry_by_id or reading entries). If the text does not match the digest,
-every entry line is parsed at load instead, so a damaged line is reported by
-its number; if they all parse, the mismatch itself is reported. Either way
-the load fails with FileCorrupt, as does raw source that no longer
-normalizes, once it is read. Saving is deterministic, so load-then-save
-reproduces the file byte for byte.
+The loader takes the block from the end of the file by its length, so a
+wrong length, a missing line, text that is not UTF-8, an unknown dtype, a
+norm that is not positive and finite, or a stored or divided value that is
+not finite makes the file corrupt. It divides integer sums by their norms
+once, so retrieval only ever sees the float64 matrix. It then hashes the
+text and parses only the key line: an entry is parsed the first time a scan
+touches it (a find_clone hash hit, entry_by_id or reading entries). If the
+text does not match the digest, every entry line is parsed at load instead,
+so a damaged line is reported by its number; if they all parse, the
+mismatch itself is reported. Either way the load fails with FileCorrupt, as
+does raw source that no longer normalizes, once it is read. Saving is
+deterministic, so load-then-save reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -54,11 +62,13 @@ from .errors import (
     SourceError,
 )
 from .extract import FunctionUnit, UnitKind, extract_units, normalize
-from .simindex import DEFAULT_DELTA
+from .simindex import DEFAULT_DELTA, EMBED_SLAB, narrowest_int
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
+# The element types a vector block may name in the header's dtype.
+VECTOR_DTYPES = ("int8", "int16", "int32", "int64", "float64")
 
 LABEL_CSV_COLUMNS = ("package", "version", "match_kind", "match_value", "note")
 
@@ -133,6 +143,11 @@ class CorpusIndex:
     entries: EntryList = field(default_factory=EntryList)
     # Row i embeds entries[i], all by meta.embedder_id; None until embedded.
     vectors: np.ndarray | None = field(default=None, compare=False)
+    # (sums, norms) when vectors is an integer matrix over one norm per row,
+    # sums / norms[:, None], as the fallback embedder makes it: the form
+    # save_index stores. Retrieval reads only vectors.
+    sums_norms: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
     # entries[i].entry_id, readable without building entries[i].
     entry_ids: list[str] = field(default_factory=list, repr=False, compare=False)
     _by_hash: dict[str, list[int]] = field(default_factory=dict, repr=False, compare=False)
@@ -339,18 +354,20 @@ def read_text(path: str | Path, what: str) -> str:
                           f"at byte {exc.start}") from exc
 
 
-def write_atomic(path: str | Path, data: str | bytes | list) -> None:
-    """Write data (a str as UTF-8, or a list of bytes-like chunks in order) to
-    path through a synced temp file in the same directory and os.replace, so
-    the path holds the old bytes or the new, never a mix."""
+def write_atomic(path: str | Path, data: str | bytes | Callable[[BinaryIO], None]) -> None:
+    """Write data (a str as UTF-8, bytes, or a function that writes to the
+    open binary file) to path through a synced temp file in the same
+    directory and os.replace, so the path holds the old bytes or the new,
+    never a mix."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    if not isinstance(data, list):
-        data = [data]
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.writelines(data)
+            if callable(data):
+                data(f)
+            else:
+                f.write(data)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -359,41 +376,84 @@ def write_atomic(path: str | Path, data: str | bytes | list) -> None:
         raise
 
 
-def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write index to path in format FORMAT_VERSION. Each line is encoded once
-    and hashed as it goes, and the vector block is written from the matrix's
-    own buffer, so the file is never assembled in memory."""
+def _vector_block(index: CorpusIndex) -> tuple[str | None, list[np.ndarray]]:
+    """The header's dtype and the arrays of index's vector block, in file
+    order: the sums of index.sums_norms, narrowed, and then its norms, if
+    they still divide into index.vectors; else the float64 matrix."""
     vectors = index.vectors
-    chunks, keys, digest = [], [], hashlib.sha256()
-    for entry in index.entries:
-        # The FunctionUnit fields, in order, are the format; the content hash
-        # goes to the key line, and the normalized source is not stored.
-        unit = vars(entry.unit).copy()
-        keys.append((entry.entry_id, unit.pop("content_hash")))
-        del unit["normalized_source"]
-        chunks.append(json.dumps({
-            "package": entry.package,
-            "version": entry.version,
-            "label": entry.label.value,
-            "vuln_note": entry.vuln_note,
-            "unit": unit,
-        }).encode("utf-8") + b"\n")
-        digest.update(chunks[-1])
-    chunks.append(json.dumps(keys).encode("utf-8") + b"\n")
-    digest.update(chunks[-1])
-    header = json.dumps({
-        "format_version": FORMAT_VERSION,
-        "embedder_id": index.meta.embedder_id,
-        "delta": index.meta.delta,
-        "created_at": index.meta.created_at,
-        "stats": vars(index.stats),
-        "dimension": None if vectors is None else vectors.shape[1],
-        "digest": digest.hexdigest(),
-    })
-    chunks.insert(0, header.encode("utf-8") + b"\n")
-    if vectors is not None:
-        chunks.append(np.ascontiguousarray(vectors, dtype="<f8"))
-    write_atomic(path, chunks)
+    if vectors is None:
+        return None, []
+    if index.sums_norms is None or not _divides_into(*index.sums_norms, vectors):
+        return "float64", [np.ascontiguousarray(vectors, dtype="<f8")]
+    sums, norms = index.sums_norms
+    sums = narrowest_int(sums)
+    return sums.dtype.name, [np.ascontiguousarray(sums, dtype=sums.dtype.newbyteorder("<")),
+                             np.ascontiguousarray(norms, dtype="<f8")]
+
+
+def _divides_into(sums: np.ndarray, norms: np.ndarray, vectors: np.ndarray) -> bool:
+    """Whether integer sums over float64 norms, sums / norms[:, None], are
+    vectors bit for bit. The check goes EMBED_SLAB rows at a time, so it
+    allocates little."""
+    if (sums.dtype.kind != "i" or norms.dtype != np.float64
+            or sums.shape != vectors.shape or norms.shape != sums.shape[:1]):
+        return False
+    for start in range(0, len(sums), EMBED_SLAB):
+        rows = slice(start, start + EMBED_SLAB)
+        if not np.array_equal((sums[rows] / norms[rows, None]).view(np.int64),
+                              np.ascontiguousarray(vectors[rows], dtype=float).view(np.int64)):
+            return False
+    return True
+
+
+def save_index(index: CorpusIndex, path: str | Path) -> None:
+    """Write index to path in format FORMAT_VERSION. Each line is encoded,
+    hashed and written in turn, and the vector block from its arrays' own
+    buffers, so neither the file nor its text is ever held in memory. The
+    header goes first with a placeholder digest of the same length, and is
+    written again once the text is hashed."""
+    vectors = index.vectors
+    dtype, block = _vector_block(index)
+
+    def header(digest: str) -> bytes:
+        return json.dumps({
+            "format_version": FORMAT_VERSION,
+            "embedder_id": index.meta.embedder_id,
+            "delta": index.meta.delta,
+            "created_at": index.meta.created_at,
+            "stats": vars(index.stats),
+            "dimension": None if vectors is None else vectors.shape[1],
+            "dtype": dtype,
+            "digest": digest,
+        }).encode("utf-8") + b"\n"
+
+    def write(f: BinaryIO) -> None:
+        digest = hashlib.sha256()
+        f.write(header("0" * digest.digest_size * 2))
+        keys = []
+        for entry in index.entries:
+            # The FunctionUnit fields, in order, are the format; the content
+            # hash goes to the key line, and the normalized source is not
+            # stored.
+            unit = vars(entry.unit).copy()
+            keys.append((entry.entry_id, unit.pop("content_hash")))
+            del unit["normalized_source"]
+            line = json.dumps({
+                "package": entry.package,
+                "version": entry.version,
+                "label": entry.label.value,
+                "vuln_note": entry.vuln_note,
+                "unit": unit,
+            }).encode("utf-8") + b"\n"
+            digest.update(line)
+            f.write(line)
+        line = json.dumps(keys).encode("utf-8") + b"\n"
+        digest.update(line)
+        f.writelines([line, *block])
+        f.seek(0)
+        f.write(header(digest.hexdigest()))
+
+    write_atomic(path, write)
 
 
 def load_index(path: str | Path) -> CorpusIndex:
@@ -435,7 +495,7 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise FileCorrupt(
             f"index {path} header is malformed: created_at {created_at!r} is not a string")
     try:
-        embedder_id, dimension = header["embedder_id"], header["dimension"]
+        embedder_id, dimension, dtype = header["embedder_id"], header["dimension"], header["dtype"]
     except KeyError as exc:
         raise FileCorrupt(f"index {path} header is malformed: no {exc}") from exc
     if embedder_id is not None and not isinstance(embedder_id, str):
@@ -443,13 +503,20 @@ def load_index(path: str | Path) -> CorpusIndex:
                           f"embedder_id {embedder_id!r} is not a string or null")
     if dimension is not None and (type(dimension) is not int or dimension < 1):
         raise FileCorrupt(f"index {path} has embedding dimension {dimension!r}")
+    if dtype not in (VECTOR_DTYPES if dimension else (None,)):
+        raise FileCorrupt(f"index {path} header is malformed: dtype {dtype!r} is not "
+                          + (f"one of {', '.join(VECTOR_DTYPES)}" if dimension
+                             else "null, as dimension is"))
     index = CorpusIndex(meta=IndexMeta(created_at=created_at, embedder_id=embedder_id,
                                        delta=float(delta)),
                         stats=stats, _path=path)
-    cut = len(data) - 8 * (dimension or 0) * stats.functions_kept
+    rows = stats.functions_kept
+    block_dtype = np.dtype(dtype or "float64").newbyteorder("<")
+    norms_size = 8 * rows if block_dtype.kind == "i" else 0
+    cut = len(data) - block_dtype.itemsize * (dimension or 0) * rows - norms_size
     if cut <= head_end:
-        raise FileCorrupt(f"index {path} is too short for its "
-                          f"{stats.functions_kept} rows of {dimension} float64")
+        raise FileCorrupt(f"index {path} is too short for its {rows} rows of {dimension} "
+                          f"{dtype}" + (" and their norms" if norms_size else ""))
     text = memoryview(data)[head_end + 1:cut]
     try:
         *lines, tail = str(text, "utf-8").split("\n")
@@ -483,8 +550,19 @@ def load_index(path: str | Path) -> CorpusIndex:
     index.entries = EntryList(len(lines), build)
     if dimension is None:
         return index
-    vectors = np.frombuffer(data, "<f8", offset=cut).astype(float, copy=False)
+    block = np.frombuffer(data, block_dtype, count=rows * dimension, offset=cut)
+    block = block.reshape(rows, dimension)
+    if norms_size:
+        norms = np.frombuffer(data, "<f8", offset=cut + block.nbytes).astype(float)
+        if not ((norms > 0.0) & (norms < np.inf)).all():
+            raise FileCorrupt(f"index {path} holds a vector norm that is not positive and finite")
+        with np.errstate(over="ignore"):  # a tiny norm: the check below reports it
+            vectors = block / norms[:, None]
+        # Copied out of data, so that the buffer is freed with this frame.
+        index.sums_norms = block.copy(), norms
+    else:
+        vectors = block.astype(float, copy=False)
     if not np.isfinite(vectors).all():
         raise FileCorrupt(f"index {path} vectors hold non-finite values")
-    index.vectors = vectors.reshape(-1, dimension)
+    index.vectors = vectors
     return index

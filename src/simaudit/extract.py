@@ -27,10 +27,6 @@ from itertools import compress, count
 
 from .errors import UnbalancedBraces, UnterminatedBlockComment, UnterminatedString
 
-# Version tag for the built-in deny-list below. Corpora remember which list
-# they were built with only through this constant, so bump it on any change.
-BUILTIN_DENYLIST_VERSION = "1"
-
 _ELEMENTARY_TYPES = (
     ["address", "payable", "bool", "string", "bytes", "byte"]
     + ["uint"] + [f"uint{8 * i}" for i in range(1, 33)]

@@ -352,7 +352,7 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
         "inputs": inputs,
         "schedule": {
             "order": list(schedule.order),
-            "scc_groups": [list(g) for g in schedule.scc_groups],
+            "scc_groups": [list(g) for g in schedule.groups if len(g) > 1],
         },
         "callgraph": {
             "edges": sorted([caller, callee] for caller, callee in graph.edges),

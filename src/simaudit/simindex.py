@@ -85,6 +85,9 @@ class FallbackEmbedder:
     summed into its rows, so no array grows with the batch's characters. The
     sums are small integers, exact in any order, so each row is bit-identical
     to embedding its text on its own.
+
+    embed_sums gives those integer sums and each row's norm; embed_many's
+    rows are their quotients, sums / norms[:, None].
     """
 
     provider_id = "fallback-trigram-v1"
@@ -94,6 +97,12 @@ class FallbackEmbedder:
     _TAPS = 8  # projection entries per trigram
 
     def embed_many(self, texts: list[str]) -> np.ndarray:
+        sums, norms = self.embed_sums(texts)
+        return sums / norms[:, None]
+
+    def embed_sums(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(sums, norms): per text, its row of tap sums as narrowest_int
+        stores them, and that row's float64 norm, which is never 0."""
         dim, n, taps = self.dimension, len(texts), self._TAPS
         slabs = [texts[start : start + EMBED_SLAB] for start in range(0, n, EMBED_SLAB)]
         # The vocabulary: every distinct trigram key of the batch, ascending.
@@ -143,8 +152,17 @@ class FallbackEmbedder:
                                                key=self._KEY).hexdigest(), 16) % dim
             acc[i, fallback_idx] = 1.0
             norms[i] = 1.0
-        acc /= norms[:, None]
-        return acc
+        return narrowest_int(acc), norms
+
+
+def narrowest_int(values: np.ndarray) -> np.ndarray:
+    """Integer-valued values in the narrowest of int8, int16, int32 and int64
+    that holds them all."""
+    low, high = values.min(initial=0), values.max(initial=0)
+    for dtype in (np.int8, np.int16, np.int32):
+        if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max:
+            return values.astype(dtype, copy=False)
+    return values.astype(np.int64, copy=False)
 
 
 def _trigram_keys(texts: list[str]) -> np.ndarray:
@@ -274,9 +292,7 @@ def embed_texts(texts: list[str], provider) -> np.ndarray:
     """Embed a batch into one (len(texts), d) float64 matrix, retrying a provider
     failure once. A reply that is not d finite numbers per text is a failure too,
     and is not retried."""
-    for text in texts:
-        if not text.strip():
-            raise EmptyText("cannot embed empty text")
+    _require_text(texts)
     raw = call_retried(provider.embed_many, texts)
     try:
         vectors = np.array(raw, dtype=float)
@@ -292,6 +308,19 @@ def embed_texts(texts: list[str], provider) -> np.ndarray:
         raise DimensionMismatch(
             f"provider produced {vectors.shape[1]} dims, declared {declared}")
     return vectors
+
+
+def embed_sums(texts: list[str], provider: FallbackEmbedder) -> tuple[np.ndarray, np.ndarray]:
+    """embed_texts for the fallback embedder, giving its (sums, norms) rather
+    than their quotient. That embedder cannot fail, so nothing is retried."""
+    _require_text(texts)
+    return provider.embed_sums(texts)
+
+
+def _require_text(texts: list[str]) -> None:
+    for text in texts:
+        if not text.strip():
+            raise EmptyText("cannot embed empty text")
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -465,17 +494,19 @@ def query_top_k(queries, index: "CorpusIndex", k: int = 3,
     return results
 
 
-def embed_chunks(texts: list[str], provider):
-    """Embed texts through embed_texts, EMBED_CHUNK of them per call, in order.
+def embed_chunks(texts: list[str], provider, embed=embed_texts):
+    """Embed texts through embed (embed_texts or embed_sums), EMBED_CHUNK of
+    them per call, in order.
 
     Yields (span, result) per chunk, span being the chunk's slice of texts and
-    result its matrix, or the ProviderError that embedding it raised, after
-    embed_texts' one retry. A failed chunk does not stop the chunks after it.
+    result what embed returned, or the ProviderError that embedding it raised,
+    after embed_texts' one retry. A failed chunk does not stop the chunks
+    after it.
     """
     for start in range(0, len(texts), EMBED_CHUNK):
         span = slice(start, start + EMBED_CHUNK)
         try:
-            result = embed_texts(texts[span], provider)
+            result = embed(texts[span], provider)
         except ProviderError as exc:
             result = exc
         yield span, result
@@ -486,15 +517,28 @@ def embed_index(index: "CorpusIndex", provider) -> None:
     for entries[i], and stamp the index with the provider id. Texts go to
     the provider EMBED_CHUNK at a time, in entry order, and each chunk's rows
     are copied into one preallocated matrix; the first chunk that fails,
-    after embed_texts' one retry, raises its ProviderError."""
+    after embed_texts' one retry, raises its ProviderError.
+
+    The fallback embedder's chunks come from embed_sums, and the index keeps
+    their integer sums and norms (index.sums_norms), the form save_index
+    stores; the matrix rows are their quotients, as embed_many computes them.
+    """
     texts = [index.normalized_source(pos) for pos in range(len(index.entries))]
-    vectors = None
-    for span, result in embed_chunks(texts, provider):
+    split = isinstance(provider, FallbackEmbedder)
+    vectors, sums, norms = None, [], []
+    for span, result in embed_chunks(texts, provider, embed_sums if split else embed_texts):
         if isinstance(result, ProviderError):
             raise result
+        if split:
+            sums.append(result[0])
+            norms.append(result[1])
+            result = result[0] / result[1][:, None]
         if vectors is None:
             vectors = np.empty((len(texts), result.shape[1]))
         vectors[span] = result
     if vectors is not None:
         index.vectors = vectors
+        # int8 chunks beside an int16 one concatenate to int16: still the
+        # narrowest type that holds every sum.
+        index.sums_norms = (np.concatenate(sums), np.concatenate(norms)) if split else None
     index.meta.embedder_id = provider.provider_id

@@ -15,6 +15,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import numpy as np
+
 import simaudit
 from simaudit.extract import FunctionUnit, UnitKind, content_hash, normalize
 
@@ -32,6 +34,15 @@ def bad_templates(path: Path) -> Path:
     with open(path / "critic.txt", "a", encoding="utf-8") as f:
         f.write("\n$no_such_slot\n")
     return path
+
+
+def vector_block_size(header: dict) -> int:
+    """Bytes of the vector block at the end of a saved index, from its
+    header: the matrix in the header's dtype, and after an integer matrix a
+    float64 norm per row."""
+    rows, dim = header["stats"]["functions_kept"], header["dimension"] or 0
+    dtype = np.dtype(header["dtype"] or "float64")
+    return rows * dim * dtype.itemsize + (8 * rows if dtype.kind == "i" else 0)
 
 
 def make_archive(path: Path, files: dict[str, str]) -> Path:

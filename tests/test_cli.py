@@ -14,7 +14,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from helpers import FIXTURES, CannedHTTPServer, bad_templates, make_archive
+from helpers import (
+    FIXTURES,
+    CannedHTTPServer,
+    bad_templates,
+    make_archive,
+    vector_block_size,
+)
 from simaudit import cli
 from simaudit.cli import _package_version, main
 from simaudit.corpus import Label, load_index
@@ -61,7 +67,7 @@ def _rewrite_units(index_path, edit, **header):
     digest of the new text."""
     head, rest = index_path.read_bytes().split(b"\n", 1)
     head = json.loads(head)
-    nbytes = 8 * head["dimension"] * head["stats"]["functions_kept"]
+    nbytes = vector_block_size(head)
     *lines, keys = rest[:len(rest) - nbytes].decode("utf-8").splitlines()
     for pos, line in enumerate(lines):
         rec = json.loads(line)
@@ -383,9 +389,10 @@ class TestScanExitCodes:
     def test_format_1_index_is_refused_with_a_rebuild_hint(self, tmp_path, capsys):
         index_path = _build_index(tmp_path)
         vectors = load_index(index_path).vectors
-        text = index_path.read_bytes()[:-vectors.nbytes].decode("utf-8")
-        header, *entries = (json.loads(line) for line in text.splitlines())
-        del header["dimension"]
+        data = index_path.read_bytes()
+        size = vector_block_size(json.loads(data.split(b"\n", 1)[0]))
+        header, *entries = (json.loads(line) for line in data[:-size].decode("utf-8").splitlines())
+        del header["dimension"], header["dtype"]
         header["format_version"] = 1
         lines = [json.dumps(header)]
         for rec, row in zip(entries, vectors.tolist()):
@@ -398,7 +405,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 1, this build reads format 5" in err
+        assert "is format 1, this build reads format 6" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -417,7 +424,27 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 4, this build reads format 5" in err
+        assert "is format 4, this build reads format 6" in err
+        assert "rebuild it with `simaudit index`" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_format_5_index_is_refused_with_a_rebuild_hint(self, tmp_path, capsys):
+        index_path = _build_index(tmp_path)
+        vectors = load_index(index_path).vectors
+        data = index_path.read_bytes()
+        head, rest = data.split(b"\n", 1)
+        header = json.loads(head)
+        text = rest[:len(rest) - vector_block_size(header)]
+        del header["dtype"]      # format 5 stored the float64 matrix itself
+        header["format_version"] = 5
+        index_path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + text
+                               + vectors.astype("<f8").tobytes())
+        code = main(["scan", "--input", str(_target_dir(tmp_path)),
+                     "--index", str(index_path), "--provider", "mock",
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "is format 5, this build reads format 6" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -433,9 +460,10 @@ class TestScanExitCodes:
 
     @pytest.mark.parametrize("data", [
         b'{"format_version": 2}\n\xff\xfe\n',
-        b'{"format_version": 5, "embedder_id": null, "delta": 0.65, "created_at": "t", '
-        b'"stats": {"functions_kept": 1}, "dimension": null, "digest": ""}\n\xff\xfe\n[]\n',
-        b'{"format_version": 5, "created_at": "\xff\xfe"}\n',
+        b'{"format_version": 6, "embedder_id": null, "delta": 0.65, "created_at": "t", '
+        b'"stats": {"functions_kept": 1}, "dimension": null, "dtype": null, "digest": ""}'
+        b'\n\xff\xfe\n[]\n',
+        b'{"format_version": 6, "created_at": "\xff\xfe"}\n',
     ], ids=["format_2_header", "format_4_entry", "format_4_header"])
     def test_index_that_is_not_utf8_is_format_error(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.jsonl"

@@ -19,7 +19,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import FIXTURES, function_texts, make_archive, mk_unit
+from helpers import (
+    FIXTURES,
+    CannedHTTPServer,
+    function_texts,
+    make_archive,
+    mk_unit,
+    vector_block_size,
+)
 from simaudit import corpus
 from simaudit.corpus import (
     FORMAT_VERSION,
@@ -39,7 +46,7 @@ from simaudit.errors import (
     LabelFileMalformed,
 )
 from simaudit.extract import extract_units
-from simaudit.simindex import FallbackEmbedder, embed_index, query_top_k
+from simaudit.simindex import FallbackEmbedder, RemoteEmbedder, embed_index, query_top_k
 from test_extract import generated_contracts
 from test_simindex import _bit_exact_cases
 
@@ -244,7 +251,7 @@ def _split_saved(path):
     data = path.read_bytes()
     head, rest = data.split(b"\n", 1)
     header = json.loads(head)
-    nbytes = 8 * (header["dimension"] or 0) * header["stats"]["functions_kept"]
+    nbytes = vector_block_size(header)
     text, block = rest[:len(rest) - nbytes], rest[len(rest) - nbytes:]
     return header, text.decode("utf-8").splitlines(), block
 
@@ -260,6 +267,13 @@ def _tiny_embedded_index(first_value=1.0):
     index = _labeled_index()
     index.vectors = np.array([[first_value, -2.0], [0.5, 0.25], [-0.0, 3.0]])
     index.meta.embedder_id = "tiny"
+    return index
+
+
+def _fallback_index():
+    """_labeled_index embedded by the fallback embedder: an int8 block."""
+    index = _labeled_index()
+    embed_index(index, FallbackEmbedder())
     return index
 
 
@@ -413,23 +427,26 @@ class TestPersistence:
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["format_version"] == FORMAT_VERSION == 5
+        assert header["format_version"] == FORMAT_VERSION == 6
         assert list(header) == ["format_version", "embedder_id", "delta",
-                                "created_at", "stats", "dimension", "digest"]
+                                "created_at", "stats", "dimension", "dtype", "digest"]
         assert header["stats"]["functions_kept"] == len(index.entries)
-        assert header["dimension"] is None
+        assert header["dimension"] is None and header["dtype"] is None
         embed_index(index, FallbackEmbedder())
         save_index(index, path)
         data = path.read_bytes()
         header = json.loads(data.split(b"\n", 1)[0])
-        assert header["dimension"] == 384
-        block = index.vectors.astype("<f8").tobytes()
-        assert len(block) == 8 * 384 * len(index.entries)
+        assert header["dimension"] == 384 and header["dtype"] == "int8"
+        sums, norms = index.sums_norms
+        block = sums.astype("<i1").tobytes() + norms.astype("<f8").tobytes()
+        assert len(block) == (384 + 8) * len(index.entries)
         assert data.endswith(b"\n" + block)
         text = data[:-len(block)].decode("utf-8")
         assert text.count("\n") == 2 + len(index.entries) and text.endswith("]\n")
-        assert np.array_equal(np.frombuffer(block, "<f8").reshape(-1, 384)[1],
-                              index.vectors[1])  # row-major, row i for entry i
+        stored = np.frombuffer(block, "<i1", count=384 * len(index.entries)).reshape(-1, 384)
+        stored_norms = np.frombuffer(block, "<f8", offset=stored.nbytes)
+        assert (stored[1] / stored_norms[1]).tobytes() == index.vectors[1].tobytes()
+        # row-major, row i for entry i, then norm i
 
     def test_entry_line_shape(self, tmp_path):
         index = _labeled_index()
@@ -566,10 +583,11 @@ class TestPersistence:
         with pytest.raises(FileCorrupt):
             load_index(path)
 
-    @pytest.mark.parametrize("embedded", [False, True], ids=["unembedded", "embedded"])
-    def test_every_proper_prefix_is_file_corrupt(self, tmp_path, embedded):
+    @pytest.mark.parametrize("make", [_labeled_index, _tiny_embedded_index, _fallback_index],
+                             ids=["unembedded", "embedded", "int8"])
+    def test_every_proper_prefix_is_file_corrupt(self, tmp_path, make):
         path = tmp_path / "idx.jsonl"
-        save_index(_tiny_embedded_index() if embedded else _labeled_index(), path)
+        save_index(make(), path)
         data = path.read_bytes()
         load_index(path)
         for size in range(len(data)):
@@ -610,7 +628,20 @@ class TestPersistence:
             index.vectors.astype("<f8").tobytes()).decode("ascii")}
         _write_index(path, header, entries)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 2, this build reads format 5; "
+                           match="is format 2, this build reads format 6; "
+                                 "rebuild it with `simaudit index`"):
+            load_index(path)
+
+    def test_format_5_index_is_refused_with_a_rebuild_hint(self, tmp_path):
+        index = _fallback_index()
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        header, entries, _ = _split_saved(path)
+        del header["dtype"]      # format 5 stored the float64 matrix itself
+        _write_index(path, {**header, "format_version": 5}, entries,
+                     index.vectors.astype("<f8").tobytes())
+        with pytest.raises(FormatVersionMismatch,
+                           match="is format 5, this build reads format 6; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -801,6 +832,144 @@ class TestPersistence:
     def test_missing_file_propagates_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_index(tmp_path / "absent.jsonl")
+
+
+def _norm(row, value):
+    """A rewrite of a saved _fallback_index that sets the norm of row."""
+    def rewrite(header, block):
+        norms = np.frombuffer(block, "<f8", offset=len(block) - 8 * 3).copy()
+        norms[row] = value
+        return header, block[:-8 * 3] + norms.tobytes()
+    return rewrite
+
+
+class TestIntegerVectorBlock:
+    """A fallback-embedded matrix is stored as its integer tap sums, in the
+    narrowest signed type that holds them, and one float64 norm per row."""
+
+    @pytest.mark.parametrize("texts, dtype", [
+        (["function f() { return 1; }", "x"], "int8"),
+        (["function f() { return 1; }", "a" * 200], "int16"),
+        (["a" * 40_000, "function f() { }"], "int32"),
+    ], ids=["int8", "int16", "int32"])
+    def test_narrowest_dtype_round_trips_bit_exact(self, tmp_path, texts, dtype):
+        index = new_index()
+        for i, text in enumerate(texts):
+            index.insert(mk_unit(f"f.sol::C::g{i}#0", body=text), "pkg", "1.0")
+        embed_index(index, FallbackEmbedder())
+        assert index.vectors.tobytes() == oracles.reference_embed_many(texts).tobytes()
+        p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+        save_index(index, p1)
+        header, _, block = _split_saved(p1)
+        assert header["dtype"] == dtype
+        sums = np.frombuffer(block, dtype, count=len(texts) * 384).astype(np.int64)
+        largest = max(-int(sums.min()) - 1, int(sums.max()))  # the width's bound is 2**k - 1
+        assert largest > 127 if dtype != "int8" else largest <= 127
+        assert largest > 32767 if dtype == "int32" else largest <= 32767
+        loaded = load_index(p1)
+        assert loaded.vectors.tobytes() == index.vectors.tobytes()
+        assert loaded.vectors.dtype == np.float64 and loaded.vectors.flags.c_contiguous
+        save_index(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_cancelling_taps_round_trip_bit_exact(self, tmp_path):
+        class TwoTaps(FallbackEmbedder):
+            _TAPS = 2
+
+        index = new_index()
+        index.insert(mk_unit("f.sol::C::j#0", body="J"), "pkg", "1.0")
+        embed_index(index, TwoTaps())
+        want = oracles.reference_fallback_embedding("J", taps=2)
+        assert index.vectors[0].tobytes() == want.tobytes()
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        assert _split_saved(path)[0]["dtype"] == "int8"
+        assert load_index(path).vectors[0].tobytes() == want.tobytes()
+
+    def test_sums_past_int32_are_stored_as_int64(self, tmp_path):
+        index = _labeled_index()
+        sums = np.array([[2**40, -3], [0, 1], [-(2**35), 7]])
+        norms = np.array([2.0**40, 1.0, 3.5])
+        index.vectors, index.sums_norms = sums / norms[:, None], (sums, norms)
+        p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+        save_index(index, p1)
+        assert _split_saved(p1)[0]["dtype"] == "int64"
+        assert load_index(p1).vectors.tobytes() == index.vectors.tobytes()
+        save_index(load_index(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_a_remote_matrix_is_stored_as_float64(self, tmp_path):
+        def reply(body):
+            return {"vectors": [[len(t) / 7, 0.1] for t in body["texts"]]}
+
+        index = _labeled_index()
+        with CannedHTTPServer(reply) as server:
+            embed_index(index, RemoteEmbedder(server.url))
+        assert index.sums_norms is None
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        header, _, block = _split_saved(path)
+        assert header["dtype"] == "float64"
+        assert block == index.vectors.astype("<f8").tobytes()
+        assert load_index(path).vectors.tobytes() == index.vectors.tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda index: setattr(index, "vectors", index.vectors * 0.5),
+        lambda index: index.vectors.__setitem__((1, 3), 0.25),
+        lambda index: index.vectors.__setitem__(tuple(np.argwhere(index.vectors == 0)[0]), -0.0),
+    ], ids=["replaced", "one_value_changed", "sign_of_zero"])
+    def test_a_matrix_that_is_no_longer_the_quotient_is_stored_as_float64(self, tmp_path,
+                                                                        edit):
+        index = _fallback_index()
+        edit(index)
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        header, _, block = _split_saved(path)
+        assert header["dtype"] == "float64"
+        assert block == index.vectors.astype("<f8").tobytes()
+        assert load_index(path).vectors.tobytes() == index.vectors.tobytes()
+
+    @pytest.mark.parametrize("rewrite, message", [
+        (_norm(0, 0.0), "norm that is not positive and finite"),
+        (_norm(1, -2.5), "norm that is not positive and finite"),
+        (_norm(2, np.nan), "norm that is not positive and finite"),
+        (_norm(0, np.inf), "norm that is not positive and finite"),
+        (_norm(1, 5e-324), "non-finite values"),
+        (lambda h, b: (h, b[:-1]), "no line break before its vector block"),
+        (lambda h, b: (h, b + b"\0"), "no line break before its vector block"),
+        (lambda h, b: (h, b[:-8 * 3]), "no line break before its vector block"),
+        (lambda h, b: ({**h, "dtype": "int12"}, b), "dtype 'int12' is not one of int8, "),
+        (lambda h, b: ({**h, "dtype": "uint8"}, b), "dtype 'uint8' is not one of"),
+        (lambda h, b: ({**h, "dtype": "|i1"}, b), "dtype '|i1' is not one of"),
+        (lambda h, b: ({**h, "dtype": 8}, b), "dtype 8 is not one of"),
+        (lambda h, b: ({**h, "dtype": ["int8"]}, b), "dtype ['int8'] is not one of"),
+        (lambda h, b: ({**h, "dtype": None}, b), "dtype None is not one of"),
+        (lambda h, b: ({k: v for k, v in h.items() if k != "dtype"}, b), "no 'dtype'"),
+        (lambda h, b: ({**h, "dtype": "int16"}, b), "no line break before its vector block"),
+        (lambda h, b: ({**h, "dtype": "float64"}, b), "too short for its 3 rows of 384 float64"),
+        (lambda h, b: ({**h, "dimension": None}, b), "dtype 'int8' is not null"),
+    ], ids=["norm_zero", "norm_negative", "norm_nan", "norm_inf", "norm_tiny",
+            "one_byte_short", "one_byte_long", "no_norms", "unknown_dtype", "unsigned_dtype",
+            "numpy_dtype_string", "number_dtype", "list_dtype", "null_dtype", "no_dtype",
+            "wider_dtype", "float_dtype", "dtype_without_dimension"])
+    def test_malformed_integer_blocks_are_file_corrupt(self, tmp_path, rewrite, message):
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        header, entries, block = _split_saved(path)
+        assert header["dtype"] == "int8"
+        header, block = rewrite(header, block)
+        _write_index(path, header, entries, block)
+        with pytest.raises(FileCorrupt, match=f"^index {re.escape(str(path))} .*{re.escape(message)}"):
+            load_index(path)
+
+    def test_any_appended_byte_is_file_corrupt(self, tmp_path):
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        data = path.read_bytes()
+        for byte in range(256):
+            path.write_bytes(data + bytes([byte]))
+            with pytest.raises(FileCorrupt):
+                load_index(path)
 
 
 _notes = st.text(

@@ -22,7 +22,6 @@ from simaudit.extract import (
     _DIGIT_NOT_DECIMAL,
     _NUMERIC_NOT_DIGIT,
     BUILTIN_DENYLIST,
-    BUILTIN_DENYLIST_VERSION,
     UnitKind,
     _is_id,
     _Tokens,
@@ -355,9 +354,6 @@ class TestDeclaredCalls:
 
 
 class TestDenyList:
-    def test_version_tag(self):
-        assert BUILTIN_DENYLIST_VERSION == "1"
-
     def test_core_members(self):
         for name in ("require", "assert", "revert", "keccak256", "ecrecover",
                      "selfdestruct", "type", "address", "uint256", "bytes32"):

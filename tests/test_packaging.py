@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from simaudit.corpus import FORMAT_VERSION
+from simaudit.corpus import FORMAT_VERSION, new_index, save_index
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = ROOT / "src" / "simaudit"
@@ -71,7 +72,13 @@ def test_retrieval_never_decides_a_clone():
     assert [ast.unparse(node) for node in outside if id(node) not in inside] == []
 
 
-def test_readme_names_the_index_format_version():
+def test_readme_names_the_index_format_version(tmp_path):
+    """The README's Index paragraph names the format version and every
+    header key that save_index writes."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     paragraph = readme[readme.index("**Index** (`--out`)"):].split("\n\n", 1)[0]
     assert f"format {FORMAT_VERSION}," in paragraph
+    path = tmp_path / "idx.jsonl"
+    save_index(new_index(), path)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert [key for key in header if f"`{key}`" not in paragraph] == []

@@ -299,6 +299,28 @@ class TestEmbedSlabsMatchTheWholeBatch:
             tracemalloc.stop()
         assert peak < 4 * result.nbytes
 
+
+class TestEmbedSums:
+    @given(st.lists(_slab_text, max_size=40))
+    @example([])
+    @example(["J", "", "ab"])
+    @example(["a" * 200, "x"])   # sums past int8
+    def test_embed_many_is_the_sums_over_the_norms(self, texts):
+        sums, norms = FallbackEmbedder().embed_sums(texts)
+        assert sums.dtype.kind == "i" and sums.shape == (len(texts), FALLBACK_DIM)
+        assert norms.dtype == np.float64 and norms.shape == (len(texts),)
+        assert (norms > 0).all()
+        got = FallbackEmbedder().embed_many(texts)
+        assert got.tobytes() == (sums / norms[:, None]).tobytes()
+        assert got.tobytes() == oracles.reference_embed_many(texts).tobytes()
+
+    @pytest.mark.parametrize("texts, dtype", [
+        (["abc"], np.int8), (["a" * 200], np.int16), (["a" * 40_000], np.int32)])
+    def test_sums_come_in_the_narrowest_type(self, texts, dtype):
+        sums, _ = FallbackEmbedder().embed_sums(texts)
+        assert sums.dtype == dtype
+
+
 class _StubProvider:
     provider_id = "stub"
     dimension = 3
@@ -698,6 +720,28 @@ class TestEmbedIndex:
         embed_index(loaded, FallbackEmbedder())
         embed_index(index, FallbackEmbedder())
         assert loaded.vectors.tobytes() == index.vectors.tobytes()
+
+    def test_a_fallback_index_keeps_the_sums_and_norms(self):
+        index = new_index()
+        texts = function_texts(300) + ["a" * 200]
+        for i, text in enumerate(texts):
+            index.insert(mk_unit(f"f.sol::C::f{i}#0", body=text), "pkg", "1")
+        embed_index(index, FallbackEmbedder())
+        sums, norms = index.sums_norms
+        want_sums, want_norms = FallbackEmbedder().embed_sums(texts)
+        assert sums.dtype == want_sums.dtype == np.int16   # the last chunk's sums widen all
+        assert np.array_equal(sums, want_sums) and norms.tobytes() == want_norms.tobytes()
+        assert index.vectors.tobytes() == (sums / norms[:, None]).tobytes()
+
+    def test_a_remote_embedding_drops_the_sums_and_norms(self):
+        index = new_index()
+        index.insert(mk_unit("f.sol::C::f#0"), "pkg", "1")
+        embed_index(index, FallbackEmbedder())
+        assert index.sums_norms is not None
+        with CannedHTTPServer(lambda body: {"vectors": [[1.0, 2.0]]}) as server:
+            embed_index(index, RemoteEmbedder(server.url))
+        assert index.sums_norms is None
+        assert index.vectors.tolist() == [[1.0, 2.0]]
 
     def test_empty_index_just_stamps(self):
         index = new_index()
