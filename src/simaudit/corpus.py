@@ -1,37 +1,37 @@
 """Reference corpus: archive ingestion, vulnerability labels, persistence.
 
-An index (format 6) is JSON text followed by raw bytes. Line one is a JSON
+An index (format 7) is JSON text followed by raw bytes. Line one is a JSON
 header carrying the format version, the embedder id, the similarity
 threshold the index was built for, a creation timestamp, ingestion stats,
 the embedding `dimension` and vector block `dtype` (both null before
-embedding) and `digest`, the SHA-256 hex of all text after the header line.
-Lines 2 to n+1 hold one JSON entry each, without its entry id, content hash
-and normalized source; line n+2, the key line, is a JSON array of
-[entry_id, content_hash] pairs in entry order. The normalized source is
-derived from the raw source where it is read (CorpusIndex.normalized_source):
-for each find_clone hash hit, and for every entry when a loaded index is
-embedded. In an embedded index the key line's newline is followed directly
-by the vector block, little-endian and row-major, row i for entry line i + 2,
-and nothing after it, so the file is not pure JSON Lines, though its first
-line is still the header. A matrix of integer sums over one norm per row
-(the fallback embedder's, CorpusIndex.sums_norms) is stored as those sums,
+embedding) and `digest`, the SHA-256 hex of everything after the header
+line, vector block included. Lines 2 to n+1 hold one JSON entry each,
+without its entry id, content hash and normalized source; line n+2, the key
+line, is a JSON array of [entry_id, content_hash] pairs in entry order. The
+normalized source is derived from the raw source where it is read
+(CorpusIndex.normalized_source): for each find_clone hash hit, and for every
+entry when a loaded index is embedded. In an embedded index the key line's
+newline is followed directly by the vector block, little-endian and
+row-major, row i for entry line i + 2, and nothing after it, so the file is
+not pure JSON Lines, though its first line is still the header. The block is
+the matrix as CorpusIndex keeps it: the fallback embedder's integer sums as
 `dimension` x `stats.functions_kept` values of the narrowest signed type
-that holds them, which `dtype` names (int8 to int64), followed by one
-float64 norm per row. Any other matrix is stored as its float64 values,
-`dtype` float64.
+that holds them, which `dtype` names (int8 to int64), then one float64 norm
+per row; or float64 rows, `dtype` float64.
 
 The loader takes the block from the end of the file by its length, so a
 wrong length, a missing line, text that is not UTF-8, an unknown dtype, a
-norm that is not positive and finite, or a stored or divided value that is
-not finite makes the file corrupt. It divides integer sums by their norms
-once, so retrieval only ever sees the float64 matrix. It then hashes the
-text and parses only the key line: an entry is parsed the first time a scan
-touches it (a find_clone hash hit, entry_by_id or reading entries). If the
-text does not match the digest, every entry line is parsed at load instead,
-so a damaged line is reported by its number; if they all parse, the
-mismatch itself is reported. Either way the load fails with FileCorrupt, as
-does raw source that no longer normalizes, once it is read. Saving is
-deterministic, so load-then-save reproduces the file byte for byte.
+norm that is not positive and finite, or a row that is not finite (for
+sums: whose largest magnitude over its norm is not) makes the file corrupt.
+It copies the block out as stored, so no float64 matrix is built from sums.
+It then hashes all that follows the header and parses only the key line: an
+entry is parsed the first time a scan touches it (a find_clone hash hit,
+entry_by_id or reading entries). If the hash does not match the digest,
+every entry line is parsed at load instead, so a damaged line is reported by
+its number; if they all parse, the mismatch itself is reported. Either way
+the load fails with FileCorrupt, as does raw source that no longer
+normalizes, once it is read. Saving is deterministic, so load-then-save
+reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -62,11 +62,11 @@ from .errors import (
     SourceError,
 )
 from .extract import FunctionUnit, UnitKind, extract_units, normalize
-from .simindex import DEFAULT_DELTA, EMBED_SLAB, narrowest_int
+from .simindex import DEFAULT_DELTA, narrowest_int
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 # The element types a vector block may name in the header's dtype.
 VECTOR_DTYPES = ("int8", "int16", "int32", "int64", "float64")
 
@@ -142,12 +142,11 @@ class CorpusIndex:
     stats: IndexStats = field(default_factory=IndexStats)
     entries: EntryList = field(default_factory=EntryList)
     # Row i embeds entries[i], all by meta.embedder_id; None until embedded.
+    # Either integer sums over one float64 norm per row (norms), as the
+    # fallback embedder makes them, or float64 rows, with norms None. This
+    # is the form save_index stores; rows() reads it as float64.
     vectors: np.ndarray | None = field(default=None, compare=False)
-    # (sums, norms) when vectors is an integer matrix over one norm per row,
-    # sums / norms[:, None], as the fallback embedder makes it: the form
-    # save_index stores. Retrieval reads only vectors.
-    sums_norms: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    norms: np.ndarray | None = field(default=None, repr=False, compare=False)
     # entries[i].entry_id, readable without building entries[i].
     entry_ids: list[str] = field(default_factory=list, repr=False, compare=False)
     _by_hash: dict[str, list[int]] = field(default_factory=dict, repr=False, compare=False)
@@ -207,6 +206,13 @@ class CorpusIndex:
     def entry_by_id(self, entry_id: str) -> CorpusEntry | None:
         pos = self._by_id.get(entry_id)
         return None if pos is None else self.entries[pos]
+
+    def rows(self, sel=slice(None)) -> np.ndarray:
+        """The float64 rows vectors[sel], integer sums each divided by their
+        row's norm: an exact elementwise division."""
+        if self.norms is None:
+            return self.vectors[sel]
+        return self.vectors[sel] / self.norms[sel, None]
 
 
 def new_index(delta: float = DEFAULT_DELTA) -> CorpusIndex:
@@ -378,32 +384,15 @@ def write_atomic(path: str | Path, data: str | bytes | Callable[[BinaryIO], None
 
 def _vector_block(index: CorpusIndex) -> tuple[str | None, list[np.ndarray]]:
     """The header's dtype and the arrays of index's vector block, in file
-    order: the sums of index.sums_norms, narrowed, and then its norms, if
-    they still divide into index.vectors; else the float64 matrix."""
-    vectors = index.vectors
-    if vectors is None:
+    order: the integer sums, narrowed, and then their norms; or the float64
+    rows."""
+    if index.vectors is None:
         return None, []
-    if index.sums_norms is None or not _divides_into(*index.sums_norms, vectors):
-        return "float64", [np.ascontiguousarray(vectors, dtype="<f8")]
-    sums, norms = index.sums_norms
-    sums = narrowest_int(sums)
+    if index.norms is None:
+        return "float64", [np.ascontiguousarray(index.vectors, dtype="<f8")]
+    sums = narrowest_int(index.vectors)
     return sums.dtype.name, [np.ascontiguousarray(sums, dtype=sums.dtype.newbyteorder("<")),
-                             np.ascontiguousarray(norms, dtype="<f8")]
-
-
-def _divides_into(sums: np.ndarray, norms: np.ndarray, vectors: np.ndarray) -> bool:
-    """Whether integer sums over float64 norms, sums / norms[:, None], are
-    vectors bit for bit. The check goes EMBED_SLAB rows at a time, so it
-    allocates little."""
-    if (sums.dtype.kind != "i" or norms.dtype != np.float64
-            or sums.shape != vectors.shape or norms.shape != sums.shape[:1]):
-        return False
-    for start in range(0, len(sums), EMBED_SLAB):
-        rows = slice(start, start + EMBED_SLAB)
-        if not np.array_equal((sums[rows] / norms[rows, None]).view(np.int64),
-                              np.ascontiguousarray(vectors[rows], dtype=float).view(np.int64)):
-            return False
-    return True
+                             np.ascontiguousarray(index.norms, dtype="<f8")]
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
@@ -411,7 +400,7 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     hashed and written in turn, and the vector block from its arrays' own
     buffers, so neither the file nor its text is ever held in memory. The
     header goes first with a placeholder digest of the same length, and is
-    written again once the text is hashed."""
+    written again once the text and the block are hashed."""
     vectors = index.vectors
     dtype, block = _vector_block(index)
 
@@ -448,8 +437,9 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
             digest.update(line)
             f.write(line)
         line = json.dumps(keys).encode("utf-8") + b"\n"
-        digest.update(line)
-        f.writelines([line, *block])
+        for part in (line, *block):
+            digest.update(part)
+            f.write(part)
         f.seek(0)
         f.write(header(digest.hexdigest()))
 
@@ -457,9 +447,8 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> CorpusIndex:
-    with open(path, "rb") as f:  # into a bytearray, so the vectors can be a writeable view
-        data = bytearray(os.fstat(f.fileno()).st_size)
-        del data[f.readinto(data):]
+    with open(path, "rb") as f:
+        data = f.read()
     head_end = data.find(b"\n")
     if head_end < 0:
         raise FileCorrupt(f"index {path} has no complete header line")
@@ -528,11 +517,30 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise FileCorrupt(
             f"index {path} says functions_kept={stats.functions_kept} but holds "
             f"{len(lines)} lines after its header, not that many entry lines and a key line")
-    if hashlib.sha256(text).hexdigest() != header.get("digest"):
+    vectors = norms = None
+    if dimension is not None:
+        # Copied out of data, so that the buffer is freed with this frame.
+        vectors = np.frombuffer(data, block_dtype, count=rows * dimension, offset=cut)
+        vectors = vectors.reshape(rows, dimension).astype(dtype)
+        if norms_size:
+            norms = np.frombuffer(data, "<f8", offset=cut + vectors.nbytes).astype(float)
+            if not ((norms > 0.0) & (norms < np.inf)).all():
+                raise FileCorrupt(
+                    f"index {path} holds a vector norm that is not positive and finite")
+            # A row's quotients are finite iff its largest |sum| over its norm
+            # is: division is monotone. No np.abs: it maps int8 -128 to -128.
+            largest = np.maximum(vectors.max(axis=1), -vectors.min(axis=1).astype(float))
+            with np.errstate(over="ignore"):  # a tiny norm, reported below
+                finite = np.isfinite(largest / norms).all()
+        else:
+            finite = np.isfinite(vectors).all()
+        if not finite:
+            raise FileCorrupt(f"index {path} vectors hold non-finite values")
+    if hashlib.sha256(memoryview(data)[head_end + 1:]).hexdigest() != header.get("digest"):
         # Damage: report the first line that holds no entry, if there is one.
         for lineno, line in enumerate(lines[:-1], start=2):
             _entry_from_line(path, lineno, line, "", "")
-        raise FileCorrupt(f"index {path} text does not match the header's digest")
+        raise FileCorrupt(f"index {path} does not match the header's digest")
     keys_lineno = len(lines) + 1
     try:
         keys = json.loads(lines.pop())
@@ -548,21 +556,5 @@ def load_index(path: str | Path) -> CorpusIndex:
         return _entry_from_line(path, pos + 2, lines[pos], *keys[pos])
 
     index.entries = EntryList(len(lines), build)
-    if dimension is None:
-        return index
-    block = np.frombuffer(data, block_dtype, count=rows * dimension, offset=cut)
-    block = block.reshape(rows, dimension)
-    if norms_size:
-        norms = np.frombuffer(data, "<f8", offset=cut + block.nbytes).astype(float)
-        if not ((norms > 0.0) & (norms < np.inf)).all():
-            raise FileCorrupt(f"index {path} holds a vector norm that is not positive and finite")
-        with np.errstate(over="ignore"):  # a tiny norm: the check below reports it
-            vectors = block / norms[:, None]
-        # Copied out of data, so that the buffer is freed with this frame.
-        index.sums_norms = block.copy(), norms
-    else:
-        vectors = block.astype(float, copy=False)
-    if not np.isfinite(vectors).all():
-        raise FileCorrupt(f"index {path} vectors hold non-finite values")
-    index.vectors = vectors
+    index.vectors, index.norms = vectors, norms
     return index

@@ -7,11 +7,12 @@ scale-invariant: similarity(a, 2a) < 1 even though the vectors point the same
 way. Do not "fix" it to cosine; downstream thresholds were chosen for this
 measure.
 
-An embedding is a float64 numpy array from the provider to the index to the
-query: embed_texts returns one (len(texts), d) matrix, a corpus index keeps
-the rows of such matrices, one per entry and all from one embedder (its
-`embedder_id`), and query_top_k scores a (Q, d) batch of queries against
-that matrix.
+embed_texts returns one (len(texts), d) float64 matrix, and query_top_k
+scores a (Q, d) batch of such queries against a corpus index: one row per
+entry, all from one embedder (its `embedder_id`), kept as the fallback
+embedder computes them, integer sums and one norm per row, or as float64.
+query_top_k reads the rows as float64 through CorpusIndex.rows, QUERY_TILE
+at a time, so no float64 copy of an integer matrix is ever built.
 
 query_top_k is exact, yet scores few rows. A Gram prefilter bounds every
 row's distance from the dot products q·r and the norms, QUERY_TILE rows at a
@@ -388,15 +389,15 @@ def _gram_margin(dim: int) -> float:
     return 2.0 * (math.sqrt(gamma) + gamma) + 4.0 * np.finfo(float).eps
 
 
-def _gram_candidates(qs: np.ndarray, q_norms: np.ndarray, rows: np.ndarray,
+def _gram_candidates(qs: np.ndarray, q_norms: np.ndarray, index: "CorpusIndex",
                      norms: np.ndarray, k: int) -> list[np.ndarray]:
     """For each query, the ascending indices of the rows that can be in its
     exact top k: every row whose Gram distance is within _gram_margin of the
     k-th smallest one, or every row once that cut reaches 1, where the clip
-    to [0, 1] can tie the rest. Rows are read QUERY_TILE at a time; a row is
-    set aside when it passes the cut of the rows read so far, which only
-    falls, and the final cut then filters what was set aside."""
-    margin = _gram_margin(rows.shape[1])
+    to [0, 1] can tie the rest. Index rows are read QUERY_TILE at a time; a
+    row is set aside when it passes the cut of the rows read so far, which
+    only falls, and the final cut then filters what was set aside."""
+    margin = _gram_margin(index.vectors.shape[1])
 
     def cut(kth):
         # A bound of 1 or more comes from a k-th row within rounding of
@@ -410,11 +411,11 @@ def _gram_candidates(qs: np.ndarray, q_norms: np.ndarray, rows: np.ndarray,
     kth = np.full((len(qs), k), np.inf)  # the k smallest Gram distances so far
     q_sq = q_norms * q_norms
     found = []
-    for start in range(0, len(rows), QUERY_TILE):
+    for start in range(0, len(index.vectors), QUERY_TILE):
         tile = slice(start, start + QUERY_TILE)
         # A broadcast vecdot, one dot per pair: a matrix product would go to
         # a multithreaded gemm, whose buffers raise the process's peak RSS.
-        gram = np.vecdot(rows[None, tile], qs[:, None])
+        gram = np.vecdot(index.rows(tile)[None], qs[:, None])
         approx = (np.sqrt(np.maximum(q_sq[:, None] + norms[tile] ** 2 - 2.0 * gram, 0.0))
                   / (q_norms[:, None] + norms[tile]))
         kth = np.partition(np.hstack((kth, approx)), k - 1, axis=1)[:, :k]
@@ -432,7 +433,8 @@ def query_top_k(queries, index: "CorpusIndex", k: int = 3,
     """Exact brute-force top-k by similarity, ties broken by entry id, for
     each row of a (Q, d) batch of queries: one list of matches per row.
 
-    Index norms and entry-id order are computed once; the ids come from
+    Index rows are read through index.rows, QUERY_TILE at a time. Their
+    norms and the entry-id order are computed once; the ids come from
     index.entry_ids, so no entry of a loaded index is built. A Gram prefilter
     (_gram_candidates) then picks, per query, the few rows that can be in its
     top k, and only those are scored, with the arithmetic of similarity():
@@ -453,36 +455,37 @@ def query_top_k(queries, index: "CorpusIndex", k: int = 3,
         raise ValueError(f"k must be at least 1, got {k}")
     if len(queries) == 0 or not index.entries:
         return [[] for _ in queries]
-    rows = index.vectors
-    if rows is None or len(rows) != len(index.entries):
+    stored = index.vectors
+    if stored is None or len(stored) != len(index.entries):
         raise ProviderMismatch(
-            f"index holds {0 if rows is None else len(rows)} embeddings "
+            f"index holds {0 if stored is None else len(stored)} embeddings "
             f"for {len(index.entries)} entries")
+    n, dim = stored.shape
     qs = np.asarray(queries, dtype=float)
-    if qs.ndim != 2 or qs.shape[1] != rows.shape[1]:
+    if qs.ndim != 2 or qs.shape[1] != dim:
         raise DimensionMismatch(
-            f"index holds {rows.shape[1]}-dim vectors, queries have shape {qs.shape}")
+            f"index holds {dim}-dim vectors, queries have shape {qs.shape}")
     ids = index.entry_ids
     id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))  # Python str order
-    norms = np.concatenate([_row_norms(rows[start:start + QUERY_TILE])
-                            for start in range(0, len(rows), QUERY_TILE)])
+    norms = np.concatenate([_row_norms(index.rows(slice(start, start + QUERY_TILE)))
+                            for start in range(0, n, QUERY_TILE)])
     q_norms = _row_norms(qs)
-    prefilter = _squarable(q_norms) & (k < len(rows)) & _squarable(norms).all()
+    prefilter = _squarable(q_norms) & (k < n) & _squarable(norms).all()
     # At most QUERY_TILE queries per call, so its (queries, QUERY_TILE)
     # temporaries do not grow with the batch.
     pre_qs, pre_norms = qs[prefilter], q_norms[prefilter]
     candidates = chain.from_iterable(
         _gram_candidates(pre_qs[start:start + QUERY_TILE], pre_norms[start:start + QUERY_TILE],
-                         rows, norms, k)
+                         index, norms, k)
         for start in range(0, len(pre_qs), QUERY_TILE))
-    every_row = np.arange(len(rows))
+    every_row = np.arange(n)
     results = []
     for q, norm_q, prefiltered in zip(qs, q_norms, prefilter):
         cand = next(candidates) if prefiltered else every_row
         denom = norm_q + norms[cand]
         with np.errstate(divide="ignore", invalid="ignore"):
             dists = np.clip(np.concatenate([
-                _row_norms(q - rows[cand[start:start + QUERY_TILE]])
+                _row_norms(q - index.rows(cand[start:start + QUERY_TILE]))
                 for start in range(0, len(cand), QUERY_TILE)]) / denom, 0.0, 1.0)
         dists[denom == 0.0] = 0.0  # two zero vectors compare as identical
         sims = 1.0 - dists
@@ -519,26 +522,26 @@ def embed_index(index: "CorpusIndex", provider) -> None:
     are copied into one preallocated matrix; the first chunk that fails,
     after embed_texts' one retry, raises its ProviderError.
 
-    The fallback embedder's chunks come from embed_sums, and the index keeps
-    their integer sums and norms (index.sums_norms), the form save_index
-    stores; the matrix rows are their quotients, as embed_many computes them.
+    The fallback embedder's chunks come from embed_sums, and the matrix is
+    their integer sums, with their norms in index.norms: the form save_index
+    stores, and no float64 quotient is built. Any other provider's matrix is
+    float64 rows, and index.norms is None.
     """
     texts = [index.normalized_source(pos) for pos in range(len(index.entries))]
     split = isinstance(provider, FallbackEmbedder)
-    vectors, sums, norms = None, [], []
+    vectors, norms = None, (np.empty(len(texts)) if split else None)
     for span, result in embed_chunks(texts, provider, embed_sums if split else embed_texts):
         if isinstance(result, ProviderError):
             raise result
         if split:
-            sums.append(result[0])
-            norms.append(result[1])
-            result = result[0] / result[1][:, None]
+            result, norms[span] = result
         if vectors is None:
-            vectors = np.empty((len(texts), result.shape[1]))
+            vectors = np.empty((len(texts), result.shape[1]), result.dtype)
+        elif result.dtype.itemsize > vectors.itemsize:
+            # An int16 chunk after int8 ones widens the matrix: still the
+            # narrowest type that holds every sum.
+            vectors = vectors.astype(result.dtype)
         vectors[span] = result
     if vectors is not None:
-        index.vectors = vectors
-        # int8 chunks beside an int16 one concatenate to int16: still the
-        # narrowest type that holds every sum.
-        index.sums_norms = (np.concatenate(sums), np.concatenate(norms)) if split else None
+        index.vectors, index.norms = vectors, norms
     index.meta.embedder_id = provider.provider_id

@@ -571,11 +571,12 @@ def reference_query_top_k(query, index, k: int = 3, delta: float = DEFAULT_DELTA
     query_top_k must reproduce exactly."""
     if not index.entries:
         return []
-    rows = index.vectors
-    if rows is None or len(rows) != len(index.entries):
+    stored = index.vectors
+    if stored is None or len(stored) != len(index.entries):
         raise ProviderMismatch(
-            f"index holds {0 if rows is None else len(rows)} embeddings "
+            f"index holds {0 if stored is None else len(stored)} embeddings "
             f"for {len(index.entries)} entries")
+    rows = index.rows()
     q = np.asarray(query, dtype=float)
     if rows.shape[1] != len(q):
         raise DimensionMismatch(

@@ -64,7 +64,7 @@ def _target_dir(tmp_path):
 def _rewrite_units(index_path, edit, **header):
     """Replace the unit of each entry line of an embedded index with
     edit(position, unit), update the header with header, and give it the
-    digest of the new text."""
+    digest of the new text and the vector block."""
     head, rest = index_path.read_bytes().split(b"\n", 1)
     head = json.loads(head)
     nbytes = vector_block_size(head)
@@ -74,9 +74,9 @@ def _rewrite_units(index_path, edit, **header):
         rec["unit"] = edit(pos, rec["unit"])
         lines[pos] = json.dumps(rec)
     text = ("\n".join([*lines, keys]) + "\n").encode("utf-8")
-    head = {**head, **header, "digest": hashlib.sha256(text).hexdigest()}
-    index_path.write_bytes(json.dumps(head).encode("utf-8") + b"\n" + text
-                           + rest[len(rest) - nbytes:])
+    block = rest[len(rest) - nbytes:]
+    head = {**head, **header, "digest": hashlib.sha256(text + block).hexdigest()}
+    index_path.write_bytes(json.dumps(head).encode("utf-8") + b"\n" + text + block)
 
 def _scan(tmp_path, *extra, index=None, report_name="report.json"):
     index = index or _build_index(tmp_path, labels=True)
@@ -388,7 +388,7 @@ class TestScanExitCodes:
 
     def test_format_1_index_is_refused_with_a_rebuild_hint(self, tmp_path, capsys):
         index_path = _build_index(tmp_path)
-        vectors = load_index(index_path).vectors
+        vectors = load_index(index_path).rows()
         data = index_path.read_bytes()
         size = vector_block_size(json.loads(data.split(b"\n", 1)[0]))
         header, *entries = (json.loads(line) for line in data[:-size].decode("utf-8").splitlines())
@@ -405,7 +405,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 1, this build reads format 6" in err
+        assert "is format 1, this build reads format 7" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -424,13 +424,13 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 4, this build reads format 6" in err
+        assert "is format 4, this build reads format 7" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
     def test_format_5_index_is_refused_with_a_rebuild_hint(self, tmp_path, capsys):
         index_path = _build_index(tmp_path)
-        vectors = load_index(index_path).vectors
+        vectors = load_index(index_path).rows()
         data = index_path.read_bytes()
         head, rest = data.split(b"\n", 1)
         header = json.loads(head)
@@ -444,7 +444,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 5, this build reads format 6" in err
+        assert "is format 5, this build reads format 7" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -460,10 +460,10 @@ class TestScanExitCodes:
 
     @pytest.mark.parametrize("data", [
         b'{"format_version": 2}\n\xff\xfe\n',
-        b'{"format_version": 6, "embedder_id": null, "delta": 0.65, "created_at": "t", '
+        b'{"format_version": 7, "embedder_id": null, "delta": 0.65, "created_at": "t", '
         b'"stats": {"functions_kept": 1}, "dimension": null, "dtype": null, "digest": ""}'
         b'\n\xff\xfe\n[]\n',
-        b'{"format_version": 6, "created_at": "\xff\xfe"}\n',
+        b'{"format_version": 7, "created_at": "\xff\xfe"}\n',
     ], ids=["format_2_header", "format_4_entry", "format_4_header"])
     def test_index_that_is_not_utf8_is_format_error(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.jsonl"

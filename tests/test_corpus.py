@@ -397,6 +397,7 @@ class TestPersistence:
         assert loaded == index
         assert loaded.meta.embedder_id == "fallback-trigram-v1"
         assert np.array_equal(loaded.vectors, index.vectors)
+        assert np.array_equal(loaded.norms, index.norms)
 
     def test_failed_save_keeps_the_old_index(self, tmp_path, monkeypatch):
         path = tmp_path / "idx.jsonl"
@@ -427,7 +428,7 @@ class TestPersistence:
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["format_version"] == FORMAT_VERSION == 6
+        assert header["format_version"] == FORMAT_VERSION == 7
         assert list(header) == ["format_version", "embedder_id", "delta",
                                 "created_at", "stats", "dimension", "dtype", "digest"]
         assert header["stats"]["functions_kept"] == len(index.entries)
@@ -437,15 +438,14 @@ class TestPersistence:
         data = path.read_bytes()
         header = json.loads(data.split(b"\n", 1)[0])
         assert header["dimension"] == 384 and header["dtype"] == "int8"
-        sums, norms = index.sums_norms
-        block = sums.astype("<i1").tobytes() + norms.astype("<f8").tobytes()
+        block = index.vectors.astype("<i1").tobytes() + index.norms.astype("<f8").tobytes()
         assert len(block) == (384 + 8) * len(index.entries)
         assert data.endswith(b"\n" + block)
         text = data[:-len(block)].decode("utf-8")
         assert text.count("\n") == 2 + len(index.entries) and text.endswith("]\n")
         stored = np.frombuffer(block, "<i1", count=384 * len(index.entries)).reshape(-1, 384)
         stored_norms = np.frombuffer(block, "<f8", offset=stored.nbytes)
-        assert (stored[1] / stored_norms[1]).tobytes() == index.vectors[1].tobytes()
+        assert (stored[1] / stored_norms[1]).tobytes() == index.rows(1).tobytes()
         # row-major, row i for entry i, then norm i
 
     def test_entry_line_shape(self, tmp_path):
@@ -628,7 +628,20 @@ class TestPersistence:
             index.vectors.astype("<f8").tobytes()).decode("ascii")}
         _write_index(path, header, entries)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 2, this build reads format 6; "
+                           match="is format 2, this build reads format 7; "
+                                 "rebuild it with `simaudit index`"):
+            load_index(path)
+
+    def test_format_6_index_is_refused_with_a_rebuild_hint(self, tmp_path):
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        header, entries, block = _split_saved(path)
+        text = ("\n".join(entries) + "\n").encode("utf-8")
+        # Format 6 hashed the text alone.
+        _write_index(path, {**header, "format_version": 6,
+                            "digest": hashlib.sha256(text).hexdigest()}, entries, block)
+        with pytest.raises(FormatVersionMismatch,
+                           match="is format 6, this build reads format 7; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -639,9 +652,9 @@ class TestPersistence:
         header, entries, _ = _split_saved(path)
         del header["dtype"]      # format 5 stored the float64 matrix itself
         _write_index(path, {**header, "format_version": 5}, entries,
-                     index.vectors.astype("<f8").tobytes())
+                     index.rows().astype("<f8").tobytes())
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 5, this build reads format 6; "
+                           match="is format 5, this build reads format 7; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -670,6 +683,7 @@ class TestPersistence:
         assert loaded.tobytes() == vectors.tobytes()
         assert loaded.dtype == np.float64 and loaded.dtype.isnative
         assert loaded.flags.c_contiguous and loaded.flags.writeable
+        assert loaded.base is None and loaded.flags.aligned  # not a view of the file's buffer
         save_index(load_index(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -771,7 +785,7 @@ class TestPersistence:
                           wraps=corpus._entry_from_line) as parse:
             loaded = load_index(path)
             built = lambda: [c.args[1] for c in parse.call_args_list]  # noqa: E731
-            assert query_top_k(index.vectors[[4, 1]], loaded, k=3)[0][0].entry_id == (
+            assert query_top_k(index.rows([4, 1]), loaded, k=3)[0][0].entry_id == (
                 index.entries[4].entry_id)
             assert loaded.find_clone("function g() { r9; }", "0" * 64) is None
             assert built() == []
@@ -834,12 +848,16 @@ class TestPersistence:
             load_index(tmp_path / "absent.jsonl")
 
 
-def _norm(row, value):
-    """A rewrite of a saved _fallback_index that sets the norm of row."""
+def _norm(row, value, sums=None):
+    """A rewrite of a saved _fallback_index that sets the norm of row, and
+    its int8 sums if given."""
     def rewrite(header, block):
         norms = np.frombuffer(block, "<f8", offset=len(block) - 8 * 3).copy()
         norms[row] = value
-        return header, block[:-8 * 3] + norms.tobytes()
+        block = bytearray(block[:-8 * 3])
+        if sums is not None:
+            block[384 * row:384 * (row + 1)] = np.asarray(sums, "<i1").tobytes()
+        return header, bytes(block) + norms.tobytes()
     return rewrite
 
 
@@ -857,7 +875,7 @@ class TestIntegerVectorBlock:
         for i, text in enumerate(texts):
             index.insert(mk_unit(f"f.sol::C::g{i}#0", body=text), "pkg", "1.0")
         embed_index(index, FallbackEmbedder())
-        assert index.vectors.tobytes() == oracles.reference_embed_many(texts).tobytes()
+        assert index.rows().tobytes() == oracles.reference_embed_many(texts).tobytes()
         p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
         save_index(index, p1)
         header, _, block = _split_saved(p1)
@@ -868,7 +886,9 @@ class TestIntegerVectorBlock:
         assert largest > 32767 if dtype == "int32" else largest <= 32767
         loaded = load_index(p1)
         assert loaded.vectors.tobytes() == index.vectors.tobytes()
-        assert loaded.vectors.dtype == np.float64 and loaded.vectors.flags.c_contiguous
+        assert loaded.norms.tobytes() == index.norms.tobytes()
+        assert loaded.vectors.dtype == dtype and loaded.vectors.flags.c_contiguous
+        assert loaded.rows().tobytes() == index.rows().tobytes()
         save_index(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -880,21 +900,21 @@ class TestIntegerVectorBlock:
         index.insert(mk_unit("f.sol::C::j#0", body="J"), "pkg", "1.0")
         embed_index(index, TwoTaps())
         want = oracles.reference_fallback_embedding("J", taps=2)
-        assert index.vectors[0].tobytes() == want.tobytes()
+        assert index.rows(0).tobytes() == want.tobytes()
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         assert _split_saved(path)[0]["dtype"] == "int8"
-        assert load_index(path).vectors[0].tobytes() == want.tobytes()
+        assert load_index(path).rows(0).tobytes() == want.tobytes()
 
     def test_sums_past_int32_are_stored_as_int64(self, tmp_path):
         index = _labeled_index()
         sums = np.array([[2**40, -3], [0, 1], [-(2**35), 7]])
         norms = np.array([2.0**40, 1.0, 3.5])
-        index.vectors, index.sums_norms = sums / norms[:, None], (sums, norms)
+        index.vectors, index.norms = sums, norms
         p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
         save_index(index, p1)
         assert _split_saved(p1)[0]["dtype"] == "int64"
-        assert load_index(p1).vectors.tobytes() == index.vectors.tobytes()
+        assert load_index(p1).rows().tobytes() == (sums / norms[:, None]).tobytes()
         save_index(load_index(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -905,7 +925,7 @@ class TestIntegerVectorBlock:
         index = _labeled_index()
         with CannedHTTPServer(reply) as server:
             embed_index(index, RemoteEmbedder(server.url))
-        assert index.sums_norms is None
+        assert index.norms is None
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header, _, block = _split_saved(path)
@@ -913,21 +933,38 @@ class TestIntegerVectorBlock:
         assert block == index.vectors.astype("<f8").tobytes()
         assert load_index(path).vectors.tobytes() == index.vectors.tobytes()
 
-    @pytest.mark.parametrize("edit", [
-        lambda index: setattr(index, "vectors", index.vectors * 0.5),
-        lambda index: index.vectors.__setitem__((1, 3), 0.25),
-        lambda index: index.vectors.__setitem__(tuple(np.argwhere(index.vectors == 0)[0]), -0.0),
-    ], ids=["replaced", "one_value_changed", "sign_of_zero"])
-    def test_a_matrix_that_is_no_longer_the_quotient_is_stored_as_float64(self, tmp_path,
-                                                                        edit):
+    def test_float64_rows_stored_over_sums_leave_no_norms(self, tmp_path):
+        def reply(body):
+            return {"vectors": [[len(t) / 7, -0.0] for t in body["texts"]]}
+
         index = _fallback_index()
-        edit(index)
+        with CannedHTTPServer(reply) as server:
+            embed_index(index, RemoteEmbedder(server.url))
+        assert index.norms is None and index.vectors.dtype == np.float64
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header, _, block = _split_saved(path)
         assert header["dtype"] == "float64"
         assert block == index.vectors.astype("<f8").tobytes()
-        assert load_index(path).vectors.tobytes() == index.vectors.tobytes()
+        loaded = load_index(path)
+        assert loaded.norms is None
+        assert loaded.rows().tobytes() == index.vectors.tobytes()
+
+    @pytest.mark.parametrize("make, at", [
+        (_fallback_index, 0), (_fallback_index, 3 * 384 - 1), (_fallback_index, 3 * 384 + 8),
+        (_tiny_embedded_index, 0), (_tiny_embedded_index, 6 * 8 - 1),
+    ], ids=["first_sum", "last_sum", "norm", "first_float", "last_float"])
+    def test_a_changed_block_byte_is_a_digest_mismatch(self, tmp_path, make, at):
+        """A flipped low bit leaves every value valid, so only the digest,
+        which covers the block, can tell."""
+        path = tmp_path / "idx.jsonl"
+        save_index(make(), path)
+        header, entries, block = _split_saved(path)
+        load_index(path)
+        block = block[:at] + bytes([block[at] ^ 0x01]) + block[at + 1:]
+        _write_index(path, header, entries, block)
+        with pytest.raises(FileCorrupt, match="does not match the header's digest"):
+            load_index(path)
 
     @pytest.mark.parametrize("rewrite, message", [
         (_norm(0, 0.0), "norm that is not positive and finite"),
@@ -935,6 +972,8 @@ class TestIntegerVectorBlock:
         (_norm(2, np.nan), "norm that is not positive and finite"),
         (_norm(0, np.inf), "norm that is not positive and finite"),
         (_norm(1, 5e-324), "non-finite values"),
+        # 1 / 5e-307 is finite, -128 / 5e-307 is not; np.abs(int8 -128) is -128.
+        (_norm(2, 5e-307, [-128] + [1] * 383), "non-finite values"),
         (lambda h, b: (h, b[:-1]), "no line break before its vector block"),
         (lambda h, b: (h, b + b"\0"), "no line break before its vector block"),
         (lambda h, b: (h, b[:-8 * 3]), "no line break before its vector block"),
@@ -949,6 +988,7 @@ class TestIntegerVectorBlock:
         (lambda h, b: ({**h, "dtype": "float64"}, b), "too short for its 3 rows of 384 float64"),
         (lambda h, b: ({**h, "dimension": None}, b), "dtype 'int8' is not null"),
     ], ids=["norm_zero", "norm_negative", "norm_nan", "norm_inf", "norm_tiny",
+            "sum_minus_128_norm_tiny",
             "one_byte_short", "one_byte_long", "no_norms", "unknown_dtype", "unsigned_dtype",
             "numpy_dtype_string", "number_dtype", "list_dtype", "null_dtype", "no_dtype",
             "wider_dtype", "float_dtype", "dtype_without_dimension"])
@@ -1011,9 +1051,10 @@ class TestPersistenceProperties:
             assert loaded.entry_by_id(entry.entry_id) == entry
         assert loaded == index
         if index.vectors is None:
-            assert loaded.vectors is None
+            assert loaded.vectors is None and loaded.norms is None
         else:
             assert np.array_equal(loaded.vectors, index.vectors)
+            assert np.array_equal(loaded.norms, index.norms)
         save_index(loaded, path)
         assert load_index(path) == index
 

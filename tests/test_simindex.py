@@ -43,6 +43,7 @@ from simaudit.simindex import (
     classify,
     embed_index,
     embed_texts,
+    narrowest_int,
     query_top_k,
     similarity,
 )
@@ -649,6 +650,78 @@ class TestGramPrefilterOnNearTies:
                 (m.entry_id, m.distance, m.similarity) for m in want]
 
 
+def _integer_and_float_indexes(sums, norms, stems):
+    """An index holding integer sums over norms, and a copy holding their
+    float64 quotient, sums / norms[:, None], entry i named by stems[i]."""
+    pair = []
+    for stored in ((sums, norms), (sums / norms[:, None], None)):
+        index = new_index()
+        for i, stem in enumerate(stems):
+            assert index.insert(mk_unit(f"f.sol::C::{stem}#0", name="f", body=f"r{i}"),
+                                "pkg", "1")
+        index.vectors, index.norms = stored
+        pair.append(index)
+    return pair
+
+
+class TestIntegerRowsMatchTheirQuotient:
+    """query_top_k over integer sums and norms against query_top_k over the
+    float64 matrix sums / norms: the same ids in the same order and the same
+    bytes in every distance and similarity. A cluster of near-ties (one sum
+    row under norms some ulps or eps apart, or exact copies) sits among other
+    rows, cluster ids descending as the rows ascend, with k at the edges of
+    the cluster, or at or past the index size, where every row is scored."""
+
+    @given(dim=st.sampled_from((2, 3, 8, 384)),
+           kind=st.sampled_from(("ulp", "copy", "nudge")),
+           cluster=st.integers(2, 10),
+           others=st.one_of(st.integers(0, 12), st.integers(QUERY_TILE, 2 * QUERY_TILE + 1)),
+           scale=st.sampled_from((1.0, 1e-100, 1e100, 1e300)),
+           k_at=st.sampled_from(("cluster-1", "cluster", "cluster+1", "n-1", "n", "n+2")),
+           seed=st.integers(0, 2**32 - 1))
+    @example(dim=384, kind="ulp", cluster=6, others=200, scale=1.0, k_at="cluster",
+             seed=1)
+    @example(dim=8, kind="nudge", cluster=5, others=150, scale=1.0, k_at="n+2", seed=2)
+    @example(dim=3, kind="copy", cluster=4, others=3, scale=1e300, k_at="cluster-1", seed=3)
+    def test_scores_and_order_are_bit_identical(self, dim, kind, cluster, others, scale,
+                                                k_at, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.integers(-33, 34, dim)
+        base[rng.integers(dim)] = rng.choice((-1, 1)) * rng.integers(1, 34)
+        base_norm = np.linalg.norm(base) * scale
+        member_norms = np.full(cluster, base_norm)
+        if kind == "ulp":
+            member_norms[1:] += rng.integers(-3, 4, cluster - 1) * np.spacing(base_norm)
+        elif kind == "nudge":
+            member_norms[1:] *= 1.0 + rng.uniform(-4, 4, cluster - 1) * np.finfo(float).eps
+        rows = rng.integers(-33, 34, (others, dim))
+        row_norms = np.linalg.norm(rows, axis=1) * scale
+        row_norms[row_norms == 0.0] = scale  # a zero row: its query scores every row
+        at = rng.integers(others + 1)
+        sums = narrowest_int(np.vstack((rows[:at], np.repeat(base[None], cluster, axis=0),
+                                        rows[at:])))
+        norms = np.concatenate((row_norms[:at], member_norms, row_norms[at:]))
+        stems = ([f"o{i:03d}" for i in range(at)] + [f"c{cluster - j:02d}" for j in range(cluster)]
+                 + [f"o{i:03d}" for i in range(at, others)])
+        integer, quotient = _integer_and_float_indexes(sums, norms, stems)
+        q = base / base_norm
+        spread = np.abs(q).max()
+        queries = np.array([q, q * (1 + 1e-9 * rng.uniform(-1, 1, dim)),
+                            q + 1e-3 * spread * rng.uniform(-1, 1, dim),
+                            q + 0.3 * spread * rng.uniform(-1, 1, dim),
+                            spread * rng.uniform(-1, 1, dim)])
+        n = len(sums)
+        k = {"cluster-1": cluster - 1, "cluster": cluster, "cluster+1": min(cluster + 1, n),
+             "n-1": n - 1, "n": n, "n+2": n + 2}[k_at]
+
+        def scored(index):
+            return [[(m.entry_id, np.float64(m.distance).tobytes(),
+                      np.float64(m.similarity).tobytes(), m.category) for m in matches]
+                    for matches in query_top_k(queries, index, k=k)]
+
+        assert scored(integer) == scored(quotient)
+
+
 class TestGramPrefilterCutAtOne:
     def test_query_antiparallel_to_every_row_scores_every_row(self):
         """Rows -2**j * q, q of dyadic eighths with largest magnitude 1, so
@@ -681,6 +754,19 @@ class TestGramPrefilterCutAtOne:
         assert [m.entry_id for m in got] == sorted(index.entry_ids)[:k]
 
 
+def _numpy_bytes_retained(call, *args):
+    """call(*args), and the bytes of numpy array data allocated during the
+    call that are still held after it."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    return result, sum(trace.size for trace in snapshot.filter_traces([numpy_data]).traces)
+
+
 class TestEmbedIndex:
     def test_embeds_all_entries_and_stamps_provider(self):
         index = new_index()
@@ -689,7 +775,7 @@ class TestEmbedIndex:
         embed_index(index, FallbackEmbedder())
         assert index.meta.embedder_id == "fallback-trigram-v1"
         assert index.vectors.shape == (3, 384)
-        for entry, row in zip(index.entries, index.vectors):
+        for entry, row in zip(index.entries, index.rows()):
             want = oracles.reference_fallback_embedding(entry.unit.normalized_source)
             assert row.tobytes() == want.tobytes()
 
@@ -720,6 +806,7 @@ class TestEmbedIndex:
         embed_index(loaded, FallbackEmbedder())
         embed_index(index, FallbackEmbedder())
         assert loaded.vectors.tobytes() == index.vectors.tobytes()
+        assert loaded.norms.tobytes() == index.norms.tobytes()
 
     def test_a_fallback_index_keeps_the_sums_and_norms(self):
         index = new_index()
@@ -727,21 +814,36 @@ class TestEmbedIndex:
         for i, text in enumerate(texts):
             index.insert(mk_unit(f"f.sol::C::f{i}#0", body=text), "pkg", "1")
         embed_index(index, FallbackEmbedder())
-        sums, norms = index.sums_norms
+        sums, norms = index.vectors, index.norms
         want_sums, want_norms = FallbackEmbedder().embed_sums(texts)
         assert sums.dtype == want_sums.dtype == np.int16   # the last chunk's sums widen all
         assert np.array_equal(sums, want_sums) and norms.tobytes() == want_norms.tobytes()
-        assert index.vectors.tobytes() == (sums / norms[:, None]).tobytes()
+        assert index.rows().tobytes() == FallbackEmbedder().embed_many(texts).tobytes()
 
     def test_a_remote_embedding_drops_the_sums_and_norms(self):
         index = new_index()
         index.insert(mk_unit("f.sol::C::f#0"), "pkg", "1")
         embed_index(index, FallbackEmbedder())
-        assert index.sums_norms is not None
+        assert index.norms is not None
         with CannedHTTPServer(lambda body: {"vectors": [[1.0, 2.0]]}) as server:
             embed_index(index, RemoteEmbedder(server.url))
-        assert index.sums_norms is None
+        assert index.norms is None
         assert index.vectors.tolist() == [[1.0, 2.0]]
+
+    def test_a_fallback_index_retains_no_float64_matrix(self, tmp_path):
+        """The index keeps its sums and norms, not their float64 quotient:
+        the numpy data it holds after embed_index, and after load_index of
+        its file, is under a quarter of an (n, d) float64 matrix."""
+        index = new_index()
+        for i, text in enumerate(function_texts(512)):
+            index.insert(mk_unit(f"f.sol::C::f{i}#0", body=text), "pkg", "1")
+        bound = len(index.entries) * FALLBACK_DIM * 8 / 4
+        assert _numpy_bytes_retained(embed_index, index, FallbackEmbedder())[1] < bound
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        loaded, retained = _numpy_bytes_retained(load_index, path)
+        assert retained < bound
+        assert loaded.rows().tobytes() == index.rows().tobytes()
 
     def test_empty_index_just_stamps(self):
         index = new_index()
