@@ -15,7 +15,7 @@ import json
 import os
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -63,6 +63,13 @@ class DecidedBy(str, Enum):
     CLONE_SHORT_CIRCUIT = "CloneShortCircuit"
 
 
+def _record(obj) -> dict:
+    """A new dict of a dataclass instance's fields, enums as their values;
+    the values themselves are not copied."""
+    values = ((f.name, getattr(obj, f.name)) for f in fields(obj))
+    return {name: value.value if isinstance(value, Enum) else value for name, value in values}
+
+
 @dataclass(frozen=True)
 class AgentConfig:
     role: Role
@@ -103,13 +110,7 @@ class Verdict:
     decided_by: DecidedBy
 
     def to_dict(self) -> dict:
-        return {
-            "is_vulnerable": self.is_vulnerable,
-            "vuln_type": self.vuln_type,
-            "explanation": self.explanation,
-            "confidence": self.confidence.value,
-            "decided_by": self.decided_by.value,
-        }
+        return _record(self)
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,7 @@ class DebateTranscript:
     entries: tuple[TranscriptEntry, ...] = ()
 
     def to_list(self) -> list[dict]:
-        return [
-            {
-                "role": e.role.value,
-                "session_id": e.session_id,
-                "prompt": e.prompt,
-                "response": e.response,
-                "payload": e.payload,
-            }
-            for e in self.entries
-        ]
+        return [_record(e) for e in self.entries]
 
 
 class TemplateSet:
@@ -207,24 +199,17 @@ def assemble_prompt(role: Role, task: DetectionTask,
                     prior_outputs: dict[Role, str] | None = None,
                     templates: TemplateSet | None = None) -> str:
     """Fill the role's template. Detector sees the target plus references and
-    callee summaries; each later role additionally sees the raw outputs of the
-    roles before it; the Judge sees all three outputs and the target code, but
-    not the references."""
+    callee summaries; each later role sees the target and, as <role>_output,
+    the raw output of every role before it in DEBATE_SEQUENCE, so the Judge
+    sees all three outputs but not the references."""
     templates = templates or TemplateSet.builtin()
     priors = prior_outputs or {}
     slots = {"target_code": task.unit.raw_source.strip()}
     if role is Role.DETECTOR:
         slots["reference_snippets"] = _reference_block(task)
         slots["callee_summaries"] = _callee_block(task)
-    elif role is Role.CRITIC:
-        slots["detector_output"] = priors[Role.DETECTOR]
-    elif role is Role.SUPPORTER:
-        slots["detector_output"] = priors[Role.DETECTOR]
-        slots["critic_output"] = priors[Role.CRITIC]
-    else:
-        slots["detector_output"] = priors[Role.DETECTOR]
-        slots["critic_output"] = priors[Role.CRITIC]
-        slots["supporter_output"] = priors[Role.SUPPORTER]
+    for prior in DEBATE_SEQUENCE[:DEBATE_SEQUENCE.index(role)]:
+        slots[f"{prior.value.lower()}_output"] = priors[prior]
     return templates.render(role, slots)
 
 
@@ -276,19 +261,13 @@ def _clone_verdict(task: DetectionTask) -> Verdict:
     if not task.matches:
         raise ValueError("clone task carries no reference match")
     entry = task.matches[0].entry
-    if entry.label is Label.VULNERABLE:
-        note = entry.vuln_note or "known vulnerable reference"
-        return Verdict(
-            is_vulnerable=True,
-            vuln_type=note,
-            explanation=f"Exact clone of vulnerable reference {entry.entry_id}: {note}",
-            confidence=Confidence.HIGH,
-            decided_by=DecidedBy.CLONE_SHORT_CIRCUIT,
-        )
+    vulnerable = entry.label is Label.VULNERABLE
+    note = (entry.vuln_note or "known vulnerable reference") if vulnerable else ""
     return Verdict(
-        is_vulnerable=False,
-        vuln_type="",
-        explanation=f"Exact clone of clean reference {entry.entry_id}",
+        is_vulnerable=vulnerable,
+        vuln_type=note,
+        explanation=f"Exact clone of {entry.label.value} reference {entry.entry_id}"
+                    + (f": {note}" if note else ""),
         confidence=Confidence.HIGH,
         decided_by=DecidedBy.CLONE_SHORT_CIRCUIT,
     )
@@ -318,15 +297,17 @@ def run_debate(task: DetectionTask, provider,
     payload: dict = {}
     for ordinal, role in enumerate(DEBATE_SEQUENCE):
         prompt = assemble_prompt(role, task, priors, templates)
-        # Fresh session: the message list is only this prompt, never history.
-        raw = call_retried(provider.complete, [{"role": "user", "content": prompt}], configs[role])
-        try:
-            payload = parse_verdict(raw, role)
-        except ParseError:
-            prompt = prompt + "\n\n" + FORMAT_REMINDER
+        for reprompt in (False, True):
+            # Fresh session: the message list is only this prompt, never history.
             raw = call_retried(provider.complete, [{"role": "user", "content": prompt}],
                                configs[role])
-            payload = parse_verdict(raw, role)
+            try:
+                payload = parse_verdict(raw, role)
+                break
+            except ParseError:
+                if reprompt:
+                    raise
+                prompt += "\n\n" + FORMAT_REMINDER
         priors[role] = raw
         entries.append(TranscriptEntry(
             role=role, prompt=prompt, response=raw, payload=payload,

@@ -218,14 +218,15 @@ def cmd_eval(args) -> int:
         print(f"simaudit: dataset directory not found: {dataset}", file=sys.stderr)
         return EXIT_IO
     samples = sorted(dataset.rglob("*.sol"))
+    names = [sample.relative_to(dataset).as_posix() for sample in samples]
+    for name in names:
+        if name not in labels:
+            raise LabelFileMalformed(f"no label for sample {name}")
     model = config.get("llm", {}).get("model", DEFAULT_MODEL)
     llm = _make_llm_provider(args, config)
 
     tp = tn = fp = fn = 0
-    for sample in samples:
-        name = sample.relative_to(dataset).as_posix()
-        if name not in labels:
-            raise LabelFileMalformed(f"no label for sample {name}")
+    for sample, name in zip(samples, names):
         report = run_scan(
             [sample], index, llm, embedder,
             k=args.k, delta=args.delta, simcheck=simcheck,

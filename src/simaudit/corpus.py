@@ -384,12 +384,12 @@ def write_atomic(path: str | Path, data: str | bytes | Callable[[BinaryIO], None
 
 def _vector_block(index: CorpusIndex) -> tuple[str | None, list[np.ndarray]]:
     """The header's dtype and the arrays of index's vector block, in file
-    order: the integer sums, narrowed, and then their norms; or the float64
-    rows."""
+    order: integer sums, narrowed, and then their norms; or, unless vectors
+    holds integers with norms, the float64 rows()."""
     if index.vectors is None:
         return None, []
-    if index.norms is None:
-        return "float64", [np.ascontiguousarray(index.vectors, dtype="<f8")]
+    if index.norms is None or not np.issubdtype(index.vectors.dtype, np.integer):
+        return "float64", [np.ascontiguousarray(index.rows(), dtype="<f8")]
     sums = narrowest_int(index.vectors)
     return sums.dtype.name, [np.ascontiguousarray(sums, dtype=sums.dtype.newbyteorder("<")),
                              np.ascontiguousarray(index.norms, dtype="<f8")]

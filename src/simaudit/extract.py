@@ -67,7 +67,7 @@ _HEADER_KEYWORDS = frozenset({
 })
 
 _CONTRACT_KEYWORDS = frozenset({"contract", "library", "interface"})
-_UNIT_KEYWORDS = frozenset({"function", "modifier", "constructor", "fallback", "receive"})
+
 
 class UnitKind(str, Enum):
     FUNCTION = "function"
@@ -77,13 +77,8 @@ class UnitKind(str, Enum):
     RECEIVE = "receive"
 
 
-_KIND_BY_KEYWORD = {
-    "function": UnitKind.FUNCTION,
-    "modifier": UnitKind.MODIFIER,
-    "constructor": UnitKind.CONSTRUCTOR,
-    "fallback": UnitKind.FALLBACK,
-    "receive": UnitKind.RECEIVE,
-}
+_KIND_BY_KEYWORD = {kind.value: kind for kind in UnitKind}
+_UNIT_KEYWORDS = frozenset(_KIND_BY_KEYWORD)
 
 
 @dataclass(frozen=True)

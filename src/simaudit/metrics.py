@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -32,21 +32,15 @@ class EvalMetrics:
                    recall=recall, f1=f1, accuracy=accuracy)
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp, "tn": self.tn, "fp": self.fp, "fn": self.fn,
-            "precision": self.precision, "recall": self.recall,
-            "f1": self.f1, "accuracy": self.accuracy,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def render_table(self) -> str:
-        def fmt(x: float | None) -> str:
-            return "n/a" if x is None else f"{x:.4f}"
+        """One line per field: counts as integers, rates to four places."""
+        def fmt(x: int | float | None) -> str:
+            if x is None:
+                return "n/a"
+            return str(x) if isinstance(x, int) else f"{x:.4f}"
 
-        rows = [
-            ("tp", str(self.tp)), ("tn", str(self.tn)),
-            ("fp", str(self.fp)), ("fn", str(self.fn)),
-            ("precision", fmt(self.precision)), ("recall", fmt(self.recall)),
-            ("f1", fmt(self.f1)), ("accuracy", fmt(self.accuracy)),
-        ]
-        width = max(len(name) for name, _ in rows)
-        return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
+        rows = self.to_dict()
+        width = max(map(len, rows))
+        return "\n".join(f"{name.ljust(width)}  {fmt(value)}" for name, value in rows.items())

@@ -32,6 +32,7 @@ from .agents import (
     TaskMatch,
     TemplateSet,
     Verdict,
+    _record,
     run_debate,
 )
 from .callgraph import build_graph, topo_order
@@ -70,15 +71,6 @@ def _summary_line(verdict: Verdict | None, error: str | None) -> str:
     if verdict.is_vulnerable:
         return f"vulnerable: {verdict.vuln_type or 'unspecified'}"
     return "no vulnerability found"
-
-
-def _match_dict(m: SimilarityMatch) -> dict:
-    return {
-        "entry_id": m.entry_id,
-        "distance": m.distance,
-        "similarity": m.similarity,
-        "category": m.category.value,
-    }
 
 
 class _CallCounter:
@@ -321,7 +313,7 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
             "contract": unit.contract,
             "file": unit.file_path,
             "category": category.value,
-            "matches": [_match_dict(tm.match) for tm in matches],
+            "matches": [_record(tm.match) for tm in matches],
             "callee_summaries": [list(s) for s in summaries],
             "verdict": "error" if error is not None else verdict.to_dict(),
             "error_message": error,

@@ -24,6 +24,7 @@ from helpers import (
 from simaudit import cli
 from simaudit.cli import _package_version, main
 from simaudit.corpus import Label, load_index
+from simaudit.errors import ProviderError
 from simaudit.metrics import EvalMetrics
 
 SCHEMA = json.loads(
@@ -210,6 +211,48 @@ class TestScanCommand:
         a["inputs"].pop("index")  # differs only when index paths differ
         b["inputs"].pop("index")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_records_carry_exactly_the_schema_keys(self, tmp_path, monkeypatch):
+        """The schema names required keys but forbids no others, so a field
+        added to a record's dataclass must show here."""
+        class FailsOnBroken:
+            def __init__(self, provider):
+                self.provider = provider
+
+            def complete(self, messages, config):
+                if "function broken(" in messages[0]["content"]:
+                    raise ProviderError("endpoint down")
+                return self.provider.complete(messages, config)
+
+        real = cli._make_llm_provider
+        monkeypatch.setattr(cli, "_make_llm_provider",
+                            lambda args, config: FailsOnBroken(real(args, config)))
+        (_target_dir(tmp_path) / "broken.sol").write_text(
+            "contract B {\n    function broken() public { }\n}\n", encoding="utf-8")
+        code, report_path = _scan(tmp_path)
+        assert code == 0
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        unit_schema = SCHEMA["properties"]["units"]["items"]
+        keys = {
+            "unit": set(unit_schema["required"]),
+            "match": set(unit_schema["properties"]["matches"]["items"]["required"]),
+            "verdict": set(unit_schema["properties"]["verdict"]["oneOf"][1]["required"]),
+            "entry": set(SCHEMA["properties"]["transcripts"]["additionalProperties"]
+                         ["items"]["required"]),
+        }
+        units = report["units"]
+        assert any(r["category"] == "clone" for r in units)
+        assert [r["name"] for r in units if r["verdict"] == "error"] == ["broken"]
+        assert any(r["transcript_ref"] for r in units)
+        for record in units:
+            assert set(record) == keys["unit"]
+            assert all(set(match) == keys["match"] for match in record["matches"])
+            if record["verdict"] != "error":
+                assert set(record["verdict"]) == keys["verdict"]
+        for transcript in report["transcripts"].values():
+            assert all(set(entry) == keys["entry"] for entry in transcript)
+        assert set(EvalMetrics.from_counts(1, 2, 3, 4).to_dict()) == {
+            "tp", "tn", "fp", "fn", "precision", "recall", "f1", "accuracy"}
 
     def test_delta_defaults_to_the_index_value(self, tmp_path):
         index = _build_index(tmp_path, "--delta", "0.9", labels=True)
@@ -646,12 +689,22 @@ class TestEvalCommand:
                      "--mock-fixture", MOCK_FIXTURE])
         assert code == 3
 
-    def test_unlabeled_sample_is_malformed(self, tmp_path):
+    def test_unlabeled_sample_is_malformed(self, tmp_path, monkeypatch, capsys):
         dataset, labels = self._dataset(tmp_path)
         labels.write_text("sample,label\nclean.sol,negative\n", encoding="utf-8")
+        built = []
+
+        def make_llm_provider(args, config):
+            built.append(real(args, config))
+            return built[-1]
+
+        real = cli._make_llm_provider
+        monkeypatch.setattr(cli, "_make_llm_provider", make_llm_provider)
         code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
                      "--no-simcheck", "--mock-fixture", MOCK_FIXTURE])
         assert code == 3
+        assert "no label for sample vuln.sol" in capsys.readouterr().err
+        assert not any(provider.calls for provider in built)   # checked before any scan
 
     def test_labels_without_a_label_column_are_malformed(self, tmp_path, capsys):
         dataset, labels = self._dataset(tmp_path)

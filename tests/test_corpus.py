@@ -950,6 +950,16 @@ class TestIntegerVectorBlock:
         assert loaded.norms is None
         assert loaded.rows().tobytes() == index.vectors.tobytes()
 
+    def test_float_rows_assigned_over_sums_are_not_truncated(self, tmp_path):
+        index = _fallback_index()
+        index.vectors = index.rows() * 0.5     # norms left as they were
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        header, _, block = _split_saved(path)
+        assert header["dtype"] == "float64"
+        assert block == index.rows().astype("<f8").tobytes()
+        assert load_index(path).rows().tobytes() == index.rows().tobytes()
+
     @pytest.mark.parametrize("make, at", [
         (_fallback_index, 0), (_fallback_index, 3 * 384 - 1), (_fallback_index, 3 * 384 + 8),
         (_tiny_embedded_index, 0), (_tiny_embedded_index, 6 * 8 - 1),
