@@ -192,6 +192,23 @@ class TestScanCommand:
             assert rec["verdict"]["is_vulnerable"] is False
         assert report["summary"]["provider_calls"] == 4
 
+    def test_report_matches_the_golden_fixture(self, tmp_path, monkeypatch):
+        """Every report byte but the timing block is pinned. Relative paths
+        keep the temporary directory out of the report."""
+        monkeypatch.chdir(tmp_path)
+        Path("archives").mkdir()
+        make_archive(Path("archives/tokenlib-1.0.0.tgz"), {"erc20.sol": REFERENCE})
+        shutil.copy(FIXTURES / "target_token.sol", "target_token.sol")
+        shutil.copy(MOCK_FIXTURE, "mock_debate.json")
+        assert main(["index", "--archives", "archives", "--out", "index.jsonl"]) == 0
+        assert main(["scan", "--input", "target_token.sol", "--index", "index.jsonl",
+                     "--provider", "mock", "--mock-fixture", "mock_debate.json",
+                     "--report", "report.json"]) == 0
+        report = json.loads(Path("report.json").read_text(encoding="utf-8"))
+        report.pop("timing")
+        golden = (FIXTURES / "golden_scan_report.json").read_text(encoding="utf-8")
+        assert json.dumps(report, indent=2, sort_keys=True) + "\n" == golden
+
     def test_k_sets_the_matches_per_unit(self, tmp_path):
         code, report_path = _scan(tmp_path, "--k", "1")
         assert code == 0
