@@ -198,7 +198,10 @@ def _read_eval_labels(path: str) -> dict[str, bool]:
         if value not in ("positive", "negative"):
             raise LabelFileMalformed(
                 f"line {lineno}: label must be positive or negative, got {value!r}")
-        labels[(rec.get("sample") or "").strip()] = value == "positive"
+        sample = (rec.get("sample") or "").strip()
+        if sample in labels:
+            raise LabelFileMalformed(f"line {lineno}: sample {sample} is labeled twice")
+        labels[sample] = value == "positive"
     return labels
 
 

@@ -103,9 +103,9 @@ class IndexStats:
 
 
 class EntryList:
-    """A list of CorpusEntry, as far as len, iteration, integer indexing,
-    append and == go, whose slots may start unbuilt: an unbuilt slot is
-    built by build(position) the first time it is read, and kept."""
+    """A list of CorpusEntry, as far as len, iteration, indexing, slicing
+    (to a list), append and == go, whose slots may start unbuilt: an unbuilt
+    slot is built by build(position) the first time it is read, and kept."""
 
     def __init__(self, size: int = 0,
                  build: Callable[[int], CorpusEntry] | None = None) -> None:
@@ -115,7 +115,9 @@ class EntryList:
     def __len__(self) -> int:
         return len(self._slots)
 
-    def __getitem__(self, pos: int) -> CorpusEntry:
+    def __getitem__(self, pos):
+        if isinstance(pos, slice):
+            return [self[i] for i in range(len(self._slots))[pos]]
         entry = self._slots[pos]
         if entry is None:
             entry = self._slots[pos] = self._build(pos % len(self._slots))

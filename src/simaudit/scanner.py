@@ -1,18 +1,11 @@
 """Scan pipeline: extract, schedule, check the corpus, debate, report.
 
-A scan runs in two phases. Classify, on the calling thread: every unit gets
-an exact-content clone check against the corpus (no model involved), the
-units that are not clones are embedded EMBED_CHUNK texts per request, and
-one top-k retrieval call scores all of them, in schedule order. Debate: the
-call graph's groups (a cycle, or a single unit) run on up to DEBATE_WORKERS
-threads, a group as soon as all the groups it calls are done, the members of
-a cycle one after another. Of the ready groups, a free thread takes the one
-that heads the longest chain of units still to debate, the first in schedule
-order on a tie. Every unit thus sees the same callee outcomes as in a
-serial run. Results land in a report dictionary, assembled in schedule
-order, whose JSON form is stable across runs except for the timing block;
-its schedule.order is that callee-first order, not the order in which the
-debates started.
+run_scan is four stages, each a function of its arguments: _prepare reads
+the units and puts them in callee-first schedule order over the call graph,
+_classify checks them against the corpus on the calling thread, _debate
+runs the model debates on worker threads (_run_groups states the order),
+and _assemble builds the report in schedule order. The report's JSON form
+is stable across runs except for the timing block that run_scan adds.
 """
 
 from __future__ import annotations
@@ -26,19 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .agents import (
-    DebateTranscript,
-    DetectionTask,
-    TaskMatch,
-    TemplateSet,
-    Verdict,
-    _record,
-    run_debate,
-)
+from .agents import DetectionTask, TaskMatch, TemplateSet, _record, run_debate
 from .callgraph import build_graph, topo_order
 from .corpus import CorpusIndex, read_text
 from .errors import ParseError, ProviderError, ProviderMismatch
-from .extract import FunctionUnit, extract_units
+from .extract import extract_units
 from .simindex import DEFAULT_DELTA, Category, SimilarityMatch, embed_chunks, query_top_k
 
 REPORT_SCHEMA_VERSION = 1
@@ -57,19 +42,12 @@ def collect_sol_files(paths: list[str | Path]) -> list[str]:
     return sorted(found)
 
 
-def load_units(files: list[str]) -> list[FunctionUnit]:
-    units: list[FunctionUnit] = []
-    for f in files:
-        text = read_text(f, "source")
-        units.extend(extract_units(text, f))
-    return units
-
-
-def _summary_line(verdict: Verdict | None, error: str | None) -> str:
-    if error is not None:
+def _summary_line(record: dict) -> str:
+    verdict = record["verdict"]
+    if verdict == "error":
         return "analysis failed"
-    if verdict.is_vulnerable:
-        return f"vulnerable: {verdict.vuln_type or 'unspecified'}"
+    if verdict["is_vulnerable"]:
+        return f"vulnerable: {verdict['vuln_type'] or 'unspecified'}"
     return "no vulnerability found"
 
 
@@ -214,25 +192,109 @@ def _run_groups(groups, callee_groups, weights, run_group) -> None:
         raise failures[0]
 
 
+def _prepare(paths: list[str | Path]):
+    """The input files, their units by id, the call graph and its schedule."""
+    files = collect_sol_files(paths)
+    units = [unit for f in files for unit in extract_units(read_text(f, "source"), f)]
+    graph = build_graph(units)
+    return files, {u.unit_id: u for u in units}, graph, topo_order(graph)
+
+
+def _debate(schedule, graph, by_id, classified, llm_provider, configs, templates):
+    """Debate every unit that is not a clone and has no embedding error,
+    group by group through _run_groups, a cycle's members in schedule order.
+
+    Returns the report record of every unit, without its position, and the
+    transcripts of the units whose debate has entries. A unit's callee
+    summaries come from the records of its callees already done, the same
+    ones as in a serial run.
+    """
+    callees: dict[str, list[str]] = {unit_id: [] for unit_id in by_id}
+    for caller, callee in sorted(graph.edges):
+        callees[caller].append(callee)
+    records: dict[str, dict] = {}
+    transcripts: dict[str, list[dict]] = {}
+
+    def debate_group(members):
+        for unit_id in members:
+            unit = by_id[unit_id]
+            category, matches, error = classified[unit_id]
+            summaries = tuple((callee, _summary_line(records[callee]))
+                              for callee in callees[unit_id] if callee in records)
+            llm = _CallCounter(llm_provider)
+            if error is None:
+                task = DetectionTask(unit=unit, callee_summaries=summaries,
+                                     matches=tuple(matches), category=category)
+                try:
+                    verdict, transcript = run_debate(task, llm, configs, templates)
+                except (ProviderError, ParseError) as exc:
+                    error = str(exc)
+                else:
+                    if transcript.entries:
+                        transcripts[unit_id] = transcript.to_list()
+            records[unit_id] = {
+                "unit_id": unit_id,
+                "name": unit.name,
+                "kind": unit.kind.value,
+                "contract": unit.contract,
+                "file": unit.file_path,
+                "category": category.value,
+                "matches": [_record(tm.match) for tm in matches],
+                "callee_summaries": [list(s) for s in summaries],
+                "verdict": "error" if error is not None else verdict.to_dict(),
+                "error_message": error,
+                "provider_calls": llm.count,
+                "transcript_ref": unit_id if unit_id in transcripts else None,
+            }
+
+    weights = [sum(classified[u][0] is not Category.CLONE and classified[u][2] is None
+                   for u in group) for group in schedule.groups]
+    _run_groups(schedule.groups, schedule.group_callees, weights, debate_group)
+    return records, transcripts
+
+
+def _assemble(inputs, graph, schedule, records, transcripts) -> dict:
+    """The report without its timing block, its records in schedule order."""
+    units = [dict(records[u], position=p) for p, u in enumerate(schedule.order)]
+    verdicts = [r["verdict"] for r in units]
+    errors = verdicts.count("error")
+    vulnerable = sum(v != "error" and v["is_vulnerable"] for v in verdicts)
+    return {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "tool_version": __version__,
+        "inputs": inputs,
+        "schedule": {
+            "order": list(schedule.order),
+            "scc_groups": [list(g) for g in schedule.groups if len(g) > 1],
+        },
+        "callgraph": {
+            "edges": sorted([caller, callee] for caller, callee in graph.edges),
+            "unresolved": [
+                {"caller_id": u.caller_id, "name": u.name, "reason": u.reason}
+                for u in graph.unresolved
+            ],
+            "self_recursive": list(graph.self_recursive),
+        },
+        "units": units,
+        "transcripts": {u: transcripts[u] for u in schedule.order if u in transcripts},
+        "summary": {
+            "units": len(units),
+            "vulnerable": vulnerable,
+            "not_vulnerable": len(units) - vulnerable - errors,
+            "errors": errors,
+            "by_category": {c.value: sum(r["category"] == c.value for r in units)
+                            for c in Category},
+            "provider_calls": sum(r["provider_calls"] for r in units),
+        },
+    }
+
+
 def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
              embed_provider=None, *, k: int = 3, delta: float | None = None,
              simcheck: bool = True, configs=None,
              templates: TemplateSet | None = None,
              provider_name: str = "", index_path: str | None = None) -> dict:
     """Scan the given paths and return the report dictionary.
-
-    Classify runs on the calling thread: clone checks, embedding of the
-    non-clone units in EMBED_CHUNK batches and one top-k retrieval call for
-    all of them. Debate then runs the call graph's groups (a cycle or a
-    single unit) on up to DEBATE_WORKERS threads, each group once its callee
-    groups are done, the members of a cycle in schedule order. Of the ready
-    groups, a free thread takes the one with the most units to debate (not
-    clones, no embedding error) on the longest chain from it through its
-    callers, the first in schedule order on a tie. A unit's callee summaries
-    thus see the same outcomes as in a serial run, and records are
-    assembled in schedule order, so the report does not depend on the
-    threads; the report's schedule.order is the callee-first order, not the
-    order in which debates started.
 
     delta defaults to the index's threshold (DEFAULT_DELTA without an index).
     Per-unit provider and parse failures become verdict "error" records and
@@ -257,119 +319,27 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
     if delta is None:
         delta = index.meta.delta if index is not None else DEFAULT_DELTA
 
-    files = collect_sol_files(paths)
-    units = load_units(files)
-    graph = build_graph(units)
-    schedule = topo_order(graph)
-    by_id = {u.unit_id: u for u in units}
-    callees: dict[str, list[str]] = {u.unit_id: [] for u in units}
-    for caller, callee in sorted(graph.edges):
-        callees[caller].append(callee)
-
+    files, by_id, graph, schedule = _prepare(paths)
     if simcheck:
         classified = _classify(schedule.order, by_id, index, embed_provider, k, delta)
     else:
         classified = dict.fromkeys(schedule.order, (Category.DISSIMILAR, [], None))
-
-    templates = templates or TemplateSet.builtin()
-    outcomes: dict[str, tuple[Verdict | None, str | None]] = {}
-    debated: dict[str, tuple] = {}
-
-    def debate_group(members):
-        for unit_id in members:
-            category, matches, error = classified[unit_id]
-            summaries = tuple(
-                (callee, _summary_line(*outcomes[callee]))
-                for callee in callees[unit_id] if callee in outcomes
-            )
-            llm = _CallCounter(llm_provider)
-            verdict: Verdict | None = None
-            transcript = DebateTranscript(())
-            if error is None:
-                task = DetectionTask(unit=by_id[unit_id], callee_summaries=summaries,
-                                     matches=tuple(matches), category=category)
-                try:
-                    verdict, transcript = run_debate(task, llm, configs, templates)
-                except (ProviderError, ParseError) as exc:
-                    error = str(exc)
-            outcomes[unit_id] = (verdict, error)
-            debated[unit_id] = (summaries, verdict, transcript, error, llm.count)
-
-    debated_units = [sum(classified[u][0] is not Category.CLONE and classified[u][2] is None
-                         for u in g) for g in schedule.groups]
-    _run_groups(schedule.groups, schedule.group_callees, debated_units, debate_group)
-
-    records: list[dict] = []
-    transcripts: dict[str, list[dict]] = {}
-    for position, unit_id in enumerate(schedule.order):
-        unit = by_id[unit_id]
-        category, matches, _ = classified[unit_id]
-        summaries, verdict, transcript, error, calls = debated[unit_id]
-        records.append({
-            "unit_id": unit_id,
-            "position": position,
-            "name": unit.name,
-            "kind": unit.kind.value,
-            "contract": unit.contract,
-            "file": unit.file_path,
-            "category": category.value,
-            "matches": [_record(tm.match) for tm in matches],
-            "callee_summaries": [list(s) for s in summaries],
-            "verdict": "error" if error is not None else verdict.to_dict(),
-            "error_message": error,
-            "provider_calls": calls,
-            "transcript_ref": unit_id if transcript.entries else None,
-        })
-        if transcript.entries:
-            transcripts[unit_id] = transcript.to_list()
-
-    vulnerable = sum(1 for r in records
-                     if r["verdict"] != "error" and r["verdict"]["is_vulnerable"])
-    errors = sum(1 for r in records if r["verdict"] == "error")
-    by_category = {c.value: sum(1 for r in records if r["category"] == c.value)
-                   for c in Category}
-
-    finished = time.perf_counter()
-    inputs = {
-        "files": files,
-        "index": index_path,
-        "k": k,
-        "delta": delta,
-        "simcheck": simcheck,
-        "provider": provider_name,
+    records, transcripts = _debate(schedule, graph, by_id, classified, llm_provider,
+                                   configs, templates or TemplateSet.builtin())
+    inputs = {"files": files, "index": index_path, "k": k, "delta": delta,
+              "simcheck": simcheck, "provider": provider_name}
+    report = _assemble(inputs, graph, schedule, records, transcripts)
+    report["timing"] = {
+        "started_at": started_at,
+        "finished_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "seconds": time.perf_counter() - started,
     }
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "tool_version": __version__,
-        "inputs": inputs,
-        "schedule": {
-            "order": list(schedule.order),
-            "scc_groups": [list(g) for g in schedule.groups if len(g) > 1],
-        },
-        "callgraph": {
-            "edges": sorted([caller, callee] for caller, callee in graph.edges),
-            "unresolved": [
-                {"caller_id": u.caller_id, "name": u.name, "reason": u.reason}
-                for u in graph.unresolved
-            ],
-            "self_recursive": list(graph.self_recursive),
-        },
-        "units": records,
-        "transcripts": transcripts,
-        "summary": {
-            "units": len(records),
-            "vulnerable": vulnerable,
-            "not_vulnerable": len(records) - vulnerable - errors,
-            "errors": errors,
-            "by_category": by_category,
-            "provider_calls": sum(r["provider_calls"] for r in records),
-        },
-        "timing": {
-            "started_at": started_at,
-            "finished_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "seconds": finished - started,
-        },
-    }
+    return report
+
+
+def _cell(value) -> str:
+    """A Markdown table cell: pipes escaped, each line break a space."""
+    return " ".join(str(value).splitlines()).replace("|", "\\|")
 
 
 def render_markdown(report: dict) -> str:
@@ -396,6 +366,7 @@ def render_markdown(report: dict) -> str:
             verdict = f"VULNERABLE ({r['verdict']['vuln_type']})"
         else:
             verdict = "ok"
-        lines.append(f"| {r['position']} | {r['unit_id']} | {r['category']} | {verdict} |")
+        cells = (r["position"], r["unit_id"], r["category"], verdict)
+        lines.append("| " + " | ".join(map(_cell, cells)) + " |")
     lines.append("")
     return "\n".join(lines)

@@ -723,6 +723,17 @@ class TestEvalCommand:
         assert "no label for sample vuln.sol" in capsys.readouterr().err
         assert not any(provider.calls for provider in built)   # checked before any scan
 
+    def test_sample_labeled_twice_is_malformed(self, tmp_path, capsys):
+        """Otherwise the last row would win, and the metrics would depend on
+        the row order."""
+        dataset, labels = self._dataset(tmp_path)
+        labels.write_text("sample,label\nclean.sol,negative\nvuln.sol,positive\n"
+                          "clean.sol,positive\n", encoding="utf-8")
+        code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
+                     "--no-simcheck", "--mock-fixture", MOCK_FIXTURE])
+        assert code == 3
+        assert "line 4: sample clean.sol is labeled twice" in capsys.readouterr().err
+
     def test_labels_without_a_label_column_are_malformed(self, tmp_path, capsys):
         dataset, labels = self._dataset(tmp_path)
         labels.write_text("sample,verdict\nclean.sol,negative\nvuln.sol,positive\n",

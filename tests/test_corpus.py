@@ -833,6 +833,19 @@ class TestPersistence:
         assert entries == list(index.entries)
         assert repr(entries) == repr(list(index.entries))
 
+    def test_entry_list_slices_to_a_list_of_built_entries(self, tmp_path):
+        index = _labeled_index()
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        entries = load_index(path).entries
+        expected = list(index.entries)
+        assert len(expected) == 3
+        assert entries[0:2] == expected[0:2] and type(entries[0:2]) is list
+        assert entries[::-1] == expected[::-1]
+        assert entries[-2:] == expected[-2:]
+        assert entries[5:] == []
+        assert entries[1:2][0] is entries[1]
+
     def test_kept_count_mismatch_detected(self, tmp_path):
         index = _labeled_index()
         path = tmp_path / "idx.jsonl"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -82,3 +83,28 @@ def test_readme_names_the_index_format_version(tmp_path):
     save_index(new_index(), path)
     header = json.loads(path.read_bytes().split(b"\n", 1)[0])
     assert [key for key in header if f"`{key}`" not in paragraph] == []
+
+
+# bench/layers.py targets that name nothing, each with the reason it may.
+STALE_LAYER_TARGETS = {
+    # embed() was removed when embeddings became arrays; the benchmark's
+    # next change drops this target, whose metrics have read 0 since.
+    ("simaudit.scanner", None, "embed"),
+}
+
+
+def test_every_traced_layer_target_exists():
+    """bench/layers.py wraps its TARGETS by module attribute and skips a name
+    the package lacks, so a renamed function would read 0 without a failure.
+    Only the file's text is read; nothing of bench/ is imported."""
+    tree = ast.parse((ROOT / "bench" / "layers.py").read_text(encoding="utf-8"))
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    missing = []
+    for target in targets.elts:
+        module, cls, attr = map(ast.literal_eval, target.elts[:3])
+        owner = importlib.import_module(module)
+        if not hasattr(owner if cls is None else getattr(owner, cls, None), attr):
+            missing.append((module, cls, attr))
+    assert len(targets.elts) > 20
+    assert set(missing) <= STALE_LAYER_TARGETS, missing

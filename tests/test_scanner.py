@@ -737,3 +737,16 @@ class TestMarkdown:
         assert text.count("| ") >= 4    # header plus one row per unit
         for r in report["units"]:
             assert r["unit_id"] in text
+
+    def test_cells_escape_pipes_and_line_breaks(self, tmp_path):
+        path = _write(tmp_path, "chain.sol", CHAIN_SOL)
+        judge = "```json\n" + json.dumps({
+            "is_vulnerable": True, "vuln_type": "reentrancy | access\ncontrol",
+            "explanation": "state written after the call", "confidence": "High"}) + "\n```"
+        provider = MockLLMProvider(defaults={**GOOD_DEFAULTS, Role.JUDGE: judge})
+        report = run_scan([path], None, provider, simcheck=False)
+        text = render_markdown(report)
+        assert "| VULNERABLE (reentrancy \\| access control) |" in text
+        table = text[text.index("| # |"):].splitlines()
+        assert len(table) == 2 + len(report["units"])
+        assert all(len(re.findall(r"(?<!\\)\|", row)) == 5 for row in table)
