@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .agents import (  # noqa: E402
-    AgentConfig,
     Confidence,
     DebateTranscript,
     DecidedBy,
@@ -15,7 +14,6 @@ from .agents import (  # noqa: E402
     TemplateSet,
     Verdict,
     assemble_prompt,
-    default_configs,
     parse_verdict,
     run_debate,
 )
@@ -61,15 +59,15 @@ from .simindex import (
 )
 
 __all__ = [
-    "AgentConfig", "BUILTIN_DENYLIST", "CallGraph", "Category", "Confidence",
-    "CorpusEntry", "CorpusIndex", "DebateTranscript", "DecidedBy",
-    "DetectionTask", "EvalMetrics", "FallbackEmbedder", "FunctionUnit",
-    "HttpLLMProvider", "Label", "LabelReport", "MockLLMProvider",
-    "RemoteEmbedder", "Role", "ScanSchedule", "SimilarityMatch", "TaskMatch",
-    "TemplateSet", "UnitKind", "UnresolvedCall", "Verdict", "__version__",
-    "apply_labels", "assemble_prompt", "build_graph", "classify",
-    "content_hash", "default_configs", "embed_index", "embed_texts",
-    "extract_units", "ingest_archive", "load_index", "new_index", "normalize",
-    "parse_verdict", "query_top_k", "render_markdown", "run_debate",
-    "run_scan", "save_index", "similarity", "to_dot", "topo_order",
+    "BUILTIN_DENYLIST", "CallGraph", "Category", "Confidence", "CorpusEntry",
+    "CorpusIndex", "DebateTranscript", "DecidedBy", "DetectionTask",
+    "EvalMetrics", "FallbackEmbedder", "FunctionUnit", "HttpLLMProvider",
+    "Label", "LabelReport", "MockLLMProvider", "RemoteEmbedder", "Role",
+    "ScanSchedule", "SimilarityMatch", "TaskMatch", "TemplateSet", "UnitKind",
+    "UnresolvedCall", "Verdict", "__version__", "apply_labels",
+    "assemble_prompt", "build_graph", "classify", "content_hash",
+    "embed_index", "embed_texts", "extract_units", "ingest_archive",
+    "load_index", "new_index", "normalize", "parse_verdict", "query_top_k",
+    "render_markdown", "run_debate", "run_scan", "save_index", "similarity",
+    "to_dot", "topo_order",
 ]

@@ -71,22 +71,6 @@ def _record(obj) -> dict:
 
 
 @dataclass(frozen=True)
-class AgentConfig:
-    role: Role
-    temperature: float
-    model_name: str = DEFAULT_MODEL
-
-    @classmethod
-    def for_role(cls, role: Role, model_name: str = DEFAULT_MODEL) -> "AgentConfig":
-        temp = DETECTOR_TEMPERATURE if role is Role.DETECTOR else 0.0
-        return cls(role=role, temperature=temp, model_name=model_name)
-
-
-def default_configs(model_name: str = DEFAULT_MODEL) -> dict[Role, AgentConfig]:
-    return {role: AgentConfig.for_role(role, model_name) for role in DEBATE_SEQUENCE}
-
-
-@dataclass(frozen=True)
 class TaskMatch:
     """A retrieval hit with the reference entry attached for prompting."""
     match: SimilarityMatch
@@ -279,7 +263,6 @@ def _session_marker(unit_id: str, role: Role, ordinal: int) -> str:
 
 
 def run_debate(task: DetectionTask, provider,
-               configs: dict[Role, AgentConfig] | None = None,
                templates: TemplateSet | None = None) -> tuple[Verdict, DebateTranscript]:
     """Run the single-round debate and return the Judge's verdict.
 
@@ -290,7 +273,6 @@ def run_debate(task: DetectionTask, provider,
     """
     if task.category is Category.CLONE:
         return _clone_verdict(task), DebateTranscript(())
-    configs = configs or default_configs()
     templates = templates or TemplateSet.builtin()
     priors: dict[Role, str] = {}
     entries: list[TranscriptEntry] = []
@@ -299,8 +281,7 @@ def run_debate(task: DetectionTask, provider,
         prompt = assemble_prompt(role, task, priors, templates)
         for reprompt in (False, True):
             # Fresh session: the message list is only this prompt, never history.
-            raw = call_retried(provider.complete, [{"role": "user", "content": prompt}],
-                               configs[role])
+            raw = call_retried(provider.complete, [{"role": "user", "content": prompt}], role)
             try:
                 payload = parse_verdict(raw, role)
                 break
@@ -348,38 +329,38 @@ class MockLLMProvider:
             raise FileCorrupt(f"mock fixture {path} is malformed: {exc!r}") from exc
         return cls(responses, defaults)
 
-    def complete(self, messages: list[dict], config: AgentConfig) -> str:
-        self.calls.append((config.role, messages))
-        prompt = messages[-1]["content"]
-        digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-        key = (config.role, digest)
-        if key in self._responses:
-            return self._responses[key]
-        if config.role in self._defaults:
-            return self._defaults[config.role]
-        raise ProviderError(f"mock fixture has no response for {config.role.value}")
+    def complete(self, messages: list[dict], role: Role) -> str:
+        self.calls.append((role, messages))
+        digest = hashlib.sha256(messages[-1]["content"].encode("utf-8")).hexdigest()
+        if (role, digest) in self._responses:
+            return self._responses[role, digest]
+        if role in self._defaults:
+            return self._defaults[role]
+        raise ProviderError(f"mock fixture has no response for {role.value}")
 
 
 class HttpLLMProvider:
     """Chat-completion style HTTP provider.
 
-    Sends model, messages, and the four sampling knobs as JSON; expects the
-    response text at choices[0].message.content, which must be a string.
-    Endpoint and key come from configuration, overridden by
-    SIMAUDIT_LLM_ENDPOINT / SIMAUDIT_LLM_KEY.
+    Sends the model, the messages and the four sampling knobs as JSON, the
+    role deciding only the temperature; expects the response text at
+    choices[0].message.content, which must be a string. Endpoint and key come
+    from configuration, overridden by SIMAUDIT_LLM_ENDPOINT / SIMAUDIT_LLM_KEY.
     """
 
-    def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 120.0):
+    def __init__(self, endpoint: str, api_key: str | None = None,
+                 model: str = DEFAULT_MODEL, timeout: float = 120.0):
         self.endpoint = os.environ.get(ENV_LLM_ENDPOINT) or endpoint
         self.api_key = os.environ.get(ENV_LLM_KEY) or api_key
+        self.model = model
         self.timeout = timeout
         self._opener = json_opener()
 
-    def complete(self, messages: list[dict], config: AgentConfig) -> str:
+    def complete(self, messages: list[dict], role: Role) -> str:
         body = {
-            "model": config.model_name,
+            "model": self.model,
             "messages": messages,
-            "temperature": config.temperature,
+            "temperature": DETECTOR_TEMPERATURE if role is Role.DETECTOR else 0.0,
             "top_p": TOP_P,
             "presence_penalty": PRESENCE_PENALTY,
             "frequency_penalty": FREQUENCY_PENALTY,

@@ -7,26 +7,20 @@ problem, 3 malformed input or index format, 4 provider failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .agents import (
-    DEFAULT_MODEL,
-    HttpLLMProvider,
-    MockLLMProvider,
-    TemplateSet,
-    default_configs,
-)
+from .agents import DEFAULT_MODEL, HttpLLMProvider, MockLLMProvider, TemplateSet
 from .callgraph import to_dot
 from .corpus import (
     apply_labels,
     ingest_archive,
     load_index,
     new_index,
+    read_label_csv,
     read_text,
     save_index,
     write_atomic,
@@ -41,7 +35,7 @@ from .errors import (
     SimauditError,
 )
 from .metrics import EvalMetrics
-from .scanner import render_markdown, run_scan
+from .scanner import collect_sol_files, render_markdown, run_scan
 from .simindex import DEFAULT_DELTA, FallbackEmbedder, RemoteEmbedder, embed_index
 
 
@@ -128,7 +122,8 @@ def _make_llm_provider(args, config: dict):
             return MockLLMProvider.from_file(args.mock_fixture)
         return MockLLMProvider()
     llm = config.get("llm", {})
-    provider = HttpLLMProvider(llm.get("endpoint", ""), api_key=llm.get("api_key"))
+    provider = HttpLLMProvider(llm.get("endpoint", ""), api_key=llm.get("api_key"),
+                               model=llm.get("model", DEFAULT_MODEL))
     if not provider.endpoint:
         raise ProviderError(
             "remote provider needs an endpoint (config file or SIMAUDIT_LLM_ENDPOINT)")
@@ -166,13 +161,10 @@ def cmd_scan(args) -> int:
     llm = _make_llm_provider(args, config)
     embedder = _embed_provider_for_index(index, config)
     templates = TemplateSet.from_dir(args.templates) if args.templates else None
-    model = config.get("llm", {}).get("model", DEFAULT_MODEL)
     report = run_scan(
         args.input, index, llm, embedder,
-        k=args.k, delta=args.delta, simcheck=True,
-        configs=default_configs(model), templates=templates,
-        provider_name=args.provider,
-        index_path=str(args.index),
+        k=args.k, delta=args.delta, simcheck=True, templates=templates,
+        provider_name=args.provider, index_path=str(args.index),
     )
     write_atomic(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if args.report_md:
@@ -189,11 +181,8 @@ def cmd_scan(args) -> int:
 
 
 def _read_eval_labels(path: str) -> dict[str, bool]:
-    reader = csv.DictReader(read_text(path, "labels").splitlines())
-    if reader.fieldnames is None or not {"sample", "label"} <= set(reader.fieldnames):
-        raise LabelFileMalformed("eval label file must have columns sample,label")
     labels: dict[str, bool] = {}
-    for lineno, rec in enumerate(reader, start=2):
+    for lineno, rec in read_label_csv(path, "eval label file", ("sample", "label")):
         value = (rec.get("label") or "").strip().lower()
         if value not in ("positive", "negative"):
             raise LabelFileMalformed(
@@ -220,20 +209,18 @@ def cmd_eval(args) -> int:
     if not dataset.is_dir():
         print(f"simaudit: dataset directory not found: {dataset}", file=sys.stderr)
         return EXIT_IO
-    samples = sorted(dataset.rglob("*.sol"))
-    names = [sample.relative_to(dataset).as_posix() for sample in samples]
+    samples = collect_sol_files([dataset])
+    names = [Path(sample).relative_to(dataset).as_posix() for sample in samples]
     for name in names:
         if name not in labels:
             raise LabelFileMalformed(f"no label for sample {name}")
-    model = config.get("llm", {}).get("model", DEFAULT_MODEL)
     llm = _make_llm_provider(args, config)
 
     tp = tn = fp = fn = 0
     for sample, name in zip(samples, names):
         report = run_scan(
             [sample], index, llm, embedder,
-            k=args.k, delta=args.delta, simcheck=simcheck,
-            configs=default_configs(model), provider_name=args.provider,
+            k=args.k, delta=args.delta, simcheck=simcheck, provider_name=args.provider,
         )
         predicted = report["summary"]["vulnerable"] > 0
         actual = labels[name]

@@ -281,6 +281,21 @@ class LabelReport:
     unmatched: list[LabelRow] = field(default_factory=list)
 
 
+def read_label_csv(path: str | Path, what: str,
+                   columns: tuple[str, ...]) -> list[tuple[int, dict]]:
+    """(line, record) for every record of the label CSV at path, line being
+    the one the record ends on, as a quoted field may span lines. A header
+    that lacks one of columns (the message names the file as what) or a
+    record the csv module cannot read is LabelFileMalformed."""
+    reader = csv.DictReader(io.StringIO(read_text(path, "labels")))
+    try:
+        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+            raise LabelFileMalformed(f"{what} must have columns {','.join(columns)}")
+        return [(reader.line_num, rec) for rec in reader]
+    except csv.Error as exc:   # the DictReader's own count lags a failed record
+        raise LabelFileMalformed(f"line {reader.reader.line_num}: {exc}") from exc
+
+
 def apply_labels(index: CorpusIndex, labels_path: str | Path) -> LabelReport:
     """Mark entries vulnerable from a CSV of (package, version, match, note).
 
@@ -289,16 +304,12 @@ def apply_labels(index: CorpusIndex, labels_path: str | Path) -> LabelReport:
     references that make exact clones of them reportable without any model
     call. Rows that match nothing are collected, not fatal.
     """
-    raw = read_text(labels_path, "labels")
-    reader = csv.DictReader(io.StringIO(raw))
-    if reader.fieldnames is None or not set(LABEL_CSV_COLUMNS) <= set(reader.fieldnames):
-        raise LabelFileMalformed(
-            f"label file must have columns {','.join(LABEL_CSV_COLUMNS)}")
+    records = read_label_csv(labels_path, "label file", LABEL_CSV_COLUMNS)
     releases: dict[tuple[str, str], list[CorpusEntry]] = {}
     for entry in index.entries:
         releases.setdefault((entry.package, entry.version), []).append(entry)
     report = LabelReport()
-    for lineno, rec in enumerate(reader, start=2):
+    for lineno, rec in records:
         values = [rec.get(c) for c in LABEL_CSV_COLUMNS]
         if any(v is None for v in values):
             raise LabelFileMalformed(f"line {lineno}: short row")

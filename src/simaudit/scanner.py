@@ -31,12 +31,13 @@ DEBATE_WORKERS = 8  # threads debating call-graph groups, one model request each
 
 
 def collect_sol_files(paths: list[str | Path]) -> list[str]:
-    """Expand files and directories into a sorted, deduplicated .sol list."""
+    """Expand files and directories into a sorted, deduplicated .sol list;
+    a directory contributes the files under it named *.sol, not directories."""
     found: set[str] = set()
     for p in paths:
         path = Path(p)
         if path.is_dir():
-            found.update(str(f) for f in path.rglob("*.sol"))
+            found.update(str(f) for f in path.rglob("*.sol") if f.is_file())
         else:
             found.add(str(path))
     return sorted(found)
@@ -57,9 +58,9 @@ class _CallCounter:
     def __init__(self, provider):
         self.provider, self.count = provider, 0
 
-    def complete(self, messages, config):
+    def complete(self, messages, role):
         self.count += 1
-        return self.provider.complete(messages, config)
+        return self.provider.complete(messages, role)
 
 
 def _classify(schedule_order, by_id, index, embed_provider, k, delta):
@@ -200,7 +201,7 @@ def _prepare(paths: list[str | Path]):
     return files, {u.unit_id: u for u in units}, graph, topo_order(graph)
 
 
-def _debate(schedule, graph, by_id, classified, llm_provider, configs, templates):
+def _debate(schedule, graph, by_id, classified, llm_provider, templates):
     """Debate every unit that is not a clone and has no embedding error,
     group by group through _run_groups, a cycle's members in schedule order.
 
@@ -226,7 +227,7 @@ def _debate(schedule, graph, by_id, classified, llm_provider, configs, templates
                 task = DetectionTask(unit=unit, callee_summaries=summaries,
                                      matches=tuple(matches), category=category)
                 try:
-                    verdict, transcript = run_debate(task, llm, configs, templates)
+                    verdict, transcript = run_debate(task, llm, templates)
                 except (ProviderError, ParseError) as exc:
                     error = str(exc)
                 else:
@@ -291,8 +292,7 @@ def _assemble(inputs, graph, schedule, records, transcripts) -> dict:
 
 def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
              embed_provider=None, *, k: int = 3, delta: float | None = None,
-             simcheck: bool = True, configs=None,
-             templates: TemplateSet | None = None,
+             simcheck: bool = True, templates: TemplateSet | None = None,
              provider_name: str = "", index_path: str | None = None) -> dict:
     """Scan the given paths and return the report dictionary.
 
@@ -325,7 +325,7 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
     else:
         classified = dict.fromkeys(schedule.order, (Category.DISSIMILAR, [], None))
     records, transcripts = _debate(schedule, graph, by_id, classified, llm_provider,
-                                   configs, templates or TemplateSet.builtin())
+                                   templates or TemplateSet.builtin())
     inputs = {"files": files, "index": index_path, "k": k, "delta": delta,
               "simcheck": simcheck, "provider": provider_name}
     report = _assemble(inputs, graph, schedule, records, transcripts)

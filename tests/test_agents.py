@@ -1,4 +1,4 @@
-"""Debate orchestration: configs, prompts, parsing, the mock and HTTP providers."""
+"""Debate orchestration: prompts, parsing, the mock and HTTP providers."""
 
 from __future__ import annotations
 
@@ -13,11 +13,9 @@ import pytest
 from helpers import FIXTURES, TRANSPORT_FAILURES, CannedHTTPServer, failing_endpoint, mk_unit
 from simaudit.agents import (
     DEBATE_SEQUENCE,
-    DEFAULT_MODEL,
     ENV_LLM_ENDPOINT,
     ENV_LLM_KEY,
     FORMAT_REMINDER,
-    AgentConfig,
     Confidence,
     DecidedBy,
     DetectionTask,
@@ -27,7 +25,6 @@ from simaudit.agents import (
     TaskMatch,
     TemplateSet,
     assemble_prompt,
-    default_configs,
     parse_verdict,
     run_debate,
 )
@@ -71,21 +68,6 @@ def _task(category=Category.SIMILAR, matches=None, callee_summaries=(),
         callee_summaries=tuple(callee_summaries),
         matches=tuple(matches),
         category=category)
-
-
-class TestConfigs:
-    def test_defaults_per_role(self):
-        configs = default_configs()
-        assert set(configs) == set(DEBATE_SEQUENCE)
-        assert configs[Role.DETECTOR].temperature == 0.8
-        for role in (Role.CRITIC, Role.SUPPORTER, Role.JUDGE):
-            assert configs[role].temperature == 0.0
-        for cfg in configs.values():
-            assert cfg.model_name == DEFAULT_MODEL == "gpt-4-turbo"
-
-    def test_model_name_override(self):
-        configs = default_configs("other-model")
-        assert all(c.model_name == "other-model" for c in configs.values())
 
 
 class TestTemplates:
@@ -323,12 +305,12 @@ class TestRunDebate:
                 self.fails_left = fail_times
                 self.calls = []
 
-            def complete(self, messages, config):
-                self.calls.append((config.role, messages))
+            def complete(self, messages, role):
+                self.calls.append((role, messages))
                 if self.fails_left > 0:
                     self.fails_left -= 1
                     raise ProviderError("hiccup")
-                return GOOD_DEFAULTS[config.role]
+                return GOOD_DEFAULTS[role]
 
         flaky = Flaky(fail_times=1)
         verdict, _ = run_debate(_task(), flaky)
@@ -396,21 +378,17 @@ class TestMockProvider:
         path = tmp_path / "mock.json"
         path.write_text(json.dumps(fixture))
         provider = MockLLMProvider.from_file(path)
-        cfg = default_configs()
-        out = provider.complete([{"role": "user", "content": prompt}],
-                                cfg[Role.DETECTOR])
+        out = provider.complete([{"role": "user", "content": prompt}], Role.DETECTOR)
         assert out == DET
         assert provider.complete([{"role": "user", "content": "whatever"}],
-                                 cfg[Role.JUDGE]) == JUD
+                                 Role.JUDGE) == JUD
         with pytest.raises(ProviderError):
-            provider.complete([{"role": "user", "content": "whatever"}],
-                              cfg[Role.CRITIC])
+            provider.complete([{"role": "user", "content": "whatever"}], Role.CRITIC)
 
     def test_bundled_debate_fixture_loads(self):
         provider = MockLLMProvider.from_file(FIXTURES / "mock_debate.json")
-        cfg = default_configs()
         for role in DEBATE_SEQUENCE:
-            raw = provider.complete([{"role": "user", "content": "any"}], cfg[role])
+            raw = provider.complete([{"role": "user", "content": "any"}], role)
             assert parse_verdict(raw, role)
 
 
@@ -419,8 +397,7 @@ class TestHttpProvider:
         payload = {"choices": [{"message": {"content": "hello"}}]}
         with CannedHTTPServer(payload) as server:
             provider = HttpLLMProvider(server.url, api_key="k123")
-            cfg = default_configs()[Role.DETECTOR]
-            out = provider.complete([{"role": "user", "content": "p \u00e9"}], cfg)
+            out = provider.complete([{"role": "user", "content": "p \u00e9"}], Role.DETECTOR)
         assert out == "hello"
         (req,) = server.requests
         want = {
@@ -436,52 +413,65 @@ class TestHttpProvider:
         assert req["headers"]["Content-Type"] == "application/json"
         assert req["headers"]["Authorization"] == "Bearer k123"
 
+    @pytest.mark.parametrize("role", DEBATE_SEQUENCE, ids=lambda role: role.value)
+    def test_role_sets_the_temperature_and_the_provider_the_model(self, role):
+        """Only the Detector samples; every later role is deterministic."""
+        payload = {"choices": [{"message": {"content": "hello"}}]}
+        with CannedHTTPServer(payload) as server:
+            HttpLLMProvider(server.url, model="other-model").complete(
+                [{"role": "user", "content": "p"}], role)
+        (req,) = server.requests
+        assert req["body"] == {
+            "model": "other-model",
+            "messages": [{"role": "user", "content": "p"}],
+            "temperature": 0.8 if role is Role.DETECTOR else 0.0,
+            "top_p": 1.0,
+            "presence_penalty": 0.0,
+            "frequency_penalty": 0.0,
+        }
+
     def test_env_overrides(self, monkeypatch):
         payload = {"choices": [{"message": {"content": "via env"}}]}
         with CannedHTTPServer(payload) as server:
             monkeypatch.setenv(ENV_LLM_ENDPOINT, server.url)
             monkeypatch.setenv(ENV_LLM_KEY, "envkey")
             provider = HttpLLMProvider("http://unreachable.invalid/", api_key="cfgkey")
-            cfg = default_configs()[Role.JUDGE]
-            assert provider.complete([{"role": "user", "content": "p"}], cfg) == "via env"
+            assert provider.complete([{"role": "user", "content": "p"}],
+                                     Role.JUDGE) == "via env"
         assert server.requests[0]["headers"]["Authorization"] == "Bearer envkey"
 
     def test_http_error_is_provider_error(self):
         with CannedHTTPServer({}, status=500) as server:
             with pytest.raises(ProviderError, match="500"):
                 HttpLLMProvider(server.url).complete(
-                    [{"role": "user", "content": "p"}],
-                    default_configs()[Role.CRITIC])
+                    [{"role": "user", "content": "p"}], Role.CRITIC)
 
     def test_malformed_reply_is_provider_error(self):
         with CannedHTTPServer({"choices": []}) as server:
             with pytest.raises(ProviderError):
                 HttpLLMProvider(server.url).complete(
-                    [{"role": "user", "content": "p"}],
-                    default_configs()[Role.CRITIC])
+                    [{"role": "user", "content": "p"}], Role.CRITIC)
 
     @pytest.mark.parametrize("kind", TRANSPORT_FAILURES)
     def test_transport_failure_is_provider_error(self, kind):
         with failing_endpoint(kind) as url:
             with pytest.raises(ProviderError, match="LLM endpoint failed"):
                 HttpLLMProvider(url, timeout=0.2).complete(
-                    [{"role": "user", "content": "p"}],
-                    default_configs()[Role.CRITIC])
+                    [{"role": "user", "content": "p"}], Role.CRITIC)
 
     def test_endpoint_that_is_not_http_is_provider_error(self, tmp_path):
         reply = tmp_path / "reply.json"
         reply.write_text('{"choices": [{"message": {"content": "from disk"}}]}')
         with pytest.raises(ProviderError, match="not an http"):
             HttpLLMProvider(reply.as_uri()).complete(
-                [{"role": "user", "content": "p"}], default_configs()[Role.CRITIC])
+                [{"role": "user", "content": "p"}], Role.CRITIC)
 
     @pytest.mark.parametrize("content", [None, 5, ["x"]])
     def test_content_that_is_not_a_string_is_provider_error(self, content):
         with CannedHTTPServer({"choices": [{"message": {"content": content}}]}) as server:
             with pytest.raises(ProviderError, match="not a string"):
                 HttpLLMProvider(server.url).complete(
-                    [{"role": "user", "content": "p"}],
-                    default_configs()[Role.CRITIC])
+                    [{"role": "user", "content": "p"}], Role.CRITIC)
 
     def test_concurrent_calls_each_get_their_own_reply(self):
         in_flight = threading.Barrier(DEBATE_WORKERS, timeout=10)
@@ -493,10 +483,10 @@ class TestHttpProvider:
         prompts = [f"prompt {i}" for i in range(DEBATE_WORKERS)]
         with CannedHTTPServer(echo) as server:
             provider = HttpLLMProvider(server.url, timeout=20)
-            cfg = default_configs()[Role.CRITIC]
             with ThreadPoolExecutor(DEBATE_WORKERS) as pool:
                 got = list(pool.map(
-                    lambda prompt: provider.complete([{"role": "user", "content": prompt}], cfg),
+                    lambda prompt: provider.complete([{"role": "user", "content": prompt}],
+                                                     Role.CRITIC),
                     prompts))
         assert got == prompts
 
@@ -506,8 +496,7 @@ class TestLLMFailureMessages:
 
     @staticmethod
     def _complete(provider):
-        return provider.complete([{"role": "user", "content": "p"}],
-                                 default_configs()[Role.CRITIC])
+        return provider.complete([{"role": "user", "content": "p"}], Role.CRITIC)
 
     @pytest.mark.parametrize("reply,status,message", [
         ({}, 200, "LLM endpoint failed: 'choices'"),

@@ -121,6 +121,22 @@ class TestIndexCommand:
         assert code == 0
         assert "label row matched nothing" in capsys.readouterr().err
 
+    def test_bad_label_row_names_its_line_after_a_two_line_field(self, tmp_path, capsys):
+        archives = tmp_path / "archives"
+        archives.mkdir()
+        make_archive(archives / "tokenlib-1.0.0.tgz", {"erc20.sol": REFERENCE})
+        labels = tmp_path / "labels.csv"
+        labels.write_text(
+            "package,version,match_kind,match_value,note\n"
+            'tokenlib,1.0.0,name,transferFrom,"a note\non two lines"\n'
+            "tokenlib,1.0.0,bogus,x,note\n",
+            encoding="utf-8")
+        code = main(["index", "--archives", str(archives),
+                     "--out", str(tmp_path / "idx.jsonl"), "--labels", str(labels)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "simaudit: line 4: match_kind must be name or hash, got 'bogus'\n")
+
     def test_non_numeric_remote_embeddings_exit_provider(self, tmp_path, capsys):
         archives = tmp_path / "archives"
         archives.mkdir()
@@ -317,6 +333,13 @@ class TestScanCommand:
         assert "vulnerable=0 errors=1" in out
 
 
+    def test_directory_named_like_a_source_is_skipped(self, tmp_path):
+        (_target_dir(tmp_path) / "lib.sol").mkdir()
+        code, report = _scan(tmp_path)
+        assert code == 0
+        files = json.loads(report.read_text(encoding="utf-8"))["inputs"]["files"]
+        assert files == [str(tmp_path / "audit" / "token.sol")]
+
     def test_failed_report_write_keeps_the_old_report(self, tmp_path, monkeypatch, capsys):
         index = _build_index(tmp_path, labels=True)
         report = tmp_path / "report.json"
@@ -332,6 +355,26 @@ class TestScanCommand:
         assert report.read_text(encoding="utf-8") == "old report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "archives", "audit", "index.jsonl", "labels.csv", "report.json"]
+
+    def test_config_model_is_sent_in_every_request(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SIMAUDIT_LLM_ENDPOINT", raising=False)
+        monkeypatch.delenv("SIMAUDIT_LLM_KEY", raising=False)
+        index = _build_index(tmp_path, labels=True)
+        # One block that carries the keys of every role.
+        reply = ('```json\n{"findings": [], "rebuttals": [], "assessment": "none", '
+                 '"is_vulnerable": false, "vuln_type": "", "explanation": "", '
+                 '"confidence": "Low"}\n```')
+        config = tmp_path / "config.json"
+        with CannedHTTPServer({"choices": [{"message": {"content": reply}}]}) as server:
+            config.write_text(json.dumps({"llm": {"model": "m2", "endpoint": server.url}}),
+                              encoding="utf-8")
+            code = main(["scan", "--input", str(_target_dir(tmp_path)),
+                         "--index", str(index), "--provider", "remote",
+                         "--config", str(config), "--report", str(tmp_path / "r.json")])
+        assert code == 0
+        bodies = [req["body"] for req in server.requests]
+        assert [body["model"] for body in bodies] == ["m2"] * 4   # one debate
+        assert [body["temperature"] for body in bodies] == [0.8, 0.0, 0.0, 0.0]
 
 
 class TestScanExitCodes:
@@ -750,6 +793,37 @@ class TestEvalCommand:
         code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
                      "--no-simcheck", "--mock-fixture", MOCK_FIXTURE])
         assert code == 3
+
+    def test_bad_label_names_its_line_after_a_two_line_field(self, tmp_path, capsys):
+        dataset, labels = self._dataset(tmp_path)
+        labels.write_text('sample,label\n"a\n.sol",negative\na.sol,maybe\n',
+                          encoding="utf-8")
+        code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
+                     "--no-simcheck", "--mock-fixture", MOCK_FIXTURE])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "simaudit: line 4: label must be positive or negative, got 'maybe'\n")
+
+    def test_label_too_long_for_the_csv_reader_is_malformed(self, tmp_path, capsys):
+        dataset, labels = self._dataset(tmp_path)
+        labels.write_text(f"sample,label\n{'x' * 200_000},negative\n", encoding="utf-8")
+        code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
+                     "--no-simcheck", "--mock-fixture", MOCK_FIXTURE])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "simaudit: line 2: field larger than field limit")
+
+    def test_directory_named_like_a_sample_is_skipped(self, tmp_path):
+        dataset, labels = self._dataset(tmp_path)
+        (dataset / "lib.sol").mkdir()
+        metrics_out = tmp_path / "metrics.json"
+        code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
+                     "--no-simcheck", "--mock-fixture", MOCK_FIXTURE,
+                     "--metrics-out", str(metrics_out)])
+        assert code == 0
+        metrics = json.loads(metrics_out.read_text())
+        assert {key: metrics[key] for key in ("tp", "tn", "fp", "fn")} == {
+            "tp": 1, "tn": 0, "fp": 1, "fn": 0}
 
     def test_labels_that_are_not_utf8_are_format_error(self, tmp_path, capsys):
         dataset, labels = self._dataset(tmp_path)

@@ -73,6 +73,18 @@ def test_retrieval_never_decides_a_clone():
     assert [ast.unparse(node) for node in outside if id(node) not in inside] == []
 
 
+def test_all_names_exactly_the_public_imports():
+    """A name left in __all__ after its import is gone would surface only on
+    `from simaudit import *`."""
+    simaudit = importlib.import_module("simaudit")
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert [name for name in simaudit.__all__ if not hasattr(simaudit, name)] == []
+    assert sorted(simaudit.__all__) == sorted(
+        {name for name in imported if not name.startswith("_")} | {"__version__"})
+
+
 def test_readme_names_the_index_format_version(tmp_path):
     """The README's Index paragraph names the format version and every
     header key that save_index writes."""

@@ -93,11 +93,11 @@ class PoisonProvider:
         self._marker = marker
         self._defaults = defaults
 
-    def complete(self, messages, config):
-        self.calls.append((config.role, messages))
+    def complete(self, messages, role):
+        self.calls.append((role, messages))
         if self._marker in messages[0]["content"]:
             raise ProviderError("poisoned")
-        return self._defaults[config.role]
+        return self._defaults[role]
 
 
 class TestScheduling:
@@ -184,8 +184,8 @@ class TestProviderAccounting:
         defaults = dict(CLEAN_DEFAULTS)
 
         class Silent:
-            def complete(self, messages, config):
-                return defaults[config.role]
+            def complete(self, messages, role):
+                return defaults[role]
 
         report = run_scan([path], None, Silent(), simcheck=False)
         assert all(r["provider_calls"] == 4 for r in report["units"])
@@ -472,19 +472,19 @@ class DigestProvider:
         self._lock = threading.Lock()
         self._rng, self._max_wait = rng, max_wait
 
-    def complete(self, messages, config):
+    def complete(self, messages, role):
         start = time.perf_counter()
         time.sleep(self._rng.uniform(0, self._max_wait))
         digest = hashlib.sha256(messages[-1]["content"].encode("utf-8")).hexdigest()
-        if config.role is Role.DETECTOR:
+        if role is Role.DETECTOR:
             reply = ('```json\n{"findings": [{"vuln_type": "%s", "description": "x"}]}\n```'
                      % digest[:12])
-        elif config.role is Role.JUDGE:
+        elif role is Role.JUDGE:
             reply = ('```json\n{"is_vulnerable": %s, "vuln_type": "%s", '
                      '"explanation": "from the digest", "confidence": "Low"}\n```'
                      % ("true" if int(digest, 16) % 2 else "false", digest[:8]))
         else:
-            reply = CLEAN_DEFAULTS[config.role]
+            reply = CLEAN_DEFAULTS[role]
         with self._lock:
             self.spans.setdefault(_target_name(messages), []).append(
                 (start, time.perf_counter()))
@@ -534,10 +534,10 @@ class TestConcurrentDebate:
         order = []
 
         class Recording:
-            def complete(self, messages, config):
-                if config.role is Role.DETECTOR:
+            def complete(self, messages, role):
+                if role is Role.DETECTOR:
                     order.append(_target_name(messages))
-                return CLEAN_DEFAULTS[config.role]
+                return CLEAN_DEFAULTS[role]
 
         report = run_scan(paths, index, Recording(), embedder,
                           simcheck=index is not None)
@@ -603,10 +603,10 @@ contract Pick {
         barrier = threading.Barrier(2, timeout=5)
 
         class Meeting:
-            def complete(self, messages, config):
-                if config.role is Role.DETECTOR:
+            def complete(self, messages, role):
+                if role is Role.DETECTOR:
                     barrier.wait()
-                return CLEAN_DEFAULTS[config.role]
+                return CLEAN_DEFAULTS[role]
 
         report = run_scan([path], None, Meeting(), simcheck=False)
         assert [r["provider_calls"] for r in report["units"]] == [4, 4]
@@ -620,14 +620,14 @@ contract Pick {
         in_flight = [0, 0]     # now, peak
 
         class Counting:
-            def complete(self, messages, config):
+            def complete(self, messages, role):
                 with lock:
                     in_flight[0] += 1
                     in_flight[1] = max(in_flight)
                 time.sleep(0.002)
                 with lock:
                     in_flight[0] -= 1
-                return CLEAN_DEFAULTS[config.role]
+                return CLEAN_DEFAULTS[role]
 
         report = run_scan([path], None, Counting(), simcheck=False)
         assert report["summary"]["provider_calls"] == 80
@@ -674,13 +674,13 @@ class TestUnexpectedErrors:
         all_running = threading.Barrier(scanner.DEBATE_WORKERS, action=interrupt, timeout=5)
 
         class Interrupting:
-            def complete(self, messages, config):
-                calls.append(config.role)
+            def complete(self, messages, role):
+                calls.append(role)
                 if not getattr(started, "yes", False):
                     started.yes = True
                     all_running.wait()
                 time.sleep(0.01)
-                return CLEAN_DEFAULTS[config.role]
+                return CLEAN_DEFAULTS[role]
 
         with pytest.raises(KeyboardInterrupt):
             run_scan([path], None, Interrupting(), simcheck=False)
