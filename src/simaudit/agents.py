@@ -303,19 +303,31 @@ def run_debate(task: DetectionTask, provider,
     return verdict, DebateTranscript(tuple(entries))
 
 
+class CallLog:
+    """Forwards complete() to a provider and logs every attempt, retries and
+    re-prompts included, as (role, messages) in calls. Threads may share
+    one log, as list.append is atomic."""
+
+    def __init__(self, provider):
+        self.provider = provider
+        self.calls: list[tuple[Role, list[dict]]] = []
+
+    def complete(self, messages: list[dict], role: Role) -> str:
+        self.calls.append((role, messages))
+        return self.provider.complete(messages, role)
+
+
 class MockLLMProvider:
-    """Replays canned responses from a fixture; records every call it gets.
+    """Replays canned responses from a fixture.
 
     The fixture maps (role, sha256 of the prompt) to a response, with an
-    optional per-role default when no exact prompt matches. Calls are recorded
-    as (role, messages) so tests can check both counts and session freshness.
+    optional per-role default when no exact prompt matches.
     """
 
     def __init__(self, responses: dict[tuple[Role, str], str] | None = None,
                  defaults: dict[Role, str] | None = None):
         self._responses = dict(responses or {})
         self._defaults = dict(defaults or {})
-        self.calls: list[tuple[Role, list[dict]]] = []
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockLLMProvider":
@@ -330,7 +342,6 @@ class MockLLMProvider:
         return cls(responses, defaults)
 
     def complete(self, messages: list[dict], role: Role) -> str:
-        self.calls.append((role, messages))
         digest = hashlib.sha256(messages[-1]["content"].encode("utf-8")).hexdigest()
         if (role, digest) in self._responses:
             return self._responses[role, digest]

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -96,13 +97,12 @@ def _package_version(archive: Path) -> tuple[str, str]:
     return stem, "0"
 
 
-def _make_embed_provider(kind: str, config: dict, provider_id: str | None = None):
+def _make_embed_provider(kind: str, config: dict):
     if kind == "fallback":
         return FallbackEmbedder()
     emb = config.get("embedding", {})
-    endpoint = emb.get("endpoint", "")
-    provider = RemoteEmbedder(endpoint, api_key=emb.get("api_key"),
-                              provider_id=provider_id or emb.get("provider_id"))
+    provider = RemoteEmbedder(emb.get("endpoint", ""), api_key=emb.get("api_key"),
+                              provider_id=emb.get("provider_id"))
     if not provider.endpoint:
         raise ProviderError(
             "remote embedder needs an endpoint (config file or SIMAUDIT_EMBED_ENDPOINT)")
@@ -110,10 +110,10 @@ def _make_embed_provider(kind: str, config: dict, provider_id: str | None = None
 
 
 def _embed_provider_for_index(index, config: dict):
-    embedder_id = index.meta.embedder_id
-    if embedder_id in (None, "", FallbackEmbedder.provider_id):
-        return FallbackEmbedder()
-    return _make_embed_provider("remote", config, provider_id=embedder_id)
+    """An embedder of the index's kind, built from config as `index` builds
+    one; run_scan refuses it unless its id is the one the index records."""
+    fallback = index.meta.embedder_id in (None, "", FallbackEmbedder.provider_id)
+    return _make_embed_provider("fallback" if fallback else "remote", config)
 
 
 def _make_llm_provider(args, config: dict):
@@ -180,8 +180,9 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _read_eval_labels(path: str) -> dict[str, bool]:
-    labels: dict[str, bool] = {}
+def _read_eval_labels(path: str) -> dict[str, tuple[int, bool]]:
+    """{sample: (line, positive)} for every row of the eval label file."""
+    labels: dict[str, tuple[int, bool]] = {}
     for lineno, rec in read_label_csv(path, "eval label file", ("sample", "label")):
         value = (rec.get("label") or "").strip().lower()
         if value not in ("positive", "negative"):
@@ -190,7 +191,7 @@ def _read_eval_labels(path: str) -> dict[str, bool]:
         sample = (rec.get("sample") or "").strip()
         if sample in labels:
             raise LabelFileMalformed(f"line {lineno}: sample {sample} is labeled twice")
-        labels[sample] = value == "positive"
+        labels[sample] = lineno, value == "positive"
     return labels
 
 
@@ -214,25 +215,22 @@ def cmd_eval(args) -> int:
     for name in names:
         if name not in labels:
             raise LabelFileMalformed(f"no label for sample {name}")
+    named = set(names)
+    for sample, (lineno, _) in labels.items():
+        if sample not in named:
+            print(f"simaudit: line {lineno}: label row matched no sample: {sample!r}",
+                  file=sys.stderr)
     llm = _make_llm_provider(args, config)
 
-    tp = tn = fp = fn = 0
+    outcomes = Counter()    # samples by (predicted, actual)
     for sample, name in zip(samples, names):
         report = run_scan(
             [sample], index, llm, embedder,
             k=args.k, delta=args.delta, simcheck=simcheck, provider_name=args.provider,
         )
-        predicted = report["summary"]["vulnerable"] > 0
-        actual = labels[name]
-        if predicted and actual:
-            tp += 1
-        elif predicted and not actual:
-            fp += 1
-        elif not predicted and actual:
-            fn += 1
-        else:
-            tn += 1
-    metrics = EvalMetrics.from_counts(tp, tn, fp, fn)
+        outcomes[report["summary"]["vulnerable"] > 0, labels[name][1]] += 1
+    metrics = EvalMetrics.from_counts(tp=outcomes[True, True], tn=outcomes[False, False],
+                                      fp=outcomes[True, False], fn=outcomes[False, True])
     print(metrics.render_table())
     payload = json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.metrics_out:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .agents import DetectionTask, TaskMatch, TemplateSet, _record, run_debate
+from .agents import CallLog, DetectionTask, TaskMatch, TemplateSet, _record, run_debate
 from .callgraph import build_graph, topo_order
 from .corpus import CorpusIndex, read_text
 from .errors import ParseError, ProviderError, ProviderMismatch
@@ -50,17 +50,6 @@ def _summary_line(record: dict) -> str:
     if verdict["is_vulnerable"]:
         return f"vulnerable: {verdict['vuln_type'] or 'unspecified'}"
     return "no vulnerability found"
-
-
-class _CallCounter:
-    """Forwards complete() to the provider, counting every attempt."""
-
-    def __init__(self, provider):
-        self.provider, self.count = provider, 0
-
-    def complete(self, messages, role):
-        self.count += 1
-        return self.provider.complete(messages, role)
 
 
 def _classify(schedule_order, by_id, index, embed_provider, k, delta):
@@ -222,7 +211,7 @@ def _debate(schedule, graph, by_id, classified, llm_provider, templates):
             category, matches, error = classified[unit_id]
             summaries = tuple((callee, _summary_line(records[callee]))
                               for callee in callees[unit_id] if callee in records)
-            llm = _CallCounter(llm_provider)
+            llm = CallLog(llm_provider)
             if error is None:
                 task = DetectionTask(unit=unit, callee_summaries=summaries,
                                      matches=tuple(matches), category=category)
@@ -244,7 +233,7 @@ def _debate(schedule, graph, by_id, classified, llm_provider, templates):
                 "callee_summaries": [list(s) for s in summaries],
                 "verdict": "error" if error is not None else verdict.to_dict(),
                 "error_message": error,
-                "provider_calls": llm.count,
+                "provider_calls": len(llm.calls),
                 "transcript_ref": unit_id if unit_id in transcripts else None,
             }
 

@@ -16,6 +16,7 @@ from simaudit.agents import (
     ENV_LLM_ENDPOINT,
     ENV_LLM_KEY,
     FORMAT_REMINDER,
+    CallLog,
     Confidence,
     DecidedBy,
     DetectionTask,
@@ -235,7 +236,7 @@ class TestParseVerdict:
 
 class TestRunDebate:
     def test_four_roles_in_order_each_in_fresh_session(self):
-        provider = MockLLMProvider(defaults=GOOD_DEFAULTS)
+        provider = CallLog(MockLLMProvider(defaults=GOOD_DEFAULTS))
         verdict, transcript = run_debate(_task(), provider)
         assert [role for role, _ in provider.calls] == list(DEBATE_SEQUENCE)
         for _, messages in provider.calls:
@@ -283,8 +284,8 @@ class TestRunDebate:
             (Role.DETECTOR, sha(prompt)): "sorry, no JSON here",
             (Role.DETECTOR, sha(prompt + "\n\n" + FORMAT_REMINDER)): DET,
         }
-        provider = MockLLMProvider(responses=responses, defaults={
-            Role.CRITIC: CRI, Role.SUPPORTER: SUP, Role.JUDGE: JUD})
+        provider = CallLog(MockLLMProvider(responses=responses, defaults={
+            Role.CRITIC: CRI, Role.SUPPORTER: SUP, Role.JUDGE: JUD}))
         verdict, transcript = run_debate(task, provider)
         assert verdict.decided_by is DecidedBy.JUDGE
         assert len(provider.calls) == 5     # detector twice, others once
@@ -293,8 +294,8 @@ class TestRunDebate:
         assert det_entry.response == DET
 
     def test_two_malformed_responses_fail_the_unit(self):
-        provider = MockLLMProvider(defaults={**GOOD_DEFAULTS,
-                                             Role.CRITIC: "still not json"})
+        provider = CallLog(MockLLMProvider(defaults={**GOOD_DEFAULTS,
+                                                     Role.CRITIC: "still not json"}))
         with pytest.raises(ParseError):
             run_debate(_task(), provider)
         assert len(provider.calls) == 3     # detector, critic, critic re-prompt
@@ -303,21 +304,19 @@ class TestRunDebate:
         class Flaky:
             def __init__(self, fail_times):
                 self.fails_left = fail_times
-                self.calls = []
 
             def complete(self, messages, role):
-                self.calls.append((role, messages))
                 if self.fails_left > 0:
                     self.fails_left -= 1
                     raise ProviderError("hiccup")
                 return GOOD_DEFAULTS[role]
 
-        flaky = Flaky(fail_times=1)
+        flaky = CallLog(Flaky(fail_times=1))
         verdict, _ = run_debate(_task(), flaky)
         assert verdict.decided_by is DecidedBy.JUDGE
         assert len(flaky.calls) == 5
 
-        dead = Flaky(fail_times=2)
+        dead = CallLog(Flaky(fail_times=2))
         with pytest.raises(ProviderError):
             run_debate(_task(), dead)
         assert len(dead.calls) == 2
@@ -326,7 +325,7 @@ class TestRunDebate:
 class TestCloneShortCircuit:
     def test_clean_clone_zero_provider_calls(self):
         entry = _entry()
-        provider = MockLLMProvider()     # would raise if ever called
+        provider = CallLog(MockLLMProvider())     # would raise if ever called
         verdict, transcript = run_debate(
             _task(category=Category.CLONE,
                   matches=(_match(entry, 1.0, Category.CLONE),)),

@@ -22,6 +22,7 @@ from helpers import (
     vector_block_size,
 )
 from simaudit import cli
+from simaudit.agents import CallLog
 from simaudit.cli import _package_version, main
 from simaudit.corpus import Label, load_index
 from simaudit.errors import ProviderError
@@ -609,6 +610,51 @@ class TestScanExitCodes:
                                            "(config file or SIMAUDIT_EMBED_ENDPOINT)\n")
         assert not (tmp_path / "r.json").exists()
 
+    @staticmethod
+    def _remote_index_then_scan(tmp_path, index_embedding, scan_embedding):
+        """Index through endpoint A and scan through endpoint B, each with its
+        own config's embedding section; returns the scan's exit code, the
+        report path and both servers."""
+        archives = tmp_path / "archives"
+        archives.mkdir()
+        make_archive(archives / "tokenlib-1.0.0.tgz", {"erc20.sol": REFERENCE})
+        index, report = tmp_path / "idx.jsonl", tmp_path / "r.json"
+
+        def reply(body):
+            return {"vectors": [[1.0, 0.5] for _ in body["texts"]]}
+
+        with CannedHTTPServer(reply) as a, CannedHTTPServer(reply) as b:
+            config = tmp_path / "index.json"
+            config.write_text(json.dumps({"embedding": {**index_embedding, "endpoint": a.url}}),
+                              encoding="utf-8")
+            assert main(["index", "--archives", str(archives), "--out", str(index),
+                         "--embedder", "remote", "--config", str(config)]) == 0
+            config = tmp_path / "scan.json"
+            config.write_text(json.dumps({"embedding": {**scan_embedding, "endpoint": b.url}}),
+                              encoding="utf-8")
+            code = main(["scan", "--input", str(_target_dir(tmp_path)), "--index", str(index),
+                         "--provider", "mock", "--mock-fixture", MOCK_FIXTURE,
+                         "--config", str(config), "--report", str(report)])
+        return code, report, a, b
+
+    def test_remote_index_refuses_an_embedder_of_another_endpoint(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SIMAUDIT_EMBED_ENDPOINT", raising=False)
+        code, report, a, b = self._remote_index_then_scan(tmp_path, {}, {})
+        assert code == 4
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"simaudit: index was embedded by remote:{a.url}, scan provider is remote:{b.url}")
+        assert not report.exists()
+        assert b.requests == []
+
+    def test_remote_index_is_scanned_by_an_embedder_of_its_id(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SIMAUDIT_EMBED_ENDPOINT", raising=False)
+        named = {"provider_id": "remote-emb-v2"}
+        code, report, a, b = self._remote_index_then_scan(tmp_path, named, named)
+        assert code == 0
+        assert json.loads(report.read_text(encoding="utf-8"))["summary"]["units"] > 0
+        assert len(a.requests) == 1 and len(b.requests) == 1    # the index's, the scan's
+
 
 class TestBadArguments:
     @pytest.mark.parametrize("command", ["scan", "eval"])
@@ -715,7 +761,7 @@ class TestEvalCommand:
         built = []
 
         def make_llm_provider(args, config):
-            built.append(real(args, config))
+            built.append(CallLog(real(args, config)))
             return built[-1]
 
         real = cli._make_llm_provider
@@ -755,7 +801,7 @@ class TestEvalCommand:
         built = []
 
         def make_llm_provider(args, config):
-            built.append(real(args, config))
+            built.append(CallLog(real(args, config)))
             return built[-1]
 
         real = cli._make_llm_provider
@@ -765,6 +811,24 @@ class TestEvalCommand:
         assert code == 3
         assert "no label for sample vuln.sol" in capsys.readouterr().err
         assert not any(provider.calls for provider in built)   # checked before any scan
+
+    def test_label_rows_without_a_sample_are_reported(self, tmp_path, capsys):
+        dataset = tmp_path / "dataset"
+        dataset.mkdir()
+        (dataset / "a.sol").write_text(TARGET, encoding="utf-8")
+        labels = tmp_path / "eval_labels.csv"
+        labels.write_text("sample,label\na.sol,positive\nmissing.sol,negative\n,positive\n",
+                          encoding="utf-8")
+        metrics_out = tmp_path / "metrics.json"
+        code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
+                     "--no-simcheck", "--mock-fixture", MOCK_FIXTURE,
+                     "--metrics-out", str(metrics_out)])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "simaudit: line 3: label row matched no sample: 'missing.sol'\n"
+            "simaudit: line 4: label row matched no sample: ''\n")
+        metrics = json.loads(metrics_out.read_text())
+        assert sum(metrics[key] for key in ("tp", "tn", "fp", "fn")) == 1
 
     def test_sample_labeled_twice_is_malformed(self, tmp_path, capsys):
         """Otherwise the last row would win, and the metrics would depend on

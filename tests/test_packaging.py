@@ -120,3 +120,22 @@ def test_every_traced_layer_target_exists():
             missing.append((module, cls, attr))
     assert len(targets.elts) > 20
     assert set(missing) <= STALE_LAYER_TARGETS, missing
+
+
+def test_only_the_call_log_keeps_calls():
+    """Model calls are logged in one place, agents.CallLog: no other class in
+    the package assigns a `calls` attribute, on its instances or itself."""
+    keepers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef) or cls.name == "CallLog":
+                continue
+            own = [stmt for stmt in cls.body
+                   if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+            stored = [node for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)]
+            stored += [node for stmt in own for node in ast.walk(stmt)
+                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+            if any(getattr(node, "attr", getattr(node, "id", None)) == "calls" for node in stored):
+                keepers.append(f"{path.name}:{cls.name}")
+    assert keepers == []

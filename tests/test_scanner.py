@@ -14,7 +14,7 @@ import pytest
 
 from helpers import CannedHTTPServer, bad_templates, mk_unit
 from simaudit import scanner, simindex
-from simaudit.agents import MockLLMProvider, Role, TemplateSet
+from simaudit.agents import CallLog, MockLLMProvider, Role, TemplateSet
 from simaudit.corpus import Label, new_index
 from simaudit.errors import (
     DimensionMismatch,
@@ -89,12 +89,10 @@ class PoisonProvider:
     """Good defaults, except prompts containing a marker always fail."""
 
     def __init__(self, marker, defaults):
-        self.calls = []
         self._marker = marker
         self._defaults = defaults
 
     def complete(self, messages, role):
-        self.calls.append((role, messages))
         if self._marker in messages[0]["content"]:
             raise ProviderError("poisoned")
         return self._defaults[role]
@@ -174,7 +172,7 @@ class TestErrorIsolation:
 class TestProviderAccounting:
     def test_four_calls_per_debated_unit(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL)
-        provider = MockLLMProvider(defaults=CLEAN_DEFAULTS)
+        provider = CallLog(MockLLMProvider(defaults=CLEAN_DEFAULTS))
         report = run_scan([path], None, provider, simcheck=False)
         assert all(r["provider_calls"] == 4 for r in report["units"])
         assert report["summary"]["provider_calls"] == 12 == len(provider.calls)
@@ -305,7 +303,7 @@ contract Bank {
         class OtherEmbedder(FallbackEmbedder):
             provider_id = "someone-else-v9"
 
-        provider = MockLLMProvider()
+        provider = CallLog(MockLLMProvider())
         with pytest.raises(ProviderMismatch):
             run_scan([path], index, provider, OtherEmbedder())
         assert provider.calls == []
@@ -321,7 +319,7 @@ contract Bank {
             def embed_many(self, texts):
                 raise ProviderError("embedder down")
 
-        provider = MockLLMProvider(defaults=GOOD_DEFAULTS)
+        provider = CallLog(MockLLMProvider(defaults=GOOD_DEFAULTS))
         report = run_scan([tmp_path], index, provider, DownEmbedder())
         by_id = {r["unit_id"]: r for r in report["units"]}
         leaf, mid, top = _ids(path, "Chain", "leaf", "mid", "top")
@@ -343,7 +341,7 @@ contract Bank {
         loop = _write(tmp_path, "loop.sol", LOOP_SOL)
         index = self._indexed(CHAIN_SOL)
         index.meta.embedder_id = "model-x"
-        provider = MockLLMProvider(defaults=GOOD_DEFAULTS)
+        provider = CallLog(MockLLMProvider(defaults=GOOD_DEFAULTS))
         with CannedHTTPServer(lambda body: {"vectors": [vector] * len(body["texts"])}) as server:
             embedder = RemoteEmbedder(server.url, provider_id="model-x")
             report = run_scan([tmp_path], index, provider, embedder)
@@ -445,7 +443,7 @@ contract Bank {
         unembedded = self._indexed(CHAIN_SOL)
         unembedded.vectors = None
         unembedded.meta.embedder_id = None
-        provider = MockLLMProvider()
+        provider = CallLog(MockLLMProvider())
         with pytest.raises(ProviderMismatch):
             run_scan([path], unembedded, provider, FallbackEmbedder())
         assert provider.calls == []
@@ -653,7 +651,7 @@ class TestUnexpectedErrors:
         path = _write(tmp_path, "many.sol", _many_sol(12))
         templates = TemplateSet.from_dir(bad_templates(tmp_path / "templates"))
         threads_before = set(threading.enumerate())
-        provider = MockLLMProvider(defaults=CLEAN_DEFAULTS)
+        provider = CallLog(MockLLMProvider(defaults=CLEAN_DEFAULTS))
         with pytest.raises(MissingTemplateSlot, match="no_such_slot"):
             run_scan([path], None, provider, simcheck=False, templates=templates)
         assert set(threading.enumerate()) == threads_before
@@ -663,7 +661,6 @@ class TestUnexpectedErrors:
     def test_interrupt_while_waiting_stops_the_scan(self, tmp_path):
         path = _write(tmp_path, "many.sol", _many_sol(20))
         threads_before = set(threading.enumerate())
-        calls = []
         started = threading.local()
 
         def interrupt():
@@ -675,17 +672,17 @@ class TestUnexpectedErrors:
 
         class Interrupting:
             def complete(self, messages, role):
-                calls.append(role)
                 if not getattr(started, "yes", False):
                     started.yes = True
                     all_running.wait()
                 time.sleep(0.01)
                 return CLEAN_DEFAULTS[role]
 
+        provider = CallLog(Interrupting())
         with pytest.raises(KeyboardInterrupt):
-            run_scan([path], None, Interrupting(), simcheck=False)
+            run_scan([path], None, provider, simcheck=False)
         assert set(threading.enumerate()) == threads_before
-        assert len(calls) < 4 * 20      # the groups not yet started never ran
+        assert len(provider.calls) < 4 * 20      # the groups not yet started never ran
 
 
 class TestReportShape:
