@@ -23,7 +23,7 @@ from pathlib import Path
 from .corpus import CorpusEntry, Label, read_text
 from .errors import FileCorrupt, MissingTemplateSlot, ParseError, ProviderError
 from .extract import FunctionUnit
-from .simindex import Category, SimilarityMatch, call_retried, json_opener, post_json
+from .simindex import Category, SimilarityMatch, call_retried
 
 ENV_LLM_ENDPOINT = "SIMAUDIT_LLM_ENDPOINT"
 ENV_LLM_KEY = "SIMAUDIT_LLM_KEY"
@@ -361,11 +361,12 @@ class HttpLLMProvider:
 
     def __init__(self, endpoint: str, api_key: str | None = None,
                  model: str = DEFAULT_MODEL, timeout: float = 120.0):
+        from .transport import JsonEndpoint
+
         self.endpoint = os.environ.get(ENV_LLM_ENDPOINT) or endpoint
-        self.api_key = os.environ.get(ENV_LLM_KEY) or api_key
         self.model = model
-        self.timeout = timeout
-        self._opener = json_opener()
+        self._transport = JsonEndpoint(self.endpoint, os.environ.get(ENV_LLM_KEY) or api_key,
+                                       timeout, "LLM")
 
     def complete(self, messages: list[dict], role: Role) -> str:
         body = {
@@ -376,11 +377,7 @@ class HttpLLMProvider:
             "presence_penalty": PRESENCE_PENALTY,
             "frequency_penalty": FREQUENCY_PENALTY,
         }
-        reply = post_json(self._opener, self.endpoint, body, self.api_key, self.timeout, "LLM")
-        try:
-            content = reply["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ProviderError(f"LLM endpoint failed: {exc}") from exc
+        content = self._transport.post(body, "choices", 0, "message", "content")
         if not isinstance(content, str):
             raise ProviderError(
                 f"LLM endpoint returned {type(content).__name__} content, not a string")

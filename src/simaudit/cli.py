@@ -145,7 +145,9 @@ def cmd_index(args) -> int:
     if args.labels:
         report = apply_labels(index, args.labels)
         for row in report.unmatched:
-            print(f"simaudit: label row matched nothing: {row}", file=sys.stderr)
+            print(f"simaudit: line {row.line}: label row matched nothing: "
+                  f"{row.package}@{row.version} {row.match_kind} {row.match_value!r}",
+                  file=sys.stderr)
     provider = _make_embed_provider(args.embedder, config)
     embed_index(index, provider)
     save_index(index, args.out)
@@ -163,8 +165,8 @@ def cmd_scan(args) -> int:
     templates = TemplateSet.from_dir(args.templates) if args.templates else None
     report = run_scan(
         args.input, index, llm, embedder,
-        k=args.k, delta=args.delta, simcheck=True, templates=templates,
-        provider_name=args.provider, index_path=str(args.index),
+        k=args.k, delta=args.delta, templates=templates, provider_name=args.provider,
+        index_path=str(args.index),
     )
     write_atomic(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if args.report_md:
@@ -197,10 +199,9 @@ def _read_eval_labels(path: str) -> dict[str, tuple[int, bool]]:
 
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
-    simcheck = not args.no_simcheck
     index = None
     embedder = None
-    if simcheck:
+    if not args.no_simcheck:
         if not args.index:
             raise LabelFileMalformed("eval needs --index unless --no-simcheck is given")
         index = load_index(args.index)
@@ -226,7 +227,7 @@ def cmd_eval(args) -> int:
     for sample, name in zip(samples, names):
         report = run_scan(
             [sample], index, llm, embedder,
-            k=args.k, delta=args.delta, simcheck=simcheck, provider_name=args.provider,
+            k=args.k, delta=args.delta, provider_name=args.provider,
         )
         outcomes[report["summary"]["vulnerable"] > 0, labels[name][1]] += 1
     metrics = EvalMetrics.from_counts(tp=outcomes[True, True], tn=outcomes[False, False],

@@ -273,6 +273,7 @@ class LabelRow:
     match_kind: str  # "name" | "hash"
     match_value: str
     note: str
+    line: int = field(default=0, compare=False)  # where the label file holds it
 
 
 @dataclass
@@ -313,7 +314,7 @@ def apply_labels(index: CorpusIndex, labels_path: str | Path) -> LabelReport:
         values = [rec.get(c) for c in LABEL_CSV_COLUMNS]
         if any(v is None for v in values):
             raise LabelFileMalformed(f"line {lineno}: short row")
-        row = LabelRow(*[v.strip() for v in values])
+        row = LabelRow(*[v.strip() for v in values], line=lineno)
         if row.match_kind not in ("name", "hash"):
             raise LabelFileMalformed(
                 f"line {lineno}: match_kind must be name or hash, got {row.match_kind!r}")

@@ -111,7 +111,7 @@ def normalize(raw: str) -> str:
     fixed point. The lexing is extraction's; the strictness is _Tokens.join's.
     """
     tokens = _Tokens(raw)
-    text = tokens.join(0, len(tokens.texts), 0)
+    text = tokens.join(0, len(tokens.texts))
     if tokens.open_comment is not None:
         raise UnterminatedBlockComment("unterminated block comment", offset=tokens.open_comment)
     return text
@@ -257,15 +257,14 @@ class _Tokens:
         self._at = at
         return self._pos
 
-    def join(self, first: int, stop: int, base: int) -> str:
+    def join(self, first: int, stop: int, file_path: str | None = None) -> str:
         """Normalized text of tokens [first, stop): their texts, one space
         wherever whitespace or a comment separated two of them. Raises
-        UnterminatedString at the first open string, offset relative to
-        base."""
+        UnterminatedString, naming file_path, at the first open string."""
         i = bisect_left(self.open_strings, first)
         if i < len(self.open_strings) and self.open_strings[i] < stop:
-            raise UnterminatedString("unterminated string literal",
-                                     offset=self.offset(self.open_strings[i]) - base)
+            raise UnterminatedString("unterminated string literal", file_path=file_path,
+                                     offset=self.offset(self.open_strings[i]))
         return "".join(self._norm[4 * first + 2:4 * stop])
 
 
@@ -359,11 +358,7 @@ def extract_units(source: str, file_path: str) -> list[FunctionUnit]:
         ordinal = ordinals.get((contract, name), 0)
         ordinals[(contract, name)] = ordinal + 1
         start = tokens.offset(first)
-        try:
-            norm = tokens.join(first, stop, start)
-        except UnterminatedString as exc:
-            exc.file_path = file_path
-            raise
+        norm = tokens.join(first, stop, file_path)
         end = tokens.offset(stop - 1) + len(texts[stop - 1])
         raw = source[start:end]
         unit = FunctionUnit(

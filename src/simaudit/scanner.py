@@ -281,11 +281,14 @@ def _assemble(inputs, graph, schedule, records, transcripts) -> dict:
 
 def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
              embed_provider=None, *, k: int = 3, delta: float | None = None,
-             simcheck: bool = True, templates: TemplateSet | None = None,
-             provider_name: str = "", index_path: str | None = None) -> dict:
+             templates: TemplateSet | None = None, provider_name: str = "",
+             index_path: str | None = None) -> dict:
     """Scan the given paths and return the report dictionary.
 
-    delta defaults to the index's threshold (DEFAULT_DELTA without an index).
+    Units are checked against the index, through embed_provider, when an
+    index is given (the report's inputs.simcheck); without one, every unit
+    is debated as dissimilar. delta defaults to the index's threshold
+    (DEFAULT_DELTA without an index).
     Per-unit provider and parse failures become verdict "error" records and
     the scan keeps going; a failed embedding chunk is the error of each of
     its units. Anything wrong with reading inputs, an index that does not
@@ -296,9 +299,8 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
     started = time.perf_counter()
     started_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
 
+    simcheck = index is not None
     if simcheck:
-        if index is None:
-            raise ValueError("similarity checking requires an index")
         if embed_provider is None:
             raise ValueError("similarity checking requires an embedding provider")
         if index.meta.embedder_id != embed_provider.provider_id:
@@ -306,7 +308,7 @@ def run_scan(paths: list[str | Path], index: CorpusIndex | None, llm_provider,
                 f"index was embedded by {index.meta.embedder_id}, "
                 f"scan provider is {embed_provider.provider_id}")
     if delta is None:
-        delta = index.meta.delta if index is not None else DEFAULT_DELTA
+        delta = index.meta.delta if simcheck else DEFAULT_DELTA
 
     files, by_id, graph, schedule = _prepare(paths)
     if simcheck:

@@ -27,13 +27,8 @@ a query is scored against every row.
 from __future__ import annotations
 
 import hashlib
-import http.client
-import json
 import math
 import os
-import urllib.error
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -192,59 +187,6 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-class _Redirect(urllib.request.HTTPRedirectHandler):
-    """Follows 307 and 308 with the same method, body and headers (301, 302
-    and 303 turn into a GET, as in the standard library), and drops the
-    Authorization header on any redirect to another scheme, host or port."""
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        if code in (307, 308):
-            new = urllib.request.Request(newurl, req.data, req.headers, method=req.get_method())
-        else:
-            new = super().redirect_request(req, fp, code, msg, headers, newurl)
-        if _origin(new.full_url) != _origin(req.full_url):
-            new.remove_header("Authorization")
-        return new
-
-
-def _origin(url: str) -> tuple:
-    parts = urllib.parse.urlsplit(url)
-    return parts.scheme, parts.hostname, parts.port or {"http": 80, "https": 443}.get(parts.scheme)
-
-
-def json_opener() -> urllib.request.OpenerDirector:
-    """An opener for post_json. Each provider builds one, once, and the proxy
-    settings (HTTP_PROXY, HTTPS_PROXY, NO_PROXY) are read then."""
-    return urllib.request.build_opener(_Redirect)
-
-
-def post_json(opener: urllib.request.OpenerDirector, url: str, body,
-              api_key: str | None, timeout: float, what: str):
-    """POST body as JSON through opener, with api_key (if any) as a bearer
-    token, on one connection closed after the reply; return the decoded reply.
-
-    Every failure raises ProviderError(f"{what} endpoint failed: {reason}"): a
-    URL that is not http(s), a body that is not strict JSON (NaN, say), a
-    non-2xx status (the reason names it), a transport failure or timeout, or a
-    reply that is not JSON."""
-    headers = {"Content-Type": "application/json"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    try:
-        request = urllib.request.Request(
-            url, data=json.dumps(body, allow_nan=False).encode("utf-8"), method="POST",
-            headers=headers)
-        if request.type not in ("http", "https"):  # the opener would read file: URLs too
-            raise ValueError(f"not an http(s) URL: {url!r}")
-        with opener.open(request, timeout=timeout) as resp:
-            return json.loads(resp.read())
-    except urllib.error.HTTPError as exc:
-        exc.close()
-        raise ProviderError(f"{what} endpoint failed: {exc}") from exc
-    except (OSError, http.client.HTTPException, ValueError) as exc:
-        raise ProviderError(f"{what} endpoint failed: {exc}") from exc
-
-
 def call_retried(call, *args):
     """Return call(*args), calling it a second time if the first raises
     ProviderError: every provider call is retried once, at once."""
@@ -263,20 +205,15 @@ class RemoteEmbedder:
 
     def __init__(self, endpoint: str, api_key: str | None = None,
                  provider_id: str | None = None, timeout: float = 30.0):
+        from .transport import JsonEndpoint
+
         self.endpoint = os.environ.get(ENV_EMBED_ENDPOINT) or endpoint
-        self.api_key = api_key
         self.provider_id = provider_id or f"remote:{self.endpoint}"
-        self.timeout = timeout
         self.dimension: int | None = None
-        self._opener = json_opener()
+        self._transport = JsonEndpoint(self.endpoint, api_key, timeout, "embedding")
 
     def embed_many(self, texts: list[str]) -> list[list[float]]:
-        reply = post_json(self._opener, self.endpoint, {"texts": texts}, self.api_key,
-                          self.timeout, "embedding")
-        try:
-            vectors = reply["vectors"]
-        except (KeyError, TypeError) as exc:
-            raise ProviderError(f"embedding endpoint failed: {exc}") from exc
+        vectors = self._transport.post({"texts": texts}, "vectors")
         if (not isinstance(vectors, list) or len(vectors) != len(texts)
                 or not all(isinstance(vec, list) for vec in vectors)):
             raise ProviderError("embedding endpoint returned a malformed batch")
@@ -302,6 +239,11 @@ def embed_texts(texts: list[str], provider) -> np.ndarray:
     if vectors.ndim != 2 or len(vectors) != len(texts):
         raise ProviderError(
             f"provider returned shape {vectors.shape} for {len(texts)} texts")
+    if not isinstance(raw, np.ndarray):
+        # np.array reads a JSON string such as "1.5", or a boolean, as a number.
+        for value in chain.from_iterable(raw):
+            if isinstance(value, (str, bool)):
+                raise ProviderError(f"provider returned non-numeric embeddings: {value!r}")
     if not np.isfinite(vectors).all():
         raise ProviderError("provider returned non-finite values")
     declared = getattr(provider, "dimension", None)

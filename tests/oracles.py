@@ -172,15 +172,16 @@ def _ref_text(tokens: list[_RefToken], j: int) -> str:
     return tokens[j][1] if 0 <= j < len(tokens) else ""
 
 
-def _ref_join(tokens: list[_RefToken], base: int) -> str:
+def _ref_join(tokens: list[_RefToken], file_path: str) -> str:
     """Normalized text of a run of tokens: their texts, one space wherever
-    whitespace or a comment separated two of them. Raises UnterminatedString
-    at the first open string, offset relative to base."""
+    whitespace or a comment separated two of them. Raises UnterminatedString,
+    naming file_path, at the first open string."""
     out: list[str] = []
     prev_end = tokens[0][2] if tokens else 0
     for kind, text, start, end in tokens:
         if kind == "open_str":
-            raise UnterminatedString("unterminated string literal", offset=start - base)
+            raise UnterminatedString("unterminated string literal", file_path=file_path,
+                                     offset=start)
         if start > prev_end:
             out.append(" ")
         out.append(text)
@@ -268,11 +269,7 @@ def reference_extract_units(source: str, file_path: str) -> list[FunctionUnit]:
         ordinals[(contract, name)] = ordinal + 1
         start, end = tokens[first][2], tokens[stop - 1][3]
         raw = source[start:end]
-        try:
-            norm = _ref_join(tokens[first:stop], start)
-        except UnterminatedString as exc:
-            exc.file_path = file_path
-            raise
+        norm = _ref_join(tokens[first:stop], file_path)
         unit = FunctionUnit(
             unit_id=f"{file_path}::{contract}::{name}#{ordinal}",
             kind=kind,

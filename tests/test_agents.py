@@ -490,6 +490,37 @@ class TestHttpProvider:
         assert got == prompts
 
 
+class TestProxies:
+    """A provider posts through HTTP_PROXY, unless NO_PROXY names its host."""
+
+    @pytest.fixture(autouse=True)
+    def _no_inherited_proxy(self, monkeypatch):
+        for name in ("HTTP_PROXY", "HTTPS_PROXY", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.lower(), raising=False)
+
+    def test_http_proxy_gets_the_absolute_url_and_the_key(self, monkeypatch):
+        with CannedHTTPServer({"choices": [{"message": {"content": "via proxy"}}]}) as proxy:
+            monkeypatch.setenv("HTTP_PROXY", proxy.url)
+            provider = HttpLLMProvider("http://model.invalid/v1/chat", api_key="k123")
+            out = provider.complete([{"role": "user", "content": "p"}], Role.CRITIC)
+        assert out == "via proxy"
+        (req,) = proxy.requests
+        assert (req["method"], req["path"]) == ("POST", "http://model.invalid/v1/chat")
+        assert req["headers"]["Authorization"] == "Bearer k123"
+
+    def test_no_proxy_host_is_reached_directly(self, monkeypatch):
+        payload = {"choices": [{"message": {"content": "direct"}}]}
+        with CannedHTTPServer({}) as proxy, CannedHTTPServer(payload) as server:
+            monkeypatch.setenv("HTTP_PROXY", proxy.url)
+            monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+            out = HttpLLMProvider(server.url).complete(
+                [{"role": "user", "content": "p"}], Role.CRITIC)
+        assert out == "direct"
+        assert proxy.requests == []
+        assert [(r["method"], r["path"]) for r in server.requests] == [("POST", "/")]
+
+
 class TestLLMFailureMessages:
     """The exact message of every model failure."""
 

@@ -122,6 +122,22 @@ class TestIndexCommand:
         assert code == 0
         assert "label row matched nothing" in capsys.readouterr().err
 
+    def test_unmatched_label_row_names_its_line(self, tmp_path, capsys):
+        archives = tmp_path / "archives"
+        archives.mkdir()
+        make_archive(archives / "tokenlib-1.0.0.tgz", {"erc20.sol": REFERENCE})
+        labels = tmp_path / "labels.csv"
+        labels.write_text(
+            "package,version,match_kind,match_value,note\n"
+            'tokenlib,1.0.0,name,transferFrom,"a note\non two lines"\n'
+            "ghostlib,9.9.9,name,transferFrom,never shipped\n",
+            encoding="utf-8")
+        code = main(["index", "--archives", str(archives),
+                     "--out", str(tmp_path / "idx.jsonl"), "--labels", str(labels)])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "simaudit: line 4: label row matched nothing: ghostlib@9.9.9 name 'transferFrom'\n")
+
     def test_bad_label_row_names_its_line_after_a_two_line_field(self, tmp_path, capsys):
         archives = tmp_path / "archives"
         archives.mkdir()

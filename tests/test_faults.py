@@ -163,7 +163,7 @@ def _source(graph) -> str:
 
 def _scan(path, model, index=None, embedder=None):
     before = set(threading.enumerate())
-    report = run_scan([path], index, model, embedder, simcheck=index is not None)
+    report = run_scan([path], index, model, embedder)
     assert set(threading.enumerate()) == before     # no thread outlives the scan
     REPORT_VALIDATOR.validate(report)
     report.pop("timing")

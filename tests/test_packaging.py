@@ -9,10 +9,12 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+from helpers import FIXTURES, make_archive
 from simaudit.corpus import FORMAT_VERSION, new_index, save_index
 
 ROOT = Path(__file__).parent.parent
@@ -52,12 +54,38 @@ def test_cli_import_loads_no_third_party_http_client():
     assert out == "[]\n"
 
 
-def test_only_simindex_speaks_http():
-    """Every provider call goes through simindex.post_json, so no other
+def test_offline_index_and_scan_load_no_http_stack(tmp_path):
+    """Only a remote provider loads transport, and with it the HTTP stack:
+    an index with the fallback embedder and a scan with the mock model leave
+    urllib.request, http.client, ssl and email unloaded."""
+    archives = tmp_path / "archives"
+    archives.mkdir()
+    make_archive(archives / "tokenlib-1.0.0.tgz",
+                 {"erc20.sol": (FIXTURES / "reference_erc20.sol").read_text(encoding="utf-8")})
+    index, report = tmp_path / "index.jsonl", tmp_path / "report.json"
+    code = textwrap.dedent("""\
+        import sys, simaudit.cli
+        archives, index, target, fixture, report = sys.argv[1:]
+        assert simaudit.cli.main(["index", "--archives", archives, "--out", index]) == 0
+        assert simaudit.cli.main(["scan", "--input", target, "--index", index, "--provider",
+                                  "mock", "--mock-fixture", fixture, "--report", report]) == 0
+        stack = {"urllib.request", "http.client", "ssl", "email", "simaudit.transport"}
+        print(sorted(stack & set(sys.modules)))
+        """)
+    argv = [archives, index, FIXTURES / "target_token.sol", FIXTURES / "mock_debate.json", report]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert json.loads(report.read_text(encoding="utf-8"))["summary"]["units"] == 3
+
+
+def test_only_transport_speaks_http():
+    """Every provider call goes through transport.JsonEndpoint, so no other
     module imports urllib or http.client."""
     speakers = {path.name for path in PACKAGE.glob("*.py")
                 if _top_level_imports(path) & {"urllib", "http"}}
-    assert speakers == {"simindex.py"}
+    assert speakers == {"transport.py"}
 
 
 def test_retrieval_never_decides_a_clone():

@@ -101,8 +101,7 @@ class PoisonProvider:
 class TestScheduling:
     def test_records_follow_schedule_order(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL)
-        report = run_scan([path], None, MockLLMProvider(defaults=CLEAN_DEFAULTS),
-                          simcheck=False)
+        report = run_scan([path], None, MockLLMProvider(defaults=CLEAN_DEFAULTS))
         leaf, mid, top = _ids(path, "Chain", "leaf", "mid", "top")
         assert report["schedule"]["order"] == [leaf, mid, top]
         assert [r["unit_id"] for r in report["units"]] == [leaf, mid, top]
@@ -113,8 +112,7 @@ class TestScheduling:
     def test_every_unit_gets_exactly_one_record(self, tmp_path):
         _write(tmp_path, "chain.sol", CHAIN_SOL)
         _write(tmp_path, "loop.sol", LOOP_SOL)
-        report = run_scan([tmp_path], None, MockLLMProvider(defaults=CLEAN_DEFAULTS),
-                          simcheck=False)
+        report = run_scan([tmp_path], None, MockLLMProvider(defaults=CLEAN_DEFAULTS))
         ids = [r["unit_id"] for r in report["units"]]
         assert sorted(ids) == sorted(set(ids))
         assert len(ids) == 5
@@ -122,8 +120,7 @@ class TestScheduling:
 
     def test_callee_summaries_cover_already_scanned_callees(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL)
-        report = run_scan([path], None, MockLLMProvider(defaults=GOOD_DEFAULTS),
-                          simcheck=False)
+        report = run_scan([path], None, MockLLMProvider(defaults=GOOD_DEFAULTS))
         leaf, mid, top = _ids(path, "Chain", "leaf", "mid", "top")
         by_id = {r["unit_id"]: r for r in report["units"]}
         assert by_id[leaf]["callee_summaries"] == []
@@ -132,8 +129,7 @@ class TestScheduling:
 
     def test_cycle_second_member_sees_first(self, tmp_path):
         path = _write(tmp_path, "loop.sol", LOOP_SOL)
-        report = run_scan([path], None, MockLLMProvider(defaults=CLEAN_DEFAULTS),
-                          simcheck=False)
+        report = run_scan([path], None, MockLLMProvider(defaults=CLEAN_DEFAULTS))
         ping, pong = _ids(path, "Loop", "ping", "pong")
         assert report["schedule"]["scc_groups"] == [[ping, pong]]
         by_id = {r["unit_id"]: r for r in report["units"]}
@@ -145,7 +141,7 @@ class TestErrorIsolation:
     def test_one_bad_unit_does_not_stop_the_scan(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL)
         provider = PoisonProvider("function mid()", CLEAN_DEFAULTS)
-        report = run_scan([path], None, provider, simcheck=False)
+        report = run_scan([path], None, provider)
         leaf, mid, top = _ids(path, "Chain", "leaf", "mid", "top")
         by_id = {r["unit_id"]: r for r in report["units"]}
         assert by_id[leaf]["verdict"] != "error"
@@ -163,7 +159,7 @@ class TestErrorIsolation:
 
     def test_all_units_failing_still_produces_a_report(self, tmp_path):
         path = _write(tmp_path, "loop.sol", LOOP_SOL)
-        report = run_scan([path], None, MockLLMProvider(), simcheck=False)
+        report = run_scan([path], None, MockLLMProvider())
         assert report["summary"]["errors"] == 2
         assert all(r["verdict"] == "error" for r in report["units"])
         assert report["transcripts"] == {}
@@ -173,7 +169,7 @@ class TestProviderAccounting:
     def test_four_calls_per_debated_unit(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL)
         provider = CallLog(MockLLMProvider(defaults=CLEAN_DEFAULTS))
-        report = run_scan([path], None, provider, simcheck=False)
+        report = run_scan([path], None, provider)
         assert all(r["provider_calls"] == 4 for r in report["units"])
         assert report["summary"]["provider_calls"] == 12 == len(provider.calls)
 
@@ -185,7 +181,7 @@ class TestProviderAccounting:
             def complete(self, messages, role):
                 return defaults[role]
 
-        report = run_scan([path], None, Silent(), simcheck=False)
+        report = run_scan([path], None, Silent())
         assert all(r["provider_calls"] == 4 for r in report["units"])
         assert report["summary"]["provider_calls"] == 12
 
@@ -291,8 +287,6 @@ contract Bank {
 
     def test_simcheck_requires_index_and_embedder(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL)
-        with pytest.raises(ValueError):
-            run_scan([path], None, MockLLMProvider(), FallbackEmbedder())
         with pytest.raises(ValueError):
             run_scan([path], self._indexed(CHAIN_SOL), MockLLMProvider(), None)
 
@@ -496,7 +490,7 @@ class TestConcurrentDebate:
         monkeypatch.chdir(tmp_path)     # unit ids, and so prompts, without tmp_path
 
         def once():
-            report = run_scan(["."], None, DigestProvider(), simcheck=False)
+            report = run_scan(["."], None, DigestProvider())
             report.pop("timing")
             return report
 
@@ -518,7 +512,7 @@ class TestConcurrentDebate:
 
         def once():
             provider = DigestProvider(random.Random(seed), max_wait=0.003)
-            report = run_scan(["."], None, provider, simcheck=False)
+            report = run_scan(["."], None, provider)
             report.pop("timing")
             return json.dumps(report, sort_keys=True)
 
@@ -537,8 +531,7 @@ class TestConcurrentDebate:
                     order.append(_target_name(messages))
                 return CLEAN_DEFAULTS[role]
 
-        report = run_scan(paths, index, Recording(), embedder,
-                          simcheck=index is not None)
+        report = run_scan(paths, index, Recording(), embedder)
         return order, {r["name"]: r for r in report["units"]}
 
     def test_the_ready_group_heading_the_longest_chain_goes_first(
@@ -606,7 +599,7 @@ contract Pick {
                     barrier.wait()
                 return CLEAN_DEFAULTS[role]
 
-        report = run_scan([path], None, Meeting(), simcheck=False)
+        report = run_scan([path], None, Meeting())
         assert [r["provider_calls"] for r in report["units"]] == [4, 4]
         assert report["summary"]["errors"] == 0
 
@@ -627,14 +620,14 @@ contract Pick {
                     in_flight[0] -= 1
                 return CLEAN_DEFAULTS[role]
 
-        report = run_scan([path], None, Counting(), simcheck=False)
+        report = run_scan([path], None, Counting())
         assert report["summary"]["provider_calls"] == 80
         assert 1 <= in_flight[1] <= workers
 
     def test_callers_start_after_their_callees_return(self, tmp_path):
         path = _write(tmp_path, "mix.sol", MIX_SOL)
         provider = DigestProvider()
-        report = run_scan([path], None, provider, simcheck=False)
+        report = run_scan([path], None, provider)
         group = {u: tuple(g) for g in report["schedule"]["scc_groups"] for u in g}
         name = {r["unit_id"]: r["name"] for r in report["units"]}
         edges = [(caller, callee) for caller, callee in report["callgraph"]["edges"]
@@ -653,7 +646,7 @@ class TestUnexpectedErrors:
         threads_before = set(threading.enumerate())
         provider = CallLog(MockLLMProvider(defaults=CLEAN_DEFAULTS))
         with pytest.raises(MissingTemplateSlot, match="no_such_slot"):
-            run_scan([path], None, provider, simcheck=False, templates=templates)
+            run_scan([path], None, provider, templates=templates)
         assert set(threading.enumerate()) == threads_before
         assert all(role is Role.DETECTOR for role, _ in provider.calls)
         assert len(provider.calls) <= scanner.DEBATE_WORKERS    # one group per thread
@@ -680,7 +673,7 @@ class TestUnexpectedErrors:
 
         provider = CallLog(Interrupting())
         with pytest.raises(KeyboardInterrupt):
-            run_scan([path], None, provider, simcheck=False)
+            run_scan([path], None, provider)
         assert set(threading.enumerate()) == threads_before
         assert len(provider.calls) < 4 * 20      # the groups not yet started never ran
 
@@ -693,7 +686,7 @@ class TestReportShape:
         def once():
             report = run_scan([tmp_path], None,
                               MockLLMProvider(defaults=CLEAN_DEFAULTS),
-                              simcheck=False, provider_name="mock")
+                              provider_name="mock")
             timing = report.pop("timing")
             assert set(timing) == {"started_at", "finished_at", "seconds"}
             return json.dumps(report, sort_keys=True)
@@ -703,7 +696,7 @@ class TestReportShape:
     def test_inputs_block(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL)
         report = run_scan([path], None, MockLLMProvider(defaults=CLEAN_DEFAULTS),
-                          simcheck=False, k=5, delta=0.7, provider_name="mock",
+                          k=5, delta=0.7, provider_name="mock",
                           index_path="/some/index.jsonl")
         assert report["inputs"] == {
             "files": [str(path)],
@@ -719,7 +712,7 @@ class TestReportShape:
         path = _write(tmp_path, "chain.sol", CHAIN_SOL)
         (tmp_path / "notes.txt").write_text("not solidity")
         report = run_scan([tmp_path, path], None,
-                          MockLLMProvider(defaults=CLEAN_DEFAULTS), simcheck=False)
+                          MockLLMProvider(defaults=CLEAN_DEFAULTS))
         assert report["inputs"]["files"] == [str(path)]
 
 
@@ -727,7 +720,7 @@ class TestMarkdown:
     def test_renders_verdicts_and_errors(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL)
         provider = PoisonProvider("function mid()", GOOD_DEFAULTS)
-        report = run_scan([path], None, provider, simcheck=False)
+        report = run_scan([path], None, provider)
         text = render_markdown(report)
         assert "VULNERABLE (logic error)" in text
         assert "error: poisoned" in text
@@ -741,7 +734,7 @@ class TestMarkdown:
             "is_vulnerable": True, "vuln_type": "reentrancy | access\ncontrol",
             "explanation": "state written after the call", "confidence": "High"}) + "\n```"
         provider = MockLLMProvider(defaults={**GOOD_DEFAULTS, Role.JUDGE: judge})
-        report = run_scan([path], None, provider, simcheck=False)
+        report = run_scan([path], None, provider)
         text = render_markdown(report)
         assert "| VULNERABLE (reentrancy \\| access control) |" in text
         table = text[text.index("| # |"):].splitlines()

@@ -920,6 +920,20 @@ class TestRemoteEmbedder:
             assert provider.endpoint == server.url
             assert provider.embed_many(["a"]) == [[9.0, 9.0]]
 
+    @pytest.mark.parametrize("vector,message", [
+        (["1.5", "2", "-0.25"], "provider returned non-numeric embeddings: '1.5'"),
+        ([True, False, True], "provider returned non-numeric embeddings: True"),
+    ], ids=["strings", "booleans"])
+    def test_json_strings_and_booleans_are_not_numbers(self, vector, message):
+        """np.array would read both as floats; a reply that is not numbers is
+        a failure, and like any such reply it is not retried."""
+        with CannedHTTPServer(lambda body: {"vectors": [vector for _ in body["texts"]]}
+                              ) as server:
+            with pytest.raises(ProviderError) as exc:
+                embed_texts(["a", "b"], RemoteEmbedder(server.url))
+        assert str(exc.value) == message
+        assert len(server.requests) == 1
+
     def test_embed_texts_retries_remote_once(self):
         with CannedHTTPServer({"bad": True}) as server:
             with pytest.raises(ProviderError):
