@@ -4,12 +4,15 @@ Callees are analyzed before their callers so that every debate can see
 one-line verdict summaries for the functions it calls. Cycles are collapsed
 into strongly connected components first; members of a cycle group are
 scheduled consecutively since no order inside a cycle is callee-first.
+A ScanSchedule is that order and its groups; the scan derives which units
+each one waits for from the order and the edges.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 
 from .errors import DuplicateUnitId
 from .extract import FunctionUnit
@@ -37,7 +40,6 @@ class CallGraph:
 class ScanSchedule:
     order: tuple[str, ...]
     groups: tuple[tuple[str, ...], ...]  # every group, in schedule order
-    group_callees: tuple[tuple[int, ...], ...]  # per group, positions in groups
 
 
 def build_graph(units: list[FunctionUnit]) -> CallGraph:
@@ -91,12 +93,12 @@ def build_graph(units: list[FunctionUnit]) -> CallGraph:
     )
 
 
-def _tarjan_scc(vertices: list[str], adj: dict[str, list[str]]) -> list[list[str]]:
+def _tarjan_scc(vertices: list[str], adj: dict[str, list[str]]) -> list[tuple[str, ...]]:
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    sccs: list[list[str]] = []
+    sccs: list[tuple[str, ...]] = []
     counter = 0
 
     for root in vertices:
@@ -135,7 +137,7 @@ def _tarjan_scc(vertices: list[str], adj: dict[str, list[str]]) -> list[list[str
                     comp.append(w)
                     if w == v:
                         break
-                sccs.append(sorted(comp))
+                sccs.append(tuple(sorted(comp)))
     return sccs
 
 
@@ -145,8 +147,7 @@ def topo_order(graph: CallGraph) -> ScanSchedule:
     Whenever several groups are ready, the one whose smallest member id sorts
     first is emitted next; members of a group are emitted consecutively in
     ascending unit id. groups holds every group (a cycle or a single unit) in
-    that order, and group_callees the positions in groups of the groups each
-    one calls. The result is a pure function of the graph, so two runs over
+    that order. The result is a pure function of the graph, so two runs over
     the same input produce the same schedule.
     """
     vertices = sorted(graph.vertices)
@@ -155,33 +156,21 @@ def topo_order(graph: CallGraph) -> ScanSchedule:
         adj[caller].append(callee)
 
     sccs = _tarjan_scc(vertices, adj)
-    comp_of = {v: ci for ci, comp in enumerate(sccs) for v in comp}
-    callees = [{comp_of[w] for v in comp for w in adj[v]} - {ci}
-               for ci, comp in enumerate(sccs)]
-    # A group becomes ready once every group it calls has been emitted.
-    callers: list[list[int]] = [[] for _ in sccs]
-    for ci, called in enumerate(callees):
-        for callee in called:
-            callers[callee].append(ci)
-    waiting = [len(called) for called in callees]
-
-    ready = [(comp[0], ci) for ci, comp in enumerate(sccs) if not waiting[ci]]
-    heapq.heapify(ready)
-    position: dict[int, int] = {}
+    comp_of = {v: comp for comp in sccs for v in comp}
+    # Groups are disjoint and sorted, so comparing two compares their first ids.
+    sorter = TopologicalSorter({comp: {comp_of[w] for v in comp for w in adj[v]} - {comp}
+                                for comp in sccs})
+    sorter.prepare()
+    ready: list[tuple[str, ...]] = []
     groups: list[tuple[str, ...]] = []
-    group_callees: list[tuple[int, ...]] = []
-    while ready:
-        _, ci = heapq.heappop(ready)
-        position[ci] = len(groups)
-        groups.append(tuple(sccs[ci]))
-        group_callees.append(tuple(sorted(position[c] for c in callees[ci])))
-        for other in callers[ci]:
-            waiting[other] -= 1
-            if not waiting[other]:
-                heapq.heappush(ready, (sccs[other][0], other))
+    while sorter.is_active():
+        for comp in sorter.get_ready():
+            heapq.heappush(ready, comp)
+        groups.append(heapq.heappop(ready))
+        sorter.done(groups[-1])
 
     return ScanSchedule(order=tuple(v for group in groups for v in group),
-                        groups=tuple(groups), group_callees=tuple(group_callees))
+                        groups=tuple(groups))
 
 
 def _dot_escape(name: str) -> str:

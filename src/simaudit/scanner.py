@@ -3,9 +3,10 @@
 run_scan is four stages, each a function of its arguments: _prepare reads
 the units and puts them in callee-first schedule order over the call graph,
 _classify checks them against the corpus on the calling thread, _debate
-runs the model debates on worker threads (_run_groups states the order),
-and _assemble builds the report in schedule order. The report's JSON form
-is stable across runs except for the timing block that run_scan adds.
+runs the model debates on worker threads, each unit once its callees
+scheduled before it are done (_run_units states the order), and _assemble
+builds the report in schedule order. The report's JSON form is stable
+across runs except for the timing block that run_scan adds.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import heapq
 import threading
 import time
 from datetime import datetime, timezone
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from .extract import extract_units
 from .simindex import DEFAULT_DELTA, Category, SimilarityMatch, embed_chunks, query_top_k
 
 REPORT_SCHEMA_VERSION = 1
-DEBATE_WORKERS = 8  # threads debating call-graph groups, one model request each
+DEBATE_WORKERS = 8  # threads debating units, one model request each
 
 
 def collect_sol_files(paths: list[str | Path]) -> list[str]:
@@ -86,70 +88,67 @@ def _classify(schedule_order, by_id, index, embed_provider, k, delta):
     return classified
 
 
-def _run_groups(groups, callee_groups, weights, run_group) -> None:
-    """Run run_group(groups[g]) for every group on up to DEBATE_WORKERS
-    threads, each once the groups at the positions callee_groups[g] finish.
+def _run_units(deps, weights, run_unit) -> None:
+    """Run run_unit(p) for every position p on up to DEBATE_WORKERS threads,
+    each once the positions deps[p] have finished.
 
-    groups and callee_groups are a ScanSchedule's, callees first. A group's
-    height is its weight (weights[g], the units it will really debate) plus
-    the largest height among the groups that call it: the debating still
-    ahead on the longest chain the group heads. A free thread takes the
-    highest ready group, the first in schedule order on a tie, so the chain
-    that bounds the scan does not queue behind groups that nothing waits for.
+    deps[p] lists only positions before p, so the run is a DAG walk, driven
+    by one graphlib.TopologicalSorter under the threads' lock. A position's
+    height is its weight (weights[p], 1 if its unit will really be debated)
+    plus the largest height among the positions that wait on it: the
+    debating still ahead on the longest chain it heads. A free thread takes
+    the highest ready position, the first in schedule order on a tie, so the
+    chain that bounds the scan does not queue behind units that nothing
+    waits for.
 
-    The threads take ready groups from one shared heap; an idle thread is
-    woken only when a group becomes ready. The calling thread waits for the
-    count of live threads to reach 0, and joins them only then: a Ctrl-C
+    The threads take ready positions from one shared heap; an idle thread is
+    woken only when a position becomes ready. The calling thread waits for
+    the count of live threads to reach 0, and joins them only then: a Ctrl-C
     that lands in Thread.join marks a still-running thread as stopped on
     CPython 3.11 (bpo-45274), so join could not be relied on to wait. (One
-    future per group, which wakes the calling thread after every group,
-    made a whole scan about 12 % slower than a serial one when the model
-    answers at once.) An exception from run_group, or one that interrupts
-    the calling thread, stops the threads from starting further groups and
-    propagates once the running groups have ended.
+    future per task, which woke the calling thread after each, made a whole
+    scan about 12 % slower than a serial one when the model answers at
+    once.) An exception from run_unit, or one that interrupts the calling
+    thread, stops the threads from starting further units and propagates
+    once the running units have ended.
     """
-    waiting = [len(called) for called in callee_groups]
-    callers: list[list[int]] = [[] for _ in groups]
-    for g, called in enumerate(callee_groups):
-        for callee in called:
-            callers[callee].append(g)
     height = list(weights)
-    for g in reversed(range(len(groups))):
-        height[g] += max((height[c] for c in callers[g]), default=0)
-    ready = [(-height[g], g) for g in range(len(groups)) if not waiting[g]]
+    for p in reversed(range(len(deps))):
+        for d in deps[p]:
+            height[d] = max(height[d], weights[d] + height[p])
+    sorter = TopologicalSorter(dict(enumerate(deps)))
+    sorter.prepare()
+    ready = [(-height[p], p) for p in sorter.get_ready()]
     heapq.heapify(ready)
-    left = len(groups)
     live = 0
     failures: list[BaseException] = []
     lock = threading.Lock()
-    cond = threading.Condition(lock)        # a group is ready, or the run ends
+    cond = threading.Condition(lock)        # a unit is ready, or the run ends
     exited = threading.Condition(lock)      # no thread is left running
 
     def work():
-        nonlocal left, live
+        nonlocal live
         try:
             while True:
                 with cond:
-                    while not ready and left and not failures:
+                    while not ready and sorter.is_active() and not failures:
                         cond.wait()
                     if failures or not ready:
                         return
-                    _, group = heapq.heappop(ready)
+                    _, p = heapq.heappop(ready)
                 try:
-                    run_group(groups[group])
+                    run_unit(p)
                 except BaseException as exc:
                     with cond:
                         failures.append(exc)
                         cond.notify_all()
                     return
                 with cond:
-                    left -= 1
-                    for caller in callers[group]:
-                        waiting[caller] -= 1
-                        if not waiting[caller]:
-                            heapq.heappush(ready, (-height[caller], caller))
-                            cond.notify()
-                    if not left:
+                    sorter.done(p)
+                    for q in sorter.get_ready():
+                        heapq.heappush(ready, (-height[q], q))
+                        cond.notify()
+                    if not sorter.is_active():
                         cond.notify_all()
         finally:
             with exited:
@@ -159,7 +158,7 @@ def _run_groups(groups, callee_groups, weights, run_group) -> None:
 
     threads = []
     try:
-        for _ in range(min(DEBATE_WORKERS, len(groups))):
+        for _ in range(min(DEBATE_WORKERS, len(deps))):
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
@@ -192,54 +191,57 @@ def _prepare(paths: list[str | Path]):
 
 def _debate(schedule, graph, by_id, classified, llm_provider, templates):
     """Debate every unit that is not a clone and has no embedding error,
-    group by group through _run_groups, a cycle's members in schedule order.
+    each through _run_units once its callees scheduled before it are done.
 
     Returns the report record of every unit, without its position, and the
     transcripts of the units whose debate has entries. A unit's callee
-    summaries come from the records of its callees already done, the same
-    ones as in a serial run.
+    summaries come from the records of exactly those callees: every callee
+    outside its cycle and the earlier members inside it, as in a serial run.
     """
-    callees: dict[str, list[str]] = {unit_id: [] for unit_id in by_id}
+    position = {unit_id: p for p, unit_id in enumerate(schedule.order)}
+    earlier: list[list[str]] = [[] for _ in schedule.order]
     for caller, callee in sorted(graph.edges):
-        callees[caller].append(callee)
+        if position[callee] < position[caller]:
+            earlier[position[caller]].append(callee)
     records: dict[str, dict] = {}
     transcripts: dict[str, list[dict]] = {}
 
-    def debate_group(members):
-        for unit_id in members:
-            unit = by_id[unit_id]
-            category, matches, error = classified[unit_id]
-            summaries = tuple((callee, _summary_line(records[callee]))
-                              for callee in callees[unit_id] if callee in records)
-            llm = CallLog(llm_provider)
-            if error is None:
-                task = DetectionTask(unit=unit, callee_summaries=summaries,
-                                     matches=tuple(matches), category=category)
-                try:
-                    verdict, transcript = run_debate(task, llm, templates)
-                except (ProviderError, ParseError) as exc:
-                    error = str(exc)
-                else:
-                    if transcript.entries:
-                        transcripts[unit_id] = transcript.to_list()
-            records[unit_id] = {
-                "unit_id": unit_id,
-                "name": unit.name,
-                "kind": unit.kind.value,
-                "contract": unit.contract,
-                "file": unit.file_path,
-                "category": category.value,
-                "matches": [_record(tm.match) for tm in matches],
-                "callee_summaries": [list(s) for s in summaries],
-                "verdict": "error" if error is not None else verdict.to_dict(),
-                "error_message": error,
-                "provider_calls": len(llm.calls),
-                "transcript_ref": unit_id if unit_id in transcripts else None,
-            }
+    def debate_unit(p):
+        unit_id = schedule.order[p]
+        unit = by_id[unit_id]
+        category, matches, error = classified[unit_id]
+        summaries = tuple((callee, _summary_line(records[callee]))
+                          for callee in earlier[p])
+        llm = CallLog(llm_provider)
+        if error is None:
+            task = DetectionTask(unit=unit, callee_summaries=summaries,
+                                 matches=tuple(matches), category=category)
+            try:
+                verdict, transcript = run_debate(task, llm, templates)
+            except (ProviderError, ParseError) as exc:
+                error = str(exc)
+            else:
+                if transcript.entries:
+                    transcripts[unit_id] = transcript.to_list()
+        records[unit_id] = {
+            "unit_id": unit_id,
+            "name": unit.name,
+            "kind": unit.kind.value,
+            "contract": unit.contract,
+            "file": unit.file_path,
+            "category": category.value,
+            "matches": [_record(tm.match) for tm in matches],
+            "callee_summaries": [list(s) for s in summaries],
+            "verdict": "error" if error is not None else verdict.to_dict(),
+            "error_message": error,
+            "provider_calls": len(llm.calls),
+            "transcript_ref": unit_id if unit_id in transcripts else None,
+        }
 
-    weights = [sum(classified[u][0] is not Category.CLONE and classified[u][2] is None
-                   for u in group) for group in schedule.groups]
-    _run_groups(schedule.groups, schedule.group_callees, weights, debate_group)
+    weights = [classified[u][0] is not Category.CLONE and classified[u][2] is None
+               for u in schedule.order]
+    _run_units([[position[c] for c in callees] for callees in earlier], weights,
+               debate_unit)
     return records, transcripts
 
 

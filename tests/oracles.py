@@ -429,6 +429,22 @@ def check_schedule(order, vertices, edges) -> None:
             f"cycle group {sorted(group)} is not scheduled consecutively")
 
 
+def reference_schedule(vertices, edges) -> tuple[str, ...]:
+    """The exact callee-first order, by repeated scans: among the components
+    whose callee components are all out, the one whose smallest member id
+    sorts first goes next, its members ascending."""
+    comp = scc_partition(vertices, edges)
+    callees = {c: {comp[b] for a, b in edges if a in c} - {c} for c in comp.values()}
+    order: list[str] = []
+    left = set(callees)
+    while left:
+        ready = [c for c in left if not callees[c] & left]
+        first = min(ready, key=min)
+        order.extend(sorted(first))
+        left.remove(first)
+    return tuple(order)
+
+
 def cyclic_groups(vertices, edges) -> set[frozenset[str]]:
     """The strongly connected components of size > 1."""
     comp = scc_partition(vertices, edges)

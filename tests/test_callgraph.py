@@ -180,6 +180,10 @@ class TestScheduleProperties:
         oracles.check_schedule(s.order, g.vertices, g.edges)
 
     @given(random_graphs())
+    def test_order_matches_the_reference_schedule(self, g):
+        assert topo_order(g).order == oracles.reference_schedule(g.vertices, g.edges)
+
+    @given(random_graphs())
     def test_scc_groups_match_transitive_closure_oracle(self, g):
         s = topo_order(g)
         assert {frozenset(grp) for grp in _cycles(s)} == oracles.cyclic_groups(
@@ -191,12 +195,6 @@ class TestScheduleProperties:
     def test_groups_are_the_condensation_in_schedule_order(self, g):
         s = topo_order(g)
         assert tuple(v for grp in s.groups for v in grp) == s.order
-        assert len(s.group_callees) == len(s.groups)
-        group_of = {v: grp for grp in s.groups for v in grp}
-        for grp, callees in zip(s.groups, s.group_callees):
-            called = {group_of[b] for a, b in g.edges if a in grp} - {grp}
-            assert {s.groups[i] for i in callees} == called
-            assert list(callees) == sorted(callees)
         assert hash(s) == hash(topo_order(g))
 
     @given(random_graphs())

@@ -46,6 +46,17 @@ def test_declared_dependencies_match_the_imports():
     assert _imported_distributions() == declared
 
 
+def test_every_module_parses_at_the_declared_python_floor():
+    """Only 3.11 runs the suite, so syntax newer than requires-python would
+    go unseen; ast.parse with feature_version rejects it."""
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                      (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = (int(floor.group(1)), int(floor.group(2)))
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+
+
 def test_cli_import_loads_no_third_party_http_client():
     code = "import sys, simaudit.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -534,7 +534,7 @@ class TestConcurrentDebate:
         report = run_scan(paths, index, Recording(), embedder)
         return order, {r["name"]: r for r in report["units"]}
 
-    def test_the_ready_group_heading_the_longest_chain_goes_first(
+    def test_the_ready_unit_heading_the_longest_chain_goes_first(
             self, tmp_path, monkeypatch):
         # Leaves a0..a4 come first in schedule order; z0 heads z2 -> z1 -> z0.
         path = _write(tmp_path, "pick.sol", """\
@@ -603,6 +603,29 @@ contract Pick {
         assert [r["provider_calls"] for r in report["units"]] == [4, 4]
         assert report["summary"]["errors"] == 0
 
+    def test_cycle_members_with_no_earlier_callee_are_debated_at_once(self, tmp_path):
+        # In a -> b -> c -> a, scheduled (a, b, c), only c calls a unit
+        # scheduled before it, so a and b wait on nothing.
+        path = _write(tmp_path, "ring.sol", """\
+contract Ring {
+    function a() public { b(); }
+    function b() public { c(); }
+    function c() public { a(); }
+}
+""")
+        barrier = threading.Barrier(2, timeout=3)
+
+        class Meeting:
+            def complete(self, messages, role):
+                if role is Role.DETECTOR and _target_name(messages) in ("a", "b"):
+                    barrier.wait()
+                return CLEAN_DEFAULTS[role]
+
+        report = run_scan([path], None, Meeting())
+        assert report["summary"]["errors"] == 0
+        assert [r["name"] for r in report["units"]] == ["a", "b", "c"]
+        assert [len(r["callee_summaries"]) for r in report["units"]] == [0, 0, 1]
+
     @pytest.mark.parametrize("workers", [3, scanner.DEBATE_WORKERS])
     def test_calls_in_flight_stay_within_the_pool(self, tmp_path, monkeypatch, workers):
         path = _write(tmp_path, "many.sol", _many_sol(20))
@@ -628,11 +651,11 @@ contract Pick {
         path = _write(tmp_path, "mix.sol", MIX_SOL)
         provider = DigestProvider()
         report = run_scan([path], None, provider)
-        group = {u: tuple(g) for g in report["schedule"]["scc_groups"] for u in g}
+        position = {u: p for p, u in enumerate(report["schedule"]["order"])}
         name = {r["unit_id"]: r["name"] for r in report["units"]}
         edges = [(caller, callee) for caller, callee in report["callgraph"]["edges"]
-                 if group.get(caller, caller) != group.get(callee, callee)]
-        assert len(edges) == 6
+                 if position[callee] < position[caller]]
+        assert len(edges) == 7      # all 8 but ping -> pong, scheduled after ping
         for caller, callee in edges:
             first_start = min(start for start, _ in provider.spans[name[caller]])
             last_end = max(end for _, end in provider.spans[name[callee]])
@@ -649,7 +672,7 @@ class TestUnexpectedErrors:
             run_scan([path], None, provider, templates=templates)
         assert set(threading.enumerate()) == threads_before
         assert all(role is Role.DETECTOR for role, _ in provider.calls)
-        assert len(provider.calls) <= scanner.DEBATE_WORKERS    # one group per thread
+        assert len(provider.calls) <= scanner.DEBATE_WORKERS    # one unit per thread
 
     def test_interrupt_while_waiting_stops_the_scan(self, tmp_path):
         path = _write(tmp_path, "many.sol", _many_sol(20))
@@ -675,7 +698,7 @@ class TestUnexpectedErrors:
         with pytest.raises(KeyboardInterrupt):
             run_scan([path], None, provider)
         assert set(threading.enumerate()) == threads_before
-        assert len(provider.calls) < 4 * 20      # the groups not yet started never ran
+        assert len(provider.calls) < 4 * 20      # the units not yet started never ran
 
 
 class TestReportShape:
