@@ -200,7 +200,8 @@ class RemoteEmbedder:
     """HTTP embedding provider: POST {"texts": [...]}, expect {"vectors": [[...]]}.
 
     The endpoint comes from configuration; SIMAUDIT_EMBED_ENDPOINT overrides
-    it when set. Dimension is locked in by the first response.
+    it when set. The reply's vectors are returned as they are: embed_texts
+    checks them.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None,
@@ -209,47 +210,35 @@ class RemoteEmbedder:
 
         self.endpoint = os.environ.get(ENV_EMBED_ENDPOINT) or endpoint
         self.provider_id = provider_id or f"remote:{self.endpoint}"
-        self.dimension: int | None = None
         self._transport = JsonEndpoint(self.endpoint, api_key, timeout, "embedding")
 
-    def embed_many(self, texts: list[str]) -> list[list[float]]:
-        vectors = self._transport.post({"texts": texts}, "vectors")
-        if (not isinstance(vectors, list) or len(vectors) != len(texts)
-                or not all(isinstance(vec, list) for vec in vectors)):
-            raise ProviderError("embedding endpoint returned a malformed batch")
-        for vec in vectors:
-            if self.dimension is None:
-                self.dimension = len(vec)
-            if len(vec) != self.dimension:
-                raise DimensionMismatch(
-                    f"endpoint returned {len(vec)} dims, expected {self.dimension}")
-        return vectors
+    def embed_many(self, texts: list[str]):
+        return self._transport.post({"texts": texts}, "vectors")
 
 
 def embed_texts(texts: list[str], provider) -> np.ndarray:
     """Embed a batch into one (len(texts), d) float64 matrix, retrying a provider
-    failure once. A reply that is not d finite numbers per text is a failure too,
-    and is not retried."""
+    failure once. A reply that is not len(texts) rows of one width d >= 1, all
+    finite numbers, is a failure too, and is not retried."""
     _require_text(texts)
     raw = call_retried(provider.embed_many, texts)
+    # As objects, a ragged batch is an array of shape (len(texts),), where a
+    # float array would raise; rows of no numbers make no loadable index.
+    cells = raw if isinstance(raw, np.ndarray) else np.array(raw, dtype=object)
+    if cells.ndim != 2 or len(cells) != len(texts) or not cells.shape[1]:
+        raise ProviderError(
+            f"provider returned shape {cells.shape} for {len(texts)} texts")
     try:
-        vectors = np.array(raw, dtype=float)
+        vectors = cells.astype(float)
     except (TypeError, ValueError) as exc:
         raise ProviderError(f"provider returned non-numeric embeddings: {exc}") from exc
-    if vectors.ndim != 2 or len(vectors) != len(texts):
-        raise ProviderError(
-            f"provider returned shape {vectors.shape} for {len(texts)} texts")
-    if not isinstance(raw, np.ndarray):
-        # np.array reads a JSON string such as "1.5", or a boolean, as a number.
-        for value in chain.from_iterable(raw):
+    if cells.dtype == object:
+        # astype reads a JSON string such as "1.5", or a boolean, as a number.
+        for value in cells.flat:
             if isinstance(value, (str, bool)):
                 raise ProviderError(f"provider returned non-numeric embeddings: {value!r}")
     if not np.isfinite(vectors).all():
         raise ProviderError("provider returned non-finite values")
-    declared = getattr(provider, "dimension", None)
-    if declared is not None and vectors.shape[1] != declared:
-        raise DimensionMismatch(
-            f"provider produced {vectors.shape[1]} dims, declared {declared}")
     return vectors
 
 
@@ -445,13 +434,19 @@ def embed_chunks(texts: list[str], provider, embed=embed_texts):
 
     Yields (span, result) per chunk, span being the chunk's slice of texts and
     result what embed returned, or the ProviderError that embedding it raised,
-    after embed_texts' one retry. A failed chunk does not stop the chunks
-    after it.
+    after embed_texts' one retry. A chunk whose rows are not as wide as those
+    of this call's first good chunk fails too, with its own ProviderError. A
+    failed chunk does not stop the chunks after it.
     """
+    width = None
     for start in range(0, len(texts), EMBED_CHUNK):
         span = slice(start, start + EMBED_CHUNK)
         try:
             result = embed(texts[span], provider)
+            got = (result[0] if embed is embed_sums else result).shape[1]
+            if width is not None and got != width:
+                raise ProviderError(f"embedding endpoint returned {got} dims, expected {width}")
+            width = got
         except ProviderError as exc:
             result = exc
         yield span, result
@@ -461,8 +456,8 @@ def embed_index(index: "CorpusIndex", provider) -> None:
     """Embed every entry's normalized source into the index matrix, row i
     for entries[i], and stamp the index with the provider id. Texts go to
     the provider EMBED_CHUNK at a time, in entry order, and each chunk's rows
-    are copied into one preallocated matrix; the first chunk that fails,
-    after embed_texts' one retry, raises its ProviderError.
+    are copied into one preallocated matrix; the first chunk that fails, as
+    embed_chunks defines it, raises its ProviderError.
 
     The fallback embedder's chunks come from embed_sums, and the matrix is
     their integer sums, with their norms in index.norms: the form save_index

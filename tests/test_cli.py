@@ -21,7 +21,7 @@ from helpers import (
     make_archive,
     vector_block_size,
 )
-from simaudit import cli
+from simaudit import cli, simindex
 from simaudit.agents import CallLog
 from simaudit.cli import _package_version, main
 from simaudit.corpus import Label, load_index
@@ -168,6 +168,32 @@ class TestIndexCommand:
                          "--embedder", "remote", "--config", str(config)])
         assert code == 4
         assert capsys.readouterr().err.startswith("simaudit: ")
+        assert not out.exists()
+
+    def test_a_wider_remote_request_exits_provider(self, tmp_path, monkeypatch, capsys):
+        """Every request of one index build must be as wide as its first."""
+        monkeypatch.delenv("SIMAUDIT_EMBED_ENDPOINT", raising=False)
+        monkeypatch.setattr(simindex, "EMBED_CHUNK", 1)
+        archives = tmp_path / "archives"
+        archives.mkdir()
+        make_archive(archives / "tokenlib-1.0.0.tgz", {"erc20.sol": REFERENCE})
+        config = tmp_path / "config.json"
+        out = tmp_path / "idx.jsonl"
+        posts = []
+
+        def reply(body):
+            posts.append(body)
+            return {"vectors": [[1.0, 0.5, 0.25] + [0.0] * (len(posts) == 2)]}
+
+        with CannedHTTPServer(reply) as server:
+            config.write_text(json.dumps({"embedding": {"endpoint": server.url}}),
+                              encoding="utf-8")
+            code = main(["index", "--archives", str(archives), "--out", str(out),
+                         "--embedder", "remote", "--config", str(config)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "simaudit: embedding endpoint returned 4 dims, expected 3\n")
+        assert len(server.requests) == 2    # no retry, and no request after it
         assert not out.exists()
 
     def test_labels_that_are_not_utf8_are_format_error(self, tmp_path, capsys):
@@ -670,6 +696,47 @@ class TestScanExitCodes:
         assert code == 0
         assert json.loads(report.read_text(encoding="utf-8"))["summary"]["units"] > 0
         assert len(a.requests) == 1 and len(b.requests) == 1    # the index's, the scan's
+
+
+    def test_a_wider_scan_request_fails_only_its_own_units(self, tmp_path, monkeypatch):
+        """The scan's own requests share one width: its second request, one
+        column wider, is the error of its unit alone."""
+        monkeypatch.delenv("SIMAUDIT_EMBED_ENDPOINT", raising=False)
+        archives = tmp_path / "archives"
+        archives.mkdir()
+        make_archive(archives / "tokenlib-1.0.0.tgz", {"erc20.sol": REFERENCE})
+        target = tmp_path / "audit"
+        target.mkdir()
+        (target / "fresh.sol").write_text("contract Fresh {\n" + "".join(
+            f"    function f{i}() public pure returns (uint256) {{ return {i}; }}\n"
+            for i in range(3)) + "}\n", encoding="utf-8")
+        index, report = tmp_path / "idx.jsonl", tmp_path / "r.json"
+        posts = []
+
+        def reply(body):
+            posts.append(body)
+            wider = len(posts) == 3    # the index's request, then the scan's second
+            return {"vectors": [[float(len(t)), 0.5, 0.25] + [0.0] * wider
+                                for t in body["texts"]]}
+
+        with CannedHTTPServer(reply) as server:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"embedding": {"endpoint": server.url}}),
+                              encoding="utf-8")
+            assert main(["index", "--archives", str(archives), "--out", str(index),
+                         "--embedder", "remote", "--config", str(config)]) == 0
+            monkeypatch.setattr(simindex, "EMBED_CHUNK", 1)
+            code = main(["scan", "--input", str(target), "--index", str(index),
+                         "--provider", "mock", "--mock-fixture", MOCK_FIXTURE,
+                         "--config", str(config), "--report", str(report)])
+        assert code == 0
+        assert len(server.requests) == 4
+        units = json.loads(report.read_text(encoding="utf-8"))["units"]
+        assert [r["verdict"] == "error" for r in units] == [False, True, False]
+        assert units[1]["error_message"] == "embedding endpoint returned 4 dims, expected 3"
+        assert units[1]["provider_calls"] == 0
+        assert [r["provider_calls"] for r in units[::2]] == [4, 4]
+        assert all(len(r["matches"]) == 3 for r in units[::2])
 
 
 class TestBadArguments:

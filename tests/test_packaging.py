@@ -178,3 +178,26 @@ def test_only_the_call_log_keeps_calls():
             if any(getattr(node, "attr", getattr(node, "id", None)) == "calls" for node in stored):
                 keepers.append(f"{path.name}:{cls.name}")
     assert keepers == []
+
+
+def test_providers_keep_no_state():
+    """One provider serves every request of a run, chunks and debate threads
+    alike, so a provider sets its attributes in __init__ alone: what a run
+    must remember, such as its embedding width, is the run's own."""
+    providers = {"simindex.py": {"FallbackEmbedder", "RemoteEmbedder"},
+                 "agents.py": {"HttpLLMProvider", "MockLLMProvider"}}
+    found, stores = set(), []
+    for module, names in providers.items():
+        for cls in ast.parse((PACKAGE / module).read_text(encoding="utf-8")).body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in names):
+                continue
+            found.add(cls.name)
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+                    continue
+                stores += [f"{cls.name}.{method.name}: self.{node.attr}"
+                           for node in ast.walk(method)
+                           if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                           and isinstance(node.value, ast.Name) and node.value.id == "self"]
+    assert found == set().union(*providers.values())
+    assert stores == []

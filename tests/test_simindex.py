@@ -25,6 +25,7 @@ from helpers import (
 from simaudit import simindex
 from simaudit.corpus import load_index, new_index, save_index
 from simaudit.errors import (
+    EXIT_PROVIDER,
     DimensionMismatch,
     EmptyText,
     ProviderError,
@@ -363,10 +364,6 @@ class TestEmbedTexts:
     def test_non_finite_values_rejected(self):
         with pytest.raises(ProviderError):
             embed_texts(["a"], _StubProvider(reply=[1.0, float("nan"), 0.0]))
-
-    def test_declared_dimension_enforced(self):
-        with pytest.raises(DimensionMismatch):
-            embed_texts(["a"], _StubProvider(reply=[1.0, 0.0]))
 
     def test_embed_single(self):
         vec = embed_texts(["hello"], FallbackEmbedder())[0]
@@ -862,7 +859,6 @@ class TestRemoteEmbedder:
             provider = RemoteEmbedder(server.url, api_key="sekrit")
             out = provider.embed_many(["code a", "code b"])
         assert out == [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]
-        assert provider.dimension == 3
         (req,) = server.requests
         assert req["body"] == {"texts": ["code a", "code b"]}
         assert req["raw"] == b'{"texts": ["code a", "code b"]}'
@@ -876,17 +872,6 @@ class TestRemoteEmbedder:
             named = RemoteEmbedder(server.url, provider_id="model-x")
             assert named.provider_id == "model-x"
 
-    def test_dimension_locked_by_first_batch(self):
-        replies = iter([
-            {"vectors": [[1.0, 0.0, 0.0]]},
-            {"vectors": [[1.0, 0.0, 0.0, 0.0]]},
-        ])
-        with CannedHTTPServer(lambda body: next(replies)) as server:
-            provider = RemoteEmbedder(server.url)
-            provider.embed_many(["a"])
-            with pytest.raises(DimensionMismatch):
-                provider.embed_many(["b"])
-
     def test_http_failure_is_provider_unavailable(self):
         with CannedHTTPServer({"vectors": []}, status=500) as server:
             with pytest.raises(ProviderError, match="500"):
@@ -899,16 +884,16 @@ class TestRemoteEmbedder:
                 RemoteEmbedder(url, timeout=0.2).embed_many(["a"])
 
     def test_malformed_reply_is_provider_unavailable(self):
-        replies = iter([{"nope": 1}, {"vectors": [5]}])
+        replies = iter([{"nope": 1}, {"nope": 1}, {"vectors": [5]}])
         with CannedHTTPServer(lambda body: next(replies)) as server:
             for _ in range(2):
                 with pytest.raises(ProviderError):
-                    RemoteEmbedder(server.url).embed_many(["a"])
+                    embed_texts(["a"], RemoteEmbedder(server.url))
 
     def test_short_batch_is_provider_unavailable(self):
         with CannedHTTPServer({"vectors": [[1.0]]}) as server:
-            with pytest.raises(ProviderError):
-                RemoteEmbedder(server.url).embed_many(["a", "b"])
+            with pytest.raises(ProviderError, match=r"shape \(1, 1\) for 2 texts"):
+                embed_texts(["a", "b"], RemoteEmbedder(server.url))
 
     def test_env_var_overrides_endpoint(self, monkeypatch):
         def reply(body):
@@ -947,12 +932,10 @@ class TestEmbeddingFailureMessages:
     @pytest.mark.parametrize("reply,status,message", [
         ({}, 200, "embedding endpoint failed: 'vectors'"),
         ([], 200, "embedding endpoint failed: list indices must be integers or slices, not str"),
-        ({"vectors": [5, 5]}, 200, "embedding endpoint returned a malformed batch"),
-        ({"vectors": [[1.0]]}, 200, "embedding endpoint returned a malformed batch"),
         (b"<html>busy</html>", 200,
          "embedding endpoint failed: Expecting value: line 1 column 1 (char 0)"),
         ({}, 500, "embedding endpoint failed: HTTP Error 500: Internal Server Error"),
-    ], ids=["no_vectors", "list", "scalars", "short", "not_json", "status_500"])
+    ], ids=["no_vectors", "list", "not_json", "status_500"])
     def test_remote_reply(self, reply, status, message):
         with CannedHTTPServer(reply, status=status) as server:
             with pytest.raises(ProviderError) as exc:
@@ -976,22 +959,30 @@ class TestEmbeddingFailureMessages:
             RemoteEmbedder(url).embed_many(["a"])
         assert str(exc.value) == f"embedding endpoint failed: not an http(s) URL: {url!r}"
 
-    def test_dimension_change(self):
-        replies = iter([{"vectors": [[1.0, 0.0, 0.0]]}, {"vectors": [[1.0, 0.0, 0.0, 0.0]]}])
-        with CannedHTTPServer(lambda body: next(replies)) as server:
-            provider = RemoteEmbedder(server.url)
-            provider.embed_many(["a"])
-            with pytest.raises(DimensionMismatch) as exc:
-                provider.embed_many(["b"])
-        assert str(exc.value) == "endpoint returned 4 dims, expected 3"
+    @pytest.mark.parametrize("vectors,message", [
+        ([5, 5], "provider returned shape (2,) for 2 texts"),
+        ([[1.0]], "provider returned shape (1, 1) for 2 texts"),
+        ([[1, 0, 0], [1, 0]], "provider returned shape (2,) for 2 texts"),
+        ([[], []], "provider returned shape (2, 0) for 2 texts"),
+        ("1.5", "provider returned shape () for 2 texts"),
+        ([[1.0, float("nan")], [1.0, 0.0]], "provider returned non-finite values"),
+    ], ids=["scalars", "short", "ragged", "no_numbers", "string", "nan"])
+    def test_malformed_vectors_cost_one_request(self, vectors, message):
+        """What the vectors key holds is checked once, in embed_texts: a
+        reply that a retry cannot mend is not sent for again."""
+        with CannedHTTPServer({"vectors": vectors}) as server:
+            with pytest.raises(ProviderError) as exc:
+                embed_texts(["a", "b"], RemoteEmbedder(server.url))
+        assert str(exc.value) == message
+        assert exc.value.exit_code == EXIT_PROVIDER
+        assert len(server.requests) == 1
 
     @pytest.mark.parametrize("reply,error,message", [
         (["x", 1.0, 0.0], ProviderError,
          "provider returned non-numeric embeddings: could not convert string to float: 'x'"),
         (5.0, ProviderError, "provider returned shape (2,) for 2 texts"),
         ([1.0, float("nan"), 0.0], ProviderError, "provider returned non-finite values"),
-        ([1.0, 0.0], DimensionMismatch, "provider produced 2 dims, declared 3"),
-    ], ids=["non_numeric", "shape", "non_finite", "dimension"])
+    ], ids=["non_numeric", "shape", "non_finite"])
     def test_embed_texts_reply(self, reply, error, message):
         with pytest.raises(error) as exc:
             embed_texts(["a", "b"], _StubProvider(reply=reply))
