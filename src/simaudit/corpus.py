@@ -1,14 +1,17 @@
 """Reference corpus: archive ingestion, vulnerability labels, persistence.
 
-An index (format 7) is JSON text followed by raw bytes. Line one is a JSON
+An index (format 8) is JSON text followed by raw bytes. Line one is a JSON
 header carrying the format version, the embedder id, the similarity
 threshold the index was built for, a creation timestamp, ingestion stats,
 the embedding `dimension` and vector block `dtype` (both null before
 embedding) and `digest`, the SHA-256 hex of everything after the header
-line, vector block included. Lines 2 to n+1 hold one JSON entry each,
-without its entry id, content hash and normalized source; line n+2, the key
-line, is a JSON array of [entry_id, content_hash] pairs in entry order. The
-normalized source is derived from the raw source where it is read
+line, vector block included. Lines 2 to n+1 hold one entry each, a compact
+JSON array of its 12 fields in the order of _ENTRY_FIELDS: package, version,
+label, vuln_note, then the unit's unit_id, kind, name, contract, file_path,
+raw_source, declared_calls and source_span. The entry id, content hash and
+normalized source are not on it; line n+2, the key line, is a compact JSON
+array of [entry_id, content_hash] pairs in entry order. The normalized
+source is derived from the raw source where it is read
 (CorpusIndex.normalized_source): for each find_clone hash hit, and for every
 entry when a loaded index is embedded. In an embedded index the key line's
 newline is followed directly by the vector block, little-endian and
@@ -24,14 +27,15 @@ wrong length, a missing line, text that is not UTF-8, an unknown dtype, a
 norm that is not positive and finite, or a row that is not finite (for
 sums: whose largest magnitude over its norm is not) makes the file corrupt.
 It copies the block out as stored, so no float64 matrix is built from sums.
-It then hashes all that follows the header and parses only the key line: an
-entry is parsed the first time a scan touches it (a find_clone hash hit,
-entry_by_id or reading entries). If the hash does not match the digest,
-every entry line is parsed at load instead, so a damaged line is reported by
-its number; if they all parse, the mismatch itself is reported. Either way
-the load fails with FileCorrupt, as does raw source that no longer
-normalizes, once it is read. Saving is deterministic, so load-then-save
-reproduces the file byte for byte.
+It then hashes all that follows the header and parses only the key line,
+whose pairs must be two strings each: an entry is parsed the first time a
+scan touches it (a find_clone hash hit, entry_by_id or reading entries), and
+a line that is not a list of the 12 fields, each of its type, is corrupt. If
+the hash does not match the digest, every entry line is parsed at load
+instead, so a damaged line is reported by its number; if they all parse, the
+mismatch itself is reported. Either way the load fails with FileCorrupt, as
+does raw source that no longer normalizes, once it is read. Saving is
+deterministic, so load-then-save reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -66,9 +70,11 @@ from .simindex import DEFAULT_DELTA, narrowest_int
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 # The element types a vector block may name in the header's dtype.
 VECTOR_DTYPES = ("int8", "int16", "int32", "int64", "float64")
+# Encodes entry and key lines: JSON with no space after "," or ":".
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 LABEL_CSV_COLUMNS = ("package", "version", "match_kind", "match_value", "note")
 
@@ -336,31 +342,56 @@ def apply_labels(index: CorpusIndex, labels_path: str | Path) -> LabelReport:
     return report
 
 
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+_STRING = (_is_str, "a string")
+_LABELS = frozenset(label.value for label in Label)
+_KINDS = frozenset(kind.value for kind in UnitKind)
+# An entry line's fields in order, each with the test its value must pass
+# and, for the message when it does not, what that test asks for.
+_ENTRY_FIELDS = (
+    ("package", *_STRING),
+    ("version", *_STRING),
+    ("label", lambda v: type(v) is str and v in _LABELS, "a label"),
+    ("vuln_note", lambda v: v is None or type(v) is str, "a string or null"),
+    ("unit_id", *_STRING),
+    ("kind", lambda v: type(v) is str and v in _KINDS, "a unit kind"),
+    ("name", *_STRING),
+    ("contract", *_STRING),
+    ("file_path", *_STRING),
+    ("raw_source", *_STRING),
+    ("declared_calls", lambda v: type(v) is list and all(map(_is_str, v)),
+     "a list of strings"),
+    ("source_span", lambda v: type(v) is list and len(v) == 2
+     and type(v[0]) is int and type(v[1]) is int, "two integers"),
+)
+
+
 def _entry_from_line(path, lineno: int, line: str, entry_id: str,
                      content_hash: str) -> CorpusEntry:
     """The entry on line lineno of index path, with the id and content hash
-    that the key line gives it; FileCorrupt naming the line if the line does
-    not hold an entry."""
+    that the key line gives it; FileCorrupt naming the line if the line is
+    not a JSON list of _ENTRY_FIELDS, each of its type."""
     try:
-        rec = json.loads(line)
-        d = rec["unit"]
-        unit = FunctionUnit(
-            unit_id=d["unit_id"],
-            kind=UnitKind(d["kind"]),
-            name=d["name"],
-            contract=d["contract"],
-            file_path=d["file_path"],
-            raw_source=d["raw_source"],
-            normalized_source=None,
-            content_hash=content_hash,
-            declared_calls=tuple(d["declared_calls"]),
-            source_span=(int(d["source_span"][0]), int(d["source_span"][1])),
-        )
-        return CorpusEntry(entry_id=entry_id, unit=unit, package=rec["package"],
-                           version=rec["version"], label=Label(rec["label"]),
-                           vuln_note=rec["vuln_note"])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        fields = json.loads(line)
+    except ValueError as exc:
         raise FileCorrupt(f"index {path} line {lineno}: {exc}") from exc
+    if type(fields) is not list or len(fields) != len(_ENTRY_FIELDS):
+        raise FileCorrupt(f"index {path} line {lineno}: "
+                          f"not a list of the {len(_ENTRY_FIELDS)} entry fields")
+    for value, (key, holds, what) in zip(fields, _ENTRY_FIELDS):
+        if not holds(value):
+            raise FileCorrupt(f"index {path} line {lineno}: {key} {value!r:.60} is not {what}")
+    (package, version, label, vuln_note, unit_id, kind, name, contract, file_path,
+     raw_source, declared_calls, (start, end)) = fields
+    unit = FunctionUnit(unit_id=unit_id, kind=UnitKind(kind), name=name, contract=contract,
+                        file_path=file_path, raw_source=raw_source, normalized_source=None,
+                        content_hash=content_hash, declared_calls=tuple(declared_calls),
+                        source_span=(start, end))
+    return CorpusEntry(entry_id=entry_id, unit=unit, package=package, version=version,
+                       label=Label(label), vuln_note=vuln_note)
 
 
 def read_text(path: str | Path, what: str) -> str:
@@ -435,22 +466,18 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         f.write(header("0" * digest.digest_size * 2))
         keys = []
         for entry in index.entries:
-            # The FunctionUnit fields, in order, are the format; the content
-            # hash goes to the key line, and the normalized source is not
-            # stored.
-            unit = vars(entry.unit).copy()
-            keys.append((entry.entry_id, unit.pop("content_hash")))
-            del unit["normalized_source"]
-            line = json.dumps({
-                "package": entry.package,
-                "version": entry.version,
-                "label": entry.label.value,
-                "vuln_note": entry.vuln_note,
-                "unit": unit,
-            }).encode("utf-8") + b"\n"
+            # _ENTRY_FIELDS in order; the content hash goes to the key line,
+            # and the normalized source is not stored.
+            unit = entry.unit
+            keys.append((entry.entry_id, unit.content_hash))
+            line = _compact_json([
+                entry.package, entry.version, entry.label.value, entry.vuln_note,
+                unit.unit_id, unit.kind.value, unit.name, unit.contract, unit.file_path,
+                unit.raw_source, unit.declared_calls, unit.source_span,
+            ]).encode("utf-8") + b"\n"
             digest.update(line)
             f.write(line)
-        line = json.dumps(keys).encode("utf-8") + b"\n"
+        line = _compact_json(keys).encode("utf-8") + b"\n"
         for part in (line, *block):
             digest.update(part)
             f.write(part)
@@ -558,10 +585,16 @@ def load_index(path: str | Path) -> CorpusIndex:
     keys_lineno = len(lines) + 1
     try:
         keys = json.loads(lines.pop())
-        for entry_id, content_hash in keys:
-            index._add_key(entry_id, content_hash)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FileCorrupt(f"index {path} line {keys_lineno}: {exc}") from exc
+    if type(keys) is not list:
+        raise FileCorrupt(f"index {path} line {keys_lineno}: "
+                          "not a list of [entry_id, content_hash] pairs")
+    for pair in keys:
+        if type(pair) is not list or len(pair) != 2 or not all(map(_is_str, pair)):
+            raise FileCorrupt(f"index {path} line {keys_lineno}: "
+                              f"key {pair!r:.60} is not a pair of strings")
+        index._add_key(*pair)
     if len(keys) != len(lines):
         raise FileCorrupt(f"index {path} line {keys_lineno}: "
                           f"{len(keys)} keys for {len(lines)} entry lines")

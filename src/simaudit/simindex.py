@@ -233,9 +233,10 @@ def embed_texts(texts: list[str], provider) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise ProviderError(f"provider returned non-numeric embeddings: {exc}") from exc
     if cells.dtype == object:
-        # astype reads a JSON string such as "1.5", or a boolean, as a number.
+        # astype reads a JSON string such as "1.5", or a boolean, as a
+        # number, and a null as nan.
         for value in cells.flat:
-            if isinstance(value, (str, bool)):
+            if value is None or isinstance(value, (str, bool)):
                 raise ProviderError(f"provider returned non-numeric embeddings: {value!r}")
     if not np.isfinite(vectors).all():
         raise ProviderError("provider returned non-finite values")

@@ -1,9 +1,10 @@
 """Shared test plumbing: fixture paths, archive building, synthetic units,
-and a tiny local HTTP server for wire-format tests."""
+saved-index tampering, and a tiny local HTTP server for wire-format tests."""
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -43,6 +44,51 @@ def vector_block_size(header: dict) -> int:
     rows, dim = header["stats"]["functions_kept"], header["dimension"] or 0
     dtype = np.dtype(header["dtype"] or "float64")
     return rows * dim * dtype.itemsize + (8 * rows if dtype.kind == "i" else 0)
+
+
+# The fields of an index entry line, in order.
+ENTRY_FIELDS = ("package", "version", "label", "vuln_note", "unit_id", "kind", "name",
+                "contract", "file_path", "raw_source", "declared_calls", "source_span")
+
+
+def entry_record(fields: list) -> dict:
+    """The object that format 7 and earlier wrote for an entry line's fields:
+    package, version, label and vuln_note, then the unit's fields under "unit"."""
+    record = dict(zip(ENTRY_FIELDS, fields))
+    return {**{key: record.pop(key) for key in ENTRY_FIELDS[:4]}, "unit": record}
+
+
+def mistype(values: list, pos: int) -> list:
+    """values with values[pos] replaced by a JSON value of another type."""
+    other = 5 if values[pos] is None or isinstance(values[pos], str) else "x"
+    return [*values[:pos], other, *values[pos + 1:]]
+
+
+def split_index(path: Path) -> tuple[dict, list[str], bytes]:
+    """(header, text lines, vector block) of a saved index; the last text
+    line is the key line."""
+    head, rest = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    cut = len(rest) - vector_block_size(header)
+    return header, rest[:cut].decode("utf-8").splitlines(), rest[cut:]
+
+
+def rewrite_index(path: Path, entry=None, keys=None, **header) -> None:
+    """Edit the saved index at path and give it the digest of its new text
+    and vector block, so that only the loader's checks of the edited values
+    can refuse it. Entry line i + 2 becomes entry(i, its list of fields),
+    the key line keys(its list of pairs), and header's items update the
+    header; the result of an edit is written as compact JSON."""
+    head, lines, block = split_index(path)
+    *lines, key_line = lines
+    if entry is not None:
+        lines = [json.dumps(entry(pos, json.loads(line)), separators=(",", ":"))
+                 for pos, line in enumerate(lines)]
+    if keys is not None:
+        key_line = json.dumps(keys(json.loads(key_line)), separators=(",", ":"))
+    text = "\n".join([*lines, key_line]).encode("utf-8") + b"\n"
+    head = {**head, **header, "digest": hashlib.sha256(text + block).hexdigest()}
+    path.write_bytes(json.dumps(head).encode("utf-8") + b"\n" + text + block)
 
 
 def make_archive(path: Path, files: dict[str, str]) -> Path:

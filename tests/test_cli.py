@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
+import re
 import shutil
 import threading
 from pathlib import Path
@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import (
+    ENTRY_FIELDS,
     FIXTURES,
     CannedHTTPServer,
     bad_templates,
+    entry_record,
     make_archive,
+    mistype,
+    rewrite_index,
     vector_block_size,
 )
 from simaudit import cli, simindex
@@ -62,23 +66,6 @@ def _target_dir(tmp_path):
     return d
 
 
-
-def _rewrite_units(index_path, edit, **header):
-    """Replace the unit of each entry line of an embedded index with
-    edit(position, unit), update the header with header, and give it the
-    digest of the new text and the vector block."""
-    head, rest = index_path.read_bytes().split(b"\n", 1)
-    head = json.loads(head)
-    nbytes = vector_block_size(head)
-    *lines, keys = rest[:len(rest) - nbytes].decode("utf-8").splitlines()
-    for pos, line in enumerate(lines):
-        rec = json.loads(line)
-        rec["unit"] = edit(pos, rec["unit"])
-        lines[pos] = json.dumps(rec)
-    text = ("\n".join([*lines, keys]) + "\n").encode("utf-8")
-    block = rest[len(rest) - nbytes:]
-    head = {**head, **header, "digest": hashlib.sha256(text + block).hexdigest()}
-    index_path.write_bytes(json.dumps(head).encode("utf-8") + b"\n" + text + block)
 
 def _scan(tmp_path, *extra, index=None, report_name="report.json"):
     index = index or _build_index(tmp_path, labels=True)
@@ -542,7 +529,7 @@ class TestScanExitCodes:
         header["format_version"] = 1
         lines = [json.dumps(header)]
         for rec, row in zip(entries, vectors.tolist()):
-            rec = {**rec, "embedding": row}
+            rec = {**entry_record(rec), "embedding": row}
             rec["unit"] = rec.pop("unit")       # format 1 put the row before the unit
             lines.append(json.dumps(rec))
         index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -551,7 +538,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 1, this build reads format 7" in err
+        assert "is format 1, this build reads format 8" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -559,18 +546,20 @@ class TestScanExitCodes:
         index_path = _build_index(tmp_path)
         index = load_index(index_path)
 
-        def add_normalized(pos, unit):  # format 4 stored it after raw_source
-            *head, calls, span = unit.items()
-            return dict([*head, ("normalized_source", index.normalized_source(pos)),
-                         calls, span])
+        def add_normalized(pos, fields):  # format 4 stored it after raw_source
+            rec = entry_record(fields)
+            *head, calls, span = rec["unit"].items()
+            rec["unit"] = dict([*head, ("normalized_source", index.normalized_source(pos)),
+                                calls, span])
+            return rec
 
-        _rewrite_units(index_path, add_normalized, format_version=4)
+        rewrite_index(index_path, add_normalized, format_version=4)
         code = main(["scan", "--input", str(_target_dir(tmp_path)),
                      "--index", str(index_path), "--provider", "mock",
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 4, this build reads format 7" in err
+        assert "is format 4, this build reads format 8" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -590,13 +579,14 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 5, this build reads format 7" in err
+        assert "is format 5, this build reads format 8" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
     def test_indexed_source_that_does_not_normalize_is_format_error(self, tmp_path, capsys):
         index_path = _build_index(tmp_path)
-        _rewrite_units(index_path, lambda pos, unit: {**unit, "raw_source": 'function f() { "x }'})
+        rewrite_index(index_path, lambda pos, fields: [*fields[:9], 'function f() { "x }',
+                                                       *fields[10:]])
         code = main(["scan", "--input", str(_target_dir(tmp_path)),
                      "--index", str(index_path), "--provider", "mock",
                      "--report", str(tmp_path / "r.json")])
@@ -604,12 +594,43 @@ class TestScanExitCodes:
         assert capsys.readouterr().err.startswith(f"simaudit: index {index_path} line ")
         assert not (tmp_path / "r.json").exists()
 
+    def test_format_7_index_is_refused_with_a_rebuild_hint(self, tmp_path, capsys):
+        index_path = _build_index(tmp_path)
+        # Format 7 wrote each entry line as an object.
+        rewrite_index(index_path, lambda pos, fields: entry_record(fields), format_version=7)
+        code = main(["scan", "--input", str(_target_dir(tmp_path)),
+                     "--index", str(index_path), "--provider", "mock",
+                     "--report", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "is format 7, this build reads format 8" in err
+        assert "rebuild it with `simaudit index`" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("line, pos", [
+        *(("entry", pos) for pos in range(len(ENTRY_FIELDS))), ("key", 0), ("key", 1),
+    ], ids=[*ENTRY_FIELDS, "entry_id", "content_hash"])
+    def test_mistyped_index_field_is_format_error(self, tmp_path, capsys, line, pos):
+        """A field of another JSON type in an index whose digest matches stops
+        the scan with exit 3, naming the line, and writes no report."""
+        index_path = _build_index(tmp_path, labels=True)
+        if line == "entry":
+            rewrite_index(index_path, lambda _, fields: mistype(fields, pos))
+        else:
+            rewrite_index(index_path, keys=lambda pairs: [mistype(p, pos) for p in pairs])
+        capsys.readouterr()
+        code, report = _scan(tmp_path, index=index_path)
+        assert code == 3
+        assert re.match(rf"simaudit: index {re.escape(str(index_path))} line \d+: ",
+                        capsys.readouterr().err)
+        assert not report.exists()
+
     @pytest.mark.parametrize("data", [
         b'{"format_version": 2}\n\xff\xfe\n',
-        b'{"format_version": 7, "embedder_id": null, "delta": 0.65, "created_at": "t", '
+        b'{"format_version": 8, "embedder_id": null, "delta": 0.65, "created_at": "t", '
         b'"stats": {"functions_kept": 1}, "dimension": null, "dtype": null, "digest": ""}'
         b'\n\xff\xfe\n[]\n',
-        b'{"format_version": 7, "created_at": "\xff\xfe"}\n',
+        b'{"format_version": 8, "created_at": "\xff\xfe"}\n',
     ], ids=["format_2_header", "format_4_entry", "format_4_header"])
     def test_index_that_is_not_utf8_is_format_error(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.jsonl"

@@ -20,12 +20,16 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import (
+    ENTRY_FIELDS,
     FIXTURES,
     CannedHTTPServer,
+    entry_record,
     function_texts,
     make_archive,
+    mistype,
     mk_unit,
-    vector_block_size,
+    rewrite_index,
+    split_index,
 )
 from simaudit import corpus
 from simaudit.corpus import (
@@ -245,17 +249,6 @@ def _labeled_index():
     return index
 
 
-def _split_saved(path):
-    """(header dict, text lines, vector block) of a saved index; the last
-    text line is the key line."""
-    data = path.read_bytes()
-    head, rest = data.split(b"\n", 1)
-    header = json.loads(head)
-    nbytes = vector_block_size(header)
-    text, block = rest[:len(rest) - nbytes], rest[len(rest) - nbytes:]
-    return header, text.decode("utf-8").splitlines(), block
-
-
 def _write_index(path, header, entries, block=b""):
     text = "\n".join([json.dumps(header), *entries]) + "\n"
     path.write_bytes(text.encode("utf-8") + block)
@@ -428,7 +421,7 @@ class TestPersistence:
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["format_version"] == FORMAT_VERSION == 7
+        assert header["format_version"] == FORMAT_VERSION == 8
         assert list(header) == ["format_version", "embedder_id", "delta",
                                 "created_at", "stats", "dimension", "dtype", "digest"]
         assert header["stats"]["functions_kept"] == len(index.entries)
@@ -452,18 +445,14 @@ class TestPersistence:
         index = _labeled_index()
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        header, first = (json.loads(line) for line in path.read_text().splitlines()[:2])
-        assert list(header["stats"]) == ["files_seen", "functions_seen", "functions_kept"]
-        assert list(first) == ["package", "version", "label", "vuln_note", "unit"]
-        unit = index.entries[0].unit
-        assert first["unit"] == {
-            "unit_id": unit.unit_id, "kind": unit.kind.value, "name": unit.name,
-            "contract": unit.contract, "file_path": unit.file_path,
-            "raw_source": unit.raw_source,
-            "declared_calls": list(unit.declared_calls),
-            "source_span": list(unit.source_span)}
-        assert list(first["unit"]) == ["unit_id", "kind", "name", "contract", "file_path",
-                                       "raw_source", "declared_calls", "source_span"]
+        header, first, *_, keys = path.read_text().splitlines()
+        assert list(json.loads(header)["stats"]) == [
+            "files_seen", "functions_seen", "functions_kept"]
+        assert first == ('["tok","1.0","clean",null,"a.sol::Token::mint#0","function","mint",'
+                         '"Token","a.sol","function mint() public { /* a.sol::Token::mint#0 */ }",'
+                         '[],[0,53]]')
+        assert keys == json.dumps([[e.entry_id, e.unit.content_hash] for e in index.entries],
+                                  separators=(",", ":"))
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "idx.jsonl"
@@ -554,7 +543,7 @@ class TestPersistence:
         save_index(_labeled_index(), path)
         header, first, *rest = path.read_text().splitlines()
         first = json.loads(first)
-        first["unit"]["source_span"] = span
+        first[11] = span
         path.write_text("\n".join([header, json.dumps(first), *rest]) + "\n")
         with pytest.raises(FileCorrupt, match="line 2"):
             load_index(path)
@@ -577,7 +566,7 @@ class TestPersistence:
     def test_malformed_embeddings_are_file_corrupt(self, tmp_path, rewrite):
         path = tmp_path / "idx.jsonl"
         save_index(_tiny_embedded_index(), path)
-        header, entries, block = _split_saved(path)
+        header, entries, block = split_index(path)
         header, block = rewrite(header, block)
         _write_index(path, header, entries, block)
         with pytest.raises(FileCorrupt):
@@ -623,25 +612,25 @@ class TestPersistence:
         index = _tiny_embedded_index()
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        header, entries, _ = _split_saved(path)
+        header, entries, _ = split_index(path)
         header = {**header, "format_version": 2, "vectors": base64.b64encode(
             index.vectors.astype("<f8").tobytes()).decode("ascii")}
         _write_index(path, header, entries)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 2, this build reads format 7; "
+                           match="is format 2, this build reads format 8; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
     def test_format_6_index_is_refused_with_a_rebuild_hint(self, tmp_path):
         path = tmp_path / "idx.jsonl"
         save_index(_fallback_index(), path)
-        header, entries, block = _split_saved(path)
+        header, entries, block = split_index(path)
         text = ("\n".join(entries) + "\n").encode("utf-8")
         # Format 6 hashed the text alone.
         _write_index(path, {**header, "format_version": 6,
                             "digest": hashlib.sha256(text).hexdigest()}, entries, block)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 6, this build reads format 7; "
+                           match="is format 6, this build reads format 8; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -649,12 +638,12 @@ class TestPersistence:
         index = _fallback_index()
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        header, entries, _ = _split_saved(path)
+        header, entries, _ = split_index(path)
         del header["dtype"]      # format 5 stored the float64 matrix itself
         _write_index(path, {**header, "format_version": 5}, entries,
                      index.rows().astype("<f8").tobytes())
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 5, this build reads format 7; "
+                           match="is format 5, this build reads format 8; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -708,7 +697,7 @@ class TestPersistence:
         save_index(_labeled_index(), path)
         lines = path.read_text().splitlines()
         lines[line - 1] = lines[line - 1].replace("tok@1.0", "tok@9.9").replace(
-            '"version": "1.0"', '"version": "9.9"')
+            '"tok","1.0"', '"tok","9.9"')
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileCorrupt, match="does not match the header's digest"):
             load_index(path)
@@ -719,38 +708,73 @@ class TestPersistence:
             index.insert(mk_unit(f"a.sol::C::{name}#0"), "pkg", "1.0")
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        header, lines, _ = _split_saved(path)
-        lines[-1] = json.dumps(json.loads(lines[-1])[:1])
-        header["digest"] = hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
-        _write_index(path, header, lines)
+        rewrite_index(path, keys=lambda pairs: pairs[:1])
         with pytest.raises(FileCorrupt) as exc:
             load_index(path)
         assert str(exc.value) == f"index {path} line 4: 1 keys for 2 entry lines"
 
-    @pytest.mark.parametrize("keys", [[1, 2], [["a"], ["b"]]], ids=["numbers", "singletons"])
+    @pytest.mark.parametrize("keys", [[1, 2], [["a"], ["b"]], ["ab", "cd"], {"ab": 0, "cd": 0}],
+                             ids=["numbers", "singletons", "two_letter_strings", "object"])
     def test_key_line_not_of_pairs_is_file_corrupt(self, tmp_path, keys):
         index = new_index()
         for name in ("f", "g"):
             index.insert(mk_unit(f"a.sol::C::{name}#0"), "pkg", "1.0")
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        header, lines, _ = _split_saved(path)
-        lines[-1] = json.dumps(keys)
-        header["digest"] = hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
-        _write_index(path, header, lines)
+        rewrite_index(path, keys=lambda pairs: keys)
         with pytest.raises(FileCorrupt, match=f"^index {re.escape(str(path))} line 4: "):
+            load_index(path)
+
+    @pytest.mark.parametrize("pos", range(len(ENTRY_FIELDS)), ids=ENTRY_FIELDS)
+    def test_mistyped_entry_field_is_file_corrupt(self, tmp_path, pos):
+        """A field of another JSON type under a matching digest is FileCorrupt
+        naming its line wherever the entry is read, and never another error."""
+        index = _labeled_index()
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        rewrite_index(path, lambda _, fields: mistype(fields, pos))
+        where = f"^index {re.escape(str(path))} line 2: {ENTRY_FIELDS[pos]} "
+        unit = index.entries[0].unit
+        with pytest.raises(FileCorrupt, match=where):
+            load_index(path).entry_by_id(index.entries[0].entry_id)
+        with pytest.raises(FileCorrupt, match=where):
+            load_index(path).find_clone(unit.normalized_source, unit.content_hash)
+
+    @pytest.mark.parametrize("edit, message", [
+        (entry_record, "not a list of the 12 entry fields"),
+        (lambda f: f[:11], "not a list of the 12 entry fields"),
+        (lambda f: [*f[:2], "bogus", *f[3:]], "label 'bogus' is not a label"),
+        (lambda f: [*f[:5], "event", *f[6:]], "kind 'event' is not a unit kind"),
+        (lambda f: [*f[:10], ["a", 1], f[11]],
+         "declared_calls ['a', 1] is not a list of strings"),
+        (lambda f: [*f[:11], [0, 53.0]], "source_span [0, 53.0] is not two integers"),
+        (lambda f: [*f[:11], [0, True]], "source_span [0, True] is not two integers"),
+        (lambda f: [*f[:11], [0, 5, 53]], "source_span [0, 5, 53] is not two integers"),
+    ], ids=["format_7_object", "eleven_fields", "unknown_label", "unknown_kind",
+            "number_call", "float_span", "bool_span", "three_span"])
+    def test_entry_line_of_the_wrong_shape_is_file_corrupt(self, tmp_path, edit, message):
+        path = tmp_path / "idx.jsonl"
+        save_index(_labeled_index(), path)
+        rewrite_index(path, lambda _, fields: edit(fields))
+        loaded = load_index(path)
+        with pytest.raises(FileCorrupt) as exc:
+            loaded.entries[0]
+        assert str(exc.value) == f"index {path} line 2: {message}"
+
+    @pytest.mark.parametrize("pos", [0, 1], ids=["entry_id", "content_hash"])
+    def test_mistyped_key_is_file_corrupt(self, tmp_path, pos):
+        path = tmp_path / "idx.jsonl"
+        save_index(_labeled_index(), path)
+        rewrite_index(path, keys=lambda pairs: [mistype(pair, pos) for pair in pairs])
+        with pytest.raises(FileCorrupt, match=f"^index {re.escape(str(path))} line 5: key "):
             load_index(path)
 
     def test_raw_source_that_does_not_normalize_is_file_corrupt(self, tmp_path):
         index = _labeled_index()
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        header, lines, _ = _split_saved(path)
-        rec = json.loads(lines[1])
-        rec["unit"]["raw_source"] = 'function f() { "x }'
-        lines[1] = json.dumps(rec)
-        header["digest"] = hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
-        _write_index(path, header, lines)
+        rewrite_index(path, lambda pos, fields: fields if pos != 1 else [
+            *fields[:9], 'function f() { "x }', *fields[10:]])
         loaded = load_index(path)
         unit = index.entries[1].unit
         where = f"^index {re.escape(str(path))} line 3: "
@@ -891,7 +915,7 @@ class TestIntegerVectorBlock:
         assert index.rows().tobytes() == oracles.reference_embed_many(texts).tobytes()
         p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
         save_index(index, p1)
-        header, _, block = _split_saved(p1)
+        header, _, block = split_index(p1)
         assert header["dtype"] == dtype
         sums = np.frombuffer(block, dtype, count=len(texts) * 384).astype(np.int64)
         largest = max(-int(sums.min()) - 1, int(sums.max()))  # the width's bound is 2**k - 1
@@ -916,7 +940,7 @@ class TestIntegerVectorBlock:
         assert index.rows(0).tobytes() == want.tobytes()
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        assert _split_saved(path)[0]["dtype"] == "int8"
+        assert split_index(path)[0]["dtype"] == "int8"
         assert load_index(path).rows(0).tobytes() == want.tobytes()
 
     def test_sums_past_int32_are_stored_as_int64(self, tmp_path):
@@ -926,7 +950,7 @@ class TestIntegerVectorBlock:
         index.vectors, index.norms = sums, norms
         p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
         save_index(index, p1)
-        assert _split_saved(p1)[0]["dtype"] == "int64"
+        assert split_index(p1)[0]["dtype"] == "int64"
         assert load_index(p1).rows().tobytes() == (sums / norms[:, None]).tobytes()
         save_index(load_index(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
@@ -941,7 +965,7 @@ class TestIntegerVectorBlock:
         assert index.norms is None
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        header, _, block = _split_saved(path)
+        header, _, block = split_index(path)
         assert header["dtype"] == "float64"
         assert block == index.vectors.astype("<f8").tobytes()
         assert load_index(path).vectors.tobytes() == index.vectors.tobytes()
@@ -956,7 +980,7 @@ class TestIntegerVectorBlock:
         assert index.norms is None and index.vectors.dtype == np.float64
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        header, _, block = _split_saved(path)
+        header, _, block = split_index(path)
         assert header["dtype"] == "float64"
         assert block == index.vectors.astype("<f8").tobytes()
         loaded = load_index(path)
@@ -968,7 +992,7 @@ class TestIntegerVectorBlock:
         index.vectors = index.rows() * 0.5     # norms left as they were
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        header, _, block = _split_saved(path)
+        header, _, block = split_index(path)
         assert header["dtype"] == "float64"
         assert block == index.rows().astype("<f8").tobytes()
         assert load_index(path).rows().tobytes() == index.rows().tobytes()
@@ -982,7 +1006,7 @@ class TestIntegerVectorBlock:
         which covers the block, can tell."""
         path = tmp_path / "idx.jsonl"
         save_index(make(), path)
-        header, entries, block = _split_saved(path)
+        header, entries, block = split_index(path)
         load_index(path)
         block = block[:at] + bytes([block[at] ^ 0x01]) + block[at + 1:]
         _write_index(path, header, entries, block)
@@ -1007,7 +1031,7 @@ class TestIntegerVectorBlock:
         (lambda h, b: ({**h, "dtype": ["int8"]}, b), "dtype ['int8'] is not one of"),
         (lambda h, b: ({**h, "dtype": None}, b), "dtype None is not one of"),
         (lambda h, b: ({k: v for k, v in h.items() if k != "dtype"}, b), "no 'dtype'"),
-        (lambda h, b: ({**h, "dtype": "int16"}, b), "no line break before its vector block"),
+        (lambda h, b: ({**h, "dtype": "int16"}, b), "too short for its 3 rows of 384 int16"),
         (lambda h, b: ({**h, "dtype": "float64"}, b), "too short for its 3 rows of 384 float64"),
         (lambda h, b: ({**h, "dimension": None}, b), "dtype 'int8' is not null"),
     ], ids=["norm_zero", "norm_negative", "norm_nan", "norm_inf", "norm_tiny",
@@ -1018,7 +1042,7 @@ class TestIntegerVectorBlock:
     def test_malformed_integer_blocks_are_file_corrupt(self, tmp_path, rewrite, message):
         path = tmp_path / "idx.jsonl"
         save_index(_fallback_index(), path)
-        header, entries, block = _split_saved(path)
+        header, entries, block = split_index(path)
         assert header["dtype"] == "int8"
         header, block = rewrite(header, block)
         _write_index(path, header, entries, block)

@@ -443,8 +443,6 @@ contract Bank {
         assert provider.calls == []
 
         class TwoDims(FallbackEmbedder):
-            dimension = 2
-
             def embed_many(self, texts):
                 return [[1.0, 0.0] for _ in texts]
 

@@ -325,7 +325,6 @@ class TestEmbedSums:
 
 class _StubProvider:
     provider_id = "stub"
-    dimension = 3
 
     def __init__(self, fail_times=0, reply=None):
         self.fails_left = fail_times
@@ -908,10 +907,12 @@ class TestRemoteEmbedder:
     @pytest.mark.parametrize("vector,message", [
         (["1.5", "2", "-0.25"], "provider returned non-numeric embeddings: '1.5'"),
         ([True, False, True], "provider returned non-numeric embeddings: True"),
-    ], ids=["strings", "booleans"])
+        ([1.0, None, 0.5], "provider returned non-numeric embeddings: None"),
+    ], ids=["strings", "booleans", "nulls"])
     def test_json_strings_and_booleans_are_not_numbers(self, vector, message):
-        """np.array would read both as floats; a reply that is not numbers is
-        a failure, and like any such reply it is not retried."""
+        """np.array would read each as a float, a null as nan; a reply that
+        is not numbers is a failure, and like any such reply it is not
+        retried."""
         with CannedHTTPServer(lambda body: {"vectors": [vector for _ in body["texts"]]}
                               ) as server:
             with pytest.raises(ProviderError) as exc:
