@@ -11,7 +11,6 @@ up on.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import string
@@ -21,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import CorpusEntry, Label, read_text
-from .errors import FileCorrupt, MissingTemplateSlot, ParseError, ProviderError
+from .errors import FileCorrupt, MissingTemplateSlot, ParseError, ProviderError, decode_json
 from .extract import FunctionUnit
 from .simindex import Category, SimilarityMatch, call_retried
 
@@ -207,10 +206,8 @@ def parse_verdict(raw: str, role: Role) -> dict:
     m = _FENCE_RE.search(raw)
     if m is None:
         raise ParseError(f"{role.value} response has no fenced JSON block", raw=raw)
-    try:
-        payload = json.loads(m.group(1))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{role.value} response is not valid JSON: {exc}", raw=raw) from exc
+    payload = decode_json(m.group(1), lambda exc: ParseError(
+        f"{role.value} response is not valid JSON: {exc}", raw=raw))
     if not isinstance(payload, dict):
         raise ParseError(f"{role.value} response must be a JSON object", raw=raw)
 
@@ -331,14 +328,16 @@ class MockLLMProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockLLMProvider":
-        text = read_text(path, "mock fixture")
+        def malformed(exc):
+            return FileCorrupt(f"mock fixture {path} is malformed: {exc!r}")
+
+        data = decode_json(read_text(path, "mock fixture"), malformed)
         try:
-            data = json.loads(text)
             responses = {(Role(rec["role"]), rec["prompt_sha256"]): rec["response"]
                          for rec in data.get("responses", [])}
             defaults = {Role(k): v for k, v in data.get("defaults", {}).items()}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise FileCorrupt(f"mock fixture {path} is malformed: {exc!r}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # the wrong shape
+            raise malformed(exc) from exc
         return cls(responses, defaults)
 
     def complete(self, messages: list[dict], role: Role) -> str:

@@ -34,6 +34,7 @@ from .errors import (
     LabelFileMalformed,
     ProviderError,
     SimauditError,
+    decode_json,
 )
 from .metrics import EvalMetrics
 from .scanner import collect_sol_files, render_markdown, run_scan
@@ -47,10 +48,8 @@ _CONFIG_STRINGS = {"llm": ("model", "endpoint", "api_key"),
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        config = json.loads(read_text(path, "config"))
-    except ValueError as exc:
-        raise FileCorrupt(f"config {path} is not valid JSON: {exc}") from exc
+    config = decode_json(read_text(path, "config"),
+                         lambda exc: FileCorrupt(f"config {path} is not valid JSON: {exc}"))
     if not isinstance(config, dict):
         raise FileCorrupt(f"config {path} must hold a JSON object")
     for section, keys in _CONFIG_STRINGS.items():

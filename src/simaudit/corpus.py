@@ -64,6 +64,7 @@ from .errors import (
     FormatVersionMismatch,
     LabelFileMalformed,
     SourceError,
+    decode_json,
 )
 from .extract import FunctionUnit, UnitKind, extract_units, normalize
 from .simindex import DEFAULT_DELTA, narrowest_int
@@ -374,10 +375,7 @@ def _entry_from_line(path, lineno: int, line: str, entry_id: str,
     """The entry on line lineno of index path, with the id and content hash
     that the key line gives it; FileCorrupt naming the line if the line is
     not a JSON list of _ENTRY_FIELDS, each of its type."""
-    try:
-        fields = json.loads(line)
-    except ValueError as exc:
-        raise FileCorrupt(f"index {path} line {lineno}: {exc}") from exc
+    fields = decode_json(line, lambda exc: FileCorrupt(f"index {path} line {lineno}: {exc}"))
     if type(fields) is not list or len(fields) != len(_ENTRY_FIELDS):
         raise FileCorrupt(f"index {path} line {lineno}: "
                           f"not a list of the {len(_ENTRY_FIELDS)} entry fields")
@@ -494,9 +492,10 @@ def load_index(path: str | Path) -> CorpusIndex:
     if head_end < 0:
         raise FileCorrupt(f"index {path} has no complete header line")
     try:
-        header = json.loads(data[:head_end].decode("utf-8"))
-    except ValueError as exc:  # not UTF-8 or not JSON
+        head = data[:head_end].decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise FileCorrupt(f"index {path} line 1: {exc}") from exc
+    header = decode_json(head, lambda exc: FileCorrupt(f"index {path} line 1: {exc}"))
     if not isinstance(header, dict) or "format_version" not in header:
         raise FileCorrupt(f"index {path} has no header line")
     version = header["format_version"]
@@ -582,22 +581,16 @@ def load_index(path: str | Path) -> CorpusIndex:
         for lineno, line in enumerate(lines[:-1], start=2):
             _entry_from_line(path, lineno, line, "", "")
         raise FileCorrupt(f"index {path} does not match the header's digest")
-    keys_lineno = len(lines) + 1
-    try:
-        keys = json.loads(lines.pop())
-    except ValueError as exc:
-        raise FileCorrupt(f"index {path} line {keys_lineno}: {exc}") from exc
+    key_line = f"index {path} line {len(lines) + 1}:"
+    keys = decode_json(lines.pop(), lambda exc: FileCorrupt(f"{key_line} {exc}"))
     if type(keys) is not list:
-        raise FileCorrupt(f"index {path} line {keys_lineno}: "
-                          "not a list of [entry_id, content_hash] pairs")
+        raise FileCorrupt(f"{key_line} not a list of [entry_id, content_hash] pairs")
     for pair in keys:
         if type(pair) is not list or len(pair) != 2 or not all(map(_is_str, pair)):
-            raise FileCorrupt(f"index {path} line {keys_lineno}: "
-                              f"key {pair!r:.60} is not a pair of strings")
+            raise FileCorrupt(f"{key_line} key {pair!r:.60} is not a pair of strings")
         index._add_key(*pair)
     if len(keys) != len(lines):
-        raise FileCorrupt(f"index {path} line {keys_lineno}: "
-                          f"{len(keys)} keys for {len(lines)} entry lines")
+        raise FileCorrupt(f"{key_line} {len(keys)} keys for {len(lines)} entry lines")
 
     def build(pos: int) -> CorpusEntry:
         return _entry_from_line(path, pos + 2, lines[pos], *keys[pos])

@@ -1,4 +1,7 @@
-"""Exception hierarchy and the process exit codes the CLI maps them to."""
+"""Exception hierarchy, the process exit codes the CLI maps them to, and the
+one JSON decode of untrusted text."""
+
+import json
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -87,3 +90,13 @@ class ParseError(SimauditError):
 
 class MissingTemplateSlot(SimauditError):
     pass
+
+
+def decode_json(text, error):
+    """json.loads(text), or error(exc) raised from exc if text is not JSON:
+    a ValueError, or the RecursionError of JSON nested past the interpreter's
+    recursion limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(exc) from exc

@@ -11,7 +11,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 
-from .errors import ProviderError
+from .errors import ProviderError, decode_json
 
 
 class _Redirect(urllib.request.HTTPRedirectHandler):
@@ -43,7 +43,8 @@ class JsonEndpoint:
     Every failure raises ProviderError(f"{what} endpoint failed: {reason}"): a
     URL that is not http(s), a body that is not strict JSON (NaN, say), a
     non-2xx status (the reason names it), a transport failure or timeout, a
-    reply that is not JSON, or one that lacks the asked-for path."""
+    reply that is not JSON or nests past the recursion limit, or one that
+    lacks the asked-for path."""
 
     def __init__(self, url: str, api_key: str | None, timeout: float, what: str):
         self.url, self.timeout, self.what = url, timeout, what
@@ -62,15 +63,18 @@ class JsonEndpoint:
             if request.type not in ("http", "https"):  # the opener would read file: URLs too
                 raise ValueError(f"not an http(s) URL: {self.url!r}")
             with self._opener.open(request, timeout=self.timeout) as resp:
-                value = json.loads(resp.read())
+                value = decode_json(resp.read(), self._failure)
         except urllib.error.HTTPError as exc:
             exc.close()
-            raise ProviderError(f"{self.what} endpoint failed: {exc}") from exc
+            raise self._failure(exc) from exc
         except (OSError, http.client.HTTPException, ValueError) as exc:
-            raise ProviderError(f"{self.what} endpoint failed: {exc}") from exc
+            raise self._failure(exc) from exc
         try:
             for key in path:
                 value = value[key]
         except (KeyError, IndexError, TypeError) as exc:
-            raise ProviderError(f"{self.what} endpoint failed: {exc}") from exc
+            raise self._failure(exc) from exc
         return value
+
+    def _failure(self, exc) -> ProviderError:
+        return ProviderError(f"{self.what} endpoint failed: {exc}")

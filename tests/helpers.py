@@ -58,6 +58,18 @@ def entry_record(fields: list) -> dict:
     return {**{key: record.pop(key) for key in ENTRY_FIELDS[:4]}, "unit": record}
 
 
+# JSON nested past the interpreter's recursion limit: json.loads raises
+# RecursionError on it, not ValueError, and json.dumps cannot write it.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+# The message of that RecursionError.
+TOO_DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+
+
+class RawJSON(str):
+    """JSON text that rewrite_index writes as it is, for a value that
+    json.dumps cannot write, such as DEEP_JSON."""
+
+
 def mistype(values: list, pos: int) -> list:
     """values with values[pos] replaced by a JSON value of another type."""
     other = 5 if values[pos] is None or isinstance(values[pos], str) else "x"
@@ -78,14 +90,17 @@ def rewrite_index(path: Path, entry=None, keys=None, **header) -> None:
     and vector block, so that only the loader's checks of the edited values
     can refuse it. Entry line i + 2 becomes entry(i, its list of fields),
     the key line keys(its list of pairs), and header's items update the
-    header; the result of an edit is written as compact JSON."""
+    header; the result of an edit is written as compact JSON, or as it is
+    if it is RawJSON."""
+    def encode(value) -> str:
+        return value if isinstance(value, RawJSON) else json.dumps(value, separators=(",", ":"))
+
     head, lines, block = split_index(path)
     *lines, key_line = lines
     if entry is not None:
-        lines = [json.dumps(entry(pos, json.loads(line)), separators=(",", ":"))
-                 for pos, line in enumerate(lines)]
+        lines = [encode(entry(pos, json.loads(line))) for pos, line in enumerate(lines)]
     if keys is not None:
-        key_line = json.dumps(keys(json.loads(key_line)), separators=(",", ":"))
+        key_line = encode(keys(json.loads(key_line)))
     text = "\n".join([*lines, key_line]).encode("utf-8") + b"\n"
     head = {**head, **header, "digest": hashlib.sha256(text + block).hexdigest()}
     path.write_bytes(json.dumps(head).encode("utf-8") + b"\n" + text + block)

@@ -10,7 +10,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from helpers import FIXTURES, TRANSPORT_FAILURES, CannedHTTPServer, failing_endpoint, mk_unit
+from helpers import (
+    DEEP_JSON,
+    FIXTURES,
+    TOO_DEEP,
+    TRANSPORT_FAILURES,
+    CannedHTTPServer,
+    failing_endpoint,
+    mk_unit,
+)
 from simaudit.agents import (
     DEBATE_SEQUENCE,
     ENV_LLM_ENDPOINT,
@@ -33,6 +41,8 @@ from simaudit.corpus import CorpusEntry, Label
 from simaudit.errors import MissingTemplateSlot, ParseError, ProviderError
 from simaudit.scanner import DEBATE_WORKERS
 from simaudit.simindex import Category, SimilarityMatch
+
+DEEP_REPLY = "```json\n" + DEEP_JSON + "\n```"
 
 DET = 'Notes.\n```json\n{"findings": [{"vuln_type": "logic", "description": "x"}]}\n```'
 CRI = '```json\n{"rebuttals": ["weak evidence"]}\n```'
@@ -204,6 +214,19 @@ class TestParseVerdict:
         with pytest.raises(ParseError):
             parse_verdict("```json\n[1, 2]\n```", Role.DETECTOR)
 
+    def test_json_nested_past_the_recursion_limit(self):
+        with pytest.raises(ParseError) as exc:
+            parse_verdict(DEEP_REPLY, Role.DETECTOR)
+        assert str(exc.value) == f"Detector response is not valid JSON: {TOO_DEEP}"
+        assert exc.value.raw == DEEP_REPLY
+
+    def test_number_with_too_many_digits(self):
+        """int() refuses a number of over 4300 digits with a ValueError that
+        is not a JSONDecodeError."""
+        raw = '```json\n{"findings": [' + "9" * 5000 + "]}\n```"
+        with pytest.raises(ParseError, match="^Critic response is not valid JSON: Exceeds "):
+            parse_verdict(raw, Role.CRITIC)
+
     def test_role_key_requirements(self):
         with pytest.raises(ParseError):
             parse_verdict('```json\n{"rebuttals": []}\n```', Role.DETECTOR)
@@ -299,6 +322,15 @@ class TestRunDebate:
         with pytest.raises(ParseError):
             run_debate(_task(), provider)
         assert len(provider.calls) == 3     # detector, critic, critic re-prompt
+
+    def test_reply_nested_too_deep_is_reprompted_once(self):
+        provider = CallLog(MockLLMProvider(defaults={**GOOD_DEFAULTS,
+                                                     Role.DETECTOR: DEEP_REPLY}))
+        with pytest.raises(ParseError) as exc:
+            run_debate(_task(), provider)
+        assert str(exc.value) == f"Detector response is not valid JSON: {TOO_DEEP}"
+        assert [role for role, _ in provider.calls] == [Role.DETECTOR, Role.DETECTOR]
+        assert provider.calls[1][1][0]["content"].endswith(FORMAT_REMINDER)
 
     def test_provider_error_retried_once_per_call(self):
         class Flaky:
@@ -450,6 +482,13 @@ class TestHttpProvider:
             with pytest.raises(ProviderError):
                 HttpLLMProvider(server.url).complete(
                     [{"role": "user", "content": "p"}], Role.CRITIC)
+
+    def test_reply_nested_too_deep_is_provider_error_tried_twice(self):
+        with CannedHTTPServer(DEEP_JSON.encode("utf-8")) as server:
+            with pytest.raises(ProviderError) as exc:
+                run_debate(_task(), HttpLLMProvider(server.url))
+        assert str(exc.value) == f"LLM endpoint failed: {TOO_DEEP}"
+        assert len(server.requests) == 2
 
     @pytest.mark.parametrize("kind", TRANSPORT_FAILURES)
     def test_transport_failure_is_provider_error(self, kind):

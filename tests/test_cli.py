@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import (
+    DEEP_JSON,
     ENTRY_FIELDS,
     FIXTURES,
+    TOO_DEEP,
     CannedHTTPServer,
+    RawJSON,
     bad_templates,
     entry_record,
     make_archive,
@@ -155,6 +158,22 @@ class TestIndexCommand:
                          "--embedder", "remote", "--config", str(config)])
         assert code == 4
         assert capsys.readouterr().err.startswith("simaudit: ")
+        assert not out.exists()
+
+    def test_remote_embeddings_nested_too_deep_exit_provider(self, tmp_path, capsys):
+        archives = tmp_path / "archives"
+        archives.mkdir()
+        make_archive(archives / "tokenlib-1.0.0.tgz", {"erc20.sol": REFERENCE})
+        config = tmp_path / "config.json"
+        out = tmp_path / "idx.jsonl"
+        with CannedHTTPServer(DEEP_JSON.encode("utf-8")) as server:
+            config.write_text(json.dumps({"embedding": {"endpoint": server.url}}),
+                              encoding="utf-8")
+            code = main(["index", "--archives", str(archives), "--out", str(out),
+                         "--embedder", "remote", "--config", str(config)])
+        assert code == 4
+        assert capsys.readouterr().err == f"simaudit: embedding endpoint failed: {TOO_DEEP}\n"
+        assert len(server.requests) == 2    # tried once more, then final
         assert not out.exists()
 
     def test_a_wider_remote_request_exits_provider(self, tmp_path, monkeypatch, capsys):
@@ -461,7 +480,8 @@ class TestScanExitCodes:
         (b'{"defaults": ', "is malformed: JSONDecodeError"),
         (b'["Judge"]', "is malformed: AttributeError"),
         (b'{"responses": [{"role": "Auditor"}]}', "is malformed: ValueError"),
-    ], ids=["not_utf8", "truncated_json", "not_an_object", "unknown_role"])
+        (DEEP_JSON.encode("utf-8"), f"is malformed: RecursionError('{TOO_DEEP}')\n"),
+    ], ids=["not_utf8", "truncated_json", "not_an_object", "unknown_role", "nested_too_deep"])
     def test_bad_mock_fixture_is_format_error(self, tmp_path, capsys, data, message):
         index = _build_index(tmp_path, labels=True)
         capsys.readouterr()
@@ -623,6 +643,26 @@ class TestScanExitCodes:
         assert code == 3
         assert re.match(rf"simaudit: index {re.escape(str(index_path))} line \d+: ",
                         capsys.readouterr().err)
+        assert not report.exists()
+
+    @pytest.mark.parametrize("line, number", [("header", "1"), ("entry", r"\d"), ("key", "5")],
+                             ids=["header", "entry", "key"])
+    def test_index_line_nested_too_deep_is_format_error(self, tmp_path, capsys, line, number):
+        """A line nested past the recursion limit, under a matching digest
+        where the line is under it, stops the scan with exit 3."""
+        index_path = _build_index(tmp_path, labels=True)
+        if line == "header":
+            text = index_path.read_bytes()
+            index_path.write_bytes(DEEP_JSON.encode("utf-8") + text[text.index(b"\n"):])
+        elif line == "entry":
+            rewrite_index(index_path, lambda pos, fields: RawJSON(DEEP_JSON))
+        else:
+            rewrite_index(index_path, keys=lambda pairs: RawJSON(DEEP_JSON))
+        capsys.readouterr()
+        code, report = _scan(tmp_path, index=index_path)
+        assert code == 3
+        assert re.fullmatch(rf"simaudit: index {re.escape(str(index_path))} line {number}: "
+                            rf"{re.escape(TOO_DEEP)}\n", capsys.readouterr().err)
         assert not report.exists()
 
     @pytest.mark.parametrize("data", [
@@ -799,6 +839,21 @@ class TestBadArguments:
         assert capsys.readouterr().err.startswith(f"simaudit: config {config} ")
         assert not (tmp_path / "i.jsonl").exists()
 
+
+    @pytest.mark.parametrize("command", ["index", "scan"])
+    def test_config_nested_too_deep_is_format_error(self, tmp_path, capsys, command):
+        config = tmp_path / "deep.json"
+        config.write_text(DEEP_JSON, encoding="utf-8")
+        if command == "index":
+            code = main(["index", "--archives", str(tmp_path), "--out", str(tmp_path / "i.jsonl"),
+                         "--config", str(config)])
+            written = tmp_path / "i.jsonl"
+        else:
+            code, written = _scan(tmp_path, "--config", str(config))
+        assert code == 3
+        assert capsys.readouterr().err.endswith(
+            f"simaudit: config {config} is not valid JSON: {TOO_DEEP}\n")
+        assert not written.exists()
 
     def test_scan_refuses_a_non_string_model(self, tmp_path, capsys):
         config = tmp_path / "config.json"

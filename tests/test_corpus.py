@@ -20,9 +20,12 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import (
+    DEEP_JSON,
     ENTRY_FIELDS,
     FIXTURES,
+    TOO_DEEP,
     CannedHTTPServer,
+    RawJSON,
     entry_record,
     function_texts,
     make_archive,
@@ -768,6 +771,30 @@ class TestPersistence:
         rewrite_index(path, keys=lambda pairs: [mistype(pair, pos) for pair in pairs])
         with pytest.raises(FileCorrupt, match=f"^index {re.escape(str(path))} line 5: key "):
             load_index(path)
+
+    @pytest.mark.parametrize("line", ["header", "entry", "entry_stale_digest", "key"])
+    def test_line_nested_too_deep_is_file_corrupt(self, tmp_path, line):
+        """json.loads raises RecursionError on a line nested past the
+        recursion limit; the header, an entry line (read when its entry is,
+        or at load when the digest does not match) and the key line each
+        make it FileCorrupt naming the line."""
+        path = tmp_path / "idx.jsonl"
+        save_index(_labeled_index(), path)
+        if line == "header":
+            text = path.read_bytes()
+            path.write_bytes(DEEP_JSON.encode("utf-8") + text[text.index(b"\n"):])
+        elif line == "entry":
+            rewrite_index(path, lambda pos, fields: RawJSON(DEEP_JSON) if pos == 1 else fields)
+        elif line == "entry_stale_digest":
+            header, entries, _ = split_index(path)
+            entries[1] = DEEP_JSON
+            _write_index(path, header, entries)
+        else:
+            rewrite_index(path, keys=lambda pairs: RawJSON(DEEP_JSON))
+        with pytest.raises(FileCorrupt) as exc:
+            load_index(path).entries[1]
+        number = {"header": 1, "key": 5}.get(line, 3)
+        assert str(exc.value) == f"index {path} line {number}: {TOO_DEEP}"
 
     def test_raw_source_that_does_not_normalize_is_file_corrupt(self, tmp_path):
         index = _labeled_index()

@@ -2,11 +2,11 @@
 
 A drawn graph of functions is scanned against a model whose every answer is
 drawn from (seed, prompt, attempt): a good reply, ProviderError, a reply with
-no fenced block, or a payload missing a key, after a drawn wait. The report
-must equal a one-thread run's, validate against the schema, count each
-unit's attempts, and make a unit an error exactly when one of its calls ran
-out of attempts: two ProviderErrors in a row, or a malformed reply to the
-format re-prompt.
+no fenced block, a fenced block nested past the recursion limit, or a
+payload missing a key, after a drawn wait. The report must equal a
+one-thread run's, validate against the schema, count each unit's attempts,
+and make a unit an error exactly when one of its calls ran out of attempts:
+two ProviderErrors in a row, or a malformed reply to the format re-prompt.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import jsonschema
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import TOO_DEEP
 from simaudit import scanner, simindex
 from simaudit.agents import FORMAT_REMINDER, Role
 from simaudit.corpus import new_index
@@ -31,6 +32,7 @@ from simaudit.errors import ProviderError
 from simaudit.extract import extract_units
 from simaudit.scanner import run_scan
 from simaudit.simindex import FallbackEmbedder, embed_index
+from test_agents import DEEP_REPLY
 
 _SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "simaudit" / "schemas"
@@ -88,8 +90,10 @@ class FaultyModel:
             share = draw % 100
             if share < self.fail_pct // 2:
                 outcome, message = "down", f"injected outage {draw % 10007}"
-            elif share < self.fail_pct * 3 // 4:
+            elif share < self.fail_pct * 5 // 8:
                 outcome, message = "unfenced", f"{role.value} response has no fenced JSON block"
+            elif share < self.fail_pct * 3 // 4:
+                outcome, message = "deep", f"{role.value} response is not valid JSON: {TOO_DEEP}"
             elif share < self.fail_pct:
                 key = list(payload)[draw // 100 % len(payload)]
                 del payload[key]
@@ -100,6 +104,8 @@ class FaultyModel:
         time.sleep(self.max_wait * (draw % 1000) / 1000)
         if outcome == "down":
             raise ProviderError(message)
+        if outcome == "deep":
+            return DEEP_REPLY
         return "no block here" if outcome == "unfenced" else _fence(payload)
 
     def attempts(self, name: str) -> int:
@@ -117,7 +123,8 @@ class FaultyModel:
             downs = [message for outcome, message in outcomes if outcome == "down"]
             if len(downs) >= 2:
                 out.append(downs[1])
-            elif prompt.endswith(FORMAT_REMINDER) and outcomes[-1][0] in ("unfenced", "missing"):
+            elif prompt.endswith(FORMAT_REMINDER) and outcomes[-1][0] in (
+                    "unfenced", "deep", "missing"):
                 out.append(outcomes[-1][1])
         return out
 

@@ -99,6 +99,28 @@ def test_only_transport_speaks_http():
     assert speakers == {"transport.py"}
 
 
+def test_only_the_decode_helper_parses_json():
+    """Untrusted JSON is decoded in one place, errors.decode_json, which
+    turns each way a decode fails, RecursionError included, into its
+    caller's error: no other code in the package calls json.loads or
+    json.load, or imports either by name."""
+    parsers, helper = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "errors.py":
+            helper = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                      and fn.name == "decode_json" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"
+                    and id(node) not in helper) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and {alias.name for alias in node.names} & {"load", "loads"}):
+                parsers.append(f"{path.name}:{node.lineno}")
+    assert helper, "errors.decode_json is gone"
+    assert parsers == []
+
+
 def test_retrieval_never_decides_a_clone():
     """Only CorpusIndex.find_clone, an exact text match, makes a unit a clone,
     so simindex names Category.CLONE (or its value) nowhere outside the enum."""

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from helpers import CannedHTTPServer, bad_templates, mk_unit
+from helpers import DEEP_JSON, TOO_DEEP, CannedHTTPServer, bad_templates, mk_unit
 from simaudit import scanner, simindex
 from simaudit.agents import CallLog, MockLLMProvider, Role, TemplateSet
 from simaudit.corpus import Label, new_index
@@ -25,7 +25,7 @@ from simaudit.errors import (
 from simaudit.extract import extract_units
 from simaudit.scanner import render_markdown, run_scan
 from simaudit.simindex import FallbackEmbedder, RemoteEmbedder, embed_index, query_top_k
-from test_agents import CRI, DET, GOOD_DEFAULTS, SUP
+from test_agents import CRI, DEEP_REPLY, DET, GOOD_DEFAULTS, SUP
 
 CLEAN_JUD = ('```json\n{"is_vulnerable": false, "vuln_type": "", '
              '"explanation": "", "confidence": "Medium"}\n```')
@@ -156,6 +156,31 @@ class TestErrorIsolation:
             "by_category": {"clone": 0, "similar": 0, "dissimilar": 3},
             "provider_calls": 10,   # 4 + 4, plus detector tried twice for mid
         }
+
+    def test_reply_nested_too_deep_fails_only_its_unit(self, tmp_path):
+        """A Detector reply nested past the recursion limit is a parse
+        failure: one re-prompt, then that unit alone is an error."""
+        path = _write(tmp_path, "chain.sol", CHAIN_SOL)
+
+        class DeepForMid:
+            def complete(self, messages, role):
+                if role is Role.DETECTOR and "function mid()" in messages[0]["content"]:
+                    return DEEP_REPLY
+                return GOOD_DEFAULTS[role]
+
+        report = run_scan([path], None, DeepForMid())
+        before = run_scan([path], None, MockLLMProvider(defaults=GOOD_DEFAULTS))
+        leaf, mid, top = _ids(path, "Chain", "leaf", "mid", "top")
+        by_id = {r["unit_id"]: r for r in report["units"]}
+        want = {r["unit_id"]: r for r in before["units"]}
+        assert by_id[mid]["verdict"] == "error"
+        assert by_id[mid]["error_message"] == f"Detector response is not valid JSON: {TOO_DEEP}"
+        assert by_id[mid]["provider_calls"] == 2
+        assert by_id[leaf] == want[leaf]
+        assert by_id[top]["callee_summaries"] == [[mid, "analysis failed"]]
+        assert (by_id[top]["verdict"], by_id[top]["provider_calls"]) == (
+            want[top]["verdict"], 4)
+        assert report["summary"]["errors"] == 1
 
     def test_all_units_failing_still_produces_a_report(self, tmp_path):
         path = _write(tmp_path, "loop.sol", LOOP_SOL)
@@ -431,6 +456,25 @@ contract Bank {
             assert rec["provider_calls"] == 4
             assert len(rec["matches"]) == 3
         assert report["summary"]["errors"] == 44
+
+    def test_reply_nested_too_deep_is_the_error_of_its_chunk_only(self, tmp_path):
+        fallback = FallbackEmbedder()
+
+        def reply(body):
+            if len(body["texts"]) == 44:
+                return b'{"vectors": ' + DEEP_JSON.encode("utf-8") + b"}"
+            return {"vectors": fallback.embed_many(body["texts"]).tolist()}
+
+        report, requests, _ = self._remote_scan(tmp_path, reply)
+        assert [len(r["body"]["texts"]) for r in requests] == [256, 44, 44]
+        failed = [r["unit_id"] for r in report["units"] if r["verdict"] == "error"]
+        assert failed == report["schedule"]["order"][-44:]
+        for rec in report["units"][-44:]:
+            assert rec["error_message"] == f"embedding endpoint failed: {TOO_DEEP}"
+            assert rec["provider_calls"] == 0
+        for rec in report["units"][:256]:
+            assert rec["provider_calls"] == 4
+            assert len(rec["matches"]) == 3
 
     def test_index_mismatch_found_in_retrieval_still_fails_the_scan(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL.replace("+ 1", "+ 7"))

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import (
+    DEEP_JSON,
     FIXTURES,
+    TOO_DEEP,
     TRANSPORT_FAILURES,
     CannedHTTPServer,
     failing_endpoint,
@@ -925,6 +927,13 @@ class TestRemoteEmbedder:
             with pytest.raises(ProviderError):
                 embed_texts(["a"], RemoteEmbedder(server.url))
             assert len(server.requests) == 2
+
+    def test_reply_nested_too_deep_is_retried_once(self):
+        with CannedHTTPServer(b'{"vectors": ' + DEEP_JSON.encode("utf-8") + b"}") as server:
+            with pytest.raises(ProviderError) as exc:
+                embed_texts(["a"], RemoteEmbedder(server.url))
+        assert str(exc.value) == f"embedding endpoint failed: {TOO_DEEP}"
+        assert len(server.requests) == 2
 
 
 class TestEmbeddingFailureMessages:
