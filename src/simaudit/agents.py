@@ -336,6 +336,9 @@ class MockLLMProvider:
             responses = {(Role(rec["role"]), rec["prompt_sha256"]): rec["response"]
                          for rec in data.get("responses", [])}
             defaults = {Role(k): v for k, v in data.get("defaults", {}).items()}
+            for text in (*responses.values(), *defaults.values()):
+                if not isinstance(text, str):
+                    raise TypeError(f"response {text!r:.60} is not a string")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:  # the wrong shape
             raise malformed(exc) from exc
         return cls(responses, defaults)

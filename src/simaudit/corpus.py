@@ -1,36 +1,38 @@
 """Reference corpus: archive ingestion, vulnerability labels, persistence.
 
-An index (format 8) is JSON text followed by raw bytes. Line one is a JSON
+An index (format 9) is JSON text followed by raw bytes. Line one is a JSON
 header carrying the format version, the embedder id, the similarity
 threshold the index was built for, a creation timestamp, ingestion stats,
 the embedding `dimension` and vector block `dtype` (both null before
-embedding) and `digest`, the SHA-256 hex of everything after the header
-line, vector block included. Lines 2 to n+1 hold one entry each, a compact
-JSON array of its 12 fields in the order of _ENTRY_FIELDS: package, version,
-label, vuln_note, then the unit's unit_id, kind, name, contract, file_path,
-raw_source, declared_calls and source_span. The entry id, content hash and
-normalized source are not on it; line n+2, the key line, is a compact JSON
-array of [entry_id, content_hash] pairs in entry order. The normalized
-source is derived from the raw source where it is read
-(CorpusIndex.normalized_source): for each find_clone hash hit, and for every
-entry when a loaded index is embedded. In an embedded index the key line's
-newline is followed directly by the vector block, little-endian and
-row-major, row i for entry line i + 2, and nothing after it, so the file is
-not pure JSON Lines, though its first line is still the header. The block is
-the matrix as CorpusIndex keeps it: the fallback embedder's integer sums as
-`dimension` x `stats.functions_kept` values of the narrowest signed type
-that holds them, which `dtype` names (int8 to int64), then one float64 norm
-per row; or float64 rows, `dtype` float64.
+embedding) and, last, `digest`: the SHA-256 hex of the whole file, header
+and vector block included, with the digest's own 64 digits taken as zeros.
+Lines 2 to n+1 hold one entry each, a compact JSON array of its 12 fields in
+the order of _ENTRY_FIELDS: package, version, label, vuln_note, then the
+unit's unit_id, kind, name, contract, file_path, raw_source, declared_calls
+and source_span. The entry id, content hash and normalized source are not on
+it; line n+2, the key line, is a compact JSON array of [entry_id,
+content_hash] pairs in entry order. The normalized source is derived from
+the raw source where it is read (CorpusIndex.normalized_source): for each
+find_clone hash hit, and for every entry when a loaded index is embedded. In
+an embedded index the key line's newline is followed directly by the vector
+block, little-endian and row-major, row i for entry line i + 2, and nothing
+after it, so the file is not pure JSON Lines, though its first line is still
+the header. The block is the matrix as CorpusIndex keeps it: the fallback
+embedder's integer sums as `dimension` x `stats.functions_kept` values of
+the narrowest signed type that holds them, which `dtype` names (int8 to
+int64), then one float64 norm per row; or float64 rows, `dtype` float64.
 
-The loader takes the block from the end of the file by its length, so a
-wrong length, a missing line, text that is not UTF-8, an unknown dtype, a
-norm that is not positive and finite, or a row that is not finite (for
-sums: whose largest magnitude over its norm is not) makes the file corrupt.
-It copies the block out as stored, so no float64 matrix is built from sums.
-It then hashes all that follows the header and parses only the key line,
-whose pairs must be two strings each: an entry is parsed the first time a
-scan touches it (a find_clone hash hit, entry_by_id or reading entries), and
-a line that is not a list of the 12 fields, each of its type, is corrupt. If
+The loader first checks the header: its format version, then each field of
+_HEADER_FIELDS and _STATS_FIELDS present and of its type, by the one loop
+that checks an entry line against _ENTRY_FIELDS. It takes the block from the
+end of the file by its length, so a wrong length, a missing line, text that
+is not UTF-8, a norm that is not positive and finite, or a row that is not
+finite (for sums: whose largest magnitude over its norm is not) makes the
+file corrupt. It copies the block out as stored, so no float64 matrix is
+built from sums. It then hashes the file and parses only the key line, whose
+pairs must be two strings each: an entry is parsed the first time a scan
+touches it (a find_clone hash hit, entry_by_id or reading entries), and a
+line that is not a list of the 12 fields, each of its type, is corrupt. If
 the hash does not match the digest, every entry line is parsed at load
 instead, so a damaged line is reported by its number; if they all parse, the
 mismatch itself is reported. Either way the load fails with FileCorrupt, as
@@ -71,7 +73,7 @@ from .simindex import DEFAULT_DELTA, narrowest_int
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 # The element types a vector block may name in the header's dtype.
 VECTOR_DTYPES = ("int8", "int16", "int32", "int64", "float64")
 # Encodes entry and key lines: JSON with no space after "," or ":".
@@ -348,26 +350,53 @@ def _is_str(value) -> bool:
 
 
 _STRING = (_is_str, "a string")
+_STRING_OR_NULL = (lambda v: v is None or type(v) is str, "a string or null")
 _LABELS = frozenset(label.value for label in Label)
 _KINDS = frozenset(kind.value for kind in UnitKind)
-# An entry line's fields in order, each with the test its value must pass
-# and, for the message when it does not, what that test asks for.
-_ENTRY_FIELDS = (
-    ("package", *_STRING),
-    ("version", *_STRING),
-    ("label", lambda v: type(v) is str and v in _LABELS, "a label"),
-    ("vuln_note", lambda v: v is None or type(v) is str, "a string or null"),
-    ("unit_id", *_STRING),
-    ("kind", lambda v: type(v) is str and v in _KINDS, "a unit kind"),
-    ("name", *_STRING),
-    ("contract", *_STRING),
-    ("file_path", *_STRING),
-    ("raw_source", *_STRING),
-    ("declared_calls", lambda v: type(v) is list and all(map(_is_str, v)),
-     "a list of strings"),
-    ("source_span", lambda v: type(v) is list and len(v) == 2
-     and type(v[0]) is int and type(v[1]) is int, "two integers"),
-)
+# The fields of a header, of its stats and of an entry line, in the order
+# save_index writes them, each with the test its value must pass and, for
+# the message when it does not, what that test asks for.
+# A count is an int, not a float or a bool, and not negative.
+_STATS_FIELDS = dict.fromkeys(vars(IndexStats()), (lambda v: type(v) is int and v >= 0, "a count"))
+_HEADER_FIELDS = {
+    "format_version": (lambda v: type(v) is int, "an integer"),  # 4.0 is not 4
+    "embedder_id": _STRING_OR_NULL,
+    # Finite, and an int only within float range; NaN fails the comparison.
+    "delta": (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+              "a finite number"),
+    "created_at": _STRING,
+    "stats": (lambda v: type(v) is dict and v.keys() <= _STATS_FIELDS.keys(),
+              f"an object of {', '.join(_STATS_FIELDS)}"),
+    "dimension": (lambda v: v is None or type(v) is int and v >= 1, "a positive integer or null"),
+    "dtype": (lambda v: v in (None, *VECTOR_DTYPES), f"one of {', '.join(VECTOR_DTYPES)} or null"),
+    "digest": (lambda v: type(v) is str and len(v) == 64 and not v.strip("0123456789abcdef"),
+               "64 lowercase hex digits"),
+}
+_ENTRY_FIELDS = {
+    "package": _STRING,
+    "version": _STRING,
+    "label": (lambda v: type(v) is str and v in _LABELS, "a label"),
+    "vuln_note": _STRING_OR_NULL,
+    "unit_id": _STRING,
+    "kind": (lambda v: type(v) is str and v in _KINDS, "a unit kind"),
+    "name": _STRING,
+    "contract": _STRING,
+    "file_path": _STRING,
+    "raw_source": _STRING,
+    "declared_calls": (lambda v: type(v) is list and all(map(_is_str, v)), "a list of strings"),
+    "source_span": (lambda v: type(v) is list and len(v) == 2
+                    and type(v[0]) is int and type(v[1]) is int, "two integers"),
+}
+
+
+def _check_fields(where: str, record: dict, fields: dict) -> None:
+    """FileCorrupt, its message starting with where, unless record holds
+    every key of fields with a value that passes that key's test."""
+    for key, (holds, what) in fields.items():
+        if key not in record:
+            raise FileCorrupt(f"{where}: no {key!r}")
+        if not holds(record[key]):
+            raise FileCorrupt(f"{where}: {key} {record[key]!r:.60} is not {what}")
 
 
 def _entry_from_line(path, lineno: int, line: str, entry_id: str,
@@ -375,13 +404,11 @@ def _entry_from_line(path, lineno: int, line: str, entry_id: str,
     """The entry on line lineno of index path, with the id and content hash
     that the key line gives it; FileCorrupt naming the line if the line is
     not a JSON list of _ENTRY_FIELDS, each of its type."""
-    fields = decode_json(line, lambda exc: FileCorrupt(f"index {path} line {lineno}: {exc}"))
+    where = f"index {path} line {lineno}"
+    fields = decode_json(line, lambda exc: FileCorrupt(f"{where}: {exc}"))
     if type(fields) is not list or len(fields) != len(_ENTRY_FIELDS):
-        raise FileCorrupt(f"index {path} line {lineno}: "
-                          f"not a list of the {len(_ENTRY_FIELDS)} entry fields")
-    for value, (key, holds, what) in zip(fields, _ENTRY_FIELDS):
-        if not holds(value):
-            raise FileCorrupt(f"index {path} line {lineno}: {key} {value!r:.60} is not {what}")
+        raise FileCorrupt(f"{where}: not a list of the {len(_ENTRY_FIELDS)} entry fields")
+    _check_fields(where, dict(zip(_ENTRY_FIELDS, fields)), _ENTRY_FIELDS)
     (package, version, label, vuln_note, unit_id, kind, name, contract, file_path,
      raw_source, declared_calls, (start, end)) = fields
     unit = FunctionUnit(unit_id=unit_id, kind=UnitKind(kind), name=name, contract=contract,
@@ -442,8 +469,8 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     """Write index to path in format FORMAT_VERSION. Each line is encoded,
     hashed and written in turn, and the vector block from its arrays' own
     buffers, so neither the file nor its text is ever held in memory. The
-    header goes first with a placeholder digest of the same length, and is
-    written again once the text and the block are hashed."""
+    header goes first with a placeholder digest of 64 zeros, and is written
+    again once it, the text and the block are hashed."""
     vectors = index.vectors
     dtype, block = _vector_block(index)
 
@@ -460,8 +487,9 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         }).encode("utf-8") + b"\n"
 
     def write(f: BinaryIO) -> None:
-        digest = hashlib.sha256()
-        f.write(header("0" * digest.digest_size * 2))
+        placeholder = header("0" * 64)
+        digest = hashlib.sha256(placeholder)
+        f.write(placeholder)
         keys = []
         for entry in index.entries:
             # _ENTRY_FIELDS in order; the content hash goes to the key line,
@@ -496,50 +524,24 @@ def load_index(path: str | Path) -> CorpusIndex:
     except UnicodeDecodeError as exc:
         raise FileCorrupt(f"index {path} line 1: {exc}") from exc
     header = decode_json(head, lambda exc: FileCorrupt(f"index {path} line 1: {exc}"))
-    if not isinstance(header, dict) or "format_version" not in header:
+    if type(header) is not dict:
         raise FileCorrupt(f"index {path} has no header line")
-    version = header["format_version"]
-    if type(version) is not int:  # 4.0 and true are not format 4 or 1
-        raise FileCorrupt(
-            f"index {path} header is malformed: format_version {version!r} is not an integer")
-    if version != FORMAT_VERSION:
+    version = header.get("format_version")
+    if type(version) is int and version != FORMAT_VERSION:
         raise FormatVersionMismatch(
             f"index {path} is format {version}, "
             f"this build reads format {FORMAT_VERSION}; rebuild it with `simaudit index`")
-    stats_d = header.get("stats", {})
-    if not isinstance(stats_d, dict):
-        raise FileCorrupt(f"index {path} header is malformed: stats is not an object")
-    counts = {name: stats_d.get(name, 0) for name in vars(IndexStats())}
-    for name, count in counts.items():
-        if type(count) is not int or count < 0:  # bool is an int subclass
-            raise FileCorrupt(
-                f"index {path} header is malformed: stats.{name} {count!r} is not a count")
-    stats = IndexStats(**counts)
-    delta, created_at = header.get("delta"), header.get("created_at")
-    # Finite, and an int only within float range; NaN fails the comparison.
-    if type(delta) not in (int, float) or not abs(delta) <= sys.float_info.max:
-        raise FileCorrupt(
-            f"index {path} header is malformed: delta {delta!r} is not a finite number")
-    if not isinstance(created_at, str):
-        raise FileCorrupt(
-            f"index {path} header is malformed: created_at {created_at!r} is not a string")
-    try:
-        embedder_id, dimension, dtype = header["embedder_id"], header["dimension"], header["dtype"]
-    except KeyError as exc:
-        raise FileCorrupt(f"index {path} header is malformed: no {exc}") from exc
-    if embedder_id is not None and not isinstance(embedder_id, str):
-        raise FileCorrupt(f"index {path} header is malformed: "
-                          f"embedder_id {embedder_id!r} is not a string or null")
-    if dimension is not None and (type(dimension) is not int or dimension < 1):
-        raise FileCorrupt(f"index {path} has embedding dimension {dimension!r}")
-    if dtype not in (VECTOR_DTYPES if dimension else (None,)):
-        raise FileCorrupt(f"index {path} header is malformed: dtype {dtype!r} is not "
-                          + (f"one of {', '.join(VECTOR_DTYPES)}" if dimension
-                             else "null, as dimension is"))
-    index = CorpusIndex(meta=IndexMeta(created_at=created_at, embedder_id=embedder_id,
-                                       delta=float(delta)),
-                        stats=stats, _path=path)
-    rows = stats.functions_kept
+    malformed = f"index {path} header is malformed"
+    _check_fields(malformed, header, _HEADER_FIELDS)
+    _check_fields(f"{malformed}: stats", header["stats"], _STATS_FIELDS)
+    dimension, dtype = header["dimension"], header["dtype"]
+    if (dimension is None) != (dtype is None):  # a vector block needs both
+        raise FileCorrupt(f"{malformed}: dtype {dtype!r} is not " + (
+            f"one of {', '.join(VECTOR_DTYPES)}" if dtype is None else "null, as dimension is"))
+    index = CorpusIndex(meta=IndexMeta(header["created_at"], header["embedder_id"],
+                                       float(header["delta"])),
+                        stats=IndexStats(**header["stats"]), _path=path)
+    rows = index.stats.functions_kept
     block_dtype = np.dtype(dtype or "float64").newbyteorder("<")
     norms_size = 8 * rows if block_dtype.kind == "i" else 0
     cut = len(data) - block_dtype.itemsize * (dimension or 0) * rows - norms_size
@@ -553,9 +555,9 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise FileCorrupt(f"index {path} entry text is not UTF-8: {exc}") from exc
     if tail:
         raise FileCorrupt(f"index {path} has no line break before its vector block")
-    if len(lines) != stats.functions_kept + 1:
+    if len(lines) != rows + 1:
         raise FileCorrupt(
-            f"index {path} says functions_kept={stats.functions_kept} but holds "
+            f"index {path} says functions_kept={rows} but holds "
             f"{len(lines)} lines after its header, not that many entry lines and a key line")
     vectors = norms = None
     if dimension is not None:
@@ -576,7 +578,11 @@ def load_index(path: str | Path) -> CorpusIndex:
             finite = np.isfinite(vectors).all()
         if not finite:
             raise FileCorrupt(f"index {path} vectors hold non-finite values")
-    if hashlib.sha256(memoryview(data)[head_end + 1:]).hexdigest() != header.get("digest"):
+    # The digest, the header's last value, is of the file with its own 64
+    # digits, which end 2 bytes before the header line does, as zeros.
+    digest = hashlib.sha256(data[:head_end - 66] + b"0" * 64)
+    digest.update(memoryview(data)[head_end - 2:])
+    if digest.hexdigest() != header["digest"]:
         # Damage: report the first line that holds no entry, if there is one.
         for lineno, line in enumerate(lines[:-1], start=2):
             _entry_from_line(path, lineno, line, "", "")

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import shutil
 import socket
 import tarfile
@@ -76,6 +77,17 @@ def mistype(values: list, pos: int) -> list:
     return [*values[:pos], other, *values[pos + 1:]]
 
 
+# Well-formed edits of a saved index's header, by name: each maps the
+# header to the items that replace its own.
+HEADER_EDITS = {
+    "delta": lambda header: {"delta": 0.05},
+    "functions_seen": lambda header: {"stats": {
+        **header["stats"], "functions_seen": header["stats"]["functions_seen"] + 10}},
+    "created_at": lambda header: {"created_at": "2001-02-03T04:05:06+00:00"},
+    "embedder_id": lambda header: {"embedder_id": "other-embedder-v1"},
+}
+
+
 def split_index(path: Path) -> tuple[dict, list[str], bytes]:
     """(header, text lines, vector block) of a saved index; the last text
     line is the key line."""
@@ -85,13 +97,28 @@ def split_index(path: Path) -> tuple[dict, list[str], bytes]:
     return header, rest[:cut].decode("utf-8").splitlines(), rest[cut:]
 
 
+def restamp(data: bytes) -> bytes:
+    """data, the bytes of an index, with the header's digest recomputed:
+    the SHA-256 of the whole file with the digest's own value written as 64
+    zeros, which is the loader's digest where `digest` is the header's last
+    value, as save_index writes it. data is returned as it is if its header
+    holds no digest string."""
+    head_end = data.find(b"\n")
+    if head_end < 0:
+        return data
+
+    def stamp(digest: str) -> bytes:
+        return re.sub(rb'"digest": "[^"]*"', lambda _: f'"digest": "{digest}"'.encode(),
+                      data[:head_end], count=1) + data[head_end:]
+    return stamp(hashlib.sha256(stamp("0" * 64)).hexdigest())
+
+
 def rewrite_index(path: Path, entry=None, keys=None, **header) -> None:
-    """Edit the saved index at path and give it the digest of its new text
-    and vector block, so that only the loader's checks of the edited values
-    can refuse it. Entry line i + 2 becomes entry(i, its list of fields),
-    the key line keys(its list of pairs), and header's items update the
-    header; the result of an edit is written as compact JSON, or as it is
-    if it is RawJSON."""
+    """Edit the saved index at path and restamp its digest, so that only the
+    loader's checks of the edited values can refuse it. Entry line i + 2
+    becomes entry(i, its list of fields), the key line keys(its list of
+    pairs), and header's items update the header; the result of an edit is
+    written as compact JSON, or as it is if it is RawJSON."""
     def encode(value) -> str:
         return value if isinstance(value, RawJSON) else json.dumps(value, separators=(",", ":"))
 
@@ -101,9 +128,8 @@ def rewrite_index(path: Path, entry=None, keys=None, **header) -> None:
         lines = [encode(entry(pos, json.loads(line))) for pos, line in enumerate(lines)]
     if keys is not None:
         key_line = encode(keys(json.loads(key_line)))
-    text = "\n".join([*lines, key_line]).encode("utf-8") + b"\n"
-    head = {**head, **header, "digest": hashlib.sha256(text + block).hexdigest()}
-    path.write_bytes(json.dumps(head).encode("utf-8") + b"\n" + text + block)
+    text = "\n".join([json.dumps({**head, **header}), *lines, key_line]).encode("utf-8")
+    path.write_bytes(restamp(text + b"\n" + block))
 
 
 def make_archive(path: Path, files: dict[str, str]) -> Path:

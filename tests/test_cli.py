@@ -18,6 +18,7 @@ from helpers import (
     DEEP_JSON,
     ENTRY_FIELDS,
     FIXTURES,
+    HEADER_EDITS,
     TOO_DEEP,
     CannedHTTPServer,
     RawJSON,
@@ -481,7 +482,14 @@ class TestScanExitCodes:
         (b'["Judge"]', "is malformed: AttributeError"),
         (b'{"responses": [{"role": "Auditor"}]}', "is malformed: ValueError"),
         (DEEP_JSON.encode("utf-8"), f"is malformed: RecursionError('{TOO_DEEP}')\n"),
-    ], ids=["not_utf8", "truncated_json", "not_an_object", "unknown_role", "nested_too_deep"])
+        (b'{"defaults": {"Detector": 5}}',
+         "is malformed: TypeError('response 5 is not a string')\n"),
+        (b'{"defaults": {"Judge": null}}',
+         "is malformed: TypeError('response None is not a string')\n"),
+        (b'{"responses": [{"role": "Critic", "prompt_sha256": "ab", "response": ["x"]}]}',
+         "is malformed: TypeError(\"response ['x'] is not a string\")\n"),
+    ], ids=["not_utf8", "truncated_json", "not_an_object", "unknown_role", "nested_too_deep",
+            "int_default", "null_default", "list_response"])
     def test_bad_mock_fixture_is_format_error(self, tmp_path, capsys, data, message):
         index = _build_index(tmp_path, labels=True)
         capsys.readouterr()
@@ -539,6 +547,22 @@ class TestScanExitCodes:
         assert "header is malformed: embedder_id" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("edit", HEADER_EDITS.values(), ids=HEADER_EDITS)
+    def test_changed_header_value_is_format_error(self, tmp_path, capsys, edit):
+        """A well-formed header value changed under the saved digest stops
+        the scan with exit 3 and writes no report."""
+        index_path = _build_index(tmp_path, labels=True)
+        head, rest = index_path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        index_path.write_bytes(json.dumps({**header, **edit(header)}).encode("utf-8")
+                               + b"\n" + rest)
+        capsys.readouterr()
+        code, report = _scan(tmp_path, index=index_path)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"simaudit: index {index_path} does not match the header's digest\n")
+        assert not report.exists()
+
     def test_format_1_index_is_refused_with_a_rebuild_hint(self, tmp_path, capsys):
         index_path = _build_index(tmp_path)
         vectors = load_index(index_path).rows()
@@ -558,7 +582,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 1, this build reads format 8" in err
+        assert "is format 1, this build reads format 9" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -579,7 +603,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 4, this build reads format 8" in err
+        assert "is format 4, this build reads format 9" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -599,7 +623,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 5, this build reads format 8" in err
+        assert "is format 5, this build reads format 9" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -623,7 +647,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 7, this build reads format 8" in err
+        assert "is format 7, this build reads format 9" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -667,10 +691,11 @@ class TestScanExitCodes:
 
     @pytest.mark.parametrize("data", [
         b'{"format_version": 2}\n\xff\xfe\n',
-        b'{"format_version": 8, "embedder_id": null, "delta": 0.65, "created_at": "t", '
-        b'"stats": {"functions_kept": 1}, "dimension": null, "dtype": null, "digest": ""}'
+        b'{"format_version": 9, "embedder_id": null, "delta": 0.65, "created_at": "t", '
+        b'"stats": {"files_seen": 1, "functions_seen": 1, "functions_kept": 1}, '
+        b'"dimension": null, "dtype": null, "digest": "' + b"0" * 64 + b'"}'
         b'\n\xff\xfe\n[]\n',
-        b'{"format_version": 8, "created_at": "\xff\xfe"}\n',
+        b'{"format_version": 9, "created_at": "\xff\xfe"}\n',
     ], ids=["format_2_header", "format_4_entry", "format_4_header"])
     def test_index_that_is_not_utf8_is_format_error(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.jsonl"

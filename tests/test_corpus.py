@@ -23,6 +23,7 @@ from helpers import (
     DEEP_JSON,
     ENTRY_FIELDS,
     FIXTURES,
+    HEADER_EDITS,
     TOO_DEEP,
     CannedHTTPServer,
     RawJSON,
@@ -424,7 +425,7 @@ class TestPersistence:
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["format_version"] == FORMAT_VERSION == 8
+        assert header["format_version"] == FORMAT_VERSION == 9
         assert list(header) == ["format_version", "embedder_id", "delta",
                                 "created_at", "stats", "dimension", "dtype", "digest"]
         assert header["stats"]["functions_kept"] == len(index.entries)
@@ -497,12 +498,21 @@ class TestPersistence:
         ("embedder_id", 5), ("embedder_id", ["fallback-trigram-v1"]), ("embedder_id", True),
         ("format_version", float(FORMAT_VERSION)), ("format_version", 3.0),
         ("format_version", str(FORMAT_VERSION)),
+        *(("stats", {"files_seen": 1, "functions_seen": 3, **count})
+          for count in ({"functions_kept": "3"}, {"functions_kept": True},
+                        {"functions_kept": 3.0}, {"functions_kept": -3},
+                        {"functions_kept": 3, "extra": 0})),
+        ("digest", "0" * 63), ("digest", "0" * 65), ("digest", "A" * 64),
+        ("digest", "g" * 64), ("digest", 5),
     ], ids=["delta_true", "delta_string", "delta_null", "delta_list", "delta_huge",
             "delta_nan", "delta_inf", "delta_minus_inf",
             "created_at_number", "created_at_null", "created_at_list",
             "kept_string", "kept_true", "kept_float", "kept_fraction", "files_negative",
             "seen_null", "embedder_number", "embedder_list", "embedder_true",
-            "version_float", "version_3_float", "version_string"])
+            "version_float", "version_3_float", "version_string",
+            "all_counts_kept_string", "all_counts_kept_true", "all_counts_kept_float",
+            "all_counts_kept_negative", "all_counts_and_another_key",
+            "digest_short", "digest_long", "digest_upper", "digest_not_hex", "digest_number"])
     def test_mistyped_header_field_is_file_corrupt(self, tmp_path, field, value):
         path = tmp_path / "idx.jsonl"
         save_index(_labeled_index(), path)
@@ -515,11 +525,69 @@ class TestPersistence:
     def test_integer_delta_loads_as_float(self, tmp_path):
         path = tmp_path / "idx.jsonl"
         save_index(_labeled_index(), path)
-        header, *entries = path.read_text().splitlines()
-        header = {**json.loads(header), "delta": 1}
-        path.write_text("\n".join([json.dumps(header), *entries]) + "\n")
+        rewrite_index(path, delta=1)
         delta = load_index(path).meta.delta
         assert delta == 1.0 and type(delta) is float
+
+    @pytest.mark.parametrize("edit", HEADER_EDITS.values(), ids=HEADER_EDITS)
+    def test_changed_header_value_is_a_digest_mismatch(self, tmp_path, edit):
+        """The digest covers the header: a well-formed value changed under
+        the saved digest is refused."""
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        header, entries, block = split_index(path)
+        assert header["delta"] == 0.65
+        _write_index(path, {**header, **edit(header)}, entries, block)
+        with pytest.raises(FileCorrupt, match="does not match the header's digest"):
+            load_index(path)
+
+    @pytest.mark.parametrize("edit", HEADER_EDITS.values(), ids=HEADER_EDITS)
+    def test_restamped_header_edit_loads_with_its_value(self, tmp_path, edit):
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        header = split_index(path)[0]
+        items = edit(header)
+        rewrite_index(path, **items)
+        header = {**header, **items}
+        index = load_index(path)
+        assert (index.meta.delta, index.meta.created_at, index.meta.embedder_id,
+                vars(index.stats)) == (header["delta"], header["created_at"],
+                                       header["embedder_id"], header["stats"])
+
+    @pytest.mark.parametrize("key", [*corpus._HEADER_FIELDS,
+                                     *(f"stats.{name}" for name in corpus._STATS_FIELDS)])
+    def test_header_without_a_key_is_file_corrupt(self, tmp_path, key):
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        header, entries, block = split_index(path)
+        *inner, name = key.split(".")
+        del (header["stats"] if inner else header)[name]
+        _write_index(path, header, entries, block)
+        with pytest.raises(FileCorrupt, match=re.escape(
+                f"header is malformed: {'stats: ' if inner else ''}no '{name}'")):
+            load_index(path)
+
+    @pytest.mark.parametrize("kind", ["unembedded", "fallback"])
+    def test_header_keys_are_the_header_table_in_order(self, tmp_path, kind):
+        """save_index writes, and load_index checks, the same header keys."""
+        path = tmp_path / "idx.jsonl"
+        save_index(_labeled_index() if kind == "unembedded" else _fallback_index(), path)
+        header = split_index(path)[0]
+        assert list(header) == list(corpus._HEADER_FIELDS)
+        assert list(header["stats"]) == list(corpus._STATS_FIELDS)
+
+    def test_format_8_index_is_refused_with_a_rebuild_hint(self, tmp_path):
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        head, rest = path.read_bytes().split(b"\n", 1)
+        # Format 8 wrote the same header, its digest over all after the header line.
+        header = {**json.loads(head), "format_version": 8,
+                  "digest": hashlib.sha256(rest).hexdigest()}
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + rest)
+        with pytest.raises(FormatVersionMismatch,
+                           match="is format 8, this build reads format 9; "
+                                 "rebuild it with `simaudit index`"):
+            load_index(path)
 
     def test_future_format_version(self, tmp_path):
         path = tmp_path / "idx.jsonl"
@@ -620,7 +688,7 @@ class TestPersistence:
             index.vectors.astype("<f8").tobytes()).decode("ascii")}
         _write_index(path, header, entries)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 2, this build reads format 8; "
+                           match="is format 2, this build reads format 9; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -633,7 +701,7 @@ class TestPersistence:
         _write_index(path, {**header, "format_version": 6,
                             "digest": hashlib.sha256(text).hexdigest()}, entries, block)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 6, this build reads format 8; "
+                           match="is format 6, this build reads format 9; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -646,7 +714,7 @@ class TestPersistence:
         _write_index(path, {**header, "format_version": 5}, entries,
                      index.rows().astype("<f8").tobytes())
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 5, this build reads format 8; "
+                           match="is format 5, this build reads format 9; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
