@@ -161,11 +161,11 @@ def _reference_block(task: DetectionTask) -> str:
     for i, tm in enumerate(task.matches, start=1):
         entry, match = tm.entry, tm.match
         header = (f"--- reference {i}: {entry.package}@{entry.version} "
-                  f"{entry.unit.name} (similarity {match.similarity:.4f}, {entry.label.value})")
+                  f"{entry.name} (similarity {match.similarity:.4f}, {entry.label.value})")
         if entry.label is Label.VULNERABLE and entry.vuln_note:
             header += f", known issue: {entry.vuln_note}"
         lines.append(header)
-        lines.append(entry.unit.raw_source.strip())
+        lines.append(entry.raw_source.strip())
     return "\n".join(lines) + "\n"
 
 
@@ -199,6 +199,15 @@ def assemble_prompt(role: Role, task: DetectionTask,
 _FENCE_RE = re.compile(r"```(?:json)?[ \t]*\r?\n(.*?)```", re.DOTALL)
 
 _CONFIDENCE_VALUES = {c.value for c in Confidence}
+# The keys each role's reply must hold, with the type of each, in the order
+# parse_verdict checks them.
+_REPLY_KEYS = {
+    Role.DETECTOR: {"findings": list},
+    Role.CRITIC: {"rebuttals": list},
+    Role.SUPPORTER: {"assessment": str},
+    Role.JUDGE: {"is_vulnerable": bool, "vuln_type": str, "explanation": str,
+                 "confidence": str},
+}
 
 
 def parse_verdict(raw: str, role: Role) -> dict:
@@ -210,25 +219,13 @@ def parse_verdict(raw: str, role: Role) -> dict:
         f"{role.value} response is not valid JSON: {exc}", raw=raw))
     if not isinstance(payload, dict):
         raise ParseError(f"{role.value} response must be a JSON object", raw=raw)
-
-    def need(key, typ=None):
+    for key, typ in _REPLY_KEYS[role].items():
         if key not in payload:
             raise ParseError(f"{role.value} response is missing {key!r}", raw=raw)
-        if typ is not None and not isinstance(payload[key], typ):
+        if not isinstance(payload[key], typ):
             raise ParseError(f"{role.value} response field {key!r} has the wrong type",
                              raw=raw)
-
-    if role is Role.DETECTOR:
-        need("findings", list)
-    elif role is Role.CRITIC:
-        need("rebuttals", list)
-    elif role is Role.SUPPORTER:
-        need("assessment", str)
-    else:
-        need("is_vulnerable", bool)
-        need("vuln_type", str)
-        need("explanation", str)
-        need("confidence", str)
+    if role is Role.JUDGE:
         if payload["confidence"] not in _CONFIDENCE_VALUES:
             raise ParseError(
                 f"Judge confidence must be one of {sorted(_CONFIDENCE_VALUES)}", raw=raw)

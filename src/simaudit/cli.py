@@ -136,7 +136,7 @@ def cmd_index(args) -> int:
         print(f"simaudit: archive directory not found: {archives_dir}", file=sys.stderr)
         return EXIT_IO
     archives = sorted(p for p in archives_dir.iterdir()
-                      if p.name.endswith((".tgz", ".tar.gz")))
+                      if p.name.endswith((".tgz", ".tar.gz")) and p.is_file())
     index = new_index(delta=args.delta)
     for archive in archives:
         package, version = _package_version(archive)

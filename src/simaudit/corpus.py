@@ -1,23 +1,23 @@
 """Reference corpus: archive ingestion, vulnerability labels, persistence.
 
-An index (format 9) is JSON text followed by raw bytes. Line one is a JSON
+An index (format 10) is JSON text followed by raw bytes. Line one is a JSON
 header carrying the format version, the embedder id, the similarity
 threshold the index was built for, a creation timestamp, ingestion stats,
 the embedding `dimension` and vector block `dtype` (both null before
 embedding) and, last, `digest`: the SHA-256 hex of the whole file, header
 and vector block included, with the digest's own 64 digits taken as zeros.
-Lines 2 to n+1 hold one entry each, a compact JSON array of its 12 fields in
-the order of _ENTRY_FIELDS: package, version, label, vuln_note, then the
-unit's unit_id, kind, name, contract, file_path, raw_source, declared_calls
-and source_span. The entry id, content hash and normalized source are not on
-it; line n+2, the key line, is a compact JSON array of [entry_id,
-content_hash] pairs in entry order. The normalized source is derived from
-the raw source where it is read (CorpusIndex.normalized_source): for each
-find_clone hash hit, and for every entry when a loaded index is embedded. In
-an embedded index the key line's newline is followed directly by the vector
-block, little-endian and row-major, row i for entry line i + 2, and nothing
-after it, so the file is not pure JSON Lines, though its first line is still
-the header. The block is the matrix as CorpusIndex keeps it: the fallback
+Lines 2 to n+1 hold one entry each, a compact JSON array of its 6 fields in
+the order of _ENTRY_FIELDS: package, version, label, vuln_note, name and
+raw_source. The entry id, content hash and normalized source are not on it;
+line n+2, the key line, is a compact JSON array of [entry_id, content_hash]
+pairs in entry order. The entry id keeps the unit's provenance, its file,
+contract and ordinal. The normalized source is derived from the raw source
+where it is read (CorpusIndex.normalized_source): for each find_clone hash
+hit, and for every entry when a loaded index is embedded. In an embedded
+index the key line's newline is followed directly by the vector block,
+little-endian and row-major, row i for entry line i + 2, and nothing after
+it, so the file is not pure JSON Lines, though its first line is still the
+header. The block is the matrix as CorpusIndex keeps it: the fallback
 embedder's integer sums as `dimension` x `stats.functions_kept` values of
 the narrowest signed type that holds them, which `dtype` names (int8 to
 int64), then one float64 norm per row; or float64 rows, `dtype` float64.
@@ -32,7 +32,7 @@ file corrupt. It copies the block out as stored, so no float64 matrix is
 built from sums. It then hashes the file and parses only the key line, whose
 pairs must be two strings each: an entry is parsed the first time a scan
 touches it (a find_clone hash hit, entry_by_id or reading entries), and a
-line that is not a list of the 12 fields, each of its type, is corrupt. If
+line that is not a list of the 6 fields, each of its type, is corrupt. If
 the hash does not match the digest, every entry line is parsed at load
 instead, so a damaged line is reported by its number; if they all parse, the
 mismatch itself is reported. Either way the load fails with FileCorrupt, as
@@ -68,12 +68,12 @@ from .errors import (
     SourceError,
     decode_json,
 )
-from .extract import FunctionUnit, UnitKind, extract_units, normalize
+from .extract import FunctionUnit, extract_units, normalize
 from .simindex import DEFAULT_DELTA, narrowest_int
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 # The element types a vector block may name in the header's dtype.
 VECTOR_DTYPES = ("int8", "int16", "int32", "int64", "float64")
 # Encodes entry and key lines: JSON with no space after "," or ":".
@@ -89,12 +89,24 @@ class Label(str, Enum):
 
 @dataclass
 class CorpusEntry:
+    """One function of the reference corpus, as much of it as a scan reads.
+
+    entry_id is `<package>@<version>/<file>::<contract>::<name>#<ordinal>`,
+    the unit's provenance. normalized_source is normalize(raw_source). An
+    index file does not store it, so it is None on an entry read back from
+    one; it takes no part in == or repr, and CorpusIndex.normalized_source
+    derives it where it is read.
+    """
+
     entry_id: str
-    unit: FunctionUnit
     package: str
     version: str
+    name: str
+    raw_source: str
+    content_hash: str
     label: Label = Label.CLEAN
     vuln_note: str | None = None
+    normalized_source: str | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -178,14 +190,13 @@ class CorpusIndex:
                 suffix += 1
             log.warning("entry id collision for %s, keeping both", entry_id)
             entry_id = f"{entry_id}~{suffix}"
-        self._append(CorpusEntry(entry_id=entry_id, unit=unit,
-                                 package=package, version=version))
+        self._add_key(entry_id, unit.content_hash)
+        self.entries.append(CorpusEntry(
+            entry_id=entry_id, package=package, version=version, name=unit.name,
+            raw_source=unit.raw_source, content_hash=unit.content_hash,
+            normalized_source=unit.normalized_source))
         self.stats.functions_kept = len(self.entries)
         return True
-
-    def _append(self, entry: CorpusEntry) -> None:
-        self._add_key(entry.entry_id, entry.unit.content_hash)
-        self.entries.append(entry)
 
     def _add_key(self, entry_id: str, content_hash: str) -> None:
         """Make the next entry position findable by id and by hash."""
@@ -206,11 +217,11 @@ class CorpusIndex:
         """The normalized source of entries[pos]. An entry read from an index
         file carries none, so it is derived from its raw source on each call;
         raw source that does not normalize makes the file corrupt."""
-        unit = self.entries[pos].unit
-        if unit.normalized_source is not None:
-            return unit.normalized_source
+        entry = self.entries[pos]
+        if entry.normalized_source is not None:
+            return entry.normalized_source
         try:
-            return normalize(unit.raw_source)
+            return normalize(entry.raw_source)
         except SourceError as exc:
             raise FileCorrupt(f"index {self._path} line {pos + 2}: {exc}") from exc
 
@@ -331,9 +342,9 @@ def apply_labels(index: CorpusIndex, labels_path: str | Path) -> LabelReport:
             raise LabelFileMalformed(f"line {lineno}: vulnerable rows need a note")
         hits = []
         for entry in releases.get((row.package, row.version), ()):
-            if row.match_kind == "name" and entry.unit.name != row.match_value:
+            if row.match_kind == "name" and entry.name != row.match_value:
                 continue
-            if row.match_kind == "hash" and entry.unit.content_hash != row.match_value:
+            if row.match_kind == "hash" and entry.content_hash != row.match_value:
                 continue
             entry.label = Label.VULNERABLE
             entry.vuln_note = row.note
@@ -352,7 +363,6 @@ def _is_str(value) -> bool:
 _STRING = (_is_str, "a string")
 _STRING_OR_NULL = (lambda v: v is None or type(v) is str, "a string or null")
 _LABELS = frozenset(label.value for label in Label)
-_KINDS = frozenset(kind.value for kind in UnitKind)
 # The fields of a header, of its stats and of an entry line, in the order
 # save_index writes them, each with the test its value must pass and, for
 # the message when it does not, what that test asks for.
@@ -377,15 +387,8 @@ _ENTRY_FIELDS = {
     "version": _STRING,
     "label": (lambda v: type(v) is str and v in _LABELS, "a label"),
     "vuln_note": _STRING_OR_NULL,
-    "unit_id": _STRING,
-    "kind": (lambda v: type(v) is str and v in _KINDS, "a unit kind"),
     "name": _STRING,
-    "contract": _STRING,
-    "file_path": _STRING,
     "raw_source": _STRING,
-    "declared_calls": (lambda v: type(v) is list and all(map(_is_str, v)), "a list of strings"),
-    "source_span": (lambda v: type(v) is list and len(v) == 2
-                    and type(v[0]) is int and type(v[1]) is int, "two integers"),
 }
 
 
@@ -408,15 +411,10 @@ def _entry_from_line(path, lineno: int, line: str, entry_id: str,
     fields = decode_json(line, lambda exc: FileCorrupt(f"{where}: {exc}"))
     if type(fields) is not list or len(fields) != len(_ENTRY_FIELDS):
         raise FileCorrupt(f"{where}: not a list of the {len(_ENTRY_FIELDS)} entry fields")
-    _check_fields(where, dict(zip(_ENTRY_FIELDS, fields)), _ENTRY_FIELDS)
-    (package, version, label, vuln_note, unit_id, kind, name, contract, file_path,
-     raw_source, declared_calls, (start, end)) = fields
-    unit = FunctionUnit(unit_id=unit_id, kind=UnitKind(kind), name=name, contract=contract,
-                        file_path=file_path, raw_source=raw_source, normalized_source=None,
-                        content_hash=content_hash, declared_calls=tuple(declared_calls),
-                        source_span=(start, end))
-    return CorpusEntry(entry_id=entry_id, unit=unit, package=package, version=version,
-                       label=Label(label), vuln_note=vuln_note)
+    record = dict(zip(_ENTRY_FIELDS, fields))
+    _check_fields(where, record, _ENTRY_FIELDS)
+    record["label"] = Label(record["label"])
+    return CorpusEntry(entry_id=entry_id, content_hash=content_hash, **record)
 
 
 def read_text(path: str | Path, what: str) -> str:
@@ -492,15 +490,11 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         f.write(placeholder)
         keys = []
         for entry in index.entries:
-            # _ENTRY_FIELDS in order; the content hash goes to the key line,
-            # and the normalized source is not stored.
-            unit = entry.unit
-            keys.append((entry.entry_id, unit.content_hash))
-            line = _compact_json([
-                entry.package, entry.version, entry.label.value, entry.vuln_note,
-                unit.unit_id, unit.kind.value, unit.name, unit.contract, unit.file_path,
-                unit.raw_source, unit.declared_calls, unit.source_span,
-            ]).encode("utf-8") + b"\n"
+            # The content hash goes to the key line, and the normalized
+            # source is not stored; a Label encodes as its value.
+            keys.append((entry.entry_id, entry.content_hash))
+            line = _compact_json([getattr(entry, key) for key in _ENTRY_FIELDS]
+                                 ).encode("utf-8") + b"\n"
             digest.update(line)
             f.write(line)
         line = _compact_json(keys).encode("utf-8") + b"\n"

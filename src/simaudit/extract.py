@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count
 
@@ -83,12 +83,7 @@ _UNIT_KEYWORDS = frozenset(_KIND_BY_KEYWORD)
 
 @dataclass(frozen=True)
 class FunctionUnit:
-    """One extracted function, modifier, constructor, fallback, or receive.
-
-    normalized_source is normalize(raw_source). An index file does not store
-    it, so it is None on a unit read back from one; it takes no part in ==
-    or repr, and CorpusIndex.normalized_source derives it where it is read.
-    """
+    """One extracted function, modifier, constructor, fallback, or receive."""
 
     unit_id: str
     kind: UnitKind
@@ -96,7 +91,7 @@ class FunctionUnit:
     contract: str
     file_path: str
     raw_source: str
-    normalized_source: str | None = field(compare=False, repr=False)
+    normalized_source: str
     content_hash: str
     declared_calls: tuple[str, ...]
     source_span: tuple[int, int]

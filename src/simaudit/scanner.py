@@ -261,10 +261,7 @@ def _assemble(inputs, graph, schedule, records, transcripts) -> dict:
         },
         "callgraph": {
             "edges": sorted([caller, callee] for caller, callee in graph.edges),
-            "unresolved": [
-                {"caller_id": u.caller_id, "name": u.name, "reason": u.reason}
-                for u in graph.unresolved
-            ],
+            "unresolved": [_record(u) for u in graph.unresolved],
             "self_recursive": list(graph.self_recursive),
         },
         "units": units,

@@ -48,15 +48,18 @@ def vector_block_size(header: dict) -> int:
 
 
 # The fields of an index entry line, in order.
-ENTRY_FIELDS = ("package", "version", "label", "vuln_note", "unit_id", "kind", "name",
-                "contract", "file_path", "raw_source", "declared_calls", "source_span")
+ENTRY_FIELDS = ("package", "version", "label", "vuln_note", "name", "raw_source")
 
 
 def entry_record(fields: list) -> dict:
     """The object that format 7 and earlier wrote for an entry line's fields:
-    package, version, label and vuln_note, then the unit's fields under "unit"."""
-    record = dict(zip(ENTRY_FIELDS, fields))
-    return {**{key: record.pop(key) for key in ENTRY_FIELDS[:4]}, "unit": record}
+    package, version, label and vuln_note, then the unit's fields under "unit".
+    The unit fields that format 10 no longer stores get fixed placeholders."""
+    package, version, label, vuln_note, name, raw_source = fields
+    return {"package": package, "version": version, "label": label, "vuln_note": vuln_note,
+            "unit": {"unit_id": f"f.sol::C::{name}#0", "kind": "function", "name": name,
+                     "contract": "C", "file_path": "f.sol", "raw_source": raw_source,
+                     "declared_calls": [], "source_span": [0, len(raw_source)]}}
 
 
 # JSON nested past the interpreter's recursion limit: json.loads raises

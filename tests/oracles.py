@@ -366,9 +366,9 @@ def reference_label_hits(entries, row) -> list[str]:
     for entry in entries:
         if entry.package != row.package or entry.version != row.version:
             continue
-        if row.match_kind == "name" and entry.unit.name != row.match_value:
+        if row.match_kind == "name" and entry.name != row.match_value:
             continue
-        if row.match_kind == "hash" and entry.unit.content_hash != row.match_value:
+        if row.match_kind == "hash" and entry.content_hash != row.match_value:
             continue
         hits.append(entry.entry_id)
     return hits

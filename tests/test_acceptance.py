@@ -132,7 +132,7 @@ def _dedup_archives(tmp_path):
 
 
 def _entry_snapshot(index):
-    return [(e.entry_id, e.unit.content_hash, e.package, e.version, e.label)
+    return [(e.entry_id, e.content_hash, e.package, e.version, e.label)
             for e in index.entries]
 
 

@@ -56,10 +56,10 @@ GOOD_DEFAULTS = {Role.DETECTOR: DET, Role.CRITIC: CRI,
 
 def _entry(entry_id="pkg@1.0/ref.sol::T::f#0", label=Label.CLEAN, note=None,
            body="function f() public { a(); }"):
-    return CorpusEntry(entry_id=entry_id,
-                       unit=mk_unit("ref.sol::T::f#0", file_path="ref.sol",
-                                    contract="T", body=body),
-                       package="pkg", version="1.0", label=label, vuln_note=note)
+    unit = mk_unit("ref.sol::T::f#0", file_path="ref.sol", contract="T", body=body)
+    return CorpusEntry(entry_id=entry_id, package="pkg", version="1.0", name=unit.name,
+                       raw_source=unit.raw_source, content_hash=unit.content_hash,
+                       label=label, vuln_note=note)
 
 
 def _match(entry, similarity=0.9, category=Category.SIMILAR):
@@ -147,7 +147,7 @@ class TestPromptAssembly:
             Role.DETECTOR,
             _task(category=Category.DISSIMILAR, matches=(_match(entry, 0.2),)))
         assert "Reference implementations" not in text
-        assert entry.unit.raw_source not in text
+        assert entry.raw_source not in text
         assert entry.entry_id.split("/")[0] not in text   # no pkg@version line
 
     def test_no_matches_gets_no_references(self):
@@ -181,7 +181,7 @@ class TestPromptAssembly:
         priors = {Role.DETECTOR: "D", Role.CRITIC: "C", Role.SUPPORTER: "S"}
         judge = assemble_prompt(Role.JUDGE, task, priors)
         assert task.unit.raw_source.strip() in judge
-        assert entry.unit.raw_source not in judge
+        assert entry.raw_source not in judge
         assert "known issue text" not in judge
         assert "Reference implementations" not in judge
 
@@ -234,6 +234,36 @@ class TestParseVerdict:
             parse_verdict('```json\n{"findings": "not a list"}\n```', Role.DETECTOR)
         with pytest.raises(ParseError):
             parse_verdict('```json\n{"assessment": 3}\n```', Role.SUPPORTER)
+
+    @pytest.mark.parametrize("role, payload, message", [
+        (Role.DETECTOR, {}, "Detector response is missing 'findings'"),
+        (Role.DETECTOR, {"findings": {}}, "Detector response field 'findings' has the wrong type"),
+        (Role.CRITIC, {"findings": []}, "Critic response is missing 'rebuttals'"),
+        (Role.SUPPORTER, {"assessment": []},
+         "Supporter response field 'assessment' has the wrong type"),
+        (Role.JUDGE, {"confidence": 5}, "Judge response is missing 'is_vulnerable'"),
+        (Role.JUDGE, {"is_vulnerable": 1},
+         "Judge response field 'is_vulnerable' has the wrong type"),
+        (Role.JUDGE, {"is_vulnerable": True, "explanation": 5},
+         "Judge response is missing 'vuln_type'"),
+        (Role.JUDGE, {"is_vulnerable": True, "vuln_type": "t", "explanation": 5},
+         "Judge response field 'explanation' has the wrong type"),
+        (Role.JUDGE, {"is_vulnerable": True, "vuln_type": "t", "explanation": "e"},
+         "Judge response is missing 'confidence'"),
+        (Role.JUDGE, {"is_vulnerable": True, "vuln_type": "t", "explanation": "e",
+                      "confidence": "Sure"},
+         "Judge confidence must be one of ['High', 'Low', 'Medium']"),
+        (Role.JUDGE, {"is_vulnerable": True, "vuln_type": "t", "explanation": " ",
+                      "confidence": "Low"},
+         "Judge found a vulnerability but gave no explanation"),
+    ])
+    def test_first_failed_reply_check_names_itself(self, role, payload, message):
+        """Each role's keys are checked in order, so the message names the
+        first key that is missing or of the wrong type."""
+        raw = "```json\n" + json.dumps(payload) + "\n```"
+        with pytest.raises(ParseError) as exc:
+            parse_verdict(raw, role)
+        assert str(exc.value) == message and exc.value.raw == raw
 
     def test_judge_validation(self):
         ok = parse_verdict(JUD, Role.JUDGE)

@@ -86,15 +86,21 @@ class TestIndexCommand:
         out = _build_index(tmp_path)
         assert capsys.readouterr().out == "files=1 functions_seen=3 functions_kept=3\n"
         index = load_index(out)
-        names = sorted(e.unit.name for e in index.entries)
+        names = sorted(e.name for e in index.entries)
         assert names == ["_approve", "_transfer", "transferFrom"]
         assert index.meta.embedder_id == "fallback-trigram-v1"
         assert index.vectors.shape == (len(index.entries), 384)
 
+    def test_directory_named_like_an_archive_is_skipped(self, tmp_path, capsys):
+        (tmp_path / "archives" / "weird-1.0.tgz").mkdir(parents=True)
+        out = _build_index(tmp_path)
+        assert capsys.readouterr().out == "files=1 functions_seen=3 functions_kept=3\n"
+        assert {e.package for e in load_index(out).entries} == {"tokenlib"}
+
     def test_labels_are_applied(self, tmp_path):
         out = _build_index(tmp_path, labels=True)
         index = load_index(out)
-        by_name = {e.unit.name: e for e in index.entries}
+        by_name = {e.name: e for e in index.entries}
         assert by_name["transferFrom"].label is Label.VULNERABLE
         assert by_name["transferFrom"].vuln_note == "allowance handling is delicate here"
         assert by_name["_transfer"].label is Label.CLEAN
@@ -582,7 +588,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 1, this build reads format 9" in err
+        assert "is format 1, this build reads format 10" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -603,7 +609,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 4, this build reads format 9" in err
+        assert "is format 4, this build reads format 10" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -623,14 +629,13 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 5, this build reads format 9" in err
+        assert "is format 5, this build reads format 10" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
     def test_indexed_source_that_does_not_normalize_is_format_error(self, tmp_path, capsys):
         index_path = _build_index(tmp_path)
-        rewrite_index(index_path, lambda pos, fields: [*fields[:9], 'function f() { "x }',
-                                                       *fields[10:]])
+        rewrite_index(index_path, lambda pos, fields: [*fields[:5], 'function f() { "x }'])
         code = main(["scan", "--input", str(_target_dir(tmp_path)),
                      "--index", str(index_path), "--provider", "mock",
                      "--report", str(tmp_path / "r.json")])
@@ -647,7 +652,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 7, this build reads format 9" in err
+        assert "is format 7, this build reads format 10" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -691,11 +696,11 @@ class TestScanExitCodes:
 
     @pytest.mark.parametrize("data", [
         b'{"format_version": 2}\n\xff\xfe\n',
-        b'{"format_version": 9, "embedder_id": null, "delta": 0.65, "created_at": "t", '
+        b'{"format_version": 10, "embedder_id": null, "delta": 0.65, "created_at": "t", '
         b'"stats": {"files_seen": 1, "functions_seen": 1, "functions_kept": 1}, '
         b'"dimension": null, "dtype": null, "digest": "' + b"0" * 64 + b'"}'
         b'\n\xff\xfe\n[]\n',
-        b'{"format_version": 9, "created_at": "\xff\xfe"}\n',
+        b'{"format_version": 10, "created_at": "\xff\xfe"}\n',
     ], ids=["format_2_header", "format_4_entry", "format_4_header"])
     def test_index_that_is_not_utf8_is_format_error(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.jsonl"

@@ -143,9 +143,9 @@ class TestIngest:
         })
         index = new_index()
         ingest_archive(index, arch, "lib", "1.0")
-        before = [(e.entry_id, e.unit.content_hash, e.package) for e in index.entries]
+        before = [(e.entry_id, e.content_hash, e.package) for e in index.entries]
         ingest_archive(index, arch, "lib", "1.0")
-        after = [(e.entry_id, e.unit.content_hash, e.package) for e in index.entries]
+        after = [(e.entry_id, e.content_hash, e.package) for e in index.entries]
         assert before == after
         assert index.stats.functions_kept == len(before)
 
@@ -178,7 +178,7 @@ class TestIngest:
         index = new_index()
         with caplog.at_level(logging.WARNING):
             ingest_archive(index, arch, "lib", "1")
-        assert [e.unit.file_path for e in index.entries] == ["good.sol"]
+        assert [e.entry_id for e in index.entries] == ["lib@1/good.sol::A::f#0"]
         assert any("bad.sol" in r.message for r in caplog.records)
 
     def test_file_that_is_not_utf8_skipped_with_warning(self, tmp_path, caplog):
@@ -193,7 +193,7 @@ class TestIngest:
         index = new_index()
         with caplog.at_level(logging.WARNING):
             ingest_archive(index, arch, "lib", "1")
-        assert [e.unit.file_path for e in index.entries] == ["good.sol"]
+        assert [e.entry_id for e in index.entries] == ["lib@1/good.sol::A::f#0"]
         assert index.stats.files_seen == 2
         assert index.stats.functions_seen == 1
         offset = len(b'contract L { function f() public { s = "caf')
@@ -302,7 +302,7 @@ class TestLabels:
         index = _labeled_index()
         target = index.entries[1]
         path = _write_labels(tmp_path, [
-            f"tok,1.0,hash,{target.unit.content_hash},burn skips allowance"])
+            f"tok,1.0,hash,{target.content_hash},burn skips allowance"])
         report = apply_labels(index, path)
         assert report.applied[0][1] == [target.entry_id]
         assert target.label is Label.VULNERABLE
@@ -312,8 +312,7 @@ class TestLabels:
         _ = apply_labels(index, _write_labels(tmp_path, ["tok,1.0,name,mint,bad"]))
         entry = index.entries[0]
         assert entry.label is Label.VULNERABLE
-        assert index.find_clone(entry.unit.normalized_source,
-                                entry.unit.content_hash) is entry
+        assert index.find_clone(entry.normalized_source, entry.content_hash) is entry
 
     def test_unmatched_rows_reported_not_fatal(self, tmp_path):
         index = _labeled_index()
@@ -367,7 +366,7 @@ class TestLabels:
                                  package, version)
         burn = index.entry_by_id("vault@2.0/a.sol::T::burn#0")
         rows = ["tok,1.0,name,mint,m1", "vault,2.0,name,mint,m2", "tok,2.0,name,burn,b",
-                f"vault,2.0,hash,{burn.unit.content_hash},h", f"tok,1.0,hash,{burn.unit.content_hash},x",
+                f"vault,2.0,hash,{burn.content_hash},h", f"tok,1.0,hash,{burn.content_hash},x",
                 "tok,3.0,name,mint,no such version", "vault,1.0,name,missing,no such unit"]
         want = [(row, oracles.reference_label_hits(index.entries, row))
                 for row in (LabelRow(*line.split(",")) for line in rows)]
@@ -425,7 +424,7 @@ class TestPersistence:
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["format_version"] == FORMAT_VERSION == 9
+        assert header["format_version"] == FORMAT_VERSION == 10
         assert list(header) == ["format_version", "embedder_id", "delta",
                                 "created_at", "stats", "dimension", "dtype", "digest"]
         assert header["stats"]["functions_kept"] == len(index.entries)
@@ -452,10 +451,9 @@ class TestPersistence:
         header, first, *_, keys = path.read_text().splitlines()
         assert list(json.loads(header)["stats"]) == [
             "files_seen", "functions_seen", "functions_kept"]
-        assert first == ('["tok","1.0","clean",null,"a.sol::Token::mint#0","function","mint",'
-                         '"Token","a.sol","function mint() public { /* a.sol::Token::mint#0 */ }",'
-                         '[],[0,53]]')
-        assert keys == json.dumps([[e.entry_id, e.unit.content_hash] for e in index.entries],
+        assert first == ('["tok","1.0","clean",null,"mint",'
+                         '"function mint() public { /* a.sol::Token::mint#0 */ }"]')
+        assert keys == json.dumps([[e.entry_id, e.content_hash] for e in index.entries],
                                   separators=(",", ":"))
 
     def test_empty_file(self, tmp_path):
@@ -585,7 +583,20 @@ class TestPersistence:
                   "digest": hashlib.sha256(rest).hexdigest()}
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + rest)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 8, this build reads format 9; "
+                           match="is format 8, this build reads format 10; "
+                                 "rebuild it with `simaudit index`"):
+            load_index(path)
+
+    def test_format_9_index_is_refused_with_a_rebuild_hint(self, tmp_path):
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        # Format 9 wrote the unit's id, kind, contract, file path, declared
+        # calls and source span on each entry line as well.
+        rewrite_index(path, lambda pos, fields: [
+            *fields[:4], *entry_record(fields)["unit"].values()], format_version=9)
+        assert len(json.loads(split_index(path)[1][0])) == 12
+        with pytest.raises(FormatVersionMismatch,
+                           match="is format 9, this build reads format 10; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -606,18 +617,6 @@ class TestPersistence:
         with pytest.raises(FileCorrupt) as exc:
             load_index(path)
         assert "line 3" in str(exc.value)
-
-    @pytest.mark.parametrize("span", [[], [3], None, ["a", 1]],
-                             ids=["empty", "one_number", "null", "string"])
-    def test_malformed_source_span_is_file_corrupt(self, tmp_path, span):
-        path = tmp_path / "idx.jsonl"
-        save_index(_labeled_index(), path)
-        header, first, *rest = path.read_text().splitlines()
-        first = json.loads(first)
-        first[11] = span
-        path.write_text("\n".join([header, json.dumps(first), *rest]) + "\n")
-        with pytest.raises(FileCorrupt, match="line 2"):
-            load_index(path)
 
     @pytest.mark.parametrize("rewrite", [
         lambda h, b: (h, b[:-16]),
@@ -688,7 +687,7 @@ class TestPersistence:
             index.vectors.astype("<f8").tobytes()).decode("ascii")}
         _write_index(path, header, entries)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 2, this build reads format 9; "
+                           match="is format 2, this build reads format 10; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -701,7 +700,7 @@ class TestPersistence:
         _write_index(path, {**header, "format_version": 6,
                             "digest": hashlib.sha256(text).hexdigest()}, entries, block)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 6, this build reads format 9; "
+                           match="is format 6, this build reads format 10; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -714,7 +713,7 @@ class TestPersistence:
         _write_index(path, {**header, "format_version": 5}, entries,
                      index.rows().astype("<f8").tobytes())
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 5, this build reads format 9; "
+                           match="is format 5, this build reads format 10; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -805,24 +804,17 @@ class TestPersistence:
         save_index(index, path)
         rewrite_index(path, lambda _, fields: mistype(fields, pos))
         where = f"^index {re.escape(str(path))} line 2: {ENTRY_FIELDS[pos]} "
-        unit = index.entries[0].unit
+        entry = index.entries[0]
         with pytest.raises(FileCorrupt, match=where):
-            load_index(path).entry_by_id(index.entries[0].entry_id)
+            load_index(path).entry_by_id(entry.entry_id)
         with pytest.raises(FileCorrupt, match=where):
-            load_index(path).find_clone(unit.normalized_source, unit.content_hash)
+            load_index(path).find_clone(entry.normalized_source, entry.content_hash)
 
     @pytest.mark.parametrize("edit, message", [
-        (entry_record, "not a list of the 12 entry fields"),
-        (lambda f: f[:11], "not a list of the 12 entry fields"),
+        (entry_record, "not a list of the 6 entry fields"),
+        (lambda f: f[:5], "not a list of the 6 entry fields"),
         (lambda f: [*f[:2], "bogus", *f[3:]], "label 'bogus' is not a label"),
-        (lambda f: [*f[:5], "event", *f[6:]], "kind 'event' is not a unit kind"),
-        (lambda f: [*f[:10], ["a", 1], f[11]],
-         "declared_calls ['a', 1] is not a list of strings"),
-        (lambda f: [*f[:11], [0, 53.0]], "source_span [0, 53.0] is not two integers"),
-        (lambda f: [*f[:11], [0, True]], "source_span [0, True] is not two integers"),
-        (lambda f: [*f[:11], [0, 5, 53]], "source_span [0, 5, 53] is not two integers"),
-    ], ids=["format_7_object", "eleven_fields", "unknown_label", "unknown_kind",
-            "number_call", "float_span", "bool_span", "three_span"])
+    ], ids=["format_7_object", "five_fields", "unknown_label"])
     def test_entry_line_of_the_wrong_shape_is_file_corrupt(self, tmp_path, edit, message):
         path = tmp_path / "idx.jsonl"
         save_index(_labeled_index(), path)
@@ -869,12 +861,12 @@ class TestPersistence:
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         rewrite_index(path, lambda pos, fields: fields if pos != 1 else [
-            *fields[:9], 'function f() { "x }', *fields[10:]])
+            *fields[:5], 'function f() { "x }'])
         loaded = load_index(path)
-        unit = index.entries[1].unit
+        entry = index.entries[1]
         where = f"^index {re.escape(str(path))} line 3: "
         with pytest.raises(FileCorrupt, match=where):
-            loaded.find_clone(unit.normalized_source, unit.content_hash)
+            loaded.find_clone(entry.normalized_source, entry.content_hash)
         with pytest.raises(FileCorrupt, match=where):
             embed_index(loaded, FallbackEmbedder())
 
@@ -909,7 +901,7 @@ class TestPersistence:
             assert loaded.find_clone("function g() { r9; }", "0" * 64) is None
             assert built() == []
             target = index.entries[3]
-            hit = loaded.find_clone(target.unit.normalized_source, target.unit.content_hash)
+            hit = loaded.find_clone(target.normalized_source, target.content_hash)
             assert hit == target and built() == [5]
             assert loaded.entry_by_id(index.entries[0].entry_id) == index.entries[0]
             assert loaded.entry_by_id("pkg@1.0/missing") is None
@@ -924,7 +916,7 @@ class TestPersistence:
                          "pkg", "1.0")
         # A second entry in entry 1's hash bucket, as a hash collision makes.
         twin = dataclasses.replace(mk_unit("f.sol::C::h#0", body="function h() { s; }"),
-                                   content_hash=index.entries[1].unit.content_hash)
+                                   content_hash=index.entries[1].content_hash)
         assert index.insert(twin, "pkg", "1.0")
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
@@ -936,8 +928,8 @@ class TestPersistence:
             assert loaded.find_clone("function g() { r9; }", "0" * 64) is None
             assert derived() == []
             assert loaded.find_clone(twin.normalized_source, twin.content_hash) == index.entries[4]
-            assert derived() == [index.entries[1].unit.raw_source, twin.raw_source]
-            target = index.entries[2].unit
+            assert derived() == [index.entries[1].raw_source, twin.raw_source]
+            target = index.entries[2]
             assert loaded.find_clone(target.normalized_source, target.content_hash) == (
                 index.entries[2])
             assert derived()[2:] == [target.raw_source]
@@ -1188,8 +1180,8 @@ class TestPersistenceProperties:
         loaded = load_index(path)
         assert loaded.entry_ids == [e.entry_id for e in index.entries]
         for entry in reversed(index.entries):  # built one at a time, out of order
-            assert loaded.find_clone(entry.unit.normalized_source,
-                                     entry.unit.content_hash) == entry
+            assert loaded.find_clone(entry.normalized_source,
+                                     entry.content_hash) == entry
             assert loaded.entry_by_id(entry.entry_id) == entry
         assert loaded == index
         if index.vectors is None:
@@ -1211,6 +1203,6 @@ class TestPersistenceProperties:
         loaded = load_index(path)
         for unit in units:
             hit = loaded.find_clone(unit.normalized_source, unit.content_hash)
-            assert hit is not None and hit.unit.content_hash == unit.content_hash
+            assert hit is not None and hit.content_hash == unit.content_hash
         assert loaded.entries == index.entries
         assert repr(loaded.entries) == repr(index.entries)

@@ -178,8 +178,7 @@ _HEADER_TYPES = {
     ("dtype",): {"string", "null"}, ("digest",): {"string"},
 }
 _ENTRY_TYPES = {
-    (): {"array"}, **{(pos,): {"string"} for pos in range(10)}, (3,): {"string", "null"},
-    (10,): {"array"}, (10, "*"): {"string"}, (11,): {"array"}, (11, "*"): {"number"},
+    (): {"array"}, **{(pos,): {"string"} for pos in range(6)}, (3,): {"string", "null"},
 }
 _KEY_TYPES = {(): {"array"}, ("*",): {"array"}, ("*", "*"): {"string"}}
 

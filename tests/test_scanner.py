@@ -10,6 +10,7 @@ import signal
 import threading
 import time
 
+import jsonschema
 import pytest
 
 from helpers import DEEP_JSON, TOO_DEEP, CannedHTTPServer, bad_templates, mk_unit
@@ -26,6 +27,7 @@ from simaudit.extract import extract_units
 from simaudit.scanner import render_markdown, run_scan
 from simaudit.simindex import FallbackEmbedder, RemoteEmbedder, embed_index, query_top_k
 from test_agents import CRI, DEEP_REPLY, DET, GOOD_DEFAULTS, SUP
+from test_cli import SCHEMA
 
 CLEAN_JUD = ('```json\n{"is_vulnerable": false, "vuln_type": "", '
              '"explanation": "", "confidence": "Medium"}\n```')
@@ -61,6 +63,17 @@ contract Mix {
     function pong() public { ping(); }
     function top() public { c3(); ping(); }
 }
+"""
+
+# A self-recursive function, a call to a name no unit declares, and a call
+# to a name that two other contracts declare.
+CALLS_SOL = """\
+contract A {
+    function loop(uint256 n) public { if (n > 0) { loop(n - 1); } }
+    function call() public { missing(); twice(); }
+}
+contract B { function twice() public { } }
+contract C { function twice() public { } }
 """
 
 
@@ -217,7 +230,7 @@ class TestSimcheck:
         for unit in extract_units(text, "ref.sol"):
             index.insert(unit, "refs", "1.0")
         for entry in index.entries:
-            if entry.unit.name in vulnerable:
+            if entry.name in vulnerable:
                 entry.label = Label.VULNERABLE
                 entry.vuln_note = "seeded issue"
         embed_index(index, FallbackEmbedder())
@@ -772,6 +785,20 @@ class TestReportShape:
             "provider": "mock",
         }
         assert report["schema_version"] == 1
+
+    def test_callgraph_block_reports_unresolved_and_self_recursive_calls(self, tmp_path):
+        path = _write(tmp_path, "calls.sol", CALLS_SOL)
+        report = run_scan([path], None, MockLLMProvider(defaults=CLEAN_DEFAULTS))
+        jsonschema.validate(instance=report, schema=SCHEMA)
+        loop, call = _ids(path, "A", "loop", "call")
+        assert report["callgraph"] == {
+            "edges": [],
+            "unresolved": [
+                {"caller_id": call, "name": "missing", "reason": "not_found"},
+                {"caller_id": call, "name": "twice", "reason": "ambiguous"},
+            ],
+            "self_recursive": [loop],
+        }
 
     def test_directory_and_file_inputs_deduplicate(self, tmp_path):
         path = _write(tmp_path, "chain.sol", CHAIN_SOL)

@@ -774,7 +774,7 @@ class TestEmbedIndex:
         assert index.meta.embedder_id == "fallback-trigram-v1"
         assert index.vectors.shape == (3, 384)
         for entry, row in zip(index.entries, index.rows()):
-            want = oracles.reference_fallback_embedding(entry.unit.normalized_source)
+            want = oracles.reference_fallback_embedding(entry.normalized_source)
             assert row.tobytes() == want.tobytes()
 
     def test_remote_corpus_goes_in_chunks_in_entry_order(self):
@@ -784,7 +784,7 @@ class TestEmbedIndex:
         index = new_index()
         for i in range(600):
             index.insert(mk_unit(f"f.sol::C::fn{i}#0", name=f"fn{i}"), "pkg", "1")
-        texts = [e.unit.normalized_source for e in index.entries]
+        texts = [e.normalized_source for e in index.entries]
         with CannedHTTPServer(reply) as server:
             embed_index(index, RemoteEmbedder(server.url))
             whole = embed_texts(texts, RemoteEmbedder(server.url))
