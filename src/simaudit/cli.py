@@ -32,8 +32,10 @@ from .errors import (
     EXIT_OK,
     FileCorrupt,
     LabelFileMalformed,
+    NotUtf8Text,
     ProviderError,
     SimauditError,
+    SourceError,
     decode_json,
 )
 from .metrics import EvalMetrics
@@ -222,15 +224,30 @@ def cmd_eval(args) -> int:
                   file=sys.stderr)
     llm = _make_llm_provider(args, config)
 
-    outcomes = Counter()    # samples by (predicted, actual)
+    outcomes = Counter()    # scored samples by (predicted, actual)
+    unscored = 0
     for sample, name in zip(samples, names):
-        report = run_scan(
-            [sample], index, llm, embedder,
-            k=args.k, delta=args.delta, provider_name=args.provider,
-        )
-        outcomes[report["summary"]["vulnerable"] > 0, labels[name][1]] += 1
+        # A sample that does not read or extract, or with a unit that ended
+        # in an error, is left out of the counts: it is neither a positive
+        # nor a negative.
+        try:
+            report = run_scan(
+                [sample], index, llm, embedder,
+                k=args.k, delta=args.delta, provider_name=args.provider,
+            )
+        except (SourceError, NotUtf8Text) as exc:
+            reason = str(exc)
+        else:
+            summary = report["summary"]
+            if not summary["errors"]:
+                outcomes[summary["vulnerable"] > 0, labels[name][1]] += 1
+                continue
+            reason = f"{summary['errors']} of {summary['units']} units failed analysis"
+        unscored += 1
+        print(f"simaudit: sample {name} unscored: {reason}", file=sys.stderr)
     metrics = EvalMetrics.from_counts(tp=outcomes[True, True], tn=outcomes[False, False],
-                                      fp=outcomes[True, False], fn=outcomes[False, True])
+                                      fp=outcomes[True, False], fn=outcomes[False, True],
+                                      unscored=unscored)
     print(metrics.render_table())
     payload = json.dumps(metrics.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.metrics_out:

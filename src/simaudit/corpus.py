@@ -1,6 +1,6 @@
 """Reference corpus: archive ingestion, vulnerability labels, persistence.
 
-An index (format 10) is JSON text followed by raw bytes. Line one is a JSON
+An index (format 11) is JSON text followed by raw bytes. Line one is a JSON
 header carrying the format version, the embedder id, the similarity
 threshold the index was built for, a creation timestamp, ingestion stats,
 the embedding `dimension` and vector block `dtype` (both null before
@@ -8,7 +8,9 @@ embedding) and, last, `digest`: the SHA-256 hex of the whole file, header
 and vector block included, with the digest's own 64 digits taken as zeros.
 Lines 2 to n+1 hold one entry each, a compact JSON array of its 6 fields in
 the order of _ENTRY_FIELDS: package, version, label, vuln_note, name and
-raw_source. The entry id, content hash and normalized source are not on it;
+raw_source. raw_source is stored deflated: the base64 text of the raw
+DEFLATE stream (level 6, no zlib header or trailer) of the source's UTF-8
+bytes. The entry id, content hash and normalized source are not on it;
 line n+2, the key line, is a compact JSON array of [entry_id, content_hash]
 pairs in entry order. The entry id keeps the unit's provenance, its file,
 contract and ordinal. The normalized source is derived from the raw source
@@ -30,18 +32,22 @@ is not UTF-8, a norm that is not positive and finite, or a row that is not
 finite (for sums: whose largest magnitude over its norm is not) makes the
 file corrupt. It copies the block out as stored, so no float64 matrix is
 built from sums. It then hashes the file and parses only the key line, whose
-pairs must be two strings each: an entry is parsed the first time a scan
-touches it (a find_clone hash hit, entry_by_id or reading entries), and a
-line that is not a list of the 6 fields, each of its type, is corrupt. If
-the hash does not match the digest, every entry line is parsed at load
-instead, so a damaged line is reported by its number; if they all parse, the
-mismatch itself is reported. Either way the load fails with FileCorrupt, as
-does raw source that no longer normalizes, once it is read. Saving is
-deterministic, so load-then-save reproduces the file byte for byte.
+pairs must be two strings each: an entry is parsed, and its source inflated,
+the first time a scan touches it (a find_clone hash hit, entry_by_id or
+reading entries). A line that is not a list of the 6 fields, each of its
+type, is corrupt, as is a raw_source that is not strict base64, not exactly
+one complete raw DEFLATE stream, longer than MAX_SOURCE_BYTES inflated, or
+not UTF-8. If the hash does not match the digest, every entry line is parsed
+at load instead, so a damaged line is reported by its number; if they all
+parse, the mismatch itself is reported. Either way the load fails with
+FileCorrupt, as does raw source that no longer normalizes, once it is read.
+Saving is deterministic, so load-then-save reproduces the file byte for
+byte.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import hashlib
 import io
@@ -65,6 +71,7 @@ from .errors import (
     FileCorrupt,
     FormatVersionMismatch,
     LabelFileMalformed,
+    NotUtf8Text,
     SourceError,
     decode_json,
 )
@@ -73,7 +80,10 @@ from .simindex import DEFAULT_DELTA, narrowest_int
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
+# The most UTF-8 bytes an entry's raw source may hold; save_index refuses a
+# longer one, and the loader stops inflating past it.
+MAX_SOURCE_BYTES = 1 << 24
 # The element types a vector block may name in the header's dtype.
 VECTOR_DTYPES = ("int8", "int16", "int32", "int64", "float64")
 # Encodes entry and key lines: JSON with no space after "," or ":".
@@ -402,11 +412,52 @@ def _check_fields(where: str, record: dict, fields: dict) -> None:
             raise FileCorrupt(f"{where}: {key} {record[key]!r:.60} is not {what}")
 
 
+def _deflate(entry: CorpusEntry) -> str:
+    """The stored form of entry's raw source: the base64 text of the raw
+    DEFLATE stream, at level 6, of its UTF-8 bytes. FileCorrupt if they are
+    more than MAX_SOURCE_BYTES, which the loader would refuse."""
+    source = entry.raw_source.encode("utf-8")
+    if len(source) > MAX_SOURCE_BYTES:
+        raise FileCorrupt(f"entry {entry.entry_id} has {len(source)} bytes of raw source, "
+                          f"more than the {MAX_SOURCE_BYTES} an index holds")
+    packer = zlib.compressobj(6, zlib.DEFLATED, -15)
+    return base64.b64encode(packer.compress(source) + packer.flush()).decode("ascii")
+
+
+def _inflate(where: str, stored: str) -> str:
+    """The raw source that _deflate stored as stored; FileCorrupt, its
+    message starting with where, unless stored is strict base64 of exactly
+    one complete raw DEFLATE stream of at most MAX_SOURCE_BYTES of UTF-8."""
+    try:
+        packed = base64.b64decode(stored, validate=True)
+        strict = base64.b64encode(packed).decode("ascii") == stored
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        strict = False
+    if not strict:
+        raise FileCorrupt(f"{where}: raw_source is not strict base64")
+    unpacker = zlib.decompressobj(-15)
+    try:
+        source = unpacker.decompress(packed, MAX_SOURCE_BYTES + 1)
+    except zlib.error as exc:
+        raise FileCorrupt(f"{where}: raw_source is not a raw DEFLATE stream: {exc}") from exc
+    if len(source) > MAX_SOURCE_BYTES:
+        raise FileCorrupt(f"{where}: raw_source inflates past {MAX_SOURCE_BYTES} bytes")
+    if not unpacker.eof:
+        raise FileCorrupt(f"{where}: raw_source ends inside its DEFLATE stream")
+    if unpacker.unused_data:
+        raise FileCorrupt(f"{where}: raw_source has bytes after its DEFLATE stream")
+    try:
+        return source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileCorrupt(f"{where}: raw_source is not UTF-8: {exc}") from exc
+
+
 def _entry_from_line(path, lineno: int, line: str, entry_id: str,
                      content_hash: str) -> CorpusEntry:
     """The entry on line lineno of index path, with the id and content hash
     that the key line gives it; FileCorrupt naming the line if the line is
-    not a JSON list of _ENTRY_FIELDS, each of its type."""
+    not a JSON list of _ENTRY_FIELDS, each of its type, or its raw_source
+    does not inflate."""
     where = f"index {path} line {lineno}"
     fields = decode_json(line, lambda exc: FileCorrupt(f"{where}: {exc}"))
     if type(fields) is not list or len(fields) != len(_ENTRY_FIELDS):
@@ -414,17 +465,18 @@ def _entry_from_line(path, lineno: int, line: str, entry_id: str,
     record = dict(zip(_ENTRY_FIELDS, fields))
     _check_fields(where, record, _ENTRY_FIELDS)
     record["label"] = Label(record["label"])
+    record["raw_source"] = _inflate(where, record["raw_source"])
     return CorpusEntry(entry_id=entry_id, content_hash=content_hash, **record)
 
 
 def read_text(path: str | Path, what: str) -> str:
     """The text of a UTF-8 file, newlines translated as Path.read_text does.
-    Bytes that are not UTF-8 are malformed input (FileCorrupt, exit 3) whose
+    Bytes that are not UTF-8 are malformed input (NotUtf8Text, exit 3) whose
     message names the file as what and path; OSError passes through."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise FileCorrupt(f"{what} {path} is not UTF-8 text: {exc.reason} "
+        raise NotUtf8Text(f"{what} {path} is not UTF-8 text: {exc.reason} "
                           f"at byte {exc.start}") from exc
 
 
@@ -466,9 +518,10 @@ def _vector_block(index: CorpusIndex) -> tuple[str | None, list[np.ndarray]]:
 def save_index(index: CorpusIndex, path: str | Path) -> None:
     """Write index to path in format FORMAT_VERSION. Each line is encoded,
     hashed and written in turn, and the vector block from its arrays' own
-    buffers, so neither the file nor its text is ever held in memory. The
-    header goes first with a placeholder digest of 64 zeros, and is written
-    again once it, the text and the block are hashed."""
+    buffers, so neither the file nor its text is ever held in memory; each
+    entry's raw source is deflated as its line is encoded. The header goes
+    first with a placeholder digest of 64 zeros, and is written again once
+    it, the text and the block are hashed."""
     vectors = index.vectors
     dtype, block = _vector_block(index)
 
@@ -493,8 +546,9 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
             # The content hash goes to the key line, and the normalized
             # source is not stored; a Label encodes as its value.
             keys.append((entry.entry_id, entry.content_hash))
-            line = _compact_json([getattr(entry, key) for key in _ENTRY_FIELDS]
-                                 ).encode("utf-8") + b"\n"
+            record = {key: getattr(entry, key) for key in _ENTRY_FIELDS}
+            record["raw_source"] = _deflate(entry)
+            line = _compact_json(list(record.values())).encode("utf-8") + b"\n"
             digest.update(line)
             f.write(line)
         line = _compact_json(keys).encode("utf-8") + b"\n"

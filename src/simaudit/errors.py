@@ -62,6 +62,10 @@ class FileCorrupt(SimauditError):
     pass
 
 
+class NotUtf8Text(FileCorrupt):
+    """A text file read whole holds bytes that are not UTF-8."""
+
+
 class EmptyText(SimauditError):
     pass
 

@@ -11,15 +11,18 @@ class EvalMetrics:
     tn: int
     fp: int
     fn: int
+    unscored: int   # samples in none of the four counts above
     precision: float | None
     recall: float | None
     f1: float | None
     accuracy: float | None
 
     @classmethod
-    def from_counts(cls, tp: int, tn: int, fp: int, fn: int) -> "EvalMetrics":
-        """Derive the four rates; any division by zero is undefined (None),
-        never reported as 0."""
+    def from_counts(cls, tp: int, tn: int, fp: int, fn: int,
+                    unscored: int = 0) -> "EvalMetrics":
+        """Derive the four rates from the four counts of scored samples;
+        unscored takes no part in them. Any division by zero is undefined
+        (None), never reported as 0."""
         precision = tp / (tp + fp) if (tp + fp) > 0 else None
         recall = tp / (tp + fn) if (tp + fn) > 0 else None
         total = tp + tn + fp + fn
@@ -28,7 +31,7 @@ class EvalMetrics:
             f1 = None
         else:
             f1 = 2 * precision * recall / (precision + recall)
-        return cls(tp=tp, tn=tn, fp=fp, fn=fn, precision=precision,
+        return cls(tp=tp, tn=tn, fp=fp, fn=fn, unscored=unscored, precision=precision,
                    recall=recall, f1=f1, accuracy=accuracy)
 
     def to_dict(self) -> dict:

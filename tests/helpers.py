@@ -3,7 +3,9 @@ saved-index tampering, and a tiny local HTTP server for wire-format tests."""
 
 from __future__ import annotations
 
+import base64
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -14,12 +16,14 @@ import socket
 import tarfile
 import threading
 import time
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
 
 import simaudit
+from simaudit import corpus
 from simaudit.extract import FunctionUnit, UnitKind, content_hash, normalize
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -51,10 +55,64 @@ def vector_block_size(header: dict) -> int:
 ENTRY_FIELDS = ("package", "version", "label", "vuln_note", "name", "raw_source")
 
 
+def _raw_deflate(data: bytes) -> bytes:
+    packer = zlib.compressobj(6, zlib.DEFLATED, -15)
+    return packer.compress(data) + packer.flush()
+
+
+def deflate_source(text: str) -> str:
+    """raw_source as an entry line stores it: the base64 text of the raw
+    DEFLATE stream, at level 6, of the text's UTF-8 bytes."""
+    return base64.b64encode(_raw_deflate(text.encode("utf-8"))).decode()
+
+
+def inflate_source(stored: str) -> str:
+    """The text that deflate_source(text) stored as stored."""
+    return zlib.decompress(base64.b64decode(stored, validate=True), -15).decode("utf-8")
+
+
+class Stored(str):
+    """A raw_source that rewrite_index writes as it is, not deflated: the
+    stored form itself, such as damaged base64."""
+
+
+def _stored(data: bytes) -> Stored:
+    return Stored(base64.b64encode(data).decode())
+
+
+@functools.cache
+def _past_the_bound(bound: int) -> Stored:
+    """A stored source that inflates to bound + 1 spaces: about 22 KB of
+    base64 at the 16 MiB bound."""
+    return _stored(_raw_deflate(b" " * (bound + 1)))
+
+
+# A stored raw_source for each way the loader must refuse one (FileCorrupt
+# naming its line), made from the source text it replaces, and the start of
+# the message after "raw_source ".
+SOURCE_DAMAGE = {
+    "not_base64": (lambda text: Stored(deflate_source(text) + "\n"), "is not strict base64"),
+    # "AB==" decodes to the byte 0, as "AA==" does, but is not its encoding.
+    "non_canonical_base64": (lambda text: Stored("AB=="), "is not strict base64"),
+    "not_deflate": (lambda text: _stored(b"\xff" + _raw_deflate(text.encode("utf-8"))),
+                    "is not a raw DEFLATE stream"),
+    "truncated_stream": (lambda text: _stored(_raw_deflate(text.encode("utf-8"))[:-1]),
+                         "ends inside its DEFLATE stream"),
+    "bytes_after_stream": (lambda text: _stored(_raw_deflate(text.encode("utf-8")) + b"\0"),
+                           "has bytes after its DEFLATE stream"),
+    "not_utf8": (lambda text: _stored(_raw_deflate(b"\xff" + text.encode("utf-8"))),
+                 "is not UTF-8"),
+    "past_the_bound": (lambda text: _past_the_bound(corpus.MAX_SOURCE_BYTES),
+                       "inflates past"),
+}
+
+
 def entry_record(fields: list) -> dict:
     """The object that format 7 and earlier wrote for an entry line's fields:
     package, version, label and vuln_note, then the unit's fields under "unit".
-    The unit fields that format 10 no longer stores get fixed placeholders."""
+    The unit fields that formats 10 and 11 no longer store get fixed
+    placeholders. fields hold the raw source as text, as formats up to 10
+    stored it."""
     package, version, label, vuln_note, name, raw_source = fields
     return {"package": package, "version": version, "label": label, "vuln_note": vuln_note,
             "unit": {"unit_id": f"f.sol::C::{name}#0", "kind": "function", "name": name,
@@ -121,14 +179,25 @@ def rewrite_index(path: Path, entry=None, keys=None, **header) -> None:
     loader's checks of the edited values can refuse it. Entry line i + 2
     becomes entry(i, its list of fields), the key line keys(its list of
     pairs), and header's items update the header; the result of an edit is
-    written as compact JSON, or as it is if it is RawJSON."""
+    written as compact JSON, or as it is if it is RawJSON. entry sees the
+    raw source inflated, and where it returns 6 fields whose last is a str,
+    that is deflated again unless it is Stored."""
     def encode(value) -> str:
         return value if isinstance(value, RawJSON) else json.dumps(value, separators=(",", ":"))
+
+    def fields(line: str) -> list:
+        *head, stored = json.loads(line)
+        return [*head, inflate_source(stored)]
+
+    def deflated(value):
+        if type(value) is list and len(value) == len(ENTRY_FIELDS) and type(value[-1]) is str:
+            return [*value[:-1], deflate_source(value[-1])]
+        return value
 
     head, lines, block = split_index(path)
     *lines, key_line = lines
     if entry is not None:
-        lines = [encode(entry(pos, json.loads(line))) for pos, line in enumerate(lines)]
+        lines = [encode(deflated(entry(pos, fields(line)))) for pos, line in enumerate(lines)]
     if keys is not None:
         key_line = encode(keys(json.loads(key_line)))
     text = "\n".join([json.dumps({**head, **header}), *lines, key_line]).encode("utf-8")

@@ -19,11 +19,13 @@ from helpers import (
     ENTRY_FIELDS,
     FIXTURES,
     HEADER_EDITS,
+    SOURCE_DAMAGE,
     TOO_DEEP,
     CannedHTTPServer,
     RawJSON,
     bad_templates,
     entry_record,
+    inflate_source,
     make_archive,
     mistype,
     rewrite_index,
@@ -341,7 +343,7 @@ class TestScanCommand:
         for transcript in report["transcripts"].values():
             assert all(set(entry) == keys["entry"] for entry in transcript)
         assert set(EvalMetrics.from_counts(1, 2, 3, 4).to_dict()) == {
-            "tp", "tn", "fp", "fn", "precision", "recall", "f1", "accuracy"}
+            "tp", "tn", "fp", "fn", "unscored", "precision", "recall", "f1", "accuracy"}
 
     def test_delta_defaults_to_the_index_value(self, tmp_path):
         index = _build_index(tmp_path, "--delta", "0.9", labels=True)
@@ -579,7 +581,7 @@ class TestScanExitCodes:
         header["format_version"] = 1
         lines = [json.dumps(header)]
         for rec, row in zip(entries, vectors.tolist()):
-            rec = {**entry_record(rec), "embedding": row}
+            rec = {**entry_record([*rec[:5], inflate_source(rec[5])]), "embedding": row}
             rec["unit"] = rec.pop("unit")       # format 1 put the row before the unit
             lines.append(json.dumps(rec))
         index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -588,7 +590,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 1, this build reads format 10" in err
+        assert "is format 1, this build reads format 11" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -609,7 +611,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 4, this build reads format 10" in err
+        assert "is format 4, this build reads format 11" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -629,7 +631,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 5, this build reads format 10" in err
+        assert "is format 5, this build reads format 11" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -652,9 +654,24 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 7, this build reads format 10" in err
+        assert "is format 7, this build reads format 11" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("damage", SOURCE_DAMAGE)
+    def test_stored_source_that_does_not_inflate_is_format_error(self, tmp_path, capsys,
+                                                                 damage):
+        """Every entry's raw_source damaged, under a matching digest: the
+        first entry the scan reads stops it with exit 3, naming its line."""
+        make, message = SOURCE_DAMAGE[damage]
+        index_path = _build_index(tmp_path, labels=True)
+        rewrite_index(index_path, lambda _, fields: [*fields[:5], make(fields[5])])
+        capsys.readouterr()
+        code, report = _scan(tmp_path, index=index_path)
+        assert code == 3
+        assert re.match(rf"simaudit: index {re.escape(str(index_path))} line \d+: "
+                        rf"raw_source {message}", capsys.readouterr().err)
+        assert not report.exists()
 
     @pytest.mark.parametrize("line, pos", [
         *(("entry", pos) for pos in range(len(ENTRY_FIELDS))), ("key", 0), ("key", 1),
@@ -696,11 +713,11 @@ class TestScanExitCodes:
 
     @pytest.mark.parametrize("data", [
         b'{"format_version": 2}\n\xff\xfe\n',
-        b'{"format_version": 10, "embedder_id": null, "delta": 0.65, "created_at": "t", '
+        b'{"format_version": 11, "embedder_id": null, "delta": 0.65, "created_at": "t", '
         b'"stats": {"files_seen": 1, "functions_seen": 1, "functions_kept": 1}, '
         b'"dimension": null, "dtype": null, "digest": "' + b"0" * 64 + b'"}'
         b'\n\xff\xfe\n[]\n',
-        b'{"format_version": 10, "created_at": "\xff\xfe"}\n',
+        b'{"format_version": 11, "created_at": "\xff\xfe"}\n',
     ], ids=["format_2_header", "format_4_entry", "format_4_header"])
     def test_index_that_is_not_utf8_is_format_error(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.jsonl"
@@ -922,7 +939,7 @@ class TestEvalCommand:
                      "--metrics-out", str(metrics_out)])
         assert code == 0
         metrics = json.loads(metrics_out.read_text())
-        assert metrics == {"tp": 1, "tn": 1, "fp": 0, "fn": 0,
+        assert metrics == {"tp": 1, "tn": 1, "fp": 0, "fn": 0, "unscored": 0,
                            "precision": 1.0, "recall": 1.0, "f1": 1.0,
                            "accuracy": 1.0}
         out = capsys.readouterr().out
@@ -977,6 +994,73 @@ class TestEvalCommand:
         metrics = json.loads(metrics_out.read_text())
         assert {key: metrics[key] for key in ("tp", "tn", "fp", "fn", "recall")} == {
             "tp": 1, "tn": 0, "fp": 0, "fn": 1, "recall": 0.5}
+
+    def test_sample_whose_model_calls_fail_is_unscored(self, tmp_path, monkeypatch, capsys):
+        """Its unit's verdict is error, so the sample is neither a positive
+        nor a negative; the other samples score as before."""
+        dataset, labels = self._dataset(tmp_path)
+        (dataset / "flaky.sol").write_text(
+            "contract Flaky { function flakyPing(uint256 n) public returns (uint256) "
+            "{ return n + 1; } }\n", encoding="utf-8")
+        with open(labels, "a", encoding="utf-8") as f:
+            f.write("flaky.sol,negative\n")
+
+        class FailsOnFlaky:
+            def __init__(self, provider):
+                self.provider = provider
+
+            def complete(self, messages, role):
+                if "flakyPing" in messages[-1]["content"]:
+                    raise ProviderError("LLM endpoint failed: connection refused")
+                return self.provider.complete(messages, role)
+
+        real = cli._make_llm_provider
+        monkeypatch.setattr(cli, "_make_llm_provider",
+                            lambda args, config: FailsOnFlaky(real(args, config)))
+        metrics_out = tmp_path / "metrics.json"
+        code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
+                     "--index", str(_build_index(tmp_path)), "--mock-fixture", MOCK_FIXTURE,
+                     "--metrics-out", str(metrics_out)])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "simaudit: sample flaky.sol unscored: 1 of 1 units failed analysis\n")
+        assert json.loads(metrics_out.read_text()) == {
+            "tp": 1, "tn": 1, "fp": 0, "fn": 0, "unscored": 1,
+            "precision": 1.0, "recall": 1.0, "f1": 1.0, "accuracy": 1.0}
+
+    @pytest.mark.parametrize("data, reason", [
+        (b"contract C { function f() public {", "unclosed brace in {} at offset 33"),
+        (b"contract C { /* caf\xe9 */ }\n",
+         "source {} is not UTF-8 text: invalid continuation byte at byte 19"),
+    ], ids=["unclosed_brace", "not_utf8"])
+    def test_sample_that_does_not_extract_is_unscored(self, tmp_path, capsys, data, reason):
+        """eval goes on past it, names it, and scores the other samples."""
+        dataset, labels = self._dataset(tmp_path)
+        (dataset / "bad.sol").write_bytes(data)
+        with open(labels, "a", encoding="utf-8") as f:
+            f.write("bad.sol,positive\n")
+        metrics_out = tmp_path / "metrics.json"
+        code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
+                     "--index", str(_build_index(tmp_path)), "--mock-fixture", MOCK_FIXTURE,
+                     "--metrics-out", str(metrics_out)])
+        assert code == 0
+        reason = reason.format(dataset / "bad.sol")
+        assert capsys.readouterr().err == f"simaudit: sample bad.sol unscored: {reason}\n"
+        metrics = json.loads(metrics_out.read_text())
+        assert {key: metrics[key] for key in ("tp", "tn", "fp", "fn", "unscored", "recall")} == {
+            "tp": 1, "tn": 1, "fp": 0, "fn": 0, "unscored": 1, "recall": 1.0}
+
+    def test_unscored_count_is_in_the_table(self, tmp_path, capsys):
+        dataset, labels = self._dataset(tmp_path)
+        (dataset / "bad.sol").write_text("contract C {", encoding="utf-8")
+        with open(labels, "a", encoding="utf-8") as f:
+            f.write("bad.sol,negative\n")
+        code = main(["eval", "--dataset", str(dataset), "--labels", str(labels),
+                     "--no-simcheck", "--mock-fixture", MOCK_FIXTURE])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^unscored +1$", out, re.M)
+        assert json.loads(out[out.index("{"):])["unscored"] == 1
 
     def test_simcheck_without_index_is_malformed_usage(self, tmp_path):
         dataset, labels = self._dataset(tmp_path)

@@ -24,11 +24,15 @@ from helpers import (
     ENTRY_FIELDS,
     FIXTURES,
     HEADER_EDITS,
+    SOURCE_DAMAGE,
     TOO_DEEP,
     CannedHTTPServer,
     RawJSON,
+    Stored,
+    deflate_source,
     entry_record,
     function_texts,
+    inflate_source,
     make_archive,
     mistype,
     mk_unit,
@@ -424,7 +428,7 @@ class TestPersistence:
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header = json.loads(path.read_text().splitlines()[0])
-        assert header["format_version"] == FORMAT_VERSION == 10
+        assert header["format_version"] == FORMAT_VERSION == 11
         assert list(header) == ["format_version", "embedder_id", "delta",
                                 "created_at", "stats", "dimension", "dtype", "digest"]
         assert header["stats"]["functions_kept"] == len(index.entries)
@@ -445,14 +449,21 @@ class TestPersistence:
         # row-major, row i for entry i, then norm i
 
     def test_entry_line_shape(self, tmp_path):
+        """Each raw_source inflates to its entry's source, and is what an
+        independent deflate at level 6 stores for it."""
         index = _labeled_index()
+        index.insert(mk_unit("c.sol::C::wide#0", body="function wide() { \"é\u2028\"; }"),
+                     "tok", "3.0")
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        header, first, *_, keys = path.read_text().splitlines()
+        header, *lines, keys = path.read_text().splitlines()
         assert list(json.loads(header)["stats"]) == [
             "files_seen", "functions_seen", "functions_kept"]
-        assert first == ('["tok","1.0","clean",null,"mint",'
-                         '"function mint() public { /* a.sol::Token::mint#0 */ }"]')
+        assert lines[0].startswith('["tok","1.0","clean",null,"mint","')
+        assert json.loads(lines[0])[:5] == ["tok", "1.0", "clean", None, "mint"]
+        stored = [json.loads(line)[5] for line in lines]
+        assert [inflate_source(s) for s in stored] == [e.raw_source for e in index.entries]
+        assert stored == [deflate_source(e.raw_source) for e in index.entries]
         assert keys == json.dumps([[e.entry_id, e.content_hash] for e in index.entries],
                                   separators=(",", ":"))
 
@@ -583,7 +594,7 @@ class TestPersistence:
                   "digest": hashlib.sha256(rest).hexdigest()}
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + rest)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 8, this build reads format 10; "
+                           match="is format 8, this build reads format 11; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -596,7 +607,19 @@ class TestPersistence:
             *fields[:4], *entry_record(fields)["unit"].values()], format_version=9)
         assert len(json.loads(split_index(path)[1][0])) == 12
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 9, this build reads format 10; "
+                           match="is format 9, this build reads format 11; "
+                                 "rebuild it with `simaudit index`"):
+            load_index(path)
+
+    def test_format_10_index_is_refused_with_a_rebuild_hint(self, tmp_path):
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        # Format 10 stored each raw source as its text.
+        rewrite_index(path, lambda pos, fields: [*fields[:5], Stored(fields[5])],
+                      format_version=10)
+        assert json.loads(split_index(path)[1][2])[5] == "function mint() public { x; }"
+        with pytest.raises(FormatVersionMismatch,
+                           match="is format 10, this build reads format 11; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -687,7 +710,7 @@ class TestPersistence:
             index.vectors.astype("<f8").tobytes()).decode("ascii")}
         _write_index(path, header, entries)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 2, this build reads format 10; "
+                           match="is format 2, this build reads format 11; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -700,7 +723,7 @@ class TestPersistence:
         _write_index(path, {**header, "format_version": 6,
                             "digest": hashlib.sha256(text).hexdigest()}, entries, block)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 6, this build reads format 10; "
+                           match="is format 6, this build reads format 11; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -713,7 +736,7 @@ class TestPersistence:
         _write_index(path, {**header, "format_version": 5}, entries,
                      index.rows().astype("<f8").tobytes())
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 5, this build reads format 10; "
+                           match="is format 5, this build reads format 11; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -870,9 +893,103 @@ class TestPersistence:
         with pytest.raises(FileCorrupt, match=where):
             embed_index(loaded, FallbackEmbedder())
 
+    @pytest.mark.parametrize("damage", SOURCE_DAMAGE)
+    @pytest.mark.parametrize("digest", ["restamped", "saved"])
+    def test_stored_source_that_does_not_inflate_is_file_corrupt(self, tmp_path, damage,
+                                                                 digest):
+        """Under a matching digest, an entry whose raw_source is not the
+        stored form of UTF-8 text within MAX_SOURCE_BYTES is FileCorrupt
+        naming its line wherever the entry is read, and the others still
+        read; under the saved digest, the load itself is."""
+        make, message = SOURCE_DAMAGE[damage]
+        index = _labeled_index()
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        if digest == "saved":
+            header, lines, _ = split_index(path)
+            *fields, stored = json.loads(lines[1])
+            lines[1] = json.dumps([*fields, make(inflate_source(stored))], separators=(",", ":"))
+            _write_index(path, header, lines)
+        else:
+            rewrite_index(path, lambda pos, fields: fields if pos != 1 else [
+                *fields[:5], make(fields[5])])
+        where = f"^{re.escape(f'index {path} line 3: raw_source {message}')}"
+        entry = index.entries[1]
+        if digest == "saved":
+            with pytest.raises(FileCorrupt, match=where):
+                load_index(path)
+            return
+        with pytest.raises(FileCorrupt, match=where):
+            load_index(path).find_clone(entry.normalized_source, entry.content_hash)
+        with pytest.raises(FileCorrupt, match=where):
+            load_index(path).entry_by_id(entry.entry_id)
+        loaded = load_index(path)
+        assert [loaded.entries[0], loaded.entries[2]] == [index.entries[0], index.entries[2]]
+
+    def test_source_just_within_the_bound_round_trips(self, tmp_path, monkeypatch):
+        index = _labeled_index()
+        index.insert(mk_unit("c.sol::C::wide#0", body=f"function wide() {{ {'é; ' * 30}}}"),
+                     "tok", "3.0")
+        size = len(index.entries[3].raw_source.encode("utf-8"))
+        assert size == max(len(e.raw_source.encode("utf-8")) for e in index.entries)
+        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", size)
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        assert load_index(path) == index
+        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", size - 1)
+        with pytest.raises(FileCorrupt, match=f"^{re.escape(f'index {path} line 5: raw_source')}"
+                                              f" inflates past {size - 1} bytes$"):
+            load_index(path).entries[3]
+
+    def test_inflating_stops_at_the_bound(self, tmp_path, monkeypatch):
+        """A line that would inflate to 4 MiB is refused with no more than
+        the bound inflated."""
+        path = tmp_path / "idx.jsonl"
+        save_index(_labeled_index(), path)
+        rewrite_index(path, lambda pos, fields: [
+            *fields[:5], Stored(deflate_source(" " * (4 << 20)))])
+        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", 1000)
+        loaded = load_index(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileCorrupt, match="raw_source inflates past 1000 bytes$"):
+                loaded.entries[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_save_refuses_a_source_past_the_bound(self, tmp_path, monkeypatch):
+        """The loader would refuse the entry, so no file is written."""
+        index = _labeled_index()
+        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", 30)
+        path = tmp_path / "idx.jsonl"
+        size = len(index.entries[0].raw_source)
+        with pytest.raises(FileCorrupt, match=f"^entry {re.escape(index.entries[0].entry_id)} "
+                                              f"has {size} bytes of raw source, more than "
+                                              f"the 30 an index holds$"):
+            save_index(index, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_scan_inflates_only_the_sources_it_reads(self, tmp_path):
+        index = _fallback_index()
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        with patch.object(corpus, "_inflate", wraps=corpus._inflate) as inflate:
+            loaded = load_index(path)
+            assert query_top_k(index.rows([2]), loaded, k=2)[0][0].entry_id == (
+                index.entries[2].entry_id)
+            assert inflate.call_count == 0
+            target = index.entries[2]
+            assert loaded.find_clone(target.normalized_source, target.content_hash) == target
+            assert loaded.entry_by_id(target.entry_id) == target
+            assert inflate.call_count == 1
+
     def test_save_peaks_below_the_file_size(self, tmp_path):
+        """Deflating a source allocates about 300 KB of zlib state, once per
+        entry and freed after it, so the file is several times that."""
         index = new_index()
-        for i, text in enumerate(function_texts(256)):
+        for i, text in enumerate(function_texts(1024)):
             index.insert(mk_unit(f"f.sol::C::f{i}#0", body=text), "pkg", "1.0")
         embed_index(index, FallbackEmbedder())
         path = tmp_path / "idx.jsonl"

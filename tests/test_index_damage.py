@@ -2,8 +2,9 @@
 
 Hypothesis damages a small saved index of each kind (fallback sums, float
 rows, no vectors) once: a truncation; one byte flipped, inserted or deleted;
-or one JSON value of the header, an entry line or the key line replaced by a
-value of another JSON type or by JSON nested past the recursion limit. Each
+one JSON value of the header, an entry line or the key line replaced by a
+value of another JSON type or by JSON nested past the recursion limit; or
+one entry's stored raw_source replaced by one that does not inflate. Each
 damaged file is tried twice, with its digest as saved and with one
 recomputed over the damaged bytes, and put through one exercise: loading,
 building every entry, a clone lookup and a top-k query of each probe, and a
@@ -17,8 +18,8 @@ building every entry, a clone lookup and a top-k query of each probe, and a
   with its damaged value. Such an index may give other results (another
   dimension is a DimensionMismatch at the query) and its scan may exit 0, 3
   or 4, with a report only on 0.
-- A value replaced by one of a type its field cannot hold is FileCorrupt,
-  under either digest.
+- A value replaced by one of a type its field cannot hold, or a raw_source
+  that does not inflate, is FileCorrupt under either digest.
 """
 
 from __future__ import annotations
@@ -33,7 +34,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DEEP_JSON, FIXTURES, restamp, vector_block_size
+from helpers import (
+    DEEP_JSON,
+    FIXTURES,
+    SOURCE_DAMAGE,
+    inflate_source,
+    restamp,
+    vector_block_size,
+)
 from simaudit.cli import main
 from simaudit.corpus import Label, load_index, new_index, save_index
 from simaudit.errors import DimensionMismatch, FileCorrupt, FormatVersionMismatch
@@ -193,7 +201,9 @@ def _may_hold(line: int, lines: int, path: tuple, kind: str) -> bool:
 @dataclass
 class Damage:
     data: bytes
-    mistyped: bool      # a value was replaced by one of a type its field cannot hold
+    # A value was replaced by one its field cannot hold: of a type it
+    # cannot, or a raw_source that does not inflate.
+    mistyped: bool
     what: str
 
     def __repr__(self) -> str:
@@ -238,6 +248,17 @@ def swapped_values(draw, data: bytes) -> Damage:
         values[line] = new
     return Damage(_encode(values, block), not _may_hold(line, len(values), path, kind),
                   f"line {line + 1} value {list(path)} set to {kind} {new!r:.40}")
+
+
+@st.composite
+def damaged_sources(draw, data: bytes) -> Damage:
+    """data with one entry line's raw_source replaced by a stored form that
+    does not inflate, in one of the ways of helpers.SOURCE_DAMAGE."""
+    values, block = _lines(data)
+    line = draw(st.integers(1, len(values) - 2))
+    damage = draw(st.sampled_from(sorted(SOURCE_DAMAGE)))
+    values[line][5] = SOURCE_DAMAGE[damage][0](inflate_source(values[line][5]))
+    return Damage(_encode(values, block), True, f"line {line + 1} raw_source {damage}")
 
 
 @functools.cache
@@ -293,3 +314,10 @@ def test_damaged_bytes_are_refused_or_load_from_the_header(kind, data):
 @given(data=st.data())
 def test_swapped_values_are_refused_unless_well_typed(kind, data):
     _check(kind, data.draw(swapped_values(SAVED[kind])))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_sources_that_do_not_inflate_are_refused(kind, data):
+    _check(kind, data.draw(damaged_sources(SAVED[kind])))
