@@ -37,10 +37,14 @@ the first time a scan touches it (a find_clone hash hit, entry_by_id or
 reading entries). A line that is not a list of the 6 fields, each of its
 type, is corrupt, as is a raw_source that is not strict base64, not exactly
 one complete raw DEFLATE stream, longer than MAX_SOURCE_BYTES inflated, or
-not UTF-8. If the hash does not match the digest, every entry line is parsed
-at load instead, so a damaged line is reported by its number; if they all
-parse, the mismatch itself is reported. Either way the load fails with
-FileCorrupt, as does raw source that no longer normalizes, once it is read.
+not UTF-8, or that inflates past what is left of the file's source budget:
+the sources of all the entries read from one file may inflate to
+SOURCE_BYTES_PER_FILE_BYTE times its length, or MAX_SOURCE_BYTES if that is
+more. If the hash does not match the digest, every entry line is parsed at
+load instead, drawing on the same budget, so a damaged line is reported by
+its number; if they all parse, the mismatch itself is reported. Either way
+the load fails with FileCorrupt, as does raw source that no longer
+normalizes, once it is read.
 Saving is deterministic, so load-then-save reproduces the file byte for
 byte.
 """
@@ -70,6 +74,7 @@ from .errors import (
     ArchiveCorrupt,
     FileCorrupt,
     FormatVersionMismatch,
+    IndexTooLarge,
     LabelFileMalformed,
     NotUtf8Text,
     SourceError,
@@ -81,9 +86,14 @@ from .simindex import DEFAULT_DELTA, narrowest_int
 log = logging.getLogger(__name__)
 
 FORMAT_VERSION = 11
-# The most UTF-8 bytes an entry's raw source may hold; save_index refuses a
-# longer one, and the loader stops inflating past it.
+# The most UTF-8 bytes an entry's raw source may hold; ingestion skips a
+# longer unit, save_index refuses one, and the loader stops inflating past it.
 MAX_SOURCE_BYTES = 1 << 24
+# The raw sources of one index file may inflate to this many bytes per byte
+# of the file, all together, or to MAX_SOURCE_BYTES if that is more; so a
+# crafted file of many lines that each inflate to nearly MAX_SOURCE_BYTES
+# cannot hold more than this multiple of its own size once read.
+SOURCE_BYTES_PER_FILE_BYTE = 16
 # The element types a vector block may name in the header's dtype.
 VECTOR_DTYPES = ("int8", "int16", "int32", "int64", "float64")
 # Encodes entry and key lines: JSON with no space after "," or ":".
@@ -258,8 +268,10 @@ def ingest_archive(index: CorpusIndex, archive_path: str | Path,
 
     Member order is the archive's own, so ingestion is deterministic for a
     fixed archive. Files that are not UTF-8 or fail extraction are counted
-    in files_seen and skipped with a warning; an archive with no .sol members
-    logs a warning but is not an error.
+    in files_seen and skipped with a warning, as is a unit of more than
+    MAX_SOURCE_BYTES of source, which an index cannot hold, in
+    functions_seen; an archive with no .sol members logs a warning but is not
+    an error.
     """
     try:
         tf = tarfile.open(archive_path, mode="r:gz")
@@ -287,6 +299,12 @@ def ingest_archive(index: CorpusIndex, archive_path: str | Path,
                     continue
                 for unit in units:
                     index.stats.functions_seen += 1
+                    size = len(unit.raw_source.encode("utf-8"))
+                    if size > MAX_SOURCE_BYTES:
+                        log.warning("skipping %s from %s: %d bytes of source, more than the "
+                                    "%d an index holds", unit.unit_id, archive_path, size,
+                                    MAX_SOURCE_BYTES)
+                        continue
                     index.insert(unit, package, version)
     except (tarfile.TarError, EOFError, zlib.error) as exc:
         # Truncated or garbled mid-stream; member iteration itself can throw.
@@ -412,22 +430,35 @@ def _check_fields(where: str, record: dict, fields: dict) -> None:
             raise FileCorrupt(f"{where}: {key} {record[key]!r:.60} is not {what}")
 
 
-def _deflate(entry: CorpusEntry) -> str:
-    """The stored form of entry's raw source: the base64 text of the raw
-    DEFLATE stream, at level 6, of its UTF-8 bytes. FileCorrupt if they are
-    more than MAX_SOURCE_BYTES, which the loader would refuse."""
-    source = entry.raw_source.encode("utf-8")
-    if len(source) > MAX_SOURCE_BYTES:
-        raise FileCorrupt(f"entry {entry.entry_id} has {len(source)} bytes of raw source, "
-                          f"more than the {MAX_SOURCE_BYTES} an index holds")
-    packer = zlib.compressobj(6, zlib.DEFLATED, -15)
+def _deflate(source: bytes) -> str:
+    """The stored form of a raw source's UTF-8 bytes: the base64 text of
+    their raw DEFLATE stream, at level 6. The window is the smallest that
+    holds the source and deflate's 262-byte lookahead, so no match is cut
+    short, and the hash table and symbol buffer (memLevel) are sized to
+    it: a 600-byte source gets about 18 KB of zlib state, not 268 KB."""
+    wbits = min(15, max(9, (len(source) + 261).bit_length()))
+    packer = zlib.compressobj(6, zlib.DEFLATED, -wbits, min(8, wbits - 6))
     return base64.b64encode(packer.compress(source) + packer.flush()).decode("ascii")
 
 
-def _inflate(where: str, stored: str) -> str:
-    """The raw source that _deflate stored as stored; FileCorrupt, its
-    message starting with where, unless stored is strict base64 of exactly
-    one complete raw DEFLATE stream of at most MAX_SOURCE_BYTES of UTF-8."""
+@dataclass
+class _SourceBudget:
+    """The UTF-8 bytes of raw source that the entries read from one index
+    file may still inflate to, all together. An entry, once built, is kept,
+    so this bounds what a loaded index holds beyond its file's bytes."""
+
+    left: int
+
+    @classmethod
+    def of_file(cls, size: int) -> "_SourceBudget":
+        return cls(max(MAX_SOURCE_BYTES, SOURCE_BYTES_PER_FILE_BYTE * size))
+
+
+def _inflate(where: str, stored: str, budget: _SourceBudget) -> str:
+    """The raw source that _deflate stored as stored, drawn from budget;
+    FileCorrupt, its message starting with where, unless stored is strict
+    base64 of exactly one complete raw DEFLATE stream of UTF-8 of at most
+    MAX_SOURCE_BYTES and no more than budget has left."""
     try:
         packed = base64.b64decode(stored, validate=True)
         strict = base64.b64encode(packed).decode("ascii") == stored
@@ -435,29 +466,35 @@ def _inflate(where: str, stored: str) -> str:
         strict = False
     if not strict:
         raise FileCorrupt(f"{where}: raw_source is not strict base64")
+    limit = min(MAX_SOURCE_BYTES, budget.left)
     unpacker = zlib.decompressobj(-15)
     try:
-        source = unpacker.decompress(packed, MAX_SOURCE_BYTES + 1)
+        source = unpacker.decompress(packed, limit + 1)
     except zlib.error as exc:
         raise FileCorrupt(f"{where}: raw_source is not a raw DEFLATE stream: {exc}") from exc
     if len(source) > MAX_SOURCE_BYTES:
         raise FileCorrupt(f"{where}: raw_source inflates past {MAX_SOURCE_BYTES} bytes")
+    if len(source) > limit:
+        raise FileCorrupt(f"{where}: raw_source inflates past the {limit} bytes that the "
+                          f"index's sources may still inflate to")
     if not unpacker.eof:
         raise FileCorrupt(f"{where}: raw_source ends inside its DEFLATE stream")
     if unpacker.unused_data:
         raise FileCorrupt(f"{where}: raw_source has bytes after its DEFLATE stream")
     try:
-        return source.decode("utf-8")
+        text = source.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FileCorrupt(f"{where}: raw_source is not UTF-8: {exc}") from exc
+    budget.left -= len(source)
+    return text
 
 
-def _entry_from_line(path, lineno: int, line: str, entry_id: str,
-                     content_hash: str) -> CorpusEntry:
+def _entry_from_line(path, lineno: int, line: str, entry_id: str, content_hash: str,
+                     budget: _SourceBudget) -> CorpusEntry:
     """The entry on line lineno of index path, with the id and content hash
     that the key line gives it; FileCorrupt naming the line if the line is
     not a JSON list of _ENTRY_FIELDS, each of its type, or its raw_source
-    does not inflate."""
+    does not inflate within budget."""
     where = f"index {path} line {lineno}"
     fields = decode_json(line, lambda exc: FileCorrupt(f"{where}: {exc}"))
     if type(fields) is not list or len(fields) != len(_ENTRY_FIELDS):
@@ -465,7 +502,7 @@ def _entry_from_line(path, lineno: int, line: str, entry_id: str,
     record = dict(zip(_ENTRY_FIELDS, fields))
     _check_fields(where, record, _ENTRY_FIELDS)
     record["label"] = Label(record["label"])
-    record["raw_source"] = _inflate(where, record["raw_source"])
+    record["raw_source"] = _inflate(where, record["raw_source"], budget)
     return CorpusEntry(entry_id=entry_id, content_hash=content_hash, **record)
 
 
@@ -521,7 +558,10 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     buffers, so neither the file nor its text is ever held in memory; each
     entry's raw source is deflated as its line is encoded. The header goes
     first with a placeholder digest of 64 zeros, and is written again once
-    it, the text and the block are hashed."""
+    it, the text and the block are hashed. IndexTooLarge, and no file
+    written, if a raw source is longer than MAX_SOURCE_BYTES or the sources
+    would inflate past the file's _SourceBudget: the loader would refuse
+    them."""
     vectors = index.vectors
     dtype, block = _vector_block(index)
 
@@ -541,13 +581,18 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         placeholder = header("0" * 64)
         digest = hashlib.sha256(placeholder)
         f.write(placeholder)
-        keys = []
+        keys, inflated = [], 0
         for entry in index.entries:
             # The content hash goes to the key line, and the normalized
             # source is not stored; a Label encodes as its value.
             keys.append((entry.entry_id, entry.content_hash))
             record = {key: getattr(entry, key) for key in _ENTRY_FIELDS}
-            record["raw_source"] = _deflate(entry)
+            source = entry.raw_source.encode("utf-8")
+            if len(source) > MAX_SOURCE_BYTES:
+                raise IndexTooLarge(f"entry {entry.entry_id} has {len(source)} bytes of raw "
+                                    f"source, more than the {MAX_SOURCE_BYTES} an index holds")
+            inflated += len(source)
+            record["raw_source"] = _deflate(source)
             line = _compact_json(list(record.values())).encode("utf-8") + b"\n"
             digest.update(line)
             f.write(line)
@@ -555,6 +600,10 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         for part in (line, *block):
             digest.update(part)
             f.write(part)
+        budget = _SourceBudget.of_file(f.tell())
+        if inflated > budget.left:
+            raise IndexTooLarge(f"the index's {inflated} bytes of raw source are more than the "
+                                f"{budget.left} that its {f.tell()}-byte file may hold")
         f.seek(0)
         f.write(header(digest.hexdigest()))
 
@@ -630,10 +679,11 @@ def load_index(path: str | Path) -> CorpusIndex:
     # digits, which end 2 bytes before the header line does, as zeros.
     digest = hashlib.sha256(data[:head_end - 66] + b"0" * 64)
     digest.update(memoryview(data)[head_end - 2:])
+    budget = _SourceBudget.of_file(len(data))
     if digest.hexdigest() != header["digest"]:
         # Damage: report the first line that holds no entry, if there is one.
         for lineno, line in enumerate(lines[:-1], start=2):
-            _entry_from_line(path, lineno, line, "", "")
+            _entry_from_line(path, lineno, line, "", "", budget)
         raise FileCorrupt(f"index {path} does not match the header's digest")
     key_line = f"index {path} line {len(lines) + 1}:"
     keys = decode_json(lines.pop(), lambda exc: FileCorrupt(f"{key_line} {exc}"))
@@ -647,7 +697,7 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise FileCorrupt(f"{key_line} {len(keys)} keys for {len(lines)} entry lines")
 
     def build(pos: int) -> CorpusEntry:
-        return _entry_from_line(path, pos + 2, lines[pos], *keys[pos])
+        return _entry_from_line(path, pos + 2, lines[pos], *keys[pos], budget)
 
     index.entries = EntryList(len(lines), build)
     index.vectors, index.norms = vectors, norms

@@ -66,6 +66,10 @@ class NotUtf8Text(FileCorrupt):
     """A text file read whole holds bytes that are not UTF-8."""
 
 
+class IndexTooLarge(SimauditError):
+    """An index holds more raw source than its file format may."""
+
+
 class EmptyText(SimauditError):
     pass
 

@@ -31,7 +31,7 @@ from helpers import (
     rewrite_index,
     vector_block_size,
 )
-from simaudit import cli, simindex
+from simaudit import cli, corpus, simindex
 from simaudit.agents import CallLog
 from simaudit.cli import _package_version, main
 from simaudit.corpus import Label, load_index
@@ -92,6 +92,19 @@ class TestIndexCommand:
         assert names == ["_approve", "_transfer", "transferFrom"]
         assert index.meta.embedder_id == "fallback-trigram-v1"
         assert index.vectors.shape == (len(index.entries), 384)
+
+    def test_unit_past_the_source_bound_is_skipped(self, tmp_path, capsys, caplog,
+                                                   monkeypatch):
+        """A unit longer than an index may hold is left out with a warning,
+        as a file that does not extract is, and the build succeeds."""
+        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", 400)
+        out = _build_index(tmp_path)
+        assert capsys.readouterr().out == "files=1 functions_seen=3 functions_kept=2\n"
+        assert sorted(e.name for e in load_index(out).entries) == ["_approve", "transferFrom"]
+        archive = tmp_path / "archives" / "tokenlib-1.0.0.tgz"
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping erc20.sol::ERC20::_transfer#0 from {archive}: 482 bytes of source, "
+            f"more than the 400 an index holds"]
 
     def test_directory_named_like_an_archive_is_skipped(self, tmp_path, capsys):
         (tmp_path / "archives" / "weird-1.0.tgz").mkdir(parents=True)

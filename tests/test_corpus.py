@@ -55,6 +55,7 @@ from simaudit.errors import (
     ArchiveCorrupt,
     FileCorrupt,
     FormatVersionMismatch,
+    IndexTooLarge,
     LabelFileMalformed,
 )
 from simaudit.extract import extract_units
@@ -275,6 +276,16 @@ def _fallback_index():
     """_labeled_index embedded by the fallback embedder: an int8 block."""
     index = _labeled_index()
     embed_index(index, FallbackEmbedder())
+    return index
+
+
+def _repetitive_index():
+    """Eight entries of about 4 KB of source each that deflate to a few
+    dozen bytes: together they inflate to more than 16 times their file."""
+    index = new_index()
+    for i in range(8):
+        index.insert(mk_unit(f"f.sol::C::g{i}#0", body=f"function g{i}() {{ {f'x{i}++; ' * 700}}}"),
+                     "pkg", "1.0")
     return index
 
 
@@ -965,9 +976,54 @@ class TestPersistence:
         monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", 30)
         path = tmp_path / "idx.jsonl"
         size = len(index.entries[0].raw_source)
-        with pytest.raises(FileCorrupt, match=f"^entry {re.escape(index.entries[0].entry_id)} "
+        with pytest.raises(IndexTooLarge, match=f"^entry {re.escape(index.entries[0].entry_id)} "
                                               f"has {size} bytes of raw source, more than "
                                               f"the 30 an index holds$"):
+            save_index(index, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sources_read_from_one_file_stay_within_its_budget(self, tmp_path, monkeypatch):
+        """Each line inflates within MAX_SOURCE_BYTES, but together they
+        hold more than SOURCE_BYTES_PER_FILE_BYTE times the file: entries
+        build until the budget runs out, the next one is FileCorrupt naming
+        its line, and the sources held stay within the budget. The same
+        budget bounds the lines parsed to find damage."""
+        index = _repetitive_index()
+        largest = max(len(e.raw_source) for e in index.entries)
+        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", largest)
+        path = tmp_path / "idx.jsonl"
+        with monkeypatch.context() as unbounded:
+            unbounded.setattr(corpus, "SOURCE_BYTES_PER_FILE_BYTE", 1 << 20)
+            save_index(index, path)
+        budget = corpus.SOURCE_BYTES_PER_FILE_BYTE * path.stat().st_size
+        sizes = [len(e.raw_source) for e in index.entries]
+        fit = sum(sum(sizes[:n]) <= budget for n in range(1, len(sizes) + 1))
+        assert largest < budget and 0 < fit < len(sizes)
+        left = budget - sum(sizes[:fit])
+        refused = (f"^{re.escape(f'index {path} line {fit + 2}: raw_source inflates past')} "
+                   f"the {left} bytes that the index's sources may still inflate to$")
+        loaded = load_index(path)
+        assert loaded.entries[:fit] == index.entries[:fit]
+        with pytest.raises(FileCorrupt, match=refused):
+            loaded.entries[fit]
+        assert sum(len(e.raw_source) for e in loaded.entries[:fit]) <= budget
+        header, lines, _ = split_index(path)
+        lines[-1] = lines[-1].replace("pkg@1.0", "pkg@1.1", 1)  # the digest no longer holds
+        _write_index(path, header, lines)
+        with pytest.raises(FileCorrupt, match=refused):
+            load_index(path)
+
+    def test_save_refuses_sources_past_the_file_budget(self, tmp_path, monkeypatch):
+        """The loader would refuse to read every entry, so no file is
+        written."""
+        index = _repetitive_index()
+        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", max(len(e.raw_source)
+                                                            for e in index.entries))
+        total = sum(len(e.raw_source) for e in index.entries)
+        path = tmp_path / "idx.jsonl"
+        with pytest.raises(IndexTooLarge, match=f"^the index's {total} bytes of raw source are "
+                                                f"more than the [0-9]+ that its [0-9]+-byte "
+                                                f"file may hold$"):
             save_index(index, path)
         assert list(tmp_path.iterdir()) == []
 
@@ -986,10 +1042,8 @@ class TestPersistence:
             assert inflate.call_count == 1
 
     def test_save_peaks_below_the_file_size(self, tmp_path):
-        """Deflating a source allocates about 300 KB of zlib state, once per
-        entry and freed after it, so the file is several times that."""
         index = new_index()
-        for i, text in enumerate(function_texts(1024)):
+        for i, text in enumerate(function_texts(256)):
             index.insert(mk_unit(f"f.sol::C::f{i}#0", body=text), "pkg", "1.0")
         embed_index(index, FallbackEmbedder())
         path = tmp_path / "idx.jsonl"
