@@ -1,57 +1,50 @@
 """Reference corpus: archive ingestion, vulnerability labels, persistence.
 
-An index (format 11) is JSON text followed by raw bytes. Line one is a JSON
-header carrying the format version, the embedder id, the similarity
-threshold the index was built for, a creation timestamp, ingestion stats,
-the embedding `dimension` and vector block `dtype` (both null before
-embedding) and, last, `digest`: the SHA-256 hex of the whole file, header
-and vector block included, with the digest's own 64 digits taken as zeros.
-Lines 2 to n+1 hold one entry each, a compact JSON array of its 6 fields in
-the order of _ENTRY_FIELDS: package, version, label, vuln_note, name and
-raw_source. raw_source is stored deflated: the base64 text of the raw
-DEFLATE stream (level 6, no zlib header or trailer) of the source's UTF-8
-bytes. The entry id, content hash and normalized source are not on it;
-line n+2, the key line, is a compact JSON array of [entry_id, content_hash]
-pairs in entry order. The entry id keeps the unit's provenance, its file,
-contract and ordinal. The normalized source is derived from the raw source
+An index (format 12) is a JSON header line, a raw DEFLATE stream and raw
+bytes. Line one is a JSON header carrying the format version, the embedder
+id, the similarity threshold the index was built for, a creation timestamp,
+ingestion stats, the embedding `dimension` and vector block `dtype` (both
+null before embedding) and, last, `digest`: the SHA-256 hex of the whole
+file, header and vector block included, with the digest's own 64 digits
+taken as zeros. After the header's newline comes one raw DEFLATE stream (no
+zlib header or trailer) of the index's text, its UTF-8 lines: n entry lines,
+each a compact JSON array of its 6 fields in the order of _ENTRY_FIELDS
+(package, version, label, vuln_note, name and raw_source), and then the key
+line, a compact JSON array of [entry_id, content_hash] pairs in entry order.
+The entry id keeps the unit's provenance, its file, contract and ordinal.
+The normalized source is not stored; it is derived from the raw source
 where it is read (CorpusIndex.normalized_source): for each find_clone hash
 hit, and for every entry when a loaded index is embedded. In an embedded
-index the key line's newline is followed directly by the vector block,
-little-endian and row-major, row i for entry line i + 2, and nothing after
-it, so the file is not pure JSON Lines, though its first line is still the
-header. The block is the matrix as CorpusIndex keeps it: the fallback
-embedder's integer sums as `dimension` x `stats.functions_kept` values of
-the narrowest signed type that holds them, which `dtype` names (int8 to
-int64), then one float64 norm per row; or float64 rows, `dtype` float64.
+index the stream is followed directly by the vector block, little-endian
+and row-major, row i for entry i, and nothing after it. The block is the
+matrix as CorpusIndex keeps it: the fallback embedder's integer sums as
+`dimension` x `stats.functions_kept` values of the narrowest signed type
+that holds them, which `dtype` names (int8 to int64), then one float64 norm
+per row; or float64 rows, `dtype` float64.
 
 The loader first checks the header: its format version, then each field of
 _HEADER_FIELDS and _STATS_FIELDS present and of its type, by the one loop
 that checks an entry line against _ENTRY_FIELDS. It takes the block from the
-end of the file by its length, so a wrong length, a missing line, text that
-is not UTF-8, a norm that is not positive and finite, or a row that is not
-finite (for sums: whose largest magnitude over its norm is not) makes the
-file corrupt. It copies the block out as stored, so no float64 matrix is
+end of the file by its length, and inflates the text once, so a wrong
+length, a stream that is not raw DEFLATE, ends inside itself or has bytes
+after it, text that inflates past _text_bound of the file's length or is not
+UTF-8, a missing line, a norm that is not positive and finite, or a row that
+is not finite (for sums: whose largest magnitude over its norm is not) makes
+the file corrupt. It copies the block out as stored, so no float64 matrix is
 built from sums. It then hashes the file and parses only the key line, whose
-pairs must be two strings each: an entry is parsed, and its source inflated,
-the first time a scan touches it (a find_clone hash hit, entry_by_id or
-reading entries). A line that is not a list of the 6 fields, each of its
-type, is corrupt, as is a raw_source that is not strict base64, not exactly
-one complete raw DEFLATE stream, longer than MAX_SOURCE_BYTES inflated, or
-not UTF-8, or that inflates past what is left of the file's source budget:
-the sources of all the entries read from one file may inflate to
-SOURCE_BYTES_PER_FILE_BYTE times its length, or MAX_SOURCE_BYTES if that is
-more. If the hash does not match the digest, every entry line is parsed at
-load instead, drawing on the same budget, so a damaged line is reported by
-its number; if they all parse, the mismatch itself is reported. Either way
-the load fails with FileCorrupt, as does raw source that no longer
-normalizes, once it is read.
+pairs must be two strings each: an entry line is parsed the first time a
+scan touches its entry (a find_clone hash hit, entry_by_id or reading
+entries), and one that is not a list of the 6 fields, each of its type, is
+corrupt. If the hash does not match the digest, every entry line is parsed
+at load instead, so a damaged line is reported by its number; if they all
+parse, the mismatch itself is reported. Either way the load fails with
+FileCorrupt, as does raw source that no longer normalizes, once it is read.
 Saving is deterministic, so load-then-save reproduces the file byte for
 byte.
 """
 
 from __future__ import annotations
 
-import base64
 import csv
 import hashlib
 import io
@@ -85,15 +78,12 @@ from .simindex import DEFAULT_DELTA, narrowest_int
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 11
-# The most UTF-8 bytes an entry's raw source may hold; ingestion skips a
-# longer unit, save_index refuses one, and the loader stops inflating past it.
-MAX_SOURCE_BYTES = 1 << 24
-# The raw sources of one index file may inflate to this many bytes per byte
-# of the file, all together, or to MAX_SOURCE_BYTES if that is more; so a
-# crafted file of many lines that each inflate to nearly MAX_SOURCE_BYTES
-# cannot hold more than this multiple of its own size once read.
-SOURCE_BYTES_PER_FILE_BYTE = 16
+FORMAT_VERSION = 12
+# An index's text may inflate to this many UTF-8 bytes per byte of its file,
+# or to TEXT_BOUND_FLOOR if that is more (_text_bound): so a crafted file
+# holds no more than this multiple of its own size once loaded.
+TEXT_BYTES_PER_FILE_BYTE = 16
+TEXT_BOUND_FLOOR = 1 << 24
 # The element types a vector block may name in the header's dtype.
 VECTOR_DTYPES = ("int8", "int16", "int32", "int64", "float64")
 # Encodes entry and key lines: JSON with no space after "," or ":".
@@ -268,10 +258,8 @@ def ingest_archive(index: CorpusIndex, archive_path: str | Path,
 
     Member order is the archive's own, so ingestion is deterministic for a
     fixed archive. Files that are not UTF-8 or fail extraction are counted
-    in files_seen and skipped with a warning, as is a unit of more than
-    MAX_SOURCE_BYTES of source, which an index cannot hold, in
-    functions_seen; an archive with no .sol members logs a warning but is not
-    an error.
+    in files_seen and skipped with a warning; an archive with no .sol
+    members logs a warning but is not an error.
     """
     try:
         tf = tarfile.open(archive_path, mode="r:gz")
@@ -299,12 +287,6 @@ def ingest_archive(index: CorpusIndex, archive_path: str | Path,
                     continue
                 for unit in units:
                     index.stats.functions_seen += 1
-                    size = len(unit.raw_source.encode("utf-8"))
-                    if size > MAX_SOURCE_BYTES:
-                        log.warning("skipping %s from %s: %d bytes of source, more than the "
-                                    "%d an index holds", unit.unit_id, archive_path, size,
-                                    MAX_SOURCE_BYTES)
-                        continue
                     index.insert(unit, package, version)
     except (tarfile.TarError, EOFError, zlib.error) as exc:
         # Truncated or garbled mid-stream; member iteration itself can throw.
@@ -430,71 +412,17 @@ def _check_fields(where: str, record: dict, fields: dict) -> None:
             raise FileCorrupt(f"{where}: {key} {record[key]!r:.60} is not {what}")
 
 
-def _deflate(source: bytes) -> str:
-    """The stored form of a raw source's UTF-8 bytes: the base64 text of
-    their raw DEFLATE stream, at level 6. The window is the smallest that
-    holds the source and deflate's 262-byte lookahead, so no match is cut
-    short, and the hash table and symbol buffer (memLevel) are sized to
-    it: a 600-byte source gets about 18 KB of zlib state, not 268 KB."""
-    wbits = min(15, max(9, (len(source) + 261).bit_length()))
-    packer = zlib.compressobj(6, zlib.DEFLATED, -wbits, min(8, wbits - 6))
-    return base64.b64encode(packer.compress(source) + packer.flush()).decode("ascii")
+def _text_bound(file_size: int) -> int:
+    """The most UTF-8 bytes that the text of an index file of file_size
+    bytes may inflate to."""
+    return max(TEXT_BOUND_FLOOR, TEXT_BYTES_PER_FILE_BYTE * file_size)
 
 
-@dataclass
-class _SourceBudget:
-    """The UTF-8 bytes of raw source that the entries read from one index
-    file may still inflate to, all together. An entry, once built, is kept,
-    so this bounds what a loaded index holds beyond its file's bytes."""
-
-    left: int
-
-    @classmethod
-    def of_file(cls, size: int) -> "_SourceBudget":
-        return cls(max(MAX_SOURCE_BYTES, SOURCE_BYTES_PER_FILE_BYTE * size))
-
-
-def _inflate(where: str, stored: str, budget: _SourceBudget) -> str:
-    """The raw source that _deflate stored as stored, drawn from budget;
-    FileCorrupt, its message starting with where, unless stored is strict
-    base64 of exactly one complete raw DEFLATE stream of UTF-8 of at most
-    MAX_SOURCE_BYTES and no more than budget has left."""
-    try:
-        packed = base64.b64decode(stored, validate=True)
-        strict = base64.b64encode(packed).decode("ascii") == stored
-    except ValueError:  # binascii.Error, or a character outside ASCII
-        strict = False
-    if not strict:
-        raise FileCorrupt(f"{where}: raw_source is not strict base64")
-    limit = min(MAX_SOURCE_BYTES, budget.left)
-    unpacker = zlib.decompressobj(-15)
-    try:
-        source = unpacker.decompress(packed, limit + 1)
-    except zlib.error as exc:
-        raise FileCorrupt(f"{where}: raw_source is not a raw DEFLATE stream: {exc}") from exc
-    if len(source) > MAX_SOURCE_BYTES:
-        raise FileCorrupt(f"{where}: raw_source inflates past {MAX_SOURCE_BYTES} bytes")
-    if len(source) > limit:
-        raise FileCorrupt(f"{where}: raw_source inflates past the {limit} bytes that the "
-                          f"index's sources may still inflate to")
-    if not unpacker.eof:
-        raise FileCorrupt(f"{where}: raw_source ends inside its DEFLATE stream")
-    if unpacker.unused_data:
-        raise FileCorrupt(f"{where}: raw_source has bytes after its DEFLATE stream")
-    try:
-        text = source.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FileCorrupt(f"{where}: raw_source is not UTF-8: {exc}") from exc
-    budget.left -= len(source)
-    return text
-
-
-def _entry_from_line(path, lineno: int, line: str, entry_id: str, content_hash: str,
-                     budget: _SourceBudget) -> CorpusEntry:
+def _entry_from_line(path, lineno: int, line: str, entry_id: str,
+                     content_hash: str) -> CorpusEntry:
     """The entry on line lineno of index path, with the id and content hash
     that the key line gives it; FileCorrupt naming the line if the line is
-    not a JSON list of _ENTRY_FIELDS, each of its type, or its raw_source
-    does not inflate within budget."""
+    not a JSON list of _ENTRY_FIELDS, each of its type."""
     where = f"index {path} line {lineno}"
     fields = decode_json(line, lambda exc: FileCorrupt(f"{where}: {exc}"))
     if type(fields) is not list or len(fields) != len(_ENTRY_FIELDS):
@@ -502,7 +430,6 @@ def _entry_from_line(path, lineno: int, line: str, entry_id: str, content_hash: 
     record = dict(zip(_ENTRY_FIELDS, fields))
     _check_fields(where, record, _ENTRY_FIELDS)
     record["label"] = Label(record["label"])
-    record["raw_source"] = _inflate(where, record["raw_source"], budget)
     return CorpusEntry(entry_id=entry_id, content_hash=content_hash, **record)
 
 
@@ -553,15 +480,14 @@ def _vector_block(index: CorpusIndex) -> tuple[str | None, list[np.ndarray]]:
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write index to path in format FORMAT_VERSION. Each line is encoded,
-    hashed and written in turn, and the vector block from its arrays' own
-    buffers, so neither the file nor its text is ever held in memory; each
-    entry's raw source is deflated as its line is encoded. The header goes
-    first with a placeholder digest of 64 zeros, and is written again once
-    it, the text and the block are hashed. IndexTooLarge, and no file
-    written, if a raw source is longer than MAX_SOURCE_BYTES or the sources
-    would inflate past the file's _SourceBudget: the loader would refuse
-    them."""
+    """Write index to path in format FORMAT_VERSION. Each line is encoded
+    and deflated in turn, and the stream hashed and written as it comes,
+    then the vector block from its arrays' own buffers, so neither the file
+    nor its text is ever held in memory. The header goes first with a
+    placeholder digest of 64 zeros, and is written again once it, the stream
+    and the block are hashed. IndexTooLarge, and no file written, if the
+    text is longer than the _text_bound of the file: the loader would refuse
+    it."""
     vectors = index.vectors
     dtype, block = _vector_block(index)
 
@@ -577,33 +503,37 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
             "digest": digest,
         }).encode("utf-8") + b"\n"
 
-    def write(f: BinaryIO) -> None:
-        placeholder = header("0" * 64)
-        digest = hashlib.sha256(placeholder)
-        f.write(placeholder)
-        keys, inflated = [], 0
+    def text():
+        """The index's entry lines and then its key line, as JSON values."""
+        keys = []
         for entry in index.entries:
             # The content hash goes to the key line, and the normalized
             # source is not stored; a Label encodes as its value.
             keys.append((entry.entry_id, entry.content_hash))
-            record = {key: getattr(entry, key) for key in _ENTRY_FIELDS}
-            source = entry.raw_source.encode("utf-8")
-            if len(source) > MAX_SOURCE_BYTES:
-                raise IndexTooLarge(f"entry {entry.entry_id} has {len(source)} bytes of raw "
-                                    f"source, more than the {MAX_SOURCE_BYTES} an index holds")
-            inflated += len(source)
-            record["raw_source"] = _deflate(source)
-            line = _compact_json(list(record.values())).encode("utf-8") + b"\n"
-            digest.update(line)
-            f.write(line)
-        line = _compact_json(keys).encode("utf-8") + b"\n"
-        for part in (line, *block):
+            yield [getattr(entry, key) for key in _ENTRY_FIELDS]
+        yield keys
+
+    def write(f: BinaryIO) -> None:
+        placeholder = header("0" * 64)
+        digest = hashlib.sha256(placeholder)
+        f.write(placeholder)
+        # Level 6 in a 4 KiB window with a small hash table: about 24 KB of
+        # zlib state, where the defaults take 268 KB.
+        packer = zlib.compressobj(6, zlib.DEFLATED, -12, 4)
+        size = 0
+        for value in text():
+            line = _compact_json(value).encode("utf-8") + b"\n"
+            size += len(line)
+            part = packer.compress(line)
             digest.update(part)
             f.write(part)
-        budget = _SourceBudget.of_file(f.tell())
-        if inflated > budget.left:
-            raise IndexTooLarge(f"the index's {inflated} bytes of raw source are more than the "
-                                f"{budget.left} that its {f.tell()}-byte file may hold")
+        for part in (packer.flush(), *block):
+            digest.update(part)
+            f.write(part)
+        bound = _text_bound(f.tell())
+        if size > bound:
+            raise IndexTooLarge(f"the index's {size} bytes of text are more than the {bound} "
+                                f"that its {f.tell()}-byte file may hold")
         f.seek(0)
         f.write(header(digest.hexdigest()))
 
@@ -645,13 +575,27 @@ def load_index(path: str | Path) -> CorpusIndex:
     if cut <= head_end:
         raise FileCorrupt(f"index {path} is too short for its {rows} rows of {dimension} "
                           f"{dtype}" + (" and their norms" if norms_size else ""))
-    text = memoryview(data)[head_end + 1:cut]
+    bound = _text_bound(len(data))
+    unpacker = zlib.decompressobj(-15)
     try:
-        *lines, tail = str(text, "utf-8").split("\n")
+        text = unpacker.decompress(memoryview(data)[head_end + 1:cut], bound + 1)
+    except zlib.error as exc:
+        raise FileCorrupt(f"index {path} entry text is not a raw DEFLATE stream: {exc}") from exc
+    if len(text) > bound:
+        raise FileCorrupt(f"index {path} entry text inflates past the {bound} bytes that its "
+                          f"{len(data)}-byte file may hold")
+    if not unpacker.eof:
+        raise FileCorrupt(f"index {path} entry text ends inside its DEFLATE stream")
+    if unpacker.unused_data:
+        raise FileCorrupt(f"index {path} entry text has bytes after its DEFLATE stream")
+    try:
+        text = text.decode("utf-8")  # frees the inflated bytes
     except UnicodeDecodeError as exc:
         raise FileCorrupt(f"index {path} entry text is not UTF-8: {exc}") from exc
+    *lines, tail = text.split("\n")
+    del text  # only the lines are kept
     if tail:
-        raise FileCorrupt(f"index {path} has no line break before its vector block")
+        raise FileCorrupt(f"index {path} entry text does not end with a line break")
     if len(lines) != rows + 1:
         raise FileCorrupt(
             f"index {path} says functions_kept={rows} but holds "
@@ -679,11 +623,10 @@ def load_index(path: str | Path) -> CorpusIndex:
     # digits, which end 2 bytes before the header line does, as zeros.
     digest = hashlib.sha256(data[:head_end - 66] + b"0" * 64)
     digest.update(memoryview(data)[head_end - 2:])
-    budget = _SourceBudget.of_file(len(data))
     if digest.hexdigest() != header["digest"]:
         # Damage: report the first line that holds no entry, if there is one.
         for lineno, line in enumerate(lines[:-1], start=2):
-            _entry_from_line(path, lineno, line, "", "", budget)
+            _entry_from_line(path, lineno, line, "", "")
         raise FileCorrupt(f"index {path} does not match the header's digest")
     key_line = f"index {path} line {len(lines) + 1}:"
     keys = decode_json(lines.pop(), lambda exc: FileCorrupt(f"{key_line} {exc}"))
@@ -697,7 +640,7 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise FileCorrupt(f"{key_line} {len(keys)} keys for {len(lines)} entry lines")
 
     def build(pos: int) -> CorpusEntry:
-        return _entry_from_line(path, pos + 2, lines[pos], *keys[pos], budget)
+        return _entry_from_line(path, pos + 2, lines[pos], *keys[pos])
 
     index.entries = EntryList(len(lines), build)
     index.vectors, index.norms = vectors, norms

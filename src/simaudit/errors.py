@@ -67,7 +67,7 @@ class NotUtf8Text(FileCorrupt):
 
 
 class IndexTooLarge(SimauditError):
-    """An index holds more raw source than its file format may."""
+    """An index's text would inflate past what its file may hold."""
 
 
 class EmptyText(SimauditError):

@@ -3,7 +3,6 @@ saved-index tampering, and a tiny local HTTP server for wire-format tests."""
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import functools
 import hashlib
@@ -55,64 +54,51 @@ def vector_block_size(header: dict) -> int:
 ENTRY_FIELDS = ("package", "version", "label", "vuln_note", "name", "raw_source")
 
 
-def _raw_deflate(data: bytes) -> bytes:
-    packer = zlib.compressobj(6, zlib.DEFLATED, -15)
-    return packer.compress(data) + packer.flush()
+def index_text(lines: list[str]) -> bytes:
+    """The UTF-8 text of lines, each ended by a newline: an index's text,
+    inflated, whose lines are its entry lines and its key line."""
+    return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
-def deflate_source(text: str) -> str:
-    """raw_source as an entry line stores it: the base64 text of the raw
-    DEFLATE stream, at level 6, of the text's UTF-8 bytes."""
-    return base64.b64encode(_raw_deflate(text.encode("utf-8"))).decode()
-
-
-def inflate_source(stored: str) -> str:
-    """The text that deflate_source(text) stored as stored."""
-    return zlib.decompress(base64.b64decode(stored, validate=True), -15).decode("utf-8")
-
-
-class Stored(str):
-    """A raw_source that rewrite_index writes as it is, not deflated: the
-    stored form itself, such as damaged base64."""
-
-
-def _stored(data: bytes) -> Stored:
-    return Stored(base64.b64encode(data).decode())
+def deflate_text(text: bytes) -> bytes:
+    """The raw DEFLATE stream that save_index writes for an index's text."""
+    packer = zlib.compressobj(6, zlib.DEFLATED, -12, 4)
+    return packer.compress(text) + packer.flush()
 
 
 @functools.cache
-def _past_the_bound(bound: int) -> Stored:
-    """A stored source that inflates to bound + 1 spaces: about 22 KB of
-    base64 at the 16 MiB bound."""
-    return _stored(_raw_deflate(b" " * (bound + 1)))
+def _past_the_bound(bound: int) -> bytes:
+    """A stream that inflates to bound + 1 spaces: about 16 KB at the floor,
+    so that the bound of a file that holds it is the floor."""
+    return deflate_text(b" " * (bound + 1))
 
 
-# A stored raw_source for each way the loader must refuse one (FileCorrupt
-# naming its line), made from the source text it replaces, and the start of
-# the message after "raw_source ".
-SOURCE_DAMAGE = {
-    "not_base64": (lambda text: Stored(deflate_source(text) + "\n"), "is not strict base64"),
-    # "AB==" decodes to the byte 0, as "AA==" does, but is not its encoding.
-    "non_canonical_base64": (lambda text: Stored("AB=="), "is not strict base64"),
-    "not_deflate": (lambda text: _stored(b"\xff" + _raw_deflate(text.encode("utf-8"))),
-                    "is not a raw DEFLATE stream"),
-    "truncated_stream": (lambda text: _stored(_raw_deflate(text.encode("utf-8"))[:-1]),
-                         "ends inside its DEFLATE stream"),
-    "bytes_after_stream": (lambda text: _stored(_raw_deflate(text.encode("utf-8")) + b"\0"),
+# For each way the loader must refuse an index's stream (FileCorrupt), the
+# stream that replaces the deflated text, made from the text's bytes, and
+# the message after "entry text ".
+TEXT_DAMAGE = {
+    # A first byte of 0xff starts a final block of the reserved type 3.
+    "not_deflate": (lambda text: b"\xff" + deflate_text(text), "is not a raw DEFLATE stream"),
+    "truncated_stream": (lambda text: deflate_text(text)[:-1], "ends inside its DEFLATE stream"),
+    "bytes_after_stream": (lambda text: deflate_text(text) + b"\0",
                            "has bytes after its DEFLATE stream"),
-    "not_utf8": (lambda text: _stored(_raw_deflate(b"\xff" + text.encode("utf-8"))),
-                 "is not UTF-8"),
-    "past_the_bound": (lambda text: _past_the_bound(corpus.MAX_SOURCE_BYTES),
-                       "inflates past"),
+    "not_utf8": (lambda text: deflate_text(b"\xff" + text), "is not UTF-8"),
+    "past_the_bound": (lambda text: _past_the_bound(corpus.TEXT_BOUND_FLOOR), "inflates past"),
 }
+
+
+def damage_text(data: bytes, damage: str) -> bytes:
+    """data, the bytes of a saved index, with its deflated text replaced as
+    TEXT_DAMAGE[damage] replaces it; the digest is left as it is."""
+    _, lines, block = split_index(data)
+    return data[:data.index(b"\n") + 1] + TEXT_DAMAGE[damage][0](index_text(lines)) + block
 
 
 def entry_record(fields: list) -> dict:
     """The object that format 7 and earlier wrote for an entry line's fields:
     package, version, label and vuln_note, then the unit's fields under "unit".
-    The unit fields that formats 10 and 11 no longer store get fixed
-    placeholders. fields hold the raw source as text, as formats up to 10
-    stored it."""
+    The unit fields that formats 10 to 12 no longer store get fixed
+    placeholders."""
     package, version, label, vuln_note, name, raw_source = fields
     return {"package": package, "version": version, "label": label, "vuln_note": vuln_note,
             "unit": {"unit_id": f"f.sol::C::{name}#0", "kind": "function", "name": name,
@@ -149,13 +135,24 @@ HEADER_EDITS = {
 }
 
 
-def split_index(path: Path) -> tuple[dict, list[str], bytes]:
-    """(header, text lines, vector block) of a saved index; the last text
-    line is the key line."""
-    head, rest = path.read_bytes().split(b"\n", 1)
+def split_index(index: Path | bytes) -> tuple[dict, list[str], bytes]:
+    """(header, text lines, vector block) of a saved index, given as its
+    path or its bytes; the text is inflated, and its last line is the key
+    line."""
+    data = index if isinstance(index, bytes) else index.read_bytes()
+    head, rest = data.split(b"\n", 1)
     header = json.loads(head)
     cut = len(rest) - vector_block_size(header)
-    return header, rest[:cut].decode("utf-8").splitlines(), rest[cut:]
+    return header, zlib.decompress(rest[:cut], -15).decode("utf-8").splitlines(), rest[cut:]
+
+
+def join_index(lines: list[str], block: bytes = b"") -> bytes:
+    """The bytes of an index whose header line is lines[0], whose text is
+    the other lines, deflated as save_index deflates it, and whose vector
+    block is block. join_index([json.dumps(header), *lines], block) gives
+    back the bytes that split_index took apart."""
+    head, *text = lines
+    return (head + "\n").encode("utf-8") + deflate_text(index_text(text)) + block
 
 
 def restamp(data: bytes) -> bytes:
@@ -179,29 +176,18 @@ def rewrite_index(path: Path, entry=None, keys=None, **header) -> None:
     loader's checks of the edited values can refuse it. Entry line i + 2
     becomes entry(i, its list of fields), the key line keys(its list of
     pairs), and header's items update the header; the result of an edit is
-    written as compact JSON, or as it is if it is RawJSON. entry sees the
-    raw source inflated, and where it returns 6 fields whose last is a str,
-    that is deflated again unless it is Stored."""
+    written as compact JSON, or as it is if it is RawJSON."""
     def encode(value) -> str:
         return value if isinstance(value, RawJSON) else json.dumps(value, separators=(",", ":"))
-
-    def fields(line: str) -> list:
-        *head, stored = json.loads(line)
-        return [*head, inflate_source(stored)]
-
-    def deflated(value):
-        if type(value) is list and len(value) == len(ENTRY_FIELDS) and type(value[-1]) is str:
-            return [*value[:-1], deflate_source(value[-1])]
-        return value
 
     head, lines, block = split_index(path)
     *lines, key_line = lines
     if entry is not None:
-        lines = [encode(deflated(entry(pos, fields(line)))) for pos, line in enumerate(lines)]
+        lines = [encode(entry(pos, json.loads(line))) for pos, line in enumerate(lines)]
     if keys is not None:
         key_line = encode(keys(json.loads(key_line)))
-    text = "\n".join([json.dumps({**head, **header}), *lines, key_line]).encode("utf-8")
-    path.write_bytes(restamp(text + b"\n" + block))
+    path.write_bytes(restamp(join_index([json.dumps({**head, **header}), *lines, key_line],
+                                        block)))
 
 
 def make_archive(path: Path, files: dict[str, str]) -> Path:

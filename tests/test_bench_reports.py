@@ -1,6 +1,7 @@
 """The benchmark's two seed-1 workloads, indexed and scanned in-process: each
 report, read back from its JSON, hashes to the `report_sha256` that
-`bench/run.py --seed 1` prints for it.
+`bench/run.py --seed 1` prints for it, and each index file is as long as
+the one the benchmark measures as `index_mb`.
 
 The inputs come from `bench/workloads.py`, and the commands run through
 `simaudit.cli.main` with the arguments `bench/run.py` gives them, from the
@@ -8,7 +9,8 @@ workload's directory. The retrieval workload uses the mock model, as the
 benchmark does. The llm workload's model is `bench/endpoint.answer` called
 in-process, the reply the stand-in endpoint sends, in place of the HTTP
 provider, so no endpoint is started. A change meant to alter reports edits
-these digests in the open.
+these digests in the open, and one meant to alter the index file edits
+its length.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ DIGESTS = {
     "retrieval": "94d4b292d4fd5799eb986c0e1ef7ea20d8abab8dfa4dff572c936e4ca0bd194e",
     "llm": "47b54996ce033769d69d766f4a591c27971a84bab88a38a13bd6596dd48c6492",
 }
+# The byte length of each workload's seed-1 index.jsonl.
+INDEX_BYTES = {"retrieval": 368_789, "llm": 23_670}
 
 
 def _bench(name: str, monkeypatch):
@@ -51,6 +55,7 @@ def test_seed_1_report_digest(workload, tmp_path, monkeypatch):
     workloads.generate(workload, 1, Path("."))
     assert cli.main(["index", "--archives", "archives", "--labels", "labels.csv",
                      "--out", "index.jsonl"]) == 0
+    assert Path("index.jsonl").stat().st_size == INDEX_BYTES[workload]
     scan = ["scan", "--input", "target", "--index", "index.jsonl", "--report", "report.json"]
     if workloads.WORKLOADS[workload]["model_delay_s"] is None:
         scan += ["--provider", "mock", "--mock-fixture", "mock.json"]

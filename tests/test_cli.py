@@ -19,17 +19,20 @@ from helpers import (
     ENTRY_FIELDS,
     FIXTURES,
     HEADER_EDITS,
-    SOURCE_DAMAGE,
+    TEXT_DAMAGE,
     TOO_DEEP,
     CannedHTTPServer,
     RawJSON,
     bad_templates,
+    damage_text,
+    deflate_text,
     entry_record,
-    inflate_source,
+    index_text,
     make_archive,
     mistype,
+    restamp,
     rewrite_index,
-    vector_block_size,
+    split_index,
 )
 from simaudit import cli, corpus, simindex
 from simaudit.agents import CallLog
@@ -93,18 +96,17 @@ class TestIndexCommand:
         assert index.meta.embedder_id == "fallback-trigram-v1"
         assert index.vectors.shape == (len(index.entries), 384)
 
-    def test_unit_past_the_source_bound_is_skipped(self, tmp_path, capsys, caplog,
-                                                   monkeypatch):
-        """A unit longer than an index may hold is left out with a warning,
-        as a file that does not extract is, and the build succeeds."""
-        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", 400)
+    def test_unit_past_the_floor_is_kept(self, tmp_path, capsys, caplog, monkeypatch):
+        """A unit has no cap of its own: one longer than the floor of the
+        bound on an index's text is kept, with no warning, as long as the
+        whole text is within 16 times the file."""
+        monkeypatch.setattr(corpus, "TEXT_BOUND_FLOOR", 400)
         out = _build_index(tmp_path)
-        assert capsys.readouterr().out == "files=1 functions_seen=3 functions_kept=2\n"
-        assert sorted(e.name for e in load_index(out).entries) == ["_approve", "transferFrom"]
-        archive = tmp_path / "archives" / "tokenlib-1.0.0.tgz"
-        assert [r.getMessage() for r in caplog.records] == [
-            f"skipping erc20.sol::ERC20::_transfer#0 from {archive}: 482 bytes of source, "
-            f"more than the 400 an index holds"]
+        assert capsys.readouterr().out == "files=1 functions_seen=3 functions_kept=3\n"
+        kept = {e.name: e for e in load_index(out).entries}
+        assert sorted(kept) == ["_approve", "_transfer", "transferFrom"]
+        assert len(kept["_transfer"].raw_source.encode("utf-8")) == 482
+        assert caplog.records == []
 
     def test_directory_named_like_an_archive_is_skipped(self, tmp_path, capsys):
         (tmp_path / "archives" / "weird-1.0.tgz").mkdir(parents=True)
@@ -587,14 +589,13 @@ class TestScanExitCodes:
     def test_format_1_index_is_refused_with_a_rebuild_hint(self, tmp_path, capsys):
         index_path = _build_index(tmp_path)
         vectors = load_index(index_path).rows()
-        data = index_path.read_bytes()
-        size = vector_block_size(json.loads(data.split(b"\n", 1)[0]))
-        header, *entries = (json.loads(line) for line in data[:-size].decode("utf-8").splitlines())
+        header, lines, _ = split_index(index_path)
+        entries = map(json.loads, lines[:-1])
         del header["dimension"], header["dtype"]
         header["format_version"] = 1
         lines = [json.dumps(header)]
         for rec, row in zip(entries, vectors.tolist()):
-            rec = {**entry_record([*rec[:5], inflate_source(rec[5])]), "embedding": row}
+            rec = {**entry_record(rec), "embedding": row}
             rec["unit"] = rec.pop("unit")       # format 1 put the row before the unit
             lines.append(json.dumps(rec))
         index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -603,7 +604,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 1, this build reads format 11" in err
+        assert "is format 1, this build reads format 12" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -624,17 +625,15 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 4, this build reads format 11" in err
+        assert "is format 4, this build reads format 12" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
     def test_format_5_index_is_refused_with_a_rebuild_hint(self, tmp_path, capsys):
         index_path = _build_index(tmp_path)
         vectors = load_index(index_path).rows()
-        data = index_path.read_bytes()
-        head, rest = data.split(b"\n", 1)
-        header = json.loads(head)
-        text = rest[:len(rest) - vector_block_size(header)]
+        header, lines, _ = split_index(index_path)
+        text = index_text(lines)  # not deflated
         del header["dtype"]      # format 5 stored the float64 matrix itself
         header["format_version"] = 5
         index_path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + text
@@ -644,7 +643,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 5, this build reads format 11" in err
+        assert "is format 5, this build reads format 12" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -667,23 +666,22 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 7, this build reads format 11" in err
+        assert "is format 7, this build reads format 12" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("damage", SOURCE_DAMAGE)
+    @pytest.mark.parametrize("damage", TEXT_DAMAGE)
     def test_stored_source_that_does_not_inflate_is_format_error(self, tmp_path, capsys,
                                                                  damage):
-        """Every entry's raw_source damaged, under a matching digest: the
-        first entry the scan reads stops it with exit 3, naming its line."""
-        make, message = SOURCE_DAMAGE[damage]
+        """The deflated text that stores the raw sources damaged, under a
+        matching digest: the scan stops with exit 3 and writes no report."""
         index_path = _build_index(tmp_path, labels=True)
-        rewrite_index(index_path, lambda _, fields: [*fields[:5], make(fields[5])])
+        index_path.write_bytes(restamp(damage_text(index_path.read_bytes(), damage)))
         capsys.readouterr()
         code, report = _scan(tmp_path, index=index_path)
         assert code == 3
-        assert re.match(rf"simaudit: index {re.escape(str(index_path))} line \d+: "
-                        rf"raw_source {message}", capsys.readouterr().err)
+        assert capsys.readouterr().err.startswith(
+            f"simaudit: index {index_path} entry text {TEXT_DAMAGE[damage][1]}")
         assert not report.exists()
 
     @pytest.mark.parametrize("line, pos", [
@@ -726,11 +724,11 @@ class TestScanExitCodes:
 
     @pytest.mark.parametrize("data", [
         b'{"format_version": 2}\n\xff\xfe\n',
-        b'{"format_version": 11, "embedder_id": null, "delta": 0.65, "created_at": "t", '
+        b'{"format_version": 12, "embedder_id": null, "delta": 0.65, "created_at": "t", '
         b'"stats": {"files_seen": 1, "functions_seen": 1, "functions_kept": 1}, '
         b'"dimension": null, "dtype": null, "digest": "' + b"0" * 64 + b'"}'
-        b'\n\xff\xfe\n[]\n',
-        b'{"format_version": 11, "created_at": "\xff\xfe"}\n',
+        b'\n' + deflate_text(b'\xff\xfe\n[]\n'),
+        b'{"format_version": 12, "created_at": "\xff\xfe"}\n',
     ], ids=["format_2_header", "format_4_entry", "format_4_header"])
     def test_index_that_is_not_utf8_is_format_error(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.jsonl"

@@ -11,6 +11,7 @@ import logging
 import re
 import tarfile
 import tracemalloc
+import zlib
 from unittest.mock import patch
 
 import numpy as np
@@ -24,18 +25,20 @@ from helpers import (
     ENTRY_FIELDS,
     FIXTURES,
     HEADER_EDITS,
-    SOURCE_DAMAGE,
+    TEXT_DAMAGE,
     TOO_DEEP,
     CannedHTTPServer,
     RawJSON,
-    Stored,
-    deflate_source,
+    damage_text,
+    deflate_text,
     entry_record,
     function_texts,
-    inflate_source,
+    index_text,
+    join_index,
     make_archive,
     mistype,
     mk_unit,
+    restamp,
     rewrite_index,
     split_index,
 )
@@ -258,9 +261,8 @@ def _labeled_index():
     return index
 
 
-def _write_index(path, header, entries, block=b""):
-    text = "\n".join([json.dumps(header), *entries]) + "\n"
-    path.write_bytes(text.encode("utf-8") + block)
+def _write_index(path, header, lines, block=b""):
+    path.write_bytes(join_index([json.dumps(header), *lines], block))
 
 
 def _tiny_embedded_index(first_value=1.0):
@@ -438,8 +440,8 @@ class TestPersistence:
         index = _labeled_index()
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["format_version"] == FORMAT_VERSION == 11
+        header = split_index(path)[0]
+        assert header["format_version"] == FORMAT_VERSION == 12
         assert list(header) == ["format_version", "embedder_id", "delta",
                                 "created_at", "stats", "dimension", "dtype", "digest"]
         assert header["stats"]["functions_kept"] == len(index.entries)
@@ -451,30 +453,32 @@ class TestPersistence:
         assert header["dimension"] == 384 and header["dtype"] == "int8"
         block = index.vectors.astype("<i1").tobytes() + index.norms.astype("<f8").tobytes()
         assert len(block) == (384 + 8) * len(index.entries)
-        assert data.endswith(b"\n" + block)
-        text = data[:-len(block)].decode("utf-8")
-        assert text.count("\n") == 2 + len(index.entries) and text.endswith("]\n")
+        head, rest = data.split(b"\n", 1)
+        assert rest.endswith(block)
+        text = zlib.decompress(rest[:-len(block)], -15).decode("utf-8")
+        assert text.count("\n") == 1 + len(index.entries) and text.endswith("]\n")
         stored = np.frombuffer(block, "<i1", count=384 * len(index.entries)).reshape(-1, 384)
         stored_norms = np.frombuffer(block, "<f8", offset=stored.nbytes)
         assert (stored[1] / stored_norms[1]).tobytes() == index.rows(1).tobytes()
         # row-major, row i for entry i, then norm i
 
     def test_entry_line_shape(self, tmp_path):
-        """Each raw_source inflates to its entry's source, and is what an
-        independent deflate at level 6 stores for it."""
+        """After the header comes one raw DEFLATE stream, at level 6, of the
+        entry lines and the key line; each raw_source is its entry's source
+        as a JSON string."""
         index = _labeled_index()
         index.insert(mk_unit("c.sol::C::wide#0", body="function wide() { \"é\u2028\"; }"),
                      "tok", "3.0")
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        header, *lines, keys = path.read_text().splitlines()
-        assert list(json.loads(header)["stats"]) == [
-            "files_seen", "functions_seen", "functions_kept"]
-        assert lines[0].startswith('["tok","1.0","clean",null,"mint","')
-        assert json.loads(lines[0])[:5] == ["tok", "1.0", "clean", None, "mint"]
-        stored = [json.loads(line)[5] for line in lines]
-        assert [inflate_source(s) for s in stored] == [e.raw_source for e in index.entries]
-        assert stored == [deflate_source(e.raw_source) for e in index.entries]
+        stream = path.read_bytes().split(b"\n", 1)[1]
+        header, [*lines, keys], _ = split_index(path)
+        assert stream == deflate_text(index_text([*lines, keys]))
+        assert list(header["stats"]) == ["files_seen", "functions_seen", "functions_kept"]
+        assert lines[0] == '["tok","1.0","clean",null,"mint","function mint() public { ' \
+            '/* a.sol::Token::mint#0 */ }"]'
+        assert lines[3].endswith(r'"function wide() { \"\u00e9\u2028\"; }"]')
+        assert [json.loads(line)[5] for line in lines] == [e.raw_source for e in index.entries]
         assert keys == json.dumps([[e.entry_id, e.content_hash] for e in index.entries],
                                   separators=(",", ":"))
 
@@ -500,9 +504,8 @@ class TestPersistence:
     def test_non_object_stats_is_file_corrupt(self, tmp_path, stats):
         path = tmp_path / "idx.jsonl"
         save_index(_labeled_index(), path)
-        header, *entries = path.read_text().splitlines()
-        header = {**json.loads(header), "stats": stats}
-        path.write_text("\n".join([json.dumps(header), *entries]) + "\n")
+        header, lines, _ = split_index(path)
+        _write_index(path, {**header, "stats": stats}, lines)
         with pytest.raises(FileCorrupt, match="header is malformed"):
             load_index(path)
 
@@ -536,9 +539,8 @@ class TestPersistence:
     def test_mistyped_header_field_is_file_corrupt(self, tmp_path, field, value):
         path = tmp_path / "idx.jsonl"
         save_index(_labeled_index(), path)
-        header, *entries = path.read_text().splitlines()
-        header = {**json.loads(header), field: value}
-        path.write_text("\n".join([json.dumps(header), *entries]) + "\n")
+        header, lines, _ = split_index(path)
+        _write_index(path, {**header, field: value}, lines)
         with pytest.raises(FileCorrupt, match="header is malformed"):
             load_index(path)
 
@@ -605,7 +607,7 @@ class TestPersistence:
                   "digest": hashlib.sha256(rest).hexdigest()}
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + rest)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 8, this build reads format 11; "
+                           match="is format 8, this build reads format 12; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -618,19 +620,37 @@ class TestPersistence:
             *fields[:4], *entry_record(fields)["unit"].values()], format_version=9)
         assert len(json.loads(split_index(path)[1][0])) == 12
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 9, this build reads format 11; "
+                           match="is format 9, this build reads format 12; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
     def test_format_10_index_is_refused_with_a_rebuild_hint(self, tmp_path):
         path = tmp_path / "idx.jsonl"
         save_index(_fallback_index(), path)
-        # Format 10 stored each raw source as its text.
-        rewrite_index(path, lambda pos, fields: [*fields[:5], Stored(fields[5])],
-                      format_version=10)
-        assert json.loads(split_index(path)[1][2])[5] == "function mint() public { x; }"
+        # Format 10 wrote the text as it is, not deflated.
+        header, lines, block = split_index(path)
+        path.write_bytes(restamp(json.dumps({**header, "format_version": 10}).encode("utf-8")
+                                 + b"\n" + index_text(lines) + block))
+        assert json.loads(path.read_bytes().split(b"\n")[3])[5] == "function mint() public { x; }"
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 10, this build reads format 11; "
+                           match="is format 10, this build reads format 12; "
+                                 "rebuild it with `simaudit index`"):
+            load_index(path)
+
+    def test_format_11_index_is_refused_with_a_rebuild_hint(self, tmp_path):
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        # Format 11 wrote the text as it is, each raw source as the base64
+        # text of its own raw DEFLATE stream.
+        header, lines, block = split_index(path)
+        *entries, keys = map(json.loads, lines)
+        lines = [json.dumps([*fields[:5], base64.b64encode(zlib.compress(
+            fields[5].encode("utf-8"), wbits=-15)).decode("ascii")], separators=(",", ":"))
+            for fields in entries] + [json.dumps(keys, separators=(",", ":"))]
+        path.write_bytes(restamp(json.dumps({**header, "format_version": 11}).encode("utf-8")
+                                 + b"\n" + index_text(lines) + block))
+        with pytest.raises(FormatVersionMismatch,
+                           match="is format 11, this build reads format 12; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -645,9 +665,9 @@ class TestPersistence:
         index = _labeled_index()
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        lines = path.read_text().splitlines()
-        lines[2] = lines[2][: len(lines[2]) // 2]  # chop an entry line
-        path.write_text("\n".join(lines) + "\n")
+        header, lines, block = split_index(path)
+        lines[1] = lines[1][: len(lines[1]) // 2]  # chop the entry on line 3
+        _write_index(path, header, lines, block)
         with pytest.raises(FileCorrupt) as exc:
             load_index(path)
         assert "line 3" in str(exc.value)
@@ -697,7 +717,7 @@ class TestPersistence:
         data = path.read_bytes()
         if first_value is not None:
             block = index.vectors.astype("<f8").tobytes()
-            assert data.endswith(b"\n" + block)
+            assert data.endswith(block)
             assert (block[0] == 0x0A) == (first_value == _NEWLINE_FIRST)
         for byte in range(256):
             path.write_bytes(data + bytes([byte]))
@@ -707,8 +727,8 @@ class TestPersistence:
     def test_blank_entry_line_is_file_corrupt(self, tmp_path):
         path = tmp_path / "idx.jsonl"
         save_index(_labeled_index(), path)
-        header, *entries = path.read_text().splitlines()
-        path.write_text("\n".join([header, entries[0], "", *entries[2:]]) + "\n")
+        header, lines, _ = split_index(path)
+        _write_index(path, header, [lines[0], "", *lines[2:]])
         with pytest.raises(FileCorrupt, match="line 3"):
             load_index(path)
 
@@ -721,7 +741,7 @@ class TestPersistence:
             index.vectors.astype("<f8").tobytes()).decode("ascii")}
         _write_index(path, header, entries)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 2, this build reads format 11; "
+                           match="is format 2, this build reads format 12; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -734,7 +754,7 @@ class TestPersistence:
         _write_index(path, {**header, "format_version": 6,
                             "digest": hashlib.sha256(text).hexdigest()}, entries, block)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 6, this build reads format 11; "
+                           match="is format 6, this build reads format 12; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -747,7 +767,7 @@ class TestPersistence:
         _write_index(path, {**header, "format_version": 5}, entries,
                      index.rows().astype("<f8").tobytes())
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 5, this build reads format 11; "
+                           match="is format 5, this build reads format 12; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -756,8 +776,14 @@ class TestPersistence:
         path = tmp_path / "idx.jsonl"
         save_index(_labeled_index(), path)
         data = path.read_bytes()
-        at = data.index(b"tok" if where == "entry" else b"created_at")
-        path.write_bytes(data[:at] + b"\xff\xfe" + data[at + 2:])
+        if where == "entry":
+            head, stream = data.split(b"\n", 1)
+            text = zlib.decompress(stream, -15).replace(b"tok", b"\xff\xfek", 1)
+            data = head + b"\n" + deflate_text(text)
+        else:
+            at = data.index(b"created_at")
+            data = data[:at] + b"\xff\xfe" + data[at + 2:]
+        path.write_bytes(data)
         with pytest.raises(FileCorrupt):
             load_index(path)
 
@@ -799,10 +825,10 @@ class TestPersistence:
     def test_text_changed_but_well_formed_is_a_digest_mismatch(self, tmp_path, line):
         path = tmp_path / "idx.jsonl"
         save_index(_labeled_index(), path)
-        lines = path.read_text().splitlines()
-        lines[line - 1] = lines[line - 1].replace("tok@1.0", "tok@9.9").replace(
+        header, lines, _ = split_index(path)
+        lines[line - 2] = lines[line - 2].replace("tok@1.0", "tok@9.9").replace(
             '"tok","1.0"', '"tok","9.9"')
-        path.write_text("\n".join(lines) + "\n")
+        _write_index(path, header, lines)
         with pytest.raises(FileCorrupt, match="does not match the header's digest"):
             load_index(path)
 
@@ -904,142 +930,129 @@ class TestPersistence:
         with pytest.raises(FileCorrupt, match=where):
             embed_index(loaded, FallbackEmbedder())
 
-    @pytest.mark.parametrize("damage", SOURCE_DAMAGE)
+    @pytest.mark.parametrize("damage", TEXT_DAMAGE)
     @pytest.mark.parametrize("digest", ["restamped", "saved"])
     def test_stored_source_that_does_not_inflate_is_file_corrupt(self, tmp_path, damage,
                                                                  digest):
-        """Under a matching digest, an entry whose raw_source is not the
-        stored form of UTF-8 text within MAX_SOURCE_BYTES is FileCorrupt
-        naming its line wherever the entry is read, and the others still
-        read; under the saved digest, the load itself is."""
-        make, message = SOURCE_DAMAGE[damage]
+        """The raw sources are stored in the one deflated text: a stream
+        that is not raw DEFLATE of UTF-8 text within the bound makes the
+        load FileCorrupt, under a matching digest or the saved one."""
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        data = damage_text(path.read_bytes(), damage)
+        path.write_bytes(restamp(data) if digest == "restamped" else data)
+        message = f"index {path} entry text {TEXT_DAMAGE[damage][1]}"
+        with pytest.raises(FileCorrupt, match=f"^{re.escape(message)}"):
+            load_index(path)
+
+    def test_source_just_within_the_bound_round_trips(self, tmp_path, monkeypatch):
+        """Text of exactly the bound saves and loads; with a bound one byte
+        smaller, save_index refuses it and load_index stops at the bound."""
         index = _labeled_index()
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        if digest == "saved":
-            header, lines, _ = split_index(path)
-            *fields, stored = json.loads(lines[1])
-            lines[1] = json.dumps([*fields, make(inflate_source(stored))], separators=(",", ":"))
-            _write_index(path, header, lines)
-        else:
-            rewrite_index(path, lambda pos, fields: fields if pos != 1 else [
-                *fields[:5], make(fields[5])])
-        where = f"^{re.escape(f'index {path} line 3: raw_source {message}')}"
-        entry = index.entries[1]
-        if digest == "saved":
-            with pytest.raises(FileCorrupt, match=where):
-                load_index(path)
-            return
-        with pytest.raises(FileCorrupt, match=where):
-            load_index(path).find_clone(entry.normalized_source, entry.content_hash)
-        with pytest.raises(FileCorrupt, match=where):
-            load_index(path).entry_by_id(entry.entry_id)
-        loaded = load_index(path)
-        assert [loaded.entries[0], loaded.entries[2]] == [index.entries[0], index.entries[2]]
+        data = path.read_bytes()
+        size = len(index_text(split_index(data)[1]))
+        monkeypatch.setattr(corpus, "TEXT_BYTES_PER_FILE_BYTE", 0)
+        monkeypatch.setattr(corpus, "TEXT_BOUND_FLOOR", size)
+        save_index(index, path)
+        assert path.read_bytes() == data and load_index(path) == index
+        monkeypatch.setattr(corpus, "TEXT_BOUND_FLOOR", size - 1)
+        with pytest.raises(IndexTooLarge, match=f"^the index's {size} bytes of text are more "
+                                                f"than the {size - 1} that its {len(data)}-"):
+            save_index(index, tmp_path / "other.jsonl")
+        with pytest.raises(FileCorrupt, match=f"^{re.escape(f'index {path} entry text')} "
+                                              f"inflates past the {size - 1} bytes that its "
+                                              f"{len(data)}-byte file may hold$"):
+            load_index(path)
 
-    def test_source_just_within_the_bound_round_trips(self, tmp_path, monkeypatch):
+    def test_a_source_past_the_floor_round_trips(self, tmp_path, monkeypatch):
+        """No raw source has a cap of its own: one longer than the floor
+        saves and loads, since the text is within 16 times the file."""
         index = _labeled_index()
-        index.insert(mk_unit("c.sol::C::wide#0", body=f"function wide() {{ {'é; ' * 30}}}"),
-                     "tok", "3.0")
-        size = len(index.entries[3].raw_source.encode("utf-8"))
-        assert size == max(len(e.raw_source.encode("utf-8")) for e in index.entries)
-        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", size)
+        monkeypatch.setattr(corpus, "TEXT_BOUND_FLOOR", 30)
+        assert len(index.entries[0].raw_source) > 30
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         assert load_index(path) == index
-        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", size - 1)
-        with pytest.raises(FileCorrupt, match=f"^{re.escape(f'index {path} line 5: raw_source')}"
-                                              f" inflates past {size - 1} bytes$"):
-            load_index(path).entries[3]
 
     def test_inflating_stops_at_the_bound(self, tmp_path, monkeypatch):
-        """A line that would inflate to 4 MiB is refused with no more than
-        the bound inflated."""
+        """A digest-valid index whose text would inflate to 4 MiB is refused
+        at load, with no more than the bound inflated."""
         path = tmp_path / "idx.jsonl"
         save_index(_labeled_index(), path)
-        rewrite_index(path, lambda pos, fields: [
-            *fields[:5], Stored(deflate_source(" " * (4 << 20)))])
-        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", 1000)
-        loaded = load_index(path)
+        rewrite_index(path, lambda pos, fields: [*fields[:5], " " * (4 << 20)] if pos == 0
+                      else fields)
+        monkeypatch.setattr(corpus, "TEXT_BOUND_FLOOR", 1000)
+        bound = 16 * path.stat().st_size
+        assert 1000 < bound < 1 << 18
         tracemalloc.start()
         try:
-            with pytest.raises(FileCorrupt, match="raw_source inflates past 1000 bytes$"):
-                loaded.entries[0]
+            with pytest.raises(FileCorrupt, match=f"entry text inflates past the {bound} bytes "):
+                load_index(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_save_refuses_a_source_past_the_bound(self, tmp_path, monkeypatch):
-        """The loader would refuse the entry, so no file is written."""
-        index = _labeled_index()
-        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", 30)
-        path = tmp_path / "idx.jsonl"
-        size = len(index.entries[0].raw_source)
-        with pytest.raises(IndexTooLarge, match=f"^entry {re.escape(index.entries[0].entry_id)} "
-                                              f"has {size} bytes of raw source, more than "
-                                              f"the 30 an index holds$"):
-            save_index(index, path)
-        assert list(tmp_path.iterdir()) == []
-
     def test_sources_read_from_one_file_stay_within_its_budget(self, tmp_path, monkeypatch):
-        """Each line inflates within MAX_SOURCE_BYTES, but together they
-        hold more than SOURCE_BYTES_PER_FILE_BYTE times the file: entries
-        build until the budget runs out, the next one is FileCorrupt naming
-        its line, and the sources held stay within the budget. The same
-        budget bounds the lines parsed to find damage."""
+        """Sources that deflate well together inflate to more than
+        TEXT_BYTES_PER_FILE_BYTE times their file, with a floor below that:
+        the load is FileCorrupt before any line is parsed, under the saved
+        digest and under a stale one."""
         index = _repetitive_index()
-        largest = max(len(e.raw_source) for e in index.entries)
-        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", largest)
+        monkeypatch.setattr(corpus, "TEXT_BOUND_FLOOR", 1000)
         path = tmp_path / "idx.jsonl"
         with monkeypatch.context() as unbounded:
-            unbounded.setattr(corpus, "SOURCE_BYTES_PER_FILE_BYTE", 1 << 20)
+            unbounded.setattr(corpus, "TEXT_BYTES_PER_FILE_BYTE", 1 << 20)
             save_index(index, path)
-        budget = corpus.SOURCE_BYTES_PER_FILE_BYTE * path.stat().st_size
-        sizes = [len(e.raw_source) for e in index.entries]
-        fit = sum(sum(sizes[:n]) <= budget for n in range(1, len(sizes) + 1))
-        assert largest < budget and 0 < fit < len(sizes)
-        left = budget - sum(sizes[:fit])
-        refused = (f"^{re.escape(f'index {path} line {fit + 2}: raw_source inflates past')} "
-                   f"the {left} bytes that the index's sources may still inflate to$")
-        loaded = load_index(path)
-        assert loaded.entries[:fit] == index.entries[:fit]
+        size = path.stat().st_size
+        refused = (f"^{re.escape(f'index {path} entry text inflates past')} the {16 * size} "
+                   f"bytes that its {size}-byte file may hold$")
         with pytest.raises(FileCorrupt, match=refused):
-            loaded.entries[fit]
-        assert sum(len(e.raw_source) for e in loaded.entries[:fit]) <= budget
-        header, lines, _ = split_index(path)
-        lines[-1] = lines[-1].replace("pkg@1.0", "pkg@1.1", 1)  # the digest no longer holds
-        _write_index(path, header, lines)
+            load_index(path)
+        header, lines, block = split_index(path)
+        # A stale digest; the file keeps its length, and so its bound.
+        _write_index(path, {**header, "created_at": "2009-02-03T04:05:06+00:00"}, lines, block)
+        assert path.stat().st_size == size
         with pytest.raises(FileCorrupt, match=refused):
             load_index(path)
 
     def test_save_refuses_sources_past_the_file_budget(self, tmp_path, monkeypatch):
-        """The loader would refuse to read every entry, so no file is
-        written."""
+        """Text that would inflate past 16 times the file, and the floor, is
+        refused, so no file is written."""
         index = _repetitive_index()
-        monkeypatch.setattr(corpus, "MAX_SOURCE_BYTES", max(len(e.raw_source)
-                                                            for e in index.entries))
-        total = sum(len(e.raw_source) for e in index.entries)
+        monkeypatch.setattr(corpus, "TEXT_BOUND_FLOOR", 1000)
         path = tmp_path / "idx.jsonl"
-        with pytest.raises(IndexTooLarge, match=f"^the index's {total} bytes of raw source are "
-                                                f"more than the [0-9]+ that its [0-9]+-byte "
-                                                f"file may hold$"):
+        with pytest.raises(IndexTooLarge, match="^the index's [0-9]+ bytes of text are more "
+                                                "than the [0-9]+ that its [0-9]+-byte file "
+                                                "may hold$"):
             save_index(index, path)
         assert list(tmp_path.iterdir()) == []
 
-    def test_a_scan_inflates_only_the_sources_it_reads(self, tmp_path):
+    def test_text_without_a_final_line_break_is_file_corrupt(self, tmp_path):
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        data = path.read_bytes()
+        _, lines, block = split_index(data)
+        text = "\n".join(lines).encode("utf-8")
+        path.write_bytes(restamp(data[:data.index(b"\n") + 1] + deflate_text(text) + block))
+        message = f"index {path} entry text does not end with a line break"
+        with pytest.raises(FileCorrupt, match=f"^{re.escape(message)}$"):
+            load_index(path)
+
+    def test_a_load_inflates_the_text_once(self, tmp_path):
+        """The whole text is inflated at load, by one inflater; reading
+        entries afterwards inflates nothing."""
         index = _fallback_index()
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        with patch.object(corpus, "_inflate", wraps=corpus._inflate) as inflate:
+        with patch.object(zlib, "decompressobj", wraps=zlib.decompressobj) as inflaters:
             loaded = load_index(path)
-            assert query_top_k(index.rows([2]), loaded, k=2)[0][0].entry_id == (
-                index.entries[2].entry_id)
-            assert inflate.call_count == 0
+            assert inflaters.call_count == 1
             target = index.entries[2]
             assert loaded.find_clone(target.normalized_source, target.content_hash) == target
-            assert loaded.entry_by_id(target.entry_id) == target
-            assert inflate.call_count == 1
+            assert loaded == index and inflaters.call_count == 1
 
     def test_save_peaks_below_the_file_size(self, tmp_path):
         index = new_index()
@@ -1132,9 +1145,9 @@ class TestPersistence:
         index = _labeled_index()
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
-        lines = path.read_text().splitlines()
-        del lines[1]  # drop an entry but keep the header's count
-        path.write_text("\n".join(lines) + "\n")
+        header, lines, _ = split_index(path)
+        del lines[0]  # drop an entry but keep the header's count
+        _write_index(path, header, lines)
         with pytest.raises(FileCorrupt):
             load_index(path)
 
@@ -1279,9 +1292,9 @@ class TestIntegerVectorBlock:
         (_norm(1, 5e-324), "non-finite values"),
         # 1 / 5e-307 is finite, -128 / 5e-307 is not; np.abs(int8 -128) is -128.
         (_norm(2, 5e-307, [-128] + [1] * 383), "non-finite values"),
-        (lambda h, b: (h, b[:-1]), "no line break before its vector block"),
-        (lambda h, b: (h, b + b"\0"), "no line break before its vector block"),
-        (lambda h, b: (h, b[:-8 * 3]), "no line break before its vector block"),
+        (lambda h, b: (h, b[:-1]), "entry text ends inside its DEFLATE stream"),
+        (lambda h, b: (h, b + b"\0"), "entry text has bytes after its DEFLATE stream"),
+        (lambda h, b: (h, b[:-8 * 3]), "entry text ends inside its DEFLATE stream"),
         (lambda h, b: ({**h, "dtype": "int12"}, b), "dtype 'int12' is not one of int8, "),
         (lambda h, b: ({**h, "dtype": "uint8"}, b), "dtype 'uint8' is not one of"),
         (lambda h, b: ({**h, "dtype": "|i1"}, b), "dtype '|i1' is not one of"),

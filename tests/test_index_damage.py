@@ -4,7 +4,8 @@ Hypothesis damages a small saved index of each kind (fallback sums, float
 rows, no vectors) once: a truncation; one byte flipped, inserted or deleted;
 one JSON value of the header, an entry line or the key line replaced by a
 value of another JSON type or by JSON nested past the recursion limit; or
-one entry's stored raw_source replaced by one that does not inflate. Each
+the deflated text, which stores every raw source, replaced by a stream that
+does not inflate to UTF-8 text within the bound. Each
 damaged file is tried twice, with its digest as saved and with one
 recomputed over the damaged bytes, and put through one exercise: loading,
 building every entry, a clone lookup and a top-k query of each probe, and a
@@ -18,7 +19,7 @@ building every entry, a clone lookup and a top-k query of each probe, and a
   with its damaged value. Such an index may give other results (another
   dimension is a DimensionMismatch at the query) and its scan may exit 0, 3
   or 4, with a report only on 0.
-- A value replaced by one of a type its field cannot hold, or a raw_source
+- A value replaced by one of a type its field cannot hold, or a text
   that does not inflate, is FileCorrupt under either digest.
 """
 
@@ -37,10 +38,11 @@ from hypothesis import strategies as st
 from helpers import (
     DEEP_JSON,
     FIXTURES,
-    SOURCE_DAMAGE,
-    inflate_source,
+    TEXT_DAMAGE,
+    damage_text,
+    join_index,
     restamp,
-    vector_block_size,
+    split_index,
 )
 from simaudit.cli import main
 from simaudit.corpus import Label, load_index, new_index, save_index
@@ -131,10 +133,8 @@ def _outcome(tmp: Path, data: bytes):
 def _lines(data: bytes) -> tuple[list, bytes]:
     """The JSON values of data's header, entry and key lines, and its vector
     block."""
-    head, rest = data.split(b"\n", 1)
-    header = json.loads(head)
-    cut = len(rest) - vector_block_size(header)
-    return [header, *map(json.loads, rest[:cut].decode("utf-8").splitlines())], rest[cut:]
+    header, lines, block = split_index(data)
+    return [header, *map(json.loads, lines)], block
 
 
 _DEEP = "\0deep"    # stands for DEEP_JSON until the line is encoded
@@ -144,8 +144,7 @@ def _encode(values: list, block: bytes) -> bytes:
     def line(value, compact):
         text = json.dumps(value, separators=(",", ":") if compact else None)
         return text.replace(json.dumps(_DEEP), DEEP_JSON)
-    text = [line(values[0], False), *(line(v, True) for v in values[1:])]
-    return "\n".join(text).encode("utf-8") + b"\n" + block
+    return join_index([line(values[0], False), *(line(v, True) for v in values[1:])], block)
 
 
 def _paths(value, path=()):
@@ -202,7 +201,7 @@ def _may_hold(line: int, lines: int, path: tuple, kind: str) -> bool:
 class Damage:
     data: bytes
     # A value was replaced by one its field cannot hold: of a type it
-    # cannot, or a raw_source that does not inflate.
+    # cannot, or a text that does not inflate.
     mistyped: bool
     what: str
 
@@ -251,14 +250,11 @@ def swapped_values(draw, data: bytes) -> Damage:
 
 
 @st.composite
-def damaged_sources(draw, data: bytes) -> Damage:
-    """data with one entry line's raw_source replaced by a stored form that
-    does not inflate, in one of the ways of helpers.SOURCE_DAMAGE."""
-    values, block = _lines(data)
-    line = draw(st.integers(1, len(values) - 2))
-    damage = draw(st.sampled_from(sorted(SOURCE_DAMAGE)))
-    values[line][5] = SOURCE_DAMAGE[damage][0](inflate_source(values[line][5]))
-    return Damage(_encode(values, block), True, f"line {line + 1} raw_source {damage}")
+def damaged_text(draw, data: bytes) -> Damage:
+    """data with its deflated text replaced by a stream that does not
+    inflate, in one of the ways of helpers.TEXT_DAMAGE."""
+    damage = draw(st.sampled_from(sorted(TEXT_DAMAGE)))
+    return Damage(damage_text(data, damage), True, f"entry text {damage}")
 
 
 @functools.cache
@@ -320,4 +316,4 @@ def test_swapped_values_are_refused_unless_well_typed(kind, data):
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_sources_that_do_not_inflate_are_refused(kind, data):
-    _check(kind, data.draw(damaged_sources(SAVED[kind])))
+    _check(kind, data.draw(damaged_text(SAVED[kind])))
