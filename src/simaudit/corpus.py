@@ -1,46 +1,54 @@
 """Reference corpus: archive ingestion, vulnerability labels, persistence.
 
-An index (format 12) is a JSON header line, a raw DEFLATE stream and raw
-bytes. Line one is a JSON header carrying the format version, the embedder
-id, the similarity threshold the index was built for, a creation timestamp,
+An index (format 13) is a JSON header line and a raw DEFLATE stream, and,
+if it is embedded, a second raw DEFLATE stream and that stream's length.
+Line one is a JSON header carrying the format version, the embedder id, the
+similarity threshold the index was built for, a creation timestamp,
 ingestion stats, the embedding `dimension` and vector block `dtype` (both
 null before embedding) and, last, `digest`: the SHA-256 hex of the whole
-file, header and vector block included, with the digest's own 64 digits
-taken as zeros. After the header's newline comes one raw DEFLATE stream (no
-zlib header or trailer) of the index's text, its UTF-8 lines: n entry lines,
-each a compact JSON array of its 6 fields in the order of _ENTRY_FIELDS
-(package, version, label, vuln_note, name and raw_source), and then the key
-line, a compact JSON array of [entry_id, content_hash] pairs in entry order.
-The entry id keeps the unit's provenance, its file, contract and ordinal.
-The normalized source is not stored; it is derived from the raw source
-where it is read (CorpusIndex.normalized_source): for each find_clone hash
-hit, and for every entry when a loaded index is embedded. In an embedded
-index the stream is followed directly by the vector block, little-endian
-and row-major, row i for entry i, and nothing after it. The block is the
-matrix as CorpusIndex keeps it: the fallback embedder's integer sums as
-`dimension` x `stats.functions_kept` values of the narrowest signed type
-that holds them, which `dtype` names (int8 to int64), then one float64 norm
-per row; or float64 rows, `dtype` float64.
+file, header and both streams and length included, with the digest's own
+64 digits taken as zeros. After the header's newline comes one raw DEFLATE
+stream (no zlib header or trailer) of the index's text, its UTF-8 lines: n
+entry lines, each a compact JSON array of its 6 fields in the order of
+_ENTRY_FIELDS (package, version, label, vuln_note, name and raw_source),
+and then the key line, a compact JSON array of [entry_id, content_hash]
+pairs in entry order. The entry id keeps the unit's provenance, its file,
+contract and ordinal. The normalized source is not stored; it is derived
+from the raw source where it is read (CorpusIndex.normalized_source): for
+each find_clone hash hit, and for every entry when a loaded index is
+embedded. In an embedded index the text's stream is followed by the vector
+block's, deflated with Huffman codes alone, and then by that stream's byte
+length as 8 little-endian bytes, which end the file. Inflated, the block is
+little-endian and row-major, row i for entry i. It is the matrix as
+CorpusIndex keeps it: the fallback embedder's integer sums as `dimension`
+x `stats.functions_kept` values of the narrowest signed type that holds
+them, which `dtype` names (int8 to int64), then one float64 norm per row;
+or float64 rows, `dtype` float64.
 
 The loader first checks the header: its format version, then each field of
 _HEADER_FIELDS and _STATS_FIELDS present and of its type, by the one loop
-that checks an entry line against _ENTRY_FIELDS. It takes the block from the
-end of the file by its length, and inflates the text once, so a wrong
-length, a stream that is not raw DEFLATE, ends inside itself or has bytes
-after it, text that inflates past _text_bound of the file's length or is not
-UTF-8, a missing line, a norm that is not positive and finite, or a row that
-is not finite (for sums: whose largest magnitude over its norm is not) makes
-the file corrupt. It copies the block out as stored, so no float64 matrix is
-built from sums. It then hashes the file and parses only the key line, whose
+that checks an entry line against _ENTRY_FIELDS. It finds where the block
+stream starts from the length at the end of the file, and inflates the
+block on a worker thread while it inflates the text, once, on its own:
+zlib lets go of the GIL as it inflates, and the load joins the worker
+before it returns or raises. A length that leaves no room for the text, a
+block larger than _text_bound of the file's length, a stream that is not
+raw DEFLATE, ends inside itself or has bytes after it, text that inflates
+past that bound or is not UTF-8, a block that does not inflate to exactly
+its size, a missing line, a norm that is not positive and finite, or a row
+that is not finite (for sums: whose largest magnitude over its norm is not)
+makes the file corrupt. It inflates the block straight into the arrays
+that the index keeps, as stored, so no float64 matrix is built from sums.
+It then checks the hash of the file and parses only the key line, whose
 pairs must be two strings each: an entry line is parsed the first time a
 scan touches its entry (a find_clone hash hit, entry_by_id or reading
-entries), and one that is not a list of the 6 fields, each of its type, is
-corrupt. If the hash does not match the digest, every entry line is parsed
-at load instead, so a damaged line is reported by its number; if they all
-parse, the mismatch itself is reported. Either way the load fails with
-FileCorrupt, as does raw source that no longer normalizes, once it is read.
-Saving is deterministic, so load-then-save reproduces the file byte for
-byte.
+entries), and one that is not a list of the 6 fields, each of its type,
+is corrupt. If the hash does not match the digest, every entry line is
+parsed at load instead, so a damaged line is reported by its number; if
+they all parse, the mismatch itself is reported. Either way the load
+fails with FileCorrupt, as does raw source that no longer normalizes,
+once it is read. Saving is deterministic, so load-then-save reproduces
+the file byte for byte.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ import logging
 import os
 import sys
 import tarfile
+import threading
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -78,7 +87,7 @@ from .simindex import DEFAULT_DELTA, narrowest_int
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 12
+FORMAT_VERSION = 13
 # An index's text may inflate to this many UTF-8 bytes per byte of its file,
 # or to TEXT_BOUND_FLOOR if that is more (_text_bound): so a crafted file
 # holds no more than this multiple of its own size once loaded.
@@ -480,14 +489,15 @@ def _vector_block(index: CorpusIndex) -> tuple[str | None, list[np.ndarray]]:
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
-    """Write index to path in format FORMAT_VERSION. Each line is encoded
-    and deflated in turn, and the stream hashed and written as it comes,
-    then the vector block from its arrays' own buffers, so neither the file
-    nor its text is ever held in memory. The header goes first with a
-    placeholder digest of 64 zeros, and is written again once it, the stream
-    and the block are hashed. IndexTooLarge, and no file written, if the
-    text is longer than the _text_bound of the file: the loader would refuse
-    it."""
+    """Write index to path in format FORMAT_VERSION. The text is encoded and
+    deflated piece by piece, an entry line or a key pair at a time, and the
+    vector block deflated from its arrays' own buffers a slice at a time,
+    each part hashed and written as it comes, so neither the file nor its
+    text nor its key line is ever held in memory. The header goes first
+    with a placeholder digest of 64 zeros, and is written again once it,
+    the streams and the block stream's length are hashed. IndexTooLarge,
+    and no file written, if the text is longer than the _text_bound of the
+    file: the loader would refuse it."""
     vectors = index.vectors
     dtype, block = _vector_block(index)
 
@@ -504,32 +514,45 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         }).encode("utf-8") + b"\n"
 
     def text():
-        """The index's entry lines and then its key line, as JSON values."""
-        keys = []
+        """The index's entry lines, then its key line pair by pair, in the
+        bytes of _compact_json(the list of pairs)."""
         for entry in index.entries:
             # The content hash goes to the key line, and the normalized
             # source is not stored; a Label encodes as its value.
-            keys.append((entry.entry_id, entry.content_hash))
-            yield [getattr(entry, key) for key in _ENTRY_FIELDS]
-        yield keys
+            yield _compact_json([getattr(entry, key) for key in _ENTRY_FIELDS]) + "\n"
+        yield "["
+        for pos, entry in enumerate(index.entries):
+            yield "," * (pos > 0) + _compact_json((entry.entry_id, entry.content_hash))
+        yield "]\n"
 
     def write(f: BinaryIO) -> None:
         placeholder = header("0" * 64)
         digest = hashlib.sha256(placeholder)
         f.write(placeholder)
-        # Level 6 in a 4 KiB window with a small hash table: about 24 KB of
+
+        def put(part: bytes) -> int:
+            digest.update(part)
+            return f.write(part)
+
+        # Level 6 in an 8 KiB window with a small hash table: about 40 KB of
         # zlib state, where the defaults take 268 KB.
-        packer = zlib.compressobj(6, zlib.DEFLATED, -12, 4)
+        packer = zlib.compressobj(6, zlib.DEFLATED, -13, 4)
         size = 0
-        for value in text():
-            line = _compact_json(value).encode("utf-8") + b"\n"
-            size += len(line)
-            part = packer.compress(line)
-            digest.update(part)
-            f.write(part)
-        for part in (packer.flush(), *block):
-            digest.update(part)
-            f.write(part)
+        for piece in text():
+            piece = piece.encode("utf-8")
+            size += len(piece)
+            put(packer.compress(piece))
+        put(packer.flush())
+        if block:
+            # Huffman codes alone: the sums repeat values, not strings.
+            packer = zlib.compressobj(6, zlib.DEFLATED, -9, 4, zlib.Z_HUFFMAN_ONLY)
+            length = 0
+            for array in block:
+                data = memoryview(array.reshape(-1).view(np.uint8))
+                for at in range(0, len(data), 1 << 14):
+                    length += put(packer.compress(data[at:at + (1 << 14)]))
+            length += put(packer.flush())
+            put(length.to_bytes(8, "little"))
         bound = _text_bound(f.tell())
         if size > bound:
             raise IndexTooLarge(f"the index's {size} bytes of text are more than the {bound} "
@@ -538,6 +561,44 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         f.write(header(digest.hexdigest()))
 
     write_atomic(path, write)
+
+
+def _check_end(path, what: str, unpacker, more: bool) -> None:
+    """FileCorrupt, naming the index at path and what its stream holds,
+    unless unpacker's stream ended with no bytes after it, more telling
+    whether bytes of it were never given to unpacker."""
+    if not unpacker.eof:
+        raise FileCorrupt(f"index {path} {what} ends inside its DEFLATE stream")
+    if unpacker.unused_data or more:
+        raise FileCorrupt(f"index {path} {what} has bytes after its DEFLATE stream")
+
+
+def _inflate_into(path, stream, outs: list[memoryview]) -> int:
+    """Inflate the raw DEFLATE stream of an index's vector block into outs,
+    byte buffers that it fills in turn, 16 KiB of the stream at a time, so
+    that it allocates no buffer larger than what one slice inflates to, and
+    return how many bytes it filled. Unless it fills them all, FileCorrupt
+    if the stream is not one whole raw DEFLATE stream."""
+    unpacker = zlib.decompressobj(-15)
+    room = sum(map(len, outs))
+    filled = at = 0
+    try:
+        while at < len(stream) and not unpacker.eof and filled < room:
+            part = memoryview(unpacker.decompress(stream[at:at + (1 << 14)], room - filled))
+            filled += len(part)
+            at += 1 << 14
+            while part:  # it may run past the end of outs[0]
+                n = min(len(outs[0]), len(part))
+                outs[0][:n] = part[:n]
+                part, outs[0] = part[n:], outs[0][n:]
+                if not outs[0]:
+                    del outs[0]
+    except zlib.error as exc:
+        raise FileCorrupt(
+            f"index {path} vector block is not a raw DEFLATE stream: {exc}") from exc
+    if filled < room:
+        _check_end(path, "vector block", unpacker, at < len(stream))
+    return filled
 
 
 def load_index(path: str | Path) -> CorpusIndex:
@@ -569,44 +630,89 @@ def load_index(path: str | Path) -> CorpusIndex:
                                        float(header["delta"])),
                         stats=IndexStats(**header["stats"]), _path=path)
     rows = index.stats.functions_kept
-    block_dtype = np.dtype(dtype or "float64").newbyteorder("<")
-    norms_size = 8 * rows if block_dtype.kind == "i" else 0
-    cut = len(data) - block_dtype.itemsize * (dimension or 0) * rows - norms_size
-    if cut <= head_end:
-        raise FileCorrupt(f"index {path} is too short for its {rows} rows of {dimension} "
-                          f"{dtype}" + (" and their norms" if norms_size else ""))
     bound = _text_bound(len(data))
-    unpacker = zlib.decompressobj(-15)
-    try:
-        text = unpacker.decompress(memoryview(data)[head_end + 1:cut], bound + 1)
-    except zlib.error as exc:
-        raise FileCorrupt(f"index {path} entry text is not a raw DEFLATE stream: {exc}") from exc
-    if len(text) > bound:
-        raise FileCorrupt(f"index {path} entry text inflates past the {bound} bytes that its "
-                          f"{len(data)}-byte file may hold")
-    if not unpacker.eof:
-        raise FileCorrupt(f"index {path} entry text ends inside its DEFLATE stream")
-    if unpacker.unused_data:
-        raise FileCorrupt(f"index {path} entry text has bytes after its DEFLATE stream")
-    try:
-        text = text.decode("utf-8")  # frees the inflated bytes
-    except UnicodeDecodeError as exc:
-        raise FileCorrupt(f"index {path} entry text is not UTF-8: {exc}") from exc
-    *lines, tail = text.split("\n")
-    del text  # only the lines are kept
-    if tail:
-        raise FileCorrupt(f"index {path} entry text does not end with a line break")
-    if len(lines) != rows + 1:
-        raise FileCorrupt(
-            f"index {path} says functions_kept={rows} but holds "
-            f"{len(lines)} lines after its header, not that many entry lines and a key line")
+    view = memoryview(data)
+    text_end, worker, inflated = len(data), None, []
     vectors = norms = None
     if dimension is not None:
-        # Copied out of data, so that the buffer is freed with this frame.
-        vectors = np.frombuffer(data, block_dtype, count=rows * dimension, offset=cut)
-        vectors = vectors.reshape(rows, dimension).astype(dtype)
+        block_dtype = np.dtype(dtype).newbyteorder("<")
+        norms_size = 8 * rows if block_dtype.kind == "i" else 0
+        size = block_dtype.itemsize * dimension * rows + norms_size
+        length = int.from_bytes(data[-8:], "little")
+        text_end = len(data) - 8 - length
+        if text_end <= head_end:
+            raise FileCorrupt(f"index {path} vector block length {length} leaves no room "
+                              f"for its entry text")
+        if size > bound:
+            raise FileCorrupt(f"index {path} vector block of {size} bytes is more than the "
+                              f"{bound} that its {len(data)}-byte file may hold")
+
+        # The worker inflates the block straight into the arrays the index
+        # keeps, and into a spare byte that tells a block that is too long.
+        # They are allocated on this thread, and the worker allocates no
+        # more than a slice of the stream inflates to: glibc keeps what a
+        # thread allocates in an arena of that thread's own, whose pages
+        # stay resident once touched.
+        vectors = np.empty((rows, dimension), block_dtype)
+        norms = np.empty(rows, "<f8") if norms_size else None
+        outs = [memoryview(array.reshape(-1).view(np.uint8))
+                for array in (vectors, norms) if array is not None]
+        outs.append(memoryview(bytearray(1)))
+
+        def inflate_block() -> None:
+            try:
+                inflated.append(_inflate_into(path, view[text_end:-8], outs))
+            except Exception as exc:  # raised again by the calling thread
+                inflated.append(exc)
+
+        # zlib lets go of the GIL as it inflates, and so does hashlib as it
+        # hashes: the block is inflated while this thread inflates the text
+        # and hashes the file, before it decodes and splits the text.
+        worker = threading.Thread(target=inflate_block)
+        worker.start()
+    try:
+        unpacker = zlib.decompressobj(-15)
+        try:
+            text = unpacker.decompress(view[head_end + 1:text_end], bound + 1)
+        except zlib.error as exc:
+            raise FileCorrupt(
+                f"index {path} entry text is not a raw DEFLATE stream: {exc}") from exc
+        if len(text) > bound:
+            raise FileCorrupt(f"index {path} entry text inflates past the {bound} bytes "
+                              f"that its {len(data)}-byte file may hold")
+        _check_end(path, "entry text", unpacker, False)
+        # The digest, the header's last value, is of the file with its own 64
+        # digits, which end 2 bytes before the header line does, as zeros.
+        digest = hashlib.sha256(data[:head_end - 66] + b"0" * 64)
+        digest.update(view[head_end - 2:])
+        try:
+            text = text.decode("utf-8")  # frees the inflated bytes
+        except UnicodeDecodeError as exc:
+            raise FileCorrupt(f"index {path} entry text is not UTF-8: {exc}") from exc
+        *lines, tail = text.split("\n")
+        del text  # only the lines are kept
+        if tail:
+            raise FileCorrupt(f"index {path} entry text does not end with a line break")
+        if len(lines) != rows + 1:
+            raise FileCorrupt(
+                f"index {path} says functions_kept={rows} but holds {len(lines)} lines "
+                f"after its header, not that many entry lines and a key line")
+    finally:
+        if worker is not None:
+            worker.join()
+    if dimension is not None:
+        filled, = inflated
+        if isinstance(filled, Exception):
+            raise filled
+        if filled > size:
+            raise FileCorrupt(f"index {path} vector block inflates past its {size} bytes")
+        if filled < size:
+            raise FileCorrupt(f"index {path} vector block is too short for its {rows} rows of "
+                              f"{dimension} {dtype}" + (" and their norms" if norms_size else ""))
+        # In native byte order, which copies them only on a big-endian host.
+        vectors = vectors.astype(dtype, copy=False)
         if norms_size:
-            norms = np.frombuffer(data, "<f8", offset=cut + vectors.nbytes).astype(float)
+            norms = norms.astype(float, copy=False)
             if not ((norms > 0.0) & (norms < np.inf)).all():
                 raise FileCorrupt(
                     f"index {path} holds a vector norm that is not positive and finite")
@@ -619,10 +725,6 @@ def load_index(path: str | Path) -> CorpusIndex:
             finite = np.isfinite(vectors).all()
         if not finite:
             raise FileCorrupt(f"index {path} vectors hold non-finite values")
-    # The digest, the header's last value, is of the file with its own 64
-    # digits, which end 2 bytes before the header line does, as zeros.
-    digest = hashlib.sha256(data[:head_end - 66] + b"0" * 64)
-    digest.update(memoryview(data)[head_end - 2:])
     if digest.hexdigest() != header["digest"]:
         # Damage: report the first line that holds no entry, if there is one.
         for lineno, line in enumerate(lines[:-1], start=2):

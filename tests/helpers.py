@@ -19,8 +19,6 @@ import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-import numpy as np
-
 import simaudit
 from simaudit import corpus
 from simaudit.extract import FunctionUnit, UnitKind, content_hash, normalize
@@ -41,15 +39,6 @@ def bad_templates(path: Path) -> Path:
     return path
 
 
-def vector_block_size(header: dict) -> int:
-    """Bytes of the vector block at the end of a saved index, from its
-    header: the matrix in the header's dtype, and after an integer matrix a
-    float64 norm per row."""
-    rows, dim = header["stats"]["functions_kept"], header["dimension"] or 0
-    dtype = np.dtype(header["dtype"] or "float64")
-    return rows * dim * dtype.itemsize + (8 * rows if dtype.kind == "i" else 0)
-
-
 # The fields of an index entry line, in order.
 ENTRY_FIELDS = ("package", "version", "label", "vuln_note", "name", "raw_source")
 
@@ -62,8 +51,21 @@ def index_text(lines: list[str]) -> bytes:
 
 def deflate_text(text: bytes) -> bytes:
     """The raw DEFLATE stream that save_index writes for an index's text."""
-    packer = zlib.compressobj(6, zlib.DEFLATED, -12, 4)
+    packer = zlib.compressobj(6, zlib.DEFLATED, -13, 4)
     return packer.compress(text) + packer.flush()
+
+
+def deflate_block(block: bytes) -> bytes:
+    """The raw DEFLATE stream, Huffman codes only, that save_index writes for
+    an index's vector block."""
+    packer = zlib.compressobj(6, zlib.DEFLATED, -9, 4, zlib.Z_HUFFMAN_ONLY)
+    return packer.compress(block) + packer.flush()
+
+
+def framed(stream: bytes, length: int | None = None) -> bytes:
+    """A block stream as the end of an index holds it: followed by its length
+    (or length, if given) as 8 little-endian bytes."""
+    return stream + (len(stream) if length is None else length).to_bytes(8, "little")
 
 
 @functools.cache
@@ -90,14 +92,39 @@ TEXT_DAMAGE = {
 def damage_text(data: bytes, damage: str) -> bytes:
     """data, the bytes of a saved index, with its deflated text replaced as
     TEXT_DAMAGE[damage] replaces it; the digest is left as it is."""
-    _, lines, block = split_index(data)
-    return data[:data.index(b"\n") + 1] + TEXT_DAMAGE[damage][0](index_text(lines)) + block
+    head, _, block = _streams(data)
+    return head + TEXT_DAMAGE[damage][0](index_text(split_index(data)[1])) + block
+
+
+# For each way the loader must refuse an embedded index's block stream
+# (FileCorrupt), what replaces the stream and its length, made from the
+# inflated block, and the message after "vector block ".
+BLOCK_DAMAGE = {
+    "not_deflate": (lambda block: framed(b"\xff" + deflate_block(block)),
+                    "is not a raw DEFLATE stream"),
+    "truncated_stream": (lambda block: framed(deflate_block(block)[:-1]),
+                         "ends inside its DEFLATE stream"),
+    "bytes_after_stream": (lambda block: framed(deflate_block(block) + b"\0"),
+                           "has bytes after its DEFLATE stream"),
+    "inflates_short": (lambda block: framed(deflate_block(block[:-1])), "is too short for its "),
+    "inflates_long": (lambda block: framed(deflate_block(block + b"\0")), "inflates past its "),
+    "length_before_the_text": (lambda block: framed(deflate_block(block), 1 << 40),
+                               f"length {1 << 40} leaves no room for its entry text"),
+}
+
+
+def damage_block(data: bytes, damage: str) -> bytes:
+    """data, the bytes of a saved embedded index, with its block stream and
+    length replaced as BLOCK_DAMAGE[damage] replaces them; the digest is
+    left as it is."""
+    head, text, _ = _streams(data)
+    return head + text + BLOCK_DAMAGE[damage][0](split_index(data)[2])
 
 
 def entry_record(fields: list) -> dict:
     """The object that format 7 and earlier wrote for an entry line's fields:
     package, version, label and vuln_note, then the unit's fields under "unit".
-    The unit fields that formats 10 to 12 no longer store get fixed
+    The unit fields that formats 10 and later no longer store get fixed
     placeholders."""
     package, version, label, vuln_note, name, raw_source = fields
     return {"package": package, "version": version, "label": label, "vuln_note": vuln_note,
@@ -135,24 +162,37 @@ HEADER_EDITS = {
 }
 
 
-def split_index(index: Path | bytes) -> tuple[dict, list[str], bytes]:
+def _streams(data: bytes) -> tuple[bytes, bytes, bytes]:
+    """The bytes of a saved index in three parts: its header line, its text
+    stream, and what follows: the block stream and its length, if the
+    header has a dimension, else nothing."""
+    head_end = data.index(b"\n") + 1
+    cut = len(data)
+    if json.loads(data[:head_end])["dimension"] is not None:
+        cut -= 8 + int.from_bytes(data[-8:], "little")
+    return data[:head_end], data[head_end:cut], data[cut:]
+
+
+def split_index(index: Path | bytes) -> tuple[dict, list[str], bytes | None]:
     """(header, text lines, vector block) of a saved index, given as its
-    path or its bytes; the text is inflated, and its last line is the key
-    line."""
+    path or its bytes; the text and the block are inflated, the text's last
+    line is the key line, and the block is None if the index has no
+    vectors."""
     data = index if isinstance(index, bytes) else index.read_bytes()
-    head, rest = data.split(b"\n", 1)
-    header = json.loads(head)
-    cut = len(rest) - vector_block_size(header)
-    return header, zlib.decompress(rest[:cut], -15).decode("utf-8").splitlines(), rest[cut:]
+    head, text, block = _streams(data)
+    lines = zlib.decompress(text, -15).decode("utf-8").splitlines()
+    return json.loads(head), lines, zlib.decompress(block[:-8], -15) if block else None
 
 
-def join_index(lines: list[str], block: bytes = b"") -> bytes:
+def join_index(lines: list[str], block: bytes | None = None) -> bytes:
     """The bytes of an index whose header line is lines[0], whose text is
     the other lines, deflated as save_index deflates it, and whose vector
-    block is block. join_index([json.dumps(header), *lines], block) gives
-    back the bytes that split_index took apart."""
+    block is block, deflated and framed as save_index writes it, unless it
+    is None. join_index([json.dumps(header), *lines], block) gives back the
+    bytes that split_index took apart."""
     head, *text = lines
-    return (head + "\n").encode("utf-8") + deflate_text(index_text(text)) + block
+    return ((head + "\n").encode("utf-8") + deflate_text(index_text(text))
+            + (b"" if block is None else framed(deflate_block(block))))
 
 
 def restamp(data: bytes) -> bytes:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import (
+    BLOCK_DAMAGE,
     DEEP_JSON,
     ENTRY_FIELDS,
     FIXTURES,
@@ -24,6 +25,7 @@ from helpers import (
     CannedHTTPServer,
     RawJSON,
     bad_templates,
+    damage_block,
     damage_text,
     deflate_text,
     entry_record,
@@ -604,7 +606,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 1, this build reads format 12" in err
+        assert "is format 1, this build reads format 13" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -625,7 +627,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 4, this build reads format 12" in err
+        assert "is format 4, this build reads format 13" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -643,7 +645,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 5, this build reads format 12" in err
+        assert "is format 5, this build reads format 13" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -666,7 +668,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 7, this build reads format 12" in err
+        assert "is format 7, this build reads format 13" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -682,6 +684,20 @@ class TestScanExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith(
             f"simaudit: index {index_path} entry text {TEXT_DAMAGE[damage][1]}")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("damage", BLOCK_DAMAGE)
+    def test_vector_block_that_does_not_inflate_is_format_error(self, tmp_path, capsys,
+                                                                damage):
+        """The deflated vector block or its length damaged, under a matching
+        digest: the scan stops with exit 3 and writes no report."""
+        index_path = _build_index(tmp_path, labels=True)
+        index_path.write_bytes(restamp(damage_block(index_path.read_bytes(), damage)))
+        capsys.readouterr()
+        code, report = _scan(tmp_path, index=index_path)
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            f"simaudit: index {index_path} vector block {BLOCK_DAMAGE[damage][1]}")
         assert not report.exists()
 
     @pytest.mark.parametrize("line, pos", [
@@ -724,11 +740,11 @@ class TestScanExitCodes:
 
     @pytest.mark.parametrize("data", [
         b'{"format_version": 2}\n\xff\xfe\n',
-        b'{"format_version": 12, "embedder_id": null, "delta": 0.65, "created_at": "t", '
+        b'{"format_version": 13, "embedder_id": null, "delta": 0.65, "created_at": "t", '
         b'"stats": {"files_seen": 1, "functions_seen": 1, "functions_kept": 1}, '
         b'"dimension": null, "dtype": null, "digest": "' + b"0" * 64 + b'"}'
         b'\n' + deflate_text(b'\xff\xfe\n[]\n'),
-        b'{"format_version": 12, "created_at": "\xff\xfe"}\n',
+        b'{"format_version": 13, "created_at": "\xff\xfe"}\n',
     ], ids=["format_2_header", "format_4_entry", "format_4_header"])
     def test_index_that_is_not_utf8_is_format_error(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.jsonl"

@@ -10,6 +10,8 @@ import json
 import logging
 import re
 import tarfile
+import threading
+import time
 import tracemalloc
 import zlib
 from unittest.mock import patch
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import (
+    BLOCK_DAMAGE,
     DEEP_JSON,
     ENTRY_FIELDS,
     FIXTURES,
@@ -29,9 +32,12 @@ from helpers import (
     TOO_DEEP,
     CannedHTTPServer,
     RawJSON,
+    damage_block,
     damage_text,
+    deflate_block,
     deflate_text,
     entry_record,
+    framed,
     function_texts,
     index_text,
     join_index,
@@ -261,7 +267,7 @@ def _labeled_index():
     return index
 
 
-def _write_index(path, header, lines, block=b""):
+def _write_index(path, header, lines, block=None):
     path.write_bytes(join_index([json.dumps(header), *lines], block))
 
 
@@ -441,7 +447,7 @@ class TestPersistence:
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         header = split_index(path)[0]
-        assert header["format_version"] == FORMAT_VERSION == 12
+        assert header["format_version"] == FORMAT_VERSION == 13
         assert list(header) == ["format_version", "embedder_id", "delta",
                                 "created_at", "stats", "dimension", "dtype", "digest"]
         assert header["stats"]["functions_kept"] == len(index.entries)
@@ -454,8 +460,11 @@ class TestPersistence:
         block = index.vectors.astype("<i1").tobytes() + index.norms.astype("<f8").tobytes()
         assert len(block) == (384 + 8) * len(index.entries)
         head, rest = data.split(b"\n", 1)
-        assert rest.endswith(block)
-        text = zlib.decompress(rest[:-len(block)], -15).decode("utf-8")
+        # The text stream, the block stream, and the block stream's length.
+        cut = len(rest) - 8 - int.from_bytes(rest[-8:], "little")
+        assert rest[cut:-8] == deflate_block(block)
+        assert zlib.decompress(rest[cut:-8], -15) == block
+        text = zlib.decompress(rest[:cut], -15).decode("utf-8")
         assert text.count("\n") == 1 + len(index.entries) and text.endswith("]\n")
         stored = np.frombuffer(block, "<i1", count=384 * len(index.entries)).reshape(-1, 384)
         stored_norms = np.frombuffer(block, "<f8", offset=stored.nbytes)
@@ -607,7 +616,7 @@ class TestPersistence:
                   "digest": hashlib.sha256(rest).hexdigest()}
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + rest)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 8, this build reads format 12; "
+                           match="is format 8, this build reads format 13; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -620,7 +629,7 @@ class TestPersistence:
             *fields[:4], *entry_record(fields)["unit"].values()], format_version=9)
         assert len(json.loads(split_index(path)[1][0])) == 12
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 9, this build reads format 12; "
+                           match="is format 9, this build reads format 13; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -633,7 +642,7 @@ class TestPersistence:
                                  + b"\n" + index_text(lines) + block))
         assert json.loads(path.read_bytes().split(b"\n")[3])[5] == "function mint() public { x; }"
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 10, this build reads format 12; "
+                           match="is format 10, this build reads format 13; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -650,7 +659,7 @@ class TestPersistence:
         path.write_bytes(restamp(json.dumps({**header, "format_version": 11}).encode("utf-8")
                                  + b"\n" + index_text(lines) + block))
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 11, this build reads format 12; "
+                           match="is format 11, this build reads format 13; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -717,7 +726,7 @@ class TestPersistence:
         data = path.read_bytes()
         if first_value is not None:
             block = index.vectors.astype("<f8").tobytes()
-            assert data.endswith(block)
+            assert split_index(data)[2] == block
             assert (block[0] == 0x0A) == (first_value == _NEWLINE_FIRST)
         for byte in range(256):
             path.write_bytes(data + bytes([byte]))
@@ -741,7 +750,7 @@ class TestPersistence:
             index.vectors.astype("<f8").tobytes()).decode("ascii")}
         _write_index(path, header, entries)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 2, this build reads format 12; "
+                           match="is format 2, this build reads format 13; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -754,7 +763,7 @@ class TestPersistence:
         _write_index(path, {**header, "format_version": 6,
                             "digest": hashlib.sha256(text).hexdigest()}, entries, block)
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 6, this build reads format 12; "
+                           match="is format 6, this build reads format 13; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -767,7 +776,7 @@ class TestPersistence:
         _write_index(path, {**header, "format_version": 5}, entries,
                      index.rows().astype("<f8").tobytes())
         with pytest.raises(FormatVersionMismatch,
-                           match="is format 5, this build reads format 12; "
+                           match="is format 5, this build reads format 13; "
                                  "rebuild it with `simaudit index`"):
             load_index(path)
 
@@ -945,6 +954,59 @@ class TestPersistence:
         with pytest.raises(FileCorrupt, match=f"^{re.escape(message)}"):
             load_index(path)
 
+    @pytest.mark.parametrize("damage", BLOCK_DAMAGE)
+    @pytest.mark.parametrize("digest", ["restamped", "saved"])
+    @pytest.mark.parametrize("make", [_fallback_index, _tiny_embedded_index],
+                             ids=["int8", "float64"])
+    def test_a_block_stream_that_does_not_inflate_is_file_corrupt(self, tmp_path, damage,
+                                                                   digest, make):
+        """The vector block is a raw DEFLATE stream that must inflate to
+        exactly the block's size, and the 8 bytes after it give its length:
+        damage to either makes the load FileCorrupt, under a matching digest
+        or the saved one."""
+        path = tmp_path / "idx.jsonl"
+        save_index(make(), path)
+        data = damage_block(path.read_bytes(), damage)
+        path.write_bytes(restamp(data) if digest == "restamped" else data)
+        message = f"index {path} vector block {BLOCK_DAMAGE[damage][1]}"
+        with pytest.raises(FileCorrupt, match=f"^{re.escape(message)}"):
+            load_index(path)
+
+    def test_a_block_past_the_bound_is_not_inflated(self, tmp_path, monkeypatch):
+        """A header whose rows and dimension ask for a block larger than the
+        text bound of the file is FileCorrupt before the block is inflated."""
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        monkeypatch.setattr(corpus, "TEXT_BOUND_FLOOR", 3 * (384 + 8) - 1)
+        monkeypatch.setattr(corpus, "TEXT_BYTES_PER_FILE_BYTE", 0)
+        with patch.object(zlib, "decompressobj", wraps=zlib.decompressobj) as inflaters:
+            with pytest.raises(FileCorrupt, match=re.escape(
+                    f"vector block of 1176 bytes is more than the 1175 that its "
+                    f"{path.stat().st_size}-byte file may hold")):
+                load_index(path)
+            assert inflaters.call_count == 0
+
+    @pytest.mark.parametrize("where", ["text", "block"])
+    def test_a_failed_load_leaves_no_thread_behind(self, tmp_path, monkeypatch, where):
+        """The block is inflated on a thread of its own, which the load joins
+        however it ends: here the block's inflater is slowed, so that a text
+        that does not inflate fails the load while the thread still runs."""
+        inflate_into = corpus._inflate_into
+
+        def slow(*args):
+            time.sleep(0.05)
+            return inflate_into(*args)
+
+        monkeypatch.setattr(corpus, "_inflate_into", slow)
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        damage = damage_text if where == "text" else damage_block
+        path.write_bytes(damage(path.read_bytes(), "not_deflate"))
+        threads = threading.active_count()
+        with pytest.raises(FileCorrupt, match="is not a raw DEFLATE stream"):
+            load_index(path)
+        assert threading.active_count() == threads
+
     def test_source_just_within_the_bound_round_trips(self, tmp_path, monkeypatch):
         """Text of exactly the bound saves and loads; with a bound one byte
         smaller, save_index refuses it and load_index stops at the bound."""
@@ -1036,23 +1098,47 @@ class TestPersistence:
         data = path.read_bytes()
         _, lines, block = split_index(data)
         text = "\n".join(lines).encode("utf-8")
-        path.write_bytes(restamp(data[:data.index(b"\n") + 1] + deflate_text(text) + block))
+        path.write_bytes(restamp(data[:data.index(b"\n") + 1] + deflate_text(text)
+                                 + framed(deflate_block(block))))
         message = f"index {path} entry text does not end with a line break"
         with pytest.raises(FileCorrupt, match=f"^{re.escape(message)}$"):
             load_index(path)
 
     def test_a_load_inflates_the_text_once(self, tmp_path):
-        """The whole text is inflated at load, by one inflater; reading
-        entries afterwards inflates nothing."""
+        """The whole text is inflated at load, by one inflater, and the vector
+        block by another; reading entries afterwards inflates nothing."""
         index = _fallback_index()
         path = tmp_path / "idx.jsonl"
         save_index(index, path)
         with patch.object(zlib, "decompressobj", wraps=zlib.decompressobj) as inflaters:
             loaded = load_index(path)
-            assert inflaters.call_count == 1
+            assert inflaters.call_count == 2
             target = index.entries[2]
             assert loaded.find_clone(target.normalized_source, target.content_hash) == target
-            assert loaded == index and inflaters.call_count == 1
+            assert loaded == index and inflaters.call_count == 2
+
+    def test_each_stream_inflates_within_its_bound(self, tmp_path):
+        """The text may inflate to one byte past its bound, and the block to
+        one byte past its exact size, and no further."""
+        decompressobj = zlib.decompressobj
+
+        class Inflater:
+            def __init__(self, wbits):
+                self._inflater = decompressobj(wbits)
+
+            def decompress(self, data, max_length=0):
+                limits.append(max_length)
+                return self._inflater.decompress(data, max_length)
+
+            def __getattr__(self, name):
+                return getattr(self._inflater, name)
+
+        limits = []
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        with patch.object(zlib, "decompressobj", Inflater):
+            load_index(path)
+        assert sorted(limits) == [3 * (384 + 8) + 1, corpus.TEXT_BOUND_FLOOR + 1]
 
     def test_save_peaks_below_the_file_size(self, tmp_path):
         index = new_index()
@@ -1292,9 +1378,10 @@ class TestIntegerVectorBlock:
         (_norm(1, 5e-324), "non-finite values"),
         # 1 / 5e-307 is finite, -128 / 5e-307 is not; np.abs(int8 -128) is -128.
         (_norm(2, 5e-307, [-128] + [1] * 383), "non-finite values"),
-        (lambda h, b: (h, b[:-1]), "entry text ends inside its DEFLATE stream"),
-        (lambda h, b: (h, b + b"\0"), "entry text has bytes after its DEFLATE stream"),
-        (lambda h, b: (h, b[:-8 * 3]), "entry text ends inside its DEFLATE stream"),
+        (lambda h, b: (h, b[:-1]), "vector block is too short for its 3 rows of 384 int8 and "
+                                   "their norms"),
+        (lambda h, b: (h, b + b"\0"), "vector block inflates past its 1176 bytes"),
+        (lambda h, b: (h, b[:-8 * 3]), "vector block is too short for its 3 rows of 384 int8"),
         (lambda h, b: ({**h, "dtype": "int12"}, b), "dtype 'int12' is not one of int8, "),
         (lambda h, b: ({**h, "dtype": "uint8"}, b), "dtype 'uint8' is not one of"),
         (lambda h, b: ({**h, "dtype": "|i1"}, b), "dtype '|i1' is not one of"),

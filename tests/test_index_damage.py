@@ -3,10 +3,12 @@
 Hypothesis damages a small saved index of each kind (fallback sums, float
 rows, no vectors) once: a truncation; one byte flipped, inserted or deleted;
 one JSON value of the header, an entry line or the key line replaced by a
-value of another JSON type or by JSON nested past the recursion limit; or
-the deflated text, which stores every raw source, replaced by a stream that
-does not inflate to UTF-8 text within the bound. Each
-damaged file is tried twice, with its digest as saved and with one
+value of another JSON type or by JSON nested past the recursion limit; the
+deflated text, which stores every raw source, replaced by a stream that
+does not inflate to UTF-8 text within the bound; or, in an embedded index,
+the deflated vector block replaced by a stream that does not inflate to
+exactly the block, or the block stream's length, the file's last 8 bytes,
+set to another value. Each damaged file is tried twice, with its digest as saved and with one
 recomputed over the damaged bytes, and put through one exercise: loading,
 building every entry, a clone lookup and a top-k query of each probe, and a
 `scan` on the command line.
@@ -19,8 +21,9 @@ building every entry, a clone lookup and a top-k query of each probe, and a
   with its damaged value. Such an index may give other results (another
   dimension is a DimensionMismatch at the query) and its scan may exit 0, 3
   or 4, with a report only on 0.
-- A value replaced by one of a type its field cannot hold, or a text
-  that does not inflate, is FileCorrupt under either digest.
+- A value replaced by one of a type its field cannot hold, a text or a
+  block that does not inflate, or another block length, is FileCorrupt
+  under either digest.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    BLOCK_DAMAGE,
     DEEP_JSON,
     FIXTURES,
     TEXT_DAMAGE,
+    damage_block,
     damage_text,
     join_index,
     restamp,
@@ -69,6 +74,7 @@ contract Target {
 PROBES = extract_units(TARGET_SOL, "target.sol") + extract_units(REFERENCE_SOL, "ref.sol")
 
 KINDS = ("fallback_sums", "float_rows", "unembedded")
+EMBEDDED = KINDS[:2]
 
 
 def _saved(kind: str) -> bytes:
@@ -201,7 +207,7 @@ def _may_hold(line: int, lines: int, path: tuple, kind: str) -> bool:
 class Damage:
     data: bytes
     # A value was replaced by one its field cannot hold: of a type it
-    # cannot, or a text that does not inflate.
+    # cannot, a text or a block that does not inflate, or another length.
     mistyped: bool
     what: str
 
@@ -255,6 +261,24 @@ def damaged_text(draw, data: bytes) -> Damage:
     inflate, in one of the ways of helpers.TEXT_DAMAGE."""
     damage = draw(st.sampled_from(sorted(TEXT_DAMAGE)))
     return Damage(damage_text(data, damage), True, f"entry text {damage}")
+
+
+@st.composite
+def damaged_block(draw, data: bytes) -> Damage:
+    """data, an embedded index, with its block stream and length replaced in
+    one of the ways of helpers.BLOCK_DAMAGE."""
+    damage = draw(st.sampled_from(sorted(BLOCK_DAMAGE)))
+    return Damage(damage_block(data, damage), True, f"vector block {damage}")
+
+
+@st.composite
+def changed_length(draw, data: bytes) -> Damage:
+    """data, an embedded index, with the block stream's length, its last 8
+    bytes, set to another value: near it, or anywhere up to 2**64 - 1."""
+    length = int.from_bytes(data[-8:], "little")
+    new = draw(st.one_of(st.integers(0, 2 * length), st.integers(0, 2**64 - 1))
+               .filter(lambda value: value != length))
+    return Damage(data[:-8] + new.to_bytes(8, "little"), True, f"block length set to {new}")
 
 
 @functools.cache
@@ -317,3 +341,17 @@ def test_swapped_values_are_refused_unless_well_typed(kind, data):
 @given(data=st.data())
 def test_sources_that_do_not_inflate_are_refused(kind, data):
     _check(kind, data.draw(damaged_text(SAVED[kind])))
+
+
+@pytest.mark.parametrize("kind", EMBEDDED)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_blocks_that_do_not_inflate_are_refused(kind, data):
+    _check(kind, data.draw(damaged_block(SAVED[kind])))
+
+
+@pytest.mark.parametrize("kind", EMBEDDED)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_another_block_length_is_refused(kind, data):
+    _check(kind, data.draw(changed_length(SAVED[kind])))
