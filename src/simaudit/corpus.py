@@ -1,6 +1,6 @@
 """Reference corpus: archive ingestion, vulnerability labels, persistence.
 
-An index (format 13) is a JSON header line and a raw DEFLATE stream, and,
+An index (format 14) is a JSON header line and a raw DEFLATE stream, and,
 if it is embedded, a second raw DEFLATE stream and that stream's length.
 Line one is a JSON header carrying the format version, the embedder id, the
 similarity threshold the index was built for, a creation timestamp,
@@ -11,25 +11,31 @@ file, header and both streams and length included, with the digest's own
 stream (no zlib header or trailer) of the index's text, its UTF-8 lines: n
 entry lines, each a compact JSON array of its 6 fields in the order of
 _ENTRY_FIELDS (package, version, label, vuln_note, name and raw_source),
-and then the key line, a compact JSON array of [entry_id, content_hash]
-pairs in entry order. The entry id keeps the unit's provenance, its file,
-contract and ordinal. The normalized source is not stored; it is derived
-from the raw source where it is read (CorpusIndex.normalized_source): for
-each find_clone hash hit, and for every entry when a loaded index is
-embedded. In an embedded index the text's stream is followed by the vector
-block's, deflated with Huffman codes alone, and then by that stream's byte
-length as 8 little-endian bytes, which end the file. Inflated, the block is
-little-endian and row-major, row i for entry i. It is the matrix as
-CorpusIndex keeps it: the fallback embedder's integer sums as `dimension`
-x `stats.functions_kept` values of the narrowest signed type that holds
-them, which `dtype` names (int8 to int64), then one float64 norm per row;
-or float64 rows, `dtype` float64.
+and then the key line, two compact JSON arrays in one, [[entry_id, ...],
+[hash_key, ...]], in entry order. The entry id keeps the unit's
+provenance, its file, contract and ordinal. The hash key is the first
+HASH_KEY_CHARS (16) hex digits of the content hash: it only finds the
+candidates of a clone lookup, which compares their normalized sources byte
+for byte, so the full hash need not be stored, and an entry read back from
+the file carries its hash key as its content_hash. The normalized source
+is not stored either; it is derived from the raw source where it is read
+(CorpusIndex.normalized_source): for each find_clone candidate, and for
+every entry when a loaded index is embedded. In an embedded index the
+text's stream is followed by the vector block's, deflated with Huffman
+codes alone, and then by that stream's byte length as 8 little-endian
+bytes, which end the file. Inflated, the block is little-endian and
+dimension-major, column j holding value j of every row in entry order. It
+is the matrix as CorpusIndex keeps it: the fallback embedder's integer sums
+as `dimension` x `stats.functions_kept` values of the narrowest signed type
+that holds them, which `dtype` names (int8 to int64), then one float64 norm
+per row; or float64 rows, `dtype` float64.
 
 The loader first checks the header: its format version, then each field of
 _HEADER_FIELDS and _STATS_FIELDS present and of its type, by the one loop
 that checks an entry line against _ENTRY_FIELDS. It finds where the block
 stream starts from the length at the end of the file, and inflates the
-block on a worker thread while it inflates the text, once, on its own:
+block, as a (dimension, rows) array, on a worker thread while it inflates
+the text, once, on its own, and keeps the block's transpose, row-major:
 zlib lets go of the GIL as it inflates, and the load joins the worker
 before it returns or raises. A length that leaves no room for the text, a
 block larger than _text_bound of the file's length, a stream that is not
@@ -37,18 +43,20 @@ raw DEFLATE, ends inside itself or has bytes after it, text that inflates
 past that bound or is not UTF-8, a block that does not inflate to exactly
 its size, a missing line, a norm that is not positive and finite, or a row
 that is not finite (for sums: whose largest magnitude over its norm is not)
-makes the file corrupt. It inflates the block straight into the arrays
-that the index keeps, as stored, so no float64 matrix is built from sums.
-It then checks the hash of the file and parses only the key line, whose
-pairs must be two strings each: an entry line is parsed the first time a
-scan touches its entry (a find_clone hash hit, entry_by_id or reading
-entries), and one that is not a list of the 6 fields, each of its type,
-is corrupt. If the hash does not match the digest, every entry line is
-parsed at load instead, so a damaged line is reported by its number; if
-they all parse, the mismatch itself is reported. Either way the load
-fails with FileCorrupt, as does raw source that no longer normalizes,
-once it is read. Saving is deterministic, so load-then-save reproduces
-the file byte for byte.
+makes the file corrupt. It inflates the block straight into arrays of
+its stored types, so no float64 matrix is built from sums. It then checks
+the hash of the file and parses only the key line, which must be two
+arrays of strings, as long as each other and as there are entry lines,
+with no entry id twice and every hash key 16 lowercase hex digits; the
+maps of ids and of hash keys are built from the arrays whole. An entry
+line is parsed the first time a scan touches its entry (a find_clone
+candidate, entry_by_id or reading entries), and one that is not a list of
+the 6 fields, each of its type, is corrupt. If the hash does not match the
+digest, every entry line is parsed at load instead, so a damaged line is
+reported by its number; if they all parse, the mismatch itself is
+reported. Either way the load fails with FileCorrupt, as does raw source
+that no longer normalizes, once it is read. Saving is deterministic, so
+load-then-save reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -87,7 +95,11 @@ from .simindex import DEFAULT_DELTA, narrowest_int
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 13
+FORMAT_VERSION = 14
+# A hash key, which finds an entry by its content, is the first this many
+# hex digits of the entry's content hash.
+HASH_KEY_CHARS = 16
+_HEX_DIGITS = "0123456789abcdef"
 # An index's text may inflate to this many UTF-8 bytes per byte of its file,
 # or to TEXT_BOUND_FLOOR if that is more (_text_bound): so a crafted file
 # holds no more than this multiple of its own size once loaded.
@@ -97,6 +109,8 @@ TEXT_BOUND_FLOOR = 1 << 24
 VECTOR_DTYPES = ("int8", "int16", "int32", "int64", "float64")
 # Encodes entry and key lines: JSON with no space after "," or ":".
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
+# The bytes of a vector block deflated, or inflated, at a time.
+_SLICE = 1 << 14
 
 LABEL_CSV_COLUMNS = ("package", "version", "match_kind", "match_value", "note")
 
@@ -191,7 +205,9 @@ class CorpusIndex:
     norms: np.ndarray | None = field(default=None, repr=False, compare=False)
     # entries[i].entry_id, readable without building entries[i].
     entry_ids: list[str] = field(default_factory=list, repr=False, compare=False)
-    _by_hash: dict[str, list[int]] = field(default_factory=dict, repr=False, compare=False)
+    # The positions of the entries whose content hash starts with each
+    # hash key, and the position of each entry id.
+    _by_hash: dict[str, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
     _by_id: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
     # The file load_index read this index from; None for a built index.
     _path: str | Path | None = field(default=None, repr=False, compare=False)
@@ -218,16 +234,18 @@ class CorpusIndex:
         return True
 
     def _add_key(self, entry_id: str, content_hash: str) -> None:
-        """Make the next entry position findable by id and by hash."""
+        """Make the next entry position findable by id and by hash key."""
         pos = len(self.entry_ids)
-        self._by_hash.setdefault(content_hash, []).append(pos)
+        key = content_hash[:HASH_KEY_CHARS]
+        self._by_hash[key] = self._by_hash.get(key, ()) + (pos,)
         self._by_id.setdefault(entry_id, pos)
         self.entry_ids.append(entry_id)
 
     def find_clone(self, normalized_source: str, hash_hex: str) -> CorpusEntry | None:
-        """Exact-content lookup: hash equality plus a byte comparison, so a
-        hash collision can never silently merge two different functions."""
-        for pos in self._by_hash.get(hash_hex, ()):
+        """Exact-content lookup: the hash key of hash_hex finds the
+        candidates, and only a byte-equal normalized source is a clone, so
+        two functions whose hashes share a key are never merged."""
+        for pos in self._by_hash.get(hash_hex[:HASH_KEY_CHARS], ()):
             if self.normalized_source(pos) == normalized_source:
                 return self.entries[pos]
         return None
@@ -429,9 +447,9 @@ def _text_bound(file_size: int) -> int:
 
 def _entry_from_line(path, lineno: int, line: str, entry_id: str,
                      content_hash: str) -> CorpusEntry:
-    """The entry on line lineno of index path, with the id and content hash
-    that the key line gives it; FileCorrupt naming the line if the line is
-    not a JSON list of _ENTRY_FIELDS, each of its type."""
+    """The entry on line lineno of index path, with the id and the hash key,
+    as its content hash, that the key line gives it; FileCorrupt naming the
+    line if the line is not a JSON list of _ENTRY_FIELDS, each of its type."""
     where = f"index {path} line {lineno}"
     fields = decode_json(line, lambda exc: FileCorrupt(f"{where}: {exc}"))
     if type(fields) is not list or len(fields) != len(_ENTRY_FIELDS):
@@ -477,27 +495,42 @@ def write_atomic(path: str | Path, data: str | bytes | Callable[[BinaryIO], None
 
 def _vector_block(index: CorpusIndex) -> tuple[str | None, list[np.ndarray]]:
     """The header's dtype and the arrays of index's vector block, in file
-    order: integer sums, narrowed, and then their norms; or, unless vectors
-    holds integers with norms, the float64 rows()."""
+    order and little-endian: integer sums, narrowed, and then their norms;
+    or, unless vectors holds integers with norms, the float64 rows()."""
     if index.vectors is None:
         return None, []
     if index.norms is None or not np.issubdtype(index.vectors.dtype, np.integer):
-        return "float64", [np.ascontiguousarray(index.rows(), dtype="<f8")]
+        return "float64", [index.rows().astype("<f8", copy=False)]
     sums = narrowest_int(index.vectors)
-    return sums.dtype.name, [np.ascontiguousarray(sums, dtype=sums.dtype.newbyteorder("<")),
-                             np.ascontiguousarray(index.norms, dtype="<f8")]
+    return sums.dtype.name, [sums.astype(sums.dtype.newbyteorder("<"), copy=False),
+                             index.norms.astype("<f8", copy=False)]
+
+
+def _dimension_major(array: np.ndarray):
+    """The values of array, a (rows, dimension) matrix or a vector, which is
+    one column, in dimension-major order: C-contiguous slices of at most
+    _SLICE bytes, each a transposed copy of a few columns or of part of
+    one, so the whole matrix is never transposed at once."""
+    columns = array.T if array.ndim == 2 else array[None]
+    rows = columns.shape[1]
+    per = _SLICE // array.itemsize  # values in a slice
+    step = max(1, per // max(1, rows))  # columns in a slice
+    for at in range(0, len(columns), step):
+        for start in range(0, rows, per):
+            yield np.ascontiguousarray(columns[at:at + step, start:start + per])
 
 
 def save_index(index: CorpusIndex, path: str | Path) -> None:
     """Write index to path in format FORMAT_VERSION. The text is encoded and
-    deflated piece by piece, an entry line or a key pair at a time, and the
-    vector block deflated from its arrays' own buffers a slice at a time,
-    each part hashed and written as it comes, so neither the file nor its
-    text nor its key line is ever held in memory. The header goes first
-    with a placeholder digest of 64 zeros, and is written again once it,
-    the streams and the block stream's length are hashed. IndexTooLarge,
-    and no file written, if the text is longer than the _text_bound of the
-    file: the loader would refuse it."""
+    deflated piece by piece, an entry line, an entry id or a hash key at a
+    time, and the vector block deflated a transposed slice at a time
+    (_dimension_major), each part hashed and written as it comes, so
+    neither the file nor its text, its key line or a transposed matrix is
+    ever held in memory. The header goes first with a placeholder digest of
+    64 zeros, and is written again once it, the streams and the block
+    stream's length are hashed. IndexTooLarge, and no file written, if the
+    text is longer than the _text_bound of the file: the loader would
+    refuse it."""
     vectors = index.vectors
     dtype, block = _vector_block(index)
 
@@ -514,16 +547,19 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
         }).encode("utf-8") + b"\n"
 
     def text():
-        """The index's entry lines, then its key line pair by pair, in the
-        bytes of _compact_json(the list of pairs)."""
+        """The index's entry lines, then its key line an id or a hash key at
+        a time, in the bytes of _compact_json([entry ids, hash keys])."""
         for entry in index.entries:
-            # The content hash goes to the key line, and the normalized
-            # source is not stored; a Label encodes as its value.
+            # The hash key goes to the key line, and the normalized source
+            # is not stored; a Label encodes as its value.
             yield _compact_json([getattr(entry, key) for key in _ENTRY_FIELDS]) + "\n"
-        yield "["
+        yield "[["
         for pos, entry in enumerate(index.entries):
-            yield "," * (pos > 0) + _compact_json((entry.entry_id, entry.content_hash))
-        yield "]\n"
+            yield "," * (pos > 0) + _compact_json(entry.entry_id)
+        yield "],["
+        for pos, entry in enumerate(index.entries):
+            yield "," * (pos > 0) + _compact_json(entry.content_hash[:HASH_KEY_CHARS])
+        yield "]]\n"
 
     def write(f: BinaryIO) -> None:
         placeholder = header("0" * 64)
@@ -548,9 +584,8 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
             packer = zlib.compressobj(6, zlib.DEFLATED, -9, 4, zlib.Z_HUFFMAN_ONLY)
             length = 0
             for array in block:
-                data = memoryview(array.reshape(-1).view(np.uint8))
-                for at in range(0, len(data), 1 << 14):
-                    length += put(packer.compress(data[at:at + (1 << 14)]))
+                for part in _dimension_major(array):
+                    length += put(packer.compress(part))
             length += put(packer.flush())
             put(length.to_bytes(8, "little"))
         bound = _text_bound(f.tell())
@@ -584,9 +619,9 @@ def _inflate_into(path, stream, outs: list[memoryview]) -> int:
     filled = at = 0
     try:
         while at < len(stream) and not unpacker.eof and filled < room:
-            part = memoryview(unpacker.decompress(stream[at:at + (1 << 14)], room - filled))
+            part = memoryview(unpacker.decompress(stream[at:at + _SLICE], room - filled))
             filled += len(part)
-            at += 1 << 14
+            at += _SLICE
             while part:  # it may run past the end of outs[0]
                 n = min(len(outs[0]), len(part))
                 outs[0][:n] = part[:n]
@@ -647,16 +682,16 @@ def load_index(path: str | Path) -> CorpusIndex:
             raise FileCorrupt(f"index {path} vector block of {size} bytes is more than the "
                               f"{bound} that its {len(data)}-byte file may hold")
 
-        # The worker inflates the block straight into the arrays the index
-        # keeps, and into a spare byte that tells a block that is too long.
-        # They are allocated on this thread, and the worker allocates no
-        # more than a slice of the stream inflates to: glibc keeps what a
-        # thread allocates in an arena of that thread's own, whose pages
-        # stay resident once touched.
-        vectors = np.empty((rows, dimension), block_dtype)
+        # The worker inflates the block straight into the columns, the norms
+        # that the index keeps, and a spare byte that tells a block that is
+        # too long. They are allocated on this thread, and the worker
+        # allocates no more than a slice of the stream inflates to: glibc
+        # keeps what a thread allocates in an arena of that thread's own,
+        # whose pages stay resident once touched.
+        columns = np.empty((dimension, rows), block_dtype)
         norms = np.empty(rows, "<f8") if norms_size else None
         outs = [memoryview(array.reshape(-1).view(np.uint8))
-                for array in (vectors, norms) if array is not None]
+                for array in (columns, norms) if array is not None]
         outs.append(memoryview(bytearray(1)))
 
         def inflate_block() -> None:
@@ -709,8 +744,9 @@ def load_index(path: str | Path) -> CorpusIndex:
         if filled < size:
             raise FileCorrupt(f"index {path} vector block is too short for its {rows} rows of "
                               f"{dimension} {dtype}" + (" and their norms" if norms_size else ""))
-        # In native byte order, which copies them only on a big-endian host.
-        vectors = vectors.astype(dtype, copy=False)
+        # Row-major, row i for entry i, and in native byte order: one copy,
+        # which a query's row-major tiles read faster than a view.
+        vectors = columns.T.astype(dtype, order="C")
         if norms_size:
             norms = norms.astype(float, copy=False)
             if not ((norms > 0.0) & (norms < np.inf)).all():
@@ -732,17 +768,37 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise FileCorrupt(f"index {path} does not match the header's digest")
     key_line = f"index {path} line {len(lines) + 1}:"
     keys = decode_json(lines.pop(), lambda exc: FileCorrupt(f"{key_line} {exc}"))
-    if type(keys) is not list:
-        raise FileCorrupt(f"{key_line} not a list of [entry_id, content_hash] pairs")
-    for pair in keys:
-        if type(pair) is not list or len(pair) != 2 or not all(map(_is_str, pair)):
-            raise FileCorrupt(f"{key_line} key {pair!r:.60} is not a pair of strings")
-        index._add_key(*pair)
-    if len(keys) != len(lines):
-        raise FileCorrupt(f"{key_line} {len(keys)} keys for {len(lines)} entry lines")
+    if (type(keys) is not list or len(keys) != 2
+            or not all(type(array) is list and all(map(_is_str, array)) for array in keys)):
+        raise FileCorrupt(f"{key_line} not two arrays of strings, entry ids and hash keys")
+    ids, hash_keys = keys
+    if len(ids) != len(hash_keys):
+        raise FileCorrupt(f"{key_line} {len(ids)} entry ids for {len(hash_keys)} hash keys")
+    if len(ids) != len(lines):
+        raise FileCorrupt(f"{key_line} {len(ids)} keys for {len(lines)} entry lines")
+    # Whole arrays at once: a key of another length, or a character that is
+    # not a lowercase hex digit, is then looked for one key at a time.
+    if {*map(len, hash_keys)} - {HASH_KEY_CHARS} or "".join(hash_keys).strip(_HEX_DIGITS):
+        bad = next(key for key in hash_keys
+                   if len(key) != HASH_KEY_CHARS or key.strip(_HEX_DIGITS))
+        raise FileCorrupt(f"{key_line} hash key {bad!r:.60} is not "
+                          f"{HASH_KEY_CHARS} lowercase hex digits")
+    index._by_id = dict(zip(ids, range(len(ids))))
+    if len(index._by_id) < len(ids):
+        # dict keeps the last position of an id: the first one it does not
+        # keep is there twice.
+        twice = next(entry_id for pos, entry_id in enumerate(ids)
+                     if index._by_id[entry_id] != pos)
+        raise FileCorrupt(f"{key_line} entry id {twice!r:.60} is there twice")
+    index.entry_ids = ids
+    index._by_hash = dict(zip(hash_keys, zip(range(len(ids)))))
+    if len(index._by_hash) < len(ids):  # a key that two entries share
+        index._by_hash = {}
+        for pos, key in enumerate(hash_keys):
+            index._by_hash[key] = index._by_hash.get(key, ()) + (pos,)
 
     def build(pos: int) -> CorpusEntry:
-        return _entry_from_line(path, pos + 2, lines[pos], *keys[pos])
+        return _entry_from_line(path, pos + 2, lines[pos], ids[pos], hash_keys[pos])
 
     index.entries = EntryList(len(lines), build)
     index.vectors, index.norms = vectors, norms

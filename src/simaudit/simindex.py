@@ -111,8 +111,15 @@ class FallbackEmbedder:
         short = np.flatnonzero(lens < 3)
         grams = ([spelled[i : i + 3] for i in range(0, len(spelled), 3)]
                  + [texts[i] for i in short.tolist()])
-        digests = b"".join(hashlib.blake2b(gram.encode("utf-8"), digest_size=3 * taps,
-                                           key=self._KEY).digest() for gram in grams)
+        # Each gram's digest starts from a copy of one keyed state, which is
+        # cheaper than keying a new one. It is keyed here, not once for the
+        # class, as its digest size follows the taps a subclass may set.
+        keyed = hashlib.blake2b(digest_size=3 * taps, key=self._KEY)
+        digests = bytearray()
+        for gram in grams:
+            state = keyed.copy()
+            state.update(gram.encode("utf-8"))
+            digests += state.digest()
         del spelled, grams  # freed early, as is each table input below, to lower the peak
         # Three bytes per gram and tap: a big-endian 2-byte index, then a byte
         # whose low bit is the sign. The tables are tap-major, (taps, grams),

@@ -4,6 +4,7 @@ saved-index tampering, and a tiny local HTTP server for wire-format tests."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -18,6 +19,8 @@ import time
 import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+
+import numpy as np
 
 import simaudit
 from simaudit import corpus
@@ -55,9 +58,16 @@ def deflate_text(text: bytes) -> bytes:
     return packer.compress(text) + packer.flush()
 
 
+def dimension_major(*arrays) -> bytes:
+    """The vector block of an index whose matrix and norms are arrays: each
+    (rows, dimension) matrix column by column, each vector as it is, in the
+    arrays' own dtypes."""
+    return b"".join(np.asarray(array).T.tobytes() for array in arrays)
+
+
 def deflate_block(block: bytes) -> bytes:
     """The raw DEFLATE stream, Huffman codes only, that save_index writes for
-    an index's vector block."""
+    an index's vector block, inflated."""
     packer = zlib.compressobj(6, zlib.DEFLATED, -9, 4, zlib.Z_HUFFMAN_ONLY)
     return packer.compress(block) + packer.flush()
 
@@ -176,7 +186,8 @@ def _streams(data: bytes) -> tuple[bytes, bytes, bytes]:
 def split_index(index: Path | bytes) -> tuple[dict, list[str], bytes | None]:
     """(header, text lines, vector block) of a saved index, given as its
     path or its bytes; the text and the block are inflated, the text's last
-    line is the key line, and the block is None if the index has no
+    line is the key line, [[entry ids], [hash keys]], and the block, which
+    is dimension-major (dimension_major), is None if the index has no
     vectors."""
     data = index if isinstance(index, bytes) else index.read_bytes()
     head, text, block = _streams(data)
@@ -214,9 +225,9 @@ def restamp(data: bytes) -> bytes:
 def rewrite_index(path: Path, entry=None, keys=None, **header) -> None:
     """Edit the saved index at path and restamp its digest, so that only the
     loader's checks of the edited values can refuse it. Entry line i + 2
-    becomes entry(i, its list of fields), the key line keys(its list of
-    pairs), and header's items update the header; the result of an edit is
-    written as compact JSON, or as it is if it is RawJSON."""
+    becomes entry(i, its list of fields), the key line keys([its entry ids,
+    its hash keys]), and header's items update the header; the result of an
+    edit is written as compact JSON, or as it is if it is RawJSON."""
     def encode(value) -> str:
         return value if isinstance(value, RawJSON) else json.dumps(value, separators=(",", ":"))
 
@@ -228,6 +239,21 @@ def rewrite_index(path: Path, entry=None, keys=None, **header) -> None:
         key_line = encode(keys(json.loads(key_line)))
     path.write_bytes(restamp(join_index([json.dumps({**head, **header}), *lines, key_line],
                                         block)))
+
+
+def keyed(entry: corpus.CorpusEntry) -> corpus.CorpusEntry:
+    """entry as an index file gives it back: its content hash cut to its
+    hash key."""
+    return dataclasses.replace(entry, content_hash=entry.content_hash[:corpus.HASH_KEY_CHARS])
+
+
+def as_loaded(index: corpus.CorpusIndex) -> corpus.CorpusIndex:
+    """index as load_index gives it back from the file that save_index
+    wrote: a copy whose entries are keyed."""
+    entries = corpus.EntryList()
+    for entry in index.entries:
+        entries.append(keyed(entry))
+    return dataclasses.replace(index, entries=entries)
 
 
 def make_archive(path: Path, files: dict[str, str]) -> Path:

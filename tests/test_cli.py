@@ -606,7 +606,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 1, this build reads format 13" in err
+        assert "is format 1, this build reads format 14" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -627,7 +627,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 4, this build reads format 13" in err
+        assert "is format 4, this build reads format 14" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -645,7 +645,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 5, this build reads format 13" in err
+        assert "is format 5, this build reads format 14" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -668,7 +668,7 @@ class TestScanExitCodes:
                      "--report", str(tmp_path / "r.json")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "is format 7, this build reads format 13" in err
+        assert "is format 7, this build reads format 14" in err
         assert "rebuild it with `simaudit index`" in err
         assert not (tmp_path / "r.json").exists()
 
@@ -740,11 +740,11 @@ class TestScanExitCodes:
 
     @pytest.mark.parametrize("data", [
         b'{"format_version": 2}\n\xff\xfe\n',
-        b'{"format_version": 13, "embedder_id": null, "delta": 0.65, "created_at": "t", '
+        b'{"format_version": 14, "embedder_id": null, "delta": 0.65, "created_at": "t", '
         b'"stats": {"files_seen": 1, "functions_seen": 1, "functions_kept": 1}, '
         b'"dimension": null, "dtype": null, "digest": "' + b"0" * 64 + b'"}'
         b'\n' + deflate_text(b'\xff\xfe\n[]\n'),
-        b'{"format_version": 13, "created_at": "\xff\xfe"}\n',
+        b'{"format_version": 14, "created_at": "\xff\xfe"}\n',
     ], ids=["format_2_header", "format_4_entry", "format_4_header"])
     def test_index_that_is_not_utf8_is_format_error(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.jsonl"

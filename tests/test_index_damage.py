@@ -4,7 +4,9 @@ Hypothesis damages a small saved index of each kind (fallback sums, float
 rows, no vectors) once: a truncation; one byte flipped, inserted or deleted;
 one JSON value of the header, an entry line or the key line replaced by a
 value of another JSON type or by JSON nested past the recursion limit; the
-deflated text, which stores every raw source, replaced by a stream that
+key line given an entry id twice, two arrays of unequal length, another
+shape than two arrays of strings, or a hash key that is not 16 lowercase
+hex digits; the deflated text, which stores every raw source, replaced by a stream that
 does not inflate to UTF-8 text within the bound; or, in an embedded index,
 the deflated vector block replaced by a stream that does not inflate to
 exactly the block, or the block stream's length, the file's last 8 bytes,
@@ -24,12 +26,15 @@ building every entry, a clone lookup and a top-k query of each probe, and a
 - A value replaced by one of a type its field cannot hold, a text or a
   block that does not inflate, or another block length, is FileCorrupt
   under either digest.
+- Such a key line is refused at load, so under either digest `scan` exits
+  3 and writes no report.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -210,6 +215,8 @@ class Damage:
     # cannot, a text or a block that does not inflate, or another length.
     mistyped: bool
     what: str
+    # The load refuses it, so `scan` exits 3 under either digest.
+    at_load: bool = False
 
     def __repr__(self) -> str:
         return self.what
@@ -255,6 +262,45 @@ def swapped_values(draw, data: bytes) -> Damage:
                   f"line {line + 1} value {list(path)} set to {kind} {new!r:.40}")
 
 
+_KEY_DAMAGE = ("duplicate_id", "unequal_lengths", "not_two_arrays", "bad_hash_key")
+
+
+def _is_hash_key(value) -> bool:
+    return re.fullmatch("[0-9a-f]{16}", value) is not None
+
+
+@st.composite
+def damaged_keys(draw, data: bytes) -> Damage:
+    """data with its key line, [[entry ids], [hash keys]], still well-typed
+    JSON but refused by the loader: an entry id there twice, the two arrays
+    of unequal length, the line not two arrays of strings, or a hash key
+    that is not 16 lowercase hex digits."""
+    values, block = _lines(data)
+    ids, keys = values[-1]
+    how = draw(st.sampled_from(_KEY_DAMAGE))
+    pos = draw(st.integers(0, len(ids) - 1))
+    if how == "duplicate_id":
+        ids[pos] = ids[(pos + draw(st.integers(1, len(ids) - 1))) % len(ids)]
+    elif how == "unequal_lengths":
+        array = draw(st.sampled_from([ids, keys]))
+        if draw(st.booleans()):
+            del array[pos]
+        else:
+            array.insert(pos, draw(st.sampled_from(array)))
+    elif how == "not_two_arrays":
+        values[-1] = draw(st.sampled_from([
+            [ids], [ids, keys, []], [keys, ids, keys], list(map(list, zip(ids, keys))),
+            {"ids": ids, "keys": keys}, [ids, "".join(keys)], [ids, [*keys[:-1], None]],
+        ]))
+    else:
+        keys[pos] = draw(st.one_of(
+            st.sampled_from([keys[pos][:-1], keys[pos] + "0", keys[pos].upper(),
+                             keys[pos] * 4, "g" + keys[pos][1:]]),
+            st.text(max_size=20)).filter(lambda key: not _is_hash_key(key)))
+    return Damage(_encode(values, block), True, f"key line {how}: {values[-1]!r:.80}",
+                  at_load=True)
+
+
 @st.composite
 def damaged_text(draw, data: bytes) -> Damage:
     """data with its deflated text replaced by a stream that does not
@@ -298,9 +344,7 @@ def _check(kind: str, damaged: Damage) -> None:
             if stale:
                 assert isinstance(result, (FileCorrupt, FormatVersionMismatch)) \
                     or result == undamaged
-                assert code == 3
-            else:
-                assert code in (0, 3, 4)
+            assert code == 3 if stale or damaged.at_load else code in (0, 3, 4)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -334,6 +378,13 @@ def test_damaged_bytes_are_refused_or_load_from_the_header(kind, data):
 @given(data=st.data())
 def test_swapped_values_are_refused_unless_well_typed(kind, data):
     _check(kind, data.draw(swapped_values(SAVED[kind])))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_key_lines_of_the_wrong_content_are_refused(kind, data):
+    _check(kind, data.draw(damaged_keys(SAVED[kind])))
 
 
 @pytest.mark.parametrize("kind", KINDS)
