@@ -33,28 +33,27 @@ per row; or float64 rows, `dtype` float64.
 The loader first checks the header: its format version, then each field of
 _HEADER_FIELDS and _STATS_FIELDS present and of its type, by the one loop
 that checks an entry line against _ENTRY_FIELDS. It finds where the block
-stream starts from the length at the end of the file, and inflates the
-block, as a (dimension, rows) array, on a worker thread while it inflates
-the text, once, on its own, and keeps the block's transpose, row-major:
-zlib lets go of the GIL as it inflates, and the load joins the worker
-before it returns or raises. A length that leaves no room for the text, a
-block larger than _text_bound of the file's length, a stream that is not
-raw DEFLATE, ends inside itself or has bytes after it, text that inflates
-past that bound or is not UTF-8, a block that does not inflate to exactly
-its size, a missing line, a norm that is not positive and finite, or a row
-that is not finite (for sums: whose largest magnitude over its norm is not)
-makes the file corrupt. It inflates the block straight into arrays of
-its stored types, so no float64 matrix is built from sums. It then checks
-the hash of the file and parses only the key line, which must be two
-arrays of strings, as long as each other and as there are entry lines,
-with no entry id twice and every hash key 16 lowercase hex digits; the
-maps of ids and of hash keys are built from the arrays whole. An entry
-line is parsed the first time a scan touches its entry (a find_clone
-candidate, entry_by_id or reading entries), and one that is not a list of
-the 6 fields, each of its type, is corrupt. If the hash does not match the
-digest, every entry line is parsed at load instead, so a damaged line is
-reported by its number; if they all parse, the mismatch itself is
-reported. Either way the load fails with FileCorrupt, as does raw source
+stream starts from the length at the end of the file, and inflates each
+stream once, on the calling thread: the text, which it decodes and splits
+into lines, and then the block, from whose bytes it keeps a row-major copy
+of the (dimension, rows) columns and a copy of the norms. A length that
+leaves no room for the text, a block larger than _text_bound of the file's
+length, a stream that is not raw DEFLATE, ends inside itself or has bytes
+after it, text that inflates past that bound or is not UTF-8, a block that
+does not inflate to exactly its size, a missing line, a norm that is not
+positive and finite, or a row that is not finite (for sums: whose largest
+magnitude over its norm is not) makes the file corrupt. The block's
+arrays keep their stored types, so no float64 matrix is built from sums.
+It then checks the hash of the file and parses only the key line, which
+must be two arrays of strings, as long as each other and as there are
+entry lines, with no entry id twice and every hash key 16 lowercase hex
+digits; the maps of ids and of hash keys are built from the arrays
+whole. An entry line is parsed the first time a scan touches its entry (a
+find_clone candidate, entry_by_id or reading entries), and one that is
+not a list of the 6 fields, each of its type, is corrupt. If the hash
+does not match the digest, every entry line is parsed at load instead, so
+a damaged line is reported by its number; if they all parse, the
+mismatch itself is reported. Either way the load fails with FileCorrupt, as does raw source
 that no longer normalizes, once it is read. Saving is deterministic, so
 load-then-save reproduces the file byte for byte.
 """
@@ -69,7 +68,6 @@ import logging
 import os
 import sys
 import tarfile
-import threading
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -109,7 +107,8 @@ TEXT_BOUND_FLOOR = 1 << 24
 VECTOR_DTYPES = ("int8", "int16", "int32", "int64", "float64")
 # Encodes entry and key lines: JSON with no space after "," or ":".
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
-# The bytes of a vector block deflated, or inflated, at a time.
+# The bytes of a vector block that save_index transposes and deflates at a
+# time.
 _SLICE = 1 << 14
 
 LABEL_CSV_COLUMNS = ("package", "version", "match_kind", "match_value", "note")
@@ -598,42 +597,23 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     write_atomic(path, write)
 
 
-def _check_end(path, what: str, unpacker, more: bool) -> None:
-    """FileCorrupt, naming the index at path and what its stream holds,
-    unless unpacker's stream ended with no bytes after it, more telling
-    whether bytes of it were never given to unpacker."""
-    if not unpacker.eof:
-        raise FileCorrupt(f"index {path} {what} ends inside its DEFLATE stream")
-    if unpacker.unused_data or more:
-        raise FileCorrupt(f"index {path} {what} has bytes after its DEFLATE stream")
-
-
-def _inflate_into(path, stream, outs: list[memoryview]) -> int:
-    """Inflate the raw DEFLATE stream of an index's vector block into outs,
-    byte buffers that it fills in turn, 16 KiB of the stream at a time, so
-    that it allocates no buffer larger than what one slice inflates to, and
-    return how many bytes it filled. Unless it fills them all, FileCorrupt
-    if the stream is not one whole raw DEFLATE stream."""
+def _inflate(path, what: str, stream, limit: int) -> bytes:
+    """The bytes that stream, the raw DEFLATE stream of the index at path
+    that holds what, inflates to, but at most limit + 1 of them: a stream
+    that inflates past limit is told by its length and inflated no further.
+    FileCorrupt if the stream is not raw DEFLATE or, unless it inflates
+    past limit, ends inside itself or has bytes after it."""
     unpacker = zlib.decompressobj(-15)
-    room = sum(map(len, outs))
-    filled = at = 0
     try:
-        while at < len(stream) and not unpacker.eof and filled < room:
-            part = memoryview(unpacker.decompress(stream[at:at + _SLICE], room - filled))
-            filled += len(part)
-            at += _SLICE
-            while part:  # it may run past the end of outs[0]
-                n = min(len(outs[0]), len(part))
-                outs[0][:n] = part[:n]
-                part, outs[0] = part[n:], outs[0][n:]
-                if not outs[0]:
-                    del outs[0]
+        out = unpacker.decompress(stream, limit + 1)
     except zlib.error as exc:
-        raise FileCorrupt(
-            f"index {path} vector block is not a raw DEFLATE stream: {exc}") from exc
-    if filled < room:
-        _check_end(path, "vector block", unpacker, at < len(stream))
-    return filled
+        raise FileCorrupt(f"index {path} {what} is not a raw DEFLATE stream: {exc}") from exc
+    if len(out) <= limit:
+        if not unpacker.eof:
+            raise FileCorrupt(f"index {path} {what} ends inside its DEFLATE stream")
+        if unpacker.unused_data:
+            raise FileCorrupt(f"index {path} {what} has bytes after its DEFLATE stream")
+    return out
 
 
 def load_index(path: str | Path) -> CorpusIndex:
@@ -667,8 +647,7 @@ def load_index(path: str | Path) -> CorpusIndex:
     rows = index.stats.functions_kept
     bound = _text_bound(len(data))
     view = memoryview(data)
-    text_end, worker, inflated = len(data), None, []
-    vectors = norms = None
+    text_end = len(data)
     if dimension is not None:
         block_dtype = np.dtype(dtype).newbyteorder("<")
         norms_size = 8 * rows if block_dtype.kind == "i" else 0
@@ -681,74 +660,41 @@ def load_index(path: str | Path) -> CorpusIndex:
         if size > bound:
             raise FileCorrupt(f"index {path} vector block of {size} bytes is more than the "
                               f"{bound} that its {len(data)}-byte file may hold")
-
-        # The worker inflates the block straight into the columns, the norms
-        # that the index keeps, and a spare byte that tells a block that is
-        # too long. They are allocated on this thread, and the worker
-        # allocates no more than a slice of the stream inflates to: glibc
-        # keeps what a thread allocates in an arena of that thread's own,
-        # whose pages stay resident once touched.
-        columns = np.empty((dimension, rows), block_dtype)
-        norms = np.empty(rows, "<f8") if norms_size else None
-        outs = [memoryview(array.reshape(-1).view(np.uint8))
-                for array in (columns, norms) if array is not None]
-        outs.append(memoryview(bytearray(1)))
-
-        def inflate_block() -> None:
-            try:
-                inflated.append(_inflate_into(path, view[text_end:-8], outs))
-            except Exception as exc:  # raised again by the calling thread
-                inflated.append(exc)
-
-        # zlib lets go of the GIL as it inflates, and so does hashlib as it
-        # hashes: the block is inflated while this thread inflates the text
-        # and hashes the file, before it decodes and splits the text.
-        worker = threading.Thread(target=inflate_block)
-        worker.start()
+    text = _inflate(path, "entry text", view[head_end + 1:text_end], bound)
+    if len(text) > bound:
+        raise FileCorrupt(f"index {path} entry text inflates past the {bound} bytes "
+                          f"that its {len(data)}-byte file may hold")
+    # The digest, the header's last value, is of the file with its own 64
+    # digits, which end 2 bytes before the header line does, as zeros.
+    digest = hashlib.sha256(data[:head_end - 66] + b"0" * 64)
+    digest.update(view[head_end - 2:])
     try:
-        unpacker = zlib.decompressobj(-15)
-        try:
-            text = unpacker.decompress(view[head_end + 1:text_end], bound + 1)
-        except zlib.error as exc:
-            raise FileCorrupt(
-                f"index {path} entry text is not a raw DEFLATE stream: {exc}") from exc
-        if len(text) > bound:
-            raise FileCorrupt(f"index {path} entry text inflates past the {bound} bytes "
-                              f"that its {len(data)}-byte file may hold")
-        _check_end(path, "entry text", unpacker, False)
-        # The digest, the header's last value, is of the file with its own 64
-        # digits, which end 2 bytes before the header line does, as zeros.
-        digest = hashlib.sha256(data[:head_end - 66] + b"0" * 64)
-        digest.update(view[head_end - 2:])
-        try:
-            text = text.decode("utf-8")  # frees the inflated bytes
-        except UnicodeDecodeError as exc:
-            raise FileCorrupt(f"index {path} entry text is not UTF-8: {exc}") from exc
-        *lines, tail = text.split("\n")
-        del text  # only the lines are kept
-        if tail:
-            raise FileCorrupt(f"index {path} entry text does not end with a line break")
-        if len(lines) != rows + 1:
-            raise FileCorrupt(
-                f"index {path} says functions_kept={rows} but holds {len(lines)} lines "
-                f"after its header, not that many entry lines and a key line")
-    finally:
-        if worker is not None:
-            worker.join()
+        text = text.decode("utf-8")  # frees the inflated bytes
+    except UnicodeDecodeError as exc:
+        raise FileCorrupt(f"index {path} entry text is not UTF-8: {exc}") from exc
+    *lines, tail = text.split("\n")
+    del text  # only the lines are kept
+    if tail:
+        raise FileCorrupt(f"index {path} entry text does not end with a line break")
+    if len(lines) != rows + 1:
+        raise FileCorrupt(
+            f"index {path} says functions_kept={rows} but holds {len(lines)} lines "
+            f"after its header, not that many entry lines and a key line")
+    vectors = norms = None
     if dimension is not None:
-        filled, = inflated
-        if isinstance(filled, Exception):
-            raise filled
-        if filled > size:
+        block = _inflate(path, "vector block", view[text_end:-8], size)
+        if len(block) > size:
             raise FileCorrupt(f"index {path} vector block inflates past its {size} bytes")
-        if filled < size:
+        if len(block) < size:
             raise FileCorrupt(f"index {path} vector block is too short for its {rows} rows of "
                               f"{dimension} {dtype}" + (" and their norms" if norms_size else ""))
+        columns = np.frombuffer(block, block_dtype, dimension * rows).reshape(dimension, rows)
         # Row-major, row i for entry i, and in native byte order: one copy,
         # which a query's row-major tiles read faster than a view.
         vectors = columns.T.astype(dtype, order="C")
         if norms_size:
-            norms = norms.astype(float, copy=False)
+            # A copy of its own, which keeps no view of the block alive.
+            norms = np.frombuffer(block, "<f8", rows, columns.nbytes).astype(float)
             if not ((norms > 0.0) & (norms < np.inf)).all():
                 raise FileCorrupt(
                     f"index {path} holds a vector norm that is not positive and finite")

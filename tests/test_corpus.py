@@ -10,8 +10,6 @@ import json
 import logging
 import re
 import tarfile
-import threading
-import time
 import tracemalloc
 import zlib
 from unittest.mock import patch
@@ -1045,27 +1043,6 @@ class TestPersistence:
                 load_index(path)
             assert inflaters.call_count == 0
 
-    @pytest.mark.parametrize("where", ["text", "block"])
-    def test_a_failed_load_leaves_no_thread_behind(self, tmp_path, monkeypatch, where):
-        """The block is inflated on a thread of its own, which the load joins
-        however it ends: here the block's inflater is slowed, so that a text
-        that does not inflate fails the load while the thread still runs."""
-        inflate_into = corpus._inflate_into
-
-        def slow(*args):
-            time.sleep(0.05)
-            return inflate_into(*args)
-
-        monkeypatch.setattr(corpus, "_inflate_into", slow)
-        path = tmp_path / "idx.jsonl"
-        save_index(_fallback_index(), path)
-        damage = damage_text if where == "text" else damage_block
-        path.write_bytes(damage(path.read_bytes(), "not_deflate"))
-        threads = threading.active_count()
-        with pytest.raises(FileCorrupt, match="is not a raw DEFLATE stream"):
-            load_index(path)
-        assert threading.active_count() == threads
-
     def test_source_just_within_the_bound_round_trips(self, tmp_path, monkeypatch):
         """Text of exactly the bound saves and loads; with a bound one byte
         smaller, save_index refuses it and load_index stops at the bound."""
@@ -1097,19 +1074,33 @@ class TestPersistence:
         save_index(index, path)
         assert load_index(path) == as_loaded(index)
 
-    def test_inflating_stops_at_the_bound(self, tmp_path, monkeypatch):
-        """A digest-valid index whose text would inflate to 4 MiB is refused
-        at load, with no more than the bound inflated."""
+    @pytest.mark.parametrize("stream", ["text", "block"])
+    def test_inflating_stops_at_the_bound(self, tmp_path, monkeypatch, stream):
+        """A digest-valid index whose text would inflate to 4 MiB, or whose
+        vector block would inflate to 4 MiB past its size, is refused at
+        load, with no more than the bound, or the size, inflated."""
         path = tmp_path / "idx.jsonl"
-        save_index(_labeled_index(), path)
-        rewrite_index(path, lambda pos, fields: [*fields[:5], " " * (4 << 20)] if pos == 0
-                      else fields)
-        monkeypatch.setattr(corpus, "TEXT_BOUND_FLOOR", 1000)
-        bound = 16 * path.stat().st_size
-        assert 1000 < bound < 1 << 18
+        if stream == "text":
+            save_index(_labeled_index(), path)
+            rewrite_index(path, lambda pos, fields: [*fields[:5], " " * (4 << 20)] if pos == 0
+                          else fields)
+            monkeypatch.setattr(corpus, "TEXT_BOUND_FLOOR", 1000)
+            bound = 16 * path.stat().st_size
+            assert 1000 < bound < 1 << 18
+            refused = f"entry text inflates past the {bound} bytes "
+        else:
+            save_index(_fallback_index(), path)
+            data = path.read_bytes()
+            block = split_index(data)[2]
+            # Deflated as the text is, the 4 MiB of zeros take a few KB.
+            block_start = len(data) - 8 - int.from_bytes(data[-8:], "little")
+            path.write_bytes(restamp(
+                data[:block_start] + framed(deflate_text(block + bytes(4 << 20)))))
+            assert path.stat().st_size < 1 << 16
+            refused = f"vector block inflates past its {len(block)} bytes$"
         tracemalloc.start()
         try:
-            with pytest.raises(FileCorrupt, match=f"entry text inflates past the {bound} bytes "):
+            with pytest.raises(FileCorrupt, match=refused):
                 load_index(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1371,6 +1362,11 @@ class TestIntegerVectorBlock:
         loaded = load_index(p1)
         assert loaded.vectors.tobytes() == index.vectors.tobytes()
         assert loaded.norms.tobytes() == index.norms.tobytes()
+        # The norms own their data: no read-only view that keeps the
+        # inflated block alive.
+        assert loaded.norms.dtype == np.float64 and loaded.norms.dtype.isnative
+        assert loaded.norms.flags.c_contiguous and loaded.norms.flags.writeable
+        assert loaded.norms.base is None
         assert loaded.vectors.dtype == dtype and loaded.vectors.flags.c_contiguous
         assert loaded.rows().tobytes() == index.rows().tobytes()
         save_index(loaded, p2)
