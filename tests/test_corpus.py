@@ -10,6 +10,7 @@ import json
 import logging
 import re
 import tarfile
+import threading
 import tracemalloc
 import zlib
 from unittest.mock import patch
@@ -1190,6 +1191,22 @@ class TestPersistence:
         with patch.object(zlib, "decompressobj", Inflater):
             load_index(path)
         assert sorted(limits) == [3 * (384 + 8) + 1, corpus.TEXT_BOUND_FLOOR + 1]
+
+    @pytest.mark.parametrize("kind", ["unembedded", "int8", "float64"])
+    def test_a_load_starts_no_thread(self, tmp_path, kind):
+        """The text and the vector block are inflated on the calling thread:
+        a load succeeds even where no thread can be started."""
+        index = {"unembedded": _labeled_index, "int8": _fallback_index,
+                 "float64": _tiny_embedded_index}[kind]()
+        path = tmp_path / "idx.jsonl"
+        save_index(index, path)
+        refused = AssertionError("load_index started a thread")
+        with patch.object(threading.Thread, "start", side_effect=refused) as start:
+            loaded = load_index(path)
+        assert start.call_count == 0
+        assert loaded == as_loaded(index)
+        if kind != "unembedded":
+            assert loaded.vectors.tobytes() == index.vectors.tobytes()
 
     def test_save_peaks_below_the_file_size(self, tmp_path):
         index = new_index()
