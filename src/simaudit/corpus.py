@@ -30,32 +30,36 @@ as `dimension` x `stats.functions_kept` values of the narrowest signed type
 that holds them, which `dtype` names (int8 to int64), then one float64 norm
 per row; or float64 rows, `dtype` float64.
 
-The loader first checks the header: its format version, then each field of
-_HEADER_FIELDS and _STATS_FIELDS present and of its type, by the one loop
-that checks an entry line against _ENTRY_FIELDS. It finds where the block
-stream starts from the length at the end of the file, and inflates each
-stream once, on the calling thread: the text, which it decodes and splits
-into lines, and then the block, from whose bytes it keeps a row-major copy
-of the (dimension, rows) columns and a copy of the norms. A length that
-leaves no room for the text, a block larger than _text_bound of the file's
-length, a stream that is not raw DEFLATE, ends inside itself or has bytes
-after it, text that inflates past that bound or is not UTF-8, a block that
-does not inflate to exactly its size, a missing line, a norm that is not
-positive and finite, or a row that is not finite (for sums: whose largest
-magnitude over its norm is not) makes the file corrupt. The block's
-arrays keep their stored types, so no float64 matrix is built from sums.
-It then checks the hash of the file and parses only the key line, which
-must be two arrays of strings, as long as each other and as there are
-entry lines, with no entry id twice and every hash key 16 lowercase hex
-digits; the maps of ids and of hash keys are built from the arrays
-whole. An entry line is parsed the first time a scan touches its entry (a
-find_clone candidate, entry_by_id or reading entries), and one that is
-not a list of the 6 fields, each of its type, is corrupt. If the hash
-does not match the digest, every entry line is parsed at load instead, so
-a damaged line is reported by its number; if they all parse, the
-mismatch itself is reported. Either way the load fails with FileCorrupt, as does raw source
-that no longer normalizes, once it is read. Saving is deterministic, so
-load-then-save reproduces the file byte for byte.
+load_index reads the file once and then its sections in file order, each
+with its own reader, on the calling thread. _read_frame checks the header:
+its format version, then each field of _HEADER_FIELDS and _STATS_FIELDS
+present and of its type, by the one loop that checks an entry line against
+_ENTRY_FIELDS. It finds where the block stream starts from the length at
+the end of the file, checks that length and the block's size, and hashes
+the file. _read_lines inflates the text, decodes it and splits it into
+lines. _read_block inflates the block, from whose bytes it keeps a
+row-major copy of the (dimension, rows) columns and a copy of the norms;
+its arrays keep their stored types, so no float64 matrix is built from
+sums. _inflate inflates either stream, never past its limit: the text's
+bound or the block's size. A length that leaves no room for the text, a
+block larger than _text_bound of the file's length, a stream that is not
+raw DEFLATE, ends inside itself or has bytes after it, text that inflates
+past that bound or is not UTF-8, a block that does not inflate to exactly
+its size, a missing line, a norm that is not positive and finite, or a
+row that is not finite (for sums: whose largest magnitude over its norm
+is not) makes the file corrupt. _check_digest then compares the hash with
+the digest; if they differ, every entry line is parsed, so a damaged line
+is reported by its number, and if they all parse, the mismatch itself is.
+Last, _read_keys parses only the key line, which must be two arrays of
+strings, as long as each other and as there are entry lines, with no
+entry id twice and every hash key 16 lowercase hex digits; the maps of ids
+and of hash keys are built from the arrays whole. An entry line is parsed
+the first time a scan touches its entry (a find_clone candidate,
+entry_by_id or reading entries), and one that is not a list of the 6
+fields, each of its type, is corrupt. Each of these fails the load, or the
+read, with FileCorrupt, as does raw source that no longer normalizes, once
+it is read. Saving is deterministic, so load-then-save reproduces the file
+byte for byte.
 """
 
 from __future__ import annotations
@@ -392,11 +396,7 @@ def apply_labels(index: CorpusIndex, labels_path: str | Path) -> LabelReport:
     return report
 
 
-def _is_str(value) -> bool:
-    return type(value) is str
-
-
-_STRING = (_is_str, "a string")
+_STRING = (lambda v: type(v) is str, "a string")
 _STRING_OR_NULL = (lambda v: v is None or type(v) is str, "a string or null")
 _LABELS = frozenset(label.value for label in Label)
 # The fields of a header, of its stats and of an entry line, in the order
@@ -597,28 +597,34 @@ def save_index(index: CorpusIndex, path: str | Path) -> None:
     write_atomic(path, write)
 
 
-def _inflate(path, what: str, stream, limit: int) -> bytes:
+def _inflate(path, what: str, stream, limit: int, past: str) -> bytes:
     """The bytes that stream, the raw DEFLATE stream of the index at path
-    that holds what, inflates to, but at most limit + 1 of them: a stream
-    that inflates past limit is told by its length and inflated no further.
-    FileCorrupt if the stream is not raw DEFLATE or, unless it inflates
-    past limit, ends inside itself or has bytes after it."""
+    that holds what, inflates to. FileCorrupt if the stream is not raw
+    DEFLATE; if it inflates past limit, which one byte more tells, with
+    the message `index <path> <what> <past>`; or if it ends inside itself
+    or has bytes after it."""
     unpacker = zlib.decompressobj(-15)
     try:
         out = unpacker.decompress(stream, limit + 1)
     except zlib.error as exc:
         raise FileCorrupt(f"index {path} {what} is not a raw DEFLATE stream: {exc}") from exc
-    if len(out) <= limit:
-        if not unpacker.eof:
-            raise FileCorrupt(f"index {path} {what} ends inside its DEFLATE stream")
-        if unpacker.unused_data:
-            raise FileCorrupt(f"index {path} {what} has bytes after its DEFLATE stream")
+    if len(out) > limit:
+        raise FileCorrupt(f"index {path} {what} {past}")
+    if not unpacker.eof:
+        raise FileCorrupt(f"index {path} {what} ends inside its DEFLATE stream")
+    if unpacker.unused_data:
+        raise FileCorrupt(f"index {path} {what} has bytes after its DEFLATE stream")
     return out
 
 
-def load_index(path: str | Path) -> CorpusIndex:
-    with open(path, "rb") as f:
-        data = f.read()
+def _read_frame(path, data: bytes) -> tuple[dict, memoryview, memoryview, int, str]:
+    """The frame of data, the bytes of the index file at path: its header,
+    checked field by field; a view of its text stream; a view of its vector
+    block stream, empty if the header has no dimension, and the size that
+    stream must inflate to; and the hex SHA-256 of the file with the
+    digest's own 64 digits taken as zeros. FileCorrupt if the header is
+    malformed, or if the block's length leaves no room for the text or its
+    size is more than the file's _text_bound."""
     head_end = data.find(b"\n")
     if head_end < 0:
         raise FileCorrupt(f"index {path} has no complete header line")
@@ -631,9 +637,8 @@ def load_index(path: str | Path) -> CorpusIndex:
         raise FileCorrupt(f"index {path} has no header line")
     version = header.get("format_version")
     if type(version) is int and version != FORMAT_VERSION:
-        raise FormatVersionMismatch(
-            f"index {path} is format {version}, "
-            f"this build reads format {FORMAT_VERSION}; rebuild it with `simaudit index`")
+        raise FormatVersionMismatch(f"index {path} is format {version}, this build reads format "
+                                    f"{FORMAT_VERSION}; rebuild it with `simaudit index`")
     malformed = f"index {path} header is malformed"
     _check_fields(malformed, header, _HEADER_FIELDS)
     _check_fields(f"{malformed}: stats", header["stats"], _STATS_FIELDS)
@@ -641,81 +646,106 @@ def load_index(path: str | Path) -> CorpusIndex:
     if (dimension is None) != (dtype is None):  # a vector block needs both
         raise FileCorrupt(f"{malformed}: dtype {dtype!r} is not " + (
             f"one of {', '.join(VECTOR_DTYPES)}" if dtype is None else "null, as dimension is"))
-    index = CorpusIndex(meta=IndexMeta(header["created_at"], header["embedder_id"],
-                                       float(header["delta"])),
-                        stats=IndexStats(**header["stats"]), _path=path)
-    rows = index.stats.functions_kept
-    bound = _text_bound(len(data))
     view = memoryview(data)
-    text_end = len(data)
+    text_end, size = len(data), 0
     if dimension is not None:
-        block_dtype = np.dtype(dtype).newbyteorder("<")
-        norms_size = 8 * rows if block_dtype.kind == "i" else 0
-        size = block_dtype.itemsize * dimension * rows + norms_size
+        # Sums, then one float64 norm per row; or float64 rows alone.
+        row_size = np.dtype(dtype).itemsize * dimension + 8 * (dtype != "float64")
+        size = row_size * header["stats"]["functions_kept"]
         length = int.from_bytes(data[-8:], "little")
         text_end = len(data) - 8 - length
         if text_end <= head_end:
             raise FileCorrupt(f"index {path} vector block length {length} leaves no room "
                               f"for its entry text")
+        bound = _text_bound(len(data))
         if size > bound:
             raise FileCorrupt(f"index {path} vector block of {size} bytes is more than the "
                               f"{bound} that its {len(data)}-byte file may hold")
-    text = _inflate(path, "entry text", view[head_end + 1:text_end], bound)
-    if len(text) > bound:
-        raise FileCorrupt(f"index {path} entry text inflates past the {bound} bytes "
-                          f"that its {len(data)}-byte file may hold")
-    # The digest, the header's last value, is of the file with its own 64
-    # digits, which end 2 bytes before the header line does, as zeros.
+    # The digest, the header's last value, ends 2 bytes before its line does.
     digest = hashlib.sha256(data[:head_end - 66] + b"0" * 64)
     digest.update(view[head_end - 2:])
+    return header, view[head_end + 1:text_end], view[text_end:-8], size, digest.hexdigest()
+
+
+def _read_lines(path, stream, file_size: int, rows: int) -> list[str]:
+    """The lines of the text that stream, the text stream of the index at
+    path, a file of file_size bytes, inflates to: rows entry lines and then
+    the key line. FileCorrupt if the text inflates past the file's
+    _text_bound, is not UTF-8, does not end with a line break or holds
+    another number of lines."""
+    bound = _text_bound(file_size)
+    text = _inflate(path, "entry text", stream, bound,
+                    f"inflates past the {bound} bytes that its {file_size}-byte file may hold")
     try:
         text = text.decode("utf-8")  # frees the inflated bytes
     except UnicodeDecodeError as exc:
         raise FileCorrupt(f"index {path} entry text is not UTF-8: {exc}") from exc
     *lines, tail = text.split("\n")
-    del text  # only the lines are kept
     if tail:
         raise FileCorrupt(f"index {path} entry text does not end with a line break")
     if len(lines) != rows + 1:
-        raise FileCorrupt(
-            f"index {path} says functions_kept={rows} but holds {len(lines)} lines "
-            f"after its header, not that many entry lines and a key line")
-    vectors = norms = None
-    if dimension is not None:
-        block = _inflate(path, "vector block", view[text_end:-8], size)
-        if len(block) > size:
-            raise FileCorrupt(f"index {path} vector block inflates past its {size} bytes")
-        if len(block) < size:
-            raise FileCorrupt(f"index {path} vector block is too short for its {rows} rows of "
-                              f"{dimension} {dtype}" + (" and their norms" if norms_size else ""))
-        columns = np.frombuffer(block, block_dtype, dimension * rows).reshape(dimension, rows)
-        # Row-major, row i for entry i, and in native byte order: one copy,
-        # which a query's row-major tiles read faster than a view.
-        vectors = columns.T.astype(dtype, order="C")
-        if norms_size:
-            # A copy of its own, which keeps no view of the block alive.
-            norms = np.frombuffer(block, "<f8", rows, columns.nbytes).astype(float)
-            if not ((norms > 0.0) & (norms < np.inf)).all():
-                raise FileCorrupt(
-                    f"index {path} holds a vector norm that is not positive and finite")
-            # A row's quotients are finite iff its largest |sum| over its norm
-            # is: division is monotone. No np.abs: it maps int8 -128 to -128.
-            largest = np.maximum(vectors.max(axis=1), -vectors.min(axis=1).astype(float))
-            with np.errstate(over="ignore"):  # a tiny norm, reported below
-                finite = np.isfinite(largest / norms).all()
-        else:
-            finite = np.isfinite(vectors).all()
-        if not finite:
-            raise FileCorrupt(f"index {path} vectors hold non-finite values")
-    if digest.hexdigest() != header["digest"]:
-        # Damage: report the first line that holds no entry, if there is one.
+        raise FileCorrupt(f"index {path} says functions_kept={rows} but holds {len(lines)} lines "
+                          f"after its header, not that many entry lines and a key line")
+    return lines
+
+
+def _read_block(path, stream, size: int, header: dict) -> tuple[np.ndarray, np.ndarray | None]:
+    """The vectors and the norms (None for float64 rows) of the vector
+    block that stream, the block stream of the index at path with header
+    as its header, inflates to, each copied out of it. FileCorrupt if the
+    block does not inflate to exactly size bytes, a norm is not positive
+    and finite, or a row is not finite (for sums: whose largest magnitude
+    over its norm is not)."""
+    dimension, dtype = header["dimension"], header["dtype"]
+    rows, sums = header["stats"]["functions_kept"], dtype != "float64"
+    block = _inflate(path, "vector block", stream, size, f"inflates past its {size} bytes")
+    if len(block) < size:
+        raise FileCorrupt(f"index {path} vector block is too short for its {rows} rows of "
+                          f"{dimension} {dtype}" + (" and their norms" if sums else ""))
+    columns = np.frombuffer(block, np.dtype(dtype).newbyteorder("<"), dimension * rows)
+    # Row-major, row i for entry i, and in native byte order: one copy,
+    # which a query's row-major tiles read faster than a view.
+    vectors = columns.reshape(dimension, rows).T.astype(dtype, order="C")
+    # Float rows must be finite themselves; sums, their quotients.
+    norms, checked = None, vectors
+    if sums:
+        # A copy of its own, which keeps no view of the block alive.
+        norms = np.frombuffer(block, "<f8", rows, columns.nbytes).astype(float)
+        if not ((norms > 0.0) & (norms < np.inf)).all():
+            raise FileCorrupt(f"index {path} holds a vector norm that is not positive and finite")
+        # A row's quotients are finite iff its largest |sum| over its norm
+        # is: division is monotone. No np.abs: it maps int8 -128 to -128.
+        largest = np.maximum(vectors.max(axis=1), -vectors.min(axis=1).astype(float))
+        with np.errstate(over="ignore"):  # a tiny norm, reported below
+            checked = largest / norms
+    if not np.isfinite(checked).all():
+        raise FileCorrupt(f"index {path} vectors hold non-finite values")
+    return vectors, norms
+
+
+def _check_digest(path, lines: list[str], digest: str, expected: str) -> None:
+    """Nothing if digest, the hash of the index file at path, is expected,
+    the header's. Else FileCorrupt: damage is reported as the first entry
+    line (lines but the last) that holds no entry, if there is one, and
+    otherwise as the mismatch itself."""
+    if digest != expected:
         for lineno, line in enumerate(lines[:-1], start=2):
             _entry_from_line(path, lineno, line, "", "")
         raise FileCorrupt(f"index {path} does not match the header's digest")
+
+
+def _read_keys(path, index: CorpusIndex, lines: list[str]) -> tuple[list[str], list[str]]:
+    """The entry ids and the hash keys of the key line, which it takes off
+    the end of lines, the text of the index at path, with index's
+    entry_ids, _by_id and _by_hash filled from them. FileCorrupt naming the
+    line unless it is two arrays of strings, as long as each other and as
+    there are entry lines, with no entry id twice and every hash key
+    HASH_KEY_CHARS lowercase hex digits."""
     key_line = f"index {path} line {len(lines) + 1}:"
     keys = decode_json(lines.pop(), lambda exc: FileCorrupt(f"{key_line} {exc}"))
-    if (type(keys) is not list or len(keys) != 2
-            or not all(type(array) is list and all(map(_is_str, array)) for array in keys)):
+    # Whole arrays at once: the types of the two, then those of their values.
+    if (type(keys) is not list or [*map(type, keys)] != [list, list]
+            or {*map(type, keys[0] + keys[1])} - {str}):
         raise FileCorrupt(f"{key_line} not two arrays of strings, entry ids and hash keys")
     ids, hash_keys = keys
     if len(ids) != len(hash_keys):
@@ -733,8 +763,7 @@ def load_index(path: str | Path) -> CorpusIndex:
     if len(index._by_id) < len(ids):
         # dict keeps the last position of an id: the first one it does not
         # keep is there twice.
-        twice = next(entry_id for pos, entry_id in enumerate(ids)
-                     if index._by_id[entry_id] != pos)
+        twice = next(entry_id for pos, entry_id in enumerate(ids) if index._by_id[entry_id] != pos)
         raise FileCorrupt(f"{key_line} entry id {twice!r:.60} is there twice")
     index.entry_ids = ids
     index._by_hash = dict(zip(hash_keys, zip(range(len(ids)))))
@@ -742,10 +771,25 @@ def load_index(path: str | Path) -> CorpusIndex:
         index._by_hash = {}
         for pos, key in enumerate(hash_keys):
             index._by_hash[key] = index._by_hash.get(key, ()) + (pos,)
+    return ids, hash_keys
+
+
+def load_index(path: str | Path) -> CorpusIndex:
+    """The index saved at path, read in file order: its frame, its text's
+    lines, its vector block, the digest, and its key line; an entry line is
+    parsed the first time its entry is read."""
+    data = Path(path).read_bytes()
+    header, text, block, size, digest = _read_frame(path, data)
+    lines = _read_lines(path, text, len(data), header["stats"]["functions_kept"])
+    meta = IndexMeta(header["created_at"], header["embedder_id"], float(header["delta"]))
+    index = CorpusIndex(meta, IndexStats(**header["stats"]), _path=path)
+    if header["dimension"] is not None:
+        index.vectors, index.norms = _read_block(path, block, size, header)
+    _check_digest(path, lines, digest, header["digest"])
+    ids, hash_keys = _read_keys(path, index, lines)
 
     def build(pos: int) -> CorpusEntry:
         return _entry_from_line(path, pos + 2, lines[pos], ids[pos], hash_keys[pos])
 
     index.entries = EntryList(len(lines), build)
-    index.vectors, index.norms = vectors, norms
     return index

@@ -402,6 +402,54 @@ class TestLabels:
         assert [len(hits) for _, hits in report.applied] == [2, 2, 1, 1]
 
 
+# Each makes two faults in the saved _fallback_index at path and gives the
+# file's bytes; the digest matches them unless it is one of the faults.
+def _short_block_and_text_not_utf8(path):
+    return restamp(damage_text(damage_block(path.read_bytes(), "inflates_short"), "not_utf8"))
+
+
+def _no_room_for_the_text_and_text_not_utf8(path):
+    data = damage_text(path.read_bytes(), "not_utf8")
+    return restamp(data[:-8] + (1 << 40).to_bytes(8, "little"))
+
+
+def _short_block_and_an_id_twice(path):
+    rewrite_index(path, keys=lambda keys: [[keys[0][0], *keys[0][:-1]], keys[1]])
+    return restamp(damage_block(path.read_bytes(), "inflates_short"))
+
+
+def _zero_norm_and_a_stale_digest(path):
+    header, lines, block = split_index(path)
+    return join_index([json.dumps(header), *lines], _norm(0, 0.0)(header, block)[1])
+
+
+def _malformed_header_and_text_not_deflate(path):
+    rewrite_index(path, delta="x")
+    return restamp(damage_text(path.read_bytes(), "not_deflate"))
+
+
+def _entry_line_and_key_line_not_json_lists_and_a_stale_digest(path):
+    rewrite_index(path, entry=lambda pos, fields: "x" if pos == 1 else fields,
+                  keys=lambda keys: [1, 2])
+    data = path.read_bytes()
+    return data.replace(split_index(data)[0]["digest"].encode(), b"0" * 64, 1)
+
+
+# The ways a key line's id or hash-key array may hold a value that is not a
+# string: each kind of value at the first, a middle and the last position.
+def _not_a_string(array, pos, value):
+    keys = [["a", "b", "c"], ["d", "e", "f"]]
+    keys[array][pos] = value
+    return keys
+
+
+_NOT_STRINGS = {"number": 5, "true": True, "null": None, "list": ["a"], "object": {"a": "b"}}
+_NOT_A_STRING = {f"{name}_{kind}_{where}": _not_a_string(array, pos, value)
+                 for array, name in enumerate(["id", "key"])
+                 for pos, where in enumerate(["first", "middle", "last"])
+                 for kind, value in _NOT_STRINGS.items()}
+
+
 class TestPersistence:
     def test_round_trip_unembedded(self, tmp_path):
         index = _labeled_index()
@@ -875,8 +923,9 @@ class TestPersistence:
 
     @pytest.mark.parametrize("keys", [
         [1, 2], [["a", "b"]], [["a", "b"], ["c", "d"], []], ["ab", "cd"], {"ab": 0, "cd": 0},
-        [["a", "b"], ["c", None]],
-    ], ids=["numbers", "one_array", "three_arrays", "two_strings", "object", "null_key"])
+        [["a", "b"], ["c", None]], *_NOT_A_STRING.values(),
+    ], ids=["numbers", "one_array", "three_arrays", "two_strings", "object", "null_key",
+            *_NOT_A_STRING])
     def test_key_line_not_two_arrays_of_strings_is_file_corrupt(self, tmp_path, keys):
         index = new_index()
         for name in ("f", "g"):
@@ -1043,6 +1092,31 @@ class TestPersistence:
                     f"{path.stat().st_size}-byte file may hold")):
                 load_index(path)
             assert inflaters.call_count == 0
+
+    @pytest.mark.parametrize("make, message", [
+        (_short_block_and_text_not_utf8, "entry text is not UTF-8: 'utf-8' codec can't decode "
+                                         "byte 0xff in position 0: invalid start byte"),
+        (_no_room_for_the_text_and_text_not_utf8,
+         f"vector block length {1 << 40} leaves no room for its entry text"),
+        (_short_block_and_an_id_twice,
+         "vector block is too short for its 3 rows of 384 int8 and their norms"),
+        (_zero_norm_and_a_stale_digest, "holds a vector norm that is not positive and finite"),
+        (_malformed_header_and_text_not_deflate, "header is malformed: delta 'x' is not a finite "
+                                                 "number"),
+        (_entry_line_and_key_line_not_json_lists_and_a_stale_digest,
+         "line 3: not a list of the 6 entry fields"),
+    ], ids=["text_before_block", "frame_before_text", "block_before_keys", "block_before_digest",
+            "header_before_text", "digest_before_keys"])
+    def test_of_two_faults_the_one_read_first_is_reported(self, tmp_path, make, message):
+        """The loader reads an index in file order: header, block length,
+        text, block, digest and key line, each section checked whole before
+        the next is read."""
+        path = tmp_path / "idx.jsonl"
+        save_index(_fallback_index(), path)
+        path.write_bytes(make(path))
+        with pytest.raises(FileCorrupt) as exc:
+            load_index(path)
+        assert str(exc.value) == f"index {path} {message}"
 
     def test_source_just_within_the_bound_round_trips(self, tmp_path, monkeypatch):
         """Text of exactly the bound saves and loads; with a bound one byte
